@@ -60,9 +60,12 @@ from .verify import (
     CheckResult,
     DEFAULT_TOLERANCES,
     VerificationReport,
+    check_correspondence,
     check_expectation_x,
+    check_fd_spectrum,
     check_first_moment,
     check_hypergeom_norm,
+    check_identity,
     check_orthonormality,
     check_residual,
     check_trig_norm,
@@ -94,9 +97,12 @@ __all__ = [
     "box_energy",
     "chebyshev_u",
     "chebyshev_u_derivatives",
+    "check_correspondence",
     "check_expectation_x",
+    "check_fd_spectrum",
     "check_first_moment",
     "check_hypergeom_norm",
+    "check_identity",
     "check_orthonormality",
     "check_residual",
     "check_trig_norm",

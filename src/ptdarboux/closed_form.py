@@ -27,6 +27,9 @@ __all__ = [
     "identity_sides",
     "ratio_identity_even",
     "ratio_identity_odd",
+    "identity_sides_t",
+    "ratio_identity_even_t",
+    "ratio_identity_odd_t",
 ]
 
 _HALF = Fraction(1, 2)
@@ -140,11 +143,7 @@ def coefficient_C(n: int) -> Fraction:
 def normalization_A(n: int, alpha: float) -> float:
     """Amplitude making the level-n bound state of the symmetric well equal
     the normalized partner mode of index n + 2: A_n = N_{n+2} / C_n."""
-    if not (alpha > 0):
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    k = n + 2
-    bracket_norm = math.sqrt(4.0 * alpha / math.pi) / math.sqrt(k * k - 1.0)
-    return float(1 / coefficient_C(n)) * bracket_norm
+    return float(1 / coefficient_C(n)) * TrigEigenfunction(n + 2, alpha).norm
 
 
 def _checked_t(alpha: float, x: float, margin: float) -> float:
@@ -160,81 +159,53 @@ def _checked_t(alpha: float, x: float, margin: float) -> float:
     return t
 
 
-def identity_sides(
-    n: int, alpha: float, x: float, margin: float = 1e-3
-) -> tuple[float, float]:
-    """Both sides of the bound-state identity
+def identity_sides_t(n: int, t: float) -> tuple[float, float]:
+    """identity_sides at t = 2 alpha x, with sin^2(alpha x) = sin^2(t / 2).
 
-        2F1(-n, n+4; 5/2; sin^2(alpha x))
-            = 4 C_n [ (n+2) cos((n+2) t) - cot(t) sin((n+2) t) ] / sin^2(t)
-
-    with t = 2 alpha x.  The left side is the polynomial evaluation; the
-    right side uses the stable bracket but still divides by sin^2(t), so
-    points with t within `margin` of 0 or pi are rejected
-    (StabilityError).  The polynomial side alone is valid everywhere.
+    Dimensionless core without the wall guard: the caller keeps t at least
+    a margin away from 0 and pi.
     """
     if n < 0:
         raise ParameterError(f"index n must be >= 0, got {n}")
-    t = _checked_t(alpha, x, margin)
-    s_ax = math.sin(alpha * x)
+    s_half = math.sin(0.5 * t)
     lhs = f21_eval_real(
-        TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2)), s_ax * s_ax
+        TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2)), s_half * s_half
     )
     s_t = math.sin(t)
     rhs = 4.0 * float(coefficient_C(n)) * _stable_bracket(n + 2, t) / (s_t * s_t)
     return lhs, rhs
 
 
-def ratio_identity_even(
-    m: int, alpha: float, x: float, margin: float = 1e-3
-) -> tuple[float, float]:
-    """Parameter-free form of the even identity: the ratio of the degree-2m
-    hypergeometric factor to its midpoint value equals
-
-        (-1)^(m+1) / (2 (m+1)) * [bracket of index 2m+2] / sin^2(t).
-
-    All proportionality constants cancel, so this probes the functional
-    shape independently of coefficient_C.
-    """
+def ratio_identity_even_t(m: int, t: float) -> tuple[float, float]:
+    """ratio_identity_even at t = 2 alpha x; no wall guard (see identity_sides_t)."""
     if m < 0:
         raise ParameterError(f"index m must be >= 0, got {m}")
-    t = _checked_t(alpha, x, margin)
     h = TerminatingHypergeometric(2 * m, Fraction(2 * m + 4), Fraction(5, 2))
     den = f21_eval_exact(h, _HALF)
     if den == 0:
         raise ZeroDivisionError(f"midpoint value of the even index-{m} factor is zero")
-    s_ax = math.sin(alpha * x)
-    lhs = f21_eval_real(h, s_ax * s_ax) / float(den)
+    s_half = math.sin(0.5 * t)
+    lhs = f21_eval_real(h, s_half * s_half) / float(den)
     s_t = math.sin(t)
     k = 2 * m + 2
     rhs = (-1.0) ** (m + 1) / (2.0 * (m + 1)) * _stable_bracket(k, t) / (s_t * s_t)
     return lhs, rhs
 
 
-def ratio_identity_odd(
-    m: int, alpha: float, x: float, margin: float = 1e-3
-) -> tuple[float, float]:
-    """Parameter-free form of the odd identity.  The degree-(2m+1) factor
-    vanishes at the midpoint, so the reference denominator is the shifted
-    factor 2F1(-2m, 2m+6; 7/2; 1/2) instead:
-
-        2F1(-(2m+1), 2m+5; 5/2; sin^2(alpha x)) / 2F1(-2m, 2m+6; 7/2; 1/2)
-            = (-1)^(m+1)/20 * (2m+1)(2m+5)/((m+1)(m+2))
-              * [bracket of index 2m+3] / sin^2(t)
-    """
+def ratio_identity_odd_t(m: int, t: float) -> tuple[float, float]:
+    """ratio_identity_odd at t = 2 alpha x; no wall guard (see identity_sides_t)."""
     if m < 0:
         raise ParameterError(f"index m must be >= 0, got {m}")
-    t = _checked_t(alpha, x, margin)
     den = f21_eval_exact(
         TerminatingHypergeometric(2 * m, Fraction(2 * m + 6), Fraction(7, 2)), _HALF
     )
     if den == 0:
         raise ZeroDivisionError(f"reference value of the odd index-{m} factor is zero")
-    s_ax = math.sin(alpha * x)
+    s_half = math.sin(0.5 * t)
     lhs = (
         f21_eval_real(
             TerminatingHypergeometric(2 * m + 1, Fraction(2 * m + 5), Fraction(5, 2)),
-            s_ax * s_ax,
+            s_half * s_half,
         )
         / float(den)
     )
@@ -248,3 +219,52 @@ def ratio_identity_odd(
     )
     rhs = prefactor * _stable_bracket(k, t) / (s_t * s_t)
     return lhs, rhs
+
+
+def identity_sides(
+    n: int, alpha: float, x: float, margin: float = 1e-3
+) -> tuple[float, float]:
+    """Both sides of the bound-state identity
+
+        2F1(-n, n+4; 5/2; sin^2(alpha x))
+            = 4 C_n [ (n+2) cos((n+2) t) - cot(t) sin((n+2) t) ] / sin^2(t)
+
+    with t = 2 alpha x.  The left side is the polynomial evaluation; the
+    right side uses the stable bracket but still divides by sin^2(t), so
+    points with t within `margin` of 0 or pi are rejected
+    (StabilityError).  The polynomial side alone is valid everywhere.
+    Both sides depend on x only through t (identity_sides_t).
+    """
+    return identity_sides_t(n, _checked_t(alpha, x, margin))
+
+
+def ratio_identity_even(
+    m: int, alpha: float, x: float, margin: float = 1e-3
+) -> tuple[float, float]:
+    """Parameter-free form of the even identity: the ratio of the degree-2m
+    hypergeometric factor to its midpoint value equals
+
+        (-1)^(m+1) / (2 (m+1)) * [bracket of index 2m+2] / sin^2(t).
+
+    All proportionality constants cancel, so this probes the functional
+    shape independently of coefficient_C.  Points with t within `margin`
+    of a wall are rejected as in identity_sides.
+    """
+    return ratio_identity_even_t(m, _checked_t(alpha, x, margin))
+
+
+def ratio_identity_odd(
+    m: int, alpha: float, x: float, margin: float = 1e-3
+) -> tuple[float, float]:
+    """Parameter-free form of the odd identity.  The degree-(2m+1) factor
+    vanishes at the midpoint, so the reference denominator is the shifted
+    factor 2F1(-2m, 2m+6; 7/2; 1/2) instead:
+
+        2F1(-(2m+1), 2m+5; 5/2; sin^2(alpha x)) / 2F1(-2m, 2m+6; 7/2; 1/2)
+            = (-1)^(m+1)/20 * (2m+1)(2m+5)/((m+1)(m+2))
+              * [bracket of index 2m+3] / sin^2(t)
+
+    Points with t within `margin` of a wall are rejected as in
+    identity_sides.
+    """
+    return ratio_identity_odd_t(m, _checked_t(alpha, x, margin))

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ParameterError
-from .models import WellConfig
+from .errors import ParameterError
+from .models import WellConfig, _require_open
 
 __all__ = [
     "DarbouxContext",
@@ -40,14 +40,9 @@ class DarbouxContext:
         object.__setattr__(self, "omega_sq", 4.0 * self.cfg.alpha * self.cfg.alpha)
 
 
-def _require_open(ctx: DarbouxContext, x: float) -> None:
-    if not (0.0 < x < ctx.cfg.length):
-        raise DomainError(f"x={x} outside open interval (0, {ctx.cfg.length})")
-
-
 def superpotential(ctx: DarbouxContext, x: float) -> float:
     """W(x) = -2 alpha cot(2 alpha x), singular at both walls."""
-    _require_open(ctx, x)
+    _require_open(ctx.cfg, x)
     a = ctx.cfg.alpha
     t = 2.0 * a * x
     return -2.0 * a * math.cos(t) / math.sin(t)
@@ -57,7 +52,7 @@ def partner_potential(ctx: DarbouxContext, x: float) -> float:
     """W' + W^2 + omega^2, assembled with the analytic derivative
     W'(x) = 4 alpha^2 / sin^2(2 alpha x).  Collapses to
     8 alpha^2 / sin^2(2 alpha x)."""
-    _require_open(ctx, x)
+    _require_open(ctx.cfg, x)
     a = ctx.cfg.alpha
     t = 2.0 * a * x
     s = math.sin(t)
@@ -75,7 +70,7 @@ def intertwine(ctx: DarbouxContext, k: int, x: float) -> float:
     """
     if k < 1:
         raise ParameterError(f"box index k must be >= 1, got {k}")
-    _require_open(ctx, x)
+    _require_open(ctx.cfg, x)
     a = ctx.cfg.alpha
     t = 2.0 * a * x
     cot = math.cos(t) / math.sin(t)

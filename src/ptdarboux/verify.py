@@ -10,16 +10,16 @@ single failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import closed_form
 from .closed_form import TrigEigenfunction, chi_derivatives, chi_eval
 from .darboux import DarbouxContext, partner_potential
 from .errors import EvaluationError, ParameterError
 from .hypergeom import TerminatingHypergeometric, f21_eval_real, midpoint_vanishing
-from .models import WellConfig, box_eigenfunction, box_energy
+from .models import PTParams, WellConfig, box_eigenfunction, box_energy, pt_eigen_hypergeom
 from .numerics import gauss_legendre
 
 __all__ = [
@@ -34,7 +34,10 @@ __all__ = [
     "check_first_moment",
     "check_orthonormality",
     "check_residual",
+    "check_correspondence",
+    "check_identity",
     "fd_spectrum",
+    "check_fd_spectrum",
     "run_full_suite",
 ]
 
@@ -49,7 +52,9 @@ DEFAULT_TOLERANCES = {
 def resolve_tolerances(overrides: dict | None = None) -> dict:
     """Default tolerance registry with optional per-name overrides.
 
-    Unknown names are rejected so a typo cannot silently loosen a check.
+    Unknown names are rejected so a typo cannot silently loosen a check,
+    and so are values that are NaN, infinite or negative, which no
+    deviation could be judged against.
     """
     merged = dict(DEFAULT_TOLERANCES)
     if overrides:
@@ -58,7 +63,12 @@ def resolve_tolerances(overrides: dict | None = None) -> dict:
                 raise ParameterError(
                     f"unknown tolerance {name!r}; known: {sorted(merged)}"
                 )
-            merged[name] = float(value)
+            value = float(value)
+            if not (0.0 <= value < math.inf):
+                raise ParameterError(
+                    f"tolerance {name!r} must be finite and >= 0, got {value}"
+                )
+            merged[name] = value
     return merged
 
 
@@ -73,15 +83,7 @@ class CheckResult:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "computed": self.computed,
-            "reference": self.reference,
-            "abs_dev": self.abs_dev,
-            "rel_dev": self.rel_dev,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -343,10 +345,23 @@ def check_orthonormality(
     )
 
 
+# Interior grids stay this far in t = 2 alpha x from the walls, where the
+# identities divide by sin^2(t) and the relative residual is meaningless.
+_WALL_MARGIN = 1e-3
+
+
+def _t_grid(points: int, margin: float) -> list[float]:
+    """`points` equally spaced values of t = 2 alpha x on [margin, pi - margin]."""
+    if points < 2:
+        raise ParameterError(f"need at least 2 grid points, got {points}")
+    step = (math.pi - 2.0 * margin) / (points - 1)
+    return [margin + i * step for i in range(points)]
+
+
 def check_residual(
     k: int,
     alpha: float = 1.0,
-    margin: float = 1e-3,
+    margin: float = _WALL_MARGIN,
     *,
     points: int = 1000,
     hamiltonian: str = "partner",
@@ -366,26 +381,21 @@ def check_residual(
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
     if not (margin > 0):
         raise ParameterError(f"margin must be positive, got {margin}")
-    if points < 2:
-        raise ParameterError(f"need at least 2 grid points, got {points}")
     tol = DEFAULT_TOLERANCES["residual"] if tolerance is None else tolerance
     cfg = WellConfig(alpha)
     energy = box_energy(cfg, k)
-    step = (math.pi - 2.0 * margin) / (points - 1)
     worst = 0.0
     if hamiltonian == "partner":
         ctx = DarbouxContext(cfg)
         f = TrigEigenfunction(k, alpha)
-        for i in range(points):
-            t = margin + i * step
+        for t in _t_grid(points, margin):
             x = t / (2.0 * alpha)
             value, _, second = chi_derivatives(f, x)
             residual = -second + partner_potential(ctx, x) * value - energy * value
             worst = max(worst, abs(residual) / energy)
     elif hamiltonian == "box":
         amp = 2.0 * alpha * k
-        for i in range(points):
-            t = margin + i * step
+        for t in _t_grid(points, margin):
             x = t / (2.0 * alpha)
             value = box_eigenfunction(cfg, k, x)
             second = -(amp * amp) * value
@@ -396,6 +406,62 @@ def check_residual(
     return _make_check(
         f"residual ({hamiltonian}) k={k} alpha={alpha}", worst, 0.0, tol
     )
+
+
+def check_correspondence(
+    n: int, alpha: float = 1.0, *, points: int = 1000, tolerance: float | None = None
+) -> CheckResult:
+    """Pointwise correspondence of the level-n bound state of the symmetric
+    well, scaled by normalization_A, with the normalized partner mode of
+    index n + 2: max |psi - chi| / max |chi| over an interior grid mapped
+    to x = t / (2 alpha)."""
+    tol = DEFAULT_TOLERANCES["identity"] if tolerance is None else tolerance
+    cfg = WellConfig(alpha)
+    amp = closed_form.normalization_A(n, alpha)
+    f = TrigEigenfunction(n + 2, alpha)
+    p = PTParams(2.0, 2.0)
+    pairs = []
+    for t in _t_grid(points, _WALL_MARGIN):
+        x = t / (2.0 * alpha)
+        pairs.append((pt_eigen_hypergeom(cfg, p, n, amp, x), chi_eval(f, x)))
+    scale = max(abs(chi) for _, chi in pairs)
+    dev = max(abs(psi - chi) for psi, chi in pairs) / scale
+    return _make_check(f"bound-state correspondence n={n}", dev, 0.0, tol)
+
+
+# Each identity family: the row-name prefix and the dimensionless core.
+_IDENTITY_FAMILIES = {
+    "base": ("identity (base) n=", closed_form.identity_sides_t),
+    "even": ("identity (even ratio) m=", closed_form.ratio_identity_even_t),
+    "odd": ("identity (odd ratio) m=", closed_form.ratio_identity_odd_t),
+}
+
+
+def _identity_name(which: str, index: int) -> str:
+    if which not in _IDENTITY_FAMILIES:
+        raise ParameterError(
+            f"identity family must be one of {sorted(_IDENTITY_FAMILIES)}, got {which!r}"
+        )
+    return f"{_IDENTITY_FAMILIES[which][0]}{index}"
+
+
+def check_identity(
+    which: str, index: int, *, points: int = 1000, tolerance: float | None = None
+) -> CheckResult:
+    """One identity family ("base" at level n, "even" or "odd" at family
+    index m): the worst deviation between its two sides over an interior
+    grid in t, scaled by the largest left-side value.
+
+    The identities are dimensionless, so the grid lives in t = 2 alpha x on
+    [1e-3, pi - 1e-3] and the result does not depend on alpha.
+    """
+    name = _identity_name(which, index)
+    tol = DEFAULT_TOLERANCES["identity"] if tolerance is None else tolerance
+    sides = _IDENTITY_FAMILIES[which][1]
+    pairs = [sides(index, t) for t in _t_grid(points, _WALL_MARGIN)]
+    scale = max(abs(lhs) for lhs, _ in pairs) or 1.0
+    dev = max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
+    return _make_check(name, dev, 0.0, tol)
 
 
 def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
@@ -458,17 +524,87 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     return eigenvalues
 
 
-def _max_scaled_identity_dev(pairs: list[tuple[float, float]]) -> float:
-    """max |lhs - rhs| scaled by the largest |lhs| over the grid."""
-    scale = max(abs(lhs) for lhs, _ in pairs)
-    if scale == 0.0:
-        scale = 1.0
-    return max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
+def check_fd_spectrum(
+    alpha: float, grid_points: int, count: int, *, tolerance: float | None = None
+) -> VerificationReport:
+    """The lowest `count` finite-difference eigenvalues (fd_spectrum), row
+    "fd mode i" against the exact partner energy 4 alpha^2 (i + 2)^2."""
+    tol = DEFAULT_TOLERANCES["fd_spectrum"] if tolerance is None else tolerance
+    modes = fd_spectrum(alpha, grid_points, count)
+    cfg = WellConfig(alpha)
+    checks = [
+        _make_check(f"fd mode {i}", lam, box_energy(cfg, i + 2), tol)
+        for i, lam in enumerate(modes)
+    ]
+    return _report(
+        checks, {"alpha": alpha, "grid_points": grid_points, "count": count}
+    )
 
 
-def _identity_grid(alpha: float, margin: float, points: int) -> list[float]:
-    step = (math.pi - 2.0 * margin) / (points - 1)
-    return [(margin + i * step) / (2.0 * alpha) for i in range(points)]
+# The exact coefficient table's first values, frozen by hand reduction.
+_FROZEN_C = {0: Fraction(-1, 8), 1: Fraction(-1, 32), 2: Fraction(-1, 80)}
+
+
+def _check_coefficient(n: int) -> CheckResult:
+    value = closed_form.coefficient_C(n)
+    return _make_check(f"coefficient C_{n}", float(value), float(_FROZEN_C[n]), 0.0)
+
+
+def _check_midpoint_vanishing(m: int) -> CheckResult:
+    first, second = midpoint_vanishing(m)
+    ok = first and (second is None or second)
+    return _make_check(f"midpoint vanishing m={m}", 0.0 if ok else 1.0, 0.0, 0.0)
+
+
+def _suite_specs(
+    alpha: float,
+    n_max: int,
+    quad_order: int,
+    panels: int,
+    tols: dict,
+    grid_points: int,
+    identity_points: int,
+) -> list[tuple]:
+    """Every check of the full suite in report order, as (name, tolerance,
+    thunk).  A thunk returns one CheckResult or a VerificationReport whose
+    rows all enter the report; name and tolerance label the failed row
+    recorded in place of a thunk that raises."""
+    quad_tol, id_tol = tols["quadrature"], tols["identity"]
+    quad = {"order": quad_order, "panels": panels, "tolerance": quad_tol}
+    levels = range(n_max + 1)
+    partners = range(2, max(2, n_max) + 1)
+    identities = [("base", n) for n in levels] + [
+        (which, m) for m in range(n_max // 2 + 1) for which in ("even", "odd")
+    ]
+    specs = [(f"coefficient C_{n}", 0.0, partial(_check_coefficient, n)) for n in _FROZEN_C]
+    specs += [(f"midpoint vanishing m={m}", 0.0, partial(_check_midpoint_vanishing, m))
+              for m in range(26)]
+    specs += [(f"trig norm k={k}", quad_tol, partial(check_trig_norm, k, **quad))
+              for k in range(2, n_max + 3)]
+    specs += [(f"hypergeom norm ({form}-form) n={n}", quad_tol,
+               partial(check_hypergeom_norm, n, form, **quad))
+              for n in levels for form in ("x", "z")]
+    specs += [(f"expectation <x> k={k}", quad_tol,
+               partial(check_expectation_x, k, alpha, **quad)) for k in partners]
+    specs += [(f"first moment (trig) k={k}", quad_tol,
+               partial(check_first_moment, k, "trig", **quad)) for k in partners]
+    specs += [(f"first moment (hypergeom) n={n}", quad_tol,
+               partial(check_first_moment, n, "hypergeom", **quad)) for n in levels]
+    specs.append(("gram matrix", quad_tol,
+                  partial(check_orthonormality, partners[-1], alpha, **quad)))
+    specs += [(f"residual (partner) k={k}", tols["residual"],
+               partial(check_residual, k, alpha, tolerance=tols["residual"]))
+              for k in partners]
+    specs += [(f"bound-state correspondence n={n}", id_tol,
+               partial(check_correspondence, n, alpha, points=identity_points,
+                       tolerance=id_tol)) for n in levels]
+    specs += [(_identity_name(which, i), id_tol,
+               partial(check_identity, which, i, points=identity_points, tolerance=id_tol))
+              for which, i in identities]
+    specs.append(("fd spectrum", tols["fd_spectrum"],
+                  partial(check_fd_spectrum, alpha, grid_points, 3,
+                          tolerance=tols["fd_spectrum"])))
+    return specs
 
 
 def run_full_suite(
@@ -493,16 +629,13 @@ def run_full_suite(
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
     tols = resolve_tolerances(tolerances)
-    k_top = max(2, n_max)
+    specs = _suite_specs(
+        alpha, n_max, quad_order, panels, tols, grid_points, identity_points
+    )
     checks: list[CheckResult] = []
-
-    def guarded(name: str, tolerance: float, thunk) -> None:
+    for name, tolerance, thunk in specs:
         try:
             result = thunk()
-            if isinstance(result, VerificationReport):
-                checks.extend(result.checks)
-            else:
-                checks.append(result)
         except Exception as exc:  # noqa: BLE001 - aggregation must not abort
             checks.append(
                 CheckResult(
@@ -515,161 +648,11 @@ def run_full_suite(
                     passed=False,
                 )
             )
-
-    # Exact coefficient table: first three values frozen by hand reduction.
-    frozen = {0: Fraction(-1, 8), 1: Fraction(-1, 32), 2: Fraction(-1, 80)}
-    for n, expected in frozen.items():
-        def coeff_check(n=n, expected=expected) -> CheckResult:
-            value = closed_form.coefficient_C(n)
-            return _make_check(
-                f"coefficient C_{n}", float(value), float(expected), 0.0
-            )
-
-        guarded(f"coefficient C_{n}", 0.0, coeff_check)
-
-    # Exact midpoint vanishing of the odd-family numerators.
-    for m in range(26):
-        def vanish_check(m=m) -> CheckResult:
-            first, second = midpoint_vanishing(m)
-            ok = first and (second is None or second)
-            return _make_check(
-                f"midpoint vanishing m={m}", 0.0 if ok else 1.0, 0.0, 0.0
-            )
-
-        guarded(f"midpoint vanishing m={m}", 0.0, vanish_check)
-
-    for k in range(2, n_max + 3):
-        guarded(
-            f"trig norm k={k}",
-            tols["quadrature"],
-            lambda k=k: check_trig_norm(
-                k, order=quad_order, panels=panels, tolerance=tols["quadrature"]
-            ),
-        )
-    for n in range(n_max + 1):
-        for form in ("x", "z"):
-            guarded(
-                f"hypergeom norm ({form}-form) n={n}",
-                tols["quadrature"],
-                lambda n=n, form=form: check_hypergeom_norm(
-                    n, form, order=quad_order, panels=panels, tolerance=tols["quadrature"]
-                ),
-            )
-    for k in range(2, k_top + 1):
-        guarded(
-            f"expectation <x> k={k}",
-            tols["quadrature"],
-            lambda k=k: check_expectation_x(
-                k, alpha, order=quad_order, panels=panels, tolerance=tols["quadrature"]
-            ),
-        )
-    for k in range(2, k_top + 1):
-        guarded(
-            f"first moment (trig) k={k}",
-            tols["quadrature"],
-            lambda k=k: check_first_moment(
-                k, "trig", order=quad_order, panels=panels, tolerance=tols["quadrature"]
-            ),
-        )
-    for n in range(n_max + 1):
-        guarded(
-            f"first moment (hypergeom) n={n}",
-            tols["quadrature"],
-            lambda n=n: check_first_moment(
-                n, "hypergeom", order=quad_order, panels=panels,
-                tolerance=tols["quadrature"],
-            ),
-        )
-    guarded(
-        "gram matrix",
-        tols["quadrature"],
-        lambda: check_orthonormality(
-            k_top, alpha, order=quad_order, panels=panels, tolerance=tols["quadrature"]
-        ),
-    )
-    for k in range(2, k_top + 1):
-        guarded(
-            f"residual (partner) k={k}",
-            tols["residual"],
-            lambda k=k: check_residual(k, alpha, tolerance=tols["residual"]),
-        )
-
-    # Pointwise correspondence: amplitude-normalized bound state of the
-    # symmetric well against the normalized partner mode of index n + 2.
-    xs = _identity_grid(alpha, 1e-3, identity_points)
-    cfg = WellConfig(alpha)
-    for n in range(n_max + 1):
-        def correspondence(n=n) -> CheckResult:
-            from .models import PTParams, pt_eigen_hypergeom
-
-            amp = closed_form.normalization_A(n, alpha)
-            f = TrigEigenfunction(n + 2, alpha)
-            p = PTParams(2.0, 2.0)
-            pairs = [
-                (pt_eigen_hypergeom(cfg, p, n, amp, x), chi_eval(f, x)) for x in xs
-            ]
-            scale = max(abs(v) for _, v in pairs)
-            dev = max(abs(a - b) for a, b in pairs) / scale
-            return _make_check(
-                f"bound-state correspondence n={n}", dev, 0.0, tols["identity"]
-            )
-
-        guarded(f"bound-state correspondence n={n}", tols["identity"], correspondence)
-
-    for n in range(n_max + 1):
-        guarded(
-            f"identity (base) n={n}",
-            tols["identity"],
-            lambda n=n: _make_check(
-                f"identity (base) n={n}",
-                _max_scaled_identity_dev(
-                    [closed_form.identity_sides(n, alpha, x) for x in xs]
-                ),
-                0.0,
-                tols["identity"],
-            ),
-        )
-    for m in range(n_max // 2 + 1):
-        guarded(
-            f"identity (even ratio) m={m}",
-            tols["identity"],
-            lambda m=m: _make_check(
-                f"identity (even ratio) m={m}",
-                _max_scaled_identity_dev(
-                    [closed_form.ratio_identity_even(m, alpha, x) for x in xs]
-                ),
-                0.0,
-                tols["identity"],
-            ),
-        )
-        guarded(
-            f"identity (odd ratio) m={m}",
-            tols["identity"],
-            lambda m=m: _make_check(
-                f"identity (odd ratio) m={m}",
-                _max_scaled_identity_dev(
-                    [closed_form.ratio_identity_odd(m, alpha, x) for x in xs]
-                ),
-                0.0,
-                tols["identity"],
-            ),
-        )
-
-    def fd_checks() -> VerificationReport:
-        modes = fd_spectrum(alpha, grid_points, 3)
-        fd_results = [
-            _make_check(
-                f"fd mode {i}",
-                lam,
-                box_energy(cfg, i + 2),
-                tols["fd_spectrum"],
-            )
-            for i, lam in enumerate(modes)
-        ]
-        return _report(fd_results, {})
-
-    guarded("fd spectrum", tols["fd_spectrum"], fd_checks)
-
+            continue
+        if isinstance(result, VerificationReport):
+            checks.extend(result.checks)
+        else:
+            checks.append(result)
     return _report(
         checks,
         {

@@ -2,13 +2,15 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from ptdarboux.cli import RunConfig, main
+from ptdarboux.cli import MAX_QUAD_ORDER, RunConfig, main
 from ptdarboux.errors import ParameterError
+from ptdarboux.verify import check_fd_spectrum, check_identity
 
 FAST = ["--n-max", "2", "--grid-points", "500"]
 
@@ -29,6 +31,40 @@ def test_run_config_validation():
         RunConfig(fmt="xml")
     with pytest.raises(ParameterError):
         RunConfig(tolerances={"bogus": 1.0})
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            RunConfig(alpha=alpha)
+    RunConfig(quad_order=MAX_QUAD_ORDER)
+    with pytest.raises(ParameterError):
+        RunConfig(quad_order=MAX_QUAD_ORDER + 1)
+    with pytest.raises(ParameterError):
+        RunConfig(tolerances={"identity": -1.0})
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alpha", "inf"],
+        ["--alpha", "nan"],
+        ["--tol", "identity=nan"],
+        ["--tol", "identity=-1"],
+        ["--tol", "quadrature=inf"],
+        ["--quad-order", "1025"],
+        ["--quad-order", "1000000"],
+    ],
+)
+def test_unusable_inputs_exit_2_promptly(flags):
+    # each of these once ran (or hung) and failed as mathematics; a
+    # subprocess with a timeout keeps a regression from hanging the suite
+    result = subprocess.run(
+        [sys.executable, "-m", "ptdarboux", "verify", *flags],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
 
 
 def test_verify_passes_and_emits_csv(capsys):
@@ -142,6 +178,24 @@ def test_identity_json_payload(capsys):
     assert payload["passed"] is True
 
 
+@pytest.mark.parametrize("alpha", ["0.73", "0.783", "0.685", "1.502"])
+def test_identity_at_round_trip_alphas(alpha):
+    # the x grid's t -> x -> t round trip used to land inside the wall
+    # margin at these alpha and the command failed with StabilityError
+    assert main(["identity", "--which", "base", "--n", "3", "--alpha", alpha]) == 0
+
+
+def test_identity_does_not_depend_on_alpha(capsys):
+    expected = check_identity("odd", 2).computed
+    for alpha in ("0.73", "1", "1.502", "1e-3", "1e3"):
+        assert main(["identity", "--which", "odd", "--m", "2", "--alpha", alpha,
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["alpha"] == float(alpha)
+        assert payload["points"] == 1000
+        assert payload["max_scaled_deviation"] == expected
+
+
 def test_identity_flag_mismatch():
     assert main(["identity", "--which", "base", "--m", "3"]) == 2
     assert main(["identity", "--which", "even", "--n", "3"]) == 2
@@ -194,6 +248,16 @@ def test_spectrum_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["overall"] is True
     assert [row["mode"] for row in payload["rows"]] == [0, 1]
+
+
+def test_spectrum_rows_are_the_check_rows(capsys):
+    assert main(["spectrum", "--alpha", "0.6024", "--count", "4",
+                 "--grid-points", "1000", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    report = check_fd_spectrum(0.6024, 1000, 4)
+    assert [(r["mode"], r["computed"], r["exact"], r["rel_err"]) for r in rows] == [
+        (i, c.computed, c.reference, c.rel_dev) for i, c in enumerate(report.checks)
+    ]
 
 
 def test_module_entry_point_subprocess():

@@ -10,9 +10,12 @@ from ptdarboux.closed_form import (
     chi_eval,
     coefficient_C,
     identity_sides,
+    identity_sides_t,
     normalization_A,
     ratio_identity_even,
+    ratio_identity_even_t,
     ratio_identity_odd,
+    ratio_identity_odd_t,
 )
 from ptdarboux.errors import DomainError, ParameterError, StabilityError
 
@@ -149,6 +152,10 @@ def test_normalization_amplitude():
     expected = -8 * math.sqrt(4 / math.pi) / math.sqrt(3)
     assert math.isclose(normalization_A(0, 1.0), expected, rel_tol=1e-14)
     assert normalization_A(0, 1.0) < 0
+    for n, alpha in [(0, 1.0), (3, 0.6024), (7, 2.5)]:
+        k = n + 2
+        norm = math.sqrt(4.0 * alpha / math.pi) / math.sqrt(k * k - 1.0)
+        assert normalization_A(n, alpha) == float(1 / coefficient_C(n)) * norm
     with pytest.raises(ParameterError):
         normalization_A(0, -1.0)
 
@@ -159,6 +166,23 @@ def test_identity_sides_agree_on_interior_grid():
         scale = max(abs(l) for l, _ in pairs)
         dev = max(abs(l - r) for l, r in pairs) / scale
         assert dev <= 1e-9
+
+
+def test_identities_delegate_to_their_t_cores():
+    # sin(alpha x) is half of t = 2 alpha x exactly, so the x-level forms
+    # reproduce the t-level cores bit for bit at any alpha
+    for alpha in (0.6024, 0.73, 1.0, 1.502, 7.0):
+        for x in _grid(alpha, points=17)[1:-1]:
+            t = 2.0 * alpha * x
+            assert identity_sides(3, alpha, x) == identity_sides_t(3, t)
+            assert ratio_identity_even(2, alpha, x) == ratio_identity_even_t(2, t)
+            assert ratio_identity_odd(1, alpha, x) == ratio_identity_odd_t(1, t)
+    with pytest.raises(ParameterError):
+        identity_sides_t(-1, 1.0)
+    with pytest.raises(ParameterError):
+        ratio_identity_even_t(-1, 1.0)
+    with pytest.raises(ParameterError):
+        ratio_identity_odd_t(-1, 1.0)
 
 
 def test_identity_sides_base_case_both_sides_one():

@@ -8,9 +8,12 @@ from ptdarboux.errors import EvaluationError, ParameterError
 from ptdarboux.verify import (
     DEFAULT_TOLERANCES,
     CheckResult,
+    check_correspondence,
     check_expectation_x,
+    check_fd_spectrum,
     check_first_moment,
     check_hypergeom_norm,
+    check_identity,
     check_orthonormality,
     check_residual,
     check_trig_norm,
@@ -55,6 +58,13 @@ def test_resolve_tolerances():
     assert tols["quadrature"] == 1e-10
     with pytest.raises(ParameterError):
         resolve_tolerances({"bogus": 1e-3})
+    assert resolve_tolerances({"identity": 0.0})["identity"] == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_resolve_tolerances_rejects_unusable_values(value):
+    with pytest.raises(ParameterError):
+        resolve_tolerances({"identity": value})
 
 
 def test_check_result_invariant_on_zero_reference():
@@ -215,6 +225,84 @@ def test_run_full_suite_small():
     # deterministic ordering
     second = run_full_suite(n_max=4, grid_points=1000)
     assert [c.name for c in second.checks] == names
+
+
+def test_run_full_suite_check_names_are_pinned():
+    # consumers key on these names: the full ordered list at n_max = 2
+    names = [c.name for c in run_full_suite(n_max=2, grid_points=1000).checks]
+    assert names == [
+        "coefficient C_0", "coefficient C_1", "coefficient C_2",
+        *(f"midpoint vanishing m={m}" for m in range(26)),
+        "trig norm k=2", "trig norm k=3", "trig norm k=4",
+        "hypergeom norm (x-form) n=0", "hypergeom norm (z-form) n=0",
+        "hypergeom norm (x-form) n=1", "hypergeom norm (z-form) n=1",
+        "hypergeom norm (x-form) n=2", "hypergeom norm (z-form) n=2",
+        "expectation <x> k=2 alpha=1.0",
+        "first moment (trig) k=2",
+        "first moment (hypergeom) n=0", "first moment (hypergeom) n=1",
+        "first moment (hypergeom) n=2",
+        "gram (2,2)",
+        "residual (partner) k=2 alpha=1.0",
+        "bound-state correspondence n=0", "bound-state correspondence n=1",
+        "bound-state correspondence n=2",
+        "identity (base) n=0", "identity (base) n=1", "identity (base) n=2",
+        "identity (even ratio) m=0", "identity (odd ratio) m=0",
+        "identity (even ratio) m=1", "identity (odd ratio) m=1",
+        "fd mode 0", "fd mode 1", "fd mode 2",
+    ]
+
+
+@pytest.mark.parametrize("alpha", [0.73, 0.783, 0.685, 1.502])
+def test_run_full_suite_identity_rows_at_round_trip_alphas(alpha):
+    # at these alpha the x -> t round trip of an x grid put the last node
+    # one ulp inside the wall margin; the identity grid now lives in t
+    report = run_full_suite(alpha=alpha, n_max=2)
+    identity_rows = [c for c in report.checks if c.name.startswith("identity")]
+    assert len(identity_rows) == 7
+    assert all(c.passed and "[error" not in c.name for c in identity_rows)
+    assert report.overall
+
+
+def test_check_identity_is_alpha_free_and_matches_the_suite():
+    results = {
+        (which, i): check_identity(which, i, points=500)
+        for which, i in [("base", 0), ("base", 2), ("even", 1), ("odd", 1)]
+    }
+    rows = {c.name: c for c in run_full_suite(alpha=0.6024, n_max=2).checks}
+    for result in results.values():
+        assert result.passed and result.reference == 0.0
+        assert rows[result.name] == result
+    assert results[("base", 2)].name == "identity (base) n=2"
+    assert results[("odd", 1)].name == "identity (odd ratio) m=1"
+
+
+def test_check_identity_validation():
+    with pytest.raises(ParameterError):
+        check_identity("bogus", 0)
+    with pytest.raises(ParameterError):
+        check_identity("base", -1)
+    with pytest.raises(ParameterError):
+        check_identity("even", 0, points=1)
+
+
+def test_check_correspondence():
+    r = check_correspondence(3, 0.6024)
+    assert r.name == "bound-state correspondence n=3"
+    assert r.passed and r.computed <= 1e-10
+    with pytest.raises(ParameterError):
+        check_correspondence(0, 1.0, points=1)
+
+
+def test_check_fd_spectrum_rows():
+    report = check_fd_spectrum(2.0, 1000, 3)
+    assert [c.name for c in report.checks] == ["fd mode 0", "fd mode 1", "fd mode 2"]
+    assert [c.computed for c in report.checks] == fd_spectrum(2.0, 1000, 3)
+    assert [c.reference for c in report.checks] == [64.0, 144.0, 256.0]
+    assert report.overall
+    assert report.parameters == {"alpha": 2.0, "grid_points": 1000, "count": 3}
+    assert check_fd_spectrum(1.0, 500, 0).checks == ()
+    strict = check_fd_spectrum(1.0, 500, 2, tolerance=1e-12)
+    assert not strict.overall
 
 
 def test_run_full_suite_minimal_range():
