@@ -36,12 +36,32 @@ __all__ = [
     "cmd_spectrum",
     "main",
     "entry",
+    "MIN_ALPHA",
+    "MAX_ALPHA",
+    "MAX_DEGREE",
     "MAX_QUAD_ORDER",
+    "MAX_PANELS",
+    "MAX_GRID_POINTS",
+    "MAX_POINTS",
 ]
 
-# Building a Gauss-Legendre rule is O(order^2) pure Python (0.52 s at 1024
-# points on one Intel Xeon core under CPython 3.11), so --quad-order is capped.
+# The suite passes at both ends of this --alpha range; at 1e300 the
+# finite-difference modes overflow to NaN and at 1e-150 the energies underflow.
+MIN_ALPHA = 1e-100
+MAX_ALPHA = 1e100
+# The caps below bound the work each flag can ask for.  Times are on one
+# Intel Xeon core under CPython 3.11.  MAX_DEGREE caps --n-max, tabulate --n
+# and identity --n, and identity --m at MAX_DEGREE // 2 (the suite's indices
+# at n_max = MAX_DEGREE): verify --n-max 60 takes 75 s, identity --n 60 1.9 s.
+MAX_DEGREE = 60
+# A Gauss-Legendre rule is built in O(order^2): 0.52 s at 1024 points.
 MAX_QUAD_ORDER = 1024
+# One x-form hypergeometric norm check at n = 60 and the default order: 2.8 s.
+MAX_PANELS = 1024
+# spectrum --count 10 (about 40 O(grid_points) Sturm sweeps per mode): 5.5 s.
+MAX_GRID_POINTS = 100_000
+# tabulate --n 60: 1.0 s.
+MAX_POINTS = 10_001
 _IDENTITY_POINTS = 1000
 
 _REPORT_HEADER = ["name", "computed", "reference", "abs_dev", "rel_dev", "tolerance", "passed"]
@@ -62,21 +82,19 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ParameterError(f"--alpha must be positive and finite, got {self.alpha}")
-        if self.n_max < 0:
-            raise ParameterError(f"--n-max must be >= 0, got {self.n_max}")
-        if not (2 <= self.quad_order <= MAX_QUAD_ORDER):
-            raise ParameterError(
-                f"--quad-order must be between 2 and {MAX_QUAD_ORDER}, got {self.quad_order}"
-            )
-        if self.panels < 1:
-            raise ParameterError(f"--panels must be >= 1, got {self.panels}")
-        if self.grid_points < 100:
-            raise ParameterError(f"--grid-points must be >= 100, got {self.grid_points}")
+        _require_range("--alpha", self.alpha, MIN_ALPHA, MAX_ALPHA)
+        _require_range("--n-max", self.n_max, 0, MAX_DEGREE)
+        _require_range("--quad-order", self.quad_order, 2, MAX_QUAD_ORDER)
+        _require_range("--panels", self.panels, 1, MAX_PANELS)
+        _require_range("--grid-points", self.grid_points, 100, MAX_GRID_POINTS)
         if self.fmt not in ("csv", "json"):
             raise ParameterError(f"--format must be csv or json, got {self.fmt!r}")
         resolve_tolerances(self.tolerances)  # reject unknown names early
+
+
+def _require_range(flag: str, value: float, low: float, high: float) -> None:
+    if not (low <= value <= high):  # also rejects NaN
+        raise ParameterError(f"{flag} must be between {low} and {high}, got {value}")
 
 
 def _parse_tolerance_flags(pairs: list[str] | None) -> dict:
@@ -155,10 +173,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_tabulate(config: RunConfig, n: int, points: int) -> int:
     """Tabulate the level-n bound state next to the index n+2 partner mode."""
-    if n < 0:
-        raise ParameterError(f"--n must be >= 0, got {n}")
-    if points < 2:
-        raise ParameterError(f"--points must be >= 2, got {points}")
+    _require_range("--n", n, 0, MAX_DEGREE)
+    _require_range("--points", points, 2, MAX_POINTS)
     cfg = WellConfig(config.alpha)
     p = PTParams(2.0, 2.0)
     f = TrigEigenfunction(n + 2, config.alpha)
@@ -212,15 +228,16 @@ def cmd_spectrum(config: RunConfig, count: int) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alpha", type=float, default=1.0,
-                        help="well scale; interval is (0, pi/(2 alpha))")
+                        help="well scale; interval is (0, pi/(2 alpha)) "
+                             f"({MIN_ALPHA:g}..{MAX_ALPHA:g})")
     common.add_argument("--n-max", type=int, default=10, dest="n_max",
-                        help="largest level index exercised by the suite")
+                        help=f"largest level index exercised by the suite (0..{MAX_DEGREE})")
     common.add_argument("--quad-order", type=int, default=64, dest="quad_order",
                         help=f"Gauss-Legendre points per panel (2..{MAX_QUAD_ORDER})")
     common.add_argument("--panels", type=int, default=32,
-                        help="equal quadrature subintervals")
+                        help=f"equal quadrature subintervals (1..{MAX_PANELS})")
     common.add_argument("--grid-points", type=int, default=4000, dest="grid_points",
-                        help="finite-difference grid size")
+                        help=f"finite-difference grid size (100..{MAX_GRID_POINTS})")
     common.add_argument("--tol", action="append", metavar="NAME=VALUE",
                         help="tolerance override, repeatable "
                              "(quadrature, identity, residual, fd_spectrum)")
@@ -242,18 +259,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("tabulate", parents=[common],
                            help="tabulate a bound state against its partner mode")
-    p_tab.add_argument("--n", type=int, default=0, help="level index")
+    p_tab.add_argument("--n", type=int, default=0,
+                       help=f"level index (0..{MAX_DEGREE})")
     p_tab.add_argument("--points", type=int, default=101,
-                       help="uniform samples on the closed interval")
+                       help=f"uniform samples on the closed interval (2..{MAX_POINTS})")
     p_tab.set_defaults(handler=lambda cfg, args: cmd_tabulate(cfg, args.n, args.points))
 
     p_id = sub.add_parser("identity", parents=[common],
                           help="check one hypergeometric-trigonometric identity")
     p_id.add_argument("--which", choices=("base", "even", "odd"), required=True)
     p_id.add_argument("--n", type=int, default=None,
-                      help="level index (base identity)")
+                      help=f"level index (base identity, 0..{MAX_DEGREE})")
     p_id.add_argument("--m", type=int, default=None,
-                      help="family index (even/odd ratio identities)")
+                      help=f"family index (even/odd ratio identities, 0..{MAX_DEGREE // 2})")
     p_id.set_defaults(handler=lambda cfg, args: cmd_identity(
         cfg, args.which, _identity_index(args)))
 
@@ -266,17 +284,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _identity_index(args) -> int:
+    """--n for the base identity, --m for the ratio identities; 0 if unset."""
     if args.which == "base":
-        if args.n is None:
-            if args.m is not None:
-                raise ParameterError("the base identity is indexed by --n, not --m")
-            return 0
-        return args.n
-    if args.m is None:
-        if args.n is not None:
-            raise ParameterError(f"the {args.which} ratio identity is indexed by --m, not --n")
+        flag, index, other, cap = "--n", args.n, args.m, MAX_DEGREE
+    else:
+        flag, index, other, cap = "--m", args.m, args.n, MAX_DEGREE // 2
+    if index is None:
+        if other is not None:
+            raise ParameterError(f"the {args.which} identity is indexed by {flag}")
         return 0
-    return args.m
+    _require_range(flag, index, 0, cap)
+    return index
 
 
 def main(argv: list[str] | None = None) -> int:

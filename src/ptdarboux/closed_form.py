@@ -81,17 +81,15 @@ def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float
         g'  = -k^2 sin(kt) + s (U + c U')
         g'' = -k^3 cos(kt) + c (U + c U') - s^2 (2 U' + c U'')
 
-    then d/dx = 2 alpha d/dt.  Points closer than 1e-6 to either wall are
-    rejected; use chi_eval for the (vanishing) wall values.
+    then d/dx = 2 alpha d/dt.  Points with t = 2 alpha x within 2e-6 of
+    either wall (t = 0 or pi) are rejected, at every alpha; use chi_eval
+    for the (vanishing) wall values.
     """
-    length = math.pi / (2.0 * f.alpha)
-    if not (1e-6 < x < length - 1e-6):
-        raise DomainError(
-            f"x={x} too close to the walls of [0, {length}] for derivative evaluation"
-        )
     a = f.alpha
     k = f.k
     t = 2.0 * a * x
+    if not (2e-6 < t < math.pi - 2e-6):
+        raise DomainError(f"x={x} (t={t}) too close to a wall for derivative evaluation")
     s = math.sin(t)
     c = math.cos(t)
     u, du, ddu = chebyshev_u_derivatives(k - 1, c)

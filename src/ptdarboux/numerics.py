@@ -91,7 +91,9 @@ def chebyshev_u(k: int, c: float) -> float:
 
     For |c| <= 1, U_k(cos t)·sin t = sin((k+1)t); the package uses this to
     evaluate sin(kt)/sin t without the 0/0 at the nodes of sin t.  Forward
-    recurrence is stable to ~1e-13 for the k <= 30 range used here.
+    recurrence is stable to ~2e-13 of max|U_k| = k + 1 for the k <= 63
+    range used here (bracket indices up to the polynomial degree cap of
+    60, plus 3).
     """
     if k < 0:
         raise ParameterError("chebyshev_u index must be nonnegative")

@@ -367,15 +367,16 @@ def check_residual(
     hamiltonian: str = "partner",
     tolerance: float | None = None,
 ) -> CheckResult:
-    """Worst relative eigen-equation residual over an interior grid.
+    """Worst eigen-equation residual over an interior grid, over the energy
+    times the mode's amplitude, which makes it independent of alpha.
 
-    hamiltonian="partner": max |-chi'' + V1 chi - eps_k chi| / eps_k for
-    the normalized partner mode, with analytic second derivatives and the
-    assembled partner potential.  hamiltonian="box": the same residual for
-    the plain box mode against the free Hamiltonian (a sanity path; it
-    holds at the rounding level).  `margin` excludes t-neighbourhoods of
-    the walls, where the mode vanishes and the relative measure is
-    meaningless.
+    hamiltonian="partner": max |-chi'' + V1 chi - eps_k chi| / (eps_k N_k)
+    for the partner mode of norm N_k, with analytic second derivatives and
+    the assembled partner potential.  hamiltonian="box": the same for the
+    box mode of amplitude sqrt(4 alpha/pi) and the free Hamiltonian (a
+    sanity path; it holds at the rounding level).  `margin` excludes
+    t-neighbourhoods of the walls, where the mode vanishes and the relative
+    measure is meaningless.
     """
     if k < 2:
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
@@ -384,27 +385,26 @@ def check_residual(
     tol = DEFAULT_TOLERANCES["residual"] if tolerance is None else tolerance
     cfg = WellConfig(alpha)
     energy = box_energy(cfg, k)
-    worst = 0.0
     if hamiltonian == "partner":
         ctx = DarbouxContext(cfg)
         f = TrigEigenfunction(k, alpha)
-        for t in _t_grid(points, margin):
-            x = t / (2.0 * alpha)
+        amplitude = f.norm
+
+        def residual(x: float) -> float:
             value, _, second = chi_derivatives(f, x)
-            residual = -second + partner_potential(ctx, x) * value - energy * value
-            worst = max(worst, abs(residual) / energy)
+            return -second + partner_potential(ctx, x) * value - energy * value
     elif hamiltonian == "box":
         amp = 2.0 * alpha * k
-        for t in _t_grid(points, margin):
-            x = t / (2.0 * alpha)
+        amplitude = math.sqrt(4.0 * alpha / math.pi)
+
+        def residual(x: float) -> float:
             value = box_eigenfunction(cfg, k, x)
-            second = -(amp * amp) * value
-            residual = -second - energy * value
-            worst = max(worst, abs(residual) / energy)
+            return (amp * amp) * value - energy * value
     else:
         raise ParameterError(f"hamiltonian must be 'partner' or 'box', got {hamiltonian!r}")
+    worst = max(abs(residual(t / (2.0 * alpha))) for t in _t_grid(points, margin))
     return _make_check(
-        f"residual ({hamiltonian}) k={k} alpha={alpha}", worst, 0.0, tol
+        f"residual ({hamiltonian}) k={k} alpha={alpha}", worst / (energy * amplitude), 0.0, tol
     )
 
 
@@ -465,14 +465,15 @@ def check_identity(
 
 
 def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
-    """Lowest `count` eigenvalues of the tridiagonal discretization of
-    -d^2/dx^2 + 8 alpha^2 / sin^2(2 alpha x) on (0, pi/(2 alpha)).
+    """Lowest `count` eigenvalues of -d^2/dx^2 + 8 alpha^2 / sin^2(2 alpha x)
+    on (0, pi/(2 alpha)): 4 alpha^2 times those of the alpha-free
+    discretization of -d^2/dt^2 + 2/sin^2(t) on (0, pi), t = 2 alpha x.
 
-    The uniform grid is offset half a step from both walls
-    (x_i = (i + 1/2) h) so the singular potential is finite at every node.
+    The uniform grid (t_i = (i + 1/2) pi / grid_points) is offset half a
+    step from both walls so the singular potential is finite at every node.
     Eigenvalues come from bisection on the Sturm sequence count of the
     shifted matrix, which is immune to the misconvergence an iterative
-    solver could suffer; each is located to ~1e-10 relative.
+    solver could suffer; each is located to 1e-10 relative.
     """
     if not (alpha > 0):
         raise ParameterError(f"alpha must be positive, got {alpha}")
@@ -486,15 +487,12 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
         )
     if count == 0:
         return []
-    a = alpha
-    length = math.pi / (2.0 * a)
-    h = length / grid_points
+    h = math.pi / grid_points
     inv_h2 = 1.0 / (h * h)
     diag = []
     for i in range(grid_points):
-        x = (i + 0.5) * h
-        s = math.sin(2.0 * a * x)
-        diag.append(2.0 * inv_h2 + 8.0 * a * a / (s * s))
+        s = math.sin((i + 0.5) * h)
+        diag.append(2.0 * inv_h2 + 2.0 / (s * s))
     off_sq = inv_h2 * inv_h2
 
     def count_below(lam: float) -> int:
@@ -508,19 +506,20 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
                 negatives += 1
         return negatives
 
-    hi = 16.0 * a * a * (count + 2) ** 2
+    hi = 4.0 * (count + 2) ** 2
     while count_below(hi) < count:
         hi *= 2.0
+    scale = 4.0 * alpha * alpha
     eigenvalues = []
     for mode in range(1, count + 1):
         lo, up = 0.0, hi
-        while up - lo > 1e-10 * max(1.0, up):
+        while up - lo > 1e-10 * up:
             mid = 0.5 * (lo + up)
             if count_below(mid) >= mode:
                 up = mid
             else:
                 lo = mid
-        eigenvalues.append(0.5 * (lo + up))
+        eigenvalues.append(scale * (0.5 * (lo + up)))
     return eigenvalues
 
 

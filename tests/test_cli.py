@@ -8,7 +8,17 @@ import sys
 
 import pytest
 
-from ptdarboux.cli import MAX_QUAD_ORDER, RunConfig, main
+from ptdarboux.cli import (
+    MAX_ALPHA,
+    MAX_DEGREE,
+    MAX_GRID_POINTS,
+    MAX_PANELS,
+    MAX_POINTS,
+    MAX_QUAD_ORDER,
+    MIN_ALPHA,
+    RunConfig,
+    main,
+)
 from ptdarboux.errors import ParameterError
 from ptdarboux.verify import check_fd_spectrum, check_identity
 
@@ -39,25 +49,49 @@ def test_run_config_validation():
         RunConfig(quad_order=MAX_QUAD_ORDER + 1)
     with pytest.raises(ParameterError):
         RunConfig(tolerances={"identity": -1.0})
+    RunConfig(alpha=MIN_ALPHA, n_max=MAX_DEGREE, panels=MAX_PANELS,
+              grid_points=MAX_GRID_POINTS)
+    RunConfig(alpha=MAX_ALPHA)
+    for bad in ({"alpha": MIN_ALPHA / 10}, {"alpha": MAX_ALPHA * 10},
+                {"n_max": MAX_DEGREE + 1}, {"panels": MAX_PANELS + 1},
+                {"grid_points": MAX_GRID_POINTS + 1}):
+        with pytest.raises(ParameterError):
+            RunConfig(**bad)
 
 
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--alpha", "inf"],
-        ["--alpha", "nan"],
-        ["--tol", "identity=nan"],
-        ["--tol", "identity=-1"],
-        ["--tol", "quadrature=inf"],
-        ["--quad-order", "1025"],
-        ["--quad-order", "1000000"],
+        ["verify", "--alpha", "inf"],
+        ["verify", "--alpha", "nan"],
+        ["verify", "--tol", "identity=nan"],
+        ["verify", "--tol", "identity=-1"],
+        ["verify", "--tol", "quadrature=inf"],
+        ["verify", "--quad-order", "1025"],
+        ["verify", "--quad-order", "1000000"],
+        ["verify", "--alpha", "1e300"],
+        ["verify", "--alpha", "1e-150"],
+        ["spectrum", "--alpha", "1e300", "--count", "1", "--grid-points", "100"],
+        ["tabulate", "--alpha", "1e300", "--n", "0", "--points", "3"],
+        ["verify", "--n-max", str(MAX_DEGREE + 1)],
+        ["verify", "--n-max", "1000000"],
+        ["verify", "--panels", str(MAX_PANELS + 1)],
+        ["spectrum", "--grid-points", str(MAX_GRID_POINTS + 1)],
+        ["spectrum", "--grid-points", "1000000000"],
+        ["tabulate", "--n", str(MAX_DEGREE + 1)],
+        ["tabulate", "--points", str(MAX_POINTS + 1)],
+        ["tabulate", "--points", "1000000000"],
+        ["identity", "--which", "base", "--n", str(MAX_DEGREE + 1)],
+        ["identity", "--which", "even", "--m", str(MAX_DEGREE // 2 + 1)],
+        ["identity", "--which", "odd", "--m", "1000000"],
     ],
 )
 def test_unusable_inputs_exit_2_promptly(flags):
-    # each of these once ran (or hung) and failed as mathematics; a
-    # subprocess with a timeout keeps a regression from hanging the suite
+    # each of these once ran (or hung, or printed garbage) and failed as
+    # mathematics or not at all; a subprocess with a timeout keeps a
+    # regression from hanging the suite
     result = subprocess.run(
-        [sys.executable, "-m", "ptdarboux", "verify", *flags],
+        [sys.executable, "-m", "ptdarboux", *flags],
         capture_output=True,
         text=True,
         timeout=60,
@@ -146,6 +180,14 @@ def test_tabulate_json(capsys):
     assert set(payload["rows"][0]) == {"x", "chi", "psi", "difference"}
 
 
+def test_tabulate_high_degree_tracks_partner(capsys):
+    # degree 60: the power series' terms near z = 1 reach 2e42
+    assert main(["tabulate", "--n", "60", "--points", "1001", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    scale = max(abs(row["chi"]) for row in rows)
+    assert max(abs(row["psi"] - row["chi"]) for row in rows) <= 1e-9 * scale
+
+
 def test_tabulate_validation():
     assert main(["tabulate", "--n", "-1"]) == 2
     assert main(["tabulate", "--points", "1"]) == 2
@@ -156,6 +198,10 @@ def test_identity_base(capsys):
     row = _rows(capsys.readouterr().out)[0]
     assert float(row["max_scaled_deviation"]) <= 1e-9
     assert row["passed"] == "true"
+
+
+def test_identity_base_beyond_degree_30():
+    assert main(["identity", "--which", "base", "--n", "40"]) == 0
 
 
 def test_identity_even(capsys):
@@ -228,6 +274,18 @@ def test_spectrum_alpha_scaling(capsys):
                  "--grid-points", "1000"]) == 0
     rows = _rows(capsys.readouterr().out)
     assert [float(row["exact"]) for row in rows] == [64.0, 144.0, 256.0]
+
+
+def test_spectrum_small_alpha_matches_unit_alpha(capsys):
+    # the relative error of each mode does not depend on alpha; the energies
+    # here are ~1e-11, below what an absolute bisection floor resolves
+    argv = ["spectrum", "--count", "3", "--grid-points", "1000", "--format", "json"]
+    assert main(argv) == 0
+    unit = json.loads(capsys.readouterr().out)["rows"]
+    assert main([*argv, "--alpha", "1e-6"]) == 0
+    small = json.loads(capsys.readouterr().out)["rows"]
+    for a, b in zip(unit, small):
+        assert abs(a["rel_err"] - b["rel_err"]) <= 1e-12
 
 
 def test_spectrum_empty(capsys):

@@ -130,6 +130,12 @@ def test_chi_derivatives_reject_wall_neighborhood():
         chi_derivatives(f, 5e-7)
     with pytest.raises(DomainError):
         chi_derivatives(f, math.pi / 2 - 5e-7)
+    # the guard is on t = 2 alpha x, so it neither grows nor shrinks with alpha
+    wide = TrigEigenfunction(3, 1e6)
+    with pytest.raises(DomainError):
+        chi_derivatives(wide, 1e-6 / 2e6)
+    x = 1e-3 / 2e6
+    assert chi_derivatives(wide, x)[0] == chi_eval(wide, x)
 
 
 def test_coefficient_table_exact():

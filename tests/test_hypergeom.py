@@ -1,4 +1,4 @@
-"""Exact and compensated-float evaluation of terminating 2F1 polynomials."""
+"""Exact and floating-point evaluation of terminating 2F1 polynomials."""
 import math
 from fractions import Fraction
 
@@ -72,6 +72,29 @@ def test_real_tracks_exact_in_cancellation_regime():
             scale = max(1.0, abs(float(exact)))
             worst = max(worst, abs(approx - float(exact)) / scale)
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("n", [40, 80, 160])
+def test_real_tracks_exact_at_high_degree(n):
+    # the power series' terms reach 2e27 (n = 40) to 5e117 (n = 160) near
+    # z = 1, while the polynomial stays within [-1, 1]
+    h = TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2))
+    pairs = [(f21_eval_real(h, k / 256), float(f21_eval_exact(h, Fraction(k, 256))))
+             for k in range(257)]
+    scale = max(abs(exact) for _, exact in pairs)
+    assert max(abs(real - exact) for real, exact in pairs) / scale <= 1e-13
+
+
+def test_real_rejects_parameters_outside_the_jacobi_range():
+    # a = c - 1 <= -1, and beta = b - n - c = -9/2 <= -1: the float path
+    # refuses both, the exact path still evaluates them
+    for h in (
+        TerminatingHypergeometric(3, Fraction(2), Fraction(-7, 2)),
+        TerminatingHypergeometric(3, Fraction(1), Fraction(5, 2)),
+    ):
+        with pytest.raises(ParameterError):
+            f21_eval_real(h, 0.25)
+        assert f21_eval_exact(h, Fraction(1, 4)) == _direct_sum(h.n, h.b, h.c, Fraction(1, 4))
 
 
 def test_exact_rejects_float_argument():

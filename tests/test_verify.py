@@ -263,6 +263,22 @@ def test_run_full_suite_identity_rows_at_round_trip_alphas(alpha):
     assert report.overall
 
 
+@pytest.fixture(scope="module")
+def unit_alpha_suite():
+    return run_full_suite(alpha=1.0, n_max=4)
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e-3, 1e3, 1e8])
+def test_run_full_suite_does_not_depend_on_alpha(alpha, unit_alpha_suite):
+    # every check is dimensionless once alpha is scaled out: energies by
+    # 4 alpha^2, lengths by 1/alpha, amplitudes by sqrt(alpha)
+    report = run_full_suite(alpha=alpha, n_max=4)
+    assert report.overall
+    assert len(report.checks) == len(unit_alpha_suite.checks)
+    for row, unit in zip(report.checks, unit_alpha_suite.checks):
+        assert abs(row.rel_dev - unit.rel_dev) <= 1e-11, row.name
+
+
 def test_check_identity_is_alpha_free_and_matches_the_suite():
     results = {
         (which, i): check_identity(which, i, points=500)
