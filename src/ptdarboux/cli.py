@@ -41,6 +41,7 @@ __all__ = [
     "MAX_DEGREE",
     "MAX_QUAD_ORDER",
     "MAX_PANELS",
+    "MAX_QUAD_NODES",
     "MAX_GRID_POINTS",
     "MAX_POINTS",
 ]
@@ -52,12 +53,15 @@ MAX_ALPHA = 1e100
 # The caps below bound the work each flag can ask for.  Times are on one
 # Intel Xeon core under CPython 3.11.  MAX_DEGREE caps --n-max, tabulate --n
 # and identity --n, and identity --m at MAX_DEGREE // 2 (the suite's indices
-# at n_max = MAX_DEGREE): verify --n-max 60 takes 75 s, identity --n 60 1.9 s.
+# at n_max = MAX_DEGREE): verify --n-max 60 takes 34 s, identity --n 60 0.2 s.
 MAX_DEGREE = 60
 # A Gauss-Legendre rule is built in O(order^2): 0.52 s at 1024 points.
 MAX_QUAD_ORDER = 1024
 # One x-form hypergeometric norm check at n = 60 and the default order: 2.8 s.
 MAX_PANELS = 1024
+# The work of a quadrature check grows with panels times order, so their
+# product is capped as well, at the nodes of MAX_PANELS default-order panels.
+MAX_QUAD_NODES = MAX_PANELS * 64
 # spectrum --count 10 (about 40 O(grid_points) Sturm sweeps per mode): 5.5 s.
 MAX_GRID_POINTS = 100_000
 # tabulate --n 60: 1.0 s.
@@ -86,6 +90,8 @@ class RunConfig:
         _require_range("--n-max", self.n_max, 0, MAX_DEGREE)
         _require_range("--quad-order", self.quad_order, 2, MAX_QUAD_ORDER)
         _require_range("--panels", self.panels, 1, MAX_PANELS)
+        _require_range("--panels * --quad-order", self.panels * self.quad_order,
+                       2, MAX_QUAD_NODES)
         _require_range("--grid-points", self.grid_points, 100, MAX_GRID_POINTS)
         if self.fmt not in ("csv", "json"):
             raise ParameterError(f"--format must be csv or json, got {self.fmt!r}")
@@ -235,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quad-order", type=int, default=64, dest="quad_order",
                         help=f"Gauss-Legendre points per panel (2..{MAX_QUAD_ORDER})")
     common.add_argument("--panels", type=int, default=32,
-                        help=f"equal quadrature subintervals (1..{MAX_PANELS})")
+                        help=f"equal quadrature subintervals (1..{MAX_PANELS}; "
+                             f"panels times quad-order at most {MAX_QUAD_NODES})")
     common.add_argument("--grid-points", type=int, default=4000, dest="grid_points",
                         help=f"finite-difference grid size (100..{MAX_GRID_POINTS})")
     common.add_argument("--tol", action="append", metavar="NAME=VALUE",

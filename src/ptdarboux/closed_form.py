@@ -5,8 +5,9 @@ k cos(kt) - cot(t) sin(kt) with t = 2 alpha x.  Using
 sin(kt)/sin(t) = U_{k-1}(cos t) (Chebyshev, second kind) this becomes the
 polynomial-in-cos(t) bracket k cos(kt) - cos(t) U_{k-1}(cos t), finite on
 the closed interval.  The same bracket appears on the right-hand side of
-the hypergeometric identities that tie these images to the Poschl-Teller
-bound states of the symmetric kappa = lam = 2 well.
+the hypergeometric identity that ties these images to the Poschl-Teller
+bound states of the symmetric kappa = lam = 2 well; its base, even-ratio
+and odd-ratio forms are one level-n formula (identity_pairs).
 """
 from __future__ import annotations
 
@@ -27,9 +28,7 @@ __all__ = [
     "identity_sides",
     "ratio_identity_even",
     "ratio_identity_odd",
-    "identity_sides_t",
-    "ratio_identity_even_t",
-    "ratio_identity_odd_t",
+    "identity_pairs",
 ]
 
 _HALF = Fraction(1, 2)
@@ -99,40 +98,42 @@ def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float
     return f.norm * g, f.norm * 2.0 * a * g1, f.norm * 4.0 * a * a * g2
 
 
-def coefficient_C(n: int) -> Fraction:
-    """Exact proportionality constant C_n tying the degree-n hypergeometric
-    factor to the index n + 2 trigonometric bracket.
+def _midpoint_factor(n: int) -> tuple[Fraction, Fraction]:
+    """Exact split C_n = r_n D_n of the level-n proportionality constant
+    into a rational prefactor r_n and a 2F1 value D_n at z = 1/2:
 
-    Even and odd indices take different closed forms:
+        n = 2m:    r_n = (-1)^(m+1) / (8 (m+1))
+                   D_n = 2F1(-2m, 2m+4; 5/2; 1/2)
+        n = 2m+1:  r_n = (-1)^(m+1) / 20 * (2m+1)(2m+5) / (4 (m+1)(m+2))
+                   D_n = 2F1(-2m, 2m+6; 7/2; 1/2)
 
-        C_{2m}   = (-1)^(m+1) / (8 (m+1))
-                   * 2F1(-2m, 2m+4; 5/2; 1/2)
-        C_{2m+1} = (-1)^(m+1) / 20 * (2m+1)(2m+5) / (4 (m+1)(m+2))
-                   * 2F1(-2m, 2m+6; 7/2; 1/2)
-
-    First values: -1/8, -1/32, -1/80.  The result is guaranteed nonzero;
-    a vanishing value would make the identity normalization meaningless
-    and raises EvaluationError.
+    The odd level's own factor vanishes at the midpoint, so its D_n is the
+    shifted factor.  coefficient_C and the ratio identities share these.
     """
     if n < 0:
         raise ParameterError(f"index n must be >= 0, got {n}")
     m, parity = divmod(n, 2)
     sign = Fraction((-1) ** (m + 1))
     if parity == 0:
-        factor = f21_eval_exact(
-            TerminatingHypergeometric(2 * m, Fraction(2 * m + 4), Fraction(5, 2)), _HALF
-        )
-        value = sign / (8 * (m + 1)) * factor
+        r = sign / (8 * (m + 1))
+        h = TerminatingHypergeometric(2 * m, Fraction(2 * m + 4), Fraction(5, 2))
     else:
-        factor = f21_eval_exact(
-            TerminatingHypergeometric(2 * m, Fraction(2 * m + 6), Fraction(7, 2)), _HALF
-        )
-        value = (
-            sign
-            / 20
-            * Fraction((2 * m + 1) * (2 * m + 5), 4 * (m + 1) * (m + 2))
-            * factor
-        )
+        r = sign / 20 * Fraction((2 * m + 1) * (2 * m + 5), 4 * (m + 1) * (m + 2))
+        h = TerminatingHypergeometric(2 * m, Fraction(2 * m + 6), Fraction(7, 2))
+    return r, f21_eval_exact(h, _HALF)
+
+
+def coefficient_C(n: int) -> Fraction:
+    """Exact proportionality constant C_n = r_n D_n (_midpoint_factor) tying
+    the degree-n hypergeometric factor to the index n + 2 trigonometric
+    bracket.
+
+    First values: -1/8, -1/32, -1/80.  The result is guaranteed nonzero;
+    a vanishing value would make the identity normalization meaningless
+    and raises EvaluationError.
+    """
+    r, d = _midpoint_factor(n)
+    value = r * d
     if value == 0:
         raise EvaluationError(f"proportionality constant C_{n} evaluated to zero")
     return value
@@ -157,66 +158,46 @@ def _checked_t(alpha: float, x: float, margin: float) -> float:
     return t
 
 
-def identity_sides_t(n: int, t: float) -> tuple[float, float]:
-    """identity_sides at t = 2 alpha x, with sin^2(alpha x) = sin^2(t / 2).
+# Each identity family's level n as a function of its index.
+_FAMILY_LEVEL = {"base": lambda n: n, "even": lambda m: 2 * m, "odd": lambda m: 2 * m + 1}
 
-    Dimensionless core without the wall guard: the caller keeps t at least
-    a margin away from 0 and pi.
+
+def identity_pairs(which: str, index: int, ts: list[float]) -> list[tuple[float, float]]:
+    """Both sides of one identity family at each t = 2 alpha x in `ts`.
+
+    The three families are one identity at level n,
+
+        2F1(-n, n+4; 5/2; sin^2(t/2)) = 4 C_n [bracket of index n+2] / sin^2(t):
+
+    "base" is it at n = index; "even" and "odd" are it at n = 2m and
+    n = 2m + 1 (m = index) divided through by D_n, so that their right side
+    carries the exact 4 r_n and never C_n (_midpoint_factor).  The level's
+    constants are built once for the whole grid.  There is no wall guard:
+    the caller keeps every t at least a margin away from 0 and pi.
     """
-    if n < 0:
-        raise ParameterError(f"index n must be >= 0, got {n}")
-    s_half = math.sin(0.5 * t)
-    lhs = f21_eval_real(
-        TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2)), s_half * s_half
-    )
-    s_t = math.sin(t)
-    rhs = 4.0 * float(coefficient_C(n)) * _stable_bracket(n + 2, t) / (s_t * s_t)
-    return lhs, rhs
-
-
-def ratio_identity_even_t(m: int, t: float) -> tuple[float, float]:
-    """ratio_identity_even at t = 2 alpha x; no wall guard (see identity_sides_t)."""
-    if m < 0:
-        raise ParameterError(f"index m must be >= 0, got {m}")
-    h = TerminatingHypergeometric(2 * m, Fraction(2 * m + 4), Fraction(5, 2))
-    den = f21_eval_exact(h, _HALF)
-    if den == 0:
-        raise ZeroDivisionError(f"midpoint value of the even index-{m} factor is zero")
-    s_half = math.sin(0.5 * t)
-    lhs = f21_eval_real(h, s_half * s_half) / float(den)
-    s_t = math.sin(t)
-    k = 2 * m + 2
-    rhs = (-1.0) ** (m + 1) / (2.0 * (m + 1)) * _stable_bracket(k, t) / (s_t * s_t)
-    return lhs, rhs
-
-
-def ratio_identity_odd_t(m: int, t: float) -> tuple[float, float]:
-    """ratio_identity_odd at t = 2 alpha x; no wall guard (see identity_sides_t)."""
-    if m < 0:
-        raise ParameterError(f"index m must be >= 0, got {m}")
-    den = f21_eval_exact(
-        TerminatingHypergeometric(2 * m, Fraction(2 * m + 6), Fraction(7, 2)), _HALF
-    )
-    if den == 0:
-        raise ZeroDivisionError(f"reference value of the odd index-{m} factor is zero")
-    s_half = math.sin(0.5 * t)
-    lhs = (
-        f21_eval_real(
-            TerminatingHypergeometric(2 * m + 1, Fraction(2 * m + 5), Fraction(5, 2)),
-            s_half * s_half,
+    if which not in _FAMILY_LEVEL:
+        raise ParameterError(
+            f"identity family must be one of {sorted(_FAMILY_LEVEL)}, got {which!r}"
         )
-        / float(den)
-    )
-    s_t = math.sin(t)
-    k = 2 * m + 3
-    prefactor = (
-        (-1.0) ** (m + 1)
-        / 20.0
-        * ((2 * m + 1) * (2 * m + 5))
-        / ((m + 1) * (m + 2))
-    )
-    rhs = prefactor * _stable_bracket(k, t) / (s_t * s_t)
-    return lhs, rhs
+    if index < 0:
+        letter = "n" if which == "base" else "m"
+        raise ParameterError(f"index {letter} must be >= 0, got {index}")
+    n = _FAMILY_LEVEL[which](index)
+    h = TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2))
+    if which == "base":
+        den, pref = 1.0, 4.0 * float(coefficient_C(n))
+    else:
+        r, d = _midpoint_factor(n)
+        den, pref = float(d), float(4 * r)
+    pairs = []
+    for t in ts:
+        s_half = math.sin(0.5 * t)
+        s_t = math.sin(t)
+        pairs.append((
+            f21_eval_real(h, s_half * s_half) / den,
+            pref * _stable_bracket(n + 2, t) / (s_t * s_t),
+        ))
+    return pairs
 
 
 def identity_sides(
@@ -231,9 +212,9 @@ def identity_sides(
     right side uses the stable bracket but still divides by sin^2(t), so
     points with t within `margin` of 0 or pi are rejected
     (StabilityError).  The polynomial side alone is valid everywhere.
-    Both sides depend on x only through t (identity_sides_t).
+    Both sides depend on x only through t (identity_pairs).
     """
-    return identity_sides_t(n, _checked_t(alpha, x, margin))
+    return identity_pairs("base", n, [_checked_t(alpha, x, margin)])[0]
 
 
 def ratio_identity_even(
@@ -248,7 +229,7 @@ def ratio_identity_even(
     shape independently of coefficient_C.  Points with t within `margin`
     of a wall are rejected as in identity_sides.
     """
-    return ratio_identity_even_t(m, _checked_t(alpha, x, margin))
+    return identity_pairs("even", m, [_checked_t(alpha, x, margin)])[0]
 
 
 def ratio_identity_odd(
@@ -265,4 +246,4 @@ def ratio_identity_odd(
     Points with t within `margin` of a wall are rejected as in
     identity_sides.
     """
-    return ratio_identity_odd_t(m, _checked_t(alpha, x, margin))
+    return identity_pairs("odd", m, [_checked_t(alpha, x, margin)])[0]

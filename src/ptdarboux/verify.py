@@ -429,20 +429,12 @@ def check_correspondence(
     return _make_check(f"bound-state correspondence n={n}", dev, 0.0, tol)
 
 
-# Each identity family: the row-name prefix and the dimensionless core.
+# Each identity family's row-name prefix.
 _IDENTITY_FAMILIES = {
-    "base": ("identity (base) n=", closed_form.identity_sides_t),
-    "even": ("identity (even ratio) m=", closed_form.ratio_identity_even_t),
-    "odd": ("identity (odd ratio) m=", closed_form.ratio_identity_odd_t),
+    "base": "identity (base) n=",
+    "even": "identity (even ratio) m=",
+    "odd": "identity (odd ratio) m=",
 }
-
-
-def _identity_name(which: str, index: int) -> str:
-    if which not in _IDENTITY_FAMILIES:
-        raise ParameterError(
-            f"identity family must be one of {sorted(_IDENTITY_FAMILIES)}, got {which!r}"
-        )
-    return f"{_IDENTITY_FAMILIES[which][0]}{index}"
 
 
 def check_identity(
@@ -455,13 +447,11 @@ def check_identity(
     The identities are dimensionless, so the grid lives in t = 2 alpha x on
     [1e-3, pi - 1e-3] and the result does not depend on alpha.
     """
-    name = _identity_name(which, index)
     tol = DEFAULT_TOLERANCES["identity"] if tolerance is None else tolerance
-    sides = _IDENTITY_FAMILIES[which][1]
-    pairs = [sides(index, t) for t in _t_grid(points, _WALL_MARGIN)]
+    pairs = closed_form.identity_pairs(which, index, _t_grid(points, _WALL_MARGIN))
     scale = max(abs(lhs) for lhs, _ in pairs) or 1.0
     dev = max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
-    return _make_check(name, dev, 0.0, tol)
+    return _make_check(f"{_IDENTITY_FAMILIES[which]}{index}", dev, 0.0, tol)
 
 
 def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
@@ -583,7 +573,7 @@ def _suite_specs(
     specs += [(f"hypergeom norm ({form}-form) n={n}", quad_tol,
                partial(check_hypergeom_norm, n, form, **quad))
               for n in levels for form in ("x", "z")]
-    specs += [(f"expectation <x> k={k}", quad_tol,
+    specs += [(f"expectation <x> k={k} alpha={alpha}", quad_tol,
                partial(check_expectation_x, k, alpha, **quad)) for k in partners]
     specs += [(f"first moment (trig) k={k}", quad_tol,
                partial(check_first_moment, k, "trig", **quad)) for k in partners]
@@ -591,13 +581,13 @@ def _suite_specs(
                partial(check_first_moment, n, "hypergeom", **quad)) for n in levels]
     specs.append(("gram matrix", quad_tol,
                   partial(check_orthonormality, partners[-1], alpha, **quad)))
-    specs += [(f"residual (partner) k={k}", tols["residual"],
+    specs += [(f"residual (partner) k={k} alpha={alpha}", tols["residual"],
                partial(check_residual, k, alpha, tolerance=tols["residual"]))
               for k in partners]
     specs += [(f"bound-state correspondence n={n}", id_tol,
                partial(check_correspondence, n, alpha, points=identity_points,
                        tolerance=id_tol)) for n in levels]
-    specs += [(_identity_name(which, i), id_tol,
+    specs += [(f"{_IDENTITY_FAMILIES[which]}{i}", id_tol,
                partial(check_identity, which, i, points=identity_points, tolerance=id_tol))
               for which, i in identities]
     specs.append(("fd spectrum", tols["fd_spectrum"],

@@ -14,6 +14,7 @@ from ptdarboux.cli import (
     MAX_GRID_POINTS,
     MAX_PANELS,
     MAX_POINTS,
+    MAX_QUAD_NODES,
     MAX_QUAD_ORDER,
     MIN_ALPHA,
     RunConfig,
@@ -52,6 +53,13 @@ def test_run_config_validation():
     RunConfig(alpha=MIN_ALPHA, n_max=MAX_DEGREE, panels=MAX_PANELS,
               grid_points=MAX_GRID_POINTS)
     RunConfig(alpha=MAX_ALPHA)
+    # panels and order multiply: each cap holds at the other's default
+    RunConfig(panels=MAX_PANELS, quad_order=MAX_QUAD_NODES // MAX_PANELS)
+    RunConfig(panels=MAX_QUAD_NODES // MAX_QUAD_ORDER, quad_order=MAX_QUAD_ORDER)
+    with pytest.raises(ParameterError):
+        RunConfig(panels=MAX_PANELS, quad_order=MAX_QUAD_ORDER)
+    with pytest.raises(ParameterError):
+        RunConfig(panels=512, quad_order=MAX_QUAD_NODES // 512 + 1)
     for bad in ({"alpha": MIN_ALPHA / 10}, {"alpha": MAX_ALPHA * 10},
                 {"n_max": MAX_DEGREE + 1}, {"panels": MAX_PANELS + 1},
                 {"grid_points": MAX_GRID_POINTS + 1}):
@@ -84,6 +92,7 @@ def test_run_config_validation():
         ["identity", "--which", "base", "--n", str(MAX_DEGREE + 1)],
         ["identity", "--which", "even", "--m", str(MAX_DEGREE // 2 + 1)],
         ["identity", "--which", "odd", "--m", "1000000"],
+        ["verify", "--panels", str(MAX_PANELS), "--quad-order", str(MAX_QUAD_ORDER)],
     ],
 )
 def test_unusable_inputs_exit_2_promptly(flags):

@@ -4,20 +4,22 @@ from fractions import Fraction
 
 import pytest
 
+from ptdarboux import closed_form
+from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.closed_form import (
     TrigEigenfunction,
+    _midpoint_factor,
     chi_derivatives,
     chi_eval,
     coefficient_C,
+    identity_pairs,
     identity_sides,
-    identity_sides_t,
     normalization_A,
     ratio_identity_even,
-    ratio_identity_even_t,
     ratio_identity_odd,
-    ratio_identity_odd_t,
 )
 from ptdarboux.errors import DomainError, ParameterError, StabilityError
+from ptdarboux.verify import check_identity
 
 # frozen by exact rational series summation (two independent closed forms
 # agree for every index below)
@@ -176,19 +178,58 @@ def test_identity_sides_agree_on_interior_grid():
 
 def test_identities_delegate_to_their_t_cores():
     # sin(alpha x) is half of t = 2 alpha x exactly, so the x-level forms
-    # reproduce the t-level cores bit for bit at any alpha
+    # reproduce the one t-level core bit for bit at any alpha
     for alpha in (0.6024, 0.73, 1.0, 1.502, 7.0):
         for x in _grid(alpha, points=17)[1:-1]:
             t = 2.0 * alpha * x
-            assert identity_sides(3, alpha, x) == identity_sides_t(3, t)
-            assert ratio_identity_even(2, alpha, x) == ratio_identity_even_t(2, t)
-            assert ratio_identity_odd(1, alpha, x) == ratio_identity_odd_t(1, t)
+            assert identity_sides(3, alpha, x) == identity_pairs("base", 3, [t])[0]
+            assert ratio_identity_even(2, alpha, x) == identity_pairs("even", 2, [t])[0]
+            assert ratio_identity_odd(1, alpha, x) == identity_pairs("odd", 1, [t])[0]
+    for which in ("base", "even", "odd"):
+        with pytest.raises(ParameterError):
+            identity_pairs(which, -1, [1.0])
     with pytest.raises(ParameterError):
-        identity_sides_t(-1, 1.0)
-    with pytest.raises(ParameterError):
-        ratio_identity_even_t(-1, 1.0)
-    with pytest.raises(ParameterError):
-        ratio_identity_odd_t(-1, 1.0)
+        identity_pairs("triple", 1, [1.0])
+
+
+def test_identity_pairs_build_exact_constants_once(monkeypatch):
+    # one grid costs one exact C_n (base) or one midpoint factor (ratios),
+    # however many points it has; the ratio forms never touch C_n
+    calls = {"coefficient_C": 0, "f21_eval_exact": 0}
+    for name in calls:
+        original = getattr(closed_form, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(closed_form, name, counted)
+    for which, index, expected_c in (("base", 7, 1), ("even", 3, 0), ("odd", 3, 0)):
+        for name in calls:
+            calls[name] = 0
+        result = check_identity(which, index, points=200)
+        assert result.passed
+        assert calls == {"coefficient_C": expected_c, "f21_eval_exact": 1}
+
+
+def test_coefficient_closed_form_to_degree_cap():
+    # C_n = -3 / (4 (n+1)(n+2)(n+3)), independent of the 2F1 route
+    for n in range(MAX_DEGREE + 1):
+        assert coefficient_C(n) == Fraction(-3, 4 * (n + 1) * (n + 2) * (n + 3))
+
+
+def test_ratio_prefactors_follow_from_coefficient():
+    # 4 r_n = 4 C_n / D_n, and equals the ratio identities' printed prefactors
+    for n in range(MAX_DEGREE + 1):
+        r, d = _midpoint_factor(n)
+        assert 4 * r == 4 * Fraction(-3, 4 * (n + 1) * (n + 2) * (n + 3)) / d
+        m, parity = divmod(n, 2)
+        if parity == 0:
+            printed = Fraction((-1) ** (m + 1), 2 * (m + 1))
+        else:
+            printed = Fraction((-1) ** (m + 1) * (2 * m + 1) * (2 * m + 5),
+                               20 * (m + 1) * (m + 2))
+        assert 4 * r == printed
 
 
 def test_identity_sides_base_case_both_sides_one():

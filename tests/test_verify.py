@@ -21,6 +21,7 @@ from ptdarboux.verify import (
     integrate,
     resolve_tolerances,
     run_full_suite,
+    _suite_specs,
 )
 
 
@@ -250,6 +251,19 @@ def test_run_full_suite_check_names_are_pinned():
         "identity (even ratio) m=1", "identity (odd ratio) m=1",
         "fd mode 0", "fd mode 1", "fd mode 2",
     ]
+
+
+def test_suite_spec_names_match_their_rows():
+    # a check that raises is recorded under its spec's name, so that name
+    # must be the one the check gives its row when it passes
+    specs = _suite_specs(1.0, 2, 64, 32, resolve_tolerances(), 1000, 500)
+    singles = 0
+    for name, _, thunk in specs:
+        result = thunk()
+        if isinstance(result, CheckResult):
+            assert name == result.name
+            singles += 1
+    assert singles == len(specs) - 2  # all but the Gram matrix and fd spectrum
 
 
 @pytest.mark.parametrize("alpha", [0.73, 0.783, 0.685, 1.502])
