@@ -53,14 +53,14 @@ MAX_ALPHA = 1e100
 # The caps below bound the work each flag can ask for.  Times are on one
 # Intel Xeon core under CPython 3.11.  MAX_DEGREE caps --n-max, tabulate --n
 # and identity --n, and identity --m at MAX_DEGREE // 2 (the suite's indices
-# at n_max = MAX_DEGREE): verify --n-max 60 takes 34 s, identity --n 60 0.2 s.
+# at n_max = MAX_DEGREE): verify --n-max 60 takes 14 s, identity --n 60 0.2 s.
 MAX_DEGREE = 60
 # A Gauss-Legendre rule is built in O(order^2): 0.52 s at 1024 points.
 MAX_QUAD_ORDER = 1024
 # One x-form hypergeometric norm check at n = 60 and the default order: 2.8 s.
 MAX_PANELS = 1024
 # The work of a quadrature check grows with panels times order, so their
-# product is capped as well, at the nodes of MAX_PANELS default-order panels.
+# product is capped too: verify --n-max 60 --panels 1024 takes 300 s.
 MAX_QUAD_NODES = MAX_PANELS * 64
 # spectrum --count 10 (about 40 O(grid_points) Sturm sweeps per mode): 5.5 s.
 MAX_GRID_POINTS = 100_000

@@ -45,8 +45,8 @@ class TrigEigenfunction:
     def __post_init__(self):
         if self.k < 2:
             raise ParameterError(f"partner modes exist for k >= 2, got {self.k}")
-        if not (self.alpha > 0):
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
+        if not (0 < self.alpha < math.inf):
+            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
         object.__setattr__(
             self,
             "norm",

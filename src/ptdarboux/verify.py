@@ -10,6 +10,8 @@ single failure.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -122,43 +124,43 @@ def _report(checks: list[CheckResult], parameters: dict) -> VerificationReport:
     )
 
 
-@lru_cache(maxsize=32)
-def _rule(order: int):
-    return gauss_legendre(order)
-
-
-def integrate(profile, a: float, b: float, order: int, panels: int) -> float:
-    """Composite Gauss-Legendre quadrature over `panels` equal subintervals.
-
-    Deterministic: fixed nodes, and all weighted samples are accumulated in
-    a single exactly-rounded sum.  A non-finite integrand value aborts with
-    the offending abscissa in the message.
-    """
+@lru_cache(maxsize=8)
+def _nodes(a: float, b: float, order: int, panels: int):
+    """Abscissae, weights and half panel width of the composite
+    Gauss-Legendre rule with `panels` equal subintervals of (a, b)."""
     if not (a < b):
         raise ParameterError(f"need a < b, got a={a}, b={b}")
     if panels < 1:
         raise ParameterError(f"panel count must be >= 1, got {panels}")
-    rule = _rule(order)
+    rule = gauss_legendre(order)
     h = (b - a) / panels
     half = 0.5 * h
-    terms = []
-    for p in range(panels):
-        mid = a + p * h + half
-        for node, weight in zip(rule.nodes, rule.weights):
-            x = mid + half * node
-            value = profile(x)
-            if not math.isfinite(value):
-                raise EvaluationError(f"integrand returned {value} at x={x}")
-            terms.append(weight * value)
-    return half * math.fsum(terms)
+    abscissae = [a + p * h + half + half * node for p in range(panels) for node in rule.nodes]
+    return array("d", abscissae), array("d", rule.weights * panels), half
 
 
-def _bracket_sq(k: int):
-    def profile(t: float) -> float:
-        g = closed_form._stable_bracket(k, t)
-        return g * g
+def _weighted_sum(values, nodes) -> float:
+    """The rule `nodes` (_nodes) applied to `values` sampled at its abscissae,
+    in one exactly-rounded sum; a non-finite value aborts with its abscissa."""
+    abscissae, weights, half = nodes
+    if not all(map(math.isfinite, values)):
+        x, value = next((x, v) for x, v in zip(abscissae, values) if not math.isfinite(v))
+        raise EvaluationError(f"integrand returned {value} at x={x}")
+    return half * math.fsum(map(operator.mul, weights, values))
 
-    return profile
+
+def integrate(profile, a: float, b: float, order: int, panels: int) -> float:
+    """Composite Gauss-Legendre quadrature of `profile` over `panels` equal
+    subintervals of (a, b): deterministic, fixed nodes (_nodes), one
+    exactly-rounded sum that rejects non-finite values (_weighted_sum)."""
+    nodes = _nodes(a, b, order, panels)
+    return _weighted_sum([profile(x) for x in nodes[0]], nodes)
+
+
+def _modes(k: int, order: int, panels: int):
+    """The rule on t in (0, pi) and the index-k bracket sampled at its nodes."""
+    nodes = _nodes(0.0, math.pi, order, panels)
+    return nodes, array("d", [closed_form._stable_bracket(k, t) for t in nodes[0]])
 
 
 def check_trig_norm(
@@ -172,7 +174,8 @@ def check_trig_norm(
     if k < 2:
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
-    computed = integrate(_bracket_sq(k), 0.0, math.pi, order, panels)
+    nodes, row = _modes(k, order, panels)
+    computed = _weighted_sum([g * g for g in row], nodes)
     reference = 0.5 * math.pi * (k * k - 1)
     return _make_check(f"trig norm k={k}", computed, reference, tol)
 
@@ -245,18 +248,16 @@ def check_expectation_x(
     """Position expectation of the normalized partner mode against pi/(4 alpha).
 
     The value is index-independent: every mode is symmetric about the
-    interval midpoint up to sign.
+    interval midpoint up to sign.  The sum runs in t = 2 alpha x.
     """
     if k < 2:
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
-    f = TrigEigenfunction(k, alpha)
-
-    def profile(x: float) -> float:
-        v = chi_eval(f, x)
-        return x * v * v
-
-    computed = integrate(profile, 0.0, math.pi / (2.0 * alpha), order, panels)
+    norm = TrigEigenfunction(k, alpha).norm
+    two_alpha = 2.0 * alpha
+    nodes, row = _modes(k, order, panels)
+    values = [(t / two_alpha) * (norm * g) * (norm * g) for t, g in zip(nodes[0], row)]
+    computed = _weighted_sum(values, nodes) / two_alpha
     reference = math.pi / (4.0 * alpha)
     return _make_check(f"expectation <x> k={k} alpha={alpha}", computed, reference, tol)
 
@@ -282,12 +283,8 @@ def check_first_moment(
         k = n_or_k
         if k < 2:
             raise ParameterError(f"partner modes exist for k >= 2, got {k}")
-        bracket_sq = _bracket_sq(k)
-
-        def profile(t: float) -> float:
-            return t * bracket_sq(t)
-
-        computed = integrate(profile, 0.0, math.pi, order, panels)
+        nodes, row = _modes(k, order, panels)
+        computed = _weighted_sum([t * (g * g) for t, g in zip(nodes[0], row)], nodes)
         reference = 0.25 * math.pi * math.pi * (k * k - 1)
         return _make_check(f"first moment (trig) k={k}", computed, reference, tol)
     if form == "hypergeom":
@@ -320,23 +317,25 @@ def check_orthonormality(
 ) -> VerificationReport:
     """Gram matrix of the normalized partner modes k = 2..k_max.
 
-    Diagonal entries are compared with 1 in relative terms; off-diagonal
-    entries with 0 in absolute terms (same tolerance).
+    An entry is one weighted sum in t = 2 alpha x over two normalized mode
+    rows, divided by 2 alpha.  Diagonal entries are compared with 1 in
+    relative terms; off-diagonal entries with 0 in absolute terms (same
+    tolerance).
     """
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
-    funcs = {k: TrigEigenfunction(k, alpha) for k in range(2, k_max + 1)}
-    length = math.pi / (2.0 * alpha)
+    rows = {}
+    for k in range(2, k_max + 1):
+        norm = TrigEigenfunction(k, alpha).norm
+        nodes, row = _modes(k, order, panels)
+        rows[k] = array("d", [norm * g for g in row])
+    two_alpha = 2.0 * alpha
     checks = []
     for i in range(2, k_max + 1):
         for j in range(i, k_max + 1):
-            fi, fj = funcs[i], funcs[j]
-
-            def profile(x: float, fi=fi, fj=fj) -> float:
-                return chi_eval(fi, x) * chi_eval(fj, x)
-
-            computed = integrate(profile, 0.0, length, order, panels)
+            products = list(map(operator.mul, rows[i], rows[j]))
+            computed = _weighted_sum(products, nodes) / two_alpha
             reference = 1.0 if i == j else 0.0
             checks.append(_make_check(f"gram ({i},{j})", computed, reference, tol))
     return _report(

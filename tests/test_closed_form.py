@@ -50,8 +50,9 @@ def test_trig_eigenfunction_validation():
     assert math.isclose(f.norm, math.sqrt(4 / math.pi) / math.sqrt(3), rel_tol=1e-15)
     with pytest.raises(ParameterError):
         TrigEigenfunction(1, 1.0)
-    with pytest.raises(ParameterError):
-        TrigEigenfunction(2, 0.0)
+    for alpha in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            TrigEigenfunction(2, alpha)
 
 
 def test_chi_eval_vanishes_at_walls():

@@ -1,9 +1,11 @@
 """Quadrature checks, reports, the finite-difference spectrum, and the suite."""
 import math
+from functools import partial
 
 import pytest
 
-from ptdarboux import closed_form
+from ptdarboux import closed_form, verify
+from ptdarboux.closed_form import TrigEigenfunction, chi_eval
 from ptdarboux.errors import EvaluationError, ParameterError
 from ptdarboux.verify import (
     DEFAULT_TOLERANCES,
@@ -24,6 +26,9 @@ from ptdarboux.verify import (
     _suite_specs,
 )
 
+# Quadrature settings that a check must reject before it divides by them.
+_BAD_RULES = ({"panels": 0}, {"order": 0})
+
 
 def test_integrate_standard_integrals():
     assert abs(integrate(lambda x: math.sin(x) ** 2, 0.0, math.pi, 32, 8) - math.pi / 2) <= 1e-13
@@ -39,6 +44,10 @@ def test_integrate_validation():
         integrate(lambda x: x, 1.0, 1.0, 8, 4)
     with pytest.raises(ParameterError):
         integrate(lambda x: x, 0.0, 1.0, 8, 0)
+    with pytest.raises(ParameterError):
+        integrate(lambda x: x, 1.0, 0.0, 8, 4)
+    with pytest.raises(ParameterError):
+        integrate(lambda x: x, 0.0, 1.0, 0, 4)
 
 
 def test_integrate_reports_offending_abscissa():
@@ -86,6 +95,9 @@ def test_trig_norm_small_indices():
     assert r10.rel_dev <= 1e-12
     with pytest.raises(ParameterError):
         check_trig_norm(1)
+    for bad in _BAD_RULES:
+        with pytest.raises(ParameterError):
+            check_trig_norm(3, **bad)
 
 
 def test_trig_norm_k2_closed_form_reduction():
@@ -124,6 +136,12 @@ def test_expectation_x():
     # index independence and scale law
     assert math.isclose(check_expectation_x(7, 1.0).computed, math.pi / 4, rel_tol=1e-11)
     assert math.isclose(check_expectation_x(3, 2.0).computed, math.pi / 8, rel_tol=1e-11)
+    for k, alpha in ((1, 1.0), (3, math.inf)):
+        with pytest.raises(ParameterError):
+            check_expectation_x(k, alpha)
+    for bad in _BAD_RULES:
+        with pytest.raises(ParameterError):
+            check_expectation_x(3, 1.0, **bad)
 
 
 def test_first_moment_forms():
@@ -140,6 +158,9 @@ def test_first_moment_forms():
         check_first_moment(1, "trig")
     with pytest.raises(ParameterError):
         check_first_moment(0, "nope")
+    for bad in _BAD_RULES:
+        with pytest.raises(ParameterError):
+            check_first_moment(3, "trig", **bad)
 
 
 def test_orthonormality_report():
@@ -153,6 +174,67 @@ def test_orthonormality_report():
     assert diag and math.isclose(diag[0].computed, 1.0, rel_tol=1e-10)
     with pytest.raises(ParameterError):
         check_orthonormality(1)
+    for bad in _BAD_RULES:
+        with pytest.raises(ParameterError):
+            check_orthonormality(4, **bad)
+
+
+def test_partner_mode_checks_sample_each_bracket_once(monkeypatch):
+    # every partner-mode integral sums over one bracket row per mode, so the
+    # Gram matrix costs O(K N) bracket evaluations, not one per pair and node,
+    # and no quadrature check goes through the domain-checked chi_eval
+    calls = 0
+    original = closed_form._stable_bracket
+
+    def counted(k, t):
+        nonlocal calls
+        calls += 1
+        return original(k, t)
+
+    def forbidden(*args):
+        raise AssertionError("a quadrature check called chi_eval")
+
+    monkeypatch.setattr(closed_form, "_stable_bracket", counted)
+    monkeypatch.setattr(closed_form, "chi_eval", forbidden)
+    monkeypatch.setattr(verify, "chi_eval", forbidden)
+    order, panels = 16, 8
+    k_max = 9
+    assert check_orthonormality(k_max, 0.6024, order=order, panels=panels).overall
+    assert calls == (k_max - 1) * order * panels
+    for check in (
+        partial(check_trig_norm, 5),
+        partial(check_first_moment, 5, "trig"),
+        partial(check_expectation_x, 5, 1.37),
+    ):
+        calls = 0
+        assert check(order=order, panels=panels).passed
+        assert calls == order * panels
+
+
+def test_partner_mode_sums_match_their_x_space_form():
+    # the sums in t against the former integrals over x of chi_eval products:
+    # bit for bit at alpha = 1, where x = t / 2 exactly on these nodes, and
+    # within rounding at other alpha, where t / (2 alpha) is rounded
+    def moment(f, length):
+        def profile(x):
+            v = chi_eval(f, x)
+            return x * v * v
+
+        return integrate(profile, 0.0, length, 64, 32)
+
+    for alpha, rel in ((1.0, 0.0), (0.6024, 2e-15)):
+        length = math.pi / (2.0 * alpha)
+        modes = {k: TrigEigenfunction(k, alpha) for k in range(2, 9)}
+        gram = {c.name: c.computed for c in check_orthonormality(8, alpha).checks}
+        for i, j in ((2, 2), (2, 3), (3, 7), (5, 5), (4, 8), (8, 8)):
+            fi, fj = modes[i], modes[j]
+            reference = integrate(
+                lambda x: chi_eval(fi, x) * chi_eval(fj, x), 0.0, length, 64, 32
+            )
+            assert abs(gram[f"gram ({i},{j})"] - reference) <= rel * max(abs(reference), 1.0)
+        for k in (2, 5, 8):
+            reference = moment(modes[k], length)
+            assert abs(check_expectation_x(k, alpha).computed - reference) <= rel * reference
 
 
 def test_residual_partner_modes():
