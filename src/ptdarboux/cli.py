@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass, field
 
 from . import closed_form
-from .closed_form import TrigEigenfunction, chi_eval
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -25,7 +24,7 @@ from .errors import (
     ParameterError,
     StabilityError,
 )
-from .models import PTParams, WellConfig, pt_eigen_hypergeom
+from .models import WellConfig
 from .verify import check_fd_spectrum, check_identity, resolve_tolerances, run_full_suite
 
 __all__ = [
@@ -53,18 +52,21 @@ MAX_ALPHA = 1e100
 # The caps below bound the work each flag can ask for.  Times are on one
 # Intel Xeon core under CPython 3.11.  MAX_DEGREE caps --n-max, tabulate --n
 # and identity --n, and identity --m at MAX_DEGREE // 2 (the suite's indices
-# at n_max = MAX_DEGREE): verify --n-max 60 takes 14 s, identity --n 60 0.2 s.
+# at n_max = MAX_DEGREE): verify --n-max 60 takes 2.4 s, identity --n 60 0.06 s.
 MAX_DEGREE = 60
 # A Gauss-Legendre rule is built in O(order^2): 0.52 s at 1024 points.
 MAX_QUAD_ORDER = 1024
-# One x-form hypergeometric norm check at n = 60 and the default order: 2.8 s.
+# One x-form hypergeometric norm check at n = 60 and the default order, its
+# level table swept from degree 0: 1.1 s.
 MAX_PANELS = 1024
 # The work of a quadrature check grows with panels times order, so their
-# product is capped too: verify --n-max 60 --panels 1024 takes 300 s.
+# product is capped too: verify --n-max 60 --panels 1024 takes 43 s and peaks
+# at 98 MB resident (VmHWM), about 60 MB of it the bracket rows the mode
+# table keeps and the Gram matrix's normalized copies of them.
 MAX_QUAD_NODES = MAX_PANELS * 64
 # spectrum --count 10 (about 40 O(grid_points) Sturm sweeps per mode): 5.5 s.
 MAX_GRID_POINTS = 100_000
-# tabulate --n 60: 1.0 s.
+# tabulate --n 60: 0.5 s.
 MAX_POINTS = 10_001
 _IDENTITY_POINTS = 1000
 
@@ -181,16 +183,10 @@ def cmd_tabulate(config: RunConfig, n: int, points: int) -> int:
     """Tabulate the level-n bound state next to the index n+2 partner mode."""
     _require_range("--n", n, 0, MAX_DEGREE)
     _require_range("--points", points, 2, MAX_POINTS)
-    cfg = WellConfig(config.alpha)
-    p = PTParams(2.0, 2.0)
-    f = TrigEigenfunction(n + 2, config.alpha)
-    amplitude = closed_form.normalization_A(n, config.alpha)
-    rows = []
-    for i in range(points):
-        x = cfg.length * (i / (points - 1))
-        chi = chi_eval(f, x)
-        psi = pt_eigen_hypergeom(cfg, p, n, amplitude, x)
-        rows.append([x, chi, psi, psi - chi])
+    length = WellConfig(config.alpha).length
+    xs = [length * (i / (points - 1)) for i in range(points)]
+    psi, chi = closed_form.BoundStatePairs(config.alpha, xs).pairs(n)
+    rows = [[x, c, p, p - c] for x, c, p in zip(xs, chi, psi)]
     header = ["x", "chi", "psi", "difference"]
     payload = {
         "parameters": {"alpha": config.alpha, "n": n, "points": points},

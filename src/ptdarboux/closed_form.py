@@ -12,15 +12,20 @@ and odd-ratio forms are one level-n formula (identity_pairs).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 from .errors import DomainError, EvaluationError, ParameterError, StabilityError
-from .hypergeom import TerminatingHypergeometric, f21_eval_exact, f21_eval_real
+from .hypergeom import LevelTable, TerminatingHypergeometric, f21_eval_exact
 from .numerics import chebyshev_u, chebyshev_u_derivatives
 
 __all__ = [
     "TrigEigenfunction",
+    "ModeTable",
+    "IdentityGrid",
+    "BoundStatePairs",
     "chi_eval",
     "chi_derivatives",
     "coefficient_C",
@@ -59,6 +64,36 @@ def _stable_bracket(k: int, t: float) -> float:
     but stays finite at t = 0 and t = pi (where it vanishes)."""
     c = math.cos(t)
     return k * math.cos(k * t) - c * chebyshev_u(k - 1, c)
+
+
+def _bracket_rows(ts):
+    """Rows of _stable_bracket(k, t) at every t of `ts` for k = 2, 3, ..., bit
+    for bit: U_{k-1}(cos t) continues one forward sweep of chebyshev_u's
+    recurrence U_j = (2c) U_{j-1} - U_{j-2}, keeping its last two rows."""
+    cosines = array("d", map(math.cos, ts))
+    two_cos = array("d", [2.0 * c for c in cosines])
+    u_prev, u = array("d", [0.0]) * len(ts), array("d", [1.0]) * len(ts)  # U_-1, U_0
+    for k in count(2):
+        u_prev, u = u, array("d", [tc * v - w for tc, v, w in zip(two_cos, u, u_prev)])
+        yield array("d", [k * math.cos(k * t) - c * v for t, c, v in zip(ts, cosines, u)])
+
+
+class ModeTable:
+    """The brackets of every index k >= 2 on a fixed row `ts` of t, swept in
+    ascending k (_bracket_rows) on first use and all kept.  A returned row
+    is shared and must not be changed."""
+
+    def __init__(self, ts):
+        self.ts = ts
+        self._sweep = _bracket_rows(ts)  # a generator: nothing runs before row()
+        self._rows = []  # index k at position k - 2
+
+    def row(self, k: int) -> array:
+        if k < 2:
+            raise ParameterError(f"partner modes exist for k >= 2, got {k}")
+        while len(self._rows) <= k - 2:
+            self._rows.append(next(self._sweep))
+        return self._rows[k - 2]
 
 
 def chi_eval(f: TrigEigenfunction, x: float) -> float:
@@ -162,8 +197,20 @@ def _checked_t(alpha: float, x: float, margin: float) -> float:
 _FAMILY_LEVEL = {"base": lambda n: n, "even": lambda m: 2 * m, "odd": lambda m: 2 * m + 1}
 
 
-def identity_pairs(which: str, index: int, ts: list[float]) -> list[tuple[float, float]]:
-    """Both sides of one identity family at each t = 2 alpha x in `ts`.
+class IdentityGrid:
+    """The rows both identity sides read on one grid `ts` of t: a level
+    table at z = sin^2(t/2), a mode table at t and the row of sin^2(t).
+    Identities that share a grid sweep each level and each mode once."""
+
+    def __init__(self, ts):
+        self.levels = LevelTable([s * s for s in (math.sin(0.5 * t) for t in ts)])
+        self.modes = ModeTable(ts)
+        self.sin_sq = array("d", [s * s for s in map(math.sin, ts)])
+
+
+def identity_pairs(which: str, index: int, ts) -> list[tuple[float, float]]:
+    """Both sides of one identity family at each t = 2 alpha x of `ts`, a
+    sequence of t or an IdentityGrid that several calls share.
 
     The three families are one identity at level n,
 
@@ -183,21 +230,40 @@ def identity_pairs(which: str, index: int, ts: list[float]) -> list[tuple[float,
         letter = "n" if which == "base" else "m"
         raise ParameterError(f"index {letter} must be >= 0, got {index}")
     n = _FAMILY_LEVEL[which](index)
-    h = TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2))
     if which == "base":
         den, pref = 1.0, 4.0 * float(coefficient_C(n))
     else:
         r, d = _midpoint_factor(n)
         den, pref = float(d), float(4 * r)
-    pairs = []
-    for t in ts:
-        s_half = math.sin(0.5 * t)
-        s_t = math.sin(t)
-        pairs.append((
-            f21_eval_real(h, s_half * s_half) / den,
-            pref * _stable_bracket(n + 2, t) / (s_t * s_t),
-        ))
-    return pairs
+    grid = ts if isinstance(ts, IdentityGrid) else IdentityGrid(ts)
+    return [
+        (f / den, pref * g / s2)
+        for f, g, s2 in zip(grid.levels.level(n), grid.modes.row(n + 2), grid.sin_sq)
+    ]
+
+
+class BoundStatePairs:
+    """The bound state psi_n of the kappa = lam = 2 well and the partner mode
+    chi_{n+2} of every level n on one row `xs` of x in [0, pi/(2 alpha)]:
+    psi_n = A_n sin^2(alpha x) cos^2(alpha x) F_n(sin^2(alpha x)) from a
+    level table, chi_{n+2} from a mode table at t = 2 alpha x, in the
+    arithmetic of models.pt_eigen_hypergeom and chi_eval, bit for bit."""
+
+    def __init__(self, alpha: float, xs):
+        sines = [math.sin(alpha * x) for x in xs]
+        self.alpha = alpha
+        self.sin_pow = array("d", [s**2.0 for s in sines])
+        self.cos_pow = array("d", [math.cos(alpha * x) ** 2.0 for x in xs])
+        self.levels = LevelTable([s * s for s in sines])
+        self.modes = ModeTable([2.0 * alpha * x for x in xs])
+
+    def pairs(self, n: int) -> tuple[list[float], list[float]]:
+        """The rows of psi_n, scaled by normalization_A, and chi_{n+2}."""
+        amplitude = normalization_A(n, self.alpha)
+        norm = TrigEigenfunction(n + 2, self.alpha).norm
+        levels = self.levels.level(n)
+        psi = [amplitude * s2 * c2 * f for s2, c2, f in zip(self.sin_pow, self.cos_pow, levels)]
+        return psi, [norm * g for g in self.modes.row(n + 2)]
 
 
 def identity_sides(

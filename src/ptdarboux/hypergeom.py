@@ -10,13 +10,16 @@ recurrence in degree, whose terms stay of the size of the result.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 from .errors import ParameterError
 
 __all__ = [
     "TerminatingHypergeometric",
+    "LevelTable",
     "f21_eval_exact",
     "f21_eval_real",
     "f21_derivative",
@@ -74,15 +77,45 @@ def f21_eval_exact(h: TerminatingHypergeometric, z) -> Fraction:
     return total
 
 
-def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
-    """Floating-point value of 2F1(-n, b; c; z) by the Jacobi recurrence.
+def _jacobi_steps(a: float, beta: float):
+    """Coefficients (p, q, c2, den) of the steps j = 2, 3, ... of the
+    normalized Jacobi recurrence, the same whatever the target degree.
 
-    With a = c - 1, beta = b - n - c and x = 1 - 2z the polynomial is
-    R_n = P_n^(a,beta)(x) / P_n^(a,beta)(1) (DLMF 15.9.1).  R_0 = 1,
-    R_1 = 1 - (a+beta+2) z/(a+1), and with s = 2j + a + beta (DLMF 18.9.2)
+    R_n = P_n^(a,beta)(x) / P_n^(a,beta)(1) with x = 1 - 2z (DLMF 15.9.1),
+    R_0 = 1, R_1 = 1 - (a+beta+2) z/(a+1), and with s = 2j + a + beta
+    (DLMF 18.9.2)
 
         2(j+a)(j+a+beta)(s-2) R_j
-            = (s-1)[s(s-2)x + a^2 - beta^2] R_{j-1} - 2(j-1)(j+beta-1)s R_{j-2}.
+            = (s-1)[s(s-2)x + a^2 - beta^2] R_{j-1} - 2(j-1)(j+beta-1)s R_{j-2},
+
+    so R_j = (p (q x + a^2 - beta^2) R_{j-1} - c2 R_{j-2}) / den.
+    """
+    ab = a + beta
+    for j in count(2):
+        s = 2 * j + ab
+        den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
+        yield s - 1.0, s * (s - 2.0), 2.0 * (j - 1) * (j + beta - 1.0) * s, den
+
+
+def _jacobi_rows(a: float, beta: float, zs):
+    """The rows R_0, R_1, R_2, ... (_jacobi_steps) at every z of `zs`, one
+    array('d') per degree, keeping only the last two."""
+    xs = array("d", [1.0 - 2.0 * z for z in zs])
+    diff_sq = a * a - beta * beta
+    r_prev = array("d", [1.0]) * len(zs)
+    yield r_prev
+    r = array("d", [1.0 - (a + beta + 2.0) * z / (a + 1.0) for z in zs])
+    yield r
+    for p, q, c2, den in _jacobi_steps(a, beta):
+        r_prev, r = r, array(
+            "d", [(p * (q * x + diff_sq) * v - c2 * w) / den for x, v, w in zip(xs, r, r_prev)]
+        )
+        yield r
+
+
+def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
+    """Floating-point value of 2F1(-n, b; c; z): the recurrence of
+    _jacobi_steps swept to degree n, with a = c - 1 and beta = b - n - c.
 
     No step cancels large terms, so the error stays near the rounding level
     of max|F| (checked to n = 160).  The recurrence needs a > -1 and beta > -1;
@@ -95,16 +128,33 @@ def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
         raise ParameterError(f"float path needs c - 1 > -1 and b - n - c > -1, got {a}, {beta}")
     z = float(z)
     x = 1.0 - 2.0 * z
-    ab = a + beta
     diff_sq = a * a - beta * beta
-    r_prev, r = 1.0, 1.0 - (ab + 2.0) * z / (a + 1.0)
-    for j in range(2, h.n + 1):
-        s = 2 * j + ab
-        r_prev, r = r, (
-            (s - 1.0) * (s * (s - 2.0) * x + diff_sq) * r
-            - 2.0 * (j - 1) * (j + beta - 1.0) * s * r_prev
-        ) / (2.0 * (j + a) * (j + ab) * (s - 2.0))
+    r_prev, r = 1.0, 1.0 - (a + beta + 2.0) * z / (a + 1.0)
+    for p, q, c2, den in islice(_jacobi_steps(a, beta), max(h.n - 1, 0)):
+        r_prev, r = r, (p * (q * x + diff_sq) * r - c2 * r_prev) / den
     return r if h.n else 1.0
+
+
+class LevelTable:
+    """F_n(z) = 2F1(-n, n+4; 5/2; z) of every level n on a fixed row of z,
+    bit for bit equal to f21_eval_real.  Here a = beta = 3/2 at every n (the
+    Gegenbauer polynomials C_n^(2)(1 - 2z), DLMF 18.7.1), so ascending
+    levels continue one sweep of _jacobi_rows, started on first use; only
+    its last two rows are kept and a lower level restarts it.  A returned
+    row is shared and must not be changed."""
+
+    def __init__(self, zs):
+        self.zs = zs
+        self._sweep, self._level, self._row = None, -1, None
+
+    def level(self, n: int) -> array:
+        if n < 0:
+            raise ParameterError(f"index n must be >= 0, got {n}")
+        if self._sweep is None or n < self._level:
+            self._sweep, self._level = enumerate(_jacobi_rows(1.5, 1.5, self.zs)), -1
+        while self._level < n:
+            self._level, self._row = next(self._sweep)
+        return self._row
 
 
 def f21_derivative(

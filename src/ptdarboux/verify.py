@@ -17,11 +17,11 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import closed_form
-from .closed_form import TrigEigenfunction, chi_derivatives, chi_eval
+from .closed_form import TrigEigenfunction, chi_derivatives
 from .darboux import DarbouxContext, partner_potential
 from .errors import EvaluationError, ParameterError
-from .hypergeom import TerminatingHypergeometric, f21_eval_real, midpoint_vanishing
-from .models import PTParams, WellConfig, box_eigenfunction, box_energy, pt_eigen_hypergeom
+from .hypergeom import LevelTable, midpoint_vanishing
+from .models import WellConfig, box_eigenfunction, box_energy
 from .numerics import gauss_legendre
 
 __all__ = [
@@ -157,10 +157,36 @@ def integrate(profile, a: float, b: float, order: int, panels: int) -> float:
     return _weighted_sum([profile(x) for x in nodes[0]], nodes)
 
 
-def _modes(k: int, order: int, panels: int):
-    """The rule on t in (0, pi) and the index-k bracket sampled at its nodes."""
+@lru_cache(maxsize=1)
+def _mode_table(order: int, panels: int):
+    """The rule on t in (0, pi) and the bracket table at its nodes."""
     nodes = _nodes(0.0, math.pi, order, panels)
-    return nodes, array("d", [closed_form._stable_bracket(k, t) for t in nodes[0]])
+    return nodes, closed_form.ModeTable(nodes[0])
+
+
+@lru_cache(maxsize=2)
+def _level_table(form: str, order: int, panels: int):
+    """The rule of one hypergeometric norm form (check_hypergeom_norm), the
+    weight row of its integrand weight * F^2(z) and the level table at its
+    z row."""
+    if form == "x":
+        nodes = _nodes(0.0, 0.5 * math.pi, order, panels)
+        sc = [(math.sin(x), math.cos(x)) for x in nodes[0]]
+        zs, weights = [s * s for s, _ in sc], [(s * c) ** 4 for s, c in sc]
+    else:
+        nodes = _nodes(0.0, 1.0, order, panels)
+        zs = [u * u * (3.0 - 2.0 * u) for u in nodes[0]]
+        weights = [6.0 * ((u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5)
+                   for u in nodes[0]]
+    return nodes, array("d", weights), LevelTable(zs)
+
+
+def _level_sum(n: int, form: str, order: int, panels: int, moment: bool = False) -> float:
+    """One form's rule applied to weight * F_n^2, or to abscissa * weight * F_n^2."""
+    nodes, weights, table = _level_table(form, order, panels)
+    if moment:
+        weights = map(operator.mul, nodes[0], weights)
+    return _weighted_sum([w * f * f for w, f in zip(weights, table.level(n))], nodes)
 
 
 def check_trig_norm(
@@ -174,19 +200,10 @@ def check_trig_norm(
     if k < 2:
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
-    nodes, row = _modes(k, order, panels)
-    computed = _weighted_sum([g * g for g in row], nodes)
+    nodes, table = _mode_table(order, panels)
+    computed = _weighted_sum([g * g for g in table.row(k)], nodes)
     reference = 0.5 * math.pi * (k * k - 1)
     return _make_check(f"trig norm k={k}", computed, reference, tol)
-
-
-def _f21_factor(n: int):
-    h = TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2))
-
-    def value(z: float) -> float:
-        return f21_eval_real(h, z)
-
-    return value
 
 
 def check_hypergeom_norm(
@@ -213,27 +230,10 @@ def check_hypergeom_norm(
     if form not in ("x", "z"):
         raise ParameterError(f"form must be 'x' or 'z', got {form!r}")
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
-    f_value = _f21_factor(n)
     c_n = float(closed_form.coefficient_C(n))
     k = n + 2
-    if form == "x":
-        def profile(x: float) -> float:
-            s = math.sin(x)
-            c = math.cos(x)
-            f = f_value(s * s)
-            return (s * c) ** 4 * f * f
-
-        computed = integrate(profile, 0.0, 0.5 * math.pi, order, panels)
-        reference = 0.25 * math.pi * (k * k - 1) * c_n * c_n
-    else:
-        def profile(u: float) -> float:
-            z = u * u * (3.0 - 2.0 * u)
-            f = f_value(z)
-            w = (u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5
-            return 6.0 * w * f * f
-
-        computed = integrate(profile, 0.0, 1.0, order, panels)
-        reference = 0.5 * math.pi * (k * k - 1) * c_n * c_n
+    computed = _level_sum(n, form, order, panels)
+    reference = (0.25 if form == "x" else 0.5) * math.pi * (k * k - 1) * c_n * c_n
     return _make_check(f"hypergeom norm ({form}-form) n={n}", computed, reference, tol)
 
 
@@ -255,8 +255,8 @@ def check_expectation_x(
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
     norm = TrigEigenfunction(k, alpha).norm
     two_alpha = 2.0 * alpha
-    nodes, row = _modes(k, order, panels)
-    values = [(t / two_alpha) * (norm * g) * (norm * g) for t, g in zip(nodes[0], row)]
+    nodes, table = _mode_table(order, panels)
+    values = [(t / two_alpha) * (norm * g) * (norm * g) for t, g in zip(nodes[0], table.row(k))]
     computed = _weighted_sum(values, nodes) / two_alpha
     reference = math.pi / (4.0 * alpha)
     return _make_check(f"expectation <x> k={k} alpha={alpha}", computed, reference, tol)
@@ -283,25 +283,17 @@ def check_first_moment(
         k = n_or_k
         if k < 2:
             raise ParameterError(f"partner modes exist for k >= 2, got {k}")
-        nodes, row = _modes(k, order, panels)
-        computed = _weighted_sum([t * (g * g) for t, g in zip(nodes[0], row)], nodes)
+        nodes, table = _mode_table(order, panels)
+        computed = _weighted_sum([t * (g * g) for t, g in zip(nodes[0], table.row(k))], nodes)
         reference = 0.25 * math.pi * math.pi * (k * k - 1)
         return _make_check(f"first moment (trig) k={k}", computed, reference, tol)
     if form == "hypergeom":
         n = n_or_k
         if n < 0:
             raise ParameterError(f"index n must be >= 0, got {n}")
-        f_value = _f21_factor(n)
         c_n = float(closed_form.coefficient_C(n))
         k = n + 2
-
-        def profile(x: float) -> float:
-            s = math.sin(x)
-            c = math.cos(x)
-            f = f_value(s * s)
-            return x * (s * c) ** 4 * f * f
-
-        computed = integrate(profile, 0.0, 0.5 * math.pi, order, panels)
+        computed = _level_sum(n, "x", order, panels, moment=True)
         reference = math.pi * math.pi / 16.0 * (k * k - 1) * c_n * c_n
         return _make_check(f"first moment (hypergeom) n={n}", computed, reference, tol)
     raise ParameterError(f"form must be 'trig' or 'hypergeom', got {form!r}")
@@ -325,11 +317,11 @@ def check_orthonormality(
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
+    nodes, table = _mode_table(order, panels)
     rows = {}
     for k in range(2, k_max + 1):
         norm = TrigEigenfunction(k, alpha).norm
-        nodes, row = _modes(k, order, panels)
-        rows[k] = array("d", [norm * g for g in row])
+        rows[k] = array("d", [norm * g for g in table.row(k)])
     two_alpha = 2.0 * alpha
     checks = []
     for i in range(2, k_max + 1):
@@ -407,6 +399,14 @@ def check_residual(
     )
 
 
+@lru_cache(maxsize=2)
+def _bound_state_pairs(alpha: float, points: int):
+    """Both sides of the correspondence on its grid in t mapped to x = t / (2 alpha)."""
+    WellConfig(alpha)  # rejects alpha <= 0 and NaN before dividing by it
+    xs = [t / (2.0 * alpha) for t in _t_grid(points, _WALL_MARGIN)]
+    return closed_form.BoundStatePairs(alpha, xs)
+
+
 def check_correspondence(
     n: int, alpha: float = 1.0, *, points: int = 1000, tolerance: float | None = None
 ) -> CheckResult:
@@ -415,16 +415,9 @@ def check_correspondence(
     index n + 2: max |psi - chi| / max |chi| over an interior grid mapped
     to x = t / (2 alpha)."""
     tol = DEFAULT_TOLERANCES["identity"] if tolerance is None else tolerance
-    cfg = WellConfig(alpha)
-    amp = closed_form.normalization_A(n, alpha)
-    f = TrigEigenfunction(n + 2, alpha)
-    p = PTParams(2.0, 2.0)
-    pairs = []
-    for t in _t_grid(points, _WALL_MARGIN):
-        x = t / (2.0 * alpha)
-        pairs.append((pt_eigen_hypergeom(cfg, p, n, amp, x), chi_eval(f, x)))
-    scale = max(abs(chi) for _, chi in pairs)
-    dev = max(abs(psi - chi) for psi, chi in pairs) / scale
+    psi, chi = _bound_state_pairs(alpha, points).pairs(n)
+    scale = max(map(abs, chi))
+    dev = max(map(abs, map(operator.sub, psi, chi))) / scale
     return _make_check(f"bound-state correspondence n={n}", dev, 0.0, tol)
 
 
@@ -434,6 +427,12 @@ _IDENTITY_FAMILIES = {
     "even": "identity (even ratio) m=",
     "odd": "identity (odd ratio) m=",
 }
+
+
+@lru_cache(maxsize=2)
+def _identity_grid(points: int):
+    """The identities' interior grid in t, with the tables they share."""
+    return closed_form.IdentityGrid(_t_grid(points, _WALL_MARGIN))
 
 
 def check_identity(
@@ -447,7 +446,7 @@ def check_identity(
     [1e-3, pi - 1e-3] and the result does not depend on alpha.
     """
     tol = DEFAULT_TOLERANCES["identity"] if tolerance is None else tolerance
-    pairs = closed_form.identity_pairs(which, index, _t_grid(points, _WALL_MARGIN))
+    pairs = closed_form.identity_pairs(which, index, _identity_grid(points))
     scale = max(abs(lhs) for lhs, _ in pairs) or 1.0
     dev = max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
     return _make_check(f"{_IDENTITY_FAMILIES[which]}{index}", dev, 0.0, tol)

@@ -1,0 +1,151 @@
+"""The level table and the mode table against their one-point forms."""
+import math
+from fractions import Fraction
+from functools import partial
+
+import pytest
+
+from ptdarboux import closed_form, hypergeom, verify
+from ptdarboux.cli import MAX_DEGREE
+from ptdarboux.closed_form import BoundStatePairs, IdentityGrid, ModeTable, _stable_bracket
+from ptdarboux.errors import ParameterError
+from ptdarboux.hypergeom import LevelTable, TerminatingHypergeometric, f21_eval_real
+from ptdarboux.models import PTParams, WellConfig, pt_eigen_hypergeom
+
+
+def _factor(n):
+    return TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2))
+
+
+def _suite_z_rows():
+    # the z rows the suite sweeps: the x-form and z-form quadrature nodes at
+    # the default rule and the identities' 500-point grid in t
+    return {
+        "x nodes": verify._level_table("x", 64, 32)[2].zs,
+        "z nodes": verify._level_table("z", 64, 32)[2].zs,
+        "t grid": verify._identity_grid(500).levels.zs,
+    }
+
+
+def test_level_rows_equal_f21_eval_real_bitwise_to_the_degree_cap():
+    # every level to MAX_DEGREE; the 2,048-node quadrature rows are checked
+    # at every fourth node to keep the scalar reference affordable
+    for name, zs in _suite_z_rows().items():
+        stride = 1 if name == "t grid" else 4
+        table = LevelTable(zs)
+        for n in range(MAX_DEGREE + 1):
+            row = table.level(n)
+            h = _factor(n)
+            mismatches = [z for z, f in zip(zs[::stride], row[::stride])
+                          if f != f21_eval_real(h, z)]
+            assert not mismatches, (name, n, mismatches[:3])
+
+
+def test_level_table_out_of_order_access_gives_the_same_bits():
+    zs = _suite_z_rows()["x nodes"]
+    table = LevelTable(zs)
+    first = list(table.level(30))
+    low = list(table.level(5))  # a lower level restarts the sweep
+    again = list(table.level(30))
+    assert first == again
+    assert low == list(LevelTable(zs).level(5))
+    assert low == [f21_eval_real(_factor(5), z) for z in zs]
+    with pytest.raises(ParameterError):
+        table.level(-1)
+
+
+def test_mode_rows_equal_stable_bracket_bitwise():
+    ts_rows = {
+        "t nodes": verify._mode_table(64, 32)[0][0],
+        "t grid": verify._identity_grid(500).modes.ts,
+    }
+    for name, ts in ts_rows.items():
+        table = ModeTable(ts)
+        for k in range(2, MAX_DEGREE + 3):
+            row = table.row(k)
+            mismatches = [t for t, g in zip(ts, row) if g != _stable_bracket(k, t)]
+            assert not mismatches, (name, k, mismatches[:3])
+
+
+def test_mode_table_keeps_its_rows_and_rejects_the_seed_index():
+    ts = verify._identity_grid(500).modes.ts
+    table = ModeTable(ts)
+    high = table.row(30)
+    assert table.row(5) == ModeTable(ts).row(5)
+    assert table.row(30) is high
+    with pytest.raises(ParameterError):
+        table.row(1)
+
+
+def test_bound_state_pairs_equal_their_pointwise_forms():
+    # the sampler that tabulate and the correspondence share, against
+    # pt_eigen_hypergeom and chi_eval point by point
+    p = PTParams(2.0, 2.0)
+    for alpha in (1.0, 0.6024):
+        cfg = WellConfig(alpha)
+        xs = [cfg.length * (i / 200) for i in range(201)]
+        sampler = BoundStatePairs(alpha, xs)
+        for n in (7, 0, 12):
+            amplitude = closed_form.normalization_A(n, alpha)
+            f = closed_form.TrigEigenfunction(n + 2, alpha)
+            psi, chi = sampler.pairs(n)
+            assert psi == [pt_eigen_hypergeom(cfg, p, n, amplitude, x) for x in xs]
+            assert chi == [closed_form.chi_eval(f, x) for x in xs]
+
+
+def test_identity_grid_pairs_equal_fresh_one_point_grids():
+    grid = IdentityGrid(verify._t_grid(50, 1e-3))
+    for which, index in (("odd", 4), ("base", 3), ("even", 0), ("base", 9)):
+        shared = closed_form.identity_pairs(which, index, grid)
+        single = [closed_form.identity_pairs(which, index, [t])[0] for t in grid.modes.ts]
+        assert shared == single
+
+
+def _forbidden_sweep(*args):
+    raise AssertionError("a table was swept before its inputs were validated")
+    yield  # a generator function, like the sweeps it stands in for
+
+
+@pytest.fixture
+def fresh_tables():
+    # no cached table may outlive the test that patched its sweep
+    cached = (verify._level_table, verify._mode_table,
+              verify._bound_state_pairs, verify._identity_grid)
+    for builder in cached:
+        builder.cache_clear()
+    yield
+    for builder in cached:
+        builder.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_tables")
+@pytest.mark.parametrize("call", [
+    partial(verify.check_trig_norm, 1),
+    partial(verify.check_trig_norm, 3, panels=0),
+    partial(verify.check_trig_norm, 3, order=0),
+    partial(verify.check_hypergeom_norm, -1),
+    partial(verify.check_hypergeom_norm, 2, "bogus"),
+    partial(verify.check_hypergeom_norm, 2, "x", panels=0),
+    partial(verify.check_expectation_x, 1, 1.0),
+    partial(verify.check_expectation_x, 3, math.inf),
+    partial(verify.check_expectation_x, 3, math.nan),
+    partial(verify.check_first_moment, 1, "trig"),
+    partial(verify.check_first_moment, -1, "hypergeom"),
+    partial(verify.check_first_moment, 0, "nope"),
+    partial(verify.check_first_moment, 3, "hypergeom", order=0),
+    partial(verify.check_orthonormality, 1),
+    partial(verify.check_orthonormality, 4, math.nan),
+    partial(verify.check_orthonormality, 4, panels=0),
+    partial(verify.check_correspondence, 0, math.nan),
+    partial(verify.check_correspondence, 0, 0.0),
+    partial(verify.check_correspondence, -1, 1.0),
+    partial(verify.check_correspondence, 0, 1.0, points=1),
+    partial(verify.check_identity, "bogus", 0),
+    partial(verify.check_identity, "base", -1),
+    partial(verify.check_identity, "even", 0, points=1),
+])
+def test_validation_errors_come_before_any_table_is_swept(monkeypatch, call):
+    monkeypatch.setattr(hypergeom, "_jacobi_rows", _forbidden_sweep)
+    monkeypatch.setattr(closed_form, "_bracket_rows", _forbidden_sweep)
+    with pytest.raises(ParameterError):
+        call()

@@ -1,5 +1,6 @@
 """Quadrature checks, reports, the finite-difference spectrum, and the suite."""
 import math
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from ptdarboux import closed_form, verify
 from ptdarboux.closed_form import TrigEigenfunction, chi_eval
 from ptdarboux.errors import EvaluationError, ParameterError
+from ptdarboux.hypergeom import TerminatingHypergeometric, f21_eval_real
+from ptdarboux.models import PTParams, WellConfig, pt_eigen_hypergeom
 from ptdarboux.verify import (
     DEFAULT_TOLERANCES,
     CheckResult,
@@ -180,35 +183,35 @@ def test_orthonormality_report():
 
 
 def test_partner_mode_checks_sample_each_bracket_once(monkeypatch):
-    # every partner-mode integral sums over one bracket row per mode, so the
-    # Gram matrix costs O(K N) bracket evaluations, not one per pair and node,
-    # and no quadrature check goes through the domain-checked chi_eval
-    calls = 0
-    original = closed_form._stable_bracket
+    # the four partner-mode families read one cached mode table per rule, so
+    # together they sample each bracket once per node: the Gram matrix and
+    # the trig norm, trig first moment and <x> of modes it already holds
+    # add nothing.  No quadrature check evaluates the bracket point by point
+    # or goes through the domain-checked chi_eval.
+    samples = 0
+    original = closed_form._bracket_rows
 
-    def counted(k, t):
-        nonlocal calls
-        calls += 1
-        return original(k, t)
+    def counted(ts):
+        nonlocal samples
+        for row in original(ts):
+            samples += len(row)
+            yield row
 
     def forbidden(*args):
-        raise AssertionError("a quadrature check called chi_eval")
+        raise AssertionError("a quadrature check evaluated a bracket point by point")
 
-    monkeypatch.setattr(closed_form, "_stable_bracket", counted)
+    monkeypatch.setattr(closed_form, "_bracket_rows", counted)
+    monkeypatch.setattr(closed_form, "_stable_bracket", forbidden)
     monkeypatch.setattr(closed_form, "chi_eval", forbidden)
-    monkeypatch.setattr(verify, "chi_eval", forbidden)
+    verify._mode_table.cache_clear()
     order, panels = 16, 8
     k_max = 9
+    for k in range(2, k_max + 1):
+        assert check_trig_norm(k, order=order, panels=panels).passed
+        assert check_first_moment(k, "trig", order=order, panels=panels).passed
+        assert check_expectation_x(k, 1.37, order=order, panels=panels).passed
     assert check_orthonormality(k_max, 0.6024, order=order, panels=panels).overall
-    assert calls == (k_max - 1) * order * panels
-    for check in (
-        partial(check_trig_norm, 5),
-        partial(check_first_moment, 5, "trig"),
-        partial(check_expectation_x, 5, 1.37),
-    ):
-        calls = 0
-        assert check(order=order, panels=panels).passed
-        assert calls == order * panels
+    assert samples == (k_max - 1) * order * panels
 
 
 def test_partner_mode_sums_match_their_x_space_form():
@@ -235,6 +238,97 @@ def test_partner_mode_sums_match_their_x_space_form():
         for k in (2, 5, 8):
             reference = moment(modes[k], length)
             assert abs(check_expectation_x(k, alpha).computed - reference) <= rel * reference
+
+
+def _per_point_rows(n_max, points):
+    # the suite's level rows in their former per-point form: one
+    # f21_eval_real call per node through integrate, pt_eigen_hypergeom and
+    # chi_eval per grid point, and the identity sides point by point
+    rows = {}
+    t_grid = verify._t_grid(points, 1e-3)
+    for n in range(n_max + 1):
+        f = partial(f21_eval_real, TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2)))
+
+        def x_form(x, moment=False):
+            s, c = math.sin(x), math.cos(x)
+            v = f(s * s)
+            return (x * (s * c) ** 4 if moment else (s * c) ** 4) * v * v
+
+        def z_form(u):
+            v = f(u * u * (3.0 - 2.0 * u))
+            w = (u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5
+            return 6.0 * w * v * v
+
+        half_pi = 0.5 * math.pi
+        rows[f"hypergeom norm (x-form) n={n}"] = integrate(x_form, 0.0, half_pi, 64, 32)
+        rows[f"hypergeom norm (z-form) n={n}"] = integrate(z_form, 0.0, 1.0, 64, 32)
+        rows[f"first moment (hypergeom) n={n}"] = integrate(
+            partial(x_form, moment=True), 0.0, half_pi, 64, 32)
+        cfg, mode = WellConfig(1.0), TrigEigenfunction(n + 2, 1.0)
+        amplitude = closed_form.normalization_A(n, 1.0)
+        pairs = [(pt_eigen_hypergeom(cfg, PTParams(2.0, 2.0), n, amplitude, t / 2.0),
+                  chi_eval(mode, t / 2.0)) for t in t_grid]
+        rows[f"bound-state correspondence n={n}"] = (
+            max(abs(p - c) for p, c in pairs) / max(abs(c) for _, c in pairs))
+    identities = [("base", n) for n in range(n_max + 1)] + [
+        (which, m) for m in range(n_max // 2 + 1) for which in ("even", "odd")]
+    for which, index in identities:
+        n = {"base": index, "even": 2 * index, "odd": 2 * index + 1}[which]
+        if which == "base":
+            den, pref = 1.0, 4.0 * float(closed_form.coefficient_C(n))
+        else:
+            r, d = closed_form._midpoint_factor(n)
+            den, pref = float(d), float(4 * r)
+        h = TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2))
+        pairs = []
+        for t in t_grid:
+            s_half, s_t = math.sin(0.5 * t), math.sin(t)
+            pairs.append((f21_eval_real(h, s_half * s_half) / den,
+                          pref * closed_form._stable_bracket(n + 2, t) / (s_t * s_t)))
+        scale = max(abs(lhs) for lhs, _ in pairs)
+        name = verify._IDENTITY_FAMILIES[which] + str(index)
+        rows[name] = max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
+    return rows
+
+
+def test_suite_level_rows_equal_their_per_point_forms():
+    # the level and mode tables change no bit of these rows at alpha = 1
+    report = run_full_suite(alpha=1.0, n_max=6, grid_points=1000)
+    computed = {c.name: c.computed for c in report.checks}
+    expected = _per_point_rows(6, 500)
+    assert len(expected) == 7 * 5 + 8
+    for name, value in expected.items():
+        assert computed[name] == value, name
+
+
+def test_suite_sweeps_instead_of_evaluating_point_by_point(monkeypatch):
+    # run_full_suite reads every 2F1 value from a level table: no
+    # f21_eval_real call, and no TerminatingHypergeometric per grid point, so
+    # the constructions do not depend on the identity grid's size
+    import sys
+
+    def forbidden(*args):
+        raise AssertionError("the suite called f21_eval_real")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ptdarboux") and hasattr(module, "f21_eval_real"):
+            monkeypatch.setattr(module, "f21_eval_real", forbidden)
+    built = 0
+    original = TerminatingHypergeometric.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        original(self)
+
+    monkeypatch.setattr(TerminatingHypergeometric, "__post_init__", counted)
+    counts = []
+    for points in (200, 500):
+        built = 0
+        report = run_full_suite(n_max=10, grid_points=1000, identity_points=points)
+        assert report.overall
+        counts.append(built)
+    assert counts[0] == counts[1]
 
 
 def test_residual_partner_modes():
