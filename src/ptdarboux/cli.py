@@ -61,8 +61,8 @@ MAX_QUAD_ORDER = 1024
 MAX_PANELS = 1024
 # The work of a quadrature check grows with panels times order, so their
 # product is capped too: verify --n-max 60 --panels 1024 takes 43 s and peaks
-# at 98 MB resident (VmHWM), about 60 MB of it the bracket rows the mode
-# table keeps and the Gram matrix's normalized copies of them.
+# at 96 MB resident (VmHWM), about 60 MB of it the bracket rows the
+# quadrature's TGrid keeps and the Gram matrix's normalized copies of them.
 MAX_QUAD_NODES = MAX_PANELS * 64
 # spectrum --count 10 (about 40 O(grid_points) Sturm sweeps per mode): 5.5 s.
 MAX_GRID_POINTS = 100_000
@@ -183,9 +183,10 @@ def cmd_tabulate(config: RunConfig, n: int, points: int) -> int:
     """Tabulate the level-n bound state next to the index n+2 partner mode."""
     _require_range("--n", n, 0, MAX_DEGREE)
     _require_range("--points", points, 2, MAX_POINTS)
-    length = WellConfig(config.alpha).length
+    alpha = config.alpha
+    length = WellConfig(alpha).length
     xs = [length * (i / (points - 1)) for i in range(points)]
-    psi, chi = closed_form.BoundStatePairs(config.alpha, xs).pairs(n)
+    psi, chi = closed_form.TGrid([2.0 * alpha * x for x in xs]).bound_state_pairs(n, alpha)
     rows = [[x, c, p, p - c] for x, c, p in zip(xs, chi, psi)]
     header = ["x", "chi", "psi", "difference"]
     payload = {

@@ -7,13 +7,16 @@ polynomial-in-cos(t) bracket k cos(kt) - cos(t) U_{k-1}(cos t), finite on
 the closed interval.  The same bracket appears on the right-hand side of
 the hypergeometric identity that ties these images to the Poschl-Teller
 bound states of the symmetric kappa = lam = 2 well; its base, even-ratio
-and odd-ratio forms are one level-n formula (identity_pairs).
+and odd-ratio forms are one level-n formula (identity_pairs).  Every row
+sampled on a row of t (bound-state factors, brackets and both sides of
+the identities and of the correspondence) comes from one holder, TGrid.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import count
 
@@ -23,9 +26,7 @@ from .numerics import chebyshev_u, chebyshev_u_derivatives
 
 __all__ = [
     "TrigEigenfunction",
-    "ModeTable",
-    "IdentityGrid",
-    "BoundStatePairs",
+    "TGrid",
     "chi_eval",
     "chi_derivatives",
     "coefficient_C",
@@ -76,24 +77,6 @@ def _bracket_rows(ts):
     for k in count(2):
         u_prev, u = u, array("d", [tc * v - w for tc, v, w in zip(two_cos, u, u_prev)])
         yield array("d", [k * math.cos(k * t) - c * v for t, c, v in zip(ts, cosines, u)])
-
-
-class ModeTable:
-    """The brackets of every index k >= 2 on a fixed row `ts` of t, swept in
-    ascending k (_bracket_rows) on first use and all kept.  A returned row
-    is shared and must not be changed."""
-
-    def __init__(self, ts):
-        self.ts = ts
-        self._sweep = _bracket_rows(ts)  # a generator: nothing runs before row()
-        self._rows = []  # index k at position k - 2
-
-    def row(self, k: int) -> array:
-        if k < 2:
-            raise ParameterError(f"partner modes exist for k >= 2, got {k}")
-        while len(self._rows) <= k - 2:
-            self._rows.append(next(self._sweep))
-        return self._rows[k - 2]
 
 
 def chi_eval(f: TrigEigenfunction, x: float) -> float:
@@ -197,20 +180,54 @@ def _checked_t(alpha: float, x: float, margin: float) -> float:
 _FAMILY_LEVEL = {"base": lambda n: n, "even": lambda m: 2 * m, "odd": lambda m: 2 * m + 1}
 
 
-class IdentityGrid:
-    """The rows both identity sides read on one grid `ts` of t: a level
-    table at z = sin^2(t/2), a mode table at t and the row of sin^2(t).
-    Identities that share a grid sweep each level and each mode once."""
+class TGrid:
+    """The rows sampled on one row `ts` of t = 2 alpha x, shared by every
+    reader: level(n) = F_n(sin^2(t/2)) (a LevelTable), mode(k) = the
+    bracket of index k >= 2 (one _bracket_rows sweep, every row kept), and,
+    built on first use, sin_sq = sin^2(t) for the identities and the bound
+    state's factors sin(t/2)**2.0, cos(t/2)**2.0 (bound_state_pairs).  A
+    returned row is shared and must not be changed."""
 
     def __init__(self, ts):
-        self.levels = LevelTable([s * s for s in (math.sin(0.5 * t) for t in ts)])
-        self.modes = ModeTable(ts)
-        self.sin_sq = array("d", [s * s for s in map(math.sin, ts)])
+        self.ts = ts
+        self._levels = LevelTable(array("d", [s * s for s in (math.sin(0.5 * t) for t in ts)]))
+        self._sweep = _bracket_rows(ts)  # a generator: nothing runs before mode()
+        self._modes = []  # index k at position k - 2
+
+    def level(self, n: int) -> array:
+        return self._levels.level(n)
+
+    def mode(self, k: int) -> array:
+        if k < 2:
+            raise ParameterError(f"partner modes exist for k >= 2, got {k}")
+        while len(self._modes) <= k - 2:
+            self._modes.append(next(self._sweep))
+        return self._modes[k - 2]
+
+    @cached_property
+    def sin_sq(self) -> array:
+        return array("d", [s * s for s in map(math.sin, self.ts)])
+
+    @cached_property
+    def bound_factors(self) -> tuple[array, array]:
+        halves = [0.5 * t for t in self.ts]
+        return (array("d", [math.sin(h) ** 2.0 for h in halves]),
+                array("d", [math.cos(h) ** 2.0 for h in halves]))
+
+    def bound_state_pairs(self, n: int, alpha: float) -> tuple[list[float], list[float]]:
+        """Rows of the level-n bound state A_n sin^2 cos^2(t/2) F_n of the
+        kappa = lam = 2 well and of the partner mode N_{n+2} bracket(t) at
+        x = t / (2 alpha); where t/2 is alpha x exactly, these are
+        models.pt_eigen_hypergeom and chi_eval bit for bit."""
+        amplitude = normalization_A(n, alpha)
+        norm = TrigEigenfunction(n + 2, alpha).norm
+        psi = [amplitude * s2 * c2 * f for s2, c2, f in zip(*self.bound_factors, self.level(n))]
+        return psi, [norm * g for g in self.mode(n + 2)]
 
 
-def identity_pairs(which: str, index: int, ts) -> list[tuple[float, float]]:
-    """Both sides of one identity family at each t = 2 alpha x of `ts`, a
-    sequence of t or an IdentityGrid that several calls share.
+def identity_pairs(which: str, index: int, grid: TGrid) -> list[tuple[float, float]]:
+    """Both sides of one identity family at each t = 2 alpha x of `grid`, a
+    TGrid that several calls may share.
 
     The three families are one identity at level n,
 
@@ -235,35 +252,10 @@ def identity_pairs(which: str, index: int, ts) -> list[tuple[float, float]]:
     else:
         r, d = _midpoint_factor(n)
         den, pref = float(d), float(4 * r)
-    grid = ts if isinstance(ts, IdentityGrid) else IdentityGrid(ts)
     return [
         (f / den, pref * g / s2)
-        for f, g, s2 in zip(grid.levels.level(n), grid.modes.row(n + 2), grid.sin_sq)
+        for f, g, s2 in zip(grid.level(n), grid.mode(n + 2), grid.sin_sq)
     ]
-
-
-class BoundStatePairs:
-    """The bound state psi_n of the kappa = lam = 2 well and the partner mode
-    chi_{n+2} of every level n on one row `xs` of x in [0, pi/(2 alpha)]:
-    psi_n = A_n sin^2(alpha x) cos^2(alpha x) F_n(sin^2(alpha x)) from a
-    level table, chi_{n+2} from a mode table at t = 2 alpha x, in the
-    arithmetic of models.pt_eigen_hypergeom and chi_eval, bit for bit."""
-
-    def __init__(self, alpha: float, xs):
-        sines = [math.sin(alpha * x) for x in xs]
-        self.alpha = alpha
-        self.sin_pow = array("d", [s**2.0 for s in sines])
-        self.cos_pow = array("d", [math.cos(alpha * x) ** 2.0 for x in xs])
-        self.levels = LevelTable([s * s for s in sines])
-        self.modes = ModeTable([2.0 * alpha * x for x in xs])
-
-    def pairs(self, n: int) -> tuple[list[float], list[float]]:
-        """The rows of psi_n, scaled by normalization_A, and chi_{n+2}."""
-        amplitude = normalization_A(n, self.alpha)
-        norm = TrigEigenfunction(n + 2, self.alpha).norm
-        levels = self.levels.level(n)
-        psi = [amplitude * s2 * c2 * f for s2, c2, f in zip(self.sin_pow, self.cos_pow, levels)]
-        return psi, [norm * g for g in self.modes.row(n + 2)]
 
 
 def identity_sides(
@@ -280,7 +272,7 @@ def identity_sides(
     (StabilityError).  The polynomial side alone is valid everywhere.
     Both sides depend on x only through t (identity_pairs).
     """
-    return identity_pairs("base", n, [_checked_t(alpha, x, margin)])[0]
+    return identity_pairs("base", n, TGrid([_checked_t(alpha, x, margin)]))[0]
 
 
 def ratio_identity_even(
@@ -295,7 +287,7 @@ def ratio_identity_even(
     shape independently of coefficient_C.  Points with t within `margin`
     of a wall are rejected as in identity_sides.
     """
-    return identity_pairs("even", m, [_checked_t(alpha, x, margin)])[0]
+    return identity_pairs("even", m, TGrid([_checked_t(alpha, x, margin)]))[0]
 
 
 def ratio_identity_odd(
@@ -312,4 +304,4 @@ def ratio_identity_odd(
     Points with t within `margin` of a wall are rejected as in
     identity_sides.
     """
-    return identity_pairs("odd", m, [_checked_t(alpha, x, margin)])[0]
+    return identity_pairs("odd", m, TGrid([_checked_t(alpha, x, margin)]))[0]

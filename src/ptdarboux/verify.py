@@ -158,35 +158,38 @@ def integrate(profile, a: float, b: float, order: int, panels: int) -> float:
 
 
 @lru_cache(maxsize=1)
-def _mode_table(order: int, panels: int):
-    """The rule on t in (0, pi) and the bracket table at its nodes."""
+def _quad_grid(order: int, panels: int):
+    """The rule on t in (0, pi), its TGrid and the x-form weight row
+    (sin x cos x)^4 at x = t / 2 (check_hypergeom_norm)."""
     nodes = _nodes(0.0, math.pi, order, panels)
-    return nodes, closed_form.ModeTable(nodes[0])
+    weights = [(math.sin(0.5 * t) * math.cos(0.5 * t)) ** 4 for t in nodes[0]]
+    return nodes, closed_form.TGrid(nodes[0]), array("d", weights)
 
 
-@lru_cache(maxsize=2)
-def _level_table(form: str, order: int, panels: int):
-    """The rule of one hypergeometric norm form (check_hypergeom_norm), the
-    weight row of its integrand weight * F^2(z) and the level table at its
-    z row."""
-    if form == "x":
-        nodes = _nodes(0.0, 0.5 * math.pi, order, panels)
-        sc = [(math.sin(x), math.cos(x)) for x in nodes[0]]
-        zs, weights = [s * s for s, _ in sc], [(s * c) ** 4 for s, c in sc]
-    else:
-        nodes = _nodes(0.0, 1.0, order, panels)
-        zs = [u * u * (3.0 - 2.0 * u) for u in nodes[0]]
-        weights = [6.0 * ((u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5)
-                   for u in nodes[0]]
+@lru_cache(maxsize=1)
+def _level_table(order: int, panels: int):
+    """The z-form rule (check_hypergeom_norm), the weight row of its
+    integrand weight * F^2(z) and the level table at its z row."""
+    nodes = _nodes(0.0, 1.0, order, panels)
+    zs = [u * u * (3.0 - 2.0 * u) for u in nodes[0]]
+    weights = [6.0 * ((u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5)
+               for u in nodes[0]]
     return nodes, array("d", weights), LevelTable(zs)
 
 
 def _level_sum(n: int, form: str, order: int, panels: int, moment: bool = False) -> float:
-    """One form's rule applied to weight * F_n^2, or to abscissa * weight * F_n^2."""
-    nodes, weights, table = _level_table(form, order, panels)
-    if moment:
-        weights = map(operator.mul, nodes[0], weights)
-    return _weighted_sum([w * f * f for w, f in zip(weights, table.level(n))], nodes)
+    """One form's rule applied to weight * F_n^2 or (x form) x * weight * F_n^2.
+    The x form sums over the t nodes at x = t / 2 with half the t rule's
+    half-width: both halvings are exact, so this is the (0, pi/2) rule."""
+    if form == "x":
+        (ts, quad_weights, half), grid, weights = _quad_grid(order, panels)
+        nodes, levels = (ts, quad_weights, 0.5 * half), grid.level(n)
+        if moment:
+            weights = ((0.5 * t) * w for t, w in zip(ts, weights))
+    else:
+        nodes, weights, table = _level_table(order, panels)
+        levels = table.level(n)
+    return _weighted_sum([w * f * f for w, f in zip(weights, levels)], nodes)
 
 
 def check_trig_norm(
@@ -200,8 +203,8 @@ def check_trig_norm(
     if k < 2:
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
-    nodes, table = _mode_table(order, panels)
-    computed = _weighted_sum([g * g for g in table.row(k)], nodes)
+    nodes, grid, _ = _quad_grid(order, panels)
+    computed = _weighted_sum([g * g for g in grid.mode(k)], nodes)
     reference = 0.5 * math.pi * (k * k - 1)
     return _make_check(f"trig norm k={k}", computed, reference, tol)
 
@@ -255,8 +258,8 @@ def check_expectation_x(
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
     norm = TrigEigenfunction(k, alpha).norm
     two_alpha = 2.0 * alpha
-    nodes, table = _mode_table(order, panels)
-    values = [(t / two_alpha) * (norm * g) * (norm * g) for t, g in zip(nodes[0], table.row(k))]
+    nodes, grid, _ = _quad_grid(order, panels)
+    values = [(t / two_alpha) * (norm * g) * (norm * g) for t, g in zip(nodes[0], grid.mode(k))]
     computed = _weighted_sum(values, nodes) / two_alpha
     reference = math.pi / (4.0 * alpha)
     return _make_check(f"expectation <x> k={k} alpha={alpha}", computed, reference, tol)
@@ -283,8 +286,8 @@ def check_first_moment(
         k = n_or_k
         if k < 2:
             raise ParameterError(f"partner modes exist for k >= 2, got {k}")
-        nodes, table = _mode_table(order, panels)
-        computed = _weighted_sum([t * (g * g) for t, g in zip(nodes[0], table.row(k))], nodes)
+        nodes, grid, _ = _quad_grid(order, panels)
+        computed = _weighted_sum([t * (g * g) for t, g in zip(nodes[0], grid.mode(k))], nodes)
         reference = 0.25 * math.pi * math.pi * (k * k - 1)
         return _make_check(f"first moment (trig) k={k}", computed, reference, tol)
     if form == "hypergeom":
@@ -317,11 +320,11 @@ def check_orthonormality(
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
-    nodes, table = _mode_table(order, panels)
+    nodes, grid, _ = _quad_grid(order, panels)
     rows = {}
     for k in range(2, k_max + 1):
         norm = TrigEigenfunction(k, alpha).norm
-        rows[k] = array("d", [norm * g for g in table.row(k)])
+        rows[k] = array("d", [norm * g for g in grid.mode(k)])
     two_alpha = 2.0 * alpha
     checks = []
     for i in range(2, k_max + 1):
@@ -349,6 +352,19 @@ def _t_grid(points: int, margin: float) -> list[float]:
     return [margin + i * step for i in range(points)]
 
 
+@lru_cache(maxsize=2)
+def _identity_grid(points: int):
+    """The interior grid in t that the identities and the correspondence
+    share, with the rows they read (closed_form.TGrid)."""
+    return closed_form.TGrid(_t_grid(points, _WALL_MARGIN))
+
+
+def _require_scale(alpha: float) -> None:
+    """Reject an alpha no well has before a check at unit scale drops it."""
+    if not (0.0 < alpha < math.inf):
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
+
+
 def check_residual(
     k: int,
     alpha: float = 1.0,
@@ -368,43 +384,38 @@ def check_residual(
     sanity path; it holds at the rounding level).  `margin` excludes
     t-neighbourhoods of the walls, where the mode vanishes and the relative
     measure is meaningless.
+    Both run at unit scale (alpha = 1, x = t / 2 exactly), so the result is
+    the same bits at every alpha; the caller's alpha only names the row.
     """
     if k < 2:
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
     if not (margin > 0):
         raise ParameterError(f"margin must be positive, got {margin}")
+    _require_scale(alpha)
     tol = DEFAULT_TOLERANCES["residual"] if tolerance is None else tolerance
-    cfg = WellConfig(alpha)
+    cfg = WellConfig(1.0)
     energy = box_energy(cfg, k)
     if hamiltonian == "partner":
         ctx = DarbouxContext(cfg)
-        f = TrigEigenfunction(k, alpha)
+        f = TrigEigenfunction(k, 1.0)
         amplitude = f.norm
 
         def residual(x: float) -> float:
             value, _, second = chi_derivatives(f, x)
             return -second + partner_potential(ctx, x) * value - energy * value
     elif hamiltonian == "box":
-        amp = 2.0 * alpha * k
-        amplitude = math.sqrt(4.0 * alpha / math.pi)
+        amp = 2.0 * k
+        amplitude = math.sqrt(4.0 / math.pi)
 
         def residual(x: float) -> float:
             value = box_eigenfunction(cfg, k, x)
             return (amp * amp) * value - energy * value
     else:
         raise ParameterError(f"hamiltonian must be 'partner' or 'box', got {hamiltonian!r}")
-    worst = max(abs(residual(t / (2.0 * alpha))) for t in _t_grid(points, margin))
+    worst = max(abs(residual(0.5 * t)) for t in _t_grid(points, margin))
     return _make_check(
         f"residual ({hamiltonian}) k={k} alpha={alpha}", worst / (energy * amplitude), 0.0, tol
     )
-
-
-@lru_cache(maxsize=2)
-def _bound_state_pairs(alpha: float, points: int):
-    """Both sides of the correspondence on its grid in t mapped to x = t / (2 alpha)."""
-    WellConfig(alpha)  # rejects alpha <= 0 and NaN before dividing by it
-    xs = [t / (2.0 * alpha) for t in _t_grid(points, _WALL_MARGIN)]
-    return closed_form.BoundStatePairs(alpha, xs)
 
 
 def check_correspondence(
@@ -412,10 +423,12 @@ def check_correspondence(
 ) -> CheckResult:
     """Pointwise correspondence of the level-n bound state of the symmetric
     well, scaled by normalization_A, with the normalized partner mode of
-    index n + 2: max |psi - chi| / max |chi| over an interior grid mapped
-    to x = t / (2 alpha)."""
+    index n + 2: max |psi - chi| / max |chi| over the identities' grid in t.
+    Both sides scale alike in alpha, so this runs at unit scale (alpha = 1,
+    x = t / 2 exactly) and is the same bits at every alpha."""
+    _require_scale(alpha)
     tol = DEFAULT_TOLERANCES["identity"] if tolerance is None else tolerance
-    psi, chi = _bound_state_pairs(alpha, points).pairs(n)
+    psi, chi = _identity_grid(points).bound_state_pairs(n, 1.0)
     scale = max(map(abs, chi))
     dev = max(map(abs, map(operator.sub, psi, chi))) / scale
     return _make_check(f"bound-state correspondence n={n}", dev, 0.0, tol)
@@ -427,12 +440,6 @@ _IDENTITY_FAMILIES = {
     "even": "identity (even ratio) m=",
     "odd": "identity (odd ratio) m=",
 }
-
-
-@lru_cache(maxsize=2)
-def _identity_grid(points: int):
-    """The identities' interior grid in t, with the tables they share."""
-    return closed_form.IdentityGrid(_t_grid(points, _WALL_MARGIN))
 
 
 def check_identity(
@@ -469,10 +476,6 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
         raise ParameterError(f"need at least 100 grid points, got {grid_points}")
     if count < 0 or count > 10:
         raise ParameterError(f"count must be between 0 and 10, got {count}")
-    if count > grid_points:
-        raise ParameterError(
-            f"cannot resolve {count} modes on a {grid_points}-point grid"
-        )
     if count == 0:
         return []
     h = math.pi / grid_points

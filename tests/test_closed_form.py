@@ -7,6 +7,7 @@ import pytest
 from ptdarboux import closed_form
 from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.closed_form import (
+    TGrid,
     TrigEigenfunction,
     _midpoint_factor,
     chi_derivatives,
@@ -183,14 +184,14 @@ def test_identities_delegate_to_their_t_cores():
     for alpha in (0.6024, 0.73, 1.0, 1.502, 7.0):
         for x in _grid(alpha, points=17)[1:-1]:
             t = 2.0 * alpha * x
-            assert identity_sides(3, alpha, x) == identity_pairs("base", 3, [t])[0]
-            assert ratio_identity_even(2, alpha, x) == identity_pairs("even", 2, [t])[0]
-            assert ratio_identity_odd(1, alpha, x) == identity_pairs("odd", 1, [t])[0]
+            assert identity_sides(3, alpha, x) == identity_pairs("base", 3, TGrid([t]))[0]
+            assert ratio_identity_even(2, alpha, x) == identity_pairs("even", 2, TGrid([t]))[0]
+            assert ratio_identity_odd(1, alpha, x) == identity_pairs("odd", 1, TGrid([t]))[0]
     for which in ("base", "even", "odd"):
         with pytest.raises(ParameterError):
-            identity_pairs(which, -1, [1.0])
+            identity_pairs(which, -1, TGrid([1.0]))
     with pytest.raises(ParameterError):
-        identity_pairs("triple", 1, [1.0])
+        identity_pairs("triple", 1, TGrid([1.0]))
 
 
 def test_identity_pairs_build_exact_constants_once(monkeypatch):

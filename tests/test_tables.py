@@ -1,4 +1,4 @@
-"""The level table and the mode table against their one-point forms."""
+"""The level table and the t-grid rows against their one-point forms."""
 import math
 from fractions import Fraction
 from functools import partial
@@ -7,7 +7,7 @@ import pytest
 
 from ptdarboux import closed_form, hypergeom, verify
 from ptdarboux.cli import MAX_DEGREE
-from ptdarboux.closed_form import BoundStatePairs, IdentityGrid, ModeTable, _stable_bracket
+from ptdarboux.closed_form import TGrid, _stable_bracket
 from ptdarboux.errors import ParameterError
 from ptdarboux.hypergeom import LevelTable, TerminatingHypergeometric, f21_eval_real
 from ptdarboux.models import PTParams, WellConfig, pt_eigen_hypergeom
@@ -18,12 +18,13 @@ def _factor(n):
 
 
 def _suite_z_rows():
-    # the z rows the suite sweeps: the x-form and z-form quadrature nodes at
-    # the default rule and the identities' 500-point grid in t
+    # the z rows the suite sweeps: sin^2(t/2) at the t quadrature nodes (the
+    # x form), the z-form nodes at the default rule and sin^2(t/2) on the
+    # identities' 500-point grid in t
     return {
-        "x nodes": verify._level_table("x", 64, 32)[2].zs,
-        "z nodes": verify._level_table("z", 64, 32)[2].zs,
-        "t grid": verify._identity_grid(500).levels.zs,
+        "x nodes": verify._quad_grid(64, 32)[1]._levels.zs,
+        "z nodes": verify._level_table(64, 32)[2].zs,
+        "t grid": verify._identity_grid(500)._levels.zs,
     }
 
 
@@ -56,49 +57,59 @@ def test_level_table_out_of_order_access_gives_the_same_bits():
 
 def test_mode_rows_equal_stable_bracket_bitwise():
     ts_rows = {
-        "t nodes": verify._mode_table(64, 32)[0][0],
-        "t grid": verify._identity_grid(500).modes.ts,
+        "t nodes": verify._quad_grid(64, 32)[0][0],
+        "t grid": verify._identity_grid(500).ts,
     }
     for name, ts in ts_rows.items():
-        table = ModeTable(ts)
+        grid = TGrid(ts)
         for k in range(2, MAX_DEGREE + 3):
-            row = table.row(k)
+            row = grid.mode(k)
             mismatches = [t for t, g in zip(ts, row) if g != _stable_bracket(k, t)]
             assert not mismatches, (name, k, mismatches[:3])
 
 
-def test_mode_table_keeps_its_rows_and_rejects_the_seed_index():
-    ts = verify._identity_grid(500).modes.ts
-    table = ModeTable(ts)
-    high = table.row(30)
-    assert table.row(5) == ModeTable(ts).row(5)
-    assert table.row(30) is high
+def test_t_grid_keeps_its_mode_rows_and_rejects_the_seed_index():
+    ts = verify._identity_grid(500).ts
+    grid = TGrid(ts)
+    high = grid.mode(30)
+    assert grid.mode(5) == TGrid(ts).mode(5)
+    assert grid.mode(30) is high
     with pytest.raises(ParameterError):
-        table.row(1)
+        grid.mode(1)
 
 
 def test_bound_state_pairs_equal_their_pointwise_forms():
-    # the sampler that tabulate and the correspondence share, against
-    # pt_eigen_hypergeom and chi_eval point by point
+    # the sampler that tabulate and the correspondence share, on the grid
+    # t = 2 alpha x, against pt_eigen_hypergeom and chi_eval point by point
     p = PTParams(2.0, 2.0)
     for alpha in (1.0, 0.6024):
         cfg = WellConfig(alpha)
         xs = [cfg.length * (i / 200) for i in range(201)]
-        sampler = BoundStatePairs(alpha, xs)
+        grid = TGrid([2.0 * alpha * x for x in xs])
         for n in (7, 0, 12):
             amplitude = closed_form.normalization_A(n, alpha)
             f = closed_form.TrigEigenfunction(n + 2, alpha)
-            psi, chi = sampler.pairs(n)
+            psi, chi = grid.bound_state_pairs(n, alpha)
             assert psi == [pt_eigen_hypergeom(cfg, p, n, amplitude, x) for x in xs]
             assert chi == [closed_form.chi_eval(f, x) for x in xs]
 
 
-def test_identity_grid_pairs_equal_fresh_one_point_grids():
-    grid = IdentityGrid(verify._t_grid(50, 1e-3))
+def test_t_grid_pairs_equal_fresh_one_point_grids():
+    grid = TGrid(verify._t_grid(50, 1e-3))
     for which, index in (("odd", 4), ("base", 3), ("even", 0), ("base", 9)):
         shared = closed_form.identity_pairs(which, index, grid)
-        single = [closed_form.identity_pairs(which, index, [t])[0] for t in grid.modes.ts]
+        single = [closed_form.identity_pairs(which, index, TGrid([t]))[0] for t in grid.ts]
         assert shared == single
+
+
+def test_quadrature_grid_builds_no_identity_or_bound_state_rows():
+    verify._quad_grid.cache_clear()
+    for n in range(4):
+        verify.check_hypergeom_norm(n, "x")
+        verify.check_first_moment(n, "hypergeom")
+        verify.check_trig_norm(n + 2)
+    built = set(vars(verify._quad_grid(64, 32)[1]))
+    assert built.isdisjoint({"sin_sq", "bound_factors"}), built
 
 
 def _forbidden_sweep(*args):
@@ -109,8 +120,7 @@ def _forbidden_sweep(*args):
 @pytest.fixture
 def fresh_tables():
     # no cached table may outlive the test that patched its sweep
-    cached = (verify._level_table, verify._mode_table,
-              verify._bound_state_pairs, verify._identity_grid)
+    cached = (verify._level_table, verify._quad_grid, verify._identity_grid)
     for builder in cached:
         builder.cache_clear()
     yield
@@ -143,6 +153,9 @@ def fresh_tables():
     partial(verify.check_identity, "bogus", 0),
     partial(verify.check_identity, "base", -1),
     partial(verify.check_identity, "even", 0, points=1),
+    partial(verify.check_correspondence, 0, -1.0),
+    partial(verify.check_correspondence, 0, math.inf),
+    partial(verify.check_correspondence, 0, -math.inf),
 ])
 def test_validation_errors_come_before_any_table_is_swept(monkeypatch, call):
     monkeypatch.setattr(hypergeom, "_jacobi_rows", _forbidden_sweep)

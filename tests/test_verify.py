@@ -183,7 +183,7 @@ def test_orthonormality_report():
 
 
 def test_partner_mode_checks_sample_each_bracket_once(monkeypatch):
-    # the four partner-mode families read one cached mode table per rule, so
+    # the four partner-mode families read one cached t grid per rule, so
     # together they sample each bracket once per node: the Gram matrix and
     # the trig norm, trig first moment and <x> of modes it already holds
     # add nothing.  No quadrature check evaluates the bracket point by point
@@ -203,7 +203,7 @@ def test_partner_mode_checks_sample_each_bracket_once(monkeypatch):
     monkeypatch.setattr(closed_form, "_bracket_rows", counted)
     monkeypatch.setattr(closed_form, "_stable_bracket", forbidden)
     monkeypatch.setattr(closed_form, "chi_eval", forbidden)
-    verify._mode_table.cache_clear()
+    verify._quad_grid.cache_clear()
     order, panels = 16, 8
     k_max = 9
     for k in range(2, k_max + 1):
@@ -339,6 +339,21 @@ def test_residual_partner_modes():
         check_residual(2, 1.0, margin=0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_unit_scale_checks_reject_an_alpha_no_well_has(monkeypatch, alpha):
+    # the residual and the correspondence run at alpha = 1, so they must
+    # validate the caller's alpha before building any grid
+    def forbidden(*args):
+        raise AssertionError("a grid was built before alpha was validated")
+
+    monkeypatch.setattr(verify, "_t_grid", forbidden)
+    for hamiltonian in ("partner", "box"):
+        with pytest.raises(ParameterError):
+            check_residual(3, alpha, hamiltonian=hamiltonian)
+    with pytest.raises(ParameterError):
+        check_correspondence(2, alpha)
+
+
 def test_residual_box_sanity_path():
     r = check_residual(5, 1.0, hamiltonian="box", tolerance=1e-10)
     assert r.passed and r.computed <= 1e-10
@@ -461,12 +476,41 @@ def unit_alpha_suite():
 @pytest.mark.parametrize("alpha", [1e-8, 1e-3, 1e3, 1e8])
 def test_run_full_suite_does_not_depend_on_alpha(alpha, unit_alpha_suite):
     # every check is dimensionless once alpha is scaled out: energies by
-    # 4 alpha^2, lengths by 1/alpha, amplitudes by sqrt(alpha)
+    # 4 alpha^2, lengths by 1/alpha, amplitudes by sqrt(alpha).  The
+    # identities, the correspondence and the residuals run at unit scale,
+    # so their rows are the alpha = 1 rows bit for bit
     report = run_full_suite(alpha=alpha, n_max=4)
     assert report.overall
     assert len(report.checks) == len(unit_alpha_suite.checks)
+    unit_scale = ("identity", "bound-state correspondence", "residual")
+    exact = 0
     for row, unit in zip(report.checks, unit_alpha_suite.checks):
-        assert abs(row.rel_dev - unit.rel_dev) <= 1e-11, row.name
+        assert row.name.replace(f"alpha={alpha}", "alpha=1.0") == unit.name
+        if row.name.startswith(unit_scale):
+            exact += 1
+            assert row.computed == unit.computed, row.name
+            assert row.abs_dev == unit.abs_dev, row.name
+            assert row.rel_dev == unit.rel_dev, row.name
+        else:
+            assert abs(row.rel_dev - unit.rel_dev) <= 1e-11, row.name
+    assert exact == (5 + 3 + 3) + 5 + 3  # identities, correspondence, residuals
+
+
+def test_run_full_suite_builds_only_the_t_and_z_node_sets(monkeypatch):
+    # every quadrature row sums over the rule on t in (0, pi) or on u in
+    # (0, 1); the x form reads the t nodes at x = t / 2
+    built = set()
+    original = verify._nodes
+
+    def recording(a, b, order, panels):
+        built.add((a, b))
+        return original(a, b, order, panels)
+
+    monkeypatch.setattr(verify, "_nodes", recording)
+    verify._quad_grid.cache_clear()
+    verify._level_table.cache_clear()
+    assert run_full_suite(n_max=2).overall
+    assert built == {(0.0, math.pi), (0.0, 1.0)}
 
 
 def test_check_identity_is_alpha_free_and_matches_the_suite():
