@@ -52,7 +52,6 @@ from .models import (
 from .numerics import (
     QuadratureRule,
     chebyshev_u,
-    chebyshev_u_derivatives,
     gauss_legendre,
     pochhammer,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "box_eigenfunction",
     "box_energy",
     "chebyshev_u",
-    "chebyshev_u_derivatives",
     "check_correspondence",
     "check_expectation_x",
     "check_fd_spectrum",

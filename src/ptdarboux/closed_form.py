@@ -4,12 +4,14 @@ The Darboux image of box mode k is, up to normalization,
 k cos(kt) - cot(t) sin(kt) with t = 2 alpha x.  Using
 sin(kt)/sin(t) = U_{k-1}(cos t) (Chebyshev, second kind) this becomes the
 polynomial-in-cos(t) bracket k cos(kt) - cos(t) U_{k-1}(cos t), finite on
-the closed interval.  The same bracket appears on the right-hand side of
-the hypergeometric identity that ties these images to the Poschl-Teller
-bound states of the symmetric kappa = lam = 2 well; its base, even-ratio
-and odd-ratio forms are one level-n formula (identity_pairs).  Every row
-sampled on a row of t (bound-state factors, brackets and both sides of
-the identities and of the correspondence) comes from one holder, TGrid.
+the closed interval; its t-derivatives differentiate the same recurrence.
+The same bracket appears on the right-hand side of the hypergeometric
+identity that ties these images to the Poschl-Teller bound states of the
+symmetric kappa = lam = 2 well; its base, even-ratio and odd-ratio forms
+are one level-n formula (identity_pairs).  Every row
+sampled on a row of t (bound-state factors, brackets and their
+derivatives, both sides of the identities and of the correspondence) comes
+from one holder, TGrid.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from itertools import count
 
 from .errors import DomainError, EvaluationError, ParameterError, StabilityError
 from .hypergeom import LevelTable, TerminatingHypergeometric, f21_eval_exact
-from .numerics import chebyshev_u, chebyshev_u_derivatives
+from .numerics import chebyshev_u
 
 __all__ = [
     "TrigEigenfunction",
@@ -79,6 +81,31 @@ def _bracket_rows(ts):
         yield array("d", [k * math.cos(k * t) - c * v for t, c, v in zip(ts, cosines, u)])
 
 
+def _derivative_rows(ts):
+    """Rows (g', g'') of the bracket g = k cos(kt) - cos(t) U_{k-1}(cos t) in
+    t at every t of `ts` for k = 2, 3, ...: one forward sweep differentiates
+    U_j = (2c) U_{j-1} - U_{j-2} in c, U_j' = 2 U_{j-1} + (2c) U_{j-1}' -
+    U_{j-2}' and U_j'' = 4 U_{j-1}' + (2c) U_{j-1}'' - U_{j-2}'', keeping the
+    last two rows of each (chi_derivatives states g' and g'')."""
+    sines = array("d", map(math.sin, ts))
+    cosines = array("d", map(math.cos, ts))
+    two_cos = array("d", [2.0 * c for c in cosines])
+    zeros = array("d", [0.0]) * len(ts)
+    u_prev, u = zeros, array("d", [1.0]) * len(ts)  # U_-1, U_0
+    du_prev, du, ddu_prev, ddu = zeros, zeros, zeros, zeros  # U', U'' at j = -1, 0
+    for k in count(2):
+        u_prev, u = u, array("d", [tc * v - w for tc, v, w in zip(two_cos, u, u_prev)])
+        du_prev, du = du, array("d", [2.0 * w + tc * v - z
+                                      for w, tc, v, z in zip(u_prev, two_cos, du, du_prev)])
+        ddu_prev, ddu = ddu, array("d", [4.0 * w + tc * v - z
+                                         for w, tc, v, z in zip(du_prev, two_cos, ddu, ddu_prev)])
+        yield (array("d", [-(k * k) * math.sin(k * t) + s * (v + c * dv)
+                           for t, s, c, v, dv in zip(ts, sines, cosines, u, du)]),
+               array("d", [-(k * k * k) * math.cos(k * t) + c * (v + c * dv)
+                           - s * s * (2.0 * dv + c * ddv)
+                           for t, s, c, v, dv, ddv in zip(ts, sines, cosines, u, du, ddu)]))
+
+
 def chi_eval(f: TrigEigenfunction, x: float) -> float:
     """Value of the normalized partner mode on the closed interval [0, L]."""
     length = math.pi / (2.0 * f.alpha)
@@ -100,19 +127,14 @@ def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float
 
     then d/dx = 2 alpha d/dt.  Points with t = 2 alpha x within 2e-6 of
     either wall (t = 0 or pi) are rejected, at every alpha; use chi_eval
-    for the (vanishing) wall values.
+    for the (vanishing) wall values.  One point of TGrid.derivatives.
     """
     a = f.alpha
-    k = f.k
     t = 2.0 * a * x
     if not (2e-6 < t < math.pi - 2e-6):
         raise DomainError(f"x={x} (t={t}) too close to a wall for derivative evaluation")
-    s = math.sin(t)
-    c = math.cos(t)
-    u, du, ddu = chebyshev_u_derivatives(k - 1, c)
-    g = k * math.cos(k * t) - c * u
-    g1 = -(k * k) * math.sin(k * t) + s * (u + c * du)
-    g2 = -(k * k * k) * math.cos(k * t) + c * (u + c * du) - s * s * (2.0 * du + c * ddu)
+    grid = TGrid([t])
+    (g,), ((g1,), (g2,)) = grid.mode(f.k), grid.derivatives(f.k)
     return f.norm * g, f.norm * 2.0 * a * g1, f.norm * 4.0 * a * a * g2
 
 
@@ -183,7 +205,8 @@ _FAMILY_LEVEL = {"base": lambda n: n, "even": lambda m: 2 * m, "odd": lambda m: 
 class TGrid:
     """The rows sampled on one row `ts` of t = 2 alpha x, shared by every
     reader: level(n) = F_n(sin^2(t/2)) (a LevelTable), mode(k) = the
-    bracket of index k >= 2 (one _bracket_rows sweep, every row kept), and,
+    bracket g of index k >= 2 and derivatives(k) = its rows (g', g'') in t
+    (one _bracket_rows and one _derivative_rows sweep, every row kept), and,
     built on first use, sin_sq = sin^2(t) for the identities and the bound
     state's factors sin(t/2)**2.0, cos(t/2)**2.0 (bound_state_pairs).  A
     returned row is shared and must not be changed."""
@@ -191,18 +214,27 @@ class TGrid:
     def __init__(self, ts):
         self.ts = ts
         self._levels = LevelTable(array("d", [s * s for s in (math.sin(0.5 * t) for t in ts)]))
-        self._sweep = _bracket_rows(ts)  # a generator: nothing runs before mode()
-        self._modes = []  # index k at position k - 2
+        # generators: nothing runs before mode() or derivatives()
+        self._modes = (_bracket_rows(ts), [])  # index k at position k - 2
+        self._derivatives = (_derivative_rows(ts), [])
 
     def level(self, n: int) -> array:
         return self._levels.level(n)
 
     def mode(self, k: int) -> array:
+        return self._kept(self._modes, k)
+
+    def derivatives(self, k: int) -> tuple[array, array]:
+        return self._kept(self._derivatives, k)
+
+    @staticmethod
+    def _kept(table, k: int):
         if k < 2:
             raise ParameterError(f"partner modes exist for k >= 2, got {k}")
-        while len(self._modes) <= k - 2:
-            self._modes.append(next(self._sweep))
-        return self._modes[k - 2]
+        sweep, rows = table
+        while len(rows) <= k - 2:
+            rows.append(next(sweep))
+        return rows[k - 2]
 
     @cached_property
     def sin_sq(self) -> array:

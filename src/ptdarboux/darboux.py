@@ -26,17 +26,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DarbouxContext:
-    """Well geometry plus the seed choice (only the ground mode is supported)."""
+    """Well geometry of the transformation seeded on the ground mode."""
 
     cfg: WellConfig
-    seed_index: int = 1
     omega_sq: float = field(init=False)
 
     def __post_init__(self):
-        if self.seed_index != 1:
-            raise ParameterError(
-                f"only the nodeless seed (index 1) is supported, got {self.seed_index}"
-            )
         object.__setattr__(self, "omega_sq", 4.0 * self.cfg.alpha * self.cfg.alpha)
 
 

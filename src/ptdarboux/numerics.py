@@ -16,7 +16,6 @@ __all__ = [
     "pochhammer",
     "gauss_legendre",
     "chebyshev_u",
-    "chebyshev_u_derivatives",
 ]
 
 
@@ -104,18 +103,3 @@ def chebyshev_u(k: int, c: float) -> float:
         u_prev, u = u, 2.0 * c * u - u_prev
     return u
 
-
-def chebyshev_u_derivatives(k: int, c: float) -> tuple[float, float, float]:
-    """(U_k, U_k', U_k'') at c, by differentiating the recurrence."""
-    if k < 0:
-        raise ParameterError("chebyshev_u index must be nonnegative")
-    if k == 0:
-        return 1.0, 0.0, 0.0
-    u_prev, u = 1.0, 2.0 * c
-    d_prev, d = 0.0, 2.0
-    s_prev, s = 0.0, 0.0
-    for _ in range(k - 1):
-        u_prev, u = u, 2.0 * c * u - u_prev
-        d_prev, d = d, 2.0 * u_prev + 2.0 * c * d - d_prev
-        s_prev, s = s, 4.0 * d_prev + 2.0 * c * s - s_prev
-    return u, d, s

@@ -17,11 +17,11 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import closed_form
-from .closed_form import TrigEigenfunction, chi_derivatives
+from .closed_form import TrigEigenfunction
 from .darboux import DarbouxContext, partner_potential
 from .errors import EvaluationError, ParameterError
 from .hypergeom import LevelTable, midpoint_vanishing
-from .models import WellConfig, box_eigenfunction, box_energy
+from .models import WellConfig, box_energy
 from .numerics import gauss_legendre
 
 __all__ = [
@@ -122,6 +122,12 @@ def _report(checks: list[CheckResult], parameters: dict) -> VerificationReport:
         parameters=parameters,
         overall=all(c.passed for c in checks),
     )
+
+
+def _require_scale(alpha: float) -> None:
+    """Reject an alpha no well has before a check at unit scale drops it."""
+    if not (0.0 < alpha < math.inf):
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
 
 
 @lru_cache(maxsize=8)
@@ -251,16 +257,17 @@ def check_expectation_x(
     """Position expectation of the normalized partner mode against pi/(4 alpha).
 
     The value is index-independent: every mode is symmetric about the
-    interval midpoint up to sign.  The sum runs in t = 2 alpha x.
+    interval midpoint up to sign.  The sum runs in t at unit scale
+    (alpha = 1, x = t / 2) and is then divided by alpha.
     """
     if k < 2:
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
+    _require_scale(alpha)
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
-    norm = TrigEigenfunction(k, alpha).norm
-    two_alpha = 2.0 * alpha
+    norm = TrigEigenfunction(k, 1.0).norm
     nodes, grid, _ = _quad_grid(order, panels)
-    values = [(t / two_alpha) * (norm * g) * (norm * g) for t, g in zip(nodes[0], grid.mode(k))]
-    computed = _weighted_sum(values, nodes) / two_alpha
+    values = [(t / 2.0) * (norm * g) * (norm * g) for t, g in zip(nodes[0], grid.mode(k))]
+    computed = _weighted_sum(values, nodes) / 2.0 / alpha
     reference = math.pi / (4.0 * alpha)
     return _make_check(f"expectation <x> k={k} alpha={alpha}", computed, reference, tol)
 
@@ -312,25 +319,26 @@ def check_orthonormality(
 ) -> VerificationReport:
     """Gram matrix of the normalized partner modes k = 2..k_max.
 
-    An entry is one weighted sum in t = 2 alpha x over two normalized mode
-    rows, divided by 2 alpha.  Diagonal entries are compared with 1 in
-    relative terms; off-diagonal entries with 0 in absolute terms (same
-    tolerance).
+    An entry is one weighted sum in t over two mode rows normalized at unit
+    scale (alpha = 1, x = t / 2), divided by 2; the matrix is dimensionless,
+    so it is the same bits at every alpha.  Diagonal entries are compared
+    with 1 in relative terms; off-diagonal entries with 0 in absolute terms
+    (same tolerance).
     """
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
+    _require_scale(alpha)
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
     nodes, grid, _ = _quad_grid(order, panels)
     rows = {}
     for k in range(2, k_max + 1):
-        norm = TrigEigenfunction(k, alpha).norm
+        norm = TrigEigenfunction(k, 1.0).norm
         rows[k] = array("d", [norm * g for g in grid.mode(k)])
-    two_alpha = 2.0 * alpha
     checks = []
     for i in range(2, k_max + 1):
         for j in range(i, k_max + 1):
             products = list(map(operator.mul, rows[i], rows[j]))
-            computed = _weighted_sum(products, nodes) / two_alpha
+            computed = _weighted_sum(products, nodes) / 2.0
             reference = 1.0 if i == j else 0.0
             checks.append(_make_check(f"gram ({i},{j})", computed, reference, tol))
     return _report(
@@ -359,62 +367,31 @@ def _identity_grid(points: int):
     return closed_form.TGrid(_t_grid(points, _WALL_MARGIN))
 
 
-def _require_scale(alpha: float) -> None:
-    """Reject an alpha no well has before a check at unit scale drops it."""
-    if not (0.0 < alpha < math.inf):
-        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
-
-
-def check_residual(
-    k: int,
-    alpha: float = 1.0,
-    margin: float = _WALL_MARGIN,
-    *,
-    points: int = 1000,
-    hamiltonian: str = "partner",
-    tolerance: float | None = None,
-) -> CheckResult:
-    """Worst eigen-equation residual over an interior grid, over the energy
-    times the mode's amplitude, which makes it independent of alpha.
-
-    hamiltonian="partner": max |-chi'' + V1 chi - eps_k chi| / (eps_k N_k)
-    for the partner mode of norm N_k, with analytic second derivatives and
-    the assembled partner potential.  hamiltonian="box": the same for the
-    box mode of amplitude sqrt(4 alpha/pi) and the free Hamiltonian (a
-    sanity path; it holds at the rounding level).  `margin` excludes
-    t-neighbourhoods of the walls, where the mode vanishes and the relative
-    measure is meaningless.
-    Both run at unit scale (alpha = 1, x = t / 2 exactly), so the result is
-    the same bits at every alpha; the caller's alpha only names the row.
+def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None) -> CheckResult:
+    """Worst eigen-equation residual max |-chi'' + V1 chi - eps_k chi| of the
+    partner mode of norm N_k over the 1000-point interior grid in t, with
+    analytic second derivatives (TGrid.derivatives) and the assembled
+    partner potential, over eps_k N_k, which makes it independent of
+    alpha.  It runs at unit scale (alpha = 1, x = t / 2 exactly), so the
+    result is the same bits at every alpha; the caller's alpha only names
+    the row.
     """
     if k < 2:
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
-    if not (margin > 0):
-        raise ParameterError(f"margin must be positive, got {margin}")
     _require_scale(alpha)
     tol = DEFAULT_TOLERANCES["residual"] if tolerance is None else tolerance
     cfg = WellConfig(1.0)
     energy = box_energy(cfg, k)
-    if hamiltonian == "partner":
-        ctx = DarbouxContext(cfg)
-        f = TrigEigenfunction(k, 1.0)
-        amplitude = f.norm
-
-        def residual(x: float) -> float:
-            value, _, second = chi_derivatives(f, x)
-            return -second + partner_potential(ctx, x) * value - energy * value
-    elif hamiltonian == "box":
-        amp = 2.0 * k
-        amplitude = math.sqrt(4.0 / math.pi)
-
-        def residual(x: float) -> float:
-            value = box_eigenfunction(cfg, k, x)
-            return (amp * amp) * value - energy * value
-    else:
-        raise ParameterError(f"hamiltonian must be 'partner' or 'box', got {hamiltonian!r}")
-    worst = max(abs(residual(0.5 * t)) for t in _t_grid(points, margin))
+    ctx = DarbouxContext(cfg)
+    norm = TrigEigenfunction(k, 1.0).norm
+    grid = _identity_grid(1000)
+    worst = max(
+        abs(-(norm * 4.0 * g2) + partner_potential(ctx, 0.5 * t) * (norm * g)
+            - energy * (norm * g))
+        for t, g, g2 in zip(grid.ts, grid.mode(k), grid.derivatives(k)[1])
+    )
     return _make_check(
-        f"residual ({hamiltonian}) k={k} alpha={alpha}", worst / (energy * amplitude), 0.0, tol
+        f"residual (partner) k={k} alpha={alpha}", worst / (energy * norm), 0.0, tol
     )
 
 
@@ -546,6 +523,11 @@ def _check_midpoint_vanishing(m: int) -> CheckResult:
     return _make_check(f"midpoint vanishing m={m}", 0.0 if ok else 1.0, 0.0, 0.0)
 
 
+# The suite's identity and correspondence rows sample the interior grid in t
+# at this many points.
+_SUITE_IDENTITY_POINTS = 500
+
+
 def _suite_specs(
     alpha: float,
     n_max: int,
@@ -553,7 +535,6 @@ def _suite_specs(
     panels: int,
     tols: dict,
     grid_points: int,
-    identity_points: int,
 ) -> list[tuple]:
     """Every check of the full suite in report order, as (name, tolerance,
     thunk).  A thunk returns one CheckResult or a VerificationReport whose
@@ -586,10 +567,11 @@ def _suite_specs(
                partial(check_residual, k, alpha, tolerance=tols["residual"]))
               for k in partners]
     specs += [(f"bound-state correspondence n={n}", id_tol,
-               partial(check_correspondence, n, alpha, points=identity_points,
+               partial(check_correspondence, n, alpha, points=_SUITE_IDENTITY_POINTS,
                        tolerance=id_tol)) for n in levels]
     specs += [(f"{_IDENTITY_FAMILIES[which]}{i}", id_tol,
-               partial(check_identity, which, i, points=identity_points, tolerance=id_tol))
+               partial(check_identity, which, i, points=_SUITE_IDENTITY_POINTS,
+                       tolerance=id_tol))
               for which, i in identities]
     specs.append(("fd spectrum", tols["fd_spectrum"],
                   partial(check_fd_spectrum, alpha, grid_points, 3,
@@ -605,7 +587,6 @@ def run_full_suite(
     tolerances: dict | None = None,
     *,
     grid_points: int = 4000,
-    identity_points: int = 500,
 ) -> VerificationReport:
     """Run every check over the desk-scale ranges and aggregate a report.
 
@@ -619,9 +600,7 @@ def run_full_suite(
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
     tols = resolve_tolerances(tolerances)
-    specs = _suite_specs(
-        alpha, n_max, quad_order, panels, tols, grid_points, identity_points
-    )
+    specs = _suite_specs(alpha, n_max, quad_order, panels, tols, grid_points)
     checks: list[CheckResult] = []
     for name, tolerance, thunk in specs:
         try:

@@ -151,7 +151,7 @@ def test_criterion_09_orthonormality(capsys):
 def test_criterion_10_eigen_equation_residual(capsys):
     ok = True
     for k in range(2, 11):
-        result = check_residual(k, 1.0, margin=MARGIN)
+        result = check_residual(k, 1.0)
         ok = ok and result.computed <= 1e-8
     _verdict(capsys, 10, "eigen-equation residual k=2..10 (<= 1e-8)", ok)
 

@@ -24,9 +24,6 @@ def _grid(alpha, t_margin=1e-2, points=400):
 def test_context_validation():
     ctx = DarbouxContext(WellConfig(1.5))
     assert ctx.omega_sq == 9.0
-    assert ctx.seed_index == 1
-    with pytest.raises(ParameterError):
-        DarbouxContext(WellConfig(1.0), seed_index=2)
 
 
 def test_superpotential_matches_cotangent():

@@ -10,7 +10,6 @@ from ptdarboux.errors import ParameterError
 from ptdarboux.numerics import (
     QuadratureRule,
     chebyshev_u,
-    chebyshev_u_derivatives,
     gauss_legendre,
     pochhammer,
 )
@@ -97,21 +96,6 @@ def test_chebyshev_u_small_orders():
     assert math.isclose(chebyshev_u(2, c), 4 * c * c - 1, rel_tol=1e-15)
     with pytest.raises(ParameterError):
         chebyshev_u(-1, c)
-
-
-def test_chebyshev_u_derivatives_match_finite_differences():
-    h = 1e-6
-    for k in (0, 1, 2, 5, 11):
-        for c in (-0.9, -0.3, 0.0, 0.4, 0.8):
-            u, du, ddu = chebyshev_u_derivatives(k, c)
-            assert u == chebyshev_u(k, c)
-            cd1 = (chebyshev_u(k, c + h) - chebyshev_u(k, c - h)) / (2 * h)
-            cd2 = (
-                chebyshev_u_derivatives(k, c + h)[1]
-                - chebyshev_u_derivatives(k, c - h)[1]
-            ) / (2 * h)
-            assert abs(du - cd1) <= 1e-6 * max(1.0, abs(du))
-            assert abs(ddu - cd2) <= 1e-6 * max(1.0, abs(ddu))
 
 
 @settings(max_examples=30, deadline=None)

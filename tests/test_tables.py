@@ -78,6 +78,26 @@ def test_t_grid_keeps_its_mode_rows_and_rejects_the_seed_index():
         grid.mode(1)
 
 
+def test_derivative_rows_match_the_cotangent_form():
+    # g = k cos(kt) - cot(t) sin(kt) differentiated by hand, where sin t >= 0.1
+    # keeps the cotangent form accurate, against the swept rows (g', g'')
+    ts = [t for t in verify._identity_grid(1000).ts if math.sin(t) >= 0.1]
+    grid = TGrid(ts)
+    for k in range(2, MAX_DEGREE + 4):
+        first, second = grid.derivatives(k)
+        exact_first, exact_second = [], []
+        for t in ts:
+            sk, ck = math.sin(k * t), math.cos(k * t)
+            cot, csc_sq = math.cos(t) / math.sin(t), 1.0 / math.sin(t) ** 2
+            exact_first.append(-k * k * sk + csc_sq * sk - k * cot * ck)
+            exact_second.append(-k ** 3 * ck - 2.0 * csc_sq * cot * sk
+                                + 2.0 * k * csc_sq * ck + k * k * cot * sk)
+        for row, exact in ((first, exact_first), (second, exact_second)):
+            scale = max(map(abs, row))
+            worst = max(abs(a - b) for a, b in zip(row, exact))
+            assert worst <= 1e-12 * scale, (k, worst / scale)
+
+
 def test_bound_state_pairs_equal_their_pointwise_forms():
     # the sampler that tabulate and the correspondence share, on the grid
     # t = 2 alpha x, against pt_eigen_hypergeom and chi_eval point by point
@@ -156,9 +176,14 @@ def fresh_tables():
     partial(verify.check_correspondence, 0, -1.0),
     partial(verify.check_correspondence, 0, math.inf),
     partial(verify.check_correspondence, 0, -math.inf),
+    partial(verify.check_residual, 1),
+    partial(verify.check_residual, 3, 0.0),
+    partial(verify.check_residual, 3, math.nan),
+    partial(verify.check_residual, 3, -math.inf),
 ])
 def test_validation_errors_come_before_any_table_is_swept(monkeypatch, call):
     monkeypatch.setattr(hypergeom, "_jacobi_rows", _forbidden_sweep)
     monkeypatch.setattr(closed_form, "_bracket_rows", _forbidden_sweep)
+    monkeypatch.setattr(closed_form, "_derivative_rows", _forbidden_sweep)
     with pytest.raises(ParameterError):
         call()

@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from ptdarboux import closed_form, verify
+from ptdarboux import closed_form, hypergeom, verify
 from ptdarboux.closed_form import TrigEigenfunction, chi_eval
 from ptdarboux.errors import EvaluationError, ParameterError
 from ptdarboux.hypergeom import TerminatingHypergeometric, f21_eval_real
@@ -325,40 +325,79 @@ def test_suite_sweeps_instead_of_evaluating_point_by_point(monkeypatch):
     counts = []
     for points in (200, 500):
         built = 0
-        report = run_full_suite(n_max=10, grid_points=1000, identity_points=points)
+        monkeypatch.setattr(verify, "_SUITE_IDENTITY_POINTS", points)
+        report = run_full_suite(n_max=10, grid_points=1000)
         assert report.overall
         counts.append(built)
     assert counts[0] == counts[1]
 
 
+def test_suite_reads_every_partner_mode_from_its_t_grid(monkeypatch):
+    # the residual's derivatives and every bracket come from TGrid sweeps:
+    # no point-wise derivative, Chebyshev or bracket evaluation
+    import sys
+
+    def forbidden(*args):
+        raise AssertionError("the suite evaluated a partner mode point by point")
+
+    names = ("chi_derivatives", "chebyshev_u", "_stable_bracket")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ptdarboux"):
+            for fn in names:
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, forbidden)
+    assert run_full_suite(n_max=10, grid_points=1000).overall
+
+
 def test_residual_partner_modes():
     for k in (2, 10):
-        r = check_residual(k, 1.0, margin=1e-3)
+        r = check_residual(k, 1.0)
         assert r.passed and r.computed <= 1e-8
+        assert r.name == f"residual (partner) k={k} alpha=1.0"
     with pytest.raises(ParameterError):
-        check_residual(2, 1.0, margin=0.0)
+        check_residual(1, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_unit_scale_checks_reject_an_alpha_no_well_has(monkeypatch, alpha):
     # the residual and the correspondence run at alpha = 1, so they must
-    # validate the caller's alpha before building any grid
+    # validate the caller's alpha before any row is swept; the cached grids
+    # are cleared, since a grid swept earlier would hide a late validation
     def forbidden(*args):
-        raise AssertionError("a grid was built before alpha was validated")
+        raise AssertionError("a row was swept before alpha was validated")
+        yield
 
-    monkeypatch.setattr(verify, "_t_grid", forbidden)
-    for hamiltonian in ("partner", "box"):
+    monkeypatch.setattr(closed_form, "_derivative_rows", forbidden)
+    monkeypatch.setattr(closed_form, "_bracket_rows", forbidden)
+    monkeypatch.setattr(hypergeom, "_jacobi_rows", forbidden)
+    verify._identity_grid.cache_clear()
+    try:
         with pytest.raises(ParameterError):
-            check_residual(3, alpha, hamiltonian=hamiltonian)
-    with pytest.raises(ParameterError):
-        check_correspondence(2, alpha)
+            check_residual(3, alpha)
+        with pytest.raises(ParameterError):
+            check_correspondence(2, alpha)
+    finally:
+        verify._identity_grid.cache_clear()
 
 
-def test_residual_box_sanity_path():
-    r = check_residual(5, 1.0, hamiltonian="box", tolerance=1e-10)
-    assert r.passed and r.computed <= 1e-10
-    with pytest.raises(ParameterError):
-        check_residual(5, 1.0, hamiltonian="nope")
+@pytest.mark.parametrize("alpha", [1e-320, 1e308])
+def test_unit_scale_quadrature_rows_at_extreme_alpha(alpha):
+    # the Gram matrix and the residual are dimensionless, so they are their
+    # alpha = 1 rows bit for bit even where 2 alpha and the alpha-dependent
+    # norms would underflow or overflow; <x> is the unit-scale sum over alpha
+    gram = check_orthonormality(4, alpha)
+    assert gram.overall
+    assert gram.checks == check_orthonormality(4, 1.0).checks
+    residual = check_residual(5, alpha)
+    assert residual.passed
+    assert residual.computed == check_residual(5, 1.0).computed
+    mean = check_expectation_x(3, alpha)
+    assert mean.reference == math.pi / (4.0 * alpha)
+    if math.isinf(mean.reference):
+        # below alpha ~ 4e-309 pi/(4 alpha) itself overflows: a failed row
+        assert not mean.passed and math.isnan(mean.rel_dev)
+    else:
+        assert mean.passed, mean
 
 
 def test_fd_spectrum_converges_to_exact_energies():
@@ -447,7 +486,7 @@ def test_run_full_suite_check_names_are_pinned():
 def test_suite_spec_names_match_their_rows():
     # a check that raises is recorded under its spec's name, so that name
     # must be the one the check gives its row when it passes
-    specs = _suite_specs(1.0, 2, 64, 32, resolve_tolerances(), 1000, 500)
+    specs = _suite_specs(1.0, 2, 64, 32, resolve_tolerances(), 1000)
     singles = 0
     for name, _, thunk in specs:
         result = thunk()
@@ -477,12 +516,12 @@ def unit_alpha_suite():
 def test_run_full_suite_does_not_depend_on_alpha(alpha, unit_alpha_suite):
     # every check is dimensionless once alpha is scaled out: energies by
     # 4 alpha^2, lengths by 1/alpha, amplitudes by sqrt(alpha).  The
-    # identities, the correspondence and the residuals run at unit scale,
-    # so their rows are the alpha = 1 rows bit for bit
+    # identities, the correspondence, the residuals and the Gram matrix run
+    # at unit scale, so their rows are the alpha = 1 rows bit for bit
     report = run_full_suite(alpha=alpha, n_max=4)
     assert report.overall
     assert len(report.checks) == len(unit_alpha_suite.checks)
-    unit_scale = ("identity", "bound-state correspondence", "residual")
+    unit_scale = ("identity", "bound-state correspondence", "residual", "gram")
     exact = 0
     for row, unit in zip(report.checks, unit_alpha_suite.checks):
         assert row.name.replace(f"alpha={alpha}", "alpha=1.0") == unit.name
@@ -493,7 +532,8 @@ def test_run_full_suite_does_not_depend_on_alpha(alpha, unit_alpha_suite):
             assert row.rel_dev == unit.rel_dev, row.name
         else:
             assert abs(row.rel_dev - unit.rel_dev) <= 1e-11, row.name
-    assert exact == (5 + 3 + 3) + 5 + 3  # identities, correspondence, residuals
+    # identities, correspondence, residuals, Gram entries
+    assert exact == (5 + 3 + 3) + 5 + 3 + 6
 
 
 def test_run_full_suite_builds_only_the_t_and_z_node_sets(monkeypatch):
