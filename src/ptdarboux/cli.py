@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from . import closed_form
+from . import closed_form, verify
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -68,7 +68,6 @@ MAX_QUAD_NODES = MAX_PANELS * 64
 MAX_GRID_POINTS = 100_000
 # tabulate --n 60: 0.5 s.
 MAX_POINTS = 10_001
-_IDENTITY_POINTS = 1000
 
 _REPORT_HEADER = ["name", "computed", "reference", "abs_dev", "rel_dev", "tolerance", "passed"]
 _MATH_ERRORS = (ZeroDivisionError, DomainError, StabilityError, EvaluationError, ConvergenceError)
@@ -197,11 +196,11 @@ def cmd_tabulate(config: RunConfig, n: int, points: int) -> int:
 
 
 def cmd_identity(config: RunConfig, which: str, m_or_n: int) -> int:
-    """Check one identity family on the node-excluding t grid; report the
+    """Check one identity family on the interior t grid; report the
     worst deviation between the two sides, scaled by the largest left-side
     value.  The identities are dimensionless: --alpha does not change it."""
     tolerance = resolve_tolerances(config.tolerances)["identity"]
-    result = check_identity(which, m_or_n, points=_IDENTITY_POINTS, tolerance=tolerance)
+    result = check_identity(which, m_or_n, tolerance=tolerance)
     row = {
         "which": which,
         "index": m_or_n,
@@ -209,7 +208,7 @@ def cmd_identity(config: RunConfig, which: str, m_or_n: int) -> int:
         "tolerance": tolerance,
         "passed": result.passed,
     }
-    payload = {**row, "alpha": config.alpha, "points": _IDENTITY_POINTS}
+    payload = {**row, "alpha": config.alpha, "points": verify.INTERIOR_POINTS}
     return _emit(config, payload, list(row), [list(row.values())], result.passed)
 
 

@@ -9,9 +9,9 @@ The same bracket appears on the right-hand side of the hypergeometric
 identity that ties these images to the Poschl-Teller bound states of the
 symmetric kappa = lam = 2 well; its base, even-ratio and odd-ratio forms
 are one level-n formula (identity_pairs).  Every row
-sampled on a row of t (bound-state factors, brackets and their
-derivatives, both sides of the identities and of the correspondence) comes
-from one holder, TGrid.
+sampled on a row of t (bound-state factors, brackets and their second
+derivatives, the partner potential, both sides of the identities and of
+the correspondence) comes from one holder, TGrid.
 """
 from __future__ import annotations
 
@@ -20,10 +20,12 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
+from .darboux import DarbouxContext, partner_potential
 from .errors import DomainError, EvaluationError, ParameterError, StabilityError
 from .hypergeom import LevelTable, TerminatingHypergeometric, f21_eval_exact
+from .models import WellConfig
 from .numerics import chebyshev_u
 
 __all__ = [
@@ -127,14 +129,14 @@ def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float
 
     then d/dx = 2 alpha d/dt.  Points with t = 2 alpha x within 2e-6 of
     either wall (t = 0 or pi) are rejected, at every alpha; use chi_eval
-    for the (vanishing) wall values.  One point of TGrid.derivatives.
+    for the (vanishing) wall values.  One point of the TGrid sweeps.
     """
     a = f.alpha
     t = 2.0 * a * x
     if not (2e-6 < t < math.pi - 2e-6):
         raise DomainError(f"x={x} (t={t}) too close to a wall for derivative evaluation")
-    grid = TGrid([t])
-    (g,), ((g1,), (g2,)) = grid.mode(f.k), grid.derivatives(f.k)
+    (g,) = TGrid([t]).mode(f.k)
+    (g1,), (g2,) = next(islice(_derivative_rows([t]), f.k - 2, None))
     return f.norm * g, f.norm * 2.0 * a * g1, f.norm * 4.0 * a * a * g2
 
 
@@ -205,18 +207,19 @@ _FAMILY_LEVEL = {"base": lambda n: n, "even": lambda m: 2 * m, "odd": lambda m: 
 class TGrid:
     """The rows sampled on one row `ts` of t = 2 alpha x, shared by every
     reader: level(n) = F_n(sin^2(t/2)) (a LevelTable), mode(k) = the
-    bracket g of index k >= 2 and derivatives(k) = its rows (g', g'') in t
+    bracket g of index k >= 2 and second_derivative(k) = its row g'' in t
     (one _bracket_rows and one _derivative_rows sweep, every row kept), and,
-    built on first use, sin_sq = sin^2(t) for the identities and the bound
-    state's factors sin(t/2)**2.0, cos(t/2)**2.0 (bound_state_pairs).  A
-    returned row is shared and must not be changed."""
+    built on first use, sin_sq = sin^2(t) for the identities, the bound
+    state's factors (bound_state_pairs) and the residual's partner potential
+    at unit scale, x = t / 2 (every t inside (0, pi)).  A returned row is
+    shared and must not be changed."""
 
     def __init__(self, ts):
         self.ts = ts
         self._levels = LevelTable(array("d", [s * s for s in (math.sin(0.5 * t) for t in ts)]))
-        # generators: nothing runs before mode() or derivatives()
+        # generators: nothing runs before mode() or second_derivative()
         self._modes = (_bracket_rows(ts), [])  # index k at position k - 2
-        self._derivatives = (_derivative_rows(ts), [])
+        self._second = ((second for _, second in _derivative_rows(ts)), [])
 
     def level(self, n: int) -> array:
         return self._levels.level(n)
@@ -224,8 +227,8 @@ class TGrid:
     def mode(self, k: int) -> array:
         return self._kept(self._modes, k)
 
-    def derivatives(self, k: int) -> tuple[array, array]:
-        return self._kept(self._derivatives, k)
+    def second_derivative(self, k: int) -> array:
+        return self._kept(self._second, k)
 
     @staticmethod
     def _kept(table, k: int):
@@ -239,6 +242,11 @@ class TGrid:
     @cached_property
     def sin_sq(self) -> array:
         return array("d", [s * s for s in map(math.sin, self.ts)])
+
+    @cached_property
+    def potential(self) -> array:
+        ctx = DarbouxContext(WellConfig(1.0))
+        return array("d", [partner_potential(ctx, 0.5 * t) for t in self.ts])
 
     @cached_property
     def bound_factors(self) -> tuple[array, array]:

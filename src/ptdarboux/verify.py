@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from array import array
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -18,7 +19,6 @@ from functools import lru_cache, partial
 
 from . import closed_form
 from .closed_form import TrigEigenfunction
-from .darboux import DarbouxContext, partner_potential
 from .errors import EvaluationError, ParameterError
 from .hypergeom import LevelTable, midpoint_vanishing
 from .models import WellConfig, box_energy
@@ -38,6 +38,7 @@ __all__ = [
     "check_residual",
     "check_correspondence",
     "check_identity",
+    "INTERIOR_POINTS",
     "fd_spectrum",
     "check_fd_spectrum",
     "run_full_suite",
@@ -145,13 +146,18 @@ def _nodes(a: float, b: float, order: int, panels: int):
     return array("d", abscissae), array("d", rule.weights * panels), half
 
 
+def _require_finite(values, abscissae) -> None:
+    """Abort with the abscissa of the first non-finite value, if any."""
+    if not all(map(math.isfinite, values)):
+        x, value = next((x, v) for x, v in zip(abscissae, values) if not math.isfinite(v))
+        raise EvaluationError(f"integrand returned {value} at x={x}")
+
+
 def _weighted_sum(values, nodes) -> float:
     """The rule `nodes` (_nodes) applied to `values` sampled at its abscissae,
     in one exactly-rounded sum; a non-finite value aborts with its abscissa."""
     abscissae, weights, half = nodes
-    if not all(map(math.isfinite, values)):
-        x, value = next((x, v) for x, v in zip(abscissae, values) if not math.isfinite(v))
-        raise EvaluationError(f"integrand returned {value} at x={x}")
+    _require_finite(values, abscissae)
     return half * math.fsum(map(operator.mul, weights, values))
 
 
@@ -234,8 +240,6 @@ def check_hypergeom_norm(
 
         z^{3/2} (1-z)^{3/2} dz = 6 u^4 (1-u)^4 [(3-2u)(1+2u)]^{3/2} du.
     """
-    if n < 0:
-        raise ParameterError(f"index n must be >= 0, got {n}")
     if form not in ("x", "z"):
         raise ParameterError(f"form must be 'x' or 'z', got {form!r}")
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
@@ -299,8 +303,6 @@ def check_first_moment(
         return _make_check(f"first moment (trig) k={k}", computed, reference, tol)
     if form == "hypergeom":
         n = n_or_k
-        if n < 0:
-            raise ParameterError(f"index n must be >= 0, got {n}")
         c_n = float(closed_form.coefficient_C(n))
         k = n + 2
         computed = _level_sum(n, "x", order, panels, moment=True)
@@ -323,22 +325,25 @@ def check_orthonormality(
     scale (alpha = 1, x = t / 2), divided by 2; the matrix is dimensionless,
     so it is the same bits at every alpha.  Diagonal entries are compared
     with 1 in relative terms; off-diagonal entries with 0 in absolute terms
-    (same tolerance).
+    (same tolerance).  Each normalized row is checked for non-finite values
+    once: |N_k g| <= 2 k N_k < 2.7, so products of finite rows are finite,
+    and a non-finite product would make fsum return one or raise.
     """
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
     _require_scale(alpha)
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
-    nodes, grid, _ = _quad_grid(order, panels)
+    (abscissae, weights, half), grid, _ = _quad_grid(order, panels)
     rows = {}
     for k in range(2, k_max + 1):
         norm = TrigEigenfunction(k, 1.0).norm
         rows[k] = array("d", [norm * g for g in grid.mode(k)])
+        _require_finite(rows[k], abscissae)
     checks = []
     for i in range(2, k_max + 1):
         for j in range(i, k_max + 1):
-            products = list(map(operator.mul, rows[i], rows[j]))
-            computed = _weighted_sum(products, nodes) / 2.0
+            products = map(operator.mul, rows[i], rows[j])
+            computed = half * math.fsum(map(operator.mul, weights, products)) / 2.0
             reference = 1.0 if i == j else 0.0
             checks.append(_make_check(f"gram ({i},{j})", computed, reference, tol))
     return _report(
@@ -347,48 +352,40 @@ def check_orthonormality(
     )
 
 
-# Interior grids stay this far in t = 2 alpha x from the walls, where the
-# identities divide by sin^2(t) and the relative residual is meaningless.
+# The interior rows (identities, correspondence, residual) sample t = 2 alpha x
+# at INTERIOR_POINTS equal steps on [_WALL_MARGIN, pi - _WALL_MARGIN], clear of
+# the walls, where the identities divide by sin^2(t).
+INTERIOR_POINTS = 1000
 _WALL_MARGIN = 1e-3
 
 
-def _t_grid(points: int, margin: float) -> list[float]:
-    """`points` equally spaced values of t = 2 alpha x on [margin, pi - margin]."""
-    if points < 2:
-        raise ParameterError(f"need at least 2 grid points, got {points}")
-    step = (math.pi - 2.0 * margin) / (points - 1)
-    return [margin + i * step for i in range(points)]
-
-
-@lru_cache(maxsize=2)
-def _identity_grid(points: int):
-    """The interior grid in t that the identities and the correspondence
-    share, with the rows they read (closed_form.TGrid)."""
-    return closed_form.TGrid(_t_grid(points, _WALL_MARGIN))
+@lru_cache(maxsize=1)
+def _interior_grid():
+    """The one interior grid in t, with the rows its readers share
+    (closed_form.TGrid)."""
+    step = (math.pi - 2.0 * _WALL_MARGIN) / (INTERIOR_POINTS - 1)
+    return closed_form.TGrid([_WALL_MARGIN + i * step for i in range(INTERIOR_POINTS)])
 
 
 def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None) -> CheckResult:
     """Worst eigen-equation residual max |-chi'' + V1 chi - eps_k chi| of the
-    partner mode of norm N_k over the 1000-point interior grid in t, with
-    analytic second derivatives (TGrid.derivatives) and the assembled
-    partner potential, over eps_k N_k, which makes it independent of
-    alpha.  It runs at unit scale (alpha = 1, x = t / 2 exactly), so the
-    result is the same bits at every alpha; the caller's alpha only names
-    the row.
+    partner mode of norm N_k over the interior grid in t, with analytic
+    second derivatives (TGrid.second_derivative) and the grid's partner
+    potential row (TGrid.potential), over eps_k N_k, which makes it
+    independent of alpha.  It runs at unit scale (alpha = 1, x = t / 2
+    exactly), so the result is the same bits at every alpha; the caller's
+    alpha only names the row.
     """
     if k < 2:
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
     _require_scale(alpha)
     tol = DEFAULT_TOLERANCES["residual"] if tolerance is None else tolerance
-    cfg = WellConfig(1.0)
-    energy = box_energy(cfg, k)
-    ctx = DarbouxContext(cfg)
+    energy = box_energy(WellConfig(1.0), k)
     norm = TrigEigenfunction(k, 1.0).norm
-    grid = _identity_grid(1000)
+    grid = _interior_grid()
     worst = max(
-        abs(-(norm * 4.0 * g2) + partner_potential(ctx, 0.5 * t) * (norm * g)
-            - energy * (norm * g))
-        for t, g, g2 in zip(grid.ts, grid.mode(k), grid.derivatives(k)[1])
+        abs(-(norm * 4.0 * g2) + v * (norm * g) - energy * (norm * g))
+        for v, g, g2 in zip(grid.potential, grid.mode(k), grid.second_derivative(k))
     )
     return _make_check(
         f"residual (partner) k={k} alpha={alpha}", worst / (energy * norm), 0.0, tol
@@ -396,16 +393,16 @@ def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None
 
 
 def check_correspondence(
-    n: int, alpha: float = 1.0, *, points: int = 1000, tolerance: float | None = None
+    n: int, alpha: float = 1.0, *, tolerance: float | None = None
 ) -> CheckResult:
     """Pointwise correspondence of the level-n bound state of the symmetric
     well, scaled by normalization_A, with the normalized partner mode of
-    index n + 2: max |psi - chi| / max |chi| over the identities' grid in t.
+    index n + 2: max |psi - chi| / max |chi| over the interior grid in t.
     Both sides scale alike in alpha, so this runs at unit scale (alpha = 1,
     x = t / 2 exactly) and is the same bits at every alpha."""
     _require_scale(alpha)
     tol = DEFAULT_TOLERANCES["identity"] if tolerance is None else tolerance
-    psi, chi = _identity_grid(points).bound_state_pairs(n, 1.0)
+    psi, chi = _interior_grid().bound_state_pairs(n, 1.0)
     scale = max(map(abs, chi))
     dev = max(map(abs, map(operator.sub, psi, chi))) / scale
     return _make_check(f"bound-state correspondence n={n}", dev, 0.0, tol)
@@ -419,18 +416,16 @@ _IDENTITY_FAMILIES = {
 }
 
 
-def check_identity(
-    which: str, index: int, *, points: int = 1000, tolerance: float | None = None
-) -> CheckResult:
+def check_identity(which: str, index: int, *, tolerance: float | None = None) -> CheckResult:
     """One identity family ("base" at level n, "even" or "odd" at family
-    index m): the worst deviation between its two sides over an interior
+    index m): the worst deviation between its two sides over the interior
     grid in t, scaled by the largest left-side value.
 
     The identities are dimensionless, so the grid lives in t = 2 alpha x on
     [1e-3, pi - 1e-3] and the result does not depend on alpha.
     """
     tol = DEFAULT_TOLERANCES["identity"] if tolerance is None else tolerance
-    pairs = closed_form.identity_pairs(which, index, _identity_grid(points))
+    pairs = closed_form.identity_pairs(which, index, _interior_grid())
     scale = max(abs(lhs) for lhs, _ in pairs) or 1.0
     dev = max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
     return _make_check(f"{_IDENTITY_FAMILIES[which]}{index}", dev, 0.0, tol)
@@ -445,10 +440,14 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     step from both walls so the singular potential is finite at every node.
     Eigenvalues come from bisection on the Sturm sequence count of the
     shifted matrix, which is immune to the misconvergence an iterative
-    solver could suffer; each is located to 1e-10 relative.
+    solver could suffer; each is located to 1e-10 relative.  An alpha whose
+    4 alpha^2 is not a positive normal float is rejected: an underflowed
+    scale would return zeros that match underflowed exact energies.
     """
-    if not (alpha > 0):
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    _require_scale(alpha)
+    scale = 4.0 * alpha * alpha
+    if not (sys.float_info.min <= scale < math.inf):
+        raise ParameterError(f"4 alpha^2 = {scale} is not a normal float at alpha = {alpha}")
     if grid_points < 100:
         raise ParameterError(f"need at least 100 grid points, got {grid_points}")
     if count < 0 or count > 10:
@@ -477,7 +476,6 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     hi = 4.0 * (count + 2) ** 2
     while count_below(hi) < count:
         hi *= 2.0
-    scale = 4.0 * alpha * alpha
     eigenvalues = []
     for mode in range(1, count + 1):
         lo, up = 0.0, hi
@@ -523,11 +521,6 @@ def _check_midpoint_vanishing(m: int) -> CheckResult:
     return _make_check(f"midpoint vanishing m={m}", 0.0 if ok else 1.0, 0.0, 0.0)
 
 
-# The suite's identity and correspondence rows sample the interior grid in t
-# at this many points.
-_SUITE_IDENTITY_POINTS = 500
-
-
 def _suite_specs(
     alpha: float,
     n_max: int,
@@ -567,11 +560,9 @@ def _suite_specs(
                partial(check_residual, k, alpha, tolerance=tols["residual"]))
               for k in partners]
     specs += [(f"bound-state correspondence n={n}", id_tol,
-               partial(check_correspondence, n, alpha, points=_SUITE_IDENTITY_POINTS,
-                       tolerance=id_tol)) for n in levels]
+               partial(check_correspondence, n, alpha, tolerance=id_tol)) for n in levels]
     specs += [(f"{_IDENTITY_FAMILIES[which]}{i}", id_tol,
-               partial(check_identity, which, i, points=_SUITE_IDENTITY_POINTS,
-                       tolerance=id_tol))
+               partial(check_identity, which, i, tolerance=id_tol))
               for which, i in identities]
     specs.append(("fd spectrum", tols["fd_spectrum"],
                   partial(check_fd_spectrum, alpha, grid_points, 3,

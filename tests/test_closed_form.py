@@ -209,7 +209,7 @@ def test_identity_pairs_build_exact_constants_once(monkeypatch):
     for which, index, expected_c in (("base", 7, 1), ("even", 3, 0), ("odd", 3, 0)):
         for name in calls:
             calls[name] = 0
-        result = check_identity(which, index, points=200)
+        result = check_identity(which, index)
         assert result.passed
         assert calls == {"coefficient_C": expected_c, "f21_eval_exact": 1}
 

@@ -20,11 +20,11 @@ def _factor(n):
 def _suite_z_rows():
     # the z rows the suite sweeps: sin^2(t/2) at the t quadrature nodes (the
     # x form), the z-form nodes at the default rule and sin^2(t/2) on the
-    # identities' 500-point grid in t
+    # interior grid in t
     return {
         "x nodes": verify._quad_grid(64, 32)[1]._levels.zs,
         "z nodes": verify._level_table(64, 32)[2].zs,
-        "t grid": verify._identity_grid(500)._levels.zs,
+        "t grid": verify._interior_grid()._levels.zs,
     }
 
 
@@ -58,7 +58,7 @@ def test_level_table_out_of_order_access_gives_the_same_bits():
 def test_mode_rows_equal_stable_bracket_bitwise():
     ts_rows = {
         "t nodes": verify._quad_grid(64, 32)[0][0],
-        "t grid": verify._identity_grid(500).ts,
+        "t grid": verify._interior_grid().ts,
     }
     for name, ts in ts_rows.items():
         grid = TGrid(ts)
@@ -69,7 +69,7 @@ def test_mode_rows_equal_stable_bracket_bitwise():
 
 
 def test_t_grid_keeps_its_mode_rows_and_rejects_the_seed_index():
-    ts = verify._identity_grid(500).ts
+    ts = verify._interior_grid().ts
     grid = TGrid(ts)
     high = grid.mode(30)
     assert grid.mode(5) == TGrid(ts).mode(5)
@@ -80,11 +80,12 @@ def test_t_grid_keeps_its_mode_rows_and_rejects_the_seed_index():
 
 def test_derivative_rows_match_the_cotangent_form():
     # g = k cos(kt) - cot(t) sin(kt) differentiated by hand, where sin t >= 0.1
-    # keeps the cotangent form accurate, against the swept rows (g', g'')
-    ts = [t for t in verify._identity_grid(1000).ts if math.sin(t) >= 0.1]
+    # keeps the cotangent form accurate, against the swept rows (g', g''); the
+    # grid keeps the g'' rows of the same sweep
+    ts = [t for t in verify._interior_grid().ts if math.sin(t) >= 0.1]
     grid = TGrid(ts)
-    for k in range(2, MAX_DEGREE + 4):
-        first, second = grid.derivatives(k)
+    for k, (first, second) in zip(range(2, MAX_DEGREE + 4), closed_form._derivative_rows(ts)):
+        assert grid.second_derivative(k) == second
         exact_first, exact_second = [], []
         for t in ts:
             sk, ck = math.sin(k * t), math.cos(k * t)
@@ -115,7 +116,7 @@ def test_bound_state_pairs_equal_their_pointwise_forms():
 
 
 def test_t_grid_pairs_equal_fresh_one_point_grids():
-    grid = TGrid(verify._t_grid(50, 1e-3))
+    grid = TGrid(verify._interior_grid().ts[::20])
     for which, index in (("odd", 4), ("base", 3), ("even", 0), ("base", 9)):
         shared = closed_form.identity_pairs(which, index, grid)
         single = [closed_form.identity_pairs(which, index, TGrid([t]))[0] for t in grid.ts]
@@ -137,10 +138,14 @@ def _forbidden_sweep(*args):
     yield  # a generator function, like the sweeps it stands in for
 
 
+def _forbidden_potential(*args):
+    raise AssertionError("a potential row was built before its inputs were validated")
+
+
 @pytest.fixture
 def fresh_tables():
     # no cached table may outlive the test that patched its sweep
-    cached = (verify._level_table, verify._quad_grid, verify._identity_grid)
+    cached = (verify._level_table, verify._quad_grid, verify._interior_grid)
     for builder in cached:
         builder.cache_clear()
     yield
@@ -169,10 +174,10 @@ def fresh_tables():
     partial(verify.check_correspondence, 0, math.nan),
     partial(verify.check_correspondence, 0, 0.0),
     partial(verify.check_correspondence, -1, 1.0),
-    partial(verify.check_correspondence, 0, 1.0, points=1),
+    partial(verify.check_residual, 3, math.inf),
     partial(verify.check_identity, "bogus", 0),
     partial(verify.check_identity, "base", -1),
-    partial(verify.check_identity, "even", 0, points=1),
+    partial(verify.check_residual, 3, -1.0),
     partial(verify.check_correspondence, 0, -1.0),
     partial(verify.check_correspondence, 0, math.inf),
     partial(verify.check_correspondence, 0, -math.inf),
@@ -185,5 +190,6 @@ def test_validation_errors_come_before_any_table_is_swept(monkeypatch, call):
     monkeypatch.setattr(hypergeom, "_jacobi_rows", _forbidden_sweep)
     monkeypatch.setattr(closed_form, "_bracket_rows", _forbidden_sweep)
     monkeypatch.setattr(closed_form, "_derivative_rows", _forbidden_sweep)
+    monkeypatch.setattr(closed_form, "partner_potential", _forbidden_potential)
     with pytest.raises(ParameterError):
         call()

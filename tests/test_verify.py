@@ -1,5 +1,7 @@
 """Quadrature checks, reports, the finite-difference spectrum, and the suite."""
 import math
+import re
+from array import array
 from fractions import Fraction
 from functools import partial
 
@@ -240,12 +242,14 @@ def test_partner_mode_sums_match_their_x_space_form():
             assert abs(check_expectation_x(k, alpha).computed - reference) <= rel * reference
 
 
-def _per_point_rows(n_max, points):
+def _per_point_rows(n_max):
     # the suite's level rows in their former per-point form: one
     # f21_eval_real call per node through integrate, pt_eigen_hypergeom and
-    # chi_eval per grid point, and the identity sides point by point
+    # chi_eval per point of the 1000-point interior grid, and the identity
+    # sides point by point
     rows = {}
-    t_grid = verify._t_grid(points, 1e-3)
+    step = (math.pi - 2e-3) / 999
+    t_grid = [1e-3 + i * step for i in range(1000)]
     for n in range(n_max + 1):
         f = partial(f21_eval_real, TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2)))
 
@@ -295,7 +299,7 @@ def test_suite_level_rows_equal_their_per_point_forms():
     # the level and mode tables change no bit of these rows at alpha = 1
     report = run_full_suite(alpha=1.0, n_max=6, grid_points=1000)
     computed = {c.name: c.computed for c in report.checks}
-    expected = _per_point_rows(6, 500)
+    expected = _per_point_rows(6)
     assert len(expected) == 7 * 5 + 8
     for name, value in expected.items():
         assert computed[name] == value, name
@@ -304,7 +308,7 @@ def test_suite_level_rows_equal_their_per_point_forms():
 def test_suite_sweeps_instead_of_evaluating_point_by_point(monkeypatch):
     # run_full_suite reads every 2F1 value from a level table: no
     # f21_eval_real call, and no TerminatingHypergeometric per grid point, so
-    # the constructions do not depend on the identity grid's size
+    # the constructions do not depend on the interior grid's size
     import sys
 
     def forbidden(*args):
@@ -323,13 +327,40 @@ def test_suite_sweeps_instead_of_evaluating_point_by_point(monkeypatch):
 
     monkeypatch.setattr(TerminatingHypergeometric, "__post_init__", counted)
     counts = []
-    for points in (200, 500):
-        built = 0
-        monkeypatch.setattr(verify, "_SUITE_IDENTITY_POINTS", points)
-        report = run_full_suite(n_max=10, grid_points=1000)
-        assert report.overall
-        counts.append(built)
+    try:
+        for points in (200, 500):
+            built = 0
+            monkeypatch.setattr(verify, "INTERIOR_POINTS", points)
+            verify._interior_grid.cache_clear()
+            report = run_full_suite(n_max=10, grid_points=1000)
+            assert report.overall
+            assert len(verify._interior_grid().ts) == points
+            counts.append(built)
+    finally:
+        verify._interior_grid.cache_clear()
     assert counts[0] == counts[1]
+
+
+def test_suite_builds_one_potential_row(monkeypatch):
+    # the residual reads one partner-potential row of the interior grid for
+    # every k: 1,000 calls at n_max = 30, not 1,000 per residual row
+    calls = 0
+    original = closed_form.partner_potential
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(closed_form, "partner_potential", counted)
+    verify._interior_grid.cache_clear()
+    try:
+        report = run_full_suite(n_max=30, grid_points=1000)
+    finally:
+        verify._interior_grid.cache_clear()
+    assert report.overall
+    assert sum(c.name.startswith("residual") for c in report.checks) == 29
+    assert calls == verify.INTERIOR_POINTS == 1000
 
 
 def test_suite_reads_every_partner_mode_from_its_t_grid(monkeypatch):
@@ -349,6 +380,27 @@ def test_suite_reads_every_partner_mode_from_its_t_grid(monkeypatch):
     assert run_full_suite(n_max=10, grid_points=1000).overall
 
 
+def test_gram_matrix_rejects_a_non_finite_mode_value(monkeypatch):
+    # each normalized row is checked once; the error names the abscissa
+    original = closed_form._bracket_rows
+
+    def spoiled(ts):
+        for k, row in enumerate(original(ts), start=2):
+            if k == 3:
+                row = array("d", row)
+                row[100] = math.inf
+            yield row
+
+    monkeypatch.setattr(closed_form, "_bracket_rows", spoiled)
+    verify._quad_grid.cache_clear()
+    x = verify._nodes(0.0, math.pi, 64, 32)[0][100]
+    try:
+        with pytest.raises(EvaluationError, match=re.escape(f"returned inf at x={x}")):
+            check_orthonormality(4)
+    finally:
+        verify._quad_grid.cache_clear()
+
+
 def test_residual_partner_modes():
     for k in (2, 10):
         r = check_residual(k, 1.0)
@@ -361,23 +413,28 @@ def test_residual_partner_modes():
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_unit_scale_checks_reject_an_alpha_no_well_has(monkeypatch, alpha):
     # the residual and the correspondence run at alpha = 1, so they must
-    # validate the caller's alpha before any row is swept; the cached grids
-    # are cleared, since a grid swept earlier would hide a late validation
+    # validate the caller's alpha before any row is swept or the potential
+    # row is built; the cached grid is cleared, since a grid swept earlier
+    # would hide a late validation
     def forbidden(*args):
         raise AssertionError("a row was swept before alpha was validated")
         yield
 
+    def forbidden_potential(*args):
+        raise AssertionError("the potential row was built before alpha was validated")
+
     monkeypatch.setattr(closed_form, "_derivative_rows", forbidden)
     monkeypatch.setattr(closed_form, "_bracket_rows", forbidden)
     monkeypatch.setattr(hypergeom, "_jacobi_rows", forbidden)
-    verify._identity_grid.cache_clear()
+    monkeypatch.setattr(closed_form, "partner_potential", forbidden_potential)
+    verify._interior_grid.cache_clear()
     try:
         with pytest.raises(ParameterError):
             check_residual(3, alpha)
         with pytest.raises(ParameterError):
             check_correspondence(2, alpha)
     finally:
-        verify._identity_grid.cache_clear()
+        verify._interior_grid.cache_clear()
 
 
 @pytest.mark.parametrize("alpha", [1e-320, 1e308])
@@ -437,11 +494,27 @@ def test_fd_spectrum_validation():
     with pytest.raises(ParameterError):
         fd_spectrum(0.0, 500, 2)
     with pytest.raises(ParameterError):
+        fd_spectrum(math.nan, 500, 2)
+    with pytest.raises(ParameterError):
         fd_spectrum(1.0, 99, 2)
     with pytest.raises(ParameterError):
         fd_spectrum(1.0, 500, 11)
     with pytest.raises(ParameterError):
         fd_spectrum(1.0, 500, -1)
+
+
+@pytest.mark.parametrize("alpha", [1e-170, math.inf])
+def test_fd_rows_reject_an_unusable_energy_scale(alpha):
+    # at 1e-170 the scale 4 alpha^2 underflows and every mode and energy
+    # would read 0 = 0; at inf every mode would read inf
+    with pytest.raises(ParameterError):
+        fd_spectrum(alpha, 100, 1)
+    with pytest.raises(ParameterError):
+        check_fd_spectrum(alpha, 1000, 3)
+    report = run_full_suite(alpha=alpha, n_max=0, grid_points=1000)
+    (fd_row,) = [c for c in report.checks if c.name.startswith("fd spectrum")]
+    assert "ParameterError" in fd_row.name and not fd_row.passed
+    assert not report.overall
 
 
 def test_run_full_suite_small():
@@ -554,11 +627,12 @@ def test_run_full_suite_builds_only_the_t_and_z_node_sets(monkeypatch):
 
 
 def test_check_identity_is_alpha_free_and_matches_the_suite():
-    results = {
-        (which, i): check_identity(which, i, points=500)
-        for which, i in [("base", 0), ("base", 2), ("even", 1), ("odd", 1)]
-    }
-    rows = {c.name: c for c in run_full_suite(alpha=0.6024, n_max=2).checks}
+    # base n >= 43, even m >= 22 and odd m >= 21 are where a coarser suite
+    # grid's worst deviation differed from the subcommand's
+    indices = [("base", 0), ("base", 2), ("even", 1), ("odd", 1),
+               ("base", 43), ("even", 22), ("odd", 21)]
+    results = {(which, i): check_identity(which, i) for which, i in indices}
+    rows = {c.name: c for c in run_full_suite(alpha=0.6024, n_max=44).checks}
     for result in results.values():
         assert result.passed and result.reference == 0.0
         assert rows[result.name] == result
@@ -571,16 +645,19 @@ def test_check_identity_validation():
         check_identity("bogus", 0)
     with pytest.raises(ParameterError):
         check_identity("base", -1)
-    with pytest.raises(ParameterError):
-        check_identity("even", 0, points=1)
 
 
 def test_check_correspondence():
     r = check_correspondence(3, 0.6024)
     assert r.name == "bound-state correspondence n=3"
     assert r.passed and r.computed <= 1e-10
-    with pytest.raises(ParameterError):
-        check_correspondence(0, 1.0, points=1)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.6024])
+def test_suite_correspondence_rows_equal_check_correspondence(alpha):
+    rows = [c for c in run_full_suite(alpha=alpha, n_max=10).checks
+            if c.name.startswith("bound-state correspondence")]
+    assert rows == [check_correspondence(n, alpha) for n in range(11)]
 
 
 def test_check_fd_spectrum_rows():
