@@ -45,8 +45,9 @@ __all__ = [
     "MAX_POINTS",
 ]
 
-# The suite passes at both ends of this --alpha range; at 1e300 the
-# finite-difference modes overflow to NaN and at 1e-150 the energies underflow.
+# The suite passes at both ends of this --alpha range; at 1e300 fd_spectrum
+# raises ParameterError (4 alpha^2 overflows) and at 1e-150 the energies
+# underflow.
 MIN_ALPHA = 1e-100
 MAX_ALPHA = 1e100
 # The caps below bound the work each flag can ask for.  Times are on one
@@ -64,7 +65,8 @@ MAX_PANELS = 1024
 # at 96 MB resident (VmHWM), about 60 MB of it the bracket rows the
 # quadrature's TGrid keeps and the Gram matrix's normalized copies of them.
 MAX_QUAD_NODES = MAX_PANELS * 64
-# spectrum --count 10 (about 40 O(grid_points) Sturm sweeps per mode): 5.5 s.
+# spectrum --count 10 (about 21 O(grid_points) Sturm sweeps per mode, where
+# a sweep at every bisection midpoint would take 40): 2.2 s.
 MAX_GRID_POINTS = 100_000
 # tabulate --n 60: 0.5 s.
 MAX_POINTS = 10_001

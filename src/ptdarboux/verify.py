@@ -13,6 +13,7 @@ import math
 import operator
 import sys
 from array import array
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -431,6 +432,160 @@ def check_identity(which: str, index: int, *, tolerance: float | None = None) ->
     return _make_check(f"{_IDENTITY_FAMILIES[which]}{index}", dev, 0.0, tol)
 
 
+def _fd_matrix(grid_points: int) -> tuple[float, list, float]:
+    """The alpha-free finite-difference matrix of -d^2/dt^2 + 2/sin^2(t) on
+    the grid t_i = (i + 1/2) h, h = pi / grid_points: its first diagonal
+    entry, the other diagonal entries, and the squared off-diagonal 1/h^4."""
+    h = math.pi / grid_points
+    inv_h2 = 1.0 / (h * h)
+
+    def diagonal(i: int) -> float:
+        s = math.sin((i + 0.5) * h)
+        return 2.0 * inv_h2 + 2.0 / (s * s)
+
+    return diagonal(0), [diagonal(i) for i in range(1, grid_points)], inv_h2 * inv_h2
+
+
+def _sturm_count(d0: float, rest: list, off_sq: float, lam: float) -> int:
+    """One Sturm sweep: the number of negative pivots of T - lam, that is of
+    eigenvalues of T below lam, for the symmetric tridiagonal T with diagonal
+    (d0, *rest) and every squared off-diagonal equal to off_sq.  A zero pivot
+    counts as negative and continues as -1e-300."""
+    q = d0 - lam
+    negatives = 0
+    if q <= 0.0:
+        negatives = 1
+        q = q or -1e-300
+    for d in rest:
+        q = d - lam - off_sq / q
+        if q <= 0.0:
+            negatives += 1
+            q = q or -1e-300
+    return negatives
+
+
+def _sturm_newton(d0: float, rest: list, off_sq: float, lam: float) -> tuple[int, float]:
+    """_sturm_count's sweep, pivot for pivot, returning with the count the
+    log-derivative d/dlam ln|det(T - lam)| = sum q_i'/q_i, where the pivots'
+    derivatives follow q_i' = -1 + (off_sq / q_{i-1}) q_{i-1}'/q_{i-1}."""
+    q = d0 - lam
+    negatives = 0
+    if q <= 0.0:
+        negatives = 1
+        q = q or -1e-300
+    ratio = -1.0 / q
+    log_det = ratio
+    for d in rest:
+        r = off_sq / q
+        q = d - lam - r
+        if q <= 0.0:
+            negatives += 1
+            q = q or -1e-300
+        ratio = (r * ratio - 1.0) / q
+        log_det += ratio
+    return negatives, log_det
+
+
+def _bisect(hi: float, at_least) -> tuple[float, float]:
+    """The bracket every mode's bisection ends in: from [0, hi], halve at
+    the midpoint, keeping the upper half when at_least(mid), until the width
+    is at most 1e-10 of the upper end."""
+    lo, up = 0.0, hi
+    while up - lo > 1e-10 * up:
+        mid = 0.5 * (lo + up)
+        if at_least(mid):
+            up = mid
+        else:
+            lo = mid
+    return lo, up
+
+
+# Newton sweeps the pre-pass spends on one mode at most.
+_NEWTON_SWEEPS = 8
+
+
+class _SturmRecord:
+    """Every Sturm count swept for one matrix, as sorted (lam, count) pairs,
+    answering the bisection's comparison count(lam) >= mode.
+
+    The count this recurrence computes is non-decreasing in lam under IEEE
+    arithmetic (Kahan 1966; Demmel, Dhillon & Ren 1995), so a recorded lam_a
+    <= lam with count(lam_a) >= mode decides the comparison True, and a
+    recorded lam_b >= lam with count(lam_b) < mode decides it False; only an
+    undecided comparison costs a sweep.  The pre-pass adds counts near each
+    mode's flip so that its bisection is decided almost entirely from here.
+    """
+
+    def __init__(self, matrix: tuple[float, list, float]):
+        self.matrix = matrix  # _fd_matrix's (d0, rest, off_sq)
+        self.lams: list[float] = []
+        self.counts: list[int] = []
+
+    def _insert(self, lam: float, count: int) -> None:
+        i = bisect_left(self.lams, lam)
+        self.lams.insert(i, lam)
+        self.counts.insert(i, count)
+
+    def count(self, lam: float) -> int:
+        count = _sturm_count(*self.matrix, lam)
+        self._insert(lam, count)
+        return count
+
+    def at_least(self, lam: float, mode: int) -> bool:
+        i = bisect_left(self.counts, mode)
+        if i and lam <= self.lams[i - 1]:
+            return False
+        if i < len(self.lams) and lam >= self.lams[i]:
+            return True
+        return self.count(lam) >= mode
+
+    def prepass(self, mode: int, hi: float) -> None:
+        """Isolate the mode-th flip between recorded counts mode - 1 and mode
+        by bisection, refine it by Newton on ln|det(T - lam)|, and sweep the
+        two ends of the bracket the bisection would end in were the flip at
+        Newton's estimate.  Only adds counts: no estimate enters a result.
+
+        A far Newton step (over 1e-6 relative) that leaves the isolating
+        bracket is replaced by the bracket's midpoint.  A near one that
+        leaves it or fails to halve has met the rounding floor of the
+        counts: the pre-pass ends there, and the bisection sweeps the rest.
+        """
+        while True:
+            i = bisect_left(self.counts, mode)
+            a, below = (self.lams[i - 1], self.counts[i - 1]) if i else (0.0, 0)
+            b = self.lams[i]
+            if below == mode - 1 and self.counts[i] == mode:
+                break
+            if b - a <= 1e-10 * b:
+                return
+            self.count(0.5 * (a + b))
+        lam, last = 0.5 * (a + b), math.inf
+        for _ in range(_NEWTON_SWEEPS):
+            count, log_det = _sturm_newton(*self.matrix, lam)
+            self._insert(lam, count)
+            if count < mode:
+                a = lam
+            else:
+                b = lam
+            step = 1.0 / log_det if log_det else math.inf
+            inside = a < lam - step < b
+            if abs(step) > 1e-6 * lam:
+                if not inside:
+                    lam, last = 0.5 * (a + b), math.inf
+                    continue
+            elif not inside or abs(step) > 0.5 * last:
+                return
+            lam -= step
+            if abs(step) <= 1e-11 * lam:
+                break
+            last = abs(step)
+        else:
+            return
+        lo, up = _bisect(hi, lambda mid: mid >= lam)
+        self.at_least(lo, mode)
+        self.at_least(up, mode)
+
+
 def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     """Lowest `count` eigenvalues of -d^2/dx^2 + 8 alpha^2 / sin^2(2 alpha x)
     on (0, pi/(2 alpha)): 4 alpha^2 times those of the alpha-free
@@ -438,11 +593,25 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
 
     The uniform grid (t_i = (i + 1/2) pi / grid_points) is offset half a
     step from both walls so the singular potential is finite at every node.
-    Eigenvalues come from bisection on the Sturm sequence count of the
-    shifted matrix, which is immune to the misconvergence an iterative
-    solver could suffer; each is located to 1e-10 relative.  An alpha whose
-    4 alpha^2 is not a positive normal float is rejected: an underflowed
-    scale would return zeros that match underflowed exact energies.
+    Each mode is found by bisection on the Sturm count of the shifted matrix
+    (Barth, Martin & Wilkinson 1967), which is immune to the misconvergence
+    an iterative solver could suffer: from [0, hi], halve until the width is
+    1e-10 of the upper end, and return the midpoint.  The bisection locates
+    where the floating-point count flips.  At 4000 points and more, the low
+    modes' flip sits at the rounding floor of the diagonal 2/h^2, about
+    1.5e-8 of the ground mode at 40,000 points, so it is not the discrete
+    eigenvalue to 1e-10.
+
+    The comparisons are answered by a _SturmRecord shared by all modes: one
+    sweep per comparison that no recorded count decides, after a pre-pass
+    per mode (bisection to isolate the mode, then Newton on
+    d/dlam ln|det(T - lam)|) that only adds counts.  The comparisons and so
+    the results are those of sweeping at every midpoint, bit for bit.
+
+    An alpha whose 4 alpha^2 is not a positive normal float is rejected: an
+    underflowed scale would return zeros that match underflowed exact
+    energies.  So is one whose 4 alpha^2 times the bracket top hi
+    overflows, since every eigenvalue lies below hi.
     """
     _require_scale(alpha)
     scale = 4.0 * alpha * alpha
@@ -454,37 +623,16 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
         raise ParameterError(f"count must be between 0 and 10, got {count}")
     if count == 0:
         return []
-    h = math.pi / grid_points
-    inv_h2 = 1.0 / (h * h)
-    diag = []
-    for i in range(grid_points):
-        s = math.sin((i + 0.5) * h)
-        diag.append(2.0 * inv_h2 + 2.0 / (s * s))
-    off_sq = inv_h2 * inv_h2
-
-    def count_below(lam: float) -> int:
-        negatives = 0
-        q = 1.0
-        for i, d in enumerate(diag):
-            q = d - lam - (off_sq / q if i else 0.0)
-            if q == 0.0:
-                q = -1e-300
-            if q < 0.0:
-                negatives += 1
-        return negatives
-
+    record = _SturmRecord(_fd_matrix(grid_points))
     hi = 4.0 * (count + 2) ** 2
-    while count_below(hi) < count:
+    while record.count(hi) < count:
         hi *= 2.0
+    if not math.isfinite(scale * hi):
+        raise ParameterError(f"4 alpha^2 = {scale} times the bracket top {hi} overflows")
     eigenvalues = []
     for mode in range(1, count + 1):
-        lo, up = 0.0, hi
-        while up - lo > 1e-10 * up:
-            mid = 0.5 * (lo + up)
-            if count_below(mid) >= mode:
-                up = mid
-            else:
-                lo = mid
+        record.prepass(mode, hi)
+        lo, up = _bisect(hi, lambda mid: record.at_least(mid, mode))
         eigenvalues.append(scale * (0.5 * (lo + up)))
     return eigenvalues
 

@@ -1,11 +1,14 @@
 """Quadrature checks, reports, the finite-difference spectrum, and the suite."""
 import math
+import random
 import re
 from array import array
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptdarboux import closed_form, hypergeom, verify
 from ptdarboux.closed_form import TrigEigenfunction, chi_eval
@@ -503,10 +506,11 @@ def test_fd_spectrum_validation():
         fd_spectrum(1.0, 500, -1)
 
 
-@pytest.mark.parametrize("alpha", [1e-170, math.inf])
+@pytest.mark.parametrize("alpha", [1e-170, 5e153, math.inf])
 def test_fd_rows_reject_an_unusable_energy_scale(alpha):
     # at 1e-170 the scale 4 alpha^2 underflows and every mode and energy
-    # would read 0 = 0; at inf every mode would read inf
+    # would read 0 = 0; at inf every mode would read inf; at 5e153 the scale
+    # is a normal float but its product with the bracket top overflows
     with pytest.raises(ParameterError):
         fd_spectrum(alpha, 100, 1)
     with pytest.raises(ParameterError):
@@ -515,6 +519,98 @@ def test_fd_rows_reject_an_unusable_energy_scale(alpha):
     (fd_row,) = [c for c in report.checks if c.name.startswith("fd spectrum")]
     assert "ParameterError" in fd_row.name and not fd_row.passed
     assert not report.overall
+
+
+def _plain_fd_spectrum(alpha, grid_points, count):
+    """The reference: bisection with one Sturm sweep at every midpoint."""
+    scale = 4.0 * alpha * alpha
+    h = math.pi / grid_points
+    inv_h2 = 1.0 / (h * h)
+    diag = []
+    for i in range(grid_points):
+        s = math.sin((i + 0.5) * h)
+        diag.append(2.0 * inv_h2 + 2.0 / (s * s))
+    off_sq = inv_h2 * inv_h2
+
+    def count_below(lam):
+        negatives = 0
+        q = 1.0
+        for i, d in enumerate(diag):
+            q = d - lam - (off_sq / q if i else 0.0)
+            if q == 0.0:
+                q = -1e-300
+            if q < 0.0:
+                negatives += 1
+        return negatives
+
+    hi = 4.0 * (count + 2) ** 2
+    while count_below(hi) < count:
+        hi *= 2.0
+    eigenvalues = []
+    for mode in range(1, count + 1):
+        lo, up = 0.0, hi
+        while up - lo > 1e-10 * up:
+            mid = 0.5 * (lo + up)
+            if count_below(mid) >= mode:
+                up = mid
+            else:
+                lo = mid
+        eigenvalues.append(scale * (0.5 * (lo + up)))
+    return eigenvalues
+
+
+def _fd_cases():
+    rng = random.Random(20151)
+    cases = [(rng.uniform(0.5, 2.0), rng.randint(100, 6000), rng.randint(1, 10))
+             for _ in range(19)]
+    return cases + [(1e-6, rng.randint(100, 6000), 10)]
+
+
+@pytest.mark.parametrize("alpha,grid_points,count", _fd_cases())
+def test_fd_spectrum_equals_plain_bisection(alpha, grid_points, count):
+    assert fd_spectrum(alpha, grid_points, count) == _plain_fd_spectrum(alpha, grid_points, count)
+
+
+def test_fd_spectrum_frozen_bits():
+    assert [m.hex() for m in fd_spectrum(1.0, 4000, 3)] == [
+        "0x1.fffffdb384000p+3", "0x1.1ffffb94c2000p+5", "0x1.ffffeefb8c000p+5"]
+    assert [m.hex() for m in fd_spectrum(0.6024, 1000, 10)] == [
+        "0x1.7398386d3c9a9p+2", "0x1.a20af6e87caffp+3", "0x1.73978d94f98f0p+4",
+        "0x1.224df3b1c191fp+5", "0x1.a20906ddc9561p+5", "0x1.1c7e59dc6c77fp+6",
+        "0x1.73944f54d5ae9p+6", "0x1.d6462e895d6c4p+6", "0x1.2249dd54de987p+7",
+        "0x1.5f3e57b1ee3e8p+7"]
+
+
+def test_fd_spectrum_sweeps_few_counts(monkeypatch):
+    sweeps = []
+
+    def counted(sweep):
+        def wrapper(*args):
+            sweeps.append(sweep.__name__)
+            return sweep(*args)
+        return wrapper
+
+    for name in ("_sturm_count", "_sturm_newton"):
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    fd_spectrum(1.0, 4000, 3)
+    # bisection with a sweep at every midpoint makes 112
+    assert 0 < len(sweeps) <= 40
+
+
+@lru_cache(maxsize=1)
+def _fd_matrix_and_modes():
+    # at alpha = 1/2 the scale 4 alpha^2 is 1: the modes of the matrix itself
+    return verify._fd_matrix(4000), fd_spectrum(0.5, 4000, 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9), st.lists(st.floats(-1e-7, 1e-7), min_size=2, max_size=12))
+def test_sturm_count_is_monotone_near_each_mode(mode, offsets):
+    matrix, modes = _fd_matrix_and_modes()
+    lams = sorted(modes[mode] * (1.0 + offset) for offset in offsets)
+    counts = [verify._sturm_count(*matrix, lam) for lam in lams]
+    assert counts == sorted(counts)
+    assert {mode, mode + 1} >= set(counts)
 
 
 def test_run_full_suite_small():
