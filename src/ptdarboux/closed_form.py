@@ -83,29 +83,35 @@ def _bracket_rows(ts):
         yield array("d", [k * math.cos(k * t) - c * v for t, c, v in zip(ts, cosines, u)])
 
 
-def _derivative_rows(ts):
-    """Rows (g', g'') of the bracket g = k cos(kt) - cos(t) U_{k-1}(cos t) in
-    t at every t of `ts` for k = 2, 3, ...: one forward sweep differentiates
+def _chebyshev_rows(cosines):
+    """Rows (U, U', U'') of U_{k-1}(c) and its first two derivatives in c at
+    every c of `cosines` for k = 2, 3, ...: one forward sweep differentiates
     U_j = (2c) U_{j-1} - U_{j-2} in c, U_j' = 2 U_{j-1} + (2c) U_{j-1}' -
     U_{j-2}' and U_j'' = 4 U_{j-1}' + (2c) U_{j-1}'' - U_{j-2}'', keeping the
-    last two rows of each (chi_derivatives states g' and g'')."""
-    sines = array("d", map(math.sin, ts))
-    cosines = array("d", map(math.cos, ts))
+    last two rows of each."""
     two_cos = array("d", [2.0 * c for c in cosines])
-    zeros = array("d", [0.0]) * len(ts)
-    u_prev, u = zeros, array("d", [1.0]) * len(ts)  # U_-1, U_0
+    zeros = array("d", [0.0]) * len(cosines)
+    u_prev, u = zeros, array("d", [1.0]) * len(cosines)  # U_-1, U_0
     du_prev, du, ddu_prev, ddu = zeros, zeros, zeros, zeros  # U', U'' at j = -1, 0
-    for k in count(2):
+    while True:
         u_prev, u = u, array("d", [tc * v - w for tc, v, w in zip(two_cos, u, u_prev)])
         du_prev, du = du, array("d", [2.0 * w + tc * v - z
                                       for w, tc, v, z in zip(u_prev, two_cos, du, du_prev)])
         ddu_prev, ddu = ddu, array("d", [4.0 * w + tc * v - z
                                          for w, tc, v, z in zip(du_prev, two_cos, ddu, ddu_prev)])
-        yield (array("d", [-(k * k) * math.sin(k * t) + s * (v + c * dv)
-                           for t, s, c, v, dv in zip(ts, sines, cosines, u, du)]),
-               array("d", [-(k * k * k) * math.cos(k * t) + c * (v + c * dv)
-                           - s * s * (2.0 * dv + c * ddv)
-                           for t, s, c, v, dv, ddv in zip(ts, sines, cosines, u, du, ddu)]))
+        yield u, du, ddu
+
+
+def _derivative_rows(ts):
+    """Rows g'' in t of the bracket g = k cos(kt) - cos(t) U_{k-1}(cos t) at
+    every t of `ts` for k = 2, 3, ..., from the _chebyshev_rows sweep
+    (chi_derivatives states g'')."""
+    sines = array("d", map(math.sin, ts))
+    cosines = array("d", map(math.cos, ts))
+    for k, (u, du, ddu) in zip(count(2), _chebyshev_rows(cosines)):
+        yield array("d", [-(k * k * k) * math.cos(k * t) + c * (v + c * dv)
+                          - s * s * (2.0 * dv + c * ddv)
+                          for t, s, c, v, dv, ddv in zip(ts, sines, cosines, u, du, ddu)])
 
 
 def chi_eval(f: TrigEigenfunction, x: float) -> float:
@@ -129,14 +135,18 @@ def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float
 
     then d/dx = 2 alpha d/dt.  Points with t = 2 alpha x within 2e-6 of
     either wall (t = 0 or pi) are rejected, at every alpha; use chi_eval
-    for the (vanishing) wall values.  One point of the TGrid sweeps.
+    for the (vanishing) wall values.  g and g'' are one point of the TGrid
+    sweeps; g' is formed here, from the same Chebyshev sweep at that point.
     """
     a = f.alpha
     t = 2.0 * a * x
     if not (2e-6 < t < math.pi - 2e-6):
         raise DomainError(f"x={x} (t={t}) too close to a wall for derivative evaluation")
-    (g,) = TGrid([t]).mode(f.k)
-    (g1,), (g2,) = next(islice(_derivative_rows([t]), f.k - 2, None))
+    k, s, c = f.k, math.sin(t), math.cos(t)
+    grid = TGrid([t])
+    (g,), (g2,) = grid.mode(k), grid.second_derivative(k)
+    (v,), (dv,), _ = next(islice(_chebyshev_rows([c]), k - 2, None))
+    g1 = -(k * k) * math.sin(k * t) + s * (v + c * dv)
     return f.norm * g, f.norm * 2.0 * a * g1, f.norm * 4.0 * a * a * g2
 
 
@@ -219,7 +229,7 @@ class TGrid:
         self._levels = LevelTable(array("d", [s * s for s in (math.sin(0.5 * t) for t in ts)]))
         # generators: nothing runs before mode() or second_derivative()
         self._modes = (_bracket_rows(ts), [])  # index k at position k - 2
-        self._second = ((second for _, second in _derivative_rows(ts)), [])
+        self._second = (_derivative_rows(ts), [])
 
     def level(self, n: int) -> array:
         return self._levels.level(n)

@@ -1,9 +1,12 @@
 """Terminating Gauss hypergeometric polynomials 2F1(-n, b; c; z).
 
-Two evaluation paths: exact rational summation, and a floating-point path
-that must track the exact one even where the series terms near z = 1
-reach 2e16 (n = 25), 2e27 (n = 40) or 2e42 (n = 60) while the value is
-O(1).  Summing the power series loses the value to that cancellation
+Two evaluation paths.  The exact path writes the parameters and z over
+integer numerators and denominators and nests the series in Horner form,
+swept backward on one integer numerator and denominator, so a value costs
+integer products and a single reduction to lowest terms.  The
+floating-point path must track the exact one even where the series terms
+near z = 1 reach 2e16 (n = 25), 2e27 (n = 40) or 2e42 (n = 60) while the
+value is O(1).  Summing the power series loses the value to that cancellation
 unless it is carried in ever more precision, so the float path evaluates
 the polynomial as a normalized Jacobi polynomial by its three-term
 recurrence in degree, whose terms stay of the size of the result.
@@ -63,18 +66,27 @@ class TerminatingHypergeometric:
 def f21_eval_exact(h: TerminatingHypergeometric, z) -> Fraction:
     """Exact rational value of the n+1 term series.
 
-    Terms follow the ratio recurrence
-    term_{j+1} = term_j * (-n+j)(b+j) z / ((c+j)(j+1)).
+    With b = b_n/b_d, c = c_n/c_d and z = z_n/z_d, the term ratio
+    (-n+j)(b+j) z / ((c+j)(j+1)) is p_j / q_j with the integers
+
+        p_j = (j-n)(b_n + j b_d) c_d z_n,   q_j = (c_n + j c_d) b_d z_d (j+1),
+
+    so the nested form 1 + r_0 (1 + r_1 (1 + ... r_{n-1})) is swept backward
+    from j = n-1 on one integer numerator and denominator, and the value is
+    reduced once, by the closing Fraction.
     """
     if isinstance(z, float):
         raise TypeError("exact path needs rational z; use f21_eval_real or pass a Fraction")
     z = _as_fraction(z, "argument z")
-    total = Fraction(0)
-    term = Fraction(1)
-    for j in range(h.n + 1):
-        total += term
-        term = term * (-h.n + j) * (h.b + j) * z / ((h.c + j) * (j + 1))
-    return total
+    n = h.n
+    b_n, b_d = h.b.numerator, h.b.denominator
+    c_n, c_d = h.c.numerator, h.c.denominator
+    p_scale, q_scale = c_d * z.numerator, b_d * z.denominator
+    num = den = 1
+    for j in range(n - 1, -1, -1):
+        q = (c_n + j * c_d) * q_scale * (j + 1)
+        num, den = q * den + (j - n) * (b_n + j * b_d) * p_scale * num, q * den
+    return Fraction(num, den)
 
 
 def _jacobi_steps(a: float, beta: float):

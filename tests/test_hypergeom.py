@@ -1,11 +1,14 @@
 """Exact and floating-point evaluation of terminating 2F1 polynomials."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import f21_term_ratio_sum
+from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.errors import ParameterError
 from ptdarboux.hypergeom import (
     TerminatingHypergeometric,
@@ -50,7 +53,7 @@ def test_real_evaluation_at_zero_is_exactly_one():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=30),
     st.fractions(min_value=Fraction(1, 4), max_value=30, max_denominator=8),
     st.fractions(min_value=Fraction(1, 4), max_value=10, max_denominator=8),
     st.fractions(min_value=-2, max_value=2, max_denominator=16),
@@ -58,6 +61,44 @@ def test_real_evaluation_at_zero_is_exactly_one():
 def test_exact_matches_direct_pochhammer_sum(n, b, c, z):
     h = TerminatingHypergeometric(n, b, c)
     assert f21_eval_exact(h, z) == _direct_sum(n, b, c, z)
+
+
+def _exact_path_cases():
+    half = Fraction(1, 2)
+    # every parameter set the package evaluates at z = 1/2: the midpoint
+    # factors D_n of both parities and midpoint_vanishing's two factors
+    for m in range(MAX_DEGREE // 2 + 1):
+        yield TerminatingHypergeometric(2 * m, 2 * m + 4, Fraction(5, 2)), half
+        yield TerminatingHypergeometric(2 * m, 2 * m + 6, Fraction(7, 2)), half
+        yield TerminatingHypergeometric(2 * m + 1, 2 * m + 5, Fraction(5, 2)), half
+        if m:
+            yield TerminatingHypergeometric(2 * m - 1, 2 * m + 5, Fraction(7, 2)), half
+    yield TerminatingHypergeometric(0, 7, Fraction(5, 2)), Fraction(3, 5)
+    yield TerminatingHypergeometric(0, 7, Fraction(5, 2)), 0
+    yield TerminatingHypergeometric(9, 13, Fraction(5, 2)), 0
+    yield TerminatingHypergeometric(9, 13, Fraction(5, 2)), Fraction(-7, 3)
+    yield TerminatingHypergeometric(12, Fraction(9, 2), Fraction(3, 2)), Fraction(17, 4)
+    yield TerminatingHypergeometric(8, 3, Fraction(-5, 2)), 5
+    # b = -2 ends the series after three terms
+    yield TerminatingHypergeometric(5, -2, Fraction(5, 2)), Fraction(2, 3)
+    yield TerminatingHypergeometric(6, Fraction(-3, 2), Fraction(1, 2)), Fraction(1, 2)
+    yield TerminatingHypergeometric(7, 2.75, 0.625), Fraction(-5, 8)
+    yield TerminatingHypergeometric(7, -4.5, -1.25), 3
+    rng = random.Random(20151)
+    for _ in range(300):
+        c = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+        if c.denominator == 1 and c <= 0:
+            c -= Fraction(1, 2)
+        b = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+        z = Fraction(rng.randint(-64 * 50, 64 * 50), rng.randint(1, 50))
+        yield TerminatingHypergeometric(rng.randint(0, 40), b, c), z
+
+
+def test_exact_path_equals_the_term_ratio_oracle():
+    for h, z in _exact_path_cases():
+        value = f21_eval_exact(h, z)
+        assert type(value) is Fraction
+        assert value == f21_term_ratio_sum(h, z), (h, z)
 
 
 def test_real_tracks_exact_in_cancellation_regime():
@@ -179,9 +220,14 @@ def test_midpoint_vanishing_rejects_negative():
 
 
 def test_midpoint_nonvanishing_partners():
-    # the companions entering the proportionality constants must NOT vanish
+    # the companions entering the proportionality constants must NOT vanish,
+    # nor may the even-family value 2F1(-2m, 2m+5; 5/2; 1/2): an exact path
+    # that returned 0 by mistake would pass every vanishing check
     half = Fraction(1, 2)
-    for m in range(0, 13):
+    for m in range(MAX_DEGREE // 2 + 1):
+        assert f21_eval_exact(
+            TerminatingHypergeometric(2 * m, Fraction(2 * m + 5), Fraction(5, 2)), half
+        ) != 0
         even = f21_eval_exact(
             TerminatingHypergeometric(2 * m, Fraction(2 * m + 4), Fraction(5, 2)), half
         )

@@ -7,7 +7,7 @@ import pytest
 
 from ptdarboux import closed_form, hypergeom, verify
 from ptdarboux.cli import MAX_DEGREE
-from ptdarboux.closed_form import TGrid, _stable_bracket
+from ptdarboux.closed_form import TGrid, TrigEigenfunction, _stable_bracket, chi_derivatives
 from ptdarboux.errors import ParameterError
 from ptdarboux.hypergeom import LevelTable, TerminatingHypergeometric, f21_eval_real
 from ptdarboux.models import PTParams, WellConfig, pt_eigen_hypergeom
@@ -80,12 +80,15 @@ def test_t_grid_keeps_its_mode_rows_and_rejects_the_seed_index():
 
 def test_derivative_rows_match_the_cotangent_form():
     # g = k cos(kt) - cot(t) sin(kt) differentiated by hand, where sin t >= 0.1
-    # keeps the cotangent form accurate, against the swept rows (g', g''); the
-    # grid keeps the g'' rows of the same sweep
+    # keeps the cotangent form accurate, against the swept g'' rows, which the
+    # grid keeps, and against g' as chi_derivatives forms it at every 20th
+    # point (at alpha = 1, where x = t/2 gives back t exactly)
     ts = [t for t in verify._interior_grid().ts if math.sin(t) >= 0.1]
     grid = TGrid(ts)
-    for k, (first, second) in zip(range(2, MAX_DEGREE + 4), closed_form._derivative_rows(ts)):
+    for k, second in zip(range(2, MAX_DEGREE + 4), closed_form._derivative_rows(ts)):
         assert grid.second_derivative(k) == second
+        f = TrigEigenfunction(k, 1.0)
+        first = [chi_derivatives(f, 0.5 * t)[1] / (2.0 * f.norm) for t in ts[::20]]
         exact_first, exact_second = [], []
         for t in ts:
             sk, ck = math.sin(k * t), math.cos(k * t)
@@ -93,7 +96,7 @@ def test_derivative_rows_match_the_cotangent_form():
             exact_first.append(-k * k * sk + csc_sq * sk - k * cot * ck)
             exact_second.append(-k ** 3 * ck - 2.0 * csc_sq * cot * sk
                                 + 2.0 * k * csc_sq * ck + k * k * cot * sk)
-        for row, exact in ((first, exact_first), (second, exact_second)):
+        for row, exact in ((first, exact_first[::20]), (second, exact_second)):
             scale = max(map(abs, row))
             worst = max(abs(a - b) for a, b in zip(row, exact))
             assert worst <= 1e-12 * scale, (k, worst / scale)
