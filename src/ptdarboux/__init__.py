@@ -15,8 +15,6 @@ from .closed_form import (
     coefficient_C,
     identity_sides,
     normalization_A,
-    ratio_identity_even,
-    ratio_identity_odd,
 )
 from .darboux import (
     DarbouxContext,
@@ -43,17 +41,13 @@ from .hypergeom import (
 from .models import (
     PTParams,
     WellConfig,
-    box_eigenfunction,
     box_energy,
-    pt_eigen_hypergeom,
     pt_energy,
     pt_potential,
 )
 from .numerics import (
     QuadratureRule,
-    chebyshev_u,
     gauss_legendre,
-    pochhammer,
 )
 from .verify import (
     CheckResult,
@@ -69,7 +63,6 @@ from .verify import (
     check_residual,
     check_trig_norm,
     fd_spectrum,
-    integrate,
     resolve_tolerances,
     run_full_suite,
 )
@@ -92,9 +85,7 @@ __all__ = [
     "TrigEigenfunction",
     "VerificationReport",
     "WellConfig",
-    "box_eigenfunction",
     "box_energy",
-    "chebyshev_u",
     "check_correspondence",
     "check_expectation_x",
     "check_fd_spectrum",
@@ -113,17 +104,12 @@ __all__ = [
     "fd_spectrum",
     "gauss_legendre",
     "identity_sides",
-    "integrate",
     "intertwine",
     "midpoint_vanishing",
     "normalization_A",
     "partner_potential",
-    "pochhammer",
-    "pt_eigen_hypergeom",
     "pt_energy",
     "pt_potential",
-    "ratio_identity_even",
-    "ratio_identity_odd",
     "resolve_tolerances",
     "run_full_suite",
     "superpotential",

@@ -11,7 +11,8 @@ symmetric kappa = lam = 2 well; its base, even-ratio and odd-ratio forms
 are one level-n formula (identity_pairs).  Every row
 sampled on a row of t (bound-state factors, brackets and their second
 derivatives, the partner potential, both sides of the identities and of
-the correspondence) comes from one holder, TGrid.
+the correspondence) comes from one holder, TGrid; the point-wise
+chi_eval, chi_derivatives and identity_sides read a one-point TGrid.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .darboux import DarbouxContext, partner_potential
 from .errors import DomainError, EvaluationError, ParameterError, StabilityError
 from .hypergeom import LevelTable, TerminatingHypergeometric, f21_eval_exact
 from .models import WellConfig
-from .numerics import chebyshev_u
 
 __all__ = [
     "TrigEigenfunction",
@@ -36,8 +36,6 @@ __all__ = [
     "coefficient_C",
     "normalization_A",
     "identity_sides",
-    "ratio_identity_even",
-    "ratio_identity_odd",
     "identity_pairs",
 ]
 
@@ -55,8 +53,7 @@ class TrigEigenfunction:
     def __post_init__(self):
         if self.k < 2:
             raise ParameterError(f"partner modes exist for k >= 2, got {self.k}")
-        if not (0 < self.alpha < math.inf):
-            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
+        WellConfig(self.alpha)
         object.__setattr__(
             self,
             "norm",
@@ -64,17 +61,12 @@ class TrigEigenfunction:
         )
 
 
-def _stable_bracket(k: int, t: float) -> float:
-    """k cos(kt) - cos(t) U_{k-1}(cos t); equals k cos(kt) - cot(t) sin(kt)
-    but stays finite at t = 0 and t = pi (where it vanishes)."""
-    c = math.cos(t)
-    return k * math.cos(k * t) - c * chebyshev_u(k - 1, c)
-
-
 def _bracket_rows(ts):
-    """Rows of _stable_bracket(k, t) at every t of `ts` for k = 2, 3, ..., bit
-    for bit: U_{k-1}(cos t) continues one forward sweep of chebyshev_u's
-    recurrence U_j = (2c) U_{j-1} - U_{j-2}, keeping its last two rows."""
+    """Rows of the bracket k cos(kt) - cos(t) U_{k-1}(cos t) at every t of
+    `ts` for k = 2, 3, ...; it equals k cos(kt) - cot(t) sin(kt) but stays
+    finite at t = 0 and t = pi (where it vanishes).  U_{k-1}(cos t) continues
+    one forward sweep of U_j = (2c) U_{j-1} - U_{j-2}, keeping its last two
+    rows; the sweep is stable to ~2e-13 of max|U_k| = k + 1 for k <= 63."""
     cosines = array("d", map(math.cos, ts))
     two_cos = array("d", [2.0 * c for c in cosines])
     u_prev, u = array("d", [0.0]) * len(ts), array("d", [1.0]) * len(ts)  # U_-1, U_0
@@ -115,12 +107,12 @@ def _derivative_rows(ts):
 
 
 def chi_eval(f: TrigEigenfunction, x: float) -> float:
-    """Value of the normalized partner mode on the closed interval [0, L]."""
+    """Value of the normalized partner mode on the closed interval [0, L],
+    one point of the TGrid bracket rows."""
     length = math.pi / (2.0 * f.alpha)
     if not (0.0 <= x <= length):
         raise DomainError(f"x={x} outside closed interval [0, {length}]")
-    t = 2.0 * f.alpha * x
-    return f.norm * _stable_bracket(f.k, t)
+    return f.norm * TGrid([2.0 * f.alpha * x]).mode(f.k)[0]
 
 
 def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float]:
@@ -197,18 +189,9 @@ def normalization_A(n: int, alpha: float) -> float:
     return float(1 / coefficient_C(n)) * TrigEigenfunction(n + 2, alpha).norm
 
 
-def _checked_t(alpha: float, x: float, margin: float) -> float:
-    if not (alpha > 0):
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if not (margin > 0):
-        raise ParameterError(f"margin must be positive, got {margin}")
-    t = 2.0 * alpha * x
-    if not (margin <= t <= math.pi - margin):
-        raise StabilityError(
-            f"t={t} within {margin} of a wall node; the cotangent side is unreliable there"
-        )
-    return t
-
+# The identities divide by sin^2(t): their right sides are trusted only for
+# t = 2 alpha x at least this far from both walls.
+WALL_MARGIN = 1e-3
 
 # Each identity family's level n as a function of its index.
 _FAMILY_LEVEL = {"base": lambda n: n, "even": lambda m: 2 * m, "odd": lambda m: 2 * m + 1}
@@ -267,8 +250,7 @@ class TGrid:
     def bound_state_pairs(self, n: int, alpha: float) -> tuple[list[float], list[float]]:
         """Rows of the level-n bound state A_n sin^2 cos^2(t/2) F_n of the
         kappa = lam = 2 well and of the partner mode N_{n+2} bracket(t) at
-        x = t / (2 alpha); where t/2 is alpha x exactly, these are
-        models.pt_eigen_hypergeom and chi_eval bit for bit."""
+        x = t / (2 alpha), read from the level and mode rows."""
         amplitude = normalization_A(n, alpha)
         norm = TrigEigenfunction(n + 2, alpha).norm
         psi = [amplitude * s2 * c2 * f for s2, c2, f in zip(*self.bound_factors, self.level(n))]
@@ -287,7 +269,7 @@ def identity_pairs(which: str, index: int, grid: TGrid) -> list[tuple[float, flo
     n = 2m + 1 (m = index) divided through by D_n, so that their right side
     carries the exact 4 r_n and never C_n (_midpoint_factor).  The level's
     constants are built once for the whole grid.  There is no wall guard:
-    the caller keeps every t at least a margin away from 0 and pi.
+    the caller keeps every t at least WALL_MARGIN away from 0 and pi.
     """
     if which not in _FAMILY_LEVEL:
         raise ParameterError(
@@ -308,50 +290,21 @@ def identity_pairs(which: str, index: int, grid: TGrid) -> list[tuple[float, flo
     ]
 
 
-def identity_sides(
-    n: int, alpha: float, x: float, margin: float = 1e-3
-) -> tuple[float, float]:
+def identity_sides(n: int, alpha: float, x: float) -> tuple[float, float]:
     """Both sides of the bound-state identity
 
         2F1(-n, n+4; 5/2; sin^2(alpha x))
             = 4 C_n [ (n+2) cos((n+2) t) - cot(t) sin((n+2) t) ] / sin^2(t)
 
-    with t = 2 alpha x.  The left side is the polynomial evaluation; the
-    right side uses the stable bracket but still divides by sin^2(t), so
-    points with t within `margin` of 0 or pi are rejected
-    (StabilityError).  The polynomial side alone is valid everywhere.
-    Both sides depend on x only through t (identity_pairs).
+    with t = 2 alpha x: one point of identity_pairs("base", ...).  The
+    right side divides by sin^2(t), so points with t within WALL_MARGIN of
+    0 or pi are rejected (StabilityError); the polynomial side alone is
+    valid everywhere.
     """
-    return identity_pairs("base", n, TGrid([_checked_t(alpha, x, margin)]))[0]
-
-
-def ratio_identity_even(
-    m: int, alpha: float, x: float, margin: float = 1e-3
-) -> tuple[float, float]:
-    """Parameter-free form of the even identity: the ratio of the degree-2m
-    hypergeometric factor to its midpoint value equals
-
-        (-1)^(m+1) / (2 (m+1)) * [bracket of index 2m+2] / sin^2(t).
-
-    All proportionality constants cancel, so this probes the functional
-    shape independently of coefficient_C.  Points with t within `margin`
-    of a wall are rejected as in identity_sides.
-    """
-    return identity_pairs("even", m, TGrid([_checked_t(alpha, x, margin)]))[0]
-
-
-def ratio_identity_odd(
-    m: int, alpha: float, x: float, margin: float = 1e-3
-) -> tuple[float, float]:
-    """Parameter-free form of the odd identity.  The degree-(2m+1) factor
-    vanishes at the midpoint, so the reference denominator is the shifted
-    factor 2F1(-2m, 2m+6; 7/2; 1/2) instead:
-
-        2F1(-(2m+1), 2m+5; 5/2; sin^2(alpha x)) / 2F1(-2m, 2m+6; 7/2; 1/2)
-            = (-1)^(m+1)/20 * (2m+1)(2m+5)/((m+1)(m+2))
-              * [bracket of index 2m+3] / sin^2(t)
-
-    Points with t within `margin` of a wall are rejected as in
-    identity_sides.
-    """
-    return identity_pairs("odd", m, TGrid([_checked_t(alpha, x, margin)]))[0]
+    WellConfig(alpha)
+    t = 2.0 * alpha * x
+    if not (WALL_MARGIN <= t <= math.pi - WALL_MARGIN):
+        raise StabilityError(
+            f"t={t} within {WALL_MARGIN} of a wall node; the cotangent side is unreliable there"
+        )
+    return identity_pairs("base", n, TGrid([t]))[0]

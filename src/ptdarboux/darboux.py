@@ -47,11 +47,9 @@ def partner_potential(ctx: DarbouxContext, x: float) -> float:
     """W' + W^2 + omega^2, assembled with the analytic derivative
     W'(x) = 4 alpha^2 / sin^2(2 alpha x).  Collapses to
     8 alpha^2 / sin^2(2 alpha x)."""
-    _require_open(ctx.cfg, x)
+    w = superpotential(ctx, x)
     a = ctx.cfg.alpha
-    t = 2.0 * a * x
-    s = math.sin(t)
-    w = -2.0 * a * math.cos(t) / s
+    s = math.sin(2.0 * a * x)
     w_prime = 4.0 * a * a / (s * s)
     return w_prime + w * w + ctx.omega_sq
 
@@ -61,7 +59,8 @@ def intertwine(ctx: DarbouxContext, k: int, x: float) -> float:
     [k cos(2 alpha k x) - cot(2 alpha x) sin(2 alpha k x)].
 
     Direct form; it loses accuracy near the walls where the cotangent
-    blows up.  closed_form.chi_eval provides the stable rewrite.
+    blows up.  closed_form's bracket rows (TGrid.mode, read at one point by
+    chi_eval) are the stable rewrite.
     """
     if k < 1:
         raise ParameterError(f"box index k must be >= 1, got {k}")

@@ -12,9 +12,9 @@ class ParameterError(ValueError):
 class StabilityError(ValueError):
     """Evaluation refused too close to a removable singularity.
 
-    Raised by the identity right-hand sides inside the node-exclusion
-    margin; the polynomial left-hand side remains valid there and should
-    be used instead.
+    Raised by identity_sides within closed_form.WALL_MARGIN of a wall,
+    where its right-hand side divides by sin^2(t); the polynomial left-hand
+    side remains valid there and should be used instead.
     """
 
 

@@ -89,9 +89,9 @@ def f21_eval_exact(h: TerminatingHypergeometric, z) -> Fraction:
     return Fraction(num, den)
 
 
-def _jacobi_steps(a: float, beta: float):
-    """Coefficients (p, q, c2, den) of the steps j = 2, 3, ... of the
-    normalized Jacobi recurrence, the same whatever the target degree.
+def _jacobi_rows(a: float, beta: float, zs):
+    """The rows R_0, R_1, R_2, ... of the normalized Jacobi recurrence at
+    every z of `zs`, one array('d') per degree, keeping only the last two.
 
     R_n = P_n^(a,beta)(x) / P_n^(a,beta)(1) with x = 1 - 2z (DLMF 15.9.1),
     R_0 = 1, R_1 = 1 - (a+beta+2) z/(a+1), and with s = 2j + a + beta
@@ -100,25 +100,20 @@ def _jacobi_steps(a: float, beta: float):
         2(j+a)(j+a+beta)(s-2) R_j
             = (s-1)[s(s-2)x + a^2 - beta^2] R_{j-1} - 2(j-1)(j+beta-1)s R_{j-2},
 
-    so R_j = (p (q x + a^2 - beta^2) R_{j-1} - c2 R_{j-2}) / den.
+    so R_j = (p (q x + a^2 - beta^2) R_{j-1} - c2 R_{j-2}) / den, with
+    step coefficients that do not depend on the target degree.
     """
     ab = a + beta
-    for j in count(2):
-        s = 2 * j + ab
-        den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
-        yield s - 1.0, s * (s - 2.0), 2.0 * (j - 1) * (j + beta - 1.0) * s, den
-
-
-def _jacobi_rows(a: float, beta: float, zs):
-    """The rows R_0, R_1, R_2, ... (_jacobi_steps) at every z of `zs`, one
-    array('d') per degree, keeping only the last two."""
     xs = array("d", [1.0 - 2.0 * z for z in zs])
     diff_sq = a * a - beta * beta
     r_prev = array("d", [1.0]) * len(zs)
     yield r_prev
     r = array("d", [1.0 - (a + beta + 2.0) * z / (a + 1.0) for z in zs])
     yield r
-    for p, q, c2, den in _jacobi_steps(a, beta):
+    for j in count(2):
+        s = 2 * j + ab
+        p, q, c2 = s - 1.0, s * (s - 2.0), 2.0 * (j - 1) * (j + beta - 1.0) * s
+        den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
         r_prev, r = r, array(
             "d", [(p * (q * x + diff_sq) * v - c2 * w) / den for x, v, w in zip(xs, r, r_prev)]
         )
@@ -126,8 +121,8 @@ def _jacobi_rows(a: float, beta: float, zs):
 
 
 def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
-    """Floating-point value of 2F1(-n, b; c; z): the recurrence of
-    _jacobi_steps swept to degree n, with a = c - 1 and beta = b - n - c.
+    """Floating-point value of 2F1(-n, b; c; z): one point of the
+    _jacobi_rows sweep at degree n, with a = c - 1 and beta = b - n - c.
 
     No step cancels large terms, so the error stays near the rounding level
     of max|F| (checked to n = 160).  The recurrence needs a > -1 and beta > -1;
@@ -138,18 +133,12 @@ def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
     beta = float(h.b) - h.n - c
     if not (a > -1.0 and beta > -1.0):
         raise ParameterError(f"float path needs c - 1 > -1 and b - n - c > -1, got {a}, {beta}")
-    z = float(z)
-    x = 1.0 - 2.0 * z
-    diff_sq = a * a - beta * beta
-    r_prev, r = 1.0, 1.0 - (a + beta + 2.0) * z / (a + 1.0)
-    for p, q, c2, den in islice(_jacobi_steps(a, beta), max(h.n - 1, 0)):
-        r_prev, r = r, (p * (q * x + diff_sq) * r - c2 * r_prev) / den
-    return r if h.n else 1.0
+    return next(islice(_jacobi_rows(a, beta, [float(z)]), h.n, None))[0]
 
 
 class LevelTable:
-    """F_n(z) = 2F1(-n, n+4; 5/2; z) of every level n on a fixed row of z,
-    bit for bit equal to f21_eval_real.  Here a = beta = 3/2 at every n (the
+    """F_n(z) = 2F1(-n, n+4; 5/2; z) of every level n on a fixed row of z.
+    Here a = beta = 3/2 at every n (the
     Gegenbauer polynomials C_n^(2)(1 - 2z), DLMF 18.7.1), so ascending
     levels continue one sweep of _jacobi_rows, started on first use; only
     its last two rows are kept and a lower level restarts it.  A returned

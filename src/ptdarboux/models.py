@@ -10,31 +10,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, ParameterError
-from .hypergeom import TerminatingHypergeometric, f21_eval_real
 
 __all__ = [
     "WellConfig",
     "PTParams",
-    "box_eigenfunction",
     "box_energy",
     "pt_potential",
     "pt_energy",
-    "pt_eigen_hypergeom",
 ]
 
 
 @dataclass(frozen=True)
 class WellConfig:
-    """Geometry of the interval (0, L) with L = pi / (2 alpha)."""
+    """Geometry of the interval (0, L) with L = pi / (2 alpha).  Every check
+    of alpha in the package builds one: 0 < alpha < inf, NaN rejected."""
 
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
+        if not (0.0 < self.alpha < math.inf):
+            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def length(self) -> float:
@@ -56,23 +53,9 @@ class PTParams:
             raise ParameterError(f"lam must exceed 1, got {self.lam}")
 
 
-def _require_closed(cfg: WellConfig, x: float) -> None:
-    if not (0.0 <= x <= cfg.length):
-        raise DomainError(f"x={x} outside closed interval [0, {cfg.length}]")
-
-
 def _require_open(cfg: WellConfig, x: float) -> None:
     if not (0.0 < x < cfg.length):
         raise DomainError(f"x={x} outside open interval (0, {cfg.length})")
-
-
-def box_eigenfunction(cfg: WellConfig, k: int, x: float) -> float:
-    """Normalized box mode sqrt(4 alpha / pi) sin(2 alpha k x) on [0, L]."""
-    if k < 1:
-        raise ParameterError(f"box index k must be >= 1, got {k}")
-    _require_closed(cfg, x)
-    a = cfg.alpha
-    return math.sqrt(4.0 * a / math.pi) * math.sin(2.0 * a * k * x)
 
 
 def box_energy(cfg: WellConfig, k: int) -> float:
@@ -99,23 +82,3 @@ def pt_energy(cfg: WellConfig, p: PTParams, n: int) -> float:
     e = 2 * n + p.kappa + p.lam
     return cfg.alpha * cfg.alpha * (e * e)
 
-
-def pt_eigen_hypergeom(cfg: WellConfig, p: PTParams, n: int, amplitude: float, x: float) -> float:
-    """Bound state amplitude * sin^kappa(alpha x) cos^lam(alpha x)
-    * 2F1(-n, n + kappa + lam; kappa + 1/2; sin^2(alpha x)).
-
-    The hypergeometric factor terminates, so this evaluates on the closed
-    interval; the prefactor supplies the zeros at both walls.
-    """
-    if n < 0:
-        raise ParameterError(f"level index n must be >= 0, got {n}")
-    _require_closed(cfg, x)
-    h = TerminatingHypergeometric(
-        n,
-        Fraction(p.kappa) + Fraction(p.lam) + n,
-        Fraction(p.kappa) + Fraction(1, 2),
-    )
-    a = cfg.alpha
-    s = math.sin(a * x)
-    c = math.cos(a * x)
-    return amplitude * s**p.kappa * c**p.lam * f21_eval_real(h, s * s)

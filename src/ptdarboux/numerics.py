@@ -1,36 +1,15 @@
-"""Foundation arithmetic: rising factorials, Gauss-Legendre rules, Chebyshev-U.
-
-Rational values are plain :class:`fractions.Fraction` instances throughout the
-package — arbitrary precision, always reduced, positive denominator.
-"""
+"""Gauss-Legendre quadrature rules on [-1, 1]."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConvergenceError, ParameterError
 
 __all__ = [
     "QuadratureRule",
-    "pochhammer",
     "gauss_legendre",
-    "chebyshev_u",
 ]
-
-
-def pochhammer(a, n: int) -> Fraction:
-    """Rising factorial a·(a+1)···(a+n−1); 1 for n = 0.
-
-    `a` may be an int or Fraction; the result is exact.
-    """
-    if n < 0:
-        raise ParameterError("pochhammer order must be nonnegative")
-    out = Fraction(1)
-    a = Fraction(a)
-    for j in range(n):
-        out *= a + j
-    return out
 
 
 @dataclass(frozen=True)
@@ -83,23 +62,4 @@ def gauss_legendre(order: int) -> QuadratureRule:
         nodes[order - 1 - i] = x
         weights[order - 1 - i] = w
     return QuadratureRule(order, tuple(nodes), tuple(weights))
-
-
-def chebyshev_u(k: int, c: float) -> float:
-    """Chebyshev polynomial of the second kind U_k(c), forward recurrence.
-
-    For |c| <= 1, U_k(cos t)·sin t = sin((k+1)t); the package uses this to
-    evaluate sin(kt)/sin t without the 0/0 at the nodes of sin t.  Forward
-    recurrence is stable to ~2e-13 of max|U_k| = k + 1 for the k <= 63
-    range used here (bracket indices up to the polynomial degree cap of
-    60, plus 3).
-    """
-    if k < 0:
-        raise ParameterError("chebyshev_u index must be nonnegative")
-    if k == 0:
-        return 1.0
-    u_prev, u = 1.0, 2.0 * c
-    for _ in range(k - 1):
-        u_prev, u = u, 2.0 * c * u - u_prev
-    return u
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import closed_form
-from .closed_form import TrigEigenfunction
+from .closed_form import WALL_MARGIN, TrigEigenfunction
 from .errors import EvaluationError, ParameterError
 from .hypergeom import LevelTable, midpoint_vanishing
 from .models import WellConfig, box_energy
@@ -30,7 +30,6 @@ __all__ = [
     "VerificationReport",
     "DEFAULT_TOLERANCES",
     "resolve_tolerances",
-    "integrate",
     "check_trig_norm",
     "check_hypergeom_norm",
     "check_expectation_x",
@@ -126,12 +125,6 @@ def _report(checks: list[CheckResult], parameters: dict) -> VerificationReport:
     )
 
 
-def _require_scale(alpha: float) -> None:
-    """Reject an alpha no well has before a check at unit scale drops it."""
-    if not (0.0 < alpha < math.inf):
-        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
-
-
 @lru_cache(maxsize=8)
 def _nodes(a: float, b: float, order: int, panels: int):
     """Abscissae, weights and half panel width of the composite
@@ -160,14 +153,6 @@ def _weighted_sum(values, nodes) -> float:
     abscissae, weights, half = nodes
     _require_finite(values, abscissae)
     return half * math.fsum(map(operator.mul, weights, values))
-
-
-def integrate(profile, a: float, b: float, order: int, panels: int) -> float:
-    """Composite Gauss-Legendre quadrature of `profile` over `panels` equal
-    subintervals of (a, b): deterministic, fixed nodes (_nodes), one
-    exactly-rounded sum that rejects non-finite values (_weighted_sum)."""
-    nodes = _nodes(a, b, order, panels)
-    return _weighted_sum([profile(x) for x in nodes[0]], nodes)
 
 
 @lru_cache(maxsize=1)
@@ -267,7 +252,7 @@ def check_expectation_x(
     """
     if k < 2:
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
-    _require_scale(alpha)
+    WellConfig(alpha)
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
     norm = TrigEigenfunction(k, 1.0).norm
     nodes, grid, _ = _quad_grid(order, panels)
@@ -332,7 +317,7 @@ def check_orthonormality(
     """
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
-    _require_scale(alpha)
+    WellConfig(alpha)
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
     (abscissae, weights, half), grid, _ = _quad_grid(order, panels)
     rows = {}
@@ -354,18 +339,17 @@ def check_orthonormality(
 
 
 # The interior rows (identities, correspondence, residual) sample t = 2 alpha x
-# at INTERIOR_POINTS equal steps on [_WALL_MARGIN, pi - _WALL_MARGIN], clear of
+# at INTERIOR_POINTS equal steps on [WALL_MARGIN, pi - WALL_MARGIN], clear of
 # the walls, where the identities divide by sin^2(t).
 INTERIOR_POINTS = 1000
-_WALL_MARGIN = 1e-3
 
 
 @lru_cache(maxsize=1)
 def _interior_grid():
     """The one interior grid in t, with the rows its readers share
     (closed_form.TGrid)."""
-    step = (math.pi - 2.0 * _WALL_MARGIN) / (INTERIOR_POINTS - 1)
-    return closed_form.TGrid([_WALL_MARGIN + i * step for i in range(INTERIOR_POINTS)])
+    step = (math.pi - 2.0 * WALL_MARGIN) / (INTERIOR_POINTS - 1)
+    return closed_form.TGrid([WALL_MARGIN + i * step for i in range(INTERIOR_POINTS)])
 
 
 def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None) -> CheckResult:
@@ -379,7 +363,7 @@ def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None
     """
     if k < 2:
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
-    _require_scale(alpha)
+    WellConfig(alpha)
     tol = DEFAULT_TOLERANCES["residual"] if tolerance is None else tolerance
     energy = box_energy(WellConfig(1.0), k)
     norm = TrigEigenfunction(k, 1.0).norm
@@ -401,7 +385,7 @@ def check_correspondence(
     index n + 2: max |psi - chi| / max |chi| over the interior grid in t.
     Both sides scale alike in alpha, so this runs at unit scale (alpha = 1,
     x = t / 2 exactly) and is the same bits at every alpha."""
-    _require_scale(alpha)
+    WellConfig(alpha)
     tol = DEFAULT_TOLERANCES["identity"] if tolerance is None else tolerance
     psi, chi = _interior_grid().bound_state_pairs(n, 1.0)
     scale = max(map(abs, chi))
@@ -613,7 +597,7 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     energies.  So is one whose 4 alpha^2 times the bracket top hi
     overflows, since every eigenvalue lies below hi.
     """
-    _require_scale(alpha)
+    WellConfig(alpha)
     scale = 4.0 * alpha * alpha
     if not (sys.float_info.min <= scale < math.inf):
         raise ParameterError(f"4 alpha^2 = {scale} is not a normal float at alpha = {alpha}")

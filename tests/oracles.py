@@ -1,5 +1,15 @@
-"""Independent reference implementations that the tests compare against."""
+"""Independent reference implementations that the tests compare against.
+
+The package evaluates on rows (closed_form.TGrid, hypergeom.LevelTable);
+these are the point-wise forms those rows must equal, kept here so that a
+bulk reference loop in a test costs one scalar call per point.
+"""
+import math
 from fractions import Fraction
+
+from ptdarboux import verify
+from ptdarboux.errors import ParameterError
+from ptdarboux.hypergeom import TerminatingHypergeometric
 
 
 def f21_term_ratio_sum(h, z) -> Fraction:
@@ -12,3 +22,76 @@ def f21_term_ratio_sum(h, z) -> Fraction:
         total += term
         term = term * (-h.n + j) * (h.b + j) * z / ((h.c + j) * (j + 1))
     return total
+
+
+def pochhammer(a, n: int) -> Fraction:
+    """Rising factorial a (a+1) ... (a+n-1), exact; 1 for n = 0."""
+    if n < 0:
+        raise ParameterError("pochhammer order must be nonnegative")
+    out = Fraction(1)
+    a = Fraction(a)
+    for j in range(n):
+        out *= a + j
+    return out
+
+
+def f21_real(h, z: float) -> float:
+    """2F1(-n, b; c; z) in floats by the normalized Jacobi recurrence in
+    degree (DLMF 15.9.1, 18.9.2) with a = c - 1, beta = b - n - c, swept at
+    one point; hypergeom.f21_eval_real and the LevelTable rows must equal it
+    bit for bit."""
+    c = float(h.c)
+    a = c - 1.0
+    beta = float(h.b) - h.n - c
+    ab = a + beta
+    z = float(z)
+    x = 1.0 - 2.0 * z
+    diff_sq = a * a - beta * beta
+    r_prev, r = 1.0, 1.0 - (a + beta + 2.0) * z / (a + 1.0)
+    for j in range(2, h.n + 1):
+        s = 2 * j + ab
+        p, q, c2 = s - 1.0, s * (s - 2.0), 2.0 * (j - 1) * (j + beta - 1.0) * s
+        den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
+        r_prev, r = r, (p * (q * x + diff_sq) * r - c2 * r_prev) / den
+    return r if h.n else 1.0
+
+
+def chebyshev_u(k: int, c: float) -> float:
+    """Chebyshev polynomial of the second kind U_k(c), forward recurrence."""
+    if k < 0:
+        raise ParameterError("chebyshev_u index must be nonnegative")
+    if k == 0:
+        return 1.0
+    u_prev, u = 1.0, 2.0 * c
+    for _ in range(k - 1):
+        u_prev, u = u, 2.0 * c * u - u_prev
+    return u
+
+
+def stable_bracket(k: int, t: float) -> float:
+    """k cos(kt) - cos(t) U_{k-1}(cos t), the bracket row of index k at t."""
+    c = math.cos(t)
+    return k * math.cos(k * t) - c * chebyshev_u(k - 1, c)
+
+
+def chi(f, x: float) -> float:
+    """closed_form.chi_eval without its domain check: N_k bracket(2 alpha x)."""
+    return f.norm * stable_bracket(f.k, 2.0 * f.alpha * x)
+
+
+def pt_eigen_hypergeom(cfg, p, n: int, amplitude: float, x: float) -> float:
+    """Bound state amplitude sin^kappa(alpha x) cos^lam(alpha x)
+    2F1(-n, n + kappa + lam; kappa + 1/2; sin^2(alpha x)) of the PT well."""
+    h = TerminatingHypergeometric(
+        n, Fraction(p.kappa) + Fraction(p.lam) + n, Fraction(p.kappa) + Fraction(1, 2)
+    )
+    a = cfg.alpha
+    s = math.sin(a * x)
+    c = math.cos(a * x)
+    return amplitude * s**p.kappa * c**p.lam * f21_real(h, s * s)
+
+
+def integrate(profile, a: float, b: float, order: int, panels: int) -> float:
+    """The suite's composite Gauss-Legendre rule applied to `profile`."""
+    nodes = verify._nodes(a, b, order, panels)
+    return verify._weighted_sum([profile(x) for x in nodes[0]], nodes)

@@ -7,17 +7,16 @@ import math
 import time
 from fractions import Fraction
 
+from oracles import chi, pt_eigen_hypergeom
 from ptdarboux.closed_form import (
+    TGrid,
     TrigEigenfunction,
-    chi_eval,
     coefficient_C,
-    identity_sides,
+    identity_pairs,
     normalization_A,
-    ratio_identity_even,
-    ratio_identity_odd,
 )
 from ptdarboux.hypergeom import midpoint_vanishing
-from ptdarboux.models import PTParams, WellConfig, pt_eigen_hypergeom
+from ptdarboux.models import PTParams, WellConfig
 from ptdarboux.verify import (
     check_expectation_x,
     check_first_moment,
@@ -41,6 +40,11 @@ def _verdict(capsys, number, label, ok):
 def _interior_grid(alpha=1.0, points=POINTS, margin=MARGIN):
     step = (math.pi - 2 * margin) / (points - 1)
     return [(margin + i * step) / (2 * alpha) for i in range(points)]
+
+
+def _t_grid(xs):
+    # t = 2 alpha x at alpha = 1, the identities' points
+    return TGrid([2.0 * x for x in xs])
 
 
 def _max_scaled_dev(pairs):
@@ -69,38 +73,38 @@ def test_criterion_02_exact_midpoint_vanishing(capsys):
 
 
 def test_criterion_03_even_family_ratio_identity(capsys):
-    xs = _interior_grid()
+    grid = _t_grid(_interior_grid())
     ok = True
     for m in range(6):
-        dev = _max_scaled_dev([ratio_identity_even(m, 1.0, x) for x in xs])
+        dev = _max_scaled_dev(identity_pairs("even", m, grid))
         ok = ok and dev <= 1e-9
     _verdict(capsys, 3, "even-family ratio identity m=0..5 (<= 1e-9)", ok)
 
 
 def test_criterion_04_odd_family_ratio_identity(capsys):
-    xs = _interior_grid()
+    grid = _t_grid(_interior_grid())
     ok = True
     for m in range(6):
-        dev = _max_scaled_dev([ratio_identity_odd(m, 1.0, x) for x in xs])
+        dev = _max_scaled_dev(identity_pairs("odd", m, grid))
         ok = ok and dev <= 1e-9
     _verdict(capsys, 4, "odd-family ratio identity m=0..5 (<= 1e-9)", ok)
 
 
 def test_criterion_05_base_identity_and_correspondence(capsys):
     xs = _interior_grid()
+    grid = _t_grid(xs)
     cfg = WellConfig(1.0)
     p = PTParams(2.0, 2.0)
     ok = True
     for n in range(11):
-        dev = _max_scaled_dev([identity_sides(n, 1.0, x) for x in xs])
+        dev = _max_scaled_dev(identity_pairs("base", n, grid))
         ok = ok and dev <= 1e-9
+        # the correspondence point by point, from the independent scalar forms
         amplitude = normalization_A(n, 1.0)
         f = TrigEigenfunction(n + 2, 1.0)
-        pairs = [
-            (pt_eigen_hypergeom(cfg, p, n, amplitude, x), chi_eval(f, x)) for x in xs
-        ]
-        scale = max(abs(chi) for _, chi in pairs)
-        match = max(abs(psi - chi) for psi, chi in pairs) / scale
+        pairs = [(pt_eigen_hypergeom(cfg, p, n, amplitude, x), chi(f, x)) for x in xs]
+        scale = max(abs(mode) for _, mode in pairs)
+        match = max(abs(psi - mode) for psi, mode in pairs) / scale
         ok = ok and match <= 1e-9
     _verdict(capsys, 5, "base identity and bound-state correspondence n=0..10", ok)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import chi
 from ptdarboux import closed_form
 from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.closed_form import (
@@ -16,8 +17,6 @@ from ptdarboux.closed_form import (
     identity_pairs,
     identity_sides,
     normalization_A,
-    ratio_identity_even,
-    ratio_identity_odd,
 )
 from ptdarboux.errors import DomainError, ParameterError, StabilityError
 from ptdarboux.verify import check_identity
@@ -46,6 +45,11 @@ def _grid(alpha, t_margin=1e-3, points=500):
     return [(t_margin + i * step) / (2 * alpha) for i in range(points)]
 
 
+def _t_grid(alpha, **kwargs):
+    """The TGrid at t = 2 alpha x of _grid's points."""
+    return TGrid([2.0 * alpha * x for x in _grid(alpha, **kwargs)])
+
+
 def test_trig_eigenfunction_validation():
     f = TrigEigenfunction(2, 1.0)
     assert math.isclose(f.norm, math.sqrt(4 / math.pi) / math.sqrt(3), rel_tol=1e-15)
@@ -64,6 +68,17 @@ def test_chi_eval_vanishes_at_walls():
         chi_eval(f, -0.01)
     with pytest.raises(DomainError):
         chi_eval(f, math.pi / 2 + 0.01)
+
+
+def test_chi_eval_equals_the_point_wise_oracle():
+    # chi_eval is one point of the TGrid bracket rows; it must keep the bits
+    # of the scalar Chebyshev form at every index the suite reaches
+    for alpha in (1.0, 0.6024, 1e-8, 1e8):
+        length = math.pi / (2 * alpha)
+        xs = [length * i / 40 for i in range(41)]
+        for k in (2, 3, 12, 31, 62):
+            f = TrigEigenfunction(k, alpha)
+            assert [chi_eval(f, x) for x in xs] == [chi(f, x) for x in xs]
 
 
 def test_chi_eval_matches_cotangent_form_on_interior():
@@ -104,7 +119,7 @@ def test_chi_first_derivative_against_central_difference():
             for i in range(1, 40):
                 x = length * i / 40
                 _, first, _ = chi_derivatives(f, x)
-                cd = (chi_eval(f, x + h) - chi_eval(f, x - h)) / (2 * h)
+                cd = (chi(f, x + h) - chi(f, x - h)) / (2 * h)
                 worst = max(worst, abs(first - cd) / max(1.0, abs(first)))
     assert worst <= 1e-8
 
@@ -179,14 +194,12 @@ def test_identity_sides_agree_on_interior_grid():
 
 
 def test_identities_delegate_to_their_t_cores():
-    # sin(alpha x) is half of t = 2 alpha x exactly, so the x-level forms
-    # reproduce the one t-level core bit for bit at any alpha
+    # sin(alpha x) is half of t = 2 alpha x exactly, so the x-level form
+    # reproduces the one t-level core bit for bit at any alpha
     for alpha in (0.6024, 0.73, 1.0, 1.502, 7.0):
         for x in _grid(alpha, points=17)[1:-1]:
             t = 2.0 * alpha * x
             assert identity_sides(3, alpha, x) == identity_pairs("base", 3, TGrid([t]))[0]
-            assert ratio_identity_even(2, alpha, x) == identity_pairs("even", 2, TGrid([t]))[0]
-            assert ratio_identity_odd(1, alpha, x) == identity_pairs("odd", 1, TGrid([t]))[0]
     for which in ("base", "even", "odd"):
         with pytest.raises(ParameterError):
             identity_pairs(which, -1, TGrid([1.0]))
@@ -249,21 +262,26 @@ def test_identity_sides_margin_guard():
         identity_sides(2, 1.0, math.pi / 2 - 1e-5)
     with pytest.raises(ParameterError):
         identity_sides(-1, 1.0, 0.5)
-    with pytest.raises(ParameterError):
-        identity_sides(2, 1.0, 0.5, margin=0.0)
+    for alpha in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            identity_sides(2, alpha, 0.5)
+    # the guard is closed at the wall margin the suite's interior grid starts at
+    identity_sides(2, 1.0, closed_form.WALL_MARGIN / 2.0)
 
 
 def test_ratio_identity_even_agrees():
+    grid = _t_grid(1.0)
     for m in range(0, 6):
-        pairs = [ratio_identity_even(m, 1.0, x) for x in _grid(1.0)]
+        pairs = identity_pairs("even", m, grid)
         scale = max(abs(l) for l, _ in pairs)
         dev = max(abs(l - r) for l, r in pairs) / scale
         assert dev <= 1e-9
 
 
 def test_ratio_identity_odd_agrees():
+    grid = _t_grid(1.0)
     for m in range(0, 6):
-        pairs = [ratio_identity_odd(m, 1.0, x) for x in _grid(1.0)]
+        pairs = identity_pairs("odd", m, grid)
         scale = max(abs(l) for l, _ in pairs)
         dev = max(abs(l - r) for l, r in pairs) / scale
         assert dev <= 1e-9
@@ -271,24 +289,22 @@ def test_ratio_identity_odd_agrees():
 
 def test_ratio_identities_scale_invariance():
     # alpha only reparametrizes the axis: same deviation behaviour at alpha=2
-    pairs = [ratio_identity_even(1, 2.0, x) for x in _grid(2.0, points=200)]
+    pairs = identity_pairs("even", 1, _t_grid(2.0, points=200))
     scale = max(abs(l) for l, _ in pairs)
     assert max(abs(l - r) for l, r in pairs) / scale <= 1e-9
 
 
 def test_ratio_identity_validation():
     with pytest.raises(ParameterError):
-        ratio_identity_even(-1, 1.0, 0.5)
+        identity_pairs("even", -1, TGrid([1.0]))
     with pytest.raises(ParameterError):
-        ratio_identity_odd(-1, 1.0, 0.5)
-    with pytest.raises(StabilityError):
-        ratio_identity_odd(1, 1.0, 1e-6)
+        identity_pairs("odd", -1, TGrid([1.0]))
 
 
 def test_identity_connects_midpoint_values():
     # at t = pi/2 the even lhs ratio equals the rhs with sin t = 1 exactly
-    x = math.pi / 4  # alpha = 1 midpoint
+    grid = TGrid([math.pi / 2])
     for m in range(0, 4):
-        lhs, rhs = ratio_identity_even(m, 1.0, x)
+        (lhs, rhs), = identity_pairs("even", m, grid)
         assert math.isclose(lhs, rhs, rel_tol=0, abs_tol=1e-12)
         assert abs(lhs) > 0.1  # midpoint value is O(1), not a degenerate zero

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from ptdarboux.closed_form import TrigEigenfunction, chi_eval
+from oracles import chi
+from ptdarboux.closed_form import TrigEigenfunction
 from ptdarboux.darboux import (
     DarbouxContext,
     intertwine,
@@ -44,18 +45,17 @@ def test_superpotential_open_domain():
 
 
 def test_superpotential_is_log_derivative_of_seed():
-    # W = -(d/dx) log phi_1, checked by central differences
-    from ptdarboux.models import box_eigenfunction
+    # W = -(d/dx) log phi_1, checked by central differences, with the seed
+    # phi_1 = sqrt(4 alpha / pi) sin(2 alpha x) at alpha = 1
+    ctx = DarbouxContext(WellConfig(1.0))
 
-    cfg = WellConfig(1.0)
-    ctx = DarbouxContext(cfg)
+    def phi(x):
+        return math.sqrt(4.0 / math.pi) * math.sin(2.0 * x)
+
     h = 1e-6
     for x in (0.3, 0.8, 1.2):
-        phi = box_eigenfunction(cfg, 1, x)
-        dphi = (box_eigenfunction(cfg, 1, x + h) - box_eigenfunction(cfg, 1, x - h)) / (
-            2 * h
-        )
-        assert abs(superpotential(ctx, x) + dphi / phi) <= 1e-8
+        dphi = (phi(x + h) - phi(x - h)) / (2 * h)
+        assert abs(superpotential(ctx, x) + dphi / phi(x)) <= 1e-8
 
 
 def test_partner_potential_collapses():
@@ -80,7 +80,7 @@ def test_intertwine_matches_stable_form():
             norm = transform_normalization(ctx, k)
             f = TrigEigenfunction(k, alpha)
             for x in _grid(alpha, points=150):
-                assert abs(norm * intertwine(ctx, k, x) - chi_eval(f, x)) <= 1e-12
+                assert abs(norm * intertwine(ctx, k, x) - chi(f, x)) <= 1e-12
 
 
 def test_intertwine_validation():
@@ -117,7 +117,7 @@ def test_transformed_eigenpair():
     assert energy == box_energy(WellConfig(alpha), 4)
     f = TrigEigenfunction(4, alpha)
     for x in _grid(alpha, points=80):
-        assert abs(profile(x) - chi_eval(f, x)) <= 1e-12
+        assert abs(profile(x) - chi(f, x)) <= 1e-12
     with pytest.raises(ParameterError):
         transformed_eigenpair(ctx, 1)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import f21_term_ratio_sum
+from oracles import f21_real, f21_term_ratio_sum, pochhammer
 from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.errors import ParameterError
 from ptdarboux.hypergeom import (
@@ -17,7 +17,6 @@ from ptdarboux.hypergeom import (
     f21_eval_real,
     midpoint_vanishing,
 )
-from ptdarboux.numerics import pochhammer
 
 
 def _direct_sum(n, b, c, z):
@@ -113,6 +112,25 @@ def test_real_tracks_exact_in_cancellation_regime():
             scale = max(1.0, abs(float(exact)))
             worst = max(worst, abs(approx - float(exact)) / scale)
     assert worst <= 1e-13
+
+
+def test_real_path_equals_the_scalar_oracle():
+    # f21_eval_real is one point of the _jacobi_rows sweep; it keeps the bits
+    # of the scalar Jacobi loop (tests/oracles.py) at every degree the
+    # accuracy tests reach, and off the Gegenbauer ladder
+    zs = (0.0, 0.013, 0.25, 0.5, 0.77, 0.999, 1.0, Fraction(1, 3))
+    for n in range(161):
+        for h in (TerminatingHypergeometric(n, n + 4, Fraction(5, 2)),
+                  TerminatingHypergeometric(n, n + 6, Fraction(7, 2))):
+            assert [f21_eval_real(h, z) for z in zs] == [f21_real(h, z) for z in zs], n
+    rng = random.Random(2015)
+    for _ in range(300):
+        n = rng.randint(0, 30)
+        c = Fraction(rng.randint(1, 80), rng.randint(1, 8))  # a = c - 1 > -1
+        b = n + c - 1 + Fraction(rng.randint(1, 80), rng.randint(1, 8))  # beta > -1
+        h = TerminatingHypergeometric(n, b, c)
+        z = rng.uniform(-0.5, 1.5)
+        assert f21_eval_real(h, z) == f21_real(h, z), (h, z)
 
 
 @pytest.mark.parametrize("n", [40, 80, 160])

@@ -3,13 +3,13 @@ import math
 
 import pytest
 
+from oracles import integrate, pt_eigen_hypergeom
+from ptdarboux import closed_form, verify
 from ptdarboux.errors import DomainError, ParameterError
 from ptdarboux.models import (
     PTParams,
     WellConfig,
-    box_eigenfunction,
     box_energy,
-    pt_eigen_hypergeom,
     pt_energy,
     pt_potential,
 )
@@ -24,35 +24,31 @@ def test_well_config():
         WellConfig(-1.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_every_alpha_check_is_the_well_config_one(alpha):
+    # WellConfig(inf) used to pass, and box_energy then returned inf; every
+    # other entry point raises WellConfig's own error
+    with pytest.raises(ParameterError) as expected:
+        WellConfig(alpha)
+    checks = [
+        lambda: box_energy(WellConfig(alpha), 2),
+        lambda: closed_form.TrigEigenfunction(2, alpha),
+        lambda: closed_form.identity_sides(2, alpha, 0.5),
+        lambda: verify.check_residual(2, alpha),
+        lambda: verify.fd_spectrum(alpha, 100, 1),
+    ]
+    for check in checks:
+        with pytest.raises(ParameterError) as raised:
+            check()
+        assert str(raised.value) == str(expected.value)
+
+
 def test_pt_params_validation():
     PTParams(2.0, 2.0)
     with pytest.raises(ParameterError):
         PTParams(1.0, 2.0)
     with pytest.raises(ParameterError):
         PTParams(2.0, 0.5)
-
-
-def test_box_eigenfunction_values():
-    cfg = WellConfig(1.0)
-    # k=1 peaks at the midpoint with the normalization amplitude
-    mid = cfg.length / 2
-    assert math.isclose(
-        box_eigenfunction(cfg, 1, mid), math.sqrt(4 / math.pi), rel_tol=1e-14
-    )
-    assert box_eigenfunction(cfg, 3, 0.0) == 0.0
-    # wall zeros hold to rounding for every index
-    for k in range(1, 8):
-        assert abs(box_eigenfunction(cfg, k, cfg.length)) < 1e-14
-
-
-def test_box_eigenfunction_domain_and_index():
-    cfg = WellConfig(1.0)
-    with pytest.raises(DomainError):
-        box_eigenfunction(cfg, 1, -0.1)
-    with pytest.raises(DomainError):
-        box_eigenfunction(cfg, 1, cfg.length + 0.1)
-    with pytest.raises(ParameterError):
-        box_eigenfunction(cfg, 0, 0.5)
 
 
 def test_box_energy():
@@ -65,19 +61,16 @@ def test_box_energy():
 
 
 def test_box_eigenfunctions_orthonormal():
-    # composite quadrature Gram of the first six box modes vs identity
-    from ptdarboux.verify import integrate
-
+    # composite quadrature Gram of the first six box modes
+    # phi_k = sqrt(4 alpha / pi) sin(2 alpha k x) vs identity
     cfg = WellConfig(1.0)
+
+    def phi(k, x):
+        return math.sqrt(4.0 / math.pi) * math.sin(2.0 * k * x)
+
     for i in range(1, 7):
         for j in range(i, 7):
-            val = integrate(
-                lambda x: box_eigenfunction(cfg, i, x) * box_eigenfunction(cfg, j, x),
-                0.0,
-                cfg.length,
-                64,
-                8,
-            )
+            val = integrate(lambda x: phi(i, x) * phi(j, x), 0.0, cfg.length, 64, 8)
             assert abs(val - (1.0 if i == j else 0.0)) <= 1e-12
 
 
@@ -128,6 +121,10 @@ def test_pt_energy_matches_shifted_box_energy_bitwise():
             assert pt_energy(cfg, p, n) == box_energy(cfg, n + 2)
 
 
+# pt_eigen_hypergeom is the tests' point-wise bound state (tests/oracles.py),
+# the reference for closed_form.TGrid.bound_state_pairs.
+
+
 def test_pt_eigen_hypergeom_ground_state_shape():
     # n = 0: the hypergeometric factor is identically 1
     cfg = WellConfig(1.0)
@@ -142,8 +139,6 @@ def test_pt_eigen_hypergeom_domain_and_index():
     cfg = WellConfig(1.0)
     p = PTParams(2.0, 2.0)
     assert pt_eigen_hypergeom(cfg, p, 1, 1.0, 0.0) == 0.0
-    with pytest.raises(DomainError):
-        pt_eigen_hypergeom(cfg, p, 1, 1.0, -0.2)
     with pytest.raises(ParameterError):
         pt_eigen_hypergeom(cfg, p, -1, 1.0, 0.5)
 

@@ -1,4 +1,5 @@
-"""Rational Pochhammer symbols, Gauss-Legendre rules, Chebyshev recurrences."""
+"""Gauss-Legendre rules, and the tests' rational Pochhammer symbols and
+Chebyshev recurrence (tests/oracles.py) that other tests compare against."""
 import math
 from fractions import Fraction
 
@@ -6,13 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import chebyshev_u, pochhammer
 from ptdarboux.errors import ParameterError
-from ptdarboux.numerics import (
-    QuadratureRule,
-    chebyshev_u,
-    gauss_legendre,
-    pochhammer,
-)
+from ptdarboux.numerics import QuadratureRule, gauss_legendre
 
 
 def test_pochhammer_values():

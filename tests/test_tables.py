@@ -5,12 +5,13 @@ from functools import partial
 
 import pytest
 
+from oracles import chi, f21_real, pt_eigen_hypergeom, stable_bracket
 from ptdarboux import closed_form, hypergeom, verify
 from ptdarboux.cli import MAX_DEGREE
-from ptdarboux.closed_form import TGrid, TrigEigenfunction, _stable_bracket, chi_derivatives
+from ptdarboux.closed_form import TGrid, TrigEigenfunction, chi_derivatives
 from ptdarboux.errors import ParameterError
-from ptdarboux.hypergeom import LevelTable, TerminatingHypergeometric, f21_eval_real
-from ptdarboux.models import PTParams, WellConfig, pt_eigen_hypergeom
+from ptdarboux.hypergeom import LevelTable, TerminatingHypergeometric
+from ptdarboux.models import PTParams, WellConfig
 
 
 def _factor(n):
@@ -38,7 +39,7 @@ def test_level_rows_equal_f21_eval_real_bitwise_to_the_degree_cap():
             row = table.level(n)
             h = _factor(n)
             mismatches = [z for z, f in zip(zs[::stride], row[::stride])
-                          if f != f21_eval_real(h, z)]
+                          if f != f21_real(h, z)]
             assert not mismatches, (name, n, mismatches[:3])
 
 
@@ -50,7 +51,7 @@ def test_level_table_out_of_order_access_gives_the_same_bits():
     again = list(table.level(30))
     assert first == again
     assert low == list(LevelTable(zs).level(5))
-    assert low == [f21_eval_real(_factor(5), z) for z in zs]
+    assert low == [f21_real(_factor(5), z) for z in zs]
     with pytest.raises(ParameterError):
         table.level(-1)
 
@@ -64,7 +65,7 @@ def test_mode_rows_equal_stable_bracket_bitwise():
         grid = TGrid(ts)
         for k in range(2, MAX_DEGREE + 3):
             row = grid.mode(k)
-            mismatches = [t for t, g in zip(ts, row) if g != _stable_bracket(k, t)]
+            mismatches = [t for t, g in zip(ts, row) if g != stable_bracket(k, t)]
             assert not mismatches, (name, k, mismatches[:3])
 
 
@@ -104,7 +105,7 @@ def test_derivative_rows_match_the_cotangent_form():
 
 def test_bound_state_pairs_equal_their_pointwise_forms():
     # the sampler that tabulate and the correspondence share, on the grid
-    # t = 2 alpha x, against pt_eigen_hypergeom and chi_eval point by point
+    # t = 2 alpha x, against the point-wise bound state and partner mode
     p = PTParams(2.0, 2.0)
     for alpha in (1.0, 0.6024):
         cfg = WellConfig(alpha)
@@ -113,9 +114,9 @@ def test_bound_state_pairs_equal_their_pointwise_forms():
         for n in (7, 0, 12):
             amplitude = closed_form.normalization_A(n, alpha)
             f = closed_form.TrigEigenfunction(n + 2, alpha)
-            psi, chi = grid.bound_state_pairs(n, alpha)
+            psi, modes = grid.bound_state_pairs(n, alpha)
             assert psi == [pt_eigen_hypergeom(cfg, p, n, amplitude, x) for x in xs]
-            assert chi == [closed_form.chi_eval(f, x) for x in xs]
+            assert modes == [chi(f, x) for x in xs]
 
 
 def test_t_grid_pairs_equal_fresh_one_point_grids():

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import chi, f21_real, integrate, pt_eigen_hypergeom, stable_bracket
 from ptdarboux import closed_form, hypergeom, verify
-from ptdarboux.closed_form import TrigEigenfunction, chi_eval
+from ptdarboux.closed_form import TrigEigenfunction
 from ptdarboux.errors import EvaluationError, ParameterError
-from ptdarboux.hypergeom import TerminatingHypergeometric, f21_eval_real
-from ptdarboux.models import PTParams, WellConfig, pt_eigen_hypergeom
+from ptdarboux.hypergeom import TerminatingHypergeometric
+from ptdarboux.models import PTParams, WellConfig
 from ptdarboux.verify import (
     DEFAULT_TOLERANCES,
     CheckResult,
@@ -28,7 +29,6 @@ from ptdarboux.verify import (
     check_residual,
     check_trig_norm,
     fd_spectrum,
-    integrate,
     resolve_tolerances,
     run_full_suite,
     _suite_specs,
@@ -206,7 +206,6 @@ def test_partner_mode_checks_sample_each_bracket_once(monkeypatch):
         raise AssertionError("a quadrature check evaluated a bracket point by point")
 
     monkeypatch.setattr(closed_form, "_bracket_rows", counted)
-    monkeypatch.setattr(closed_form, "_stable_bracket", forbidden)
     monkeypatch.setattr(closed_form, "chi_eval", forbidden)
     verify._quad_grid.cache_clear()
     order, panels = 16, 8
@@ -220,12 +219,12 @@ def test_partner_mode_checks_sample_each_bracket_once(monkeypatch):
 
 
 def test_partner_mode_sums_match_their_x_space_form():
-    # the sums in t against the former integrals over x of chi_eval products:
+    # the sums in t against the former integrals over x of partner-mode products:
     # bit for bit at alpha = 1, where x = t / 2 exactly on these nodes, and
     # within rounding at other alpha, where t / (2 alpha) is rounded
     def moment(f, length):
         def profile(x):
-            v = chi_eval(f, x)
+            v = chi(f, x)
             return x * v * v
 
         return integrate(profile, 0.0, length, 64, 32)
@@ -237,7 +236,7 @@ def test_partner_mode_sums_match_their_x_space_form():
         for i, j in ((2, 2), (2, 3), (3, 7), (5, 5), (4, 8), (8, 8)):
             fi, fj = modes[i], modes[j]
             reference = integrate(
-                lambda x: chi_eval(fi, x) * chi_eval(fj, x), 0.0, length, 64, 32
+                lambda x: chi(fi, x) * chi(fj, x), 0.0, length, 64, 32
             )
             assert abs(gram[f"gram ({i},{j})"] - reference) <= rel * max(abs(reference), 1.0)
         for k in (2, 5, 8):
@@ -246,15 +245,15 @@ def test_partner_mode_sums_match_their_x_space_form():
 
 
 def _per_point_rows(n_max):
-    # the suite's level rows in their former per-point form: one
-    # f21_eval_real call per node through integrate, pt_eigen_hypergeom and
-    # chi_eval per point of the 1000-point interior grid, and the identity
-    # sides point by point
+    # the suite's level rows in their former per-point form (tests/oracles.py):
+    # one scalar 2F1 call per node through integrate, the bound state and the
+    # partner mode per point of the 1000-point interior grid, and the
+    # identity sides point by point
     rows = {}
     step = (math.pi - 2e-3) / 999
     t_grid = [1e-3 + i * step for i in range(1000)]
     for n in range(n_max + 1):
-        f = partial(f21_eval_real, TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2)))
+        f = partial(f21_real, TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2)))
 
         def x_form(x, moment=False):
             s, c = math.sin(x), math.cos(x)
@@ -274,7 +273,7 @@ def _per_point_rows(n_max):
         cfg, mode = WellConfig(1.0), TrigEigenfunction(n + 2, 1.0)
         amplitude = closed_form.normalization_A(n, 1.0)
         pairs = [(pt_eigen_hypergeom(cfg, PTParams(2.0, 2.0), n, amplitude, t / 2.0),
-                  chi_eval(mode, t / 2.0)) for t in t_grid]
+                  chi(mode, t / 2.0)) for t in t_grid]
         rows[f"bound-state correspondence n={n}"] = (
             max(abs(p - c) for p, c in pairs) / max(abs(c) for _, c in pairs))
     identities = [("base", n) for n in range(n_max + 1)] + [
@@ -290,8 +289,8 @@ def _per_point_rows(n_max):
         pairs = []
         for t in t_grid:
             s_half, s_t = math.sin(0.5 * t), math.sin(t)
-            pairs.append((f21_eval_real(h, s_half * s_half) / den,
-                          pref * closed_form._stable_bracket(n + 2, t) / (s_t * s_t)))
+            pairs.append((f21_real(h, s_half * s_half) / den,
+                          pref * stable_bracket(n + 2, t) / (s_t * s_t)))
         scale = max(abs(lhs) for lhs, _ in pairs)
         name = verify._IDENTITY_FAMILIES[which] + str(index)
         rows[name] = max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
@@ -367,14 +366,14 @@ def test_suite_builds_one_potential_row(monkeypatch):
 
 
 def test_suite_reads_every_partner_mode_from_its_t_grid(monkeypatch):
-    # the residual's derivatives and every bracket come from TGrid sweeps:
-    # no point-wise derivative, Chebyshev or bracket evaluation
+    # the residual's derivatives and every bracket come from TGrid sweeps of
+    # the suite's own grids: no one-point read of a partner mode
     import sys
 
     def forbidden(*args):
         raise AssertionError("the suite evaluated a partner mode point by point")
 
-    names = ("chi_derivatives", "chebyshev_u", "_stable_bracket")
+    names = ("chi_derivatives", "chi_eval")
     for name, module in list(sys.modules.items()):
         if name.startswith("ptdarboux"):
             for fn in names:
