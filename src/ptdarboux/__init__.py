@@ -17,7 +17,6 @@ from .closed_form import (
     normalization_A,
 )
 from .darboux import (
-    DarbouxContext,
     intertwine,
     partner_potential,
     superpotential,
@@ -74,7 +73,6 @@ __all__ = [
     "CheckResult",
     "ConvergenceError",
     "DEFAULT_TOLERANCES",
-    "DarbouxContext",
     "DomainError",
     "EvaluationError",
     "ParameterError",

@@ -14,9 +14,10 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import closed_form, verify
+from .closed_form import IDENTITY_FAMILIES
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -61,8 +62,8 @@ MAX_QUAD_ORDER = 1024
 # level table swept from degree 0: 1.0 s.
 MAX_PANELS = 1024
 # The work of a quadrature check grows with panels times order, so their
-# product is capped too: verify --n-max 60 --panels 1024 takes 43 s and peaks
-# at 96 MB resident (VmHWM), about 60 MB of it the bracket rows the
+# product is capped too: verify --n-max 60 --panels 1024 takes 36 s and peaks
+# at 92 MB resident (VmHWM), about 60 MB of it the bracket rows the
 # quadrature's TGrid keeps and the Gram matrix's normalized copies of them.
 MAX_QUAD_NODES = MAX_PANELS * 64
 # spectrum --count 10 (about 21 O(grid_points) Sturm sweeps per mode, where
@@ -95,7 +96,7 @@ class RunConfig:
         _require_range("--panels", self.panels, 1, MAX_PANELS)
         _require_range("--panels * --quad-order", self.panels * self.quad_order,
                        2, MAX_QUAD_NODES)
-        _require_range("--grid-points", self.grid_points, 100, MAX_GRID_POINTS)
+        _require_range("--grid-points", self.grid_points, verify.MIN_GRID_POINTS, MAX_GRID_POINTS)
         if self.fmt not in ("csv", "json"):
             raise ParameterError(f"--format must be csv or json, got {self.fmt!r}")
         resolve_tolerances(self.tolerances)  # reject unknown names early
@@ -242,10 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"equal quadrature subintervals (1..{MAX_PANELS}; "
                              f"panels times quad-order at most {MAX_QUAD_NODES})")
     common.add_argument("--grid-points", type=int, default=4000, dest="grid_points",
-                        help=f"finite-difference grid size (100..{MAX_GRID_POINTS})")
+                        help="finite-difference grid size "
+                             f"({verify.MIN_GRID_POINTS}..{MAX_GRID_POINTS})")
     common.add_argument("--tol", action="append", metavar="NAME=VALUE",
                         help="tolerance override, repeatable "
-                             "(quadrature, identity, residual, fd_spectrum)")
+                             f"({', '.join(verify.DEFAULT_TOLERANCES)})")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="fmt", help="output format")
     common.add_argument("--output", default=None, metavar="PATH",
@@ -272,34 +274,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_id = sub.add_parser("identity", parents=[common],
                           help="check one hypergeometric-trigonometric identity")
-    p_id.add_argument("--which", choices=("base", "even", "odd"), required=True)
+    served = {letter: "/".join(which for which, family in IDENTITY_FAMILIES.items()
+                               if family.letter == letter) for letter in "nm"}
+    p_id.add_argument("--which", choices=tuple(IDENTITY_FAMILIES), required=True)
     p_id.add_argument("--n", type=int, default=None,
-                      help=f"level index (base identity, 0..{MAX_DEGREE})")
+                      help=f"level index ({served['n']} identity, 0..{MAX_DEGREE})")
     p_id.add_argument("--m", type=int, default=None,
-                      help=f"family index (even/odd ratio identities, 0..{MAX_DEGREE // 2})")
+                      help=f"family index ({served['m']} ratio identities, 0..{MAX_DEGREE // 2})")
     p_id.set_defaults(handler=lambda cfg, args: cmd_identity(
         cfg, args.which, _identity_index(args)))
 
     p_spec = sub.add_parser("spectrum", parents=[common],
                             help="finite-difference spectrum vs exact energies")
     p_spec.add_argument("--count", type=int, default=3,
-                        help="number of low modes to extract (<= 10)")
+                        help=f"number of low modes to extract (<= {verify.MAX_MODES})")
     p_spec.set_defaults(handler=lambda cfg, args: cmd_spectrum(cfg, args.count))
     return parser
 
 
 def _identity_index(args) -> int:
-    """--n for the base identity, --m for the ratio identities; 0 if unset."""
-    if args.which == "base":
-        flag, index, other, cap = "--n", args.n, args.m, MAX_DEGREE
-    else:
-        flag, index, other, cap = "--m", args.m, args.n, MAX_DEGREE // 2
-    if index is None:
-        if other is not None:
-            raise ParameterError(f"the {args.which} identity is indexed by {flag}")
-        return 0
-    _require_range(flag, index, 0, cap)
-    return index
+    """The index flag the family reads, 0 if unset; the other one is rejected."""
+    family = IDENTITY_FAMILIES[args.which]
+    flag, other = f"--{family.letter}", "m" if family.letter == "n" else "n"
+    if getattr(args, other) is not None:
+        raise ParameterError(f"the {args.which} identity is indexed by {flag}, not --{other}")
+    index = getattr(args, family.letter)
+    if index is not None:
+        _require_range(flag, index, 0, family.top(MAX_DEGREE))
+    return index or 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -309,16 +311,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = RunConfig(
-            alpha=args.alpha,
-            n_max=args.n_max,
-            quad_order=args.quad_order,
-            panels=args.panels,
-            grid_points=args.grid_points,
-            tolerances=_parse_tolerance_flags(args.tol),
-            fmt=args.fmt,
-            output=args.output,
-        )
+        # the parser's destinations are RunConfig's field names, but for --tol
+        config = RunConfig(tolerances=_parse_tolerance_flags(args.tol),
+                           **{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                              if f.name != "tolerances"})
         return args.handler(config, args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

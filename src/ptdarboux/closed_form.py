@@ -12,21 +12,23 @@ are one level-n formula (identity_pairs).  Every row
 sampled on a row of t (bound-state factors, brackets and their second
 derivatives, the partner potential, both sides of the identities and of
 the correspondence) comes from one holder, TGrid; the point-wise
-chi_eval, chi_derivatives and identity_sides read a one-point TGrid.
+chi_eval and chi_derivatives read one point of its sweeps, and
+identity_sides reads a one-point TGrid.
 """
 from __future__ import annotations
 
 import math
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import count, islice
 
-from .darboux import DarbouxContext, partner_potential
+from .darboux import partner_potential
 from .errors import DomainError, EvaluationError, ParameterError, StabilityError
 from .hypergeom import LevelTable, TerminatingHypergeometric, f21_eval_exact
-from .models import WellConfig
+from .models import WellConfig, _require_partner
 
 __all__ = [
     "TrigEigenfunction",
@@ -37,6 +39,7 @@ __all__ = [
     "normalization_A",
     "identity_sides",
     "identity_pairs",
+    "IDENTITY_FAMILIES",
 ]
 
 _HALF = Fraction(1, 2)
@@ -51,8 +54,7 @@ class TrigEigenfunction:
     norm: float = field(init=False)
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ParameterError(f"partner modes exist for k >= 2, got {self.k}")
+        _require_partner(self.k)
         WellConfig(self.alpha)
         object.__setattr__(
             self,
@@ -72,7 +74,12 @@ def _bracket_rows(ts):
     u_prev, u = array("d", [0.0]) * len(ts), array("d", [1.0]) * len(ts)  # U_-1, U_0
     for k in count(2):
         u_prev, u = u, array("d", [tc * v - w for tc, v, w in zip(two_cos, u, u_prev)])
-        yield array("d", [k * math.cos(k * t) - c * v for t, c, v in zip(ts, cosines, u)])
+        yield _bracket(k, ts, cosines, u)
+
+
+def _bracket(k, ts, cosines, u) -> array:
+    """The bracket row k cos(kt) - cos(t) U_{k-1}(cos t) from the U_{k-1} row u."""
+    return array("d", [k * math.cos(k * t) - c * v for t, c, v in zip(ts, cosines, u)])
 
 
 def _chebyshev_rows(cosines):
@@ -100,19 +107,24 @@ def _derivative_rows(ts):
     (chi_derivatives states g'')."""
     sines = array("d", map(math.sin, ts))
     cosines = array("d", map(math.cos, ts))
-    for k, (u, du, ddu) in zip(count(2), _chebyshev_rows(cosines)):
-        yield array("d", [-(k * k * k) * math.cos(k * t) + c * (v + c * dv)
-                          - s * s * (2.0 * dv + c * ddv)
-                          for t, s, c, v, dv, ddv in zip(ts, sines, cosines, u, du, ddu)])
+    for k, rows in zip(count(2), _chebyshev_rows(cosines)):
+        yield _second_derivative(k, ts, sines, cosines, *rows)
+
+
+def _second_derivative(k, ts, sines, cosines, u, du, ddu) -> array:
+    """The row g'' from the rows (U, U', U'') of _chebyshev_rows at index k."""
+    return array("d", [-(k * k * k) * math.cos(k * t) + c * (v + c * dv)
+                       - s * s * (2.0 * dv + c * ddv)
+                       for t, s, c, v, dv, ddv in zip(ts, sines, cosines, u, du, ddu)])
 
 
 def chi_eval(f: TrigEigenfunction, x: float) -> float:
     """Value of the normalized partner mode on the closed interval [0, L],
-    one point of the TGrid bracket rows."""
-    length = math.pi / (2.0 * f.alpha)
+    one point of the bracket rows (_bracket_rows)."""
+    length = WellConfig(f.alpha).length
     if not (0.0 <= x <= length):
         raise DomainError(f"x={x} outside closed interval [0, {length}]")
-    return f.norm * TGrid([2.0 * f.alpha * x]).mode(f.k)[0]
+    return f.norm * next(islice(_bracket_rows([2.0 * f.alpha * x]), f.k - 2, None))[0]
 
 
 def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float]:
@@ -127,18 +139,16 @@ def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float
 
     then d/dx = 2 alpha d/dt.  Points with t = 2 alpha x within 2e-6 of
     either wall (t = 0 or pi) are rejected, at every alpha; use chi_eval
-    for the (vanishing) wall values.  g and g'' are one point of the TGrid
-    sweeps; g' is formed here, from the same Chebyshev sweep at that point.
+    for the (vanishing) wall values.  One Chebyshev sweep gives all three.
     """
     a = f.alpha
     t = 2.0 * a * x
     if not (2e-6 < t < math.pi - 2e-6):
         raise DomainError(f"x={x} (t={t}) too close to a wall for derivative evaluation")
     k, s, c = f.k, math.sin(t), math.cos(t)
-    grid = TGrid([t])
-    (g,), (g2,) = grid.mode(k), grid.second_derivative(k)
-    (v,), (dv,), _ = next(islice(_chebyshev_rows([c]), k - 2, None))
-    g1 = -(k * k) * math.sin(k * t) + s * (v + c * dv)
+    u, du, ddu = next(islice(_chebyshev_rows([c]), k - 2, None))
+    (g,), (g2,) = _bracket(k, [t], [c], u), _second_derivative(k, [t], [s], [c], u, du, ddu)
+    g1 = -(k * k) * math.sin(k * t) + s * (u[0] + c * du[0])
     return f.norm * g, f.norm * 2.0 * a * g1, f.norm * 4.0 * a * a * g2
 
 
@@ -193,8 +203,15 @@ def normalization_A(n: int, alpha: float) -> float:
 # t = 2 alpha x at least this far from both walls.
 WALL_MARGIN = 1e-3
 
-# Each identity family's level n as a function of its index.
-_FAMILY_LEVEL = {"base": lambda n: n, "even": lambda m: 2 * m, "odd": lambda m: 2 * m + 1}
+# The identity families, read by identity_pairs, the suite and the CLI: the
+# letter of a family's index (n, a level, or m, a family index), its row
+# label, the level of an index and the largest index run at a degree cap.
+IdentityFamily = namedtuple("IdentityFamily", "letter label level top")
+IDENTITY_FAMILIES = {
+    "base": IdentityFamily("n", "base", lambda n: n, lambda cap: cap),
+    "even": IdentityFamily("m", "even ratio", lambda m: 2 * m, lambda cap: cap // 2),
+    "odd": IdentityFamily("m", "odd ratio", lambda m: 2 * m + 1, lambda cap: cap // 2),
+}
 
 
 class TGrid:
@@ -225,8 +242,7 @@ class TGrid:
 
     @staticmethod
     def _kept(table, k: int):
-        if k < 2:
-            raise ParameterError(f"partner modes exist for k >= 2, got {k}")
+        _require_partner(k)
         sweep, rows = table
         while len(rows) <= k - 2:
             rows.append(next(sweep))
@@ -238,8 +254,8 @@ class TGrid:
 
     @cached_property
     def potential(self) -> array:
-        ctx = DarbouxContext(WellConfig(1.0))
-        return array("d", [partner_potential(ctx, 0.5 * t) for t in self.ts])
+        cfg = WellConfig(1.0)
+        return array("d", [partner_potential(cfg, 0.5 * t) for t in self.ts])
 
     @cached_property
     def bound_factors(self) -> tuple[array, array]:
@@ -271,14 +287,13 @@ def identity_pairs(which: str, index: int, grid: TGrid) -> list[tuple[float, flo
     constants are built once for the whole grid.  There is no wall guard:
     the caller keeps every t at least WALL_MARGIN away from 0 and pi.
     """
-    if which not in _FAMILY_LEVEL:
-        raise ParameterError(
-            f"identity family must be one of {sorted(_FAMILY_LEVEL)}, got {which!r}"
-        )
+    family = IDENTITY_FAMILIES.get(which)
+    if family is None:
+        raise ParameterError(f"identity family must be one of {sorted(IDENTITY_FAMILIES)}, "
+                             f"got {which!r}")
     if index < 0:
-        letter = "n" if which == "base" else "m"
-        raise ParameterError(f"index {letter} must be >= 0, got {index}")
-    n = _FAMILY_LEVEL[which](index)
+        raise ParameterError(f"index {family.letter} must be >= 0, got {index}")
+    n = family.level(index)
     if which == "base":
         den, pref = 1.0, 4.0 * float(coefficient_C(n))
     else:

@@ -4,18 +4,16 @@ With W(x) = -(d/dx) log sin(2 alpha x) = -2 alpha cot(2 alpha x), the
 operator L = d/dx + W annihilates the k = 1 box mode and maps each k >= 2
 mode onto an eigenfunction of the partner Hamiltonian
 -d^2/dx^2 + W' + W^2 + omega^2 at the unchanged energy 4 alpha^2 k^2,
-where omega^2 = 4 alpha^2 is the energy of the annihilated seed.
+where omega^2 = box_energy(cfg, 1) is the annihilated seed's energy.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import ParameterError
-from .models import WellConfig, _require_open
+from .models import WellConfig, _require_open, _require_partner, box_energy
 
 __all__ = [
-    "DarbouxContext",
     "superpotential",
     "partner_potential",
     "intertwine",
@@ -24,37 +22,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DarbouxContext:
-    """Well geometry of the transformation seeded on the ground mode."""
-
-    cfg: WellConfig
-    omega_sq: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega_sq", 4.0 * self.cfg.alpha * self.cfg.alpha)
-
-
-def superpotential(ctx: DarbouxContext, x: float) -> float:
+def superpotential(cfg: WellConfig, x: float) -> float:
     """W(x) = -2 alpha cot(2 alpha x), singular at both walls."""
-    _require_open(ctx.cfg, x)
-    a = ctx.cfg.alpha
+    _require_open(cfg, x)
+    a = cfg.alpha
     t = 2.0 * a * x
     return -2.0 * a * math.cos(t) / math.sin(t)
 
 
-def partner_potential(ctx: DarbouxContext, x: float) -> float:
+def partner_potential(cfg: WellConfig, x: float) -> float:
     """W' + W^2 + omega^2, assembled with the analytic derivative
     W'(x) = 4 alpha^2 / sin^2(2 alpha x).  Collapses to
     8 alpha^2 / sin^2(2 alpha x)."""
-    w = superpotential(ctx, x)
-    a = ctx.cfg.alpha
+    w = superpotential(cfg, x)
+    a = cfg.alpha
     s = math.sin(2.0 * a * x)
     w_prime = 4.0 * a * a / (s * s)
-    return w_prime + w * w + ctx.omega_sq
+    return w_prime + w * w + box_energy(cfg, 1)
 
 
-def intertwine(ctx: DarbouxContext, k: int, x: float) -> float:
+def intertwine(cfg: WellConfig, k: int, x: float) -> float:
     """(L phi_k)(x) = sqrt(4 alpha / pi) 2 alpha
     [k cos(2 alpha k x) - cot(2 alpha x) sin(2 alpha k x)].
 
@@ -64,8 +51,8 @@ def intertwine(ctx: DarbouxContext, k: int, x: float) -> float:
     """
     if k < 1:
         raise ParameterError(f"box index k must be >= 1, got {k}")
-    _require_open(ctx.cfg, x)
-    a = ctx.cfg.alpha
+    _require_open(cfg, x)
+    a = cfg.alpha
     t = 2.0 * a * x
     cot = math.cos(t) / math.sin(t)
     return math.sqrt(4.0 * a / math.pi) * 2.0 * a * (
@@ -73,7 +60,7 @@ def intertwine(ctx: DarbouxContext, k: int, x: float) -> float:
     )
 
 
-def transform_normalization(ctx: DarbouxContext, k: int) -> float:
+def transform_normalization(cfg: WellConfig, k: int) -> float:
     """1 / sqrt(eps_k - omega^2) = 1 / (2 alpha sqrt(k^2 - 1)).
 
     The seed itself (k = 1) sits at eps_1 = omega^2, so its image has zero
@@ -86,20 +73,18 @@ def transform_normalization(ctx: DarbouxContext, k: int) -> float:
         raise ZeroDivisionError(
             "seed mode is annihilated: eps_1 - omega^2 = 0 leaves nothing to normalize"
         )
-    a = ctx.cfg.alpha
+    a = cfg.alpha
     return 1.0 / (2.0 * a * math.sqrt(float(k * k - 1)))
 
 
-def transformed_eigenpair(ctx: DarbouxContext, k: int):
+def transformed_eigenpair(cfg: WellConfig, k: int):
     """Energy 4 alpha^2 k^2 and the normalized partner eigenfunction
     x -> N_k (L phi_k)(x) as a closure over the open interval."""
-    if k < 2:
-        raise ParameterError(f"partner modes exist for k >= 2, got {k}")
-    a = ctx.cfg.alpha
-    energy = 4.0 * a * a * (k * k)
-    norm = transform_normalization(ctx, k)
+    _require_partner(k)
+    energy = box_energy(cfg, k)
+    norm = transform_normalization(cfg, k)
 
     def profile(x: float) -> float:
-        return norm * intertwine(ctx, k, x)
+        return norm * intertwine(cfg, k, x)
 
     return energy, profile

@@ -58,6 +58,12 @@ def _require_open(cfg: WellConfig, x: float) -> None:
         raise DomainError(f"x={x} outside open interval (0, {cfg.length})")
 
 
+def _require_partner(k: int) -> None:
+    """Partner modes are the images of box modes k >= 2 (k = 1 is annihilated)."""
+    if k < 2:
+        raise ParameterError(f"partner modes exist for k >= 2, got {k}")
+
+
 def box_energy(cfg: WellConfig, k: int) -> float:
     if k < 1:
         raise ParameterError(f"box index k must be >= 1, got {k}")

@@ -19,10 +19,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import closed_form
-from .closed_form import WALL_MARGIN, TrigEigenfunction
+from .closed_form import IDENTITY_FAMILIES, WALL_MARGIN, TrigEigenfunction
 from .errors import EvaluationError, ParameterError
 from .hypergeom import LevelTable, midpoint_vanishing
-from .models import WellConfig, box_energy
+from .models import WellConfig, _require_partner, box_energy
 from .numerics import gauss_legendre
 
 __all__ = [
@@ -198,8 +198,7 @@ def check_trig_norm(
     The integrand is the stable Chebyshev form, identical to the
     cotangent-form integrand away from the removable endpoint singularities.
     """
-    if k < 2:
-        raise ParameterError(f"partner modes exist for k >= 2, got {k}")
+    _require_partner(k)
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
     nodes, grid, _ = _quad_grid(order, panels)
     computed = _weighted_sum([g * g for g in grid.mode(k)], nodes)
@@ -250,8 +249,7 @@ def check_expectation_x(
     interval midpoint up to sign.  The sum runs in t at unit scale
     (alpha = 1, x = t / 2) and is then divided by alpha.
     """
-    if k < 2:
-        raise ParameterError(f"partner modes exist for k >= 2, got {k}")
+    _require_partner(k)
     WellConfig(alpha)
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
     norm = TrigEigenfunction(k, 1.0).norm
@@ -281,8 +279,7 @@ def check_first_moment(
     tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
     if form == "trig":
         k = n_or_k
-        if k < 2:
-            raise ParameterError(f"partner modes exist for k >= 2, got {k}")
+        _require_partner(k)
         nodes, grid, _ = _quad_grid(order, panels)
         computed = _weighted_sum([t * (g * g) for t, g in zip(nodes[0], grid.mode(k))], nodes)
         reference = 0.25 * math.pi * math.pi * (k * k - 1)
@@ -361,8 +358,7 @@ def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None
     exactly), so the result is the same bits at every alpha; the caller's
     alpha only names the row.
     """
-    if k < 2:
-        raise ParameterError(f"partner modes exist for k >= 2, got {k}")
+    _require_partner(k)
     WellConfig(alpha)
     tol = DEFAULT_TOLERANCES["residual"] if tolerance is None else tolerance
     energy = box_energy(WellConfig(1.0), k)
@@ -393,12 +389,9 @@ def check_correspondence(
     return _make_check(f"bound-state correspondence n={n}", dev, 0.0, tol)
 
 
-# Each identity family's row-name prefix.
-_IDENTITY_FAMILIES = {
-    "base": "identity (base) n=",
-    "even": "identity (even ratio) m=",
-    "odd": "identity (odd ratio) m=",
-}
+def _identity_name(which: str, index: int) -> str:
+    family = IDENTITY_FAMILIES[which]
+    return f"identity ({family.label}) {family.letter}={index}"
 
 
 def check_identity(which: str, index: int, *, tolerance: float | None = None) -> CheckResult:
@@ -413,7 +406,7 @@ def check_identity(which: str, index: int, *, tolerance: float | None = None) ->
     pairs = closed_form.identity_pairs(which, index, _interior_grid())
     scale = max(abs(lhs) for lhs, _ in pairs) or 1.0
     dev = max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
-    return _make_check(f"{_IDENTITY_FAMILIES[which]}{index}", dev, 0.0, tol)
+    return _make_check(_identity_name(which, index), dev, 0.0, tol)
 
 
 def _fd_matrix(grid_points: int) -> tuple[float, list, float]:
@@ -483,6 +476,10 @@ def _bisect(hi: float, at_least) -> tuple[float, float]:
             lo = mid
     return lo, up
 
+
+# fd_spectrum's smallest grid and largest mode count.
+MIN_GRID_POINTS = 100
+MAX_MODES = 10
 
 # Newton sweeps the pre-pass spends on one mode at most.
 _NEWTON_SWEEPS = 8
@@ -601,10 +598,10 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     scale = 4.0 * alpha * alpha
     if not (sys.float_info.min <= scale < math.inf):
         raise ParameterError(f"4 alpha^2 = {scale} is not a normal float at alpha = {alpha}")
-    if grid_points < 100:
-        raise ParameterError(f"need at least 100 grid points, got {grid_points}")
-    if count < 0 or count > 10:
-        raise ParameterError(f"count must be between 0 and 10, got {count}")
+    if grid_points < MIN_GRID_POINTS:
+        raise ParameterError(f"need at least {MIN_GRID_POINTS} grid points, got {grid_points}")
+    if count < 0 or count > MAX_MODES:
+        raise ParameterError(f"count must be between 0 and {MAX_MODES}, got {count}")
     if count == 0:
         return []
     record = _SturmRecord(_fd_matrix(grid_points))
@@ -669,9 +666,10 @@ def _suite_specs(
     quad = {"order": quad_order, "panels": panels, "tolerance": quad_tol}
     levels = range(n_max + 1)
     partners = range(2, max(2, n_max) + 1)
-    identities = [("base", n) for n in levels] + [
-        (which, m) for m in range(n_max // 2 + 1) for which in ("even", "odd")
-    ]
+    # the level-indexed rows first, then the others interleaved by index
+    identities = sorted(((which, i) for which, family in IDENTITY_FAMILIES.items()
+                         for i in range(family.top(n_max) + 1)),
+                        key=lambda spec: (IDENTITY_FAMILIES[spec[0]].letter != "n", spec[1]))
     specs = [(f"coefficient C_{n}", 0.0, partial(_check_coefficient, n)) for n in _FROZEN_C]
     specs += [(f"midpoint vanishing m={m}", 0.0, partial(_check_midpoint_vanishing, m))
               for m in range(26)]
@@ -693,7 +691,7 @@ def _suite_specs(
               for k in partners]
     specs += [(f"bound-state correspondence n={n}", id_tol,
                partial(check_correspondence, n, alpha, tolerance=id_tol)) for n in levels]
-    specs += [(f"{_IDENTITY_FAMILIES[which]}{i}", id_tol,
+    specs += [(_identity_name(which, i), id_tol,
                partial(check_identity, which, i, tolerance=id_tol))
               for which, i in identities]
     specs.append(("fd spectrum", tols["fd_spectrum"],

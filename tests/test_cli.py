@@ -258,6 +258,38 @@ def test_identity_flag_mismatch():
     assert main(["identity", "--which", "even", "--m", "-1"]) == 2
 
 
+def test_identity_rejects_the_flag_its_family_does_not_read(capsys):
+    # the other index flag is an error also next to the family's own flag,
+    # and the message names the flag that is rejected
+    for argv, rejected in ((["--which", "even", "--m", "3", "--n", "5"], "--n"),
+                           (["--which", "base", "--n", "2", "--m", "7"], "--m")):
+        assert main(["identity", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and rejected in captured.err
+
+
+def test_identity_families_are_one_table():
+    # the --which choices, the suite's identity rows and the families
+    # identity_pairs accepts are exactly the keys of IDENTITY_FAMILIES
+    from ptdarboux import closed_form
+    from ptdarboux.cli import _build_parser
+    from ptdarboux.closed_form import IDENTITY_FAMILIES
+    from ptdarboux.verify import _interior_grid, _suite_specs, resolve_tolerances
+
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    which = next(a for a in sub.choices["identity"]._actions if a.dest == "which")
+    assert list(which.choices) == list(IDENTITY_FAMILIES) == ["base", "even", "odd"]
+    specs = _suite_specs(1.0, 4, 64, 32, resolve_tolerances(), 1000)
+    labels = {name.split(")")[0] + ")" for name, _, _ in specs if name.startswith("identity")}
+    assert labels == {f"identity ({f.label})" for f in IDENTITY_FAMILIES.values()}
+    grid = _interior_grid()
+    for family in IDENTITY_FAMILIES:
+        assert len(closed_form.identity_pairs(family, 0, grid)) == len(grid.ts)
+    with pytest.raises(ParameterError, match="identity family must be one of"):
+        closed_form.identity_pairs("ratio", 0, grid)
+
+
 def test_identity_default_indices(capsys):
     assert main(["identity", "--which", "base"]) == 0
     row = _rows(capsys.readouterr().out)[0]

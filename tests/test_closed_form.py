@@ -109,6 +109,31 @@ def test_chi_derivatives_match_value():
         assert value == chi_eval(f, x)
 
 
+def test_chi_derivatives_read_one_sweep_with_the_grid_rows_bits(monkeypatch):
+    # one _chebyshev_rows sweep and no TGrid per call; the value and g''
+    # keep the bits of the TGrid rows at alpha = 1, where x = t / 2 is exact
+    sweeps = 0
+    original = closed_form._chebyshev_rows
+
+    def counted(cosines):
+        nonlocal sweeps
+        sweeps += 1
+        return original(cosines)
+
+    ts = [0.05 + 0.03 * i for i in range(100)]
+    grid = TGrid(ts)
+    rows = {k: (grid.mode(k), grid.second_derivative(k)) for k in (2, 3, 12, 40)}
+    monkeypatch.setattr(closed_form, "_chebyshev_rows", counted)
+    monkeypatch.setattr(closed_form, "TGrid", None)
+    for k, (modes, seconds) in rows.items():
+        f = TrigEigenfunction(k, 1.0)
+        for t, g, g2 in zip(ts, modes, seconds):
+            value, _, second = chi_derivatives(f, 0.5 * t)
+            assert value == f.norm * g and second == f.norm * 4.0 * g2
+            assert chi_eval(f, 0.5 * t) == value
+    assert sweeps == 4 * len(ts)
+
+
 def test_chi_first_derivative_against_central_difference():
     h = 1e-6
     worst = 0.0

@@ -292,7 +292,8 @@ def _per_point_rows(n_max):
             pairs.append((f21_real(h, s_half * s_half) / den,
                           pref * stable_bracket(n + 2, t) / (s_t * s_t)))
         scale = max(abs(lhs) for lhs, _ in pairs)
-        name = verify._IDENTITY_FAMILIES[which] + str(index)
+        name = {"base": "identity (base) n=", "even": "identity (even ratio) m=",
+                "odd": "identity (odd ratio) m="}[which] + str(index)
         rows[name] = max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
     return rows
 
