@@ -65,7 +65,7 @@ MAX_PANELS = 1024
 # product is capped too: verify --n-max 60 --panels 1024 takes 36 s and peaks
 # at 92 MB resident (VmHWM), about 60 MB of it the bracket rows the
 # quadrature's TGrid keeps and the Gram matrix's normalized copies of them.
-MAX_QUAD_NODES = MAX_PANELS * 64
+MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
 # spectrum --count 10 (about 21 O(grid_points) Sturm sweeps per mode, where
 # a sweep at every bisection midpoint would take 40): 2.2 s.
 MAX_GRID_POINTS = 100_000
@@ -78,13 +78,14 @@ _MATH_ERRORS = (ZeroDivisionError, DomainError, StabilityError, EvaluationError,
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters shared by every subcommand."""
+    """Validated run parameters shared by every subcommand; `tolerances` takes
+    overrides and holds the resolved registry."""
 
     alpha: float = 1.0
-    n_max: int = 10
-    quad_order: int = 64
-    panels: int = 32
-    grid_points: int = 4000
+    n_max: int = verify.N_MAX
+    quad_order: int = verify.QUAD_ORDER
+    panels: int = verify.PANELS
+    grid_points: int = verify.GRID_POINTS
     tolerances: dict = field(default_factory=dict)
     fmt: str = "csv"
     output: str | None = None
@@ -99,7 +100,7 @@ class RunConfig:
         _require_range("--grid-points", self.grid_points, verify.MIN_GRID_POINTS, MAX_GRID_POINTS)
         if self.fmt not in ("csv", "json"):
             raise ParameterError(f"--format must be csv or json, got {self.fmt!r}")
-        resolve_tolerances(self.tolerances)  # reject unknown names early
+        object.__setattr__(self, "tolerances", resolve_tolerances(self.tolerances))
 
 
 def _require_range(flag: str, value: float, low: float, high: float) -> None:
@@ -169,14 +170,8 @@ def _emit(config: RunConfig, payload: dict, header: list[str], rows: list[list],
 
 def cmd_verify(config: RunConfig) -> int:
     """Run the full verification suite and emit the report."""
-    report = run_full_suite(
-        config.alpha,
-        config.n_max,
-        config.quad_order,
-        config.panels,
-        config.tolerances,
-        grid_points=config.grid_points,
-    )
+    report = run_full_suite(config.alpha, config.n_max, config.quad_order, config.panels,
+                            config.tolerances, grid_points=config.grid_points)
     rows = [[getattr(c, key) for key in _REPORT_HEADER] for c in report.checks]
     return _emit(config, report.to_dict(), _REPORT_HEADER, rows, report.overall)
 
@@ -202,13 +197,12 @@ def cmd_identity(config: RunConfig, which: str, m_or_n: int) -> int:
     """Check one identity family on the interior t grid; report the
     worst deviation between the two sides, scaled by the largest left-side
     value.  The identities are dimensionless: --alpha does not change it."""
-    tolerance = resolve_tolerances(config.tolerances)["identity"]
-    result = check_identity(which, m_or_n, tolerance=tolerance)
+    result = check_identity(which, m_or_n, tolerance=config.tolerances["identity"])
     row = {
         "which": which,
         "index": m_or_n,
         "max_scaled_deviation": result.computed,
-        "tolerance": tolerance,
+        "tolerance": result.tolerance,
         "passed": result.passed,
     }
     payload = {**row, "alpha": config.alpha, "points": verify.INTERIOR_POINTS}
@@ -217,7 +211,7 @@ def cmd_identity(config: RunConfig, which: str, m_or_n: int) -> int:
 
 def cmd_spectrum(config: RunConfig, count: int) -> int:
     """Compare the finite-difference spectrum with 4 alpha^2 (n+2)^2."""
-    tolerance = resolve_tolerances(config.tolerances)["fd_spectrum"]
+    tolerance = config.tolerances["fd_spectrum"]
     report = check_fd_spectrum(config.alpha, config.grid_points, count, tolerance=tolerance)
     header = ["mode", "computed", "exact", "rel_err"]
     rows = [[i, c.computed, c.reference, c.rel_dev] for i, c in enumerate(report.checks)]
@@ -231,26 +225,26 @@ def cmd_spectrum(config: RunConfig, count: int) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, default=1.0,
+    # no defaults here: main passes RunConfig only the flags given
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--alpha", type=float,
                         help="well scale; interval is (0, pi/(2 alpha)) "
                              f"({MIN_ALPHA:g}..{MAX_ALPHA:g})")
-    common.add_argument("--n-max", type=int, default=10, dest="n_max",
+    common.add_argument("--n-max", type=int, dest="n_max",
                         help=f"largest level index exercised by the suite (0..{MAX_DEGREE})")
-    common.add_argument("--quad-order", type=int, default=64, dest="quad_order",
+    common.add_argument("--quad-order", type=int, dest="quad_order",
                         help=f"Gauss-Legendre points per panel (2..{MAX_QUAD_ORDER})")
-    common.add_argument("--panels", type=int, default=32,
+    common.add_argument("--panels", type=int,
                         help=f"equal quadrature subintervals (1..{MAX_PANELS}; "
                              f"panels times quad-order at most {MAX_QUAD_NODES})")
-    common.add_argument("--grid-points", type=int, default=4000, dest="grid_points",
+    common.add_argument("--grid-points", type=int, dest="grid_points",
                         help="finite-difference grid size "
                              f"({verify.MIN_GRID_POINTS}..{MAX_GRID_POINTS})")
     common.add_argument("--tol", action="append", metavar="NAME=VALUE",
                         help="tolerance override, repeatable "
                              f"({', '.join(verify.DEFAULT_TOLERANCES)})")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        dest="fmt", help="output format")
-    common.add_argument("--output", default=None, metavar="PATH",
+    common.add_argument("--format", choices=("csv", "json"), dest="fmt", help="output format")
+    common.add_argument("--output", metavar="PATH",
                         help="write output to PATH instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -286,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", parents=[common],
                             help="finite-difference spectrum vs exact energies")
-    p_spec.add_argument("--count", type=int, default=3,
+    p_spec.add_argument("--count", type=int, default=verify.FD_MODES,
                         help=f"number of low modes to extract (<= {verify.MAX_MODES})")
     p_spec.set_defaults(handler=lambda cfg, args: cmd_spectrum(cfg, args.count))
     return parser
@@ -312,9 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         # the parser's destinations are RunConfig's field names, but for --tol
-        config = RunConfig(tolerances=_parse_tolerance_flags(args.tol),
+        config = RunConfig(tolerances=_parse_tolerance_flags(getattr(args, "tol", None)),
                            **{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                              if f.name != "tolerances"})
+                              if hasattr(args, f.name)})
         return args.handler(config, args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

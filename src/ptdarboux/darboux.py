@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParameterError
-from .models import WellConfig, _require_open, _require_partner, box_energy
+from .models import WellConfig, _require_box, _require_open, _require_partner, box_energy
 
 __all__ = [
     "superpotential",
@@ -49,8 +48,7 @@ def intertwine(cfg: WellConfig, k: int, x: float) -> float:
     blows up.  closed_form's bracket rows (TGrid.mode, read at one point by
     chi_eval) are the stable rewrite.
     """
-    if k < 1:
-        raise ParameterError(f"box index k must be >= 1, got {k}")
+    _require_box(k)
     _require_open(cfg, x)
     a = cfg.alpha
     t = 2.0 * a * x
@@ -67,8 +65,7 @@ def transform_normalization(cfg: WellConfig, k: int) -> float:
     norm; that is reported as a ZeroDivisionError rather than a parameter
     problem.
     """
-    if k < 1:
-        raise ParameterError(f"box index k must be >= 1, got {k}")
+    _require_box(k)
     if k == 1:
         raise ZeroDivisionError(
             "seed mode is annihilated: eps_1 - omega^2 = 0 leaves nothing to normalize"

@@ -64,9 +64,13 @@ def _require_partner(k: int) -> None:
         raise ParameterError(f"partner modes exist for k >= 2, got {k}")
 
 
-def box_energy(cfg: WellConfig, k: int) -> float:
+def _require_box(k: int) -> None:
     if k < 1:
         raise ParameterError(f"box index k must be >= 1, got {k}")
+
+
+def box_energy(cfg: WellConfig, k: int) -> float:
+    _require_box(k)
     return 4.0 * cfg.alpha * cfg.alpha * (k * k)
 
 

@@ -17,6 +17,7 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from types import MappingProxyType
 
 from . import closed_form
 from .closed_form import IDENTITY_FAMILIES, WALL_MARGIN, TrigEigenfunction
@@ -44,34 +45,47 @@ __all__ = [
     "run_full_suite",
 ]
 
-DEFAULT_TOLERANCES = {
+# The default run (levels, quadrature rule, finite-difference grid and modes),
+# then fd_spectrum's smallest grid and largest mode count.
+N_MAX = 10
+QUAD_ORDER = 64
+PANELS = 32
+GRID_POINTS = 4000
+FD_MODES = 3
+MIN_GRID_POINTS = 100
+MAX_MODES = 10
+
+# Read-only, so that no importer can loosen a default for every caller.
+DEFAULT_TOLERANCES = MappingProxyType({
     "quadrature": 1e-10,
     "identity": 1e-9,
     "residual": 1e-8,
     "fd_spectrum": 1e-2,
-}
+})
+
+
+def _tolerance(name: str, value: float | None) -> float:
+    """The registry default of `name` if value is None, else value, which must
+    be finite and >= 0: no deviation can be judged against NaN, inf or < 0."""
+    if value is None:
+        return DEFAULT_TOLERANCES[name]
+    value = float(value)
+    if not (0.0 <= value < math.inf):
+        raise ParameterError(f"tolerance {name!r} must be finite and >= 0, got {value}")
+    return value
 
 
 def resolve_tolerances(overrides: dict | None = None) -> dict:
     """Default tolerance registry with optional per-name overrides.
 
     Unknown names are rejected so a typo cannot silently loosen a check,
-    and so are values that are NaN, infinite or negative, which no
-    deviation could be judged against.
+    and every value passes _tolerance's rule.
     """
     merged = dict(DEFAULT_TOLERANCES)
-    if overrides:
-        for name, value in overrides.items():
-            if name not in merged:
-                raise ParameterError(
-                    f"unknown tolerance {name!r}; known: {sorted(merged)}"
-                )
-            value = float(value)
-            if not (0.0 <= value < math.inf):
-                raise ParameterError(
-                    f"tolerance {name!r} must be finite and >= 0, got {value}"
-                )
-            merged[name] = value
+    for name, value in (overrides or {}).items():
+        if name not in merged:
+            raise ParameterError(f"unknown tolerance {name!r}; known: {sorted(merged)}")
+        merged[name] = _tolerance(name, value)
     return merged
 
 
@@ -191,7 +205,7 @@ def _level_sum(n: int, form: str, order: int, panels: int, moment: bool = False)
 
 
 def check_trig_norm(
-    k: int, *, order: int = 64, panels: int = 32, tolerance: float | None = None
+    k: int, *, order: int = QUAD_ORDER, panels: int = PANELS, tolerance: float | None = None
 ) -> CheckResult:
     """Norm integral of the index-k bracket over (0, pi) against pi/2 (k^2-1).
 
@@ -199,7 +213,7 @@ def check_trig_norm(
     cotangent-form integrand away from the removable endpoint singularities.
     """
     _require_partner(k)
-    tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
+    tol = _tolerance("quadrature", tolerance)
     nodes, grid, _ = _quad_grid(order, panels)
     computed = _weighted_sum([g * g for g in grid.mode(k)], nodes)
     reference = 0.5 * math.pi * (k * k - 1)
@@ -210,8 +224,8 @@ def check_hypergeom_norm(
     n: int,
     form: str = "z",
     *,
-    order: int = 64,
-    panels: int = 32,
+    order: int = QUAD_ORDER,
+    panels: int = PANELS,
     tolerance: float | None = None,
 ) -> CheckResult:
     """Norm integral of the degree-n hypergeometric bound-state factor.
@@ -227,7 +241,7 @@ def check_hypergeom_norm(
     """
     if form not in ("x", "z"):
         raise ParameterError(f"form must be 'x' or 'z', got {form!r}")
-    tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
+    tol = _tolerance("quadrature", tolerance)
     c_n = float(closed_form.coefficient_C(n))
     k = n + 2
     computed = _level_sum(n, form, order, panels)
@@ -239,8 +253,8 @@ def check_expectation_x(
     k: int,
     alpha: float = 1.0,
     *,
-    order: int = 64,
-    panels: int = 32,
+    order: int = QUAD_ORDER,
+    panels: int = PANELS,
     tolerance: float | None = None,
 ) -> CheckResult:
     """Position expectation of the normalized partner mode against pi/(4 alpha).
@@ -251,7 +265,7 @@ def check_expectation_x(
     """
     _require_partner(k)
     WellConfig(alpha)
-    tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
+    tol = _tolerance("quadrature", tolerance)
     norm = TrigEigenfunction(k, 1.0).norm
     nodes, grid, _ = _quad_grid(order, panels)
     values = [(t / 2.0) * (norm * g) * (norm * g) for t, g in zip(nodes[0], grid.mode(k))]
@@ -264,8 +278,8 @@ def check_first_moment(
     n_or_k: int,
     form: str = "trig",
     *,
-    order: int = 64,
-    panels: int = 32,
+    order: int = QUAD_ORDER,
+    panels: int = PANELS,
     tolerance: float | None = None,
 ) -> CheckResult:
     """x-weighted norm integrals.
@@ -276,7 +290,7 @@ def check_first_moment(
     x sin^4 x cos^4 x F^2(sin^2 x) over (0, pi/2) against
     (pi^2/16)((n+2)^2 - 1) C_n^2.
     """
-    tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
+    tol = _tolerance("quadrature", tolerance)
     if form == "trig":
         k = n_or_k
         _require_partner(k)
@@ -298,8 +312,8 @@ def check_orthonormality(
     k_max: int,
     alpha: float = 1.0,
     *,
-    order: int = 64,
-    panels: int = 32,
+    order: int = QUAD_ORDER,
+    panels: int = PANELS,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Gram matrix of the normalized partner modes k = 2..k_max.
@@ -315,7 +329,7 @@ def check_orthonormality(
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
     WellConfig(alpha)
-    tol = DEFAULT_TOLERANCES["quadrature"] if tolerance is None else tolerance
+    tol = _tolerance("quadrature", tolerance)
     (abscissae, weights, half), grid, _ = _quad_grid(order, panels)
     rows = {}
     for k in range(2, k_max + 1):
@@ -360,7 +374,7 @@ def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None
     """
     _require_partner(k)
     WellConfig(alpha)
-    tol = DEFAULT_TOLERANCES["residual"] if tolerance is None else tolerance
+    tol = _tolerance("residual", tolerance)
     energy = box_energy(WellConfig(1.0), k)
     norm = TrigEigenfunction(k, 1.0).norm
     grid = _interior_grid()
@@ -382,7 +396,7 @@ def check_correspondence(
     Both sides scale alike in alpha, so this runs at unit scale (alpha = 1,
     x = t / 2 exactly) and is the same bits at every alpha."""
     WellConfig(alpha)
-    tol = DEFAULT_TOLERANCES["identity"] if tolerance is None else tolerance
+    tol = _tolerance("identity", tolerance)
     psi, chi = _interior_grid().bound_state_pairs(n, 1.0)
     scale = max(map(abs, chi))
     dev = max(map(abs, map(operator.sub, psi, chi))) / scale
@@ -402,7 +416,7 @@ def check_identity(which: str, index: int, *, tolerance: float | None = None) ->
     The identities are dimensionless, so the grid lives in t = 2 alpha x on
     [1e-3, pi - 1e-3] and the result does not depend on alpha.
     """
-    tol = DEFAULT_TOLERANCES["identity"] if tolerance is None else tolerance
+    tol = _tolerance("identity", tolerance)
     pairs = closed_form.identity_pairs(which, index, _interior_grid())
     scale = max(abs(lhs) for lhs, _ in pairs) or 1.0
     dev = max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
@@ -463,26 +477,24 @@ def _sturm_newton(d0: float, rest: list, off_sq: float, lam: float) -> tuple[int
     return negatives, log_det
 
 
+# Newton sweeps the pre-pass spends on one mode at most, and the bracket
+# width, relative to its upper end, at which a mode's bisection stops.
+_NEWTON_SWEEPS = 8
+_STOP_WIDTH = 1e-10
+
+
 def _bisect(hi: float, at_least) -> tuple[float, float]:
     """The bracket every mode's bisection ends in: from [0, hi], halve at
     the midpoint, keeping the upper half when at_least(mid), until the width
-    is at most 1e-10 of the upper end."""
+    is at most _STOP_WIDTH of the upper end."""
     lo, up = 0.0, hi
-    while up - lo > 1e-10 * up:
+    while up - lo > _STOP_WIDTH * up:
         mid = 0.5 * (lo + up)
         if at_least(mid):
             up = mid
         else:
             lo = mid
     return lo, up
-
-
-# fd_spectrum's smallest grid and largest mode count.
-MIN_GRID_POINTS = 100
-MAX_MODES = 10
-
-# Newton sweeps the pre-pass spends on one mode at most.
-_NEWTON_SWEEPS = 8
 
 
 class _SturmRecord:
@@ -537,7 +549,7 @@ class _SturmRecord:
             b = self.lams[i]
             if below == mode - 1 and self.counts[i] == mode:
                 break
-            if b - a <= 1e-10 * b:
+            if b - a <= _STOP_WIDTH * b:
                 return
             self.count(0.5 * (a + b))
         lam, last = 0.5 * (a + b), math.inf
@@ -594,8 +606,7 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     energies.  So is one whose 4 alpha^2 times the bracket top hi
     overflows, since every eigenvalue lies below hi.
     """
-    WellConfig(alpha)
-    scale = 4.0 * alpha * alpha
+    scale = box_energy(WellConfig(alpha), 1)
     if not (sys.float_info.min <= scale < math.inf):
         raise ParameterError(f"4 alpha^2 = {scale} is not a normal float at alpha = {alpha}")
     if grid_points < MIN_GRID_POINTS:
@@ -623,7 +634,7 @@ def check_fd_spectrum(
 ) -> VerificationReport:
     """The lowest `count` finite-difference eigenvalues (fd_spectrum), row
     "fd mode i" against the exact partner energy 4 alpha^2 (i + 2)^2."""
-    tol = DEFAULT_TOLERANCES["fd_spectrum"] if tolerance is None else tolerance
+    tol = _tolerance("fd_spectrum", tolerance)
     modes = fd_spectrum(alpha, grid_points, count)
     cfg = WellConfig(alpha)
     checks = [
@@ -695,19 +706,19 @@ def _suite_specs(
                partial(check_identity, which, i, tolerance=id_tol))
               for which, i in identities]
     specs.append(("fd spectrum", tols["fd_spectrum"],
-                  partial(check_fd_spectrum, alpha, grid_points, 3,
+                  partial(check_fd_spectrum, alpha, grid_points, FD_MODES,
                           tolerance=tols["fd_spectrum"])))
     return specs
 
 
 def run_full_suite(
     alpha: float = 1.0,
-    n_max: int = 10,
-    quad_order: int = 64,
-    panels: int = 32,
+    n_max: int = N_MAX,
+    quad_order: int = QUAD_ORDER,
+    panels: int = PANELS,
     tolerances: dict | None = None,
     *,
-    grid_points: int = 4000,
+    grid_points: int = GRID_POINTS,
 ) -> VerificationReport:
     """Run every check over the desk-scale ranges and aggregate a report.
 
@@ -720,10 +731,11 @@ def run_full_suite(
     """
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    tols = resolve_tolerances(tolerances)
-    specs = _suite_specs(alpha, n_max, quad_order, panels, tols, grid_points)
+    parameters = {"alpha": alpha, "n_max": n_max, "quad_order": quad_order,
+                  "panels": panels, "grid_points": grid_points}
     checks: list[CheckResult] = []
-    for name, tolerance, thunk in specs:
+    for name, tolerance, thunk in _suite_specs(**parameters,
+                                               tols=resolve_tolerances(tolerances)):
         try:
             result = thunk()
         except Exception as exc:  # noqa: BLE001 - aggregation must not abort
@@ -743,13 +755,4 @@ def run_full_suite(
             checks.extend(result.checks)
         else:
             checks.append(result)
-    return _report(
-        checks,
-        {
-            "alpha": alpha,
-            "n_max": n_max,
-            "quad_order": quad_order,
-            "panels": panels,
-            "grid_points": grid_points,
-        },
-    )
+    return _report(checks, parameters)

@@ -5,9 +5,11 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from ptdarboux import verify
 from ptdarboux.cli import (
     MAX_ALPHA,
     MAX_DEGREE,
@@ -21,7 +23,7 @@ from ptdarboux.cli import (
     main,
 )
 from ptdarboux.errors import ParameterError
-from ptdarboux.verify import check_fd_spectrum, check_identity
+from ptdarboux.verify import check_fd_spectrum, check_identity, resolve_tolerances
 
 FAST = ["--n-max", "2", "--grid-points", "500"]
 
@@ -65,6 +67,44 @@ def test_run_config_validation():
                 {"grid_points": MAX_GRID_POINTS + 1}):
         with pytest.raises(ParameterError):
             RunConfig(**bad)
+
+
+def test_run_defaults_are_stated_once():
+    # the shared parser supplies no default, so RunConfig's are the CLI's,
+    # and those are the verify constants
+    from ptdarboux.cli import _build_parser
+
+    args = _build_parser().parse_args(["verify"])
+    assert not hasattr(args, "alpha")
+    assert set(vars(args)) == {"command", "handler"}
+    config = RunConfig()
+    assert (config.alpha, config.n_max, config.quad_order, config.panels, config.grid_points) == (
+        1.0, verify.N_MAX, verify.QUAD_ORDER, verify.PANELS, verify.GRID_POINTS)
+    assert (config.fmt, config.output) == ("csv", None)
+
+
+def test_run_config_holds_the_resolved_tolerances():
+    assert RunConfig().tolerances == verify.DEFAULT_TOLERANCES
+    config = RunConfig(tolerances={"identity": 1e-12})
+    assert config.tolerances == resolve_tolerances({"identity": 1e-12})
+
+
+GOLDEN = Path(__file__).with_name("verify_default.json")
+
+
+def test_default_verify_json_is_the_golden_report(capsys):
+    # a pure refactor leaves the default report byte-identical; a change
+    # that moves a number rewrites verify_default.json and says so
+    assert main(["verify", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    golden = GOLDEN.read_bytes().decode("utf-8")
+    if out != golden:
+        got, want = json.loads(out), json.loads(golden)
+        differing = [w["name"] for g, w in zip(got["checks"], want["checks"]) if g != w]
+        where = (f"first differing row {differing[0]!r}" if differing else
+                 f"{len(got['checks'])} rows against {len(want['checks'])}, "
+                 "or the parameters, the overall flag or the layout")
+        pytest.fail(f"verify --format json differs from {GOLDEN.name}: {where}")
 
 
 @pytest.mark.parametrize(
@@ -308,6 +348,11 @@ def test_spectrum_default_grid(capsys):
     exact = [float(row["exact"]) for row in rows]
     assert exact == [16.0, 36.0, 64.0]
     assert all(float(row["rel_err"]) <= 1e-2 for row in rows)
+
+
+def test_spectrum_count_defaults_to_the_suite_modes(capsys):
+    assert main(["spectrum", "--grid-points", "1000"]) == 0
+    assert len(_rows(capsys.readouterr().out)) == verify.FD_MODES
 
 
 def test_spectrum_alpha_scaling(capsys):

@@ -1,8 +1,10 @@
 """Darboux transformation: superpotential, partner potential, intertwining."""
 import math
+from pathlib import Path
 
 import pytest
 
+import ptdarboux
 from oracles import chi
 from ptdarboux.closed_form import TrigEigenfunction
 from ptdarboux.darboux import (
@@ -110,6 +112,19 @@ def test_intertwine_validation():
         intertwine(cfg, 0, 0.5)
     with pytest.raises(DomainError):
         intertwine(cfg, 2, 0.0)
+
+
+def test_box_index_rule_is_stated_once():
+    # models._require_box is the one box-index check of box_energy,
+    # intertwine and transform_normalization
+    cfg = WellConfig(1.0)
+    for call in (lambda: box_energy(cfg, 0), lambda: intertwine(cfg, 0, 0.5),
+                 lambda: transform_normalization(cfg, 0)):
+        with pytest.raises(ParameterError, match=r"box index k must be >= 1, got 0"):
+            call()
+    package = Path(ptdarboux.__file__).parent
+    sources = [path.read_text(encoding="utf-8") for path in package.glob("*.py")]
+    assert sum(text.count("box index k must be >= 1") for text in sources) == 1
 
 
 def test_transform_normalization_values():

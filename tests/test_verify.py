@@ -1,4 +1,5 @@
 """Quadrature checks, reports, the finite-difference spectrum, and the suite."""
+import inspect
 import math
 import random
 import re
@@ -19,6 +20,7 @@ from ptdarboux.models import PTParams, WellConfig
 from ptdarboux.verify import (
     DEFAULT_TOLERANCES,
     CheckResult,
+    VerificationReport,
     check_correspondence,
     check_expectation_x,
     check_fd_spectrum,
@@ -83,6 +85,58 @@ def test_resolve_tolerances():
 def test_resolve_tolerances_rejects_unusable_values(value):
     with pytest.raises(ParameterError):
         resolve_tolerances({"identity": value})
+
+
+def test_default_tolerances_are_read_only():
+    with pytest.raises(TypeError):
+        DEFAULT_TOLERANCES["quadrature"] = 1.0
+    assert DEFAULT_TOLERANCES["quadrature"] == 1e-10
+
+
+# One call of every check, all but its tolerance bound, with its family.
+_TOLERANCE_FAMILIES = [
+    ("quadrature", partial(check_trig_norm, 2)),
+    ("quadrature", partial(check_hypergeom_norm, 0)),
+    ("quadrature", partial(check_expectation_x, 2)),
+    ("quadrature", partial(check_first_moment, 2)),
+    ("quadrature", partial(check_orthonormality, 3)),
+    ("residual", partial(check_residual, 2)),
+    ("identity", partial(check_correspondence, 0)),
+    ("identity", partial(check_identity, "base", 0)),
+    ("fd_spectrum", partial(check_fd_spectrum, 1.0, 100, 1)),
+]
+
+
+@pytest.mark.parametrize("family, check", _TOLERANCE_FAMILIES)
+def test_every_check_tolerance_passes_the_tol_rule(family, check):
+    # a check's own tolerance= meets the rule and the message of --tol
+    for value in (math.inf, math.nan, -1.0):
+        with pytest.raises(ParameterError) as err:
+            check(tolerance=value)
+        with pytest.raises(ParameterError) as tol_err:
+            resolve_tolerances({family: value})
+        assert str(err.value) == str(tol_err.value)
+    result = check(tolerance=None)
+    rows = result.checks if isinstance(result, VerificationReport) else (result,)
+    assert rows and {row.tolerance for row in rows} == {DEFAULT_TOLERANCES[family]}
+
+
+def test_an_empty_fd_report_still_checks_its_tolerance():
+    with pytest.raises(ParameterError):
+        check_fd_spectrum(1.0, 100, 0, tolerance=math.inf)
+
+
+def test_check_and_suite_defaults_are_the_default_run():
+    for check in (check_trig_norm, check_hypergeom_norm, check_expectation_x,
+                  check_first_moment, check_orthonormality):
+        params = inspect.signature(check).parameters
+        assert (params["order"].default, params["panels"].default) == (
+            verify.QUAD_ORDER, verify.PANELS), check.__name__
+    params = inspect.signature(run_full_suite).parameters
+    assert [params[name].default for name in ("n_max", "quad_order", "panels", "grid_points")] == [
+        verify.N_MAX, verify.QUAD_ORDER, verify.PANELS, verify.GRID_POINTS]
+    fd_rows = [c for c in run_full_suite(n_max=0).checks if c.name.startswith("fd mode")]
+    assert len(fd_rows) == verify.FD_MODES
 
 
 def test_check_result_invariant_on_zero_reference():
