@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 
 from . import closed_form, verify
 from .closed_form import IDENTITY_FAMILIES
@@ -76,31 +76,29 @@ _REPORT_HEADER = ["name", "computed", "reference", "abs_dev", "rel_dev", "tolera
 _MATH_ERRORS = (ZeroDivisionError, DomainError, StabilityError, EvaluationError, ConvergenceError)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "alpha n_max quad_order panels grid_points "
+                                        "tolerances fmt output")):
     """Validated run parameters shared by every subcommand; `tolerances` takes
-    overrides and holds the resolved registry."""
+    overrides (None for none) and holds the resolved registry."""
 
-    alpha: float = 1.0
-    n_max: int = verify.N_MAX
-    quad_order: int = verify.QUAD_ORDER
-    panels: int = verify.PANELS
-    grid_points: int = verify.GRID_POINTS
-    tolerances: dict = field(default_factory=dict)
-    fmt: str = "csv"
-    output: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_range("--alpha", self.alpha, MIN_ALPHA, MAX_ALPHA)
-        _require_range("--n-max", self.n_max, 0, MAX_DEGREE)
-        _require_range("--quad-order", self.quad_order, 2, MAX_QUAD_ORDER)
-        _require_range("--panels", self.panels, 1, MAX_PANELS)
-        _require_range("--panels * --quad-order", self.panels * self.quad_order,
-                       2, MAX_QUAD_NODES)
-        _require_range("--grid-points", self.grid_points, verify.MIN_GRID_POINTS, MAX_GRID_POINTS)
-        if self.fmt not in ("csv", "json"):
-            raise ParameterError(f"--format must be csv or json, got {self.fmt!r}")
-        object.__setattr__(self, "tolerances", resolve_tolerances(self.tolerances))
+    def __new__(cls, alpha: float = 1.0, n_max: int = verify.N_MAX,
+                quad_order: int = verify.QUAD_ORDER, panels: int = verify.PANELS,
+                grid_points: int = verify.GRID_POINTS, tolerances: dict | None = None,
+                fmt: str = "csv", output: str | None = None):
+        _require_range("--alpha", alpha, MIN_ALPHA, MAX_ALPHA)
+        _require_range("--n-max", n_max, 0, MAX_DEGREE)
+        _require_range("--quad-order", quad_order, 2, MAX_QUAD_ORDER)
+        _require_range("--panels", panels, 1, MAX_PANELS)
+        _require_range("--panels * --quad-order", panels * quad_order, 2, MAX_QUAD_NODES)
+        _require_range("--grid-points", grid_points, verify.MIN_GRID_POINTS, MAX_GRID_POINTS)
+        if fmt not in ("csv", "json"):
+            raise ParameterError(f"--format must be csv or json, got {fmt!r}")
+        return super().__new__(cls, alpha, n_max, quad_order, panels, grid_points,
+                               resolve_tolerances(tolerances), fmt, output)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
 
 
 def _require_range(flag: str, value: float, low: float, high: float) -> None:
@@ -307,8 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # the parser's destinations are RunConfig's field names, but for --tol
         config = RunConfig(tolerances=_parse_tolerance_flags(getattr(args, "tol", None)),
-                           **{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                              if hasattr(args, f.name)})
+                           **{name: getattr(args, name) for name in RunConfig._fields
+                              if hasattr(args, name)})
         return args.handler(config, args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

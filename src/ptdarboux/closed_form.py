@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import count, islice
@@ -45,22 +44,21 @@ __all__ = [
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class TrigEigenfunction:
+class TrigEigenfunction(namedtuple("TrigEigenfunction", "k alpha")):
     """Normalized partner eigenfunction of index k >= 2 at energy 4 alpha^2 k^2."""
 
-    k: int
-    alpha: float
-    norm: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_partner(self.k)
-        WellConfig(self.alpha)
-        object.__setattr__(
-            self,
-            "norm",
-            math.sqrt(4.0 * self.alpha / math.pi) / math.sqrt(self.k * self.k - 1.0),
-        )
+    def __new__(cls, k: int, alpha: float):
+        _require_partner(k)
+        WellConfig(alpha)
+        return super().__new__(cls, k, alpha)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
+
+    @property
+    def norm(self) -> float:
+        return math.sqrt(4.0 * self.alpha / math.pi) / math.sqrt(self.k * self.k - 1.0)
 
 
 def _bracket_rows(ts):

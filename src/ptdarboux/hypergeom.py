@@ -14,7 +14,7 @@ recurrence in degree, whose terms stay of the size of the result.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count, islice
 
@@ -39,28 +39,29 @@ def _as_fraction(value, what: str) -> Fraction:
     raise TypeError(f"{what} must be rational (int/Fraction) or float, got {type(value)!r}")
 
 
-@dataclass(frozen=True)
-class TerminatingHypergeometric:
-    """Parameters of the degree-n polynomial 2F1(-n, b; c; z).
+class TerminatingHypergeometric(namedtuple("TerminatingHypergeometric", "n b c")):
+    """Parameters of the degree-n polynomial 2F1(-n, b; c; z); b and c are
+    stored as Fractions.
 
     c must not be zero or a negative integer, otherwise the series is
     undefined.  The degree in z equals n unless a Pochhammer factor of b
     truncates the series earlier.
     """
 
-    n: int
-    b: Fraction
-    c: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, b, c):
+        if n < 0:
             raise ParameterError("degree n must be nonnegative")
-        object.__setattr__(self, "b", _as_fraction(self.b, "parameter b"))
-        object.__setattr__(self, "c", _as_fraction(self.c, "parameter c"))
-        if self.c.denominator == 1 and self.c <= 0:
+        b = _as_fraction(b, "parameter b")
+        c = _as_fraction(c, "parameter c")
+        if c.denominator == 1 and c <= 0:
             raise ParameterError(
-                f"third parameter c={self.c} is a nonpositive integer; series undefined"
+                f"third parameter c={c} is a nonpositive integer; series undefined"
             )
+        return super().__new__(cls, n, b, c)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
 
 
 def f21_eval_exact(h: TerminatingHypergeometric, z) -> Fraction:

@@ -9,7 +9,7 @@ the box level k = n + 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, ParameterError
 
@@ -22,35 +22,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WellConfig:
+class WellConfig(namedtuple("WellConfig", "alpha")):
     """Geometry of the interval (0, L) with L = pi / (2 alpha).  Every check
     of alpha in the package builds one: 0 < alpha < inf, NaN rejected."""
 
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.alpha < math.inf):
-            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
+    def __new__(cls, alpha: float):
+        if not (0.0 < alpha < math.inf):
+            raise ParameterError(f"alpha must be positive and finite, got {alpha}")
+        return super().__new__(cls, alpha)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
 
     @property
     def length(self) -> float:
         return math.pi / (2.0 * self.alpha)
 
 
-@dataclass(frozen=True)
-class PTParams:
+class PTParams(namedtuple("PTParams", "kappa lam")):
     """Poschl-Teller strength parameters; lam is the coefficient usually
     written with a Greek lambda (reserved word in Python)."""
 
-    kappa: float
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.kappa > 1):
-            raise ParameterError(f"kappa must exceed 1, got {self.kappa}")
-        if not (self.lam > 1):
-            raise ParameterError(f"lam must exceed 1, got {self.lam}")
+    def __new__(cls, kappa: float, lam: float):
+        if not (kappa > 1):
+            raise ParameterError(f"kappa must exceed 1, got {kappa}")
+        if not (lam > 1):
+            raise ParameterError(f"lam must exceed 1, got {lam}")
+        return super().__new__(cls, kappa, lam)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
 
 
 def _require_open(cfg: WellConfig, x: float) -> None:

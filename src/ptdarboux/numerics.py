@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConvergenceError, ParameterError
 
@@ -12,13 +12,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(namedtuple("QuadratureRule", "order nodes weights")):
     """Gauss-Legendre nodes/weights on [-1, 1], immutable and shareable."""
 
-    order: int
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
+    __slots__ = ()
 
 
 def _legendre_pair(order: int, x: float) -> tuple[float, float]:

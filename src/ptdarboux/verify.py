@@ -14,7 +14,7 @@ import operator
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from types import MappingProxyType
@@ -89,25 +89,16 @@ def resolve_tolerances(overrides: dict | None = None) -> dict:
     return merged
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    computed: float
-    reference: float
-    abs_dev: float
-    rel_dev: float
-    tolerance: float
-    passed: bool
+class CheckResult(namedtuple("CheckResult",
+                             "name computed reference abs_dev rel_dev tolerance passed")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
-    parameters: dict
-    overall: bool
+class VerificationReport(namedtuple("VerificationReport", "checks parameters overall")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

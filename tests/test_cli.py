@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -413,6 +414,39 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "mode,computed,exact,rel_err"
+
+
+_GUARD = """
+import contextlib, io, sys
+import ptdarboux.cli
+def loaded(step):
+    print(step, sorted({"dataclasses", "inspect"} & set(sys.modules)))
+loaded("import")
+for argv in (["verify", "--n-max", "2"], ["tabulate"], ["identity", "--which", "odd", "--m", "2"],
+             ["spectrum", "--count", "1"], ["verify", "--help"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        ptdarboux.cli.main(argv)
+    loaded(" ".join(argv))
+"""
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect():
+    # dataclasses, which loads inspect, was about 30% of the CLI's import
+    # time; -S keeps the imports of site .pth files out of the fresh interpreter
+    import ptdarboux
+
+    source = Path(ptdarboux.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _GUARD],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(source)},
+    )
+    assert result.returncode == 0, result.stderr
+    steps = result.stdout.splitlines()
+    assert len(steps) == 6
+    assert all(step.endswith(" []") for step in steps), steps
 
 
 def test_csv_floats_are_17_significant_digits(capsys):

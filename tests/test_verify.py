@@ -375,14 +375,14 @@ def test_suite_sweeps_instead_of_evaluating_point_by_point(monkeypatch):
         if name.startswith("ptdarboux") and hasattr(module, "f21_eval_real"):
             monkeypatch.setattr(module, "f21_eval_real", forbidden)
     built = 0
-    original = TerminatingHypergeometric.__post_init__
+    original = TerminatingHypergeometric.__new__
 
-    def counted(self):
+    def counted(cls, *args, **kwargs):
         nonlocal built
         built += 1
-        original(self)
+        return original(cls, *args, **kwargs)
 
-    monkeypatch.setattr(TerminatingHypergeometric, "__post_init__", counted)
+    monkeypatch.setattr(TerminatingHypergeometric, "__new__", counted)
     counts = []
     try:
         for points in (200, 500):
@@ -395,6 +395,7 @@ def test_suite_sweeps_instead_of_evaluating_point_by_point(monkeypatch):
             counts.append(built)
     finally:
         verify._interior_grid.cache_clear()
+    assert counts[0] > 0  # the hook sees the constructions it counts
     assert counts[0] == counts[1]
 
 
