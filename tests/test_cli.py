@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import golden
 from ptdarboux import verify
 from ptdarboux.cli import (
     MAX_ALPHA,
@@ -106,6 +107,19 @@ def test_default_verify_json_is_the_golden_report(capsys):
                  f"{len(got['checks'])} rows against {len(want['checks'])}, "
                  "or the parameters, the overall flag or the layout")
         pytest.fail(f"verify --format json differs from {GOLDEN.name}: {where}")
+
+
+def test_every_golden_command_gives_its_recorded_output():
+    # golden.py's commands against golden.json: a pure refactor leaves every
+    # entry, a change that moves an output rewrites the file and says so
+    recorded = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
+    assert list(recorded) == golden.COMMANDS
+    for command in golden.COMMANDS:
+        entry = golden.run(command)
+        if entry != recorded[command]:
+            differs = [key for key in entry if entry[key] != recorded[command][key]]
+            pytest.fail(f"ptdarboux {command}: {', '.join(differs)} differ from "
+                        f"{golden.MANIFEST.name}")
 
 
 @pytest.mark.parametrize(
