@@ -54,17 +54,17 @@ MAX_ALPHA = 1e100
 # The caps below bound the work each flag can ask for.  Times are on one
 # Intel Xeon core under CPython 3.11.  MAX_DEGREE caps --n-max, tabulate --n
 # and identity --n, and identity --m at MAX_DEGREE // 2 (the suite's indices
-# at n_max = MAX_DEGREE): verify --n-max 60 takes 1.5 s, identity --n 60 0.05 s.
+# at n_max = MAX_DEGREE): verify --n-max 60 takes 0.8 s, identity --n 60 0.05 s.
 MAX_DEGREE = 60
 # A Gauss-Legendre rule is built in O(order^2): 0.52 s at 1024 points.
 MAX_QUAD_ORDER = 1024
 # One x-form hypergeometric norm check at n = 60 and the default order, its
-# level table swept from degree 0: 1.0 s.
+# level table swept from degree 0: 0.7 s.
 MAX_PANELS = 1024
 # The work of a quadrature check grows with panels times order, so their
-# product is capped too: verify --n-max 60 --panels 1024 takes 36 s and peaks
-# at 92 MB resident (VmHWM), about 60 MB of it the bracket rows the
-# quadrature's TGrid keeps and the Gram matrix's normalized copies of them.
+# product is capped too: verify --n-max 60 --panels 1024 takes 25 s and peaks
+# at 67 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode rows
+# the quadrature's sums keep (verify._TSums).
 MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
 # spectrum --count 10 (about 21 O(grid_points) Sturm sweeps per mode, where
 # a sweep at every bisection midpoint would take 40): 2.2 s.

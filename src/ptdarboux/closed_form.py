@@ -218,9 +218,9 @@ class TGrid:
     bracket g of index k >= 2 and second_derivative(k) = its row g'' in t
     (one _bracket_rows and one _derivative_rows sweep, every row kept), and,
     built on first use, sin_sq = sin^2(t) for the identities, the bound
-    state's factors (bound_state_pairs) and the residual's partner potential
-    at unit scale, x = t / 2 (every t inside (0, pi)).  A returned row is
-    shared and must not be changed."""
+    state's factors (bound_state_pairs, verify's level rows) and the
+    residual's partner potential at unit scale, x = t / 2 (every t inside
+    (0, pi)).  A returned row is shared and must not be changed."""
 
     def __init__(self, ts):
         self.ts = ts

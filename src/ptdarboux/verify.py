@@ -160,13 +160,57 @@ def _weighted_sum(values, nodes) -> float:
     return half * math.fsum(map(operator.mul, weights, values))
 
 
-@lru_cache(maxsize=1)
-def _quad_grid(order: int, panels: int):
-    """The rule on t in (0, pi), its TGrid and the x-form weight row
-    (sin x cos x)^4 at x = t / 2 (check_hypergeom_norm)."""
-    nodes = _nodes(0.0, math.pi, order, panels)
-    weights = [(math.sin(0.5 * t) * math.cos(0.5 * t)) ** 4 for t in nodes[0]]
-    return nodes, closed_form.TGrid(nodes[0]), array("d", weights)
+class _TSums:
+    """The rule on t in (0, pi) and its one sum, half sum (w a) b, taken once
+    per integral: D(r) = half sum (w r) r and M(r) = half sum (w r)(t r) of
+    a partner mode r_k = N_k g_k (normalized at alpha = 1, x = t / 2; kept)
+    or of a level l_n = sin^2 cos^2(t/2) F_n (not kept, so both its sums are
+    taken at its first read), and P(r_i, r_j) = half sum (w r_i) r_j of a
+    Gram pair.  Each row is checked for non-finite values once: rows are
+    bounded, so a non-finite product would make fsum return one or raise."""
+
+    def __init__(self, order: int, panels: int):
+        self.nodes = _nodes(0.0, math.pi, order, panels)
+        self.grid = closed_form.TGrid(self.nodes[0])  # level table, bound-state factors
+        self._sweep, self._modes = closed_form._bracket_rows(self.nodes[0]), []
+        self._mode_sums, self._level_sums = {}, {}
+
+    def sum(self, weighted, row) -> float:
+        return self.nodes[2] * math.fsum(map(operator.mul, weighted, row))
+
+    def weigh(self, row) -> array:
+        return array("d", map(operator.mul, self.nodes[1], row))
+
+    def mode(self, k: int) -> array:
+        _require_partner(k)
+        while len(self._modes) <= k - 2:
+            norm = TrigEigenfunction(len(self._modes) + 2, 1.0).norm
+            row = array("d", [norm * g for g in next(self._sweep)])
+            _require_finite(row, self.nodes[0])
+            self._modes.append(row)
+        return self._modes[k - 2]
+
+    def mode_sum(self, k: int, kind: str) -> float:
+        """D(r_k) or M(r_k), as kind says."""
+        if (k, kind) not in self._mode_sums:
+            row = self.mode(k)
+            other = row if kind == "D" else map(operator.mul, self.nodes[0], row)
+            self._mode_sums[k, kind] = self.sum(self.weigh(row), other)
+        return self._mode_sums[k, kind]
+
+    def level_sum(self, n: int, kind: str) -> float:
+        """D(l_n) or M(l_n), as kind says."""
+        if n not in self._level_sums:
+            level = self.grid.level(n)
+            row = array("d", [s2 * c2 * f for s2, c2, f in zip(*self.grid.bound_factors, level)])
+            _require_finite(row, self.nodes[0])
+            weighted = self.weigh(row)
+            self._level_sums[n] = {"D": self.sum(weighted, row),
+                                   "M": self.sum(weighted, map(operator.mul, self.nodes[0], row))}
+        return self._level_sums[n][kind]
+
+
+_quad_grid = lru_cache(maxsize=1)(_TSums)
 
 
 @lru_cache(maxsize=1)
@@ -180,49 +224,28 @@ def _level_table(order: int, panels: int):
     return nodes, array("d", weights), LevelTable(zs)
 
 
-def _level_sum(n: int, form: str, order: int, panels: int, moment: bool = False) -> float:
-    """One form's rule applied to weight * F_n^2 or (x form) x * weight * F_n^2.
-    The x form sums over the t nodes at x = t / 2 with half the t rule's
-    half-width: both halvings are exact, so this is the (0, pi/2) rule."""
-    if form == "x":
-        (ts, quad_weights, half), grid, weights = _quad_grid(order, panels)
-        nodes, levels = (ts, quad_weights, 0.5 * half), grid.level(n)
-        if moment:
-            weights = ((0.5 * t) * w for t, w in zip(ts, weights))
-    else:
-        nodes, weights, table = _level_table(order, panels)
-        levels = table.level(n)
-    return _weighted_sum([w * f * f for w, f in zip(weights, levels)], nodes)
-
-
 def check_trig_norm(
     k: int, *, order: int = QUAD_ORDER, panels: int = PANELS, tolerance: float | None = None
 ) -> CheckResult:
-    """Norm integral of the index-k bracket over (0, pi) against pi/2 (k^2-1).
+    """Norm integral of the index-k bracket over (0, pi) against pi/2 (k^2-1),
+    D(r_k) / N_k^2 (_TSums).
 
     The integrand is the stable Chebyshev form, identical to the
     cotangent-form integrand away from the removable endpoint singularities.
     """
-    _require_partner(k)
     tol = _tolerance("quadrature", tolerance)
-    nodes, grid, _ = _quad_grid(order, panels)
-    computed = _weighted_sum([g * g for g in grid.mode(k)], nodes)
+    norm = TrigEigenfunction(k, 1.0).norm
+    computed = _quad_grid(order, panels).mode_sum(k, "D") / (norm * norm)
     reference = 0.5 * math.pi * (k * k - 1)
     return _make_check(f"trig norm k={k}", computed, reference, tol)
 
 
-def check_hypergeom_norm(
-    n: int,
-    form: str = "z",
-    *,
-    order: int = QUAD_ORDER,
-    panels: int = PANELS,
-    tolerance: float | None = None,
-) -> CheckResult:
+def check_hypergeom_norm(n: int, form: str = "z", *, order: int = QUAD_ORDER,
+                         panels: int = PANELS, tolerance: float | None = None) -> CheckResult:
     """Norm integral of the degree-n hypergeometric bound-state factor.
 
     form="x": integral of sin^4 x cos^4 x F^2(sin^2 x) over (0, pi/2)
-    against (pi/4)((n+2)^2 - 1) C_n^2.
+    against (pi/4)((n+2)^2 - 1) C_n^2: D(l_n) / 2 in t = 2x (_TSums).
     form="z": integral of z^{3/2} (1-z)^{3/2} F^2(z) over (0, 1) against
     (pi/2)((n+2)^2 - 1) C_n^2.  The z-form kernel has square-root behaviour
     at both endpoints, which would cap plain panel quadrature near 1e-9
@@ -235,109 +258,78 @@ def check_hypergeom_norm(
     tol = _tolerance("quadrature", tolerance)
     c_n = float(closed_form.coefficient_C(n))
     k = n + 2
-    computed = _level_sum(n, form, order, panels)
+    if form == "x":
+        computed = _quad_grid(order, panels).level_sum(n, "D") / 2.0
+    else:
+        nodes, weights, table = _level_table(order, panels)
+        computed = _weighted_sum([w * f * f for w, f in zip(weights, table.level(n))], nodes)
     reference = (0.25 if form == "x" else 0.5) * math.pi * (k * k - 1) * c_n * c_n
     return _make_check(f"hypergeom norm ({form}-form) n={n}", computed, reference, tol)
 
 
-def check_expectation_x(
-    k: int,
-    alpha: float = 1.0,
-    *,
-    order: int = QUAD_ORDER,
-    panels: int = PANELS,
-    tolerance: float | None = None,
-) -> CheckResult:
-    """Position expectation of the normalized partner mode against pi/(4 alpha).
-
-    The value is index-independent: every mode is symmetric about the
-    interval midpoint up to sign.  The sum runs in t at unit scale
-    (alpha = 1, x = t / 2) and is then divided by alpha.
-    """
+def check_expectation_x(k: int, alpha: float = 1.0, *, order: int = QUAD_ORDER,
+                        panels: int = PANELS, tolerance: float | None = None) -> CheckResult:
+    """Position expectation of the normalized partner mode against
+    pi/(4 alpha), M(r_k) / (4 alpha) (_TSums).  The value is
+    index-independent: every mode is symmetric about the interval midpoint
+    up to sign."""
     _require_partner(k)
     WellConfig(alpha)
     tol = _tolerance("quadrature", tolerance)
-    norm = TrigEigenfunction(k, 1.0).norm
-    nodes, grid, _ = _quad_grid(order, panels)
-    values = [(t / 2.0) * (norm * g) * (norm * g) for t, g in zip(nodes[0], grid.mode(k))]
-    computed = _weighted_sum(values, nodes) / 2.0 / alpha
+    computed = _quad_grid(order, panels).mode_sum(k, "M") / (4.0 * alpha)
     reference = math.pi / (4.0 * alpha)
     return _make_check(f"expectation <x> k={k} alpha={alpha}", computed, reference, tol)
 
 
-def check_first_moment(
-    n_or_k: int,
-    form: str = "trig",
-    *,
-    order: int = QUAD_ORDER,
-    panels: int = PANELS,
-    tolerance: float | None = None,
-) -> CheckResult:
+def check_first_moment(n_or_k: int, form: str = "trig", *, order: int = QUAD_ORDER,
+                       panels: int = PANELS, tolerance: float | None = None) -> CheckResult:
     """x-weighted norm integrals.
 
     form="trig" (index k >= 2): integral of t [bracket_k(t)]^2 over (0, pi)
-    against (pi^2/4)(k^2 - 1).
+    against (pi^2/4)(k^2 - 1): M(r_k) / N_k^2 (_TSums).
     form="hypergeom" (index n >= 0): integral of
     x sin^4 x cos^4 x F^2(sin^2 x) over (0, pi/2) against
-    (pi^2/16)((n+2)^2 - 1) C_n^2.
+    (pi^2/16)((n+2)^2 - 1) C_n^2: M(l_n) / 4 in t = 2x.
     """
     tol = _tolerance("quadrature", tolerance)
     if form == "trig":
         k = n_or_k
-        _require_partner(k)
-        nodes, grid, _ = _quad_grid(order, panels)
-        computed = _weighted_sum([t * (g * g) for t, g in zip(nodes[0], grid.mode(k))], nodes)
+        norm = TrigEigenfunction(k, 1.0).norm
+        computed = _quad_grid(order, panels).mode_sum(k, "M") / (norm * norm)
         reference = 0.25 * math.pi * math.pi * (k * k - 1)
         return _make_check(f"first moment (trig) k={k}", computed, reference, tol)
     if form == "hypergeom":
         n = n_or_k
         c_n = float(closed_form.coefficient_C(n))
         k = n + 2
-        computed = _level_sum(n, "x", order, panels, moment=True)
+        computed = _quad_grid(order, panels).level_sum(n, "M") / 4.0
         reference = math.pi * math.pi / 16.0 * (k * k - 1) * c_n * c_n
         return _make_check(f"first moment (hypergeom) n={n}", computed, reference, tol)
     raise ParameterError(f"form must be 'trig' or 'hypergeom', got {form!r}")
 
 
-def check_orthonormality(
-    k_max: int,
-    alpha: float = 1.0,
-    *,
-    order: int = QUAD_ORDER,
-    panels: int = PANELS,
-    tolerance: float | None = None,
-) -> VerificationReport:
-    """Gram matrix of the normalized partner modes k = 2..k_max.
-
-    An entry is one weighted sum in t over two mode rows normalized at unit
-    scale (alpha = 1, x = t / 2), divided by 2; the matrix is dimensionless,
-    so it is the same bits at every alpha.  Diagonal entries are compared
-    with 1 in relative terms; off-diagonal entries with 0 in absolute terms
-    (same tolerance).  Each normalized row is checked for non-finite values
-    once: |N_k g| <= 2 k N_k < 2.7, so products of finite rows are finite,
-    and a non-finite product would make fsum return one or raise.
-    """
+def check_orthonormality(k_max: int, alpha: float = 1.0, *, order: int = QUAD_ORDER,
+                         panels: int = PANELS, tolerance: float | None = None
+                         ) -> VerificationReport:
+    """Gram matrix of the normalized partner modes k = 2..k_max: entry (i, j)
+    is P(r_i, r_j) / 2 and (k, k) is D(r_k) / 2 (_TSums), at unit scale, so
+    the same bits at every alpha; every pair is summed.  Diagonal entries
+    are compared with 1 in relative terms, off-diagonal ones with 0 in
+    absolute terms (same tolerance)."""
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
     WellConfig(alpha)
     tol = _tolerance("quadrature", tolerance)
-    (abscissae, weights, half), grid, _ = _quad_grid(order, panels)
-    rows = {}
-    for k in range(2, k_max + 1):
-        norm = TrigEigenfunction(k, 1.0).norm
-        rows[k] = array("d", [norm * g for g in grid.mode(k)])
-        _require_finite(rows[k], abscissae)
+    sums = _quad_grid(order, panels)
     checks = []
     for i in range(2, k_max + 1):
+        weighted = sums.weigh(sums.mode(i))
         for j in range(i, k_max + 1):
-            products = map(operator.mul, rows[i], rows[j])
-            computed = half * math.fsum(map(operator.mul, weights, products)) / 2.0
+            pair = sums.mode_sum(i, "D") if i == j else sums.sum(weighted, sums.mode(j))
             reference = 1.0 if i == j else 0.0
-            checks.append(_make_check(f"gram ({i},{j})", computed, reference, tol))
-    return _report(
-        checks,
-        {"alpha": alpha, "k_max": k_max, "quad_order": order, "panels": panels},
-    )
+            checks.append(_make_check(f"gram ({i},{j})", pair / 2.0, reference, tol))
+    return _report(checks, {"alpha": alpha, "k_max": k_max, "quad_order": order,
+                            "panels": panels})
 
 
 # The interior rows (identities, correspondence, residual) sample t = 2 alpha x

@@ -95,3 +95,10 @@ def integrate(profile, a: float, b: float, order: int, panels: int) -> float:
     """The suite's composite Gauss-Legendre rule applied to `profile`."""
     nodes = verify._nodes(a, b, order, panels)
     return verify._weighted_sum([profile(x) for x in nodes[0]], nodes)
+
+
+def integrate_product(first, second, a: float, b: float, order: int, panels: int) -> float:
+    """The suite's rule applied to first * second in the association of the
+    t-rule sums (verify._TSums): half * sum (w first(x)) second(x)."""
+    abscissae, weights, half = verify._nodes(a, b, order, panels)
+    return half * math.fsum((w * first(x)) * second(x) for x, w in zip(abscissae, weights))

@@ -23,7 +23,7 @@ def _suite_z_rows():
     # x form), the z-form nodes at the default rule and sin^2(t/2) on the
     # interior grid in t
     return {
-        "x nodes": verify._quad_grid(64, 32)[1]._levels.zs,
+        "x nodes": verify._quad_grid(64, 32).grid._levels.zs,
         "z nodes": verify._level_table(64, 32)[2].zs,
         "t grid": verify._interior_grid()._levels.zs,
     }
@@ -58,7 +58,7 @@ def test_level_table_out_of_order_access_gives_the_same_bits():
 
 def test_mode_rows_equal_stable_bracket_bitwise():
     ts_rows = {
-        "t nodes": verify._quad_grid(64, 32)[0][0],
+        "t nodes": verify._quad_grid(64, 32).nodes[0],
         "t grid": verify._interior_grid().ts,
     }
     for name, ts in ts_rows.items():
@@ -128,13 +128,19 @@ def test_t_grid_pairs_equal_fresh_one_point_grids():
 
 
 def test_quadrature_grid_builds_no_identity_or_bound_state_rows():
+    # the t rule's TGrid builds its level table and the bound-state factors
+    # of the level rows, and keeps no bracket or g'' row: the sums keep the
+    # normalized mode rows instead.  No identity row (sin_sq), no potential
     verify._quad_grid.cache_clear()
     for n in range(4):
         verify.check_hypergeom_norm(n, "x")
         verify.check_first_moment(n, "hypergeom")
         verify.check_trig_norm(n + 2)
-    built = set(vars(verify._quad_grid(64, 32)[1]))
-    assert built.isdisjoint({"sin_sq", "bound_factors"}), built
+    sums = verify._quad_grid(64, 32)
+    built = set(vars(sums.grid))
+    assert built == {"ts", "_levels", "_modes", "_second", "bound_factors"}, built
+    assert sums.grid._modes[1] == [] and sums.grid._second[1] == []
+    assert len(sums._modes) == 4
 
 
 def _forbidden_sweep(*args):

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chi, f21_real, integrate, pt_eigen_hypergeom, stable_bracket
+from oracles import (
+    chi,
+    f21_real,
+    integrate,
+    integrate_product,
+    pt_eigen_hypergeom,
+    stable_bracket,
+)
 from ptdarboux import closed_form, hypergeom, verify
 from ptdarboux.closed_form import TrigEigenfunction
 from ptdarboux.errors import EvaluationError, ParameterError
@@ -272,35 +279,49 @@ def test_partner_mode_checks_sample_each_bracket_once(monkeypatch):
     assert samples == (k_max - 1) * order * panels
 
 
+def test_suite_takes_each_t_rule_integral_once(monkeypatch):
+    # one sum per distinct integral: the K(K+1)/2 Gram pairs (the diagonal
+    # is the trig norm's D), the D of the trig-norm modes above the Gram
+    # range, one M per partner mode (trig first moment and <x>) and one D
+    # and one M per level (x-form norm and hypergeometric first moment)
+    sums = 0
+    original = verify._TSums.sum
+
+    def counted(self, weighted, row):
+        nonlocal sums
+        sums += 1
+        return original(self, weighted, row)
+
+    monkeypatch.setattr(verify._TSums, "sum", counted)
+    verify._quad_grid.cache_clear()
+    n_max = 4
+    assert run_full_suite(n_max=n_max, grid_points=1000).overall
+    partners = n_max - 1  # k = 2..n_max
+    assert sums == partners * (partners + 1) // 2 + 2 + partners + 2 * (n_max + 1)
+
+
 def test_partner_mode_sums_match_their_x_space_form():
-    # the sums in t against the former integrals over x of partner-mode products:
-    # bit for bit at alpha = 1, where x = t / 2 exactly on these nodes, and
-    # within rounding at other alpha, where t / (2 alpha) is rounded
-    def moment(f, length):
-        def profile(x):
-            v = chi(f, x)
-            return x * v * v
-
-        return integrate(profile, 0.0, length, 64, 32)
-
+    # the sums in t against the integrals over x of partner-mode products,
+    # both summed as sum (w a) b: bit for bit at alpha = 1, where x = t / 2
+    # exactly on these nodes, and within rounding at other alpha, where
+    # t / (2 alpha) is rounded
     for alpha, rel in ((1.0, 0.0), (0.6024, 2e-15)):
         length = math.pi / (2.0 * alpha)
-        modes = {k: TrigEigenfunction(k, alpha) for k in range(2, 9)}
+        modes = {k: partial(chi, TrigEigenfunction(k, alpha)) for k in range(2, 9)}
         gram = {c.name: c.computed for c in check_orthonormality(8, alpha).checks}
         for i, j in ((2, 2), (2, 3), (3, 7), (5, 5), (4, 8), (8, 8)):
-            fi, fj = modes[i], modes[j]
-            reference = integrate(
-                lambda x: chi(fi, x) * chi(fj, x), 0.0, length, 64, 32
-            )
+            reference = integrate_product(modes[i], modes[j], 0.0, length, 64, 32)
             assert abs(gram[f"gram ({i},{j})"] - reference) <= rel * max(abs(reference), 1.0)
         for k in (2, 5, 8):
-            reference = moment(modes[k], length)
+            mode = modes[k]
+            reference = integrate_product(mode, lambda x: x * mode(x), 0.0, length, 64, 32)
             assert abs(check_expectation_x(k, alpha).computed - reference) <= rel * reference
 
 
 def _per_point_rows(n_max):
     # the suite's level rows in their former per-point form (tests/oracles.py):
-    # one scalar 2F1 call per node through integrate, the bound state and the
+    # one scalar 2F1 call per node through integrate or, in the t-rule sums'
+    # association, integrate_product, the bound state and the
     # partner mode per point of the 1000-point interior grid, and the
     # identity sides point by point
     rows = {}
@@ -309,10 +330,9 @@ def _per_point_rows(n_max):
     for n in range(n_max + 1):
         f = partial(f21_real, TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2)))
 
-        def x_form(x, moment=False):
+        def level(x):
             s, c = math.sin(x), math.cos(x)
-            v = f(s * s)
-            return (x * (s * c) ** 4 if moment else (s * c) ** 4) * v * v
+            return s ** 2.0 * c ** 2.0 * f(s * s)
 
         def z_form(u):
             v = f(u * u * (3.0 - 2.0 * u))
@@ -320,10 +340,11 @@ def _per_point_rows(n_max):
             return 6.0 * w * v * v
 
         half_pi = 0.5 * math.pi
-        rows[f"hypergeom norm (x-form) n={n}"] = integrate(x_form, 0.0, half_pi, 64, 32)
+        rows[f"hypergeom norm (x-form) n={n}"] = integrate_product(
+            level, level, 0.0, half_pi, 64, 32)
         rows[f"hypergeom norm (z-form) n={n}"] = integrate(z_form, 0.0, 1.0, 64, 32)
-        rows[f"first moment (hypergeom) n={n}"] = integrate(
-            partial(x_form, moment=True), 0.0, half_pi, 64, 32)
+        rows[f"first moment (hypergeom) n={n}"] = integrate_product(
+            level, lambda x: x * level(x), 0.0, half_pi, 64, 32)
         cfg, mode = WellConfig(1.0), TrigEigenfunction(n + 2, 1.0)
         amplitude = closed_form.normalization_A(n, 1.0)
         pairs = [(pt_eigen_hypergeom(cfg, PTParams(2.0, 2.0), n, amplitude, t / 2.0),
@@ -736,16 +757,19 @@ def unit_alpha_suite():
     return run_full_suite(alpha=1.0, n_max=4)
 
 
-@pytest.mark.parametrize("alpha", [1e-8, 1e-3, 1e3, 1e8])
+@pytest.mark.parametrize("alpha", [1e-8, 1e-3, 1e3, 1e8]
+                         + [2.0 ** j for j in (-60, -40, -1, 1, 3, 40, 60)])
 def test_run_full_suite_does_not_depend_on_alpha(alpha, unit_alpha_suite):
     # every check is dimensionless once alpha is scaled out: energies by
     # 4 alpha^2, lengths by 1/alpha, amplitudes by sqrt(alpha).  The
     # identities, the correspondence, the residuals and the Gram matrix run
-    # at unit scale, so their rows are the alpha = 1 rows bit for bit
+    # at unit scale, so their rows are the alpha = 1 rows bit for bit.  At a
+    # power of two every scaling is exact, so every row's rel_dev is too
     report = run_full_suite(alpha=alpha, n_max=4)
     assert report.overall
     assert len(report.checks) == len(unit_alpha_suite.checks)
     unit_scale = ("identity", "bound-state correspondence", "residual", "gram")
+    power_of_two = math.frexp(alpha)[0] == 0.5
     exact = 0
     for row, unit in zip(report.checks, unit_alpha_suite.checks):
         assert row.name.replace(f"alpha={alpha}", "alpha=1.0") == unit.name
@@ -754,6 +778,8 @@ def test_run_full_suite_does_not_depend_on_alpha(alpha, unit_alpha_suite):
             assert row.computed == unit.computed, row.name
             assert row.abs_dev == unit.abs_dev, row.name
             assert row.rel_dev == unit.rel_dev, row.name
+        elif power_of_two:
+            assert (row.rel_dev, row.passed) == (unit.rel_dev, unit.passed), row.name
         else:
             assert abs(row.rel_dev - unit.rel_dev) <= 1e-11, row.name
     # identities, correspondence, residuals, Gram entries
