@@ -11,9 +11,9 @@ symmetric kappa = lam = 2 well; its base, even-ratio and odd-ratio forms
 are one level-n formula (identity_pairs).  Every row
 sampled on a row of t (bound-state factors, brackets and their second
 derivatives, the partner potential, both sides of the identities and of
-the correspondence) comes from one holder, TGrid; the point-wise
-chi_eval and chi_derivatives read one point of its sweeps, and
-identity_sides reads a one-point TGrid.
+the correspondence) comes from one holder, TGrid, which keeps each sweep's
+rows in a _Swept; the point-wise chi_eval and chi_derivatives read one
+point of its sweeps, and identity_sides reads a one-point TGrid.
 """
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ from itertools import count, islice
 
 from .darboux import partner_potential
 from .errors import DomainError, EvaluationError, ParameterError, StabilityError
-from .hypergeom import LevelTable, TerminatingHypergeometric, f21_eval_exact
+from . import hypergeom
+from .hypergeom import TerminatingHypergeometric, f21_eval_exact
 from .models import WellConfig, _require_partner
 
 __all__ = [
@@ -59,6 +60,44 @@ class TrigEigenfunction(namedtuple("TrigEigenfunction", "k alpha")):
     @property
     def norm(self) -> float:
         return math.sqrt(4.0 * self.alpha / math.pi) / math.sqrt(self.k * self.k - 1.0)
+
+
+class _Swept:
+    """The items of one sweep (an iterator), each read once and kept.  A
+    negative index is rejected.  An error the sweep raised at index i is
+    raised again by every later read at or above i; the items below stay
+    readable.  A returned item is shared and must not be changed."""
+
+    def __init__(self, sweep):
+        self._sweep, self._items, self._error = sweep, [], None
+
+    def __getitem__(self, i: int):
+        if i < 0:
+            raise ParameterError(f"index must be >= 0, got {i}")
+        while len(self._items) <= i:
+            if self._error:  # the first raise's traceback, which no re-raise grows
+                raise self._error[0].with_traceback(self._error[1])
+            try:
+                self._items.append(next(self._sweep))
+            except Exception as exc:
+                self._error = exc, exc.__traceback__
+                raise
+        return self._items[i]
+
+
+def _level_rows(ts):
+    """Rows of F_n(z) = 2F1(-n, n+4; 5/2; z) at z = sin^2(t/2) for every t of
+    `ts`, n = 0, 1, ...: one _jacobi_rows sweep, a = beta = 3/2 (DLMF 18.7.1)."""
+    yield from hypergeom._jacobi_rows(
+        1.5, 1.5, array("d", [s * s for s in (math.sin(0.5 * t) for t in ts)]))
+
+
+def _bound_factors(ts) -> tuple[array, array]:
+    """The rows sin^2(t/2) and cos^2(t/2) of the bound state's factor
+    sin^2 cos^2(t/2) F_n at every t of `ts`."""
+    halves = [0.5 * t for t in ts]
+    return (array("d", [math.sin(h) ** 2.0 for h in halves]),
+            array("d", [math.cos(h) ** 2.0 for h in halves]))
 
 
 def _bracket_rows(ts):
@@ -214,37 +253,30 @@ IDENTITY_FAMILIES = {
 
 class TGrid:
     """The rows sampled on one row `ts` of t = 2 alpha x, shared by every
-    reader: level(n) = F_n(sin^2(t/2)) (a LevelTable), mode(k) = the
-    bracket g of index k >= 2 and second_derivative(k) = its row g'' in t
-    (one _bracket_rows and one _derivative_rows sweep, every row kept), and,
-    built on first use, sin_sq = sin^2(t) for the identities, the bound
-    state's factors (bound_state_pairs, verify's level rows) and the
-    residual's partner potential at unit scale, x = t / 2 (every t inside
-    (0, pi)).  A returned row is shared and must not be changed."""
+    reader: level(n) = F_n(sin^2(t/2)), mode(k) = the bracket g of index
+    k >= 2 and second_derivative(k) = its row g'' in t (each the kept rows
+    of one sweep, a _Swept), and, built on first use, sin_sq = sin^2(t) for
+    the identities, the bound state's factors and the residual's partner
+    potential at unit scale, x = t / 2 (every t inside (0, pi)).  A returned
+    row is shared and must not be changed."""
 
     def __init__(self, ts):
         self.ts = ts
-        self._levels = LevelTable(array("d", [s * s for s in (math.sin(0.5 * t) for t in ts)]))
-        # generators: nothing runs before mode() or second_derivative()
-        self._modes = (_bracket_rows(ts), [])  # index k at position k - 2
-        self._second = (_derivative_rows(ts), [])
+        # generators: nothing is swept before a row is read
+        self._levels = _Swept(_level_rows(ts))
+        self._modes = _Swept(_bracket_rows(ts))  # index k at position k - 2
+        self._second = _Swept(_derivative_rows(ts))
 
     def level(self, n: int) -> array:
-        return self._levels.level(n)
+        return self._levels[n]
 
     def mode(self, k: int) -> array:
-        return self._kept(self._modes, k)
+        _require_partner(k)
+        return self._modes[k - 2]
 
     def second_derivative(self, k: int) -> array:
-        return self._kept(self._second, k)
-
-    @staticmethod
-    def _kept(table, k: int):
         _require_partner(k)
-        sweep, rows = table
-        while len(rows) <= k - 2:
-            rows.append(next(sweep))
-        return rows[k - 2]
+        return self._second[k - 2]
 
     @cached_property
     def sin_sq(self) -> array:
@@ -257,9 +289,7 @@ class TGrid:
 
     @cached_property
     def bound_factors(self) -> tuple[array, array]:
-        halves = [0.5 * t for t in self.ts]
-        return (array("d", [math.sin(h) ** 2.0 for h in halves]),
-                array("d", [math.cos(h) ** 2.0 for h in halves]))
+        return _bound_factors(self.ts)
 
     def bound_state_pairs(self, n: int, alpha: float) -> tuple[list[float], list[float]]:
         """Rows of the level-n bound state A_n sin^2 cos^2(t/2) F_n of the

@@ -22,7 +22,6 @@ from .errors import ParameterError
 
 __all__ = [
     "TerminatingHypergeometric",
-    "LevelTable",
     "f21_eval_exact",
     "f21_eval_real",
     "f21_derivative",
@@ -135,29 +134,6 @@ def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
     if not (a > -1.0 and beta > -1.0):
         raise ParameterError(f"float path needs c - 1 > -1 and b - n - c > -1, got {a}, {beta}")
     return next(islice(_jacobi_rows(a, beta, [float(z)]), h.n, None))[0]
-
-
-class LevelTable:
-    """F_n(z) = 2F1(-n, n+4; 5/2; z) of every level n on a fixed row of z.
-    Here a = beta = 3/2 at every n (the Gegenbauer polynomials C_n^(2)(1 - 2z),
-    DLMF 18.7.1), so ascending levels continue one sweep of _jacobi_rows,
-    started on first use; only its last two rows are kept and a lower level
-    restarts it.  Keeping every row gives the same bits but holds 61 rows per
-    table at n = 60: verify --n-max 60 --panels 1024 peaks at 154 MB instead
-    of 95 MB.  A returned row is shared and must not be changed."""
-
-    def __init__(self, zs):
-        self.zs = zs
-        self._sweep, self._level, self._row = None, -1, None
-
-    def level(self, n: int) -> array:
-        if n < 0:
-            raise ParameterError(f"index n must be >= 0, got {n}")
-        if self._sweep is None or n < self._level:
-            self._sweep, self._level = enumerate(_jacobi_rows(1.5, 1.5, self.zs)), -1
-        while self._level < n:
-            self._level, self._row = next(self._sweep)
-        return self._row
 
 
 def f21_derivative(

@@ -17,12 +17,13 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import count
 from types import MappingProxyType
 
-from . import closed_form
+from . import closed_form, hypergeom
 from .closed_form import IDENTITY_FAMILIES, WALL_MARGIN, TrigEigenfunction
 from .errors import EvaluationError, ParameterError
-from .hypergeom import LevelTable, midpoint_vanishing
+from .hypergeom import midpoint_vanishing
 from .models import WellConfig, _require_partner, box_energy
 from .numerics import gauss_legendre
 
@@ -130,6 +131,12 @@ def _report(checks: list[CheckResult], parameters: dict) -> VerificationReport:
     )
 
 
+@lru_cache(maxsize=1)
+def _rule(order: int):
+    """The Gauss-Legendre rule on [-1, 1] that every node set of one order maps."""
+    return gauss_legendre(order)
+
+
 @lru_cache(maxsize=8)
 def _nodes(a: float, b: float, order: int, panels: int):
     """Abscissae, weights and half panel width of the composite
@@ -138,18 +145,19 @@ def _nodes(a: float, b: float, order: int, panels: int):
         raise ParameterError(f"need a < b, got a={a}, b={b}")
     if panels < 1:
         raise ParameterError(f"panel count must be >= 1, got {panels}")
-    rule = gauss_legendre(order)
+    rule = _rule(order)
     h = (b - a) / panels
     half = 0.5 * h
     abscissae = [a + p * h + half + half * node for p in range(panels) for node in rule.nodes]
     return array("d", abscissae), array("d", rule.weights * panels), half
 
 
-def _require_finite(values, abscissae) -> None:
-    """Abort with the abscissa of the first non-finite value, if any."""
+def _require_finite(values, abscissae):
+    """The values; abort with the abscissa of the first non-finite one, if any."""
     if not all(map(math.isfinite, values)):
         x, value = next((x, v) for x, v in zip(abscissae, values) if not math.isfinite(v))
         raise EvaluationError(f"integrand returned {value} at x={x}")
+    return values
 
 
 def _weighted_sum(values, nodes) -> float:
@@ -160,68 +168,73 @@ def _weighted_sum(values, nodes) -> float:
     return half * math.fsum(map(operator.mul, weights, values))
 
 
+def _t_sum(nodes, weighted, row) -> float:
+    """half sum (w a) b on the t rule `nodes`, from weighted = w a and row = b."""
+    return nodes[2] * math.fsum(map(operator.mul, weighted, row))
+
+
+def _weigh(nodes, row) -> array:
+    return array("d", map(operator.mul, nodes[1], row))
+
+
+def _mode_row(ts, k: int, bracket) -> array:
+    norm = TrigEigenfunction(k, 1.0).norm
+    return _require_finite(array("d", [norm * g for g in bracket]), ts)
+
+
+def _level_sums(nodes):
+    ts = nodes[0]
+    factors = closed_form._bound_factors(ts)
+    for level in closed_form._level_rows(ts):
+        row = _require_finite(array("d", [s2 * c2 * f for s2, c2, f in zip(*factors, level)]), ts)
+        weighted = _weigh(nodes, row)
+        sums = {"D": _t_sum(nodes, weighted, row),
+                "M": _t_sum(nodes, weighted, map(operator.mul, ts, row))}
+        del row, weighted  # no row is held while the sweep waits for the next read
+        yield sums
+
+
 class _TSums:
-    """The rule on t in (0, pi) and its one sum, half sum (w a) b, taken once
-    per integral: D(r) = half sum (w r) r and M(r) = half sum (w r)(t r) of
-    a partner mode r_k = N_k g_k (normalized at alpha = 1, x = t / 2; kept)
-    or of a level l_n = sin^2 cos^2(t/2) F_n (not kept, so both its sums are
-    taken at its first read), and P(r_i, r_j) = half sum (w r_i) r_j of a
-    Gram pair.  Each row is checked for non-finite values once: rows are
-    bounded, so a non-finite product would make fsum return one or raise."""
+    """The rule on t in (0, pi) and its one sum, half sum (w a) b (_t_sum),
+    taken once per integral: D(r) = half sum (w r) r and M(r) = half
+    sum (w r)(t r) of a partner mode r_k = N_k g_k (normalized at alpha = 1,
+    x = t / 2; modes[k - 2]) or of a level l_n = sin^2 cos^2(t/2) F_n (levels[n]
+    keeps only its D and M), and P(r_i, r_j) = half sum (w r_i) r_j of a
+    Gram pair.  Each row is checked for non-finite values once (rows are
+    bounded, so a non-finite product would make fsum return one or raise).
+    The sweeps (_mode_row, _level_sums) refer to the nodes, never to the
+    _TSums, so no reference cycle delays freeing an evicted one."""
 
     def __init__(self, order: int, panels: int):
-        self.nodes = _nodes(0.0, math.pi, order, panels)
-        self.grid = closed_form.TGrid(self.nodes[0])  # level table, bound-state factors
-        self._sweep, self._modes = closed_form._bracket_rows(self.nodes[0]), []
-        self._mode_sums, self._level_sums = {}, {}
-
-    def sum(self, weighted, row) -> float:
-        return self.nodes[2] * math.fsum(map(operator.mul, weighted, row))
-
-    def weigh(self, row) -> array:
-        return array("d", map(operator.mul, self.nodes[1], row))
-
-    def mode(self, k: int) -> array:
-        _require_partner(k)
-        while len(self._modes) <= k - 2:
-            norm = TrigEigenfunction(len(self._modes) + 2, 1.0).norm
-            row = array("d", [norm * g for g in next(self._sweep)])
-            _require_finite(row, self.nodes[0])
-            self._modes.append(row)
-        return self._modes[k - 2]
+        self.nodes = nodes = _nodes(0.0, math.pi, order, panels)
+        brackets = closed_form._bracket_rows(nodes[0])  # nothing runs before a read
+        self.modes = closed_form._Swept(map(partial(_mode_row, nodes[0]), count(2), brackets))
+        self.levels = closed_form._Swept(_level_sums(nodes))
+        self._mode_sums = {}
 
     def mode_sum(self, k: int, kind: str) -> float:
         """D(r_k) or M(r_k), as kind says."""
         if (k, kind) not in self._mode_sums:
-            row = self.mode(k)
+            row = self.modes[k - 2]
             other = row if kind == "D" else map(operator.mul, self.nodes[0], row)
-            self._mode_sums[k, kind] = self.sum(self.weigh(row), other)
+            self._mode_sums[k, kind] = _t_sum(self.nodes, _weigh(self.nodes, row), other)
         return self._mode_sums[k, kind]
-
-    def level_sum(self, n: int, kind: str) -> float:
-        """D(l_n) or M(l_n), as kind says."""
-        if n not in self._level_sums:
-            level = self.grid.level(n)
-            row = array("d", [s2 * c2 * f for s2, c2, f in zip(*self.grid.bound_factors, level)])
-            _require_finite(row, self.nodes[0])
-            weighted = self.weigh(row)
-            self._level_sums[n] = {"D": self.sum(weighted, row),
-                                   "M": self.sum(weighted, map(operator.mul, self.nodes[0], row))}
-        return self._level_sums[n][kind]
 
 
 _quad_grid = lru_cache(maxsize=1)(_TSums)
 
 
 @lru_cache(maxsize=1)
-def _level_table(order: int, panels: int):
-    """The z-form rule (check_hypergeom_norm), the weight row of its
-    integrand weight * F^2(z) and the level table at its z row."""
+def _z_sums(order: int, panels: int):
+    """The z-form rule's z row (check_hypergeom_norm) and the sums of its
+    integrand weight * F_n^2(z), one per level n from one level sweep."""
     nodes = _nodes(0.0, 1.0, order, panels)
-    zs = [u * u * (3.0 - 2.0 * u) for u in nodes[0]]
-    weights = [6.0 * ((u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5)
-               for u in nodes[0]]
-    return nodes, array("d", weights), LevelTable(zs)
+    zs = array("d", [u * u * (3.0 - 2.0 * u) for u in nodes[0]])
+    weights = array("d", [6.0 * ((u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5)
+                          for u in nodes[0]])
+    sums = (_weighted_sum([w * f * f for w, f in zip(weights, level)], nodes)
+            for level in hypergeom._jacobi_rows(1.5, 1.5, zs))
+    return zs, closed_form._Swept(sums)
 
 
 def check_trig_norm(
@@ -259,10 +272,9 @@ def check_hypergeom_norm(n: int, form: str = "z", *, order: int = QUAD_ORDER,
     c_n = float(closed_form.coefficient_C(n))
     k = n + 2
     if form == "x":
-        computed = _quad_grid(order, panels).level_sum(n, "D") / 2.0
+        computed = _quad_grid(order, panels).levels[n]["D"] / 2.0
     else:
-        nodes, weights, table = _level_table(order, panels)
-        computed = _weighted_sum([w * f * f for w, f in zip(weights, table.level(n))], nodes)
+        computed = _z_sums(order, panels)[1][n]
     reference = (0.25 if form == "x" else 0.5) * math.pi * (k * k - 1) * c_n * c_n
     return _make_check(f"hypergeom norm ({form}-form) n={n}", computed, reference, tol)
 
@@ -302,7 +314,7 @@ def check_first_moment(n_or_k: int, form: str = "trig", *, order: int = QUAD_ORD
         n = n_or_k
         c_n = float(closed_form.coefficient_C(n))
         k = n + 2
-        computed = _quad_grid(order, panels).level_sum(n, "M") / 4.0
+        computed = _quad_grid(order, panels).levels[n]["M"] / 4.0
         reference = math.pi * math.pi / 16.0 * (k * k - 1) * c_n * c_n
         return _make_check(f"first moment (hypergeom) n={n}", computed, reference, tol)
     raise ParameterError(f"form must be 'trig' or 'hypergeom', got {form!r}")
@@ -321,11 +333,12 @@ def check_orthonormality(k_max: int, alpha: float = 1.0, *, order: int = QUAD_OR
     WellConfig(alpha)
     tol = _tolerance("quadrature", tolerance)
     sums = _quad_grid(order, panels)
+    nodes, modes = sums.nodes, sums.modes  # mode k at modes[k - 2]
     checks = []
     for i in range(2, k_max + 1):
-        weighted = sums.weigh(sums.mode(i))
+        weighted = _weigh(nodes, modes[i - 2])
         for j in range(i, k_max + 1):
-            pair = sums.mode_sum(i, "D") if i == j else sums.sum(weighted, sums.mode(j))
+            pair = sums.mode_sum(i, "D") if i == j else _t_sum(nodes, weighted, modes[j - 2])
             reference = 1.0 if i == j else 0.0
             checks.append(_make_check(f"gram ({i},{j})", pair / 2.0, reference, tol))
     return _report(checks, {"alpha": alpha, "k_max": k_max, "quad_order": order,

@@ -1,8 +1,9 @@
 """Independent reference implementations that the tests compare against.
 
-The package evaluates on rows (closed_form.TGrid, hypergeom.LevelTable);
-these are the point-wise forms those rows must equal, kept here so that a
-bulk reference loop in a test costs one scalar call per point.
+The package evaluates on rows (closed_form.TGrid and the sweeps that
+closed_form._Swept holds); these are the point-wise forms those rows must
+equal, kept here so that a bulk reference loop in a test costs one scalar
+call per point.
 """
 import math
 from fractions import Fraction
@@ -38,8 +39,8 @@ def pochhammer(a, n: int) -> Fraction:
 def f21_real(h, z: float) -> float:
     """2F1(-n, b; c; z) in floats by the normalized Jacobi recurrence in
     degree (DLMF 15.9.1, 18.9.2) with a = c - 1, beta = b - n - c, swept at
-    one point; hypergeom.f21_eval_real and the LevelTable rows must equal it
-    bit for bit."""
+    one point; hypergeom.f21_eval_real and the level rows (closed_form.TGrid,
+    the z rule's sweep) must equal it bit for bit."""
     c = float(h.c)
     a = c - 1.0
     beta = float(h.b) - h.n - c

@@ -1,4 +1,4 @@
-"""The level table and the t-grid rows against their one-point forms."""
+"""The swept row tables and the t-grid rows against their one-point forms."""
 import math
 from fractions import Fraction
 from functools import partial
@@ -10,7 +10,7 @@ from ptdarboux import closed_form, hypergeom, verify
 from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.closed_form import TGrid, TrigEigenfunction, chi_derivatives
 from ptdarboux.errors import ParameterError
-from ptdarboux.hypergeom import LevelTable, TerminatingHypergeometric
+from ptdarboux.hypergeom import TerminatingHypergeometric
 from ptdarboux.models import PTParams, WellConfig
 
 
@@ -18,25 +18,33 @@ def _factor(n):
     return TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2))
 
 
-def _suite_z_rows():
-    # the z rows the suite sweeps: sin^2(t/2) at the t quadrature nodes (the
-    # x form), the z-form nodes at the default rule and sin^2(t/2) on the
-    # interior grid in t
+def _half_angle_sq(ts):
+    # z = sin^2(t/2), formed as the level rows form it
+    return [s * s for s in (math.sin(0.5 * t) for t in ts)]
+
+
+def _suite_level_rows():
+    # the z rows the suite sweeps, each with its level-row table: sin^2(t/2)
+    # at the t quadrature nodes (the x form) and on the interior grid in t,
+    # each read through a TGrid, and the z-form nodes at the default rule,
+    # read from the ladder the z rule sweeps
+    t_nodes, t_grid = verify._quad_grid(64, 32).nodes[0], verify._interior_grid().ts
+    z_nodes = verify._z_sums(64, 32)[0]
+    z_rows = closed_form._Swept(hypergeom._jacobi_rows(1.5, 1.5, z_nodes))
     return {
-        "x nodes": verify._quad_grid(64, 32).grid._levels.zs,
-        "z nodes": verify._level_table(64, 32)[2].zs,
-        "t grid": verify._interior_grid()._levels.zs,
+        "x nodes": (_half_angle_sq(t_nodes), TGrid(t_nodes).level),
+        "z nodes": (z_nodes, z_rows.__getitem__),
+        "t grid": (_half_angle_sq(t_grid), TGrid(t_grid).level),
     }
 
 
 def test_level_rows_equal_f21_eval_real_bitwise_to_the_degree_cap():
     # every level to MAX_DEGREE; the 2,048-node quadrature rows are checked
     # at every fourth node to keep the scalar reference affordable
-    for name, zs in _suite_z_rows().items():
+    for name, (zs, level) in _suite_level_rows().items():
         stride = 1 if name == "t grid" else 4
-        table = LevelTable(zs)
         for n in range(MAX_DEGREE + 1):
-            row = table.level(n)
+            row = level(n)
             h = _factor(n)
             mismatches = [z for z, f in zip(zs[::stride], row[::stride])
                           if f != f21_real(h, z)]
@@ -44,16 +52,57 @@ def test_level_rows_equal_f21_eval_real_bitwise_to_the_degree_cap():
 
 
 def test_level_table_out_of_order_access_gives_the_same_bits():
-    zs = _suite_z_rows()["x nodes"]
-    table = LevelTable(zs)
-    first = list(table.level(30))
-    low = list(table.level(5))  # a lower level restarts the sweep
-    again = list(table.level(30))
-    assert first == again
-    assert low == list(LevelTable(zs).level(5))
-    assert low == [f21_real(_factor(5), z) for z in zs]
+    # TGrid.level reads one kept sweep: a lower level is not swept again
+    ts = verify._quad_grid(64, 32).nodes[0]
+    grid = TGrid(ts)
+    first = list(grid.level(30))
+    low = list(grid.level(5))
+    assert grid.level(30) is grid.level(30)
+    assert first == list(grid.level(30)) == list(TGrid(ts).level(30))
+    assert low == list(TGrid(ts).level(5))
+    assert low == [f21_real(_factor(5), z) for z in _half_angle_sq(ts)]
     with pytest.raises(ParameterError):
-        table.level(-1)
+        grid.level(-1)
+
+
+def test_swept_items_are_read_once_and_kept():
+    started = []
+
+    def sweep():
+        for i in range(10):
+            started.append(i)
+            yield [i]
+
+    items = closed_form._Swept(sweep())
+    assert items[0] == [0] and started == [0]
+    assert items[3] == [3] and started == [0, 1, 2, 3]
+    assert items[1] is items[1] and started == [0, 1, 2, 3]
+    for bad in (-1, -4):  # never Python's negative indexing
+        with pytest.raises(ParameterError, match=f"got {bad}"):
+            items[bad]
+    assert started == [0, 1, 2, 3]
+
+
+def test_swept_error_is_raised_again_at_and_above_its_index():
+    def sweep():
+        yield "a"
+        yield "b"
+        raise ValueError("item 2 failed")
+
+    def depth(tb):
+        return 0 if tb is None else 1 + depth(tb.tb_next)
+
+    items = closed_form._Swept(sweep())
+    with pytest.raises(ValueError) as first:
+        items[4]
+    depths = set()
+    for i in (2, 3, 2, 7):  # the same error, never StopIteration or another item
+        with pytest.raises(ValueError) as again:
+            items[i]
+        assert again.value is first.value
+        depths.add(depth(again.value.__traceback__))
+    assert len(depths) == 1  # a re-raise does not grow the traceback it carries
+    assert (items[0], items[1]) == ("a", "b")
 
 
 def test_mode_rows_equal_stable_bracket_bitwise():
@@ -128,19 +177,43 @@ def test_t_grid_pairs_equal_fresh_one_point_grids():
 
 
 def test_quadrature_grid_builds_no_identity_or_bound_state_rows():
-    # the t rule's TGrid builds its level table and the bound-state factors
-    # of the level rows, and keeps no bracket or g'' row: the sums keep the
-    # normalized mode rows instead.  No identity row (sin_sq), no potential
+    # the t rule's sums build no TGrid, so no identity row (sin_sq), no
+    # potential and no bracket or g'' row of a TGrid: they keep the
+    # normalized mode rows read so far and two scalars per level swept,
+    # never a level row
     verify._quad_grid.cache_clear()
     for n in range(4):
         verify.check_hypergeom_norm(n, "x")
         verify.check_first_moment(n, "hypergeom")
         verify.check_trig_norm(n + 2)
     sums = verify._quad_grid(64, 32)
-    built = set(vars(sums.grid))
-    assert built == {"ts", "_levels", "_modes", "_second", "bound_factors"}, built
-    assert sums.grid._modes[1] == [] and sums.grid._second[1] == []
-    assert len(sums._modes) == 4
+    assert set(vars(sums)) == {"nodes", "modes", "levels", "_mode_sums"}
+    assert not any(isinstance(value, TGrid) for value in vars(sums).values())
+    assert len(sums.modes._items) == 4
+    levels = sums.levels._items
+    assert len(levels) == 4
+    assert all(sorted(level) == ["D", "M"] and all(type(v) is float for v in level.values())
+               for level in levels)
+
+
+def test_an_evicted_quadrature_grid_is_freed_without_a_cycle_collection():
+    # the sweeps the t rule's holders advance refer to its nodes, not to the
+    # _TSums, so dropping it from the cache frees its rows at once
+    import gc
+    import weakref
+
+    verify._quad_grid.cache_clear()
+    gc.disable()
+    try:
+        sums = verify._quad_grid(8, 4)
+        sums.modes[3], sums.mode_sum(3, "M"), sums.levels[4]
+        ref = weakref.ref(sums)
+        del sums
+        verify._quad_grid(8, 5)
+        assert ref() is None
+    finally:
+        gc.enable()
+        verify._quad_grid.cache_clear()
 
 
 def _forbidden_sweep(*args):
@@ -155,7 +228,7 @@ def _forbidden_potential(*args):
 @pytest.fixture
 def fresh_tables():
     # no cached table may outlive the test that patched its sweep
-    cached = (verify._level_table, verify._quad_grid, verify._interior_grid)
+    cached = (verify._z_sums, verify._quad_grid, verify._interior_grid)
     for builder in cached:
         builder.cache_clear()
     yield

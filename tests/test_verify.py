@@ -285,14 +285,14 @@ def test_suite_takes_each_t_rule_integral_once(monkeypatch):
     # range, one M per partner mode (trig first moment and <x>) and one D
     # and one M per level (x-form norm and hypergeometric first moment)
     sums = 0
-    original = verify._TSums.sum
+    original = verify._t_sum
 
-    def counted(self, weighted, row):
+    def counted(nodes, weighted, row):
         nonlocal sums
         sums += 1
-        return original(self, weighted, row)
+        return original(nodes, weighted, row)
 
-    monkeypatch.setattr(verify._TSums, "sum", counted)
+    monkeypatch.setattr(verify, "_t_sum", counted)
     verify._quad_grid.cache_clear()
     n_max = 4
     assert run_full_suite(n_max=n_max, grid_points=1000).overall
@@ -384,7 +384,7 @@ def test_suite_level_rows_equal_their_per_point_forms():
 
 
 def test_suite_sweeps_instead_of_evaluating_point_by_point(monkeypatch):
-    # run_full_suite reads every 2F1 value from a level table: no
+    # run_full_suite reads every 2F1 value from a level sweep: no
     # f21_eval_real call, and no TerminatingHypergeometric per grid point, so
     # the constructions do not depend on the interior grid's size
     import sys
@@ -460,7 +460,10 @@ def test_suite_reads_every_partner_mode_from_its_t_grid(monkeypatch):
 
 
 def test_gram_matrix_rejects_a_non_finite_mode_value(monkeypatch):
-    # each normalized row is checked once; the error names the abscissa
+    # each normalized row is checked once; the error names the abscissa.
+    # The mode sweep stops at the spoiled k = 3 row: every later read at or
+    # above it raises that row's error again, and none returns the row of
+    # another index under k = 3's name; k = 2 is still read
     original = closed_form._bracket_rows
 
     def spoiled(ts):
@@ -476,8 +479,61 @@ def test_gram_matrix_rejects_a_non_finite_mode_value(monkeypatch):
     try:
         with pytest.raises(EvaluationError, match=re.escape(f"returned inf at x={x}")):
             check_orthonormality(4)
+        for k in (3, 3, 4, 9):
+            with pytest.raises(EvaluationError, match=re.escape(f"returned inf at x={x}")):
+                check_trig_norm(k)
+        assert check_trig_norm(2).passed
     finally:
         verify._quad_grid.cache_clear()
+
+
+def _clear_node_set_caches():
+    for cached in (verify._rule, verify._nodes, verify._quad_grid, verify._z_sums,
+                   verify._interior_grid):
+        cached.cache_clear()
+
+
+def test_suite_sweeps_each_node_sets_levels_once(monkeypatch):
+    # one level sweep per node set: the t rule's sums, the z rule's sums and
+    # the interior grid each start hypergeom._jacobi_rows once, however often
+    # their readers ask for a lower level again; the t rule keeps two
+    # scalars per level, never a level row
+    starts = 0
+    original = hypergeom._jacobi_rows
+
+    def counted(*args):
+        nonlocal starts
+        starts += 1
+        return original(*args)
+
+    monkeypatch.setattr(hypergeom, "_jacobi_rows", counted)
+    _clear_node_set_caches()
+    try:
+        assert run_full_suite(n_max=30).overall
+        assert starts == 3
+        levels = verify._quad_grid(verify.QUAD_ORDER, verify.PANELS).levels._items
+        assert len(levels) == 31
+        assert not any(isinstance(v, array) for level in levels for v in level.values())
+    finally:
+        _clear_node_set_caches()
+
+
+def test_suite_builds_one_reference_rule_per_order(monkeypatch):
+    # the (0, pi) and (0, 1) node sets map one Gauss-Legendre rule
+    calls = []
+    original = verify.gauss_legendre
+
+    def counted(order):
+        calls.append(order)
+        return original(order)
+
+    monkeypatch.setattr(verify, "gauss_legendre", counted)
+    _clear_node_set_caches()
+    try:
+        assert run_full_suite(n_max=2).overall
+        assert calls == [verify.QUAD_ORDER]
+    finally:
+        _clear_node_set_caches()
 
 
 def test_residual_partner_modes():
@@ -798,7 +854,7 @@ def test_run_full_suite_builds_only_the_t_and_z_node_sets(monkeypatch):
 
     monkeypatch.setattr(verify, "_nodes", recording)
     verify._quad_grid.cache_clear()
-    verify._level_table.cache_clear()
+    verify._z_sums.cache_clear()
     assert run_full_suite(n_max=2).overall
     assert built == {(0.0, math.pi), (0.0, 1.0)}
 
