@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import count, islice
 
@@ -63,13 +63,15 @@ class TrigEigenfunction(namedtuple("TrigEigenfunction", "k alpha")):
 
 
 class _Swept:
-    """The items of one sweep (an iterator), each read once and kept.  A
-    negative index is rejected.  An error the sweep raised at index i is
-    raised again by every later read at or above i; the items below stay
-    readable.  A returned item is shared and must not be changed."""
+    """The items of one sweep, each read once and kept; `sweep()` starts the
+    sweep (an iterator).  A negative index is rejected.  An error the sweep
+    raised at index i is raised again by every later read at or above i; the
+    items below stay readable.  An interruption that is no Exception
+    (KeyboardInterrupt) keeps the items read, and the next read restarts the
+    sweep past them.  A returned item is shared and must not be changed."""
 
     def __init__(self, sweep):
-        self._sweep, self._items, self._error = sweep, [], None
+        self._sweep, self._rows, self._items, self._error = sweep, None, [], None
 
     def __getitem__(self, i: int):
         if i < 0:
@@ -77,10 +79,15 @@ class _Swept:
         while len(self._items) <= i:
             if self._error:  # the first raise's traceback, which no re-raise grows
                 raise self._error[0].with_traceback(self._error[1])
+            if self._rows is None:
+                self._rows = islice(self._sweep(), len(self._items), None)
             try:
-                self._items.append(next(self._sweep))
+                self._items.append(next(self._rows))
             except Exception as exc:
                 self._error = exc, exc.__traceback__
+                raise
+            except BaseException:
+                self._rows = None
                 raise
         return self._items[i]
 
@@ -262,10 +269,10 @@ class TGrid:
 
     def __init__(self, ts):
         self.ts = ts
-        # generators: nothing is swept before a row is read
-        self._levels = _Swept(_level_rows(ts))
-        self._modes = _Swept(_bracket_rows(ts))  # index k at position k - 2
-        self._second = _Swept(_derivative_rows(ts))
+        # sweep factories: nothing is swept before a row is read
+        self._levels = _Swept(partial(_level_rows, ts))
+        self._modes = _Swept(partial(_bracket_rows, ts))  # index k at position k - 2
+        self._second = _Swept(partial(_derivative_rows, ts))
 
     def level(self, n: int) -> array:
         return self._levels[n]

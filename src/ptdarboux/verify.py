@@ -17,7 +17,6 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import count
 from types import MappingProxyType
 
 from . import closed_form, hypergeom
@@ -177,9 +176,10 @@ def _weigh(nodes, row) -> array:
     return array("d", map(operator.mul, nodes[1], row))
 
 
-def _mode_row(ts, k: int, bracket) -> array:
-    norm = TrigEigenfunction(k, 1.0).norm
-    return _require_finite(array("d", [norm * g for g in bracket]), ts)
+def _mode_rows(ts):
+    for k, bracket in enumerate(closed_form._bracket_rows(ts), 2):
+        norm = TrigEigenfunction(k, 1.0).norm
+        yield _require_finite(array("d", [norm * g for g in bracket]), ts)
 
 
 def _level_sums(nodes):
@@ -202,14 +202,13 @@ class _TSums:
     keeps only its D and M), and P(r_i, r_j) = half sum (w r_i) r_j of a
     Gram pair.  Each row is checked for non-finite values once (rows are
     bounded, so a non-finite product would make fsum return one or raise).
-    The sweeps (_mode_row, _level_sums) refer to the nodes, never to the
+    The sweeps (_mode_rows, _level_sums) refer to the nodes, never to the
     _TSums, so no reference cycle delays freeing an evicted one."""
 
     def __init__(self, order: int, panels: int):
         self.nodes = nodes = _nodes(0.0, math.pi, order, panels)
-        brackets = closed_form._bracket_rows(nodes[0])  # nothing runs before a read
-        self.modes = closed_form._Swept(map(partial(_mode_row, nodes[0]), count(2), brackets))
-        self.levels = closed_form._Swept(_level_sums(nodes))
+        self.modes = closed_form._Swept(partial(_mode_rows, nodes[0]))
+        self.levels = closed_form._Swept(partial(_level_sums, nodes))
         self._mode_sums = {}
 
     def mode_sum(self, k: int, kind: str) -> float:
@@ -232,9 +231,9 @@ def _z_sums(order: int, panels: int):
     zs = array("d", [u * u * (3.0 - 2.0 * u) for u in nodes[0]])
     weights = array("d", [6.0 * ((u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5)
                           for u in nodes[0]])
-    sums = (_weighted_sum([w * f * f for w, f in zip(weights, level)], nodes)
-            for level in hypergeom._jacobi_rows(1.5, 1.5, zs))
-    return zs, closed_form._Swept(sums)
+    return zs, closed_form._Swept(lambda: (
+        _weighted_sum([w * f * f for w, f in zip(weights, level)], nodes)
+        for level in hypergeom._jacobi_rows(1.5, 1.5, zs)))
 
 
 def check_trig_norm(
@@ -477,6 +476,9 @@ def _sturm_newton(d0: float, rest: list, off_sq: float, lam: float) -> tuple[int
 # width, relative to its upper end, at which a mode's bisection stops.
 _NEWTON_SWEEPS = 8
 _STOP_WIDTH = 1e-10
+# How many times coarser the grid is whose Newton estimates start a grid's
+# (ratios 4, 8, 32 and 64 cost more sweeps at 40,000 points and 10 modes).
+_COARSENING = 16
 
 
 def _bisect(hi: float, at_least) -> tuple[float, float]:
@@ -528,27 +530,36 @@ class _SturmRecord:
             return True
         return self.count(lam) >= mode
 
-    def prepass(self, mode: int, hi: float) -> None:
-        """Isolate the mode-th flip between recorded counts mode - 1 and mode
-        by bisection, refine it by Newton on ln|det(T - lam)|, and sweep the
-        two ends of the bracket the bisection would end in were the flip at
-        Newton's estimate.  Only adds counts: no estimate enters a result.
+    def prepass(self, mode: int, hi: float, start: float) -> float:
+        """Refine the mode-th flip by Newton on ln|det(T - lam)| and hand the
+        estimate to the bisection: sweep the two ends of the bracket the
+        bisection would end in were the flip at the estimate, and when both
+        fall on one side of the flip, step outward on the other side, the
+        widths growing 4x, until a count there is recorded.  Return the
+        estimate.  Only adds counts: no estimate enters a result.
 
-        A far Newton step (over 1e-6 relative) that leaves the isolating
-        bracket is replaced by the bracket's midpoint.  A near one that
-        leaves it or fails to halve has met the rounding floor of the
-        counts: the pre-pass ends there, and the bisection sweeps the rest.
+        Newton starts at `start` (a coarser grid's estimate; NaN for none)
+        when it lies strictly inside the record's bracket for the mode (the
+        highest lam recorded with a count below mode, or 0, and the lowest
+        recorded with one at least mode), else at the midpoint of a bracket
+        that bisection isolates between recorded counts mode - 1 and mode.
+        A far step (over 1e-6 relative) that leaves the bracket is replaced
+        by its midpoint.  A near one that leaves it or fails to halve has
+        met the rounding floor of the counts, and Newton stops there.
         """
         while True:
             i = bisect_left(self.counts, mode)
             a, below = (self.lams[i - 1], self.counts[i - 1]) if i else (0.0, 0)
             b = self.lams[i]
+            if a < start < b:
+                break
             if below == mode - 1 and self.counts[i] == mode:
+                start = 0.5 * (a + b)
                 break
             if b - a <= _STOP_WIDTH * b:
-                return
+                return 0.5 * (a + b)
             self.count(0.5 * (a + b))
-        lam, last = 0.5 * (a + b), math.inf
+        lam, last = start, math.inf
         for _ in range(_NEWTON_SWEEPS):
             count, log_det = _sturm_newton(*self.matrix, lam)
             self._insert(lam, count)
@@ -563,16 +574,41 @@ class _SturmRecord:
                     lam, last = 0.5 * (a + b), math.inf
                     continue
             elif not inside or abs(step) > 0.5 * last:
-                return
+                break
             lam -= step
             if abs(step) <= 1e-11 * lam:
                 break
             last = abs(step)
-        else:
-            return
         lo, up = _bisect(hi, lambda mid: mid >= lam)
-        self.at_least(lo, mode)
-        self.at_least(up, mode)
+        side = self.at_least(lo, mode)
+        if self.at_least(up, mode) == side:
+            width = up - lo
+            while self.at_least(lo - width if side else up + width, mode) == side:
+                width *= 4.0
+        return lam
+
+
+def _spectrum_record(grid_points: int, count: int) -> tuple[_SturmRecord, float]:
+    """A _SturmRecord of the grid's matrix holding the count at the bracket
+    top hi, 4 (count + 2)^2 doubled until `count` modes lie below it."""
+    record = _SturmRecord(_fd_matrix(grid_points))
+    hi = 4.0 * (count + 2) ** 2
+    while record.count(hi) < count:
+        hi *= 2.0
+    return record, hi
+
+
+def _coarse_estimates(grid_points: int, count: int) -> list[float]:
+    """Each mode's Newton estimate (_SturmRecord.prepass) on the grid
+    _COARSENING times coarser, itself started from the next coarser grid's
+    estimates; NaN, no estimate, for every mode when that grid is below
+    MIN_GRID_POINTS."""
+    grid_points //= _COARSENING
+    if grid_points < MIN_GRID_POINTS:
+        return [math.nan] * count
+    record, hi = _spectrum_record(grid_points, count)
+    starts = _coarse_estimates(grid_points, count)
+    return [record.prepass(mode, hi, start) for mode, start in enumerate(starts, 1)]
 
 
 def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
@@ -593,9 +629,13 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
 
     The comparisons are answered by a _SturmRecord shared by all modes: one
     sweep per comparison that no recorded count decides, after a pre-pass
-    per mode (bisection to isolate the mode, then Newton on
-    d/dlam ln|det(T - lam)|) that only adds counts.  The comparisons and so
-    the results are those of sweeping at every midpoint, bit for bit.
+    per mode (_SturmRecord.prepass: Newton on d/dlam ln|det(T - lam)|, then
+    counts at the ends of the bracket the bisection would end in) that only
+    adds counts.  Newton starts from the same pre-pass's estimate on a grid
+    16 times coarser, itself started from the next coarser grid while that
+    has MIN_GRID_POINTS (nested iteration; Brandt 1977); the coarsest grid
+    isolates each mode by bisection.  The comparisons and so the results are
+    those of sweeping at every midpoint, bit for bit.
 
     An alpha whose 4 alpha^2 is not a positive normal float is rejected: an
     underflowed scale would return zeros that match underflowed exact
@@ -611,15 +651,12 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
         raise ParameterError(f"count must be between 0 and {MAX_MODES}, got {count}")
     if count == 0:
         return []
-    record = _SturmRecord(_fd_matrix(grid_points))
-    hi = 4.0 * (count + 2) ** 2
-    while record.count(hi) < count:
-        hi *= 2.0
+    record, hi = _spectrum_record(grid_points, count)
     if not math.isfinite(scale * hi):
         raise ParameterError(f"4 alpha^2 = {scale} times the bracket top {hi} overflows")
     eigenvalues = []
-    for mode in range(1, count + 1):
-        record.prepass(mode, hi)
+    for mode, start in enumerate(_coarse_estimates(grid_points, count), 1):
+        record.prepass(mode, hi, start)
         lo, up = _bisect(hi, lambda mid: record.at_least(mid, mode))
         eigenvalues.append(scale * (0.5 * (lo + up)))
     return eigenvalues

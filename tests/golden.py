@@ -37,6 +37,7 @@ COMMANDS = [
     "spectrum",
     "spectrum --count 0 --format json",
     "spectrum --count 10 --grid-points 40000 --format json",
+    "spectrum --count 10 --grid-points 100000 --format json",
     "verify --tol bogus=1",
     "verify --tol quadrature=inf",
     "verify --tol x",

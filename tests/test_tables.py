@@ -30,7 +30,7 @@ def _suite_level_rows():
     # read from the ladder the z rule sweeps
     t_nodes, t_grid = verify._quad_grid(64, 32).nodes[0], verify._interior_grid().ts
     z_nodes = verify._z_sums(64, 32)[0]
-    z_rows = closed_form._Swept(hypergeom._jacobi_rows(1.5, 1.5, z_nodes))
+    z_rows = closed_form._Swept(partial(hypergeom._jacobi_rows, 1.5, 1.5, z_nodes))
     return {
         "x nodes": (_half_angle_sq(t_nodes), TGrid(t_nodes).level),
         "z nodes": (z_nodes, z_rows.__getitem__),
@@ -73,7 +73,7 @@ def test_swept_items_are_read_once_and_kept():
             started.append(i)
             yield [i]
 
-    items = closed_form._Swept(sweep())
+    items = closed_form._Swept(sweep)
     assert items[0] == [0] and started == [0]
     assert items[3] == [3] and started == [0, 1, 2, 3]
     assert items[1] is items[1] and started == [0, 1, 2, 3]
@@ -92,7 +92,7 @@ def test_swept_error_is_raised_again_at_and_above_its_index():
     def depth(tb):
         return 0 if tb is None else 1 + depth(tb.tb_next)
 
-    items = closed_form._Swept(sweep())
+    items = closed_form._Swept(sweep)
     with pytest.raises(ValueError) as first:
         items[4]
     depths = set()
@@ -103,6 +103,26 @@ def test_swept_error_is_raised_again_at_and_above_its_index():
         depths.add(depth(again.value.__traceback__))
     assert len(depths) == 1  # a re-raise does not grow the traceback it carries
     assert (items[0], items[1]) == ("a", "b")
+
+
+def test_swept_restarts_past_its_items_after_an_interruption():
+    starts, interrupted = [], []
+
+    def sweep():
+        starts.append(len(starts))
+        for i in range(5):
+            if i == 2 and not interrupted:
+                interrupted.append(i)
+                raise KeyboardInterrupt
+            yield [i]
+
+    items = closed_form._Swept(sweep)
+    kept = items[1]
+    with pytest.raises(KeyboardInterrupt):
+        items[3]
+    # never StopIteration: the items a never-interrupted sweep gives
+    assert (items[3], items[2], items[4]) == ([3], [2], [4])
+    assert items[1] is kept and starts == [0, 1]
 
 
 def test_mode_rows_equal_stable_bracket_bitwise():

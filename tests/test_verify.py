@@ -518,6 +518,37 @@ def test_suite_sweeps_each_node_sets_levels_once(monkeypatch):
         _clear_node_set_caches()
 
 
+def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch):
+    # a KeyboardInterrupt at k = 4 of the t rule's mode sweep keeps the rows
+    # read before it; the next read restarts the sweep past them, and the
+    # suite in the same process passes with the same bits
+    _clear_node_set_caches()
+    try:
+        expected = check_trig_norm(4)
+        _clear_node_set_caches()
+        original, interrupted = closed_form._bracket_rows, []
+
+        def interrupting(ts):
+            for k, row in enumerate(original(ts), start=2):
+                if k == 4 and not interrupted:
+                    interrupted.append(k)
+                    raise KeyboardInterrupt
+                yield row
+
+        monkeypatch.setattr(closed_form, "_bracket_rows", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            check_trig_norm(4)
+        monkeypatch.undo()
+        assert interrupted == [4]
+        again = check_trig_norm(4)
+        assert again == expected and again.computed.hex() == expected.computed.hex()
+        report = run_full_suite(n_max=3)
+        assert report.overall
+        assert expected in report.checks
+    finally:
+        _clear_node_set_caches()
+
+
 def test_suite_builds_one_reference_rule_per_order(monkeypatch):
     # the (0, pi) and (0, 1) node sets map one Gauss-Legendre rule
     calls = []
@@ -695,7 +726,10 @@ def _fd_cases():
     rng = random.Random(20151)
     cases = [(rng.uniform(0.5, 2.0), rng.randint(100, 6000), rng.randint(1, 10))
              for _ in range(19)]
-    return cases + [(1e-6, rng.randint(100, 6000), 10)]
+    # then the coarse-grid ladder's boundaries: 1,600 points is the first
+    # grid with a coarser one (1600 // 16 = 100), 25,600 the first with two
+    return cases + [(1e-6, rng.randint(100, 6000), 10),
+                    (0.6024, 1599, 10), (0.6024, 1600, 10), (1.0, 25600, 3)]
 
 
 @pytest.mark.parametrize("alpha,grid_points,count", _fd_cases())
@@ -727,6 +761,49 @@ def test_fd_spectrum_sweeps_few_counts(monkeypatch):
     fd_spectrum(1.0, 4000, 3)
     # bisection with a sweep at every midpoint makes 112
     assert 0 < len(sweeps) <= 40
+
+
+def _sweep_units(monkeypatch, grid_points, count):
+    # the Sturm sweeps' work in rows of the fine grid: a count row costs 1
+    # and a Newton row 2 (it takes twice as long); a coarse grid's rows count
+    # by its size
+    rows = []
+    for name, cost in (("_sturm_count", 1), ("_sturm_newton", 2)):
+        def counted(d0, rest, off_sq, lam, sweep=getattr(verify, name), cost=cost):
+            rows.append(cost * (1 + len(rest)))
+            return sweep(d0, rest, off_sq, lam)
+        monkeypatch.setattr(verify, name, counted)
+    fd_spectrum(1.0, grid_points, count)
+    return sum(rows) / grid_points
+
+
+@pytest.mark.parametrize("grid_points,count,units", [(4000, 3, 30), (40000, 10, 125)])
+def test_fd_spectrum_starts_newton_from_the_coarser_grid(monkeypatch, grid_points, count, units):
+    # Newton from the midpoint of each mode's isolating bracket costs 41 and
+    # 177 units
+    assert 0 < _sweep_units(monkeypatch, grid_points, count) <= units
+
+
+@pytest.mark.parametrize("garbage", ["nan", "zero", "hi", "next mode"])
+def test_no_coarse_estimate_enters_a_result(monkeypatch, garbage):
+    # the coarse estimates only choose where Newton starts: spoiled ones cost
+    # sweeps but leave every bit of the plain bisection's result
+    spoil = {
+        "nan": lambda estimates: [math.nan] * len(estimates),
+        "zero": lambda estimates: [0.0] * len(estimates),
+        "hi": lambda estimates: [4.0 * (len(estimates) + 2) ** 2] * len(estimates),
+        "next mode": lambda estimates: estimates[1:] + [math.nan],
+    }[garbage]
+    original, coarse = verify._coarse_estimates, []
+
+    def spoiled(grid_points, count):
+        estimates = original(grid_points, count)
+        coarse.append(estimates)
+        return spoil(estimates)
+
+    monkeypatch.setattr(verify, "_coarse_estimates", spoiled)
+    assert fd_spectrum(0.6024, 3000, 10) == _plain_fd_spectrum(0.6024, 3000, 10)
+    assert all(map(math.isfinite, coarse[-1]))  # the 3,000-point grid had a coarser one
 
 
 @lru_cache(maxsize=1)
