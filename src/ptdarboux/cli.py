@@ -65,9 +65,10 @@ MAX_PANELS = 1024
 # at 67 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode rows
 # the quadrature's sums keep (verify._TSums).
 MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
-# spectrum --count 10 (about 13 O(grid_points) Sturm sweeps per mode, 3 of
-# them Newton sweeps, plus the coarse grids' 6,250- and 390-point sweeps,
-# where a sweep at every bisection midpoint would take 40): 1.1-1.2 s.
+# spectrum --count 10 (about 13 Sturm sweeps per mode over one 50,000-row
+# mirror block of the matrix, 3 of them Newton sweeps, plus the coarse grids'
+# 3,125- and 195-row block sweeps, where a sweep of all rows at every
+# bisection midpoint would take 40): 0.56-0.63 s.
 MAX_GRID_POINTS = 100_000
 # tabulate --n 60: 0.5 s.
 MAX_POINTS = 10_001

@@ -418,26 +418,44 @@ def check_identity(which: str, index: int, *, tolerance: float | None = None) ->
     return _make_check(_identity_name(which, index), dev, 0.0, tol)
 
 
-def _fd_matrix(grid_points: int) -> tuple[float, list, float]:
+def _fd_matrix(grid_points: int) -> tuple[tuple, tuple]:
     """The alpha-free finite-difference matrix of -d^2/dt^2 + 2/sin^2(t) on
-    the grid t_i = (i + 1/2) h, h = pi / grid_points: its first diagonal
-    entry, the other diagonal entries, and the squared off-diagonal 1/h^4."""
+    the grid t_i = (i + 1/2) h, h = pi / grid_points, as its two blocks under
+    the mirror t -> pi - t: the even block, then the odd one (Cantoni &
+    Butler 1976).  Each is (d0, rest, off_sq, factor): the diagonal entries
+    from the middle node out to the wall at i = 0, the squared off-diagonal
+    1/h^4, and the factor of the first pivot.
+
+    On an even grid the blocks share every entry but the first, d_{m-1}
+    -/+ 1/h^2.  On an odd grid the odd block drops the middle node, and the
+    even block keeps it with its coupling sqrt(2)/h^2, brought to 1/h^2 by
+    dividing the middle row and column by sqrt(2): that halves the first
+    pivot (factor 0.5) and leaves the count of negative pivots unchanged
+    (Sylvester's law of inertia).
+    """
     h = math.pi / grid_points
     inv_h2 = 1.0 / (h * h)
+    half, odd = divmod(grid_points, 2)
 
     def diagonal(i: int) -> float:
         s = math.sin((i + 0.5) * h)
         return 2.0 * inv_h2 + 2.0 / (s * s)
 
-    return diagonal(0), [diagonal(i) for i in range(1, grid_points)], inv_h2 * inv_h2
+    first = diagonal(half - 1 + odd)
+    rest = [diagonal(i) for i in range(half - 2 + odd, -1, -1)]
+    off_sq = inv_h2 * inv_h2
+    if odd:
+        return (first, rest, off_sq, 0.5), (rest[0], rest[1:], off_sq, 1.0)
+    return (first - inv_h2, rest, off_sq, 1.0), (first + inv_h2, rest, off_sq, 1.0)
 
 
-def _sturm_count(d0: float, rest: list, off_sq: float, lam: float) -> int:
+def _sturm_count(d0: float, rest: list, off_sq: float, factor: float, lam: float) -> int:
     """One Sturm sweep: the number of negative pivots of T - lam, that is of
     eigenvalues of T below lam, for the symmetric tridiagonal T with diagonal
-    (d0, *rest) and every squared off-diagonal equal to off_sq.  A zero pivot
+    (d0, *rest) and every squared off-diagonal equal to off_sq, the first
+    pivot multiplied by factor (a power of 2, so exactly).  A zero pivot
     counts as negative and continues as -1e-300."""
-    q = d0 - lam
+    q = factor * (d0 - lam)
     negatives = 0
     if q <= 0.0:
         negatives = 1
@@ -450,16 +468,19 @@ def _sturm_count(d0: float, rest: list, off_sq: float, lam: float) -> int:
     return negatives
 
 
-def _sturm_newton(d0: float, rest: list, off_sq: float, lam: float) -> tuple[int, float]:
+def _sturm_newton(
+    d0: float, rest: list, off_sq: float, factor: float, lam: float
+) -> tuple[int, float]:
     """_sturm_count's sweep, pivot for pivot, returning with the count the
     log-derivative d/dlam ln|det(T - lam)| = sum q_i'/q_i, where the pivots'
-    derivatives follow q_i' = -1 + (off_sq / q_{i-1}) q_{i-1}'/q_{i-1}."""
-    q = d0 - lam
+    derivatives follow q_0' = -factor and q_i' = -1 + (off_sq / q_{i-1})
+    q_{i-1}'/q_{i-1}."""
+    q = factor * (d0 - lam)
     negatives = 0
     if q <= 0.0:
         negatives = 1
         q = q or -1e-300
-    ratio = -1.0 / q
+    ratio = -factor / q
     log_det = ratio
     for d in rest:
         r = off_sq / q
@@ -507,8 +528,8 @@ class _SturmRecord:
     mode's flip so that its bisection is decided almost entirely from here.
     """
 
-    def __init__(self, matrix: tuple[float, list, float]):
-        self.matrix = matrix  # _fd_matrix's (d0, rest, off_sq)
+    def __init__(self, matrix: tuple[float, list, float, float]):
+        self.matrix = matrix  # one of _fd_matrix's blocks (d0, rest, off_sq, factor)
         self.lams: list[float] = []
         self.counts: list[int] = []
 
@@ -588,14 +609,28 @@ class _SturmRecord:
         return lam
 
 
-def _spectrum_record(grid_points: int, count: int) -> tuple[_SturmRecord, float]:
-    """A _SturmRecord of the grid's matrix holding the count at the bracket
-    top hi, 4 (count + 2)^2 doubled until `count` modes lie below it."""
-    record = _SturmRecord(_fd_matrix(grid_points))
-    hi = 4.0 * (count + 2) ** 2
-    while record.count(hi) < count:
+def _block_records(grid_points: int, count: int) -> list[tuple[_SturmRecord, int]]:
+    """A _SturmRecord of each block of the grid's matrix (_fd_matrix) that
+    holds one of the lowest `count` modes, with how many of them it holds."""
+    blocks = _fd_matrix(grid_points)
+    return [(_SturmRecord(blocks[b]), (count + 1 - b) // 2) for b in range(min(count, 2))]
+
+
+def _block_mode(mode: int) -> tuple[int, int]:
+    """The block (0 even, 1 odd) holding the matrix's mode-th eigenvalue,
+    and its place there: the i-th eigenvector of an unreduced tridiagonal
+    matrix changes sign i - 1 times, and a mirror-even one an even number of
+    times, so mode i is the ((i + 1) // 2)-th of the even block when i is
+    odd and of the odd block when i is even."""
+    return 1 - mode % 2, (mode + 1) // 2
+
+
+def _top(record: _SturmRecord, need: int, hi: float) -> float:
+    """hi, doubled until `need` of the record's modes lie below it; the
+    count there is recorded."""
+    while record.count(hi) < need:
         hi *= 2.0
-    return record, hi
+    return hi
 
 
 def _coarse_estimates(grid_points: int, count: int) -> list[float]:
@@ -606,9 +641,16 @@ def _coarse_estimates(grid_points: int, count: int) -> list[float]:
     grid_points //= _COARSENING
     if grid_points < MIN_GRID_POINTS:
         return [math.nan] * count
-    record, hi = _spectrum_record(grid_points, count)
-    starts = _coarse_estimates(grid_points, count)
-    return [record.prepass(mode, hi, start) for mode, start in enumerate(starts, 1)]
+    # these estimates only choose where Newton starts, so each block's top
+    # lies just above its highest exact mode (2 need + block)^2
+    records = [(record, _top(record, need, (2.0 * need + block + 1) ** 2))
+               for block, (record, need) in enumerate(_block_records(grid_points, count))]
+    estimates = []
+    for mode, start in enumerate(_coarse_estimates(grid_points, count), 1):
+        block, place = _block_mode(mode)
+        record, hi = records[block]
+        estimates.append(record.prepass(place, hi, start))
+    return estimates
 
 
 def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
@@ -627,15 +669,22 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     1.5e-8 of the ground mode at 40,000 points, so it is not the discrete
     eigenvalue to 1e-10.
 
-    The comparisons are answered by a _SturmRecord shared by all modes: one
-    sweep per comparison that no recorded count decides, after a pre-pass
-    per mode (_SturmRecord.prepass: Newton on d/dlam ln|det(T - lam)|, then
-    counts at the ends of the bracket the bisection would end in) that only
-    adds counts.  Newton starts from the same pre-pass's estimate on a grid
-    16 times coarser, itself started from the next coarser grid while that
-    has MIN_GRID_POINTS (nested iteration; Brandt 1977); the coarsest grid
-    isolates each mode by bisection.  The comparisons and so the results are
-    those of sweeping at every midpoint, bit for bit.
+    Grid and potential are mirror-symmetric about t = pi/2, so the matrix
+    splits into a mirror-even and a mirror-odd block of half its size
+    (_fd_matrix), and every count is swept over one of them: mode i is the
+    ((i + 1) // 2)-th of the even block when i is odd and of the odd block
+    when i is even (_block_mode).  Each block's comparisons are answered by
+    its own _SturmRecord: one sweep per comparison that no recorded count
+    decides, after a pre-pass per mode (_SturmRecord.prepass: Newton on
+    d/dlam ln|det(T - lam)|, then counts at the ends of the bracket the
+    bisection would end in) that only adds counts.  Newton starts from the
+    same pre-pass's estimate on a grid 16 times coarser, itself started from
+    the next coarser grid while that has MIN_GRID_POINTS (nested iteration;
+    Brandt 1977); the coarsest grid isolates each mode by bisection.  Every
+    bisection starts from the full matrix's top hi = 4 (count + 2)^2, so its
+    midpoints, and the results, are those of sweeping the full matrix at
+    every midpoint.  At 40,000 points and 10 modes that takes 31 Newton and
+    48 count sweeps of 20,000 rows each.
 
     An alpha whose 4 alpha^2 is not a positive normal float is rejected: an
     underflowed scale would return zeros that match underflowed exact
@@ -651,13 +700,18 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
         raise ParameterError(f"count must be between 0 and {MAX_MODES}, got {count}")
     if count == 0:
         return []
-    record, hi = _spectrum_record(grid_points, count)
+    records = _block_records(grid_points, count)
+    hi = 4.0 * (count + 2) ** 2
+    for record, need in records:
+        hi = _top(record, need, hi)
     if not math.isfinite(scale * hi):
         raise ParameterError(f"4 alpha^2 = {scale} times the bracket top {hi} overflows")
     eigenvalues = []
     for mode, start in enumerate(_coarse_estimates(grid_points, count), 1):
-        record.prepass(mode, hi, start)
-        lo, up = _bisect(hi, lambda mid: record.at_least(mid, mode))
+        block, place = _block_mode(mode)
+        record = records[block][0]
+        record.prepass(place, hi, start)
+        lo, up = _bisect(hi, lambda mid: record.at_least(mid, place))
         eigenvalues.append(scale * (0.5 * (lo + up)))
     return eigenvalues
 

@@ -38,6 +38,8 @@ COMMANDS = [
     "spectrum --count 0 --format json",
     "spectrum --count 10 --grid-points 40000 --format json",
     "spectrum --count 10 --grid-points 100000 --format json",
+    "spectrum --count 10 --grid-points 4001 --format json",
+    "spectrum --count 10 --grid-points 40017 --format json",
     "verify --tol bogus=1",
     "verify --tol quadrature=inf",
     "verify --tol x",

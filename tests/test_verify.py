@@ -769,18 +769,19 @@ def _sweep_units(monkeypatch, grid_points, count):
     # by its size
     rows = []
     for name, cost in (("_sturm_count", 1), ("_sturm_newton", 2)):
-        def counted(d0, rest, off_sq, lam, sweep=getattr(verify, name), cost=cost):
+        def counted(d0, rest, off_sq, factor, lam, sweep=getattr(verify, name), cost=cost):
             rows.append(cost * (1 + len(rest)))
-            return sweep(d0, rest, off_sq, lam)
+            return sweep(d0, rest, off_sq, factor, lam)
         monkeypatch.setattr(verify, name, counted)
     fd_spectrum(1.0, grid_points, count)
     return sum(rows) / grid_points
 
 
-@pytest.mark.parametrize("grid_points,count,units", [(4000, 3, 30), (40000, 10, 125)])
+@pytest.mark.parametrize("grid_points,count,units", [(4000, 3, 16), (40000, 10, 65)])
 def test_fd_spectrum_starts_newton_from_the_coarser_grid(monkeypatch, grid_points, count, units):
-    # Newton from the midpoint of each mode's isolating bracket costs 41 and
-    # 177 units
+    # sweeping the full matrix instead of its mirror blocks costs 27.4 and
+    # 109.8 units, and Newton from the midpoint of each mode's isolating
+    # bracket as well 41 and 177
     assert 0 < _sweep_units(monkeypatch, grid_points, count) <= units
 
 
@@ -815,11 +816,50 @@ def _fd_matrix_and_modes():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 9), st.lists(st.floats(-1e-7, 1e-7), min_size=2, max_size=12))
 def test_sturm_count_is_monotone_near_each_mode(mode, offsets):
-    matrix, modes = _fd_matrix_and_modes()
+    blocks, modes = _fd_matrix_and_modes()
     lams = sorted(modes[mode] * (1.0 + offset) for offset in offsets)
-    counts = [verify._sturm_count(*matrix, lam) for lam in lams]
+    # mode + 1 (from 1) is the j-th of the even block when odd, of the odd
+    # block when even; the other block holds no flip nearby
+    j = mode // 2 + 1
+    own, other = blocks if mode % 2 == 0 else blocks[::-1]
+    counts = [verify._sturm_count(*own, lam) for lam in lams]
     assert counts == sorted(counts)
-    assert {mode, mode + 1} >= set(counts)
+    assert {j - 1, j} >= set(counts)
+    assert {verify._sturm_count(*other, lam) for lam in lams} == {j - 1 + mode % 2}
+
+
+def _full_count(grid_points, lam):
+    """Eigenvalues of the whole alpha-free matrix below lam: one Sturm sweep
+    over all grid_points rows from the wall at t_0."""
+    h = math.pi / grid_points
+    inv_h2 = 1.0 / (h * h)
+    negatives, q = 0, 1.0
+    for i in range(grid_points):
+        s = math.sin((i + 0.5) * h)
+        q = 2.0 * inv_h2 + 2.0 / (s * s) - lam - (inv_h2 * inv_h2 / q if i else 0.0)
+        if q == 0.0:
+            q = -1e-300
+        if q < 0.0:
+            negatives += 1
+    return negatives
+
+
+@pytest.mark.parametrize("grid_points", [100, 101, 1599, 1600, 4000, 4001])
+def test_mirror_blocks_split_the_full_count(grid_points):
+    # away from every flip the two blocks' counts add up to the full
+    # matrix's, and the even block's lead the odd block's by 0 or 1: the
+    # interlacing that maps mode i to one block (verify._block_mode)
+    even, odd = verify._fd_matrix(grid_points)
+    modes = fd_spectrum(0.5, grid_points, 10)
+    rng = random.Random(grid_points)
+    lams = [rng.uniform(0.0, modes[-1]) for _ in range(40)]
+    lams = [lam for lam in lams if all(abs(lam - m) > 1e-6 * m for m in modes)]
+    lams += [0.0, 1e12]  # below and above the whole spectrum
+    for lam in lams:
+        counts = verify._sturm_count(*even, lam), verify._sturm_count(*odd, lam)
+        assert sum(counts) == _full_count(grid_points, lam)
+        assert counts[0] - counts[1] in (0, 1)
+    assert verify._sturm_count(*even, 1e12) == (grid_points + 1) // 2
 
 
 def test_run_full_suite_small():
