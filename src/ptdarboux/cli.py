@@ -54,7 +54,8 @@ MAX_ALPHA = 1e100
 # The caps below bound the work each flag can ask for.  Times are on one
 # Intel Xeon core under CPython 3.11.  MAX_DEGREE caps --n-max, tabulate --n
 # and identity --n, and identity --m at MAX_DEGREE // 2 (the suite's indices
-# at n_max = MAX_DEGREE): verify --n-max 60 takes 1.1 s, identity --n 60 0.05 s.
+# at n_max = MAX_DEGREE): verify --n-max 60 takes 1.1 s, identity --n 60 0.03 s
+# (one bracket row, from the U rows below it).
 MAX_DEGREE = 60
 # A Gauss-Legendre rule is built in O(order^2): 0.52 s at 1024 points.
 MAX_QUAD_ORDER = 1024
@@ -70,7 +71,8 @@ MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
 # 3,125- and 195-row block sweeps, where a sweep of all rows at every
 # bisection midpoint would take 40): 0.56-0.63 s.
 MAX_GRID_POINTS = 100_000
-# tabulate --n 60: 0.5 s.
+# tabulate --n 60: 0.4 s, peaking at 27 MB resident (VmHWM): it keeps 61 level
+# rows and 61 U rows, and builds one bracket row.
 MAX_POINTS = 10_001
 
 _REPORT_HEADER = ["name", "computed", "reference", "abs_dev", "rel_dev", "tolerance", "passed"]

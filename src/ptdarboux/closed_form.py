@@ -12,8 +12,9 @@ are one level-n formula (identity_pairs).  Every row
 sampled on a row of t (bound-state factors, brackets and their second
 derivatives, the partner potential, both sides of the identities and of
 the correspondence) comes from one holder, TGrid, which keeps each sweep's
-rows in a _Swept; the point-wise chi_eval and chi_derivatives read one
-point of its sweeps, and identity_sides reads a one-point TGrid.
+rows in a _Swept and builds a bracket row from its U sweep only when it is
+read; the point-wise chi_eval and chi_derivatives read one point of its
+sweeps, and identity_sides reads a one-point TGrid.
 """
 from __future__ import annotations
 
@@ -107,17 +108,24 @@ def _bound_factors(ts) -> tuple[array, array]:
             array("d", [math.cos(h) ** 2.0 for h in halves]))
 
 
+def _u_rows(cosines):
+    """Rows U_{k-1}(c) at every c of `cosines` for k = 2, 3, ...: one forward
+    sweep of U_j = (2c) U_{j-1} - U_{j-2}, keeping its last two rows; the
+    sweep is stable to ~2e-13 of max|U_k| = k + 1 for k <= 63."""
+    two_cos = array("d", [2.0 * c for c in cosines])
+    u_prev, u = array("d", [0.0]) * len(cosines), array("d", [1.0]) * len(cosines)  # U_-1, U_0
+    while True:
+        u_prev, u = u, array("d", [tc * v - w for tc, v, w in zip(two_cos, u, u_prev)])
+        yield u
+
+
 def _bracket_rows(ts):
     """Rows of the bracket k cos(kt) - cos(t) U_{k-1}(cos t) at every t of
-    `ts` for k = 2, 3, ...; it equals k cos(kt) - cot(t) sin(kt) but stays
-    finite at t = 0 and t = pi (where it vanishes).  U_{k-1}(cos t) continues
-    one forward sweep of U_j = (2c) U_{j-1} - U_{j-2}, keeping its last two
-    rows; the sweep is stable to ~2e-13 of max|U_k| = k + 1 for k <= 63."""
+    `ts` for k = 2, 3, ... (_u_rows, then _bracket); it equals
+    k cos(kt) - cot(t) sin(kt) but stays finite at t = 0 and t = pi (where
+    it vanishes)."""
     cosines = array("d", map(math.cos, ts))
-    two_cos = array("d", [2.0 * c for c in cosines])
-    u_prev, u = array("d", [0.0]) * len(ts), array("d", [1.0]) * len(ts)  # U_-1, U_0
-    for k in count(2):
-        u_prev, u = u, array("d", [tc * v - w for tc, v, w in zip(two_cos, u, u_prev)])
+    for k, u in zip(count(2), _u_rows(cosines)):
         yield _bracket(k, ts, cosines, u)
 
 
@@ -164,11 +172,15 @@ def _second_derivative(k, ts, sines, cosines, u, du, ddu) -> array:
 
 def chi_eval(f: TrigEigenfunction, x: float) -> float:
     """Value of the normalized partner mode on the closed interval [0, L],
-    one point of the bracket rows (_bracket_rows)."""
+    one point of the U sweep (_u_rows) and of its one bracket, as TGrid.mode
+    reads them."""
     length = WellConfig(f.alpha).length
     if not (0.0 <= x <= length):
         raise DomainError(f"x={x} outside closed interval [0, {length}]")
-    return f.norm * next(islice(_bracket_rows([2.0 * f.alpha * x]), f.k - 2, None))[0]
+    t = 2.0 * f.alpha * x
+    c = math.cos(t)
+    (g,) = _bracket(f.k, [t], [c], next(islice(_u_rows([c]), f.k - 2, None)))
+    return f.norm * g
 
 
 def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float]:
@@ -260,26 +272,31 @@ IDENTITY_FAMILIES = {
 
 class TGrid:
     """The rows sampled on one row `ts` of t = 2 alpha x, shared by every
-    reader: level(n) = F_n(sin^2(t/2)), mode(k) = the bracket g of index
-    k >= 2 and second_derivative(k) = its row g'' in t (each the kept rows
-    of one sweep, a _Swept), and, built on first use, sin_sq = sin^2(t) for
-    the identities, the bound state's factors and the residual's partner
-    potential at unit scale, x = t / 2 (every t inside (0, pi)).  A returned
-    row is shared and must not be changed."""
+    reader: level(n) = F_n(sin^2(t/2)) and second_derivative(k) = the row
+    g'' in t of the bracket g of index k >= 2 (each the kept rows of one
+    sweep, a _Swept), mode(k) = the bracket g, built from the kept U_{k-1}
+    row of one U sweep on its first read and kept, and, built on first use,
+    sin_sq = sin^2(t) for the identities, the bound state's factors and the
+    residual's partner potential at unit scale, x = t / 2 (every t inside
+    (0, pi)).  A returned row is shared and must not be changed."""
 
     def __init__(self, ts):
         self.ts = ts
+        self._cosines = cosines = array("d", map(math.cos, ts))
         # sweep factories: nothing is swept before a row is read
         self._levels = _Swept(partial(_level_rows, ts))
-        self._modes = _Swept(partial(_bracket_rows, ts))  # index k at position k - 2
+        self._u = _Swept(partial(_u_rows, cosines))  # U_{k-1} at position k - 2
         self._second = _Swept(partial(_derivative_rows, ts))
+        self._modes = {}
 
     def level(self, n: int) -> array:
         return self._levels[n]
 
     def mode(self, k: int) -> array:
         _require_partner(k)
-        return self._modes[k - 2]
+        if k not in self._modes:
+            self._modes[k] = _bracket(k, self.ts, self._cosines, self._u[k - 2])
+        return self._modes[k]
 
     def second_derivative(self, k: int) -> array:
         _require_partner(k)

@@ -292,6 +292,7 @@ def fresh_tables():
 def test_validation_errors_come_before_any_table_is_swept(monkeypatch, call):
     monkeypatch.setattr(hypergeom, "_jacobi_rows", _forbidden_sweep)
     monkeypatch.setattr(closed_form, "_bracket_rows", _forbidden_sweep)
+    monkeypatch.setattr(closed_form, "_u_rows", _forbidden_sweep)  # a TGrid's bracket rows
     monkeypatch.setattr(closed_form, "_derivative_rows", _forbidden_sweep)
     monkeypatch.setattr(closed_form, "partner_potential", _forbidden_potential)
     with pytest.raises(ParameterError):

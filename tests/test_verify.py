@@ -518,6 +518,57 @@ def test_suite_sweeps_each_node_sets_levels_once(monkeypatch):
         _clear_node_set_caches()
 
 
+def _count_brackets(monkeypatch):
+    # the (k, row length) of every bracket row built and the row length of
+    # every U sweep started
+    brackets, sweeps = [], []
+    bracket, u_rows = closed_form._bracket, closed_form._u_rows
+
+    def counted_bracket(k, ts, cosines, u):
+        brackets.append((k, len(ts)))
+        return bracket(k, ts, cosines, u)
+
+    def counted_u_rows(cosines):
+        sweeps.append(len(cosines))
+        return u_rows(cosines)
+
+    monkeypatch.setattr(closed_form, "_bracket", counted_bracket)
+    monkeypatch.setattr(closed_form, "_u_rows", counted_u_rows)
+    return brackets, sweeps
+
+
+def test_a_lone_one_shot_read_builds_one_bracket_row(monkeypatch):
+    # a one-shot identity or tabulate call reads mode n + 2 of a fresh grid:
+    # one U sweep up to U_{n+1} and one bracket row, none of the n below it
+    _clear_node_set_caches()
+    try:
+        brackets, sweeps = _count_brackets(monkeypatch)
+        assert check_identity("base", 10).passed
+        assert brackets == [(12, verify.INTERIOR_POINTS)]
+        assert sweeps == [verify.INTERIOR_POINTS]
+        ts = [0.05 + 0.03 * i for i in range(100)]
+        del brackets[:], sweeps[:]
+        closed_form.TGrid(ts).bound_state_pairs(10, 1.0)
+        assert brackets == [(12, len(ts))] and sweeps == [len(ts)]
+    finally:
+        _clear_node_set_caches()
+
+
+def test_suite_builds_each_interior_bracket_row_once(monkeypatch):
+    # the identities, the correspondence and the residual all read the
+    # interior grid's bracket rows; each is built once, from one U sweep,
+    # up to k = 33 (the odd ratio's level 2m + 1 = 31)
+    _clear_node_set_caches()
+    try:
+        brackets, sweeps = _count_brackets(monkeypatch)
+        assert run_full_suite(n_max=30).overall
+        interior = sorted(k for k, points in brackets if points == verify.INTERIOR_POINTS)
+        assert interior == list(range(2, 34))
+        assert sweeps.count(verify.INTERIOR_POINTS) == 1
+    finally:
+        _clear_node_set_caches()
+
+
 def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch):
     # a KeyboardInterrupt at k = 4 of the t rule's mode sweep keeps the rows
     # read before it; the next read restarts the sweep past them, and the
@@ -591,6 +642,7 @@ def test_unit_scale_checks_reject_an_alpha_no_well_has(monkeypatch, alpha):
 
     monkeypatch.setattr(closed_form, "_derivative_rows", forbidden)
     monkeypatch.setattr(closed_form, "_bracket_rows", forbidden)
+    monkeypatch.setattr(closed_form, "_u_rows", forbidden)  # the grid's bracket rows
     monkeypatch.setattr(hypergeom, "_jacobi_rows", forbidden)
     monkeypatch.setattr(closed_form, "partner_potential", forbidden_potential)
     verify._interior_grid.cache_clear()
