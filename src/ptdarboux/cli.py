@@ -8,42 +8,24 @@ it byte for byte); CSV uses 17 significant digits.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import math
+import re
 import sys
 from collections import namedtuple
 
 from . import closed_form, verify
 from .closed_form import IDENTITY_FAMILIES
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    EvaluationError,
-    ParameterError,
-    StabilityError,
-)
+from .errors import ConvergenceError, DomainError, EvaluationError, ParameterError, StabilityError
 from .models import WellConfig
 from .verify import check_fd_spectrum, check_identity, resolve_tolerances, run_full_suite
 
 __all__ = [
-    "RunConfig",
-    "cmd_verify",
-    "cmd_tabulate",
-    "cmd_identity",
-    "cmd_spectrum",
-    "main",
-    "entry",
-    "MIN_ALPHA",
-    "MAX_ALPHA",
-    "MAX_DEGREE",
-    "MAX_QUAD_ORDER",
-    "MAX_PANELS",
-    "MAX_QUAD_NODES",
-    "MAX_GRID_POINTS",
-    "MAX_POINTS",
+    "RunConfig", "cmd_verify", "cmd_tabulate", "cmd_identity", "cmd_spectrum", "main", "entry",
+    "MIN_ALPHA", "MAX_ALPHA", "MAX_DEGREE", "MAX_QUAD_ORDER", "MAX_PANELS", "MAX_QUAD_NODES",
+    "MAX_GRID_POINTS", "MAX_POINTS",
 ]
 
 # The suite passes at both ends of this --alpha range; at 1e300 fd_spectrum
@@ -118,7 +100,7 @@ def _parse_tolerance_flags(pairs: list[str] | None) -> dict:
         try:
             overrides[name] = float(value)
         except ValueError:
-            raise ParameterError(f"--tol {name}: {value!r} is not a number") from None
+            raise ParameterError(f"--tol {name!r}: {value!r} is not a number") from None
     return overrides
 
 
@@ -153,10 +135,8 @@ def _emit(config: RunConfig, payload: dict, header: list[str], rows: list[list],
           passed: bool = True) -> int:
     """Write the JSON payload or the CSV table, as --format asks.  Exit code
     2 if the output cannot be written, else 0 or 1 as the checks passed."""
-    if config.fmt == "json":
-        text = json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
-    else:
-        text = _csv_text(header, rows)
+    text = (json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
+            if config.fmt == "json" else _csv_text(header, rows))
     if config.output is None:
         sys.stdout.write(text)
     else:
@@ -164,7 +144,7 @@ def _emit(config: RunConfig, payload: dict, header: list[str], rows: list[list],
             with open(config.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"cannot write {config.output}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
             return 2
     return 0 if passed else 1
 
@@ -187,10 +167,8 @@ def cmd_tabulate(config: RunConfig, n: int, points: int) -> int:
     psi, chi = closed_form.TGrid([2.0 * alpha * x for x in xs]).bound_state_pairs(n, alpha)
     rows = [[x, c, p, p - c] for x, c, p in zip(xs, chi, psi)]
     header = ["x", "chi", "psi", "difference"]
-    payload = {
-        "parameters": {"alpha": config.alpha, "n": n, "points": points},
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
+    payload = {"parameters": {"alpha": config.alpha, "n": n, "points": points},
+               "rows": [dict(zip(header, row)) for row in rows]}
     return _emit(config, payload, header, rows)
 
 
@@ -199,13 +177,8 @@ def cmd_identity(config: RunConfig, which: str, m_or_n: int) -> int:
     worst deviation between the two sides, scaled by the largest left-side
     value.  The identities are dimensionless: --alpha does not change it."""
     result = check_identity(which, m_or_n, tolerance=config.tolerances["identity"])
-    row = {
-        "which": which,
-        "index": m_or_n,
-        "max_scaled_deviation": result.computed,
-        "tolerance": result.tolerance,
-        "passed": result.passed,
-    }
+    row = {"which": which, "index": m_or_n, "max_scaled_deviation": result.computed,
+           "tolerance": result.tolerance, "passed": result.passed}
     payload = {**row, "alpha": config.alpha, "points": verify.INTERIOR_POINTS}
     return _emit(config, payload, list(row), [list(row.values())], result.passed)
 
@@ -216,101 +189,128 @@ def cmd_spectrum(config: RunConfig, count: int) -> int:
     report = check_fd_spectrum(config.alpha, config.grid_points, count, tolerance=tolerance)
     header = ["mode", "computed", "exact", "rel_err"]
     rows = [[i, c.computed, c.reference, c.rel_dev] for i, c in enumerate(report.checks)]
-    payload = {
-        "parameters": report.parameters,
-        "tolerance": tolerance,
-        "overall": report.overall,
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
+    payload = {"parameters": report.parameters, "tolerance": tolerance, "overall": report.overall,
+               "rows": [dict(zip(header, row)) for row in rows]}
     return _emit(config, payload, header, rows, report.overall)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # no defaults here: main passes RunConfig only the flags given
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--alpha", type=float,
-                        help="well scale; interval is (0, pi/(2 alpha)) "
-                             f"({MIN_ALPHA:g}..{MAX_ALPHA:g})")
-    common.add_argument("--n-max", type=int, dest="n_max",
-                        help=f"largest level index exercised by the suite (0..{MAX_DEGREE})")
-    common.add_argument("--quad-order", type=int, dest="quad_order",
-                        help=f"Gauss-Legendre points per panel (2..{MAX_QUAD_ORDER})")
-    common.add_argument("--panels", type=int,
-                        help=f"equal quadrature subintervals (1..{MAX_PANELS}; "
-                             f"panels times quad-order at most {MAX_QUAD_NODES})")
-    common.add_argument("--grid-points", type=int, dest="grid_points",
-                        help="finite-difference grid size "
-                             f"({verify.MIN_GRID_POINTS}..{MAX_GRID_POINTS})")
-    common.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                        help="tolerance override, repeatable "
-                             f"({', '.join(verify.DEFAULT_TOLERANCES)})")
-    common.add_argument("--format", choices=("csv", "json"), dest="fmt", help="output format")
-    common.add_argument("--output", metavar="PATH",
-                        help="write output to PATH instead of stdout")
-
-    parser = argparse.ArgumentParser(
-        prog="ptdarboux",
-        description="Darboux-partner construction and verification for the "
-                    "symmetric trigonometric Poschl-Teller well",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run the full verification suite")
-    p_verify.set_defaults(handler=lambda cfg, args: cmd_verify(cfg))
-
-    p_tab = sub.add_parser("tabulate", parents=[common],
-                           help="tabulate a bound state against its partner mode")
-    p_tab.add_argument("--n", type=int, default=0,
-                       help=f"level index (0..{MAX_DEGREE})")
-    p_tab.add_argument("--points", type=int, default=101,
-                       help=f"uniform samples on the closed interval (2..{MAX_POINTS})")
-    p_tab.set_defaults(handler=lambda cfg, args: cmd_tabulate(cfg, args.n, args.points))
-
-    p_id = sub.add_parser("identity", parents=[common],
-                          help="check one hypergeometric-trigonometric identity")
-    served = {letter: "/".join(which for which, family in IDENTITY_FAMILIES.items()
-                               if family.letter == letter) for letter in "nm"}
-    p_id.add_argument("--which", choices=tuple(IDENTITY_FAMILIES), required=True)
-    p_id.add_argument("--n", type=int, default=None,
-                      help=f"level index ({served['n']} identity, 0..{MAX_DEGREE})")
-    p_id.add_argument("--m", type=int, default=None,
-                      help=f"family index ({served['m']} ratio identities, 0..{MAX_DEGREE // 2})")
-    p_id.set_defaults(handler=lambda cfg, args: cmd_identity(
-        cfg, args.which, _identity_index(args)))
-
-    p_spec = sub.add_parser("spectrum", parents=[common],
-                            help="finite-difference spectrum vs exact energies")
-    p_spec.add_argument("--count", type=int, default=verify.FD_MODES,
-                        help=f"number of low modes to extract (<= {verify.MAX_MODES})")
-    p_spec.set_defaults(handler=lambda cfg, args: cmd_spectrum(cfg, args.count))
-    return parser
+def _identity(config: RunConfig, which: str | None, n: int | None, m: int | None) -> int:
+    """identity reads the index flag of the family, 0 if unset; the other one is rejected."""
+    if which is None:
+        raise ParameterError(f"identity needs --which: {', '.join(IDENTITY_FAMILIES)}")
+    family, index = IDENTITY_FAMILIES[which], {"--n": n, "--m": m}
+    flag, other = ("--n", "--m") if family.letter == "n" else ("--m", "--n")
+    if index[other] is not None:
+        raise ParameterError(f"the {which} identity is indexed by {flag}, not {other}")
+    _require_range(flag, index[flag] or 0, 0, family.top(MAX_DEGREE))
+    return cmd_identity(config, which, index[flag] or 0)
 
 
-def _identity_index(args) -> int:
-    """The index flag the family reads, 0 if unset; the other one is rejected."""
-    family = IDENTITY_FAMILIES[args.which]
-    flag, other = f"--{family.letter}", "m" if family.letter == "n" else "n"
-    if getattr(args, other) is not None:
-        raise ParameterError(f"the {args.which} identity is indexed by {flag}, not --{other}")
-    index = getattr(args, family.letter)
-    if index is not None:
-        _require_range(flag, index, 0, family.top(MAX_DEGREE))
-    return index or 0
+# A flag maps to (dest, converter or choices, help), and an own flag also to its
+# default; a common flag not given is left out, so RunConfig's defaults are the
+# CLI's.  A command maps to (help, own flags, handler(config, **own values)).
+_COMMON = {
+    "--alpha": ("alpha", float, f"well scale, {MIN_ALPHA:g}..{MAX_ALPHA:g}; x in (0, pi/2/alpha)"),
+    "--n-max": ("n_max", int, f"largest level index exercised by the suite, 0..{MAX_DEGREE}"),
+    "--quad-order": ("quad_order", int, f"Gauss-Legendre points per panel, 2..{MAX_QUAD_ORDER}"),
+    "--panels": ("panels", int, f"panels, 1..{MAX_PANELS}; times --quad-order <= {MAX_QUAD_NODES}"),
+    "--grid-points": ("grid_points", int, f"FD grid, {verify.MIN_GRID_POINTS}..{MAX_GRID_POINTS}"),
+    "--tol": ("tol", str, f"NAME=VALUE, repeatable, for {', '.join(verify.DEFAULT_TOLERANCES)}"),
+    "--format": ("fmt", ("csv", "json"), "output format, csv or json"),
+    "--output": ("output", str, "write output to this path instead of stdout"),
+}
+_HELP = dict.fromkeys(("-h", "--help"), (None, ()))  # no choices: a value joined is an error
+_COMMANDS = {
+    "verify": ("run the full verification suite", {}, cmd_verify),
+    "tabulate": ("tabulate a bound state against its partner mode", {
+        "--n": ("n", int, f"level index, 0..{MAX_DEGREE}", 0),
+        "--points": ("points", int, f"samples on the closed interval, 2..{MAX_POINTS}", 101),
+    }, cmd_tabulate),
+    "identity": ("check one hypergeometric-trigonometric identity", {
+        "--which": ("which", tuple(IDENTITY_FAMILIES), "identity family, required; " + ", ".join(
+            f"{name} reads --{family.letter}" for name, family in IDENTITY_FAMILIES.items()), None),
+        "--n": ("n", int, f"level index, 0..{MAX_DEGREE}", None),
+        "--m": ("m", int, f"family index, 0..{MAX_DEGREE // 2}", None),
+    }, _identity),
+    "spectrum": ("finite-difference spectrum vs exact energies", {
+        "--count": ("count", int, f"low modes, 0..{verify.MAX_MODES}", verify.FD_MODES),
+    }, cmd_spectrum),
+}
+_ABOUT = "Darboux partners of the trigonometric Poschl-Teller well; COMMAND -h lists its flags"
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+
+
+def _flag(token: str, flags: dict) -> tuple[str, str | None] | None:
+    """argparse's reading of a token: None for a value, else the flag it names ("" if
+    none) and the value joined to it, a long flag's after "=" or all after -h."""
+    if token[:1] != "-" or token == "-" or _NEGATIVE_NUMBER(token):
+        return None
+    name, sep, value = (token.partition("=") if token[1] == "-"
+                        else (token[:2], token[2:], token[2:]))
+    matches = [name] if name in flags else [flag for flag in flags if flag.startswith(name)]
+    if len(matches) > 1:
+        raise ParameterError(f"ambiguous flag {name!r} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value if sep else None
+    return None if " " in token else ("", None)
+
+
+def _parse(argv: list[str]) -> tuple[str | None, dict | None]:
+    """The command and its flags' values, own flags' defaults filled in; values None
+    if -h or --help asked for help (command None: the package's).  Raises ParameterError."""
+    command, flags, values, stray = None, _HELP, {}, []
+    end = argv.index("--") if "--" in argv else len(argv)  # all from "--" on is stray
+    tokens = iter(argv[:end])
+    for token in tokens:
+        flag, value = _flag(token, flags) or (None, token)
+        if flag in _HELP and value is None:
+            return command, None
+        if flag is None and command is None:
+            if token not in _COMMANDS:
+                raise ParameterError(f"unknown command {token!r}; use {', '.join(_COMMANDS)}")
+            command, own = token, _COMMANDS[token][1]
+            flags, values = {**_COMMON, **own, **_HELP}, {d: v for d, _, _, v in own.values()}
+            for later in argv[argv.index(token) + 1:end]:  # ambiguity is reported first
+                _flag(later, flags)
+        elif not flag:
+            stray.append(token)
+        else:
+            if value is None:
+                value = next(tokens, None)
+                if value is None or _flag(value, flags) is not None:
+                    raise ParameterError(f"{flag} expects a value")
+            dest, convert = flags[flag][:2]
+            try:  # index raises ValueError for a value not among the choices
+                value = convert(value) if callable(convert) else convert[convert.index(value)]
+            except ValueError:
+                raise ParameterError(f"{flag} cannot take {value!r}") from None
+            values[dest] = values.get(dest, []) + [value] if flag == "--tol" else value
+    if command is None:
+        raise ParameterError(f"a command is required: {', '.join(_COMMANDS)}")
+    if stray or end < len(argv):
+        raise ParameterError(f"unrecognized arguments: {' '.join(map(repr, stray + argv[end:]))}")
+    return command, values
+
+
+def _help(command: str | None) -> str:
+    """The help text of a command, or of the package for None."""
+    text, own, _ = _COMMANDS[command] if command else (_ABOUT, None, None)
+    rows = {name: entry[0] if own is None else entry[2]
+            for name, entry in (_COMMANDS if own is None else {**_COMMON, **own}).items()}
+    return f"usage: ptdarboux {command or 'COMMAND'} [FLAGS]\n\n{text}\n\n" + "".join(
+        f"  {name:<15}{line}\n" for name, line in {**rows, "-h, --help": "show this help"}.items())
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        # the parser's destinations are RunConfig's field names, but for --tol
-        config = RunConfig(tolerances=_parse_tolerance_flags(getattr(args, "tol", None)),
-                           **{name: getattr(args, name) for name in RunConfig._fields
-                              if hasattr(args, name)})
-        return args.handler(config, args)
+        command, values = _parse(list(sys.argv[1:] if argv is None else argv))
+        if values is None:
+            sys.stdout.write(_help(command))
+            return 0
+        # the table's destinations are RunConfig's field names, but for --tol
+        config = RunConfig(tolerances=_parse_tolerance_flags(values.pop("tol", None)),
+                           **{key: values.pop(key) for key in RunConfig._fields if key in values})
+        return _COMMANDS[command][2](config, **values)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

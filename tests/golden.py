@@ -2,9 +2,9 @@
 ptdarboux.cli.main in process, recorded as the sha256 of its stdout, the
 sha256 of the package's own `error:` lines on stderr and its exit code.
 
-argparse's messages and help layout differ between Python versions, so the
-other stderr lines and the --help texts stay out of the manifest.  A change
-that moves an output rewrites golden.json with
+The --help texts are the package's own, the same on every Python version,
+so they are pinned like any other stdout.  A change that moves an output
+rewrites golden.json with
 
     PYTHONPATH=src python tests/golden.py
 
@@ -48,6 +48,17 @@ COMMANDS = [
     "spectrum --count 11",
     "identity --which odd --n 2",
     "identity",
+    "verify --format=json --n-max=2",
+    "spectrum --count 3 --grid 4000 --format json",
+    "verify --alpha",
+    "verify --bogus 1",
+    "tabulate --p 5",
+    "verify --alpha -1e5",
+    "--help",
+    "verify --help",
+    "tabulate --help",
+    "identity --help",
+    "spectrum --help",
 ]
 
 

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from ptdarboux import verify
@@ -21,7 +23,10 @@ from ptdarboux.cli import (
     MAX_QUAD_NODES,
     MAX_QUAD_ORDER,
     MIN_ALPHA,
+    _COMMANDS,
+    _COMMON,
     RunConfig,
+    _parse,
     main,
 )
 from ptdarboux.errors import ParameterError
@@ -72,13 +77,11 @@ def test_run_config_validation():
 
 
 def test_run_defaults_are_stated_once():
-    # the shared parser supplies no default, so RunConfig's are the CLI's,
-    # and those are the verify constants
-    from ptdarboux.cli import _build_parser
-
-    args = _build_parser().parse_args(["verify"])
-    assert not hasattr(args, "alpha")
-    assert set(vars(args)) == {"command", "handler"}
+    # the flag table supplies no value for a common flag not given, so
+    # RunConfig's defaults are the CLI's, and those are the verify constants
+    assert _parse(["verify"]) == ("verify", {})
+    for command in ("tabulate", "identity", "spectrum"):
+        assert not set(_parse([command])[1]) & set(RunConfig._fields)
     config = RunConfig()
     assert (config.alpha, config.n_max, config.quad_order, config.panels, config.grid_points) == (
         1.0, verify.N_MAX, verify.QUAD_ORDER, verify.PANELS, verify.GRID_POINTS)
@@ -163,6 +166,121 @@ def test_unusable_inputs_exit_2_promptly(flags):
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
+
+
+# argv and what the flag table reads from it: (command, values), values None
+# for help, or 2 for a usage error.  Each row was checked against the
+# argparse parsers the table replaced; those rejected a missing --which
+# while parsing, the table leaves it to the identity handler.
+PARSES = [
+    (["verify", "--alpha", "2"], ("verify", {"alpha": 2.0})),
+    (["verify", "--alpha=2"], ("verify", {"alpha": 2.0})),
+    (["verify", "--format=json", "--n-max=2"], ("verify", {"fmt": "json", "n_max": 2})),
+    (["verify", "--tol=identity=0"], ("verify", {"tol": ["identity=0"]})),
+    (["verify", "--output=--x"], ("verify", {"output": "--x"})),
+    (["spectrum", "--grid", "4000"], ("spectrum", {"count": 3, "grid_points": 4000})),
+    (["verify", "--n", "3"], ("verify", {"n_max": 3})),
+    (["tabulate", "--n", "3"], ("tabulate", {"n": 3, "points": 101})),
+    (["tabulate", "--n=3"], ("tabulate", {"n": 3, "points": 101})),
+    (["tabulate", "--n-", "3"], ("tabulate", {"n": 0, "points": 101, "n_max": 3})),
+    (["verify", "--alpha", "1", "--alpha", "2"], ("verify", {"alpha": 2.0})),
+    (["verify", "--tol", "a=1", "--tol=b=2"], ("verify", {"tol": ["a=1", "b=2"]})),
+    (["verify", "--alpha", "-.5"], ("verify", {"alpha": -0.5})),
+    (["verify", "--n-max", "-3"], ("verify", {"n_max": -3})),
+    (["verify", "--n-max", "1_0"], ("verify", {"n_max": 10})),
+    (["verify", "--output", "-"], ("verify", {"output": "-"})),
+    (["verify", "--output", "-x y"], ("verify", {"output": "-x y"})),
+    (["identity", "--which", "odd", "--m", "2"], ("identity", {"which": "odd", "n": None, "m": 2})),
+    (["identity"], ("identity", {"which": None, "n": None, "m": None})),
+    (["-h"], (None, None)),
+    (["--he"], (None, None)),
+    (["--bogus", "-h"], (None, None)),
+    (["verify", "--help"], ("verify", None)),
+    (["verify", "--h"], ("verify", None)),
+    (["verify", "--bogus", "-h"], ("verify", None)),
+    (["verify", "stray", "-h"], ("verify", None)),
+    (["verify", "--alpha", "1", "-h", "--alpha", "x"], ("verify", None)),
+    ([], 2),
+    (["nonsense"], 2),
+    (["--alpha", "1", "verify"], 2),
+    (["--", "verify"], 2),
+    (["identity"], 2),
+    (["identity", "--which", "nope"], 2),
+    (["verify", "--bogus", "1"], 2),
+    (["verify", "-a", "1"], 2),
+    (["verify", "stray"], 2),
+    (["tabulate", "--p", "5"], 2),
+    (["tabulate", "-h", "--p", "5"], 2),
+    (["verify", "--alpha", "x"], 2),
+    (["verify", "--alpha", ""], 2),
+    (["verify", "--n-max", "1.5"], 2),
+    (["verify", "--alpha"], 2),
+    (["verify", "--alpha", "-1e5"], 2),
+    (["verify", "--alpha", "-5."], 2),
+    (["verify", "--alpha", "--n-max", "2"], 2),
+    (["verify", "--format", "xml"], 2),
+    (["verify", "--format", "-h"], 2),
+    (["verify", "--help=1"], 2),
+    (["verify", "-hx"], 2),
+    (["verify", "--"], 2),
+    (["verify", "--", "-h"], 2),
+    (["verify", "--alpha", "--", "5"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PARSES)
+def test_the_flag_table_reads_argv_as_argparse_did(argv, expected, capsys):
+    if expected != 2:
+        assert _parse(argv) == expected
+        return
+    # every usage error is one `error:` line on stderr, nothing on stdout;
+    # main stops before any computation
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_FLAGS = sorted({flag for _, own, _ in _COMMANDS.values() for flag in {**_COMMON, **own}})
+_TOKENS = st.one_of(
+    st.sampled_from([*_COMMANDS, *_FLAGS, "-h", "--help", "--", "-", "-x", "--bogus"]),
+    st.sampled_from(_FLAGS).flatmap(lambda flag: st.integers(2, len(flag)).map(
+        lambda size: flag[:size])),
+    st.tuples(st.sampled_from(_FLAGS), st.text(max_size=5)).map("=".join),
+    st.sampled_from(["1", "-1", "-.5", "1e5", "-1e5", "x", "", " ", "nan", "1_0", "csv", "json",
+                     "base", "odd", "a=1", "identity=0", "-5."]),
+    st.text(max_size=5),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_TOKENS, max_size=8))
+def test_parse_returns_converted_table_values_or_raises_parameter_error(argv):
+    # a first step of property tests over the CLI's inputs: any argv built
+    # from the table's flags, their prefixes, the = form and malformed or
+    # missing values gives known dests of the table's types, or ParameterError
+    try:
+        command, values = _parse(argv)
+    except ParameterError as exc:
+        assert "\n" not in str(exc)
+        return
+    if values is None:
+        assert command is None or command in _COMMANDS
+        return
+    own = _COMMANDS[command][1]
+    entries = {entry[0]: entry for entry in {**_COMMON, **own}.values()}
+    assert set(values) <= set(entries)
+    assert {entry[0] for entry in own.values()} <= set(values)
+    for dest, value in values.items():
+        _, convert, _, *default = entries[dest]
+        if dest == "tol":
+            assert value and all(type(pair) is str for pair in value)
+        elif default and value == default[0]:
+            continue
+        elif callable(convert):
+            assert type(value) is convert
+        else:
+            assert value in convert
 
 
 def test_verify_passes_and_emits_csv(capsys):
@@ -328,13 +446,12 @@ def test_identity_families_are_one_table():
     # the --which choices, the suite's identity rows and the families
     # identity_pairs accepts are exactly the keys of IDENTITY_FAMILIES
     from ptdarboux import closed_form
-    from ptdarboux.cli import _build_parser
     from ptdarboux.closed_form import IDENTITY_FAMILIES
     from ptdarboux.verify import _interior_grid, _suite_specs, resolve_tolerances
 
-    sub = next(a for a in _build_parser()._actions if a.dest == "command")
-    which = next(a for a in sub.choices["identity"]._actions if a.dest == "which")
-    assert list(which.choices) == list(IDENTITY_FAMILIES) == ["base", "even", "odd"]
+    dest, choices, *_ = _COMMANDS["identity"][1]["--which"]
+    assert dest == "which"
+    assert list(choices) == list(IDENTITY_FAMILIES) == ["base", "even", "odd"]
     specs = _suite_specs(1.0, 4, 64, 32, resolve_tolerances(), 1000)
     labels = {name.split(")")[0] + ")" for name, _, _ in specs if name.startswith("identity")}
     assert labels == {f"identity ({f.label})" for f in IDENTITY_FAMILIES.values()}
@@ -434,11 +551,12 @@ _GUARD = """
 import contextlib, io, sys
 import ptdarboux.cli
 def loaded(step):
-    print(step, sorted({"dataclasses", "inspect"} & set(sys.modules)))
+    heavy = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+    print(step, sorted(heavy & set(sys.modules)))
 loaded("import")
 for argv in (["verify", "--n-max", "2"], ["tabulate"], ["identity", "--which", "odd", "--m", "2"],
-             ["spectrum", "--count", "1"], ["verify", "--help"]):
-    with contextlib.redirect_stdout(io.StringIO()):
+             ["spectrum", "--count", "1"], ["verify", "--help"], ["verify", "--bogus", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         ptdarboux.cli.main(argv)
     loaded(" ".join(argv))
 """
@@ -446,7 +564,9 @@ for argv in (["verify", "--n-max", "2"], ["tabulate"], ["identity", "--which", "
 
 def test_cli_loads_neither_dataclasses_nor_inspect():
     # dataclasses, which loads inspect, was about 30% of the CLI's import
-    # time; -S keeps the imports of site .pth files out of the fresh interpreter
+    # time, and argparse's parsers with the locale tables its first gettext
+    # lookup imports about 40% of a one-shot call's; -S keeps the imports of
+    # site .pth files out of the fresh interpreter
     import ptdarboux
 
     source = Path(ptdarboux.__file__).resolve().parents[1]
@@ -459,7 +579,7 @@ def test_cli_loads_neither_dataclasses_nor_inspect():
     )
     assert result.returncode == 0, result.stderr
     steps = result.stdout.splitlines()
-    assert len(steps) == 6
+    assert len(steps) == 7
     assert all(step.endswith(" []") for step in steps), steps
 
 
