@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import re
 import sys
 from collections import namedtuple
@@ -53,8 +52,8 @@ MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
 # 3,125- and 195-row block sweeps, where a sweep of all rows at every
 # bisection midpoint would take 40): 0.56-0.63 s.
 MAX_GRID_POINTS = 100_000
-# tabulate --n 60: 0.4 s, peaking at 27 MB resident (VmHWM): it keeps 61 level
-# rows and 61 U rows, and builds one bracket row.
+# tabulate --n 60: 0.2-0.3 s, peaking at 27 MB resident (VmHWM) in CSV and 29 MB
+# in JSON: it keeps 61 level rows and 61 U rows, and builds one bracket row.
 MAX_POINTS = 10_001
 
 _REPORT_HEADER = ["name", "computed", "reference", "abs_dev", "rel_dev", "tolerance", "passed"]
@@ -121,22 +120,39 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _json_safe(obj):
+_ENCODE = json.JSONEncoder(separators=("\n", "")).encode  # no indent: CPython's C encoder
+_NON_FINITE = {"NaN": '"nan"', "Infinity": '"inf"', "-Infinity": '"-inf"'}
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) of str-keyed obj, each non-finite
+    float as its repr string and each (header, rows) tuple, a table, as the list of
+    dict(zip(header, row)).  A table's scalars take one encoder call (no token
+    holds a raw newline) and one %, into its row template repeated per row."""
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {key: _json_safe(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(val) for val in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
+        items = [f"{_json_text(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)]
+    elif isinstance(obj, list):
+        items = [_json_text(value, inner) for value in obj]
+    elif isinstance(obj, tuple):
+        header, rows = obj
+        order = sorted(range(len(header)), key=header.__getitem__)
+        template = "{" + ",".join(f"{inner}  {_json_text(header[i]).replace('%', '%%')}: %s"
+                                  for i in order) + inner + "}"
+        tokens = _ENCODE([row[i] for row in rows for i in order])[1:-1].split("\n")
+        items = [f",{inner}".join([template] * len(rows))
+                 % tuple(map(_NON_FINITE.get, tokens, tokens))] if rows else []
+    else:
+        return _NON_FINITE.get(token := _ENCODE(obj), token)
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    return ends[0] + inner + f",{inner}".join(items) + indent + ends[1] if items else ends
 
 
 def _emit(config: RunConfig, payload: dict, header: list[str], rows: list[list],
           passed: bool = True) -> int:
     """Write the JSON payload or the CSV table, as --format asks.  Exit code
     2 if the output cannot be written, else 0 or 1 as the checks passed."""
-    text = (json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
-            if config.fmt == "json" else _csv_text(header, rows))
+    text = _json_text(payload) + "\n" if config.fmt == "json" else _csv_text(header, rows)
     if config.output is None:
         sys.stdout.write(text)
     else:
@@ -153,8 +169,8 @@ def cmd_verify(config: RunConfig) -> int:
     """Run the full verification suite and emit the report."""
     report = run_full_suite(config.alpha, config.n_max, config.quad_order, config.panels,
                             config.tolerances, grid_points=config.grid_points)
-    rows = [[getattr(c, key) for key in _REPORT_HEADER] for c in report.checks]
-    return _emit(config, report.to_dict(), _REPORT_HEADER, rows, report.overall)
+    payload = {**report._asdict(), "checks": (_REPORT_HEADER, report.checks)}
+    return _emit(config, payload, _REPORT_HEADER, report.checks, report.overall)
 
 
 def cmd_tabulate(config: RunConfig, n: int, points: int) -> int:
@@ -167,8 +183,7 @@ def cmd_tabulate(config: RunConfig, n: int, points: int) -> int:
     psi, chi = closed_form.TGrid([2.0 * alpha * x for x in xs]).bound_state_pairs(n, alpha)
     rows = [[x, c, p, p - c] for x, c, p in zip(xs, chi, psi)]
     header = ["x", "chi", "psi", "difference"]
-    payload = {"parameters": {"alpha": config.alpha, "n": n, "points": points},
-               "rows": [dict(zip(header, row)) for row in rows]}
+    payload = {"parameters": {"alpha": alpha, "n": n, "points": points}, "rows": (header, rows)}
     return _emit(config, payload, header, rows)
 
 
@@ -190,7 +205,7 @@ def cmd_spectrum(config: RunConfig, count: int) -> int:
     header = ["mode", "computed", "exact", "rel_err"]
     rows = [[i, c.computed, c.reference, c.rel_dev] for i, c in enumerate(report.checks)]
     payload = {"parameters": report.parameters, "tolerance": tolerance, "overall": report.overall,
-               "rows": [dict(zip(header, row)) for row in rows]}
+               "rows": (header, rows)}
     return _emit(config, payload, header, rows, report.overall)
 
 

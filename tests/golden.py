@@ -66,9 +66,8 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run(command: str) -> dict:
-    """One command's entry: stdout's and the `error:` lines' hashes and the
-    exit code."""
+def capture(command: str) -> tuple[str, str, int]:
+    """One command's stdout, the package's `error:` lines and its exit code."""
     from ptdarboux.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -76,7 +75,18 @@ def run(command: str) -> dict:
         code = main(command.split())
     errors = "".join(line for line in err.getvalue().splitlines(keepends=True)
                      if line.startswith("error: "))
-    return {"stdout": _sha(out.getvalue()), "errors": _sha(errors), "exit": code}
+    return out.getvalue(), errors, code
+
+
+def entry(stdout: str, errors: str, code: int) -> dict:
+    """A captured command's manifest entry: stdout's and the `error:` lines'
+    hashes and the exit code."""
+    return {"stdout": _sha(stdout), "errors": _sha(errors), "exit": code}
+
+
+def run(command: str) -> dict:
+    """One command's manifest entry."""
+    return entry(*capture(command))
 
 
 def outputs() -> dict:

@@ -3,7 +3,8 @@
 The package evaluates on rows (closed_form.TGrid and the sweeps that
 closed_form._Swept holds); these are the point-wise forms those rows must
 equal, kept here so that a bulk reference loop in a test costs one scalar
-call per point.
+call per point.  json_safe is the payload whose json.dumps the CLI's JSON
+writer must reproduce.
 """
 import math
 from fractions import Fraction
@@ -103,3 +104,20 @@ def integrate_product(first, second, a: float, b: float, order: int, panels: int
     t-rule sums (verify._TSums): half * sum (w first(x)) second(x)."""
     abscissae, weights, half = verify._nodes(a, b, order, panels)
     return half * math.fsum((w * first(x)) * second(x) for x, w in zip(abscissae, weights))
+
+
+def json_safe(obj):
+    """A CLI payload as json.dumps(..., indent=2, sort_keys=True) must see
+    it for the CLI's JSON writer (cli._json_text) to match it byte for byte:
+    each non-finite float as its repr string, and each (header, rows) table
+    as the list of dict(zip(header, row))."""
+    if isinstance(obj, dict):
+        return {key: json_safe(val) for key, val in obj.items()}
+    if isinstance(obj, tuple):
+        header, rows = obj
+        return [json_safe(dict(zip(header, row))) for row in rows]
+    if isinstance(obj, list):
+        return [json_safe(val) for val in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj

@@ -1,5 +1,6 @@
 """CLI: flags, exit codes, CSV/JSON report formats, determinism."""
 import csv
+import hashlib
 import io
 import json
 import math
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from ptdarboux import verify
+from oracles import json_safe
+from ptdarboux import cli, verify
 from ptdarboux.cli import (
     MAX_ALPHA,
     MAX_DEGREE,
@@ -118,11 +120,30 @@ def test_every_golden_command_gives_its_recorded_output():
     recorded = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
     assert list(recorded) == golden.COMMANDS
     for command in golden.COMMANDS:
-        entry = golden.run(command)
+        out, errors, code = golden.capture(command)
+        entry = golden.entry(out, errors, code)
         if entry != recorded[command]:
             differs = [key for key in entry if entry[key] != recorded[command][key]]
             pytest.fail(f"ptdarboux {command}: {', '.join(differs)} differ from "
                         f"{golden.MANIFEST.name}")
+        if code != 2 and ("--format json" in command or "--format=json" in command):
+            # every JSON report is json.dumps(indent=2, sort_keys=True) of itself
+            assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out, command
+
+
+def test_json_reports_bypass_the_pure_python_encoder(monkeypatch):
+    # json.dumps with an indent runs CPython's pure-Python encoder
+    # (json.encoder._make_iterencode), about twice the cost of the whole
+    # computation of a short tabulate call; the writer keeps to the C encoder
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    recorded = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
+    for command in ("verify --format=json --n-max=2", "tabulate --n 7 --alpha 0.6024 --format json",
+                    "identity --which even --m 3 --format json",
+                    "spectrum --count 3 --grid 4000 --format json"):
+        assert golden.run(command) == recorded[command], command
 
 
 @pytest.mark.parametrize(
@@ -298,6 +319,65 @@ def test_verify_json_round_trips_byte_identical(capsys):
     payload = json.loads(out)
     assert payload["overall"] is True
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 10**30, "NaN", "Infinity",
+                     "-Infinity", "nan", "a\nb", "\u00b1\u00e9\U0001d49c", '"', "%s", "%", ""]),
+)
+_KEYS = st.text(max_size=4) | st.sampled_from(["%", "%s", "%%", '"', "\u00e9", "a\nb", "\\"])
+_TABLES = st.lists(_KEYS, min_size=1, max_size=4, unique=True).flatmap(
+    lambda header: st.tuples(st.just(header), st.lists(
+        st.lists(_SCALARS, min_size=len(header), max_size=len(header)), max_size=4)))
+_PAYLOADS = st.recursive(_SCALARS | _TABLES, lambda children: st.lists(children, max_size=3)
+                         | st.dictionaries(_KEYS, children, max_size=3), max_leaves=12)
+_EDGE_PAYLOADS = [
+    {}, [], {"rows": (["x"], [])}, {"rows": (["x"], [[1.5], [math.nan]])},
+    {"t": (["100%", 'say "hi"', "\u00e9t\u00e9", "%s"], [[1, -0.0, math.inf, "%s"]])},
+    {"a": {}, "b": [], "c": [{}, []], "d": {"e": -math.inf, "f": None, "g": True}},
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 7, False, None],
+    ["a\nb", "NaN", "Infinity", "-Infinity", "\u00b1\u00e9"],
+]
+
+
+def _oracle_text(payload) -> str:
+    return json.dumps(json_safe(payload), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", _EDGE_PAYLOADS)
+def test_json_writer_matches_json_dumps_on_edge_payloads(payload):
+    assert cli._json_text(payload) == _oracle_text(payload)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    # the writer against json.dumps(indent=2, sort_keys=True) of the payload
+    # the old path built: nested dicts and lists, (header, rows) tables and
+    # every kind of scalar a report holds, non-finite floats included
+    assert cli._json_text(payload) == _oracle_text(payload)
+
+
+def test_a_check_that_raises_is_written_with_non_finite_values(monkeypatch, capsys):
+    # the suite records a check that raises as failed, computed and reference
+    # nan, deviations inf: JSON writes each as its repr string, CSV as %.17g
+    # does; both digests were recorded from json.dumps(indent=2, sort_keys=True)
+    def fail(*args, **kwargs):
+        raise RuntimeError('injected "fault" at 100% \u00b1')
+
+    monkeypatch.setattr(verify, "check_residual", fail)
+    outputs = {}
+    for fmt in ("json", "csv"):
+        assert main(["verify", "--n-max", "2", "--format", fmt]) == 1
+        outputs[fmt] = capsys.readouterr().out
+    assert '"computed": "nan"' in outputs["json"] and '"abs_dev": "inf"' in outputs["json"]
+    assert ",nan,nan,inf,inf,1e-08,false\n" in outputs["csv"]
+    digests = {fmt: hashlib.sha256(out.encode("utf-8")).hexdigest() for fmt, out in outputs.items()}
+    assert digests == {
+        "json": "a66965ef5c7fe97e75b4f1db7659971f3ec2296aff5168913771a2f468ae9436",
+        "csv": "99b560f72e50413cfdd4e673ac8e73213a7abc51f88c34e7813dc2923a14b531",
+    }
 
 
 def test_verify_unattainable_tolerance_fails(capsys):
