@@ -17,7 +17,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from . import closed_form, hypergeom
 from .closed_form import IDENTITY_FAMILIES, WALL_MARGIN, TrigEigenfunction
@@ -120,6 +120,11 @@ def _make_check(name: str, computed: float, reference: float, tolerance: float) 
         tolerance=tolerance,
         passed=rel_dev <= tolerance,
     )
+
+
+def _row(family: str, computed: float, reference: float, tol: float, *args) -> CheckResult:
+    """The row of suite family `family` (_FAMILIES), named from its check's arguments."""
+    return _make_check(_FAMILIES[family].row.format(*args), computed, reference, tol)
 
 
 def _report(checks: list[CheckResult], parameters: dict) -> VerificationReport:
@@ -245,11 +250,10 @@ def check_trig_norm(
     The integrand is the stable Chebyshev form, identical to the
     cotangent-form integrand away from the removable endpoint singularities.
     """
-    tol = _tolerance("quadrature", tolerance)
+    tol = _tolerance(_FAMILIES["trig norm"].tolerance, tolerance)
     norm = TrigEigenfunction(k, 1.0).norm
     computed = _quad_grid(order, panels).mode_sum(k, "D") / (norm * norm)
-    reference = 0.5 * math.pi * (k * k - 1)
-    return _make_check(f"trig norm k={k}", computed, reference, tol)
+    return _row("trig norm", computed, 0.5 * math.pi * (k * k - 1), tol, k)
 
 
 def check_hypergeom_norm(n: int, form: str = "z", *, order: int = QUAD_ORDER,
@@ -267,7 +271,7 @@ def check_hypergeom_norm(n: int, form: str = "z", *, order: int = QUAD_ORDER,
     """
     if form not in ("x", "z"):
         raise ParameterError(f"form must be 'x' or 'z', got {form!r}")
-    tol = _tolerance("quadrature", tolerance)
+    tol = _tolerance(_FAMILIES["hypergeom norm"].tolerance, tolerance)
     c_n = float(closed_form.coefficient_C(n))
     k = n + 2
     if form == "x":
@@ -275,7 +279,7 @@ def check_hypergeom_norm(n: int, form: str = "z", *, order: int = QUAD_ORDER,
     else:
         computed = _z_sums(order, panels)[1][n]
     reference = (0.25 if form == "x" else 0.5) * math.pi * (k * k - 1) * c_n * c_n
-    return _make_check(f"hypergeom norm ({form}-form) n={n}", computed, reference, tol)
+    return _row("hypergeom norm", computed, reference, tol, n, form)
 
 
 def check_expectation_x(k: int, alpha: float = 1.0, *, order: int = QUAD_ORDER,
@@ -286,10 +290,9 @@ def check_expectation_x(k: int, alpha: float = 1.0, *, order: int = QUAD_ORDER,
     up to sign."""
     _require_partner(k)
     WellConfig(alpha)
-    tol = _tolerance("quadrature", tolerance)
+    tol = _tolerance(_FAMILIES["expectation"].tolerance, tolerance)
     computed = _quad_grid(order, panels).mode_sum(k, "M") / (4.0 * alpha)
-    reference = math.pi / (4.0 * alpha)
-    return _make_check(f"expectation <x> k={k} alpha={alpha}", computed, reference, tol)
+    return _row("expectation", computed, math.pi / (4.0 * alpha), tol, k, alpha)
 
 
 def check_first_moment(n_or_k: int, form: str = "trig", *, order: int = QUAD_ORDER,
@@ -302,21 +305,21 @@ def check_first_moment(n_or_k: int, form: str = "trig", *, order: int = QUAD_ORD
     x sin^4 x cos^4 x F^2(sin^2 x) over (0, pi/2) against
     (pi^2/16)((n+2)^2 - 1) C_n^2: M(l_n) / 4 in t = 2x.
     """
-    tol = _tolerance("quadrature", tolerance)
+    if form not in ("trig", "hypergeom"):
+        raise ParameterError(f"form must be 'trig' or 'hypergeom', got {form!r}")
+    family = f"{form} moment"
+    tol = _tolerance(_FAMILIES[family].tolerance, tolerance)
     if form == "trig":
         k = n_or_k
         norm = TrigEigenfunction(k, 1.0).norm
         computed = _quad_grid(order, panels).mode_sum(k, "M") / (norm * norm)
         reference = 0.25 * math.pi * math.pi * (k * k - 1)
-        return _make_check(f"first moment (trig) k={k}", computed, reference, tol)
-    if form == "hypergeom":
-        n = n_or_k
-        c_n = float(closed_form.coefficient_C(n))
-        k = n + 2
-        computed = _quad_grid(order, panels).levels[n]["M"] / 4.0
+    else:
+        c_n = float(closed_form.coefficient_C(n_or_k))
+        k = n_or_k + 2
+        computed = _quad_grid(order, panels).levels[n_or_k]["M"] / 4.0
         reference = math.pi * math.pi / 16.0 * (k * k - 1) * c_n * c_n
-        return _make_check(f"first moment (hypergeom) n={n}", computed, reference, tol)
-    raise ParameterError(f"form must be 'trig' or 'hypergeom', got {form!r}")
+    return _row(family, computed, reference, tol, n_or_k, form)
 
 
 def check_orthonormality(k_max: int, alpha: float = 1.0, *, order: int = QUAD_ORDER,
@@ -330,7 +333,7 @@ def check_orthonormality(k_max: int, alpha: float = 1.0, *, order: int = QUAD_OR
     if k_max < 2:
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
     WellConfig(alpha)
-    tol = _tolerance("quadrature", tolerance)
+    tol = _tolerance(_FAMILIES["gram"].tolerance, tolerance)
     sums = _quad_grid(order, panels)
     nodes, modes = sums.nodes, sums.modes  # mode k at modes[k - 2]
     checks = []
@@ -369,7 +372,7 @@ def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None
     """
     _require_partner(k)
     WellConfig(alpha)
-    tol = _tolerance("residual", tolerance)
+    tol = _tolerance(_FAMILIES["residual"].tolerance, tolerance)
     energy = box_energy(WellConfig(1.0), k)
     norm = TrigEigenfunction(k, 1.0).norm
     grid = _interior_grid()
@@ -377,9 +380,7 @@ def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None
         abs(-(norm * 4.0 * g2) + v * (norm * g) - energy * (norm * g))
         for v, g, g2 in zip(grid.potential, grid.mode(k), grid.second_derivative(k))
     )
-    return _make_check(
-        f"residual (partner) k={k} alpha={alpha}", worst / (energy * norm), 0.0, tol
-    )
+    return _row("residual", worst / (energy * norm), 0.0, tol, k, alpha)
 
 
 def check_correspondence(
@@ -391,16 +392,11 @@ def check_correspondence(
     Both sides scale alike in alpha, so this runs at unit scale (alpha = 1,
     x = t / 2 exactly) and is the same bits at every alpha."""
     WellConfig(alpha)
-    tol = _tolerance("identity", tolerance)
+    tol = _tolerance(_FAMILIES["correspondence"].tolerance, tolerance)
     psi, chi = _interior_grid().bound_state_pairs(n, 1.0)
     scale = max(map(abs, chi))
     dev = max(map(abs, map(operator.sub, psi, chi))) / scale
-    return _make_check(f"bound-state correspondence n={n}", dev, 0.0, tol)
-
-
-def _identity_name(which: str, index: int) -> str:
-    family = IDENTITY_FAMILIES[which]
-    return f"identity ({family.label}) {family.letter}={index}"
+    return _row("correspondence", dev, 0.0, tol, n, alpha)
 
 
 def check_identity(which: str, index: int, *, tolerance: float | None = None) -> CheckResult:
@@ -411,11 +407,11 @@ def check_identity(which: str, index: int, *, tolerance: float | None = None) ->
     The identities are dimensionless, so the grid lives in t = 2 alpha x on
     [1e-3, pi - 1e-3] and the result does not depend on alpha.
     """
-    tol = _tolerance("identity", tolerance)
+    tol = _tolerance(_FAMILIES["identity"].tolerance, tolerance)
     pairs = closed_form.identity_pairs(which, index, _interior_grid())
     scale = max(abs(lhs) for lhs, _ in pairs) or 1.0
     dev = max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
-    return _make_check(_identity_name(which, index), dev, 0.0, tol)
+    return _row("identity", dev, 0.0, tol, which, IDENTITY_FAMILIES[which], index)
 
 
 def _fd_matrix(grid_points: int) -> tuple[tuple, tuple]:
@@ -653,6 +649,11 @@ def _coarse_estimates(grid_points: int, count: int) -> list[float]:
     return estimates
 
 
+def _require_grid(grid_points: int) -> None:
+    if grid_points < MIN_GRID_POINTS:
+        raise ParameterError(f"need at least {MIN_GRID_POINTS} grid points, got {grid_points}")
+
+
 def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     """Lowest `count` eigenvalues of -d^2/dx^2 + 8 alpha^2 / sin^2(2 alpha x)
     on (0, pi/(2 alpha)): 4 alpha^2 times those of the alpha-free
@@ -694,8 +695,7 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     scale = box_energy(WellConfig(alpha), 1)
     if not (sys.float_info.min <= scale < math.inf):
         raise ParameterError(f"4 alpha^2 = {scale} is not a normal float at alpha = {alpha}")
-    if grid_points < MIN_GRID_POINTS:
-        raise ParameterError(f"need at least {MIN_GRID_POINTS} grid points, got {grid_points}")
+    _require_grid(grid_points)
     if count < 0 or count > MAX_MODES:
         raise ParameterError(f"count must be between 0 and {MAX_MODES}, got {count}")
     if count == 0:
@@ -721,7 +721,7 @@ def check_fd_spectrum(
 ) -> VerificationReport:
     """The lowest `count` finite-difference eigenvalues (fd_spectrum), row
     "fd mode i" against the exact partner energy 4 alpha^2 (i + 2)^2."""
-    tol = _tolerance("fd_spectrum", tolerance)
+    tol = _tolerance(_FAMILIES["fd"].tolerance, tolerance)
     modes = fd_spectrum(alpha, grid_points, count)
     cfg = WellConfig(alpha)
     checks = [
@@ -738,64 +738,71 @@ _FROZEN_C = {0: Fraction(-1, 8), 1: Fraction(-1, 32), 2: Fraction(-1, 80)}
 
 
 def _check_coefficient(n: int) -> CheckResult:
-    value = closed_form.coefficient_C(n)
-    return _make_check(f"coefficient C_{n}", float(value), float(_FROZEN_C[n]), 0.0)
+    return _row("coefficient", float(closed_form.coefficient_C(n)), float(_FROZEN_C[n]), 0.0, n)
 
 
 def _check_midpoint_vanishing(m: int) -> CheckResult:
     first, second = midpoint_vanishing(m)
     ok = first and (second is None or second)
-    return _make_check(f"midpoint vanishing m={m}", 0.0 if ok else 1.0, 0.0, 0.0)
+    return _row("midpoint", 0.0 if ok else 1.0, 0.0, 0.0, m)
 
 
-def _suite_specs(
-    alpha: float,
-    n_max: int,
-    quad_order: int,
-    panels: int,
-    tols: dict,
-    grid_points: int,
-) -> list[tuple]:
-    """Every check of the full suite in report order, as (name, tolerance,
-    thunk).  A thunk returns one CheckResult or a VerificationReport whose
-    rows all enter the report; name and tolerance label the failed row
-    recorded in place of a thunk that raises."""
-    quad_tol, id_tol = tols["quadrature"], tols["identity"]
-    quad = {"order": quad_order, "panels": panels, "tolerance": quad_tol}
-    levels = range(n_max + 1)
-    partners = range(2, max(2, n_max) + 1)
-    # the level-indexed rows first, then the others interleaved by index
-    identities = sorted(((which, i) for which, family in IDENTITY_FAMILIES.items()
-                         for i in range(family.top(n_max) + 1)),
-                        key=lambda spec: (IDENTITY_FAMILIES[spec[0]].letter != "n", spec[1]))
-    specs = [(f"coefficient C_{n}", 0.0, partial(_check_coefficient, n)) for n in _FROZEN_C]
-    specs += [(f"midpoint vanishing m={m}", 0.0, partial(_check_midpoint_vanishing, m))
-              for m in range(26)]
-    specs += [(f"trig norm k={k}", quad_tol, partial(check_trig_norm, k, **quad))
-              for k in range(2, n_max + 3)]
-    specs += [(f"hypergeom norm ({form}-form) n={n}", quad_tol,
-               partial(check_hypergeom_norm, n, form, **quad))
-              for n in levels for form in ("x", "z")]
-    specs += [(f"expectation <x> k={k} alpha={alpha}", quad_tol,
-               partial(check_expectation_x, k, alpha, **quad)) for k in partners]
-    specs += [(f"first moment (trig) k={k}", quad_tol,
-               partial(check_first_moment, k, "trig", **quad)) for k in partners]
-    specs += [(f"first moment (hypergeom) n={n}", quad_tol,
-               partial(check_first_moment, n, "hypergeom", **quad)) for n in levels]
-    specs.append(("gram matrix", quad_tol,
-                  partial(check_orthonormality, partners[-1], alpha, **quad)))
-    specs += [(f"residual (partner) k={k} alpha={alpha}", tols["residual"],
-               partial(check_residual, k, alpha, tolerance=tols["residual"]))
-              for k in partners]
-    specs += [(f"bound-state correspondence n={n}", id_tol,
-               partial(check_correspondence, n, alpha, tolerance=id_tol)) for n in levels]
-    specs += [(_identity_name(which, i), id_tol,
-               partial(check_identity, which, i, tolerance=id_tol))
-              for which, i in identities]
-    specs.append(("fd spectrum", tols["fd_spectrum"],
-                  partial(check_fd_spectrum, alpha, grid_points, FD_MODES,
-                          tolerance=tols["fd_spectrum"])))
-    return specs
+# The full suite's row families in report order: each row's name format over
+# its check's arguments (the Gram matrix's and fd spectrum's: of the one row an
+# error leaves), the tolerance key (None: exact, at 0), the checks' arguments
+# at a run's parameters, and the call of a check with the run's quadrature rule
+# and resolved tolerance.  A call looks its check up by name when it runs, so
+# a check replaced on this module (traced or patched) is the one that runs.
+_Family = namedtuple("_Family", "row tolerance indices check")
+_FAMILIES = {
+    "coefficient": _Family(
+        "coefficient C_{}", None, lambda run: [(n,) for n in _FROZEN_C],
+        lambda rule, tol, n: _check_coefficient(n)),
+    "midpoint": _Family(
+        "midpoint vanishing m={}", None, lambda run: [(m,) for m in range(26)],
+        lambda rule, tol, m: _check_midpoint_vanishing(m)),
+    "trig norm": _Family(
+        "trig norm k={}", "quadrature", lambda run: [(k,) for k in range(2, run.n_max + 3)],
+        lambda rule, tol, *args: check_trig_norm(*args, **rule, tolerance=tol)),
+    "hypergeom norm": _Family(
+        "hypergeom norm ({1}-form) n={0}", "quadrature",
+        lambda run: [(n, form) for n in range(run.n_max + 1) for form in ("x", "z")],
+        lambda rule, tol, *args: check_hypergeom_norm(*args, **rule, tolerance=tol)),
+    "expectation": _Family(
+        "expectation <x> k={} alpha={}", "quadrature",
+        lambda run: [(k, run.alpha) for k in range(2, max(2, run.n_max) + 1)],
+        lambda rule, tol, *args: check_expectation_x(*args, **rule, tolerance=tol)),
+    "trig moment": _Family(
+        "first moment (trig) k={}", "quadrature",
+        lambda run: [(k, "trig") for k in range(2, max(2, run.n_max) + 1)],
+        lambda rule, tol, *args: check_first_moment(*args, **rule, tolerance=tol)),
+    "hypergeom moment": _Family(
+        "first moment (hypergeom) n={}", "quadrature",
+        lambda run: [(n, "hypergeom") for n in range(run.n_max + 1)],
+        lambda rule, tol, *args: check_first_moment(*args, **rule, tolerance=tol)),
+    "gram": _Family(
+        "gram matrix", "quadrature", lambda run: [(max(2, run.n_max), run.alpha)],
+        lambda rule, tol, *args: check_orthonormality(*args, **rule, tolerance=tol)),
+    "residual": _Family(
+        "residual (partner) k={} alpha={}", "residual",
+        lambda run: [(k, run.alpha) for k in range(2, max(2, run.n_max) + 1)],
+        lambda rule, tol, *args: check_residual(*args, tolerance=tol)),
+    "correspondence": _Family(
+        "bound-state correspondence n={}", "identity",
+        lambda run: [(n, run.alpha) for n in range(run.n_max + 1)],
+        lambda rule, tol, *args: check_correspondence(*args, tolerance=tol)),
+    # (which, its IdentityFamily, index): the level-indexed rows first, then
+    # the others interleaved by index
+    "identity": _Family(
+        "identity ({1.label}) {1.letter}={2}", "identity",
+        lambda run: sorted(((which, family, i) for which, family in IDENTITY_FAMILIES.items()
+                            for i in range(family.top(run.n_max) + 1)),
+                           key=lambda args: (args[1].letter != "n", args[2])),
+        lambda rule, tol, which, _, i: check_identity(which, i, tolerance=tol)),
+    "fd": _Family(
+        "fd spectrum", "fd_spectrum", lambda run: [(run.alpha, run.grid_points, FD_MODES)],
+        lambda rule, tol, *args: check_fd_spectrum(*args, tolerance=tol)),
+}
 
 
 def run_full_suite(
@@ -807,39 +814,29 @@ def run_full_suite(
     *,
     grid_points: int = GRID_POINTS,
 ) -> VerificationReport:
-    """Run every check over the desk-scale ranges and aggregate a report.
-
-    Deterministic ordering: exact coefficient table, midpoint vanishing,
-    trig norms, hypergeometric norms (x then z per degree), expectation
-    values, first moments, Gram matrix, residuals, bound-state
-    correspondence, the three identity families, and the finite-difference
-    spectrum.  A check that raises is recorded as failed; the suite never
-    aborts.
+    """Run every family of _FAMILIES, in its order, over its rows at n_max,
+    and aggregate one report.  A parameter that no row could use raises
+    ParameterError before any row runs; a check that raises is recorded as
+    one failed row at its family's tolerance, and the suite never aborts.
     """
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
+    WellConfig(alpha)
+    _nodes(0.0, math.pi, quad_order, panels)  # the t rule every quadrature family reads
+    _require_grid(grid_points)
+    tols = resolve_tolerances(tolerances)
     parameters = {"alpha": alpha, "n_max": n_max, "quad_order": quad_order,
                   "panels": panels, "grid_points": grid_points}
+    run, rule = SimpleNamespace(**parameters), {"order": quad_order, "panels": panels}
     checks: list[CheckResult] = []
-    for name, tolerance, thunk in _suite_specs(**parameters,
-                                               tols=resolve_tolerances(tolerances)):
-        try:
-            result = thunk()
-        except Exception as exc:  # noqa: BLE001 - aggregation must not abort
-            checks.append(
-                CheckResult(
-                    name=f"{name} [error: {type(exc).__name__}: {exc}]",
-                    computed=math.nan,
-                    reference=math.nan,
-                    abs_dev=math.inf,
-                    rel_dev=math.inf,
-                    tolerance=tolerance,
-                    passed=False,
-                )
-            )
-            continue
-        if isinstance(result, VerificationReport):
-            checks.extend(result.checks)
-        else:
-            checks.append(result)
+    for family in _FAMILIES.values():
+        tol = 0.0 if family.tolerance is None else tols[family.tolerance]
+        for args in family.indices(run):
+            try:
+                result = family.check(rule, tol, *args)
+            except Exception as exc:  # noqa: BLE001 - aggregation must not abort
+                name = f"{family.row.format(*args)} [error: {type(exc).__name__}: {exc}]"
+                checks.append(CheckResult(name, math.nan, math.nan, math.inf, math.inf, tol, False))
+                continue
+            checks.extend(result.checks if isinstance(result, VerificationReport) else (result,))
     return _report(checks, parameters)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -527,13 +528,15 @@ def test_identity_families_are_one_table():
     # identity_pairs accepts are exactly the keys of IDENTITY_FAMILIES
     from ptdarboux import closed_form
     from ptdarboux.closed_form import IDENTITY_FAMILIES
-    from ptdarboux.verify import _interior_grid, _suite_specs, resolve_tolerances
+    from ptdarboux.verify import _FAMILIES, _interior_grid
 
     dest, choices, *_ = _COMMANDS["identity"][1]["--which"]
     assert dest == "which"
     assert list(choices) == list(IDENTITY_FAMILIES) == ["base", "even", "odd"]
-    specs = _suite_specs(1.0, 4, 64, 32, resolve_tolerances(), 1000)
-    labels = {name.split(")")[0] + ")" for name, _, _ in specs if name.startswith("identity")}
+    run = SimpleNamespace(alpha=1.0, n_max=4, grid_points=1000)
+    names = [family.row.format(*args) for family in _FAMILIES.values()
+             for args in family.indices(run)]
+    labels = {name.split(")")[0] + ")" for name in names if name.startswith("identity")}
     assert labels == {f"identity ({f.label})" for f in IDENTITY_FAMILIES.values()}
     grid = _interior_grid()
     for family in IDENTITY_FAMILIES:

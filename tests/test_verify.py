@@ -6,6 +6,7 @@ import re
 from array import array
 from fractions import Fraction
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,6 @@ from ptdarboux.verify import (
     fd_spectrum,
     resolve_tolerances,
     run_full_suite,
-    _suite_specs,
 )
 
 # Quadrature settings that a check must reject before it divides by them.
@@ -730,6 +730,10 @@ def test_fd_rows_reject_an_unusable_energy_scale(alpha):
         fd_spectrum(alpha, 100, 1)
     with pytest.raises(ParameterError):
         check_fd_spectrum(alpha, 1000, 3)
+    if alpha == math.inf:  # no row can use it, so the suite rejects it up front
+        with pytest.raises(ParameterError, match="alpha must be positive and finite"):
+            run_full_suite(alpha=alpha, n_max=0, grid_points=1000)
+        return
     report = run_full_suite(alpha=alpha, n_max=0, grid_points=1000)
     (fd_row,) = [c for c in report.checks if c.name.startswith("fd spectrum")]
     assert "ParameterError" in fd_row.name and not fd_row.passed
@@ -953,17 +957,53 @@ def test_run_full_suite_check_names_are_pinned():
     ]
 
 
+def _suite_specs(n_max, alpha=1.0, grid_points=1000):
+    """(family, name, tolerance, thunk) of every row the suite runs, in its
+    order: the name and default tolerance it records if the thunk raises."""
+    run = SimpleNamespace(alpha=alpha, n_max=n_max, grid_points=grid_points)
+    tols = resolve_tolerances()
+    for key, family in verify._FAMILIES.items():
+        tol = 0.0 if family.tolerance is None else tols[family.tolerance]
+        for args in family.indices(run):
+            yield (key, family.row.format(*args), tol,
+                   partial(family.check, {"order": verify.QUAD_ORDER, "panels": verify.PANELS},
+                           tol, *args))
+
+
 def test_suite_spec_names_match_their_rows():
     # a check that raises is recorded under its spec's name, so that name
     # must be the one the check gives its row when it passes
-    specs = _suite_specs(1.0, 2, 64, 32, resolve_tolerances(), 1000)
+    specs = list(_suite_specs(2))
     singles = 0
-    for name, _, thunk in specs:
+    for _, name, _, thunk in specs:
         result = thunk()
         if isinstance(result, CheckResult):
             assert name == result.name
             singles += 1
     assert singles == len(specs) - 2  # all but the Gram matrix and fd spectrum
+
+
+def test_suite_families_are_one_ordered_table():
+    assert list(verify._FAMILIES) == [
+        "coefficient", "midpoint", "trig norm", "hypergeom norm", "expectation",
+        "trig moment", "hypergeom moment", "gram", "residual", "correspondence",
+        "identity", "fd"]
+    # each spec's name, an errored row's, matches its own family's name
+    # format and no other's
+    patterns = {key: re.compile(re.sub(r"\\\{[^}]*\\\}", "(.+)", re.escape(family.row)))
+                for key, family in verify._FAMILIES.items()}
+    specs = list(_suite_specs(10))
+    for key, name, _, _ in specs:
+        assert [k for k, pattern in patterns.items() if pattern.fullmatch(name)] == [key], name
+    # the default report is the families' rows, family after family, each
+    # at its family's default tolerance
+    rows = []
+    for key, _, tol, thunk in _suite_specs(verify.N_MAX, grid_points=verify.GRID_POINTS):
+        result = thunk()
+        family_rows = result.checks if isinstance(result, VerificationReport) else (result,)
+        assert family_rows and {row.tolerance for row in family_rows} == {tol}, key
+        rows.extend(family_rows)
+    assert tuple(rows) == run_full_suite().checks
 
 
 @pytest.mark.parametrize("alpha", [0.73, 0.783, 0.685, 1.502])
@@ -979,20 +1019,19 @@ def test_run_full_suite_identity_rows_at_round_trip_alphas(alpha):
 
 @pytest.fixture(scope="module")
 def unit_alpha_suite():
-    return run_full_suite(alpha=1.0, n_max=4)
+    return run_full_suite(alpha=1.0, n_max=10)
 
 
-@pytest.mark.parametrize("alpha", [1e-8, 1e-3, 1e3, 1e8]
-                         + [2.0 ** j for j in (-60, -40, -1, 1, 3, 40, 60)])
+@pytest.mark.parametrize("alpha", [1e-8, 1e-3, 1e3, 1e8] + [2.0 ** j for j in range(-60, 61)])
 def test_run_full_suite_does_not_depend_on_alpha(alpha, unit_alpha_suite):
     # every check is dimensionless once alpha is scaled out: energies by
     # 4 alpha^2, lengths by 1/alpha, amplitudes by sqrt(alpha).  The
     # identities, the correspondence, the residuals and the Gram matrix run
     # at unit scale, so their rows are the alpha = 1 rows bit for bit.  At a
     # power of two every scaling is exact, so every row's rel_dev is too
-    report = run_full_suite(alpha=alpha, n_max=4)
+    report = run_full_suite(alpha=alpha, n_max=10)
     assert report.overall
-    assert len(report.checks) == len(unit_alpha_suite.checks)
+    assert len(report.checks) == len(unit_alpha_suite.checks) == 182
     unit_scale = ("identity", "bound-state correspondence", "residual", "gram")
     power_of_two = math.frexp(alpha)[0] == 0.5
     exact = 0
@@ -1008,7 +1047,7 @@ def test_run_full_suite_does_not_depend_on_alpha(alpha, unit_alpha_suite):
         else:
             assert abs(row.rel_dev - unit.rel_dev) <= 1e-11, row.name
     # identities, correspondence, residuals, Gram entries
-    assert exact == (5 + 3 + 3) + 5 + 3 + 6
+    assert exact == (11 + 6 + 6) + 11 + 9 + 9 * 10 // 2
 
 
 def test_run_full_suite_builds_only_the_t_and_z_node_sets(monkeypatch):
@@ -1086,6 +1125,23 @@ def test_run_full_suite_rejects_bad_range():
         run_full_suite(n_max=-1)
 
 
+def test_run_full_suite_rejects_unusable_run_parameters_before_any_row(monkeypatch):
+    # each is rejected with the message of the rule a row would have broken
+    ran = []
+    monkeypatch.setattr(verify, "_check_coefficient", ran.append)
+    for parameters, rule in (({"alpha": -1.0}, partial(WellConfig, -1.0)),
+                             ({"alpha": math.nan}, partial(check_expectation_x, 2, math.nan)),
+                             ({"quad_order": 0}, partial(check_trig_norm, 2, order=0)),
+                             ({"panels": 0}, partial(check_hypergeom_norm, 2, "x", panels=0)),
+                             ({"grid_points": 50}, partial(fd_spectrum, 1.0, 50, 3))):
+        with pytest.raises(ParameterError) as suite_error:
+            run_full_suite(n_max=1, **parameters)
+        with pytest.raises(ParameterError) as rule_error:
+            rule()
+        assert str(suite_error.value) == str(rule_error.value)
+    assert ran == []
+
+
 def test_run_full_suite_is_falsifiable(monkeypatch):
     # corrupt the exact coefficient table: every check that leans on it
     # must fail, while coefficient-free checks keep passing
@@ -1112,6 +1168,61 @@ def test_run_full_suite_never_aborts(monkeypatch):
     assert not report.overall
     assert any("error" in c.name and "synthetic failure" in c.name for c in report.checks)
     assert any(c.passed for c in report.checks)  # independent checks still ran
+
+
+# Each suite family at n_max = 2: the check that computes its rows (and the
+# form it is called with, where two families share one check), the prefix
+# of its rows' names, its errored rows' names and its default tolerance key
+# (None: exact, at 0).
+_SUITE_FAMILIES = [
+    ("_check_coefficient", None, "coefficient C_", [f"coefficient C_{n}" for n in range(3)],
+     None),
+    ("_check_midpoint_vanishing", None, "midpoint vanishing",
+     [f"midpoint vanishing m={m}" for m in range(26)], None),
+    ("check_trig_norm", None, "trig norm", [f"trig norm k={k}" for k in (2, 3, 4)],
+     "quadrature"),
+    ("check_hypergeom_norm", None, "hypergeom norm",
+     [f"hypergeom norm ({form}-form) n={n}" for n in range(3) for form in "xz"], "quadrature"),
+    ("check_expectation_x", None, "expectation", ["expectation <x> k=2 alpha=1.0"],
+     "quadrature"),
+    ("check_first_moment", "trig", "first moment (trig)", ["first moment (trig) k=2"],
+     "quadrature"),
+    ("check_first_moment", "hypergeom", "first moment (hypergeom)",
+     [f"first moment (hypergeom) n={n}" for n in range(3)], "quadrature"),
+    ("check_orthonormality", None, "gram", ["gram matrix"], "quadrature"),
+    ("check_residual", None, "residual", ["residual (partner) k=2 alpha=1.0"], "residual"),
+    ("check_correspondence", None, "bound-state",
+     [f"bound-state correspondence n={n}" for n in range(3)], "identity"),
+    ("check_identity", None, "identity",
+     ["identity (base) n=0", "identity (base) n=1", "identity (base) n=2",
+      "identity (even ratio) m=0", "identity (odd ratio) m=0",
+      "identity (even ratio) m=1", "identity (odd ratio) m=1"], "identity"),
+    ("check_fd_spectrum", None, "fd ", ["fd spectrum"], "fd_spectrum"),
+]
+
+
+@pytest.mark.parametrize("check, form, prefix, names, tolerance", _SUITE_FAMILIES,
+                         ids=[family[2].strip() for family in _SUITE_FAMILIES])
+def test_a_family_whose_check_raises_gives_its_errored_rows(monkeypatch, check, form,
+                                                            prefix, names, tolerance):
+    # each of the family's rows becomes one errored row, at its default
+    # tolerance; every other family's rows are those of an unbroken run
+    original = getattr(verify, check)
+
+    def broken(*args, **kwargs):
+        if form is None or args[1] == form:
+            raise RuntimeError("synthetic failure")
+        return original(*args, **kwargs)
+
+    unbroken = run_full_suite(n_max=2, grid_points=1000).checks
+    monkeypatch.setattr(verify, check, broken)
+    rows = run_full_suite(n_max=2, grid_points=1000).checks
+    start = next(i for i, row in enumerate(unbroken) if row.name.startswith(prefix))
+    stop = start + sum(row.name.startswith(prefix) for row in unbroken)
+    tol = 0.0 if tolerance is None else DEFAULT_TOLERANCES[tolerance]
+    errored = [CheckResult(f"{name} [error: RuntimeError: synthetic failure]",
+                           math.nan, math.nan, math.inf, math.inf, tol, False) for name in names]
+    assert repr(rows) == repr((*unbroken[:start], *errored, *unbroken[stop:]))
 
 
 def test_panel_doubling_convergence_sanity():
