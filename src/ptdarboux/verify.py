@@ -605,13 +605,6 @@ class _SturmRecord:
         return lam
 
 
-def _block_records(grid_points: int, count: int) -> list[tuple[_SturmRecord, int]]:
-    """A _SturmRecord of each block of the grid's matrix (_fd_matrix) that
-    holds one of the lowest `count` modes, with how many of them it holds."""
-    blocks = _fd_matrix(grid_points)
-    return [(_SturmRecord(blocks[b]), (count + 1 - b) // 2) for b in range(min(count, 2))]
-
-
 def _block_mode(mode: int) -> tuple[int, int]:
     """The block (0 even, 1 odd) holding the matrix's mode-th eigenvalue,
     and its place there: the i-th eigenvector of an unreduced tridiagonal
@@ -621,32 +614,28 @@ def _block_mode(mode: int) -> tuple[int, int]:
     return 1 - mode % 2, (mode + 1) // 2
 
 
-def _top(record: _SturmRecord, need: int, hi: float) -> float:
-    """hi, doubled until `need` of the record's modes lie below it; the
-    count there is recorded."""
-    while record.count(hi) < need:
-        hi *= 2.0
-    return hi
-
-
-def _coarse_estimates(grid_points: int, count: int) -> list[float]:
-    """Each mode's Newton estimate (_SturmRecord.prepass) on the grid
-    _COARSENING times coarser, itself started from the next coarser grid's
-    estimates; NaN, no estimate, for every mode when that grid is below
-    MIN_GRID_POINTS."""
-    grid_points //= _COARSENING
-    if grid_points < MIN_GRID_POINTS:
-        return [math.nan] * count
-    # these estimates only choose where Newton starts, so each block's top
-    # lies just above its highest exact mode (2 need + block)^2
-    records = [(record, _top(record, need, (2.0 * need + block + 1) ** 2))
-               for block, (record, need) in enumerate(_block_records(grid_points, count))]
+def _sturm_grid(grid_points: int, count: int, hi: float) -> tuple[list, float, list]:
+    """One grid's Sturm work for the lowest `count` modes: a _SturmRecord of
+    each block of its matrix (_fd_matrix) that holds one of them, the top
+    hi, doubled until each block holds its modes below it (the count there
+    is recorded), and each mode's Newton estimate (_SturmRecord.prepass),
+    started from this function's estimates on the grid _COARSENING times
+    coarser, or from NaN, no estimate, when that grid is below
+    MIN_GRID_POINTS.  The coarser grid's top starts at (count + 2)^2, just
+    above the highest mode's exact value (count + 1)^2."""
+    blocks = _fd_matrix(grid_points)
+    records = [_SturmRecord(blocks[block]) for block in range(min(count, 2))]
+    for block, record in enumerate(records):
+        while record.count(hi) < (count + 1 - block) // 2:
+            hi *= 2.0
+    coarse = grid_points // _COARSENING
+    starts = (_sturm_grid(coarse, count, (count + 2.0) ** 2)[2]
+              if coarse >= MIN_GRID_POINTS else [math.nan] * count)
     estimates = []
-    for mode, start in enumerate(_coarse_estimates(grid_points, count), 1):
+    for mode, start in enumerate(starts, 1):
         block, place = _block_mode(mode)
-        record, hi = records[block]
-        estimates.append(record.prepass(place, hi, start))
-    return estimates
+        estimates.append(records[block].prepass(place, hi, start))
+    return records, hi, estimates
 
 
 def _require_grid(grid_points: int) -> None:
@@ -672,20 +661,22 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
 
     Grid and potential are mirror-symmetric about t = pi/2, so the matrix
     splits into a mirror-even and a mirror-odd block of half its size
-    (_fd_matrix), and every count is swept over one of them: mode i is the
-    ((i + 1) // 2)-th of the even block when i is odd and of the odd block
-    when i is even (_block_mode).  Each block's comparisons are answered by
-    its own _SturmRecord: one sweep per comparison that no recorded count
-    decides, after a pre-pass per mode (_SturmRecord.prepass: Newton on
+    (_fd_matrix), and every count is swept over the block holding the mode
+    (_block_mode).  Each block's comparisons are answered by its own
+    _SturmRecord: one sweep per comparison that no recorded count decides,
+    after a pre-pass per mode (_SturmRecord.prepass: Newton on
     d/dlam ln|det(T - lam)|, then counts at the ends of the bracket the
-    bisection would end in) that only adds counts.  Newton starts from the
-    same pre-pass's estimate on a grid 16 times coarser, itself started from
-    the next coarser grid while that has MIN_GRID_POINTS (nested iteration;
-    Brandt 1977); the coarsest grid isolates each mode by bisection.  Every
+    bisection would end in) that only adds counts.  One recursive function,
+    _sturm_grid, does this work on every grid: Newton starts from its own
+    estimates on a grid 16 times coarser, and so on down while a grid has
+    MIN_GRID_POINTS (nested iteration; Brandt 1977); the coarsest grid
+    isolates each mode by bisection.  A coarse grid's estimates only choose
+    where Newton starts, so its top starts at (count + 2)^2; the fine
     bisection starts from the full matrix's top hi = 4 (count + 2)^2, so its
     midpoints, and the results, are those of sweeping the full matrix at
-    every midpoint.  At 40,000 points and 10 modes that takes 31 Newton and
-    48 count sweeps of 20,000 rows each.
+    every midpoint.  At 40,000 points and 10 modes the fine grid takes 31
+    Newton and 48 count sweeps of 20,000 rows each; at 4,000 points and 3
+    modes, 11 and 4 of 2,000 rows, and its 250-point coarse grid 25 more.
 
     An alpha whose 4 alpha^2 is not a positive normal float is rejected: an
     underflowed scale would return zeros that match underflowed exact
@@ -700,18 +691,13 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
         raise ParameterError(f"count must be between 0 and {MAX_MODES}, got {count}")
     if count == 0:
         return []
-    records = _block_records(grid_points, count)
-    hi = 4.0 * (count + 2) ** 2
-    for record, need in records:
-        hi = _top(record, need, hi)
+    records, hi, _ = _sturm_grid(grid_points, count, 4.0 * (count + 2) ** 2)
     if not math.isfinite(scale * hi):
         raise ParameterError(f"4 alpha^2 = {scale} times the bracket top {hi} overflows")
     eigenvalues = []
-    for mode, start in enumerate(_coarse_estimates(grid_points, count), 1):
+    for mode in range(1, count + 1):
         block, place = _block_mode(mode)
-        record = records[block][0]
-        record.prepass(place, hi, start)
-        lo, up = _bisect(hi, lambda mid: record.at_least(mid, place))
+        lo, up = _bisect(hi, lambda mid: records[block].at_least(mid, place))
         eigenvalues.append(scale * (0.5 * (lo + up)))
     return eigenvalues
 

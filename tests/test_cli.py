@@ -305,6 +305,108 @@ def test_parse_returns_converted_table_values_or_raises_parameter_error(argv):
             assert value in convert
 
 
+# Values for every flag of the table but --output, inside a small work budget
+# (n_max <= 6, nodes <= 4,096, grid <= 2,000, points <= 101), and values past
+# each flag's cap or malformed, which the CLI must reject.  --n-max and
+# --grid-points are always given, since their defaults exceed the budget, and
+# so are --format, to read both writers, and --which, which identity needs.
+_GIVEN = ("--n-max", "--grid-points", "--format", "--which")
+_INSIDE = {
+    "--alpha": st.sampled_from([MIN_ALPHA, MAX_ALPHA, 0.6024]) | st.floats(MIN_ALPHA, MAX_ALPHA),
+    "--n-max": st.integers(0, 6),
+    "--quad-order": st.integers(2, 64),
+    "--panels": st.integers(1, 64),
+    "--grid-points": st.integers(verify.MIN_GRID_POINTS, 2000),
+    "--tol": st.tuples(st.sampled_from(list(verify.DEFAULT_TOLERANCES)),
+                       st.sampled_from(["0", "5e-324", "1e-12", "1e-3", "1"])).map("=".join),
+    "--format": st.sampled_from(["csv", "json"]),
+    "--n": st.integers(0, 6),
+    "--points": st.integers(2, 101),
+    "--which": st.sampled_from(["base", "even", "odd"]),
+    "--m": st.integers(0, 3),
+    "--count": st.integers(0, verify.MAX_MODES),
+}
+_PAST = {
+    "--alpha": [math.nextafter(MIN_ALPHA, 0.0), math.nextafter(MAX_ALPHA, math.inf),
+                5e-324, 1e308, 0.0, -1.0, math.inf, math.nan],
+    "--n-max": [-1, MAX_DEGREE + 1],
+    "--quad-order": [1, MAX_QUAD_ORDER + 1],
+    "--panels": [0, MAX_PANELS + 1],
+    "--grid-points": [verify.MIN_GRID_POINTS - 1, MAX_GRID_POINTS + 1],
+    "--tol": ["identity=inf", "identity=nan", "identity=-1", "identity=x", "identity=",
+              "bogus=1", "x"],
+    "--format": ["xml"],
+    "--n": [-1, MAX_DEGREE + 1],
+    "--points": [1, MAX_POINTS + 1],
+    "--which": ["bogus"],
+    "--m": [-1, MAX_DEGREE // 2 + 1],
+    "--count": [-1, verify.MAX_MODES + 1],
+}
+
+
+def _gate_argv(command):
+    """(argv, whether one flag's value is past its cap) for `command`."""
+    flags = [flag for flag in {**_COMMON, **_COMMANDS[command][1]} if flag != "--output"]
+    inside = st.fixed_dictionaries({flag: _INSIDE[flag] for flag in flags if flag in _GIVEN},
+                                   optional={flag: _INSIDE[flag] for flag in flags
+                                             if flag not in _GIVEN})
+    past = st.none() | st.sampled_from(flags).flatmap(
+        lambda flag: st.sampled_from(_PAST[flag]).map(lambda value: {flag: value}))
+    return st.tuples(inside, past).map(lambda drawn: ([command, *(
+        token for flag, value in {**drawn[0], **(drawn[1] or {})}.items()
+        for token in (flag, repr(value) if isinstance(value, float) else str(value)))],
+        drawn[1] is not None))
+
+
+def _gate_value(value):
+    """A written cell as a number or bool where it is one: CSV writes every
+    cell as text, and JSON writes a non-finite float as its repr string."""
+    if value in ("true", "false"):
+        return value == "true"
+    try:
+        return float(value) if isinstance(value, str) else value
+    except ValueError:
+        return value
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(list(_COMMANDS)).flatmap(_gate_argv))
+def test_every_accepted_input_gives_a_trustworthy_report_or_exit_2(drawn):
+    # no exception escapes main, a value past a cap is a usage error, a usage
+    # error is one `error:` line and exit 2, and any other output parses:
+    # exit 0 exactly when every check passes, and no number of a passed row
+    # is NaN or infinite
+    argv, past = drawn
+    stdout, errors, code = golden.capture(" ".join(argv))
+    assert code in (0, 1, 2)
+    assert code == 2 or not past
+    if code == 2:
+        assert stdout == "" and errors.startswith("error: ")
+        return
+    if argv[argv.index("--format") + 1] == "csv":
+        header, *cells = csv.reader(io.StringIO(stdout))
+        assert all(len(row) == len(header) for row in cells)
+        rows, overall = [dict(zip(header, row)) for row in cells], None
+    else:
+        data = json.loads(stdout)
+        if argv[0] == "identity":  # its one row is the whole report
+            rows = [data]
+        else:
+            rows = data["checks" if argv[0] == "verify" else "rows"]
+        overall = data.get("overall", data.get("passed"))
+    rows = [{key: _gate_value(value) for key, value in row.items()} for row in rows]
+    passed = [row.pop("passed") for row in rows if "passed" in row]
+    if passed:
+        assert overall in (None, all(passed))
+        overall = all(passed)
+    elif overall is None:  # spectrum's and tabulate's CSV write no verdict
+        overall = code == 0
+    assert code == (0 if overall else 1)
+    for row, ok in zip(rows, passed or [overall] * len(rows)):
+        assert not ok or all(math.isfinite(value) for value in row.values()
+                             if type(value) in (int, float)), row
+
+
 def test_verify_passes_and_emits_csv(capsys):
     assert main(["verify", *FAST]) == 0
     out = capsys.readouterr().out

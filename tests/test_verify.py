@@ -833,11 +833,13 @@ def _sweep_units(monkeypatch, grid_points, count):
     return sum(rows) / grid_points
 
 
-@pytest.mark.parametrize("grid_points,count,units", [(4000, 3, 16), (40000, 10, 65)])
+@pytest.mark.parametrize("grid_points,count,units", [
+    (4000, 3, 16), (40000, 10, 65), (40017, 10, 74), (100000, 10, 91)])
 def test_fd_spectrum_starts_newton_from_the_coarser_grid(monkeypatch, grid_points, count, units):
     # sweeping the full matrix instead of its mirror blocks costs 27.4 and
     # 109.8 units, and Newton from the midpoint of each mode's isolating
-    # bracket as well 41 and 177
+    # bracket as well 41 and 177; the odd grid and the grid cap take 65.7
+    # and 81.2 units
     assert 0 < _sweep_units(monkeypatch, grid_points, count) <= units
 
 
@@ -851,16 +853,19 @@ def test_no_coarse_estimate_enters_a_result(monkeypatch, garbage):
         "hi": lambda estimates: [4.0 * (len(estimates) + 2) ** 2] * len(estimates),
         "next mode": lambda estimates: estimates[1:] + [math.nan],
     }[garbage]
-    original, coarse = verify._coarse_estimates, []
+    original, estimates_at = verify._sturm_grid, {}
 
-    def spoiled(grid_points, count):
-        estimates = original(grid_points, count)
-        coarse.append(estimates)
-        return spoil(estimates)
+    def spoiled(grid_points, count, hi):
+        # the recursion calls the module's name, so every level's estimates
+        # are spoiled before they start the next finer grid's Newton steps
+        records, hi, estimates = original(grid_points, count, hi)
+        estimates_at[grid_points] = estimates
+        return records, hi, spoil(estimates)
 
-    monkeypatch.setattr(verify, "_coarse_estimates", spoiled)
+    monkeypatch.setattr(verify, "_sturm_grid", spoiled)
     assert fd_spectrum(0.6024, 3000, 10) == _plain_fd_spectrum(0.6024, 3000, 10)
-    assert all(map(math.isfinite, coarse[-1]))  # the 3,000-point grid had a coarser one
+    assert sorted(estimates_at) == [3000 // 16, 3000]
+    assert all(map(math.isfinite, estimates_at[3000 // 16]))  # the 3,000-point grid had a coarser one
 
 
 @lru_cache(maxsize=1)
