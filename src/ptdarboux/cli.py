@@ -62,8 +62,8 @@ _MATH_ERRORS = (ZeroDivisionError, DomainError, StabilityError, EvaluationError,
 
 class RunConfig(namedtuple("RunConfig", "alpha n_max quad_order panels grid_points "
                                         "tolerances fmt output")):
-    """Validated run parameters shared by every subcommand; `tolerances` takes
-    overrides (None for none) and holds the resolved registry."""
+    """The library's validated run parameters; a subcommand sets the fields its flags
+    name.  `tolerances` takes overrides (None for none), holds the resolved registry."""
 
     __slots__ = ()
 
@@ -90,7 +90,8 @@ def _require_range(flag: str, value: float, low: float, high: float) -> None:
         raise ParameterError(f"{flag} must be between {low} and {high}, got {value}")
 
 
-def _parse_tolerance_flags(pairs: list[str] | None) -> dict:
+def _parse_tolerance_flags(pairs: list[str] | None, known: tuple) -> dict:
+    """The overrides of --tol's NAME=VALUE pairs, each NAME one of `known`."""
     overrides = {}
     for pair in pairs or []:
         name, sep, value = pair.partition("=")
@@ -100,6 +101,8 @@ def _parse_tolerance_flags(pairs: list[str] | None) -> dict:
             overrides[name] = float(value)
         except ValueError:
             raise ParameterError(f"--tol {name!r}: {value!r} is not a number") from None
+        if name not in known:
+            raise ParameterError(f"unknown tolerance {name!r}; known: {sorted(known)}")
     return overrides
 
 
@@ -173,7 +176,7 @@ def cmd_verify(config: RunConfig) -> int:
     return _emit(config, payload, _REPORT_HEADER, report.checks, report.overall)
 
 
-def cmd_tabulate(config: RunConfig, n: int, points: int) -> int:
+def cmd_tabulate(config: RunConfig, n: int = 0, points: int = 101) -> int:
     """Tabulate the level-n bound state next to the index n+2 partner mode."""
     _require_range("--n", n, 0, MAX_DEGREE)
     _require_range("--points", points, 2, MAX_POINTS)
@@ -187,10 +190,19 @@ def cmd_tabulate(config: RunConfig, n: int, points: int) -> int:
     return _emit(config, payload, header, rows)
 
 
-def cmd_identity(config: RunConfig, which: str, m_or_n: int) -> int:
-    """Check one identity family on the interior t grid; report the
-    worst deviation between the two sides, scaled by the largest left-side
-    value.  The identities are dimensionless: --alpha does not change it."""
+def cmd_identity(config: RunConfig, which: str | None = None, n: int | None = None,
+                 m: int | None = None) -> int:
+    """Check one identity family at its index, --n or --m (0 if unset; the other is
+    rejected), on the interior t grid: the worst deviation between the two sides,
+    scaled by the largest left-side value.  --alpha does not change it."""
+    if which not in IDENTITY_FAMILIES:
+        raise ParameterError(f"identity needs --which: {', '.join(IDENTITY_FAMILIES)}")
+    family, index = IDENTITY_FAMILIES[which], {"--n": n, "--m": m}
+    flag, other = ("--n", "--m") if family.letter == "n" else ("--m", "--n")
+    if index[other] is not None:
+        raise ParameterError(f"the {which} identity is indexed by {flag}, not {other}")
+    m_or_n = index[flag] or 0
+    _require_range(flag, m_or_n, 0, family.top(MAX_DEGREE))
     result = check_identity(which, m_or_n, tolerance=config.tolerances["identity"])
     row = {"which": which, "index": m_or_n, "max_scaled_deviation": result.computed,
            "tolerance": result.tolerance, "passed": result.passed}
@@ -198,7 +210,7 @@ def cmd_identity(config: RunConfig, which: str, m_or_n: int) -> int:
     return _emit(config, payload, list(row), [list(row.values())], result.passed)
 
 
-def cmd_spectrum(config: RunConfig, count: int) -> int:
+def cmd_spectrum(config: RunConfig, count: int = verify.FD_MODES) -> int:
     """Compare the finite-difference spectrum with 4 alpha^2 (n+2)^2."""
     tolerance = config.tolerances["fd_spectrum"]
     report = check_fd_spectrum(config.alpha, config.grid_points, count, tolerance=tolerance)
@@ -209,47 +221,35 @@ def cmd_spectrum(config: RunConfig, count: int) -> int:
     return _emit(config, payload, header, rows, report.overall)
 
 
-def _identity(config: RunConfig, which: str | None, n: int | None, m: int | None) -> int:
-    """identity reads the index flag of the family, 0 if unset; the other one is rejected."""
-    if which is None:
-        raise ParameterError(f"identity needs --which: {', '.join(IDENTITY_FAMILIES)}")
-    family, index = IDENTITY_FAMILIES[which], {"--n": n, "--m": m}
-    flag, other = ("--n", "--m") if family.letter == "n" else ("--m", "--n")
-    if index[other] is not None:
-        raise ParameterError(f"the {which} identity is indexed by {flag}, not {other}")
-    _require_range(flag, index[flag] or 0, 0, family.top(MAX_DEGREE))
-    return cmd_identity(config, which, index[flag] or 0)
-
-
-# A flag maps to (dest, converter or choices, help), and an own flag also to its
-# default; a common flag not given is left out, so RunConfig's defaults are the
-# CLI's.  A command maps to (help, own flags, handler(config, **own values)).
-_COMMON = {
+# Every flag, once: (dest, converter or choices, help).  A command maps to (help,
+# handler(config, **values), the flags it reads, the tolerances its --tol sets);
+# a flag not given is left out, so the handlers' defaults are the CLI's.
+_FLAGS = {
     "--alpha": ("alpha", float, f"well scale, {MIN_ALPHA:g}..{MAX_ALPHA:g}; x in (0, pi/2/alpha)"),
     "--n-max": ("n_max", int, f"largest level index exercised by the suite, 0..{MAX_DEGREE}"),
     "--quad-order": ("quad_order", int, f"Gauss-Legendre points per panel, 2..{MAX_QUAD_ORDER}"),
     "--panels": ("panels", int, f"panels, 1..{MAX_PANELS}; times --quad-order <= {MAX_QUAD_NODES}"),
     "--grid-points": ("grid_points", int, f"FD grid, {verify.MIN_GRID_POINTS}..{MAX_GRID_POINTS}"),
-    "--tol": ("tol", str, f"NAME=VALUE, repeatable, for {', '.join(verify.DEFAULT_TOLERANCES)}"),
+    "--tol": ("tol", str, "NAME=VALUE, repeatable, for "),  # and the command's tolerances
     "--format": ("fmt", ("csv", "json"), "output format, csv or json"),
     "--output": ("output", str, "write output to this path instead of stdout"),
+    "--n": ("n", int, f"level index, 0..{MAX_DEGREE}"),
+    "--points": ("points", int, f"samples on the closed interval, 2..{MAX_POINTS}"),
+    "--which": ("which", tuple(IDENTITY_FAMILIES), "identity family, required; " + ", ".join(
+        f"{name} reads --{family.letter}" for name, family in IDENTITY_FAMILIES.items())),
+    "--m": ("m", int, f"family index, 0..{MAX_DEGREE // 2}"),
+    "--count": ("count", int, f"low modes, 0..{verify.MAX_MODES}"),
 }
 _HELP = dict.fromkeys(("-h", "--help"), (None, ()))  # no choices: a value joined is an error
 _COMMANDS = {
-    "verify": ("run the full verification suite", {}, cmd_verify),
-    "tabulate": ("tabulate a bound state against its partner mode", {
-        "--n": ("n", int, f"level index, 0..{MAX_DEGREE}", 0),
-        "--points": ("points", int, f"samples on the closed interval, 2..{MAX_POINTS}", 101),
-    }, cmd_tabulate),
-    "identity": ("check one hypergeometric-trigonometric identity", {
-        "--which": ("which", tuple(IDENTITY_FAMILIES), "identity family, required; " + ", ".join(
-            f"{name} reads --{family.letter}" for name, family in IDENTITY_FAMILIES.items()), None),
-        "--n": ("n", int, f"level index, 0..{MAX_DEGREE}", None),
-        "--m": ("m", int, f"family index, 0..{MAX_DEGREE // 2}", None),
-    }, _identity),
-    "spectrum": ("finite-difference spectrum vs exact energies", {
-        "--count": ("count", int, f"low modes, 0..{verify.MAX_MODES}", verify.FD_MODES),
-    }, cmd_spectrum),
+    "verify": ("run the full verification suite", cmd_verify, "--alpha --n-max --quad-order "
+               "--panels --grid-points --tol --format --output", tuple(verify.DEFAULT_TOLERANCES)),
+    "tabulate": ("tabulate a bound state against its partner mode", cmd_tabulate,
+                 "--alpha --n --points --format --output", ()),
+    "identity": ("check one hypergeometric-trigonometric identity", cmd_identity,
+                 "--alpha --which --n --m --tol --format --output", ("identity",)),
+    "spectrum": ("finite-difference spectrum vs exact energies", cmd_spectrum,
+                 "--alpha --grid-points --count --tol --format --output", ("fd_spectrum",)),
 }
 _ABOUT = "Darboux partners of the trigonometric Poschl-Teller well; COMMAND -h lists its flags"
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
@@ -271,8 +271,8 @@ def _flag(token: str, flags: dict) -> tuple[str, str | None] | None:
 
 
 def _parse(argv: list[str]) -> tuple[str | None, dict | None]:
-    """The command and its flags' values, own flags' defaults filled in; values None
-    if -h or --help asked for help (command None: the package's).  Raises ParameterError."""
+    """The command and the values of the flags given; values None if -h or --help
+    asked for help (command None: the package's).  Raises ParameterError."""
     command, flags, values, stray = None, _HELP, {}, []
     end = argv.index("--") if "--" in argv else len(argv)  # all from "--" on is stray
     tokens = iter(argv[:end])
@@ -283,8 +283,7 @@ def _parse(argv: list[str]) -> tuple[str | None, dict | None]:
         if flag is None and command is None:
             if token not in _COMMANDS:
                 raise ParameterError(f"unknown command {token!r}; use {', '.join(_COMMANDS)}")
-            command, own = token, _COMMANDS[token][1]
-            flags, values = {**_COMMON, **own, **_HELP}, {d: v for d, _, _, v in own.values()}
+            command, flags = token, {**{f: _FLAGS[f] for f in _COMMANDS[token][2].split()}, **_HELP}
             for later in argv[argv.index(token) + 1:end]:  # ambiguity is reported first
                 _flag(later, flags)
         elif not flag:
@@ -309,9 +308,9 @@ def _parse(argv: list[str]) -> tuple[str | None, dict | None]:
 
 def _help(command: str | None) -> str:
     """The help text of a command, or of the package for None."""
-    text, own, _ = _COMMANDS[command] if command else (_ABOUT, None, None)
-    rows = {name: entry[0] if own is None else entry[2]
-            for name, entry in (_COMMANDS if own is None else {**_COMMON, **own}).items()}
+    text, _, own, known = _COMMANDS[command] if command else (_ABOUT, None, None, None)
+    rows = ({name: entry[0] for name, entry in _COMMANDS.items()} if own is None else
+            {name: _FLAGS[name][2] + ", ".join(known) * (name == "--tol") for name in own.split()})
     return f"usage: ptdarboux {command or 'COMMAND'} [FLAGS]\n\n{text}\n\n" + "".join(
         f"  {name:<15}{line}\n" for name, line in {**rows, "-h, --help": "show this help"}.items())
 
@@ -322,10 +321,11 @@ def main(argv: list[str] | None = None) -> int:
         if values is None:
             sys.stdout.write(_help(command))
             return 0
+        known = _COMMANDS[command][3]
         # the table's destinations are RunConfig's field names, but for --tol
-        config = RunConfig(tolerances=_parse_tolerance_flags(values.pop("tol", None)),
+        config = RunConfig(tolerances=_parse_tolerance_flags(values.pop("tol", None), known),
                            **{key: values.pop(key) for key in RunConfig._fields if key in values})
-        return _COMMANDS[command][2](config, **values)
+        return _COMMANDS[command][1](config, **values)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

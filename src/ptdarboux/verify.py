@@ -691,7 +691,10 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
         raise ParameterError(f"count must be between 0 and {MAX_MODES}, got {count}")
     if count == 0:
         return []
-    records, hi, _ = _sturm_grid(grid_points, count, 4.0 * (count + 2) ** 2)
+    hi = 4.0 * (count + 2) ** 2
+    if not math.isfinite(scale * hi):  # checked before any sweep, and again once doubled
+        raise ParameterError(f"4 alpha^2 = {scale} times the bracket top {hi} overflows")
+    records, hi, _ = _sturm_grid(grid_points, count, hi)
     if not math.isfinite(scale * hi):
         raise ParameterError(f"4 alpha^2 = {scale} times the bracket top {hi} overflows")
     eigenvalues = []

@@ -56,6 +56,11 @@ COMMANDS = [
     "verify --bogus 1",
     "tabulate --p 5",
     "verify --alpha -1e5",
+    "tabulate --quad-order 8",
+    "spectrum --n-max 5",
+    "identity --which base --n 2 --grid-points 100",
+    "identity --which base --n 2 --tol quadrature=0",
+    "tabulate --tol identity=0",
     "--help",
     "verify --help",
     "tabulate --help",

@@ -27,7 +27,7 @@ from ptdarboux.cli import (
     MAX_QUAD_ORDER,
     MIN_ALPHA,
     _COMMANDS,
-    _COMMON,
+    _FLAGS,
     RunConfig,
     _parse,
     main,
@@ -80,11 +80,11 @@ def test_run_config_validation():
 
 
 def test_run_defaults_are_stated_once():
-    # the flag table supplies no value for a common flag not given, so
-    # RunConfig's defaults are the CLI's, and those are the verify constants
-    assert _parse(["verify"]) == ("verify", {})
-    for command in ("tabulate", "identity", "spectrum"):
-        assert not set(_parse([command])[1]) & set(RunConfig._fields)
+    # the flag table supplies no value for a flag not given, so the handlers'
+    # defaults are the CLI's: RunConfig's, which are the verify constants,
+    # for the shared flags
+    for command in _COMMANDS:
+        assert _parse([command]) == (command, {})
     config = RunConfig()
     assert (config.alpha, config.n_max, config.quad_order, config.panels, config.grid_points) == (
         1.0, verify.N_MAX, verify.QUAD_ORDER, verify.PANELS, verify.GRID_POINTS)
@@ -200,11 +200,11 @@ PARSES = [
     (["verify", "--format=json", "--n-max=2"], ("verify", {"fmt": "json", "n_max": 2})),
     (["verify", "--tol=identity=0"], ("verify", {"tol": ["identity=0"]})),
     (["verify", "--output=--x"], ("verify", {"output": "--x"})),
-    (["spectrum", "--grid", "4000"], ("spectrum", {"count": 3, "grid_points": 4000})),
+    (["spectrum", "--grid", "4000"], ("spectrum", {"grid_points": 4000})),
     (["verify", "--n", "3"], ("verify", {"n_max": 3})),
-    (["tabulate", "--n", "3"], ("tabulate", {"n": 3, "points": 101})),
-    (["tabulate", "--n=3"], ("tabulate", {"n": 3, "points": 101})),
-    (["tabulate", "--n-", "3"], ("tabulate", {"n": 0, "points": 101, "n_max": 3})),
+    (["tabulate", "--n", "3"], ("tabulate", {"n": 3})),
+    (["tabulate", "--n=3"], ("tabulate", {"n": 3})),
+    (["tabulate", "--p", "5"], ("tabulate", {"points": 5})),
     (["verify", "--alpha", "1", "--alpha", "2"], ("verify", {"alpha": 2.0})),
     (["verify", "--tol", "a=1", "--tol=b=2"], ("verify", {"tol": ["a=1", "b=2"]})),
     (["verify", "--alpha", "-.5"], ("verify", {"alpha": -0.5})),
@@ -212,8 +212,8 @@ PARSES = [
     (["verify", "--n-max", "1_0"], ("verify", {"n_max": 10})),
     (["verify", "--output", "-"], ("verify", {"output": "-"})),
     (["verify", "--output", "-x y"], ("verify", {"output": "-x y"})),
-    (["identity", "--which", "odd", "--m", "2"], ("identity", {"which": "odd", "n": None, "m": 2})),
-    (["identity"], ("identity", {"which": None, "n": None, "m": None})),
+    (["identity", "--which", "odd", "--m", "2"], ("identity", {"which": "odd", "m": 2})),
+    (["identity"], ("identity", {})),
     (["-h"], (None, None)),
     (["--he"], (None, None)),
     (["--bogus", "-h"], (None, None)),
@@ -231,8 +231,8 @@ PARSES = [
     (["verify", "--bogus", "1"], 2),
     (["verify", "-a", "1"], 2),
     (["verify", "stray"], 2),
-    (["tabulate", "--p", "5"], 2),
-    (["tabulate", "-h", "--p", "5"], 2),
+    (["tabulate", "--n-", "3"], 2),
+    (["verify", "-h", "--=x"], 2),
     (["verify", "--alpha", "x"], 2),
     (["verify", "--alpha", ""], 2),
     (["verify", "--n-max", "1.5"], 2),
@@ -247,6 +247,10 @@ PARSES = [
     (["verify", "--"], 2),
     (["verify", "--", "-h"], 2),
     (["verify", "--alpha", "--", "5"], 2),
+    (["tabulate", "--quad-order", "8"], 2),
+    (["spectrum", "--n", "5"], 2),
+    (["identity", "--which", "base", "--tol", "quadrature=0"], 2),
+    (["tabulate", "-h", "--p", "5"], ("tabulate", None)),
 ]
 
 
@@ -263,24 +267,39 @@ def test_the_flag_table_reads_argv_as_argparse_did(argv, expected, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-_FLAGS = sorted({flag for _, own, _ in _COMMANDS.values() for flag in {**_COMMON, **own}})
-_TOKENS = st.one_of(
-    st.sampled_from([*_COMMANDS, *_FLAGS, "-h", "--help", "--", "-", "-x", "--bogus"]),
-    st.sampled_from(_FLAGS).flatmap(lambda flag: st.integers(2, len(flag)).map(
-        lambda size: flag[:size])),
-    st.tuples(st.sampled_from(_FLAGS), st.text(max_size=5)).map("=".join),
-    st.sampled_from(["1", "-1", "-.5", "1e5", "-1e5", "x", "", " ", "nan", "1_0", "csv", "json",
-                     "base", "odd", "a=1", "identity=0", "-5."]),
-    st.text(max_size=5),
-)
+def _own(command):
+    """The flags `command` takes, in its help's order."""
+    return _COMMANDS[command][2].split()
+
+
+def _foreign(command):
+    """The flags only other commands take, but for a prefix of one of its own,
+    which stands for that one (verify --n is --n-max)."""
+    return [flag for flag in _FLAGS if not any(own.startswith(flag) for own in _own(command))]
+
+
+def _parse_argv(command):
+    """`command`, then tokens from its own flags and those only other commands
+    take, any flag's prefixes, the = form and malformed or missing values."""
+    own = _own(command)
+    tokens = st.one_of(
+        st.sampled_from([*_COMMANDS, *own, "-h", "--help", "--", "-", "-x", "--bogus"]),
+        st.sampled_from(_foreign(command)),
+        st.sampled_from(sorted(_FLAGS)).flatmap(lambda flag: st.integers(2, len(flag)).map(
+            lambda size: flag[:size])),
+        st.tuples(st.sampled_from(own), st.text(max_size=5)).map("=".join),
+        st.sampled_from(["1", "-1", "-.5", "1e5", "-1e5", "x", "", " ", "nan", "1_0", "csv",
+                         "json", "base", "odd", "a=1", "identity=0", "-5."]),
+        st.text(max_size=5),
+    )
+    return st.lists(tokens, max_size=8).map(lambda rest: [command, *rest])
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.lists(_TOKENS, max_size=8))
+@given(st.sampled_from(list(_COMMANDS)).flatmap(_parse_argv))
 def test_parse_returns_converted_table_values_or_raises_parameter_error(argv):
-    # a first step of property tests over the CLI's inputs: any argv built
-    # from the table's flags, their prefixes, the = form and malformed or
-    # missing values gives known dests of the table's types, or ParameterError
+    # any such argv gives dests of the command's own flags, of the table's
+    # types, or ParameterError; a flag only other commands take is never read
     try:
         command, values = _parse(argv)
     except ParameterError as exc:
@@ -289,16 +308,13 @@ def test_parse_returns_converted_table_values_or_raises_parameter_error(argv):
     if values is None:
         assert command is None or command in _COMMANDS
         return
-    own = _COMMANDS[command][1]
-    entries = {entry[0]: entry for entry in {**_COMMON, **own}.values()}
+    assert command == argv[0] and not set(argv) & set(_foreign(command))
+    entries = {_FLAGS[flag][0]: _FLAGS[flag] for flag in _own(command)}
     assert set(values) <= set(entries)
-    assert {entry[0] for entry in own.values()} <= set(values)
     for dest, value in values.items():
-        _, convert, _, *default = entries[dest]
+        _, convert, _ = entries[dest]
         if dest == "tol":
             assert value and all(type(pair) is str for pair in value)
-        elif default and value == default[0]:
-            continue
         elif callable(convert):
             assert type(value) is convert
         else:
@@ -310,6 +326,7 @@ def test_parse_returns_converted_table_values_or_raises_parameter_error(argv):
 # each flag's cap or malformed, which the CLI must reject.  --n-max and
 # --grid-points are always given, since their defaults exceed the budget, and
 # so are --format, to read both writers, and --which, which identity needs.
+# A command's own --tol sets only the tolerances it reads.
 _GIVEN = ("--n-max", "--grid-points", "--format", "--which")
 _INSIDE = {
     "--alpha": st.sampled_from([MIN_ALPHA, MAX_ALPHA, 0.6024]) | st.floats(MIN_ALPHA, MAX_ALPHA),
@@ -317,8 +334,7 @@ _INSIDE = {
     "--quad-order": st.integers(2, 64),
     "--panels": st.integers(1, 64),
     "--grid-points": st.integers(verify.MIN_GRID_POINTS, 2000),
-    "--tol": st.tuples(st.sampled_from(list(verify.DEFAULT_TOLERANCES)),
-                       st.sampled_from(["0", "5e-324", "1e-12", "1e-3", "1"])).map("=".join),
+    "--tol": st.sampled_from(["identity=0", "quadrature=1e-3"]),
     "--format": st.sampled_from(["csv", "json"]),
     "--n": st.integers(0, 6),
     "--points": st.integers(2, 101),
@@ -333,8 +349,6 @@ _PAST = {
     "--quad-order": [1, MAX_QUAD_ORDER + 1],
     "--panels": [0, MAX_PANELS + 1],
     "--grid-points": [verify.MIN_GRID_POINTS - 1, MAX_GRID_POINTS + 1],
-    "--tol": ["identity=inf", "identity=nan", "identity=-1", "identity=x", "identity=",
-              "bogus=1", "x"],
     "--format": ["xml"],
     "--n": [-1, MAX_DEGREE + 1],
     "--points": [1, MAX_POINTS + 1],
@@ -345,17 +359,30 @@ _PAST = {
 
 
 def _gate_argv(command):
-    """(argv, whether one flag's value is past its cap) for `command`."""
-    flags = [flag for flag in {**_COMMON, **_COMMANDS[command][1]} if flag != "--output"]
-    inside = st.fixed_dictionaries({flag: _INSIDE[flag] for flag in flags if flag in _GIVEN},
-                                   optional={flag: _INSIDE[flag] for flag in flags
-                                             if flag not in _GIVEN})
-    past = st.none() | st.sampled_from(flags).flatmap(
-        lambda flag: st.sampled_from(_PAST[flag]).map(lambda value: {flag: value}))
-    return st.tuples(inside, past).map(lambda drawn: ([command, *(
-        token for flag, value in {**drawn[0], **(drawn[1] or {})}.items()
+    """(argv, whether it holds a usage error) for `command`: its own flags but
+    --output, inside the budget, and at most one of a value past its cap, a
+    flag only other commands take and a --tol name the command does not read."""
+    flags = [flag for flag in _own(command) if flag != "--output"]
+    known = _COMMANDS[command][3]
+    tol = [f"{name}={value}" for name in known for value in ("0", "5e-324", "1e-12", "1e-3", "1")]
+    inside = {flag: st.sampled_from(tol) if flag == "--tol" else _INSIDE[flag] for flag in flags}
+    past = {**_PAST, "--tol": [f"{name}={value}" for name in known[:1]
+                               for value in ("inf", "nan", "-1", "x", "")] + ["bogus=1", "x"]}
+    errors = [st.sampled_from(flags).flatmap(
+                  lambda flag: st.sampled_from(past[flag]).map(lambda value: {flag: value})),
+              st.sampled_from(_foreign(command)).flatmap(
+                  lambda flag: _INSIDE[flag].map(lambda value: {flag: value}))]
+    if "--tol" in flags and set(known) != set(verify.DEFAULT_TOLERANCES):
+        unread = [name for name in verify.DEFAULT_TOLERANCES if name not in known]
+        errors.append(st.sampled_from(unread).map(lambda name: {"--tol": f"{name}=1"}))
+    error = st.booleans().flatmap(lambda ok: st.none() if ok else st.one_of(errors))
+    drawn = st.fixed_dictionaries({flag: inside[flag] for flag in flags if flag in _GIVEN},
+                                  optional={flag: inside[flag] for flag in flags
+                                            if flag not in _GIVEN})
+    return st.tuples(drawn, error).map(lambda pair: ([command, *(
+        token for flag, value in {**pair[0], **(pair[1] or {})}.items()
         for token in (flag, repr(value) if isinstance(value, float) else str(value)))],
-        drawn[1] is not None))
+        pair[1] is not None))
 
 
 def _gate_value(value):
@@ -372,16 +399,17 @@ def _gate_value(value):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.sampled_from(list(_COMMANDS)).flatmap(_gate_argv))
 def test_every_accepted_input_gives_a_trustworthy_report_or_exit_2(drawn):
-    # no exception escapes main, a value past a cap is a usage error, a usage
+    # no exception escapes main; a value past a cap, a flag the command does
+    # not take and a tolerance it does not read are usage errors; a usage
     # error is one `error:` line and exit 2, and any other output parses:
     # exit 0 exactly when every check passes, and no number of a passed row
     # is NaN or infinite
-    argv, past = drawn
+    argv, wrong = drawn
     stdout, errors, code = golden.capture(" ".join(argv))
     assert code in (0, 1, 2)
-    assert code == 2 or not past
+    assert code == 2 or not wrong
     if code == 2:
-        assert stdout == "" and errors.startswith("error: ")
+        assert stdout == "" and errors.startswith("error: ") and errors.count("\n") == 1
         return
     if argv[argv.index("--format") + 1] == "csv":
         header, *cells = csv.reader(io.StringIO(stdout))
@@ -405,6 +433,71 @@ def test_every_accepted_input_gives_a_trustworthy_report_or_exit_2(drawn):
     for row, ok in zip(rows, passed or [overall] * len(rows)):
         assert not ok or all(math.isfinite(value) for value in row.values()
                              if type(value) in (int, float)), row
+
+
+# The (command, flag) pairs and --tol names that no handler reads; each was
+# accepted and ignored, or rejected only for a value it would have ignored.
+_UNREAD = [
+    *(["tabulate", flag, "8"] for flag in ("--n-max", "--quad-order", "--panels", "--grid-points")),
+    ["tabulate", "--tol", "identity=0"],
+    *(["identity", "--which", "base", flag, "100"]
+      for flag in ("--n-max", "--quad-order", "--panels", "--grid-points")),
+    *(["spectrum", flag, "5"] for flag in ("--n-max", "--quad-order", "--panels")),
+    *(["identity", "--which", "base", "--tol", f"{name}=0"]
+      for name in ("quadrature", "residual", "fd_spectrum")),
+    *(["spectrum", "--tol", f"{name}=1e-30"] for name in ("quadrature", "residual", "identity")),
+]
+
+
+@pytest.mark.parametrize("argv", _UNREAD, ids=" ".join)
+def test_a_flag_or_tolerance_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_help_lists_exactly_the_flags_its_command_accepts(command, capsys):
+    assert main([command, "--help"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  --")]
+    assert listed == _own(command)
+    known = _COMMANDS[command][3]
+    assert set(known) <= set(verify.DEFAULT_TOLERANCES)
+    assert ("--tol" in listed) == bool(known)
+
+
+# A small JSON run of each command, and another value of each flag it takes
+_SMALL = {"verify": ["--n-max", "0", "--grid-points", "200"], "tabulate": ["--points", "5"],
+          "identity": ["--which", "odd"], "spectrum": ["--count", "1", "--grid-points", "200"]}
+_OTHER = {"--alpha": "2", "--n-max": "1", "--quad-order": "8", "--panels": "2",
+          "--grid-points": "300", "--format": "csv", "--n": "1", "--points": "6",
+          "--which": "even", "--m": "1", "--count": "2"}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c in _COMMANDS for f in _own(c)])
+def test_every_flag_a_command_takes_changes_its_output(command, flag, tmp_path, capsys):
+    # a flag accepted and then ignored would read as a setting the run used
+    argv = [command, *_SMALL[command], "--format", "json"]
+    base = main(argv), capsys.readouterr().out
+    other = {**_OTHER, "--output": str(tmp_path / "report")}
+    value = other[flag] if flag != "--tol" else f"{_COMMANDS[command][3][0]}=0"
+    assert (main([*argv, flag, value]), capsys.readouterr().out) != base
+
+
+# Every Gauss-Legendre rule of at most 8 nodes, order q >= 2 on p panels.  A
+# rule of 15 nodes rightly passes every row at n_max = 0, so the bound stops here.
+_SMALL_RULES = [(q, p) for q in range(2, 9) for p in range(1, 5) if q * p <= 8]
+
+
+@pytest.mark.parametrize("order, panels", _SMALL_RULES)
+def test_every_rule_of_at_most_8_nodes_fails_verify(order, panels, capsys):
+    # the suite's headroom: a rule this coarse cannot pass its quadrature rows
+    for n_max in range(7):
+        assert main(["verify", "--quad-order", str(order), "--panels", str(panels),
+                     "--n-max", str(n_max), "--grid-points", "200", "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["overall"] is False
 
 
 def test_verify_passes_and_emits_csv(capsys):
@@ -632,7 +725,7 @@ def test_identity_families_are_one_table():
     from ptdarboux.closed_form import IDENTITY_FAMILIES
     from ptdarboux.verify import _FAMILIES, _interior_grid
 
-    dest, choices, *_ = _COMMANDS["identity"][1]["--which"]
+    dest, choices, _ = _FLAGS["--which"]
     assert dest == "which"
     assert list(choices) == list(IDENTITY_FAMILIES) == ["base", "even", "odd"]
     run = SimpleNamespace(alpha=1.0, n_max=4, grid_points=1000)

@@ -803,6 +803,31 @@ def test_fd_spectrum_frozen_bits():
         "0x1.5f3e57b1ee3e8p+7"]
 
 
+def test_fd_spectrum_rejects_an_overflowing_top_before_any_sweep(monkeypatch):
+    # 4 alpha^2 = 1e308 times the starting top 4 (count + 2)^2 = 576 overflows:
+    # no grid is swept, where every grid's Sturm work once ran first
+    def refuse(*args):
+        raise AssertionError("a Sturm sweep ran")
+
+    for name in ("_sturm_count", "_sturm_newton"):
+        monkeypatch.setattr(verify, name, refuse)
+    with pytest.raises(ParameterError, match=r"= 1e\+308 times the bracket top 576.0 overflows"):
+        fd_spectrum(5e153, 100000, 10)
+
+
+def test_fd_spectrum_rejects_a_top_that_overflows_once_doubled(monkeypatch):
+    # 4 alpha^2 = 2e305 times the top 576 is finite, times a doubled top not
+    sturm_grid = verify._sturm_grid
+
+    def doubled(grid_points, count, hi):
+        records, top, estimates = sturm_grid(grid_points, count, hi)
+        return records, 2.0 * top, estimates
+
+    monkeypatch.setattr(verify, "_sturm_grid", doubled)
+    with pytest.raises(ParameterError, match="times the bracket top 1152.0 overflows"):
+        fd_spectrum(math.sqrt(5e304), 100, 10)
+
+
 def test_fd_spectrum_sweeps_few_counts(monkeypatch):
     sweeps = []
 
