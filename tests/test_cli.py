@@ -147,6 +147,29 @@ def test_json_reports_bypass_the_pure_python_encoder(monkeypatch):
         assert golden.run(command) == recorded[command], command
 
 
+def test_golden_diff_names_what_moved():
+    # golden.py --against's account of one command: exit codes, rows added
+    # and removed, the largest change of computed relative to the reference
+    # and of the deviation column, flipped passed bits; CSV as JSON
+    def report(*rows):
+        keys = ("name", "computed", "reference", "rel_dev", "passed")
+        return json.dumps({"checks": [dict(zip(keys, row)) for row in rows]})
+
+    old = report(("fd mode 0", 15.9, 16.0, 0.00625, True), ("gram (2,2)", 1.0, 1.0, 0.0, True))
+    new = report(("fd mode 0", 15.8, 16.0, 0.0125, False), ("gram (2,3)", 0.0, 0.0, 0.0, True))
+    assert golden.describe("verify", [old, "", 0], [new, "", 1]) == [
+        "verify: exit 0 -> 1", "  rows added: gram (2,3)", "  rows removed: gram (2,2)",
+        "  largest change in computed / reference: 0.00625 (fd mode 0)",
+        "  largest change in rel_dev: 0.00625 (fd mode 0)", "  passed flipped: fd mode 0"]
+    old, new = ("mode,computed,exact,rel_err\n0,15.5,16,0.03125\n1,36,36,0\n",
+                "mode,computed,exact,rel_err\n0,15.75,16,0.015625\n1,36,36,0\n")
+    assert golden.describe("spectrum", [old, "", 0], [new, "", 0])[1:] == [
+        "  largest change in computed / reference: 0.0156 (mode 0)",
+        "  largest change in rel_dev: 0.0156 (mode 0)"]
+    assert golden.describe("--help", ["usage: a\n", "", 0], ["usage: b\n", "", 0]) == [
+        "--help: exit 0 -> 0", "  stdout differs (not a report)"]
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -571,8 +594,8 @@ def test_a_check_that_raises_is_written_with_non_finite_values(monkeypatch, caps
     assert ",nan,nan,inf,inf,1e-08,false\n" in outputs["csv"]
     digests = {fmt: hashlib.sha256(out.encode("utf-8")).hexdigest() for fmt, out in outputs.items()}
     assert digests == {
-        "json": "a66965ef5c7fe97e75b4f1db7659971f3ec2296aff5168913771a2f468ae9436",
-        "csv": "99b560f72e50413cfdd4e673ac8e73213a7abc51f88c34e7813dc2923a14b531",
+        "json": "49978bf7cb5f1fb13de543d218c9548fc321c28a71fcd97faf3a150318ababfe",
+        "csv": "07dafe1950878064f36368a1f03cf29aee1568a83970de52f07b7660024b6bdb",
     }
 
 

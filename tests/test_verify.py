@@ -740,41 +740,42 @@ def test_fd_rows_reject_an_unusable_energy_scale(alpha):
     assert not report.overall
 
 
-def _plain_fd_spectrum(alpha, grid_points, count):
-    """The reference: bisection with one Sturm sweep at every midpoint."""
-    scale = 4.0 * alpha * alpha
+def _full_weights(grid_points):
+    """h^2 and w_i = 2 h^2 / sin^2(t_i) of the whole alpha-free matrix,
+    scaled by h^2: tridiag(-1, 2 + w_i, -1) on t_i = (i + 1/2) h."""
     h = math.pi / grid_points
-    inv_h2 = 1.0 / (h * h)
-    diag = []
-    for i in range(grid_points):
-        s = math.sin((i + 0.5) * h)
-        diag.append(2.0 * inv_h2 + 2.0 / (s * s))
-    off_sq = inv_h2 * inv_h2
+    h2 = h * h
+    return h2, [2.0 * h2 / (s * s) for s in map(math.sin, [(i + 0.5) * h for i in range(grid_points)])]
 
-    def count_below(lam):
-        negatives = 0
-        q = 1.0
-        for i, d in enumerate(diag):
-            q = d - lam - (off_sq / q if i else 0.0)
-            if q == 0.0:
-                q = -1e-300
-            if q < 0.0:
-                negatives += 1
-        return negatives
 
-    hi = 4.0 * (count + 2) ** 2
-    while count_below(hi) < count:
-        hi *= 2.0
+def _full_count(weights, mu):
+    """Eigenvalues of the whole scaled matrix below mu: one Sturm sweep over
+    every row from the wall at t_0, each pivot written 1 + u, u_0 = 1 + w_0 -
+    mu and u_i = w_i - mu + u_{i-1} / (1 + u_{i-1})."""
+    negatives, u = 0, 1.0 + weights[0] - mu
+    for w in weights[1:]:
+        if u <= -1.0:
+            negatives += 1
+            u = u if u < -1.0 else -1.0 - 2.0 ** -52
+        u = w - mu + u / (1.0 + u)
+    return negatives + (u <= -1.0)
+
+
+def _plain_fd_spectrum(alpha, grid_points, count):
+    """The reference: bisection of the whole matrix from [0, 4 (count + 2)^2]
+    with one Sturm sweep (_full_count) at every midpoint, to a width of 1e-13
+    of the upper end."""
+    h2, weights = _full_weights(grid_points)
     eigenvalues = []
     for mode in range(1, count + 1):
-        lo, up = 0.0, hi
-        while up - lo > 1e-10 * up:
+        lo, up = 0.0, 4.0 * (count + 2) ** 2 * h2
+        while up - lo > 1e-13 * up:
             mid = 0.5 * (lo + up)
-            if count_below(mid) >= mode:
+            if _full_count(weights, mid) >= mode:
                 up = mid
             else:
                 lo = mid
-        eigenvalues.append(scale * (0.5 * (lo + up)))
+        eigenvalues.append(4.0 * alpha * alpha * (0.5 * (lo + up) / h2))
     return eigenvalues
 
 
@@ -790,144 +791,180 @@ def _fd_cases():
 
 @pytest.mark.parametrize("alpha,grid_points,count", _fd_cases())
 def test_fd_spectrum_equals_plain_bisection(alpha, grid_points, count):
-    assert fd_spectrum(alpha, grid_points, count) == _plain_fd_spectrum(alpha, grid_points, count)
+    # each value is the centre of a bracket of width 1e-13 (relative) that
+    # holds its mode, so it lies within that width of the plain bisection's
+    modes, plain = fd_spectrum(alpha, grid_points, count), _plain_fd_spectrum(alpha, grid_points, count)
+    assert all(abs(m - p) <= 1.01e-13 * p for m, p in zip(modes, plain)), (modes, plain)
+
+
+@pytest.mark.parametrize("grid_points", [1599, 4001, 40000, 100000])
+def test_fd_brackets_hold_their_modes(grid_points):
+    # every value lies in its bracket, no wider than 1e-13 of its upper end,
+    # and counts of the whole matrix, swept without the mirror split, prove
+    # that the bracket holds exactly that mode
+    h2, brackets = verify._sturm_grid(grid_points, 10, 144.0)
+    _, weights = _full_weights(grid_points)
+    values = fd_spectrum(0.5, grid_points, 10)  # 4 alpha^2 = 1
+    for mode, ((lo, mu, up), value) in enumerate(zip(brackets, values), 1):
+        assert lo / h2 <= value <= up / h2 and value == mu / h2
+        assert up - lo <= 1e-13 * up
+        assert _full_count(weights, lo) < mode <= _full_count(weights, up)
+
+
+def test_fd_ground_mode_error_falls_fourfold_per_doubling():
+    # the pivots 1 + u keep the O(h^2) discretization error visible up to the
+    # grid cap: the error ratio of each doubling is 4 within 1%, and at
+    # 100,000 points the ground mode is -1.10e-10 off, within 1%
+    errors = [fd_spectrum(1.0, 1000 * 2 ** j, 1)[0] / 16.0 - 1.0 for j in range(7)]
+    assert all(abs(coarse / fine - 4.0) <= 0.04 for coarse, fine in zip(errors, errors[1:])), errors
+    assert fd_spectrum(1.0, 100000, 1)[0] / 16.0 - 1.0 == pytest.approx(-1.10e-10, rel=0.01)
+
+
+@pytest.mark.parametrize("grid_points", [4000, 40000, 100000])
+def test_sturm_count_flips_once_near_the_lowest_modes(grid_points):
+    # within 64 ulps either side of each of the three lowest flips the count
+    # is non-decreasing and changes once, from place - 1 to place
+    blocks = verify._fd_matrix(grid_points)
+    for mode, (lo, _, up) in enumerate(verify._sturm_grid(grid_points, 3, 25.0)[1], 1):
+        block, place = verify._block_mode(mode)
+        while math.nextafter(lo, up) < up:  # the flip: the lowest float counting place
+            mid = 0.5 * (lo + up)
+            if verify._sturm_count(*blocks[block], mid) < place:
+                lo = mid
+            else:
+                up = mid
+        mus = [up]
+        for _ in range(64):
+            mus = [math.nextafter(mus[0], 0.0), *mus, math.nextafter(mus[-1], math.inf)]
+        counts = [verify._sturm_count(*blocks[block], mu) for mu in mus]
+        assert counts == [place - 1] * 64 + [place] * 65
 
 
 def test_fd_spectrum_frozen_bits():
     assert [m.hex() for m in fd_spectrum(1.0, 4000, 3)] == [
-        "0x1.fffffdb384000p+3", "0x1.1ffffb94c2000p+5", "0x1.ffffeefb8c000p+5"]
+        "0x1.fffffdb35aa24p+3", "0x1.1ffffb94a7886p+5", "0x1.ffffeefbc88d5p+5"]
     assert [m.hex() for m in fd_spectrum(0.6024, 1000, 10)] == [
-        "0x1.7398386d3c9a9p+2", "0x1.a20af6e87caffp+3", "0x1.73978d94f98f0p+4",
-        "0x1.224df3b1c191fp+5", "0x1.a20906ddc9561p+5", "0x1.1c7e59dc6c77fp+6",
-        "0x1.73944f54d5ae9p+6", "0x1.d6462e895d6c4p+6", "0x1.2249dd54de987p+7",
-        "0x1.5f3e57b1ee3e8p+7"]
+        "0x1.7398386d6d14bp+2", "0x1.a20af6e87571bp+3", "0x1.73978d9509385p+4",
+        "0x1.224df3b18ff02p+5", "0x1.a20906dda40c7p+5", "0x1.1c7e59dc81772p+6",
+        "0x1.73944f54fd552p+6", "0x1.d6462e898ef0bp+6", "0x1.2249dd54e1786p+7",
+        "0x1.5f3e57b1c79bcp+7"]
 
 
 def test_fd_spectrum_rejects_an_overflowing_top_before_any_sweep(monkeypatch):
-    # 4 alpha^2 = 1e308 times the starting top 4 (count + 2)^2 = 576 overflows:
-    # no grid is swept, where every grid's Sturm work once ran first
+    # 4 alpha^2 = 1e308 times the top (count + 2)^2 = 144 overflows: no grid
+    # is swept
     def refuse(*args):
         raise AssertionError("a Sturm sweep ran")
 
     for name in ("_sturm_count", "_sturm_newton"):
         monkeypatch.setattr(verify, name, refuse)
-    with pytest.raises(ParameterError, match=r"= 1e\+308 times the bracket top 576.0 overflows"):
+    with pytest.raises(ParameterError, match=r"= 1e\+308 times the bracket top 144.0 overflows"):
         fd_spectrum(5e153, 100000, 10)
 
 
-def test_fd_spectrum_rejects_a_top_that_overflows_once_doubled(monkeypatch):
-    # 4 alpha^2 = 2e305 times the top 576 is finite, times a doubled top not
-    sturm_grid = verify._sturm_grid
+def test_fd_spectrum_rejects_a_top_below_its_modes(monkeypatch):
+    # a block that holds fewer of its modes below the top than it needs
+    # raises instead of bracketing a mode with the top
+    monkeypatch.setattr(verify, "_sturm_count", lambda *args: 0)
+    with pytest.raises(EvaluationError, match="block 0 of the 100-point grid holds 0 of its 2 "
+                                              "modes below the top 25.0"):
+        fd_spectrum(1.0, 100, 3)
 
-    def doubled(grid_points, count, hi):
-        records, top, estimates = sturm_grid(grid_points, count, hi)
-        return records, 2.0 * top, estimates
 
-    monkeypatch.setattr(verify, "_sturm_grid", doubled)
-    with pytest.raises(ParameterError, match="times the bracket top 1152.0 overflows"):
-        fd_spectrum(math.sqrt(5e304), 100, 10)
+def _sweeps(monkeypatch, grid_points, count, alpha=1.0):
+    # the spectrum, and each Sturm sweep's kernel name and row count
+    sweeps = []
+    for name in ("_sturm_count", "_sturm_newton"):
+        def counted(*args, sweep=getattr(verify, name), name=name):
+            sweeps.append((name, 1 + len(args[1])))
+            return sweep(*args)
+        monkeypatch.setattr(verify, name, counted)
+    return fd_spectrum(alpha, grid_points, count), sweeps
 
 
 def test_fd_spectrum_sweeps_few_counts(monkeypatch):
-    sweeps = []
-
-    def counted(sweep):
-        def wrapper(*args):
-            sweeps.append(sweep.__name__)
-            return sweep(*args)
-        return wrapper
-
-    for name in ("_sturm_count", "_sturm_newton"):
-        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
-    fd_spectrum(1.0, 4000, 3)
-    # bisection with a sweep at every midpoint makes 112
-    assert 0 < len(sweeps) <= 40
+    # bisection with a sweep at every midpoint makes 112 at (4000, 3); at
+    # (40000, 10) the fine grid's 20,000-row blocks take 2 Newton sweeps and
+    # 2 certifying counts per mode, and one count of the top per block
+    assert 0 < len(_sweeps(monkeypatch, 4000, 3)[1]) <= 40
+    fine = [name for name, rows in _sweeps(monkeypatch, 40000, 10)[1] if rows == 20000]
+    assert fine.count("_sturm_newton") <= 24 and fine.count("_sturm_count") <= 24
 
 
 def _sweep_units(monkeypatch, grid_points, count):
     # the Sturm sweeps' work in rows of the fine grid: a count row costs 1
-    # and a Newton row 2 (it takes twice as long); a coarse grid's rows count
-    # by its size
-    rows = []
-    for name, cost in (("_sturm_count", 1), ("_sturm_newton", 2)):
-        def counted(d0, rest, off_sq, factor, lam, sweep=getattr(verify, name), cost=cost):
-            rows.append(cost * (1 + len(rest)))
-            return sweep(d0, rest, off_sq, factor, lam)
-        monkeypatch.setattr(verify, name, counted)
-    fd_spectrum(1.0, grid_points, count)
-    return sum(rows) / grid_points
+    # and a Newton row 2 (it takes about twice as long); a coarse grid's rows
+    # count by its size
+    sweeps = _sweeps(monkeypatch, grid_points, count)[1]
+    return sum(rows * (2 if name == "_sturm_newton" else 1) for name, rows in sweeps) / grid_points
 
 
 @pytest.mark.parametrize("grid_points,count,units", [
-    (4000, 3, 16), (40000, 10, 65), (40017, 10, 74), (100000, 10, 91)])
+    (4000, 3, 12.1), (40000, 10, 36.1), (40017, 10, 36.1), (100000, 10, 35.8)])
 def test_fd_spectrum_starts_newton_from_the_coarser_grid(monkeypatch, grid_points, count, units):
-    # sweeping the full matrix instead of its mirror blocks costs 27.4 and
-    # 109.8 units, and Newton from the midpoint of each mode's isolating
-    # bracket as well 41 and 177; the odd grid and the grid cap take 65.7
-    # and 81.2 units
+    # measured: 11.0, 32.8, 32.8 and 32.5 units; the Sturm record that
+    # bisected each mode to 1e-10 took 14.3, 57.8, 65.7 and 81.2, and
+    # sweeping the full matrix instead of its mirror blocks doubles the work
     assert 0 < _sweep_units(monkeypatch, grid_points, count) <= units
 
 
-@pytest.mark.parametrize("garbage", ["nan", "zero", "hi", "next mode"])
+@pytest.mark.parametrize("garbage", ["nan", "zero", "hi", "next mode", "lower mode"])
 def test_no_coarse_estimate_enters_a_result(monkeypatch, garbage):
     # the coarse estimates only choose where Newton starts: spoiled ones cost
-    # sweeps but leave every bit of the plain bisection's result
+    # sweeps, and the estimate of the block's mode below leads Newton to that
+    # mode, so that the certifying counts fail and bisection finishes it, but
+    # every result is certified and within 1e-13 of the unspoiled one
+    expected = fd_spectrum(0.6024, 3000, 10)
     spoil = {
-        "nan": lambda estimates: [math.nan] * len(estimates),
-        "zero": lambda estimates: [0.0] * len(estimates),
-        "hi": lambda estimates: [4.0 * (len(estimates) + 2) ** 2] * len(estimates),
-        "next mode": lambda estimates: estimates[1:] + [math.nan],
+        "nan": lambda estimates, top: [math.nan] * len(estimates),
+        "zero": lambda estimates, top: [0.0] * len(estimates),
+        "hi": lambda estimates, top: [top] * len(estimates),
+        "next mode": lambda estimates, top: estimates[1:] + [math.nan],
+        "lower mode": lambda estimates, top: [math.nan] * 2 + estimates[:-2],
     }[garbage]
-    original, estimates_at = verify._sturm_grid, {}
+    original, grids = verify._sturm_grid, []
 
-    def spoiled(grid_points, count, hi):
-        # the recursion calls the module's name, so every level's estimates
-        # are spoiled before they start the next finer grid's Newton steps
-        records, hi, estimates = original(grid_points, count, hi)
-        estimates_at[grid_points] = estimates
-        return records, hi, spoil(estimates)
+    def spoiled(grid_points, count, top, fine=True):
+        # the recursion calls the module's name, so every coarse level's
+        # estimates are spoiled before they start the next finer grid's Newton
+        h2, modes = original(grid_points, count, top, fine)
+        grids.append(grid_points)
+        if fine:
+            return h2, modes
+        estimates = spoil([mu for _, mu, _ in modes], top * h2)
+        return h2, [(lo, mu, up) for (lo, _, up), mu in zip(modes, estimates)]
 
     monkeypatch.setattr(verify, "_sturm_grid", spoiled)
-    assert fd_spectrum(0.6024, 3000, 10) == _plain_fd_spectrum(0.6024, 3000, 10)
-    assert sorted(estimates_at) == [3000 // 16, 3000]
-    assert all(map(math.isfinite, estimates_at[3000 // 16]))  # the 3,000-point grid had a coarser one
+    modes, sweeps = _sweeps(monkeypatch, 3000, 10, 0.6024)
+    fine_counts = [name for name, rows in sweeps if rows == 1500 and name == "_sturm_count"]
+    assert all(abs(m - e) <= 1e-13 * e for m, e in zip(modes, expected)), (modes, expected)
+    assert sorted(set(grids)) == [3000 // 16, 3000]
+    # 2 counts of the top and 2 certifying counts per mode, and more when
+    # bisection finishes a mode
+    assert (len(fine_counts) > 22) == (garbage == "lower mode")
 
 
 @lru_cache(maxsize=1)
 def _fd_matrix_and_modes():
-    # at alpha = 1/2 the scale 4 alpha^2 is 1: the modes of the matrix itself
-    return verify._fd_matrix(4000), fd_spectrum(0.5, 4000, 10)
+    # at alpha = 1/2 the scale 4 alpha^2 is 1: the modes of the matrix itself,
+    # here times h^2 as the blocks are
+    h2 = (math.pi / 4000) ** 2
+    return verify._fd_matrix(4000), [m * h2 for m in fd_spectrum(0.5, 4000, 10)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 9), st.lists(st.floats(-1e-7, 1e-7), min_size=2, max_size=12))
 def test_sturm_count_is_monotone_near_each_mode(mode, offsets):
     blocks, modes = _fd_matrix_and_modes()
-    lams = sorted(modes[mode] * (1.0 + offset) for offset in offsets)
+    mus = sorted(modes[mode] * (1.0 + offset) for offset in offsets)
     # mode + 1 (from 1) is the j-th of the even block when odd, of the odd
     # block when even; the other block holds no flip nearby
     j = mode // 2 + 1
     own, other = blocks if mode % 2 == 0 else blocks[::-1]
-    counts = [verify._sturm_count(*own, lam) for lam in lams]
+    counts = [verify._sturm_count(*own, mu) for mu in mus]
     assert counts == sorted(counts)
     assert {j - 1, j} >= set(counts)
-    assert {verify._sturm_count(*other, lam) for lam in lams} == {j - 1 + mode % 2}
-
-
-def _full_count(grid_points, lam):
-    """Eigenvalues of the whole alpha-free matrix below lam: one Sturm sweep
-    over all grid_points rows from the wall at t_0."""
-    h = math.pi / grid_points
-    inv_h2 = 1.0 / (h * h)
-    negatives, q = 0, 1.0
-    for i in range(grid_points):
-        s = math.sin((i + 0.5) * h)
-        q = 2.0 * inv_h2 + 2.0 / (s * s) - lam - (inv_h2 * inv_h2 / q if i else 0.0)
-        if q == 0.0:
-            q = -1e-300
-        if q < 0.0:
-            negatives += 1
-    return negatives
+    assert {verify._sturm_count(*other, mu) for mu in mus} == {j - 1 + mode % 2}
 
 
 @pytest.mark.parametrize("grid_points", [100, 101, 1599, 1600, 4000, 4001])
@@ -936,16 +973,19 @@ def test_mirror_blocks_split_the_full_count(grid_points):
     # matrix's, and the even block's lead the odd block's by 0 or 1: the
     # interlacing that maps mode i to one block (verify._block_mode)
     even, odd = verify._fd_matrix(grid_points)
-    modes = fd_spectrum(0.5, grid_points, 10)
+    h2, weights = _full_weights(grid_points)
+    modes = [m * h2 for m in fd_spectrum(0.5, grid_points, 10)]
     rng = random.Random(grid_points)
-    lams = [rng.uniform(0.0, modes[-1]) for _ in range(40)]
-    lams = [lam for lam in lams if all(abs(lam - m) > 1e-6 * m for m in modes)]
-    lams += [0.0, 1e12]  # below and above the whole spectrum
-    for lam in lams:
-        counts = verify._sturm_count(*even, lam), verify._sturm_count(*odd, lam)
-        assert sum(counts) == _full_count(grid_points, lam)
+    mus = [rng.uniform(0.0, modes[-1]) for _ in range(40)]
+    mus = [mu for mu in mus if all(abs(mu - m) > 1e-6 * m for m in modes)]
+    # close either side of each mode, where a wrong first pivot moves it, and
+    # below and above the whole spectrum
+    mus += [m * (1.0 + d) for m in modes for d in (-1e-5, 1e-5)] + [0.0, 100.0]
+    for mu in mus:
+        counts = verify._sturm_count(*even, mu), verify._sturm_count(*odd, mu)
+        assert sum(counts) == _full_count(weights, mu)
         assert counts[0] - counts[1] in (0, 1)
-    assert verify._sturm_count(*even, 1e12) == (grid_points + 1) // 2
+    assert verify._sturm_count(*even, 100.0) == (grid_points + 1) // 2
 
 
 def test_run_full_suite_small():
