@@ -47,10 +47,9 @@ MAX_PANELS = 1024
 # at 67 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode rows
 # the quadrature's sums keep (verify._TSums).
 MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
-# spectrum --count 10 (4 Sturm sweeps per mode over one 50,000-row mirror
-# block of the matrix, 2 Newton sweeps and 2 certifying counts, plus one count
-# of the top per block and the coarse grids' 3,125- and 195-row block
-# sweeps): 0.28-0.32 s.
+# spectrum --count 10 (3 Sturm sweeps per mode over one 50,000-row mirror
+# block of the matrix, 1 Newton sweep and 2 certifying counts, plus one count
+# of the top per block): 0.13-0.20 s.
 MAX_GRID_POINTS = 100_000
 # tabulate --n 60: 0.2-0.3 s, peaking at 27 MB resident (VmHWM) in CSV and 29 MB
 # in JSON: it keeps 61 level rows and 61 U rows, and builds one bracket row.

@@ -487,18 +487,13 @@ def _sturm_newton(
     return negatives + (u <= -1.0), slope + du / (1.0 + u)
 
 
-# Newton's stop, a step relative to its iterate, on the fine grid and on the
-# coarser grids, whose estimates only choose where the next grid starts; its
-# sweeps per mode at most; the half-width of each certified bracket, relative
-# to its centre, and the width at which the fallback bisection stops.
+# Newton's stop, a step relative to its iterate; its sweeps per mode at most;
+# the half-width of each certified bracket, relative to its centre, and the
+# width at which the fallback bisection stops.
 _NEWTON_STOP = 1e-8
-_COARSE_STOP = 1e-6
 _NEWTON_SWEEPS = 64
 _HALF_WIDTH = 4.9e-14
 _WIDTH = 1e-13
-# How many times coarser the grid is whose Newton estimates start a grid's
-# (ratios 4, 8, 32 and 64 cost more sweeps at 40,000 points and 10 modes).
-_COARSENING = 16
 
 
 def _block_mode(mode: int) -> tuple[int, int]:
@@ -510,40 +505,19 @@ def _block_mode(mode: int) -> tuple[int, int]:
     return 1 - mode % 2, (mode + 1) // 2
 
 
-def _isolate(block: tuple, places: int, top: float, held: int) -> list[tuple[float, float]]:
-    """Brackets (a, b) with count(a) = p - 1 and count(b) = p for the places
-    p = 1..places of one block, from one bisection of [0, top] that every
-    place shares (held = count(top) >= places; no eigenvalue lies below 0)."""
-    brackets = {}
-    pending = [(0.0, 0, top, held)]
-    while pending:
-        a, below, b, above = pending.pop()
-        if below >= places or below == above:
-            continue
-        if above - below == 1 or b - a <= _WIDTH * b:
-            brackets.update(dict.fromkeys(range(below + 1, above + 1), (a, b)))
-            continue
-        mid = 0.5 * (a + b)
-        at = _sturm_count(*block, mid)
-        pending += [(a, below, mid, at), (mid, at, b, above)]
-    return [brackets[place] for place in range(1, places + 1)]
-
-
-def _settle(block: tuple, place: int, mu: float, a: float, b: float,
-            fine: bool) -> tuple[float, float, float]:
+def _settle(block: tuple, place: int, mu: float, a: float, b: float) -> tuple[float, float, float]:
     """The block's place-th eigenvalue from the start mu in the bracket
     (a, b), count(a) < place <= count(b), as (lo, estimate, up).
 
     Newton's method on det(T - mu) in k = sqrt(mu) (_sturm_newton) keeps
     the bracket with each sweep's count; a start or step outside it is
     replaced by the bracket's midpoint, and a step of at most _NEWTON_STOP
-    (fine) or _COARSE_STOP of the iterate ends the iteration.  On the fine
-    grid two counts at mu (1 -/+ _HALF_WIDTH) must then show count(lo) <
-    place <= count(up), which proves that the eigenvalue lies in (lo, up];
-    when they do not, count bisection inside the bracket finishes the mode
-    at width _WIDTH of its upper end.
+    of the iterate ends the iteration.  Two counts at mu (1 -/+ _HALF_WIDTH)
+    must then show count(lo) < place <= count(up), which proves that the
+    eigenvalue lies in (lo, up]; when they do not, count bisection inside
+    the bracket finishes the mode at width _WIDTH of its upper end.  So the
+    start sets only the cost: any start gives a certified eigenvalue.
     """
-    stop = _NEWTON_STOP if fine else _COARSE_STOP
     for _ in range(_NEWTON_SWEEPS):
         if not a < mu < b:
             mu = 0.5 * (a + b)
@@ -556,10 +530,8 @@ def _settle(block: tuple, place: int, mu: float, a: float, b: float,
         # (k - 1 / (2 k slope))^2
         step = (1.0 - 0.25 / (slope * mu)) / slope if slope else math.inf
         mu -= step
-        if a <= mu <= b and abs(step) <= stop * mu:
+        if a <= mu <= b and abs(step) <= _NEWTON_STOP * mu:
             break
-    if not fine:
-        return a, mu, b
     lo, up = mu * (1.0 - _HALF_WIDTH), mu * (1.0 + _HALF_WIDTH)
     low, high = _sturm_count(*block, lo) < place, _sturm_count(*block, up) < place
     if low and not high:
@@ -575,39 +547,28 @@ def _settle(block: tuple, place: int, mu: float, a: float, b: float,
     return a, 0.5 * (a + b), b
 
 
-def _sturm_grid(grid_points: int, count: int, top: float,
-                fine: bool = True) -> tuple[float, list]:
-    """One grid's Sturm work for the lowest `count` modes: h^2 and each
+def _sturm_grid(grid_points: int, count: int, top: float) -> tuple[float, list]:
+    """The grid's Sturm work for the lowest `count` modes: h^2 and each
     mode's (lo, estimate, up) from _settle, in units of h^2 (_fd_matrix).
 
     Each block that holds a mode counts the top (top h^2 here) once, and
-    must hold its modes below it.  Newton starts from this function's
-    estimates on the grid _COARSENING times coarser, inside [0, top]; a grid
-    with no coarser one of at least MIN_GRID_POINTS isolates every mode by
-    one bisection per block (_isolate), and Newton starts at the midpoints.
+    must hold its modes below it.  Newton starts each mode i (from 1) at
+    its continuum eigenvalue (i + 1)^2, which the grid's lies just below,
+    inside the bracket [0, top].
     """
     h2 = (math.pi / grid_points) ** 2
     blocks = _fd_matrix(grid_points)
-    coarse = grid_points // _COARSENING
-    nested = coarse >= MIN_GRID_POINTS
-    if nested:
-        coarse_h2, estimates = _sturm_grid(coarse, count, top, False)
-        starts = [mu / coarse_h2 * h2 for _, mu, _ in estimates]
-    else:
-        starts = [math.nan] * count
-    high, brackets = top * h2, []
+    high = top * h2
     for block in range(min(count, 2)):
         places = (count + 1 - block) // 2
         held = _sturm_count(*blocks[block], high)
         if held < places:
             raise EvaluationError(f"block {block} of the {grid_points}-point grid holds "
                                   f"{held} of its {places} modes below the top {top}")
-        brackets.append([(0.0, high)] * places if nested
-                        else _isolate(blocks[block], places, high, held))
     modes = []
-    for mode, start in enumerate(starts, 1):
+    for mode in range(1, count + 1):
         block, place = _block_mode(mode)
-        modes.append(_settle(blocks[block], place, start, *brackets[block][place - 1], fine))
+        modes.append(_settle(blocks[block], place, (mode + 1) ** 2 * h2, 0.0, high))
     return h2, modes
 
 
@@ -635,16 +596,11 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     (_sturm_newton), kept inside a bracket by each sweep's Sturm count
     (Barth, Martin & Wilkinson 1967), then certified: two counts prove that
     a bracket of relative width under 1e-13 holds exactly that mode, and the
-    result is its centre (_settle).  One
-    recursive function, _sturm_grid, does this on every grid: Newton starts
-    from its own estimates on a grid 16 times coarser, and so on down while
-    a grid has MIN_GRID_POINTS (nested iteration; Brandt 1977); the coarsest
-    grid isolates its modes by one bisection per block.  A coarse grid's
-    Newton stops at a step of 1e-6 and certifies nothing, since its
-    estimates only choose where the next grid starts.  At 40,000 points and
-    10 modes the fine grid takes 20 Newton and 22 count sweeps of 20,000
-    rows each; at 4,000 points and 3 modes, 6 and 8 of 2,000 rows, and its
-    250-point coarse grid 18 more.
+    result is its centre (_settle).  Newton starts mode i (from 0) at the
+    continuum eigenvalue (i + 2)^2 (_sturm_grid), at most 0.85% above the
+    grid's (mode 9 at 100 points).  At 40,000 points and 10 modes that
+    takes 16 Newton and 22 count sweeps of 20,000 rows each; at 4,000
+    points and 3 modes, 6 and 8 of 2,000 rows.
 
     An alpha whose 4 alpha^2 is not a positive normal float is rejected: an
     underflowed scale would return zeros that match underflowed exact

@@ -57,6 +57,8 @@ COMMANDS = [
     "spectrum --count 10 --grid-points 4001 --format json",
     "spectrum --count 10 --grid-points 40017 --format json",
     "spectrum --count 10 --grid-points 1600 --format json",
+    "spectrum --count 10 --grid-points 100 --format json",
+    "spectrum --count 10 --grid-points 999 --format json",
     "spectrum --count 3 --grid-points 25600 --format json",
     "verify --tol bogus=1",
     "verify --tol quadrature=inf",

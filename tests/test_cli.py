@@ -594,8 +594,8 @@ def test_a_check_that_raises_is_written_with_non_finite_values(monkeypatch, caps
     assert ",nan,nan,inf,inf,1e-08,false\n" in outputs["csv"]
     digests = {fmt: hashlib.sha256(out.encode("utf-8")).hexdigest() for fmt, out in outputs.items()}
     assert digests == {
-        "json": "49978bf7cb5f1fb13de543d218c9548fc321c28a71fcd97faf3a150318ababfe",
-        "csv": "07dafe1950878064f36368a1f03cf29aee1568a83970de52f07b7660024b6bdb",
+        "json": "1050b920236b0768cced6c95021ee71395fd85713aed97b01aa96bc8da55d9d4",
+        "csv": "f6bcd212ae3d798f3bcfa8e0debe62e3af9952214aa1b3f92eb5c3b0ca7eb45e",
     }
 
 

@@ -783,8 +783,10 @@ def _fd_cases():
     rng = random.Random(20151)
     cases = [(rng.uniform(0.5, 2.0), rng.randint(100, 6000), rng.randint(1, 10))
              for _ in range(19)]
-    # then the coarse-grid ladder's boundaries: 1,600 points is the first
-    # grid with a coarser one (1600 // 16 = 100), 25,600 the first with two
+    # then three grids where Newton once started elsewhere: 1,599 points
+    # bisected for its starts, 1,600 started from a grid 16 times coarser
+    # (1600 // 16 = 100) and 25,600 from two; their values moved with the
+    # start, so they stay as reference cases
     return cases + [(1e-6, rng.randint(100, 6000), 10),
                     (0.6024, 1599, 10), (0.6024, 1600, 10), (1.0, 25600, 3)]
 
@@ -842,11 +844,11 @@ def test_sturm_count_flips_once_near_the_lowest_modes(grid_points):
 
 def test_fd_spectrum_frozen_bits():
     assert [m.hex() for m in fd_spectrum(1.0, 4000, 3)] == [
-        "0x1.fffffdb35aa24p+3", "0x1.1ffffb94a7886p+5", "0x1.ffffeefbc88d5p+5"]
+        "0x1.fffffdb35aa1fp+3", "0x1.1ffffb94a7887p+5", "0x1.ffffeefbc88dap+5"]
     assert [m.hex() for m in fd_spectrum(0.6024, 1000, 10)] == [
-        "0x1.7398386d6d14bp+2", "0x1.a20af6e87571bp+3", "0x1.73978d9509385p+4",
-        "0x1.224df3b18ff02p+5", "0x1.a20906dda40c7p+5", "0x1.1c7e59dc81772p+6",
-        "0x1.73944f54fd552p+6", "0x1.d6462e898ef0bp+6", "0x1.2249dd54e1786p+7",
+        "0x1.7398386d6d14bp+2", "0x1.a20af6e87571bp+3", "0x1.73978d9509383p+4",
+        "0x1.224df3b18ff02p+5", "0x1.a20906dda40c6p+5", "0x1.1c7e59dc81773p+6",
+        "0x1.73944f54fd551p+6", "0x1.d6462e898ef09p+6", "0x1.2249dd54e1785p+7",
         "0x1.5f3e57b1c79bcp+7"]
 
 
@@ -884,64 +886,60 @@ def _sweeps(monkeypatch, grid_points, count, alpha=1.0):
 
 def test_fd_spectrum_sweeps_few_counts(monkeypatch):
     # bisection with a sweep at every midpoint makes 112 at (4000, 3); at
-    # (40000, 10) the fine grid's 20,000-row blocks take 2 Newton sweeps and
-    # 2 certifying counts per mode, and one count of the top per block
-    assert 0 < len(_sweeps(monkeypatch, 4000, 3)[1]) <= 40
+    # (40000, 10) the 20,000-row blocks take 2 Newton sweeps per mode or
+    # fewer, 2 certifying counts per mode, and one count of the top per block
+    assert 0 < len(_sweeps(monkeypatch, 4000, 3)[1]) <= 16
     fine = [name for name, rows in _sweeps(monkeypatch, 40000, 10)[1] if rows == 20000]
-    assert fine.count("_sturm_newton") <= 24 and fine.count("_sturm_count") <= 24
+    assert fine.count("_sturm_newton") <= 18 and fine.count("_sturm_count") <= 24
 
 
 def _sweep_units(monkeypatch, grid_points, count):
-    # the Sturm sweeps' work in rows of the fine grid: a count row costs 1
-    # and a Newton row 2 (it takes about twice as long); a coarse grid's rows
-    # count by its size
+    # the Sturm sweeps' work in rows of the grid: a count row costs 1 and a
+    # Newton row 2 (it takes about twice as long)
     sweeps = _sweeps(monkeypatch, grid_points, count)[1]
     return sum(rows * (2 if name == "_sturm_newton" else 1) for name, rows in sweeps) / grid_points
 
 
 @pytest.mark.parametrize("grid_points,count,units", [
-    (4000, 3, 12.1), (40000, 10, 36.1), (40017, 10, 36.1), (100000, 10, 35.8)])
-def test_fd_spectrum_starts_newton_from_the_coarser_grid(monkeypatch, grid_points, count, units):
-    # measured: 11.0, 32.8, 32.8 and 32.5 units; the Sturm record that
-    # bisected each mode to 1e-10 took 14.3, 57.8, 65.7 and 81.2, and
-    # sweeping the full matrix instead of its mirror blocks doubles the work
+    (4000, 3, 10.5), (40000, 10, 29.7), (40017, 10, 29.7), (100000, 10, 23.1),
+    (999, 10, 34.1), (100, 10, 44.0)])
+def test_fd_spectrum_starts_newton_at_the_continuum_eigenvalue(monkeypatch, grid_points, count,
+                                                               units):
+    # measured: 10.0, 27.0, 27.0, 21.0, 31.0 and 40.0 units; Newton started
+    # from a grid 16 times coarser, with a bisection on the coarsest, took
+    # 11.0, 32.8, 32.8, 32.5, 58.5 and 60.5
     assert 0 < _sweep_units(monkeypatch, grid_points, count) <= units
 
 
 @pytest.mark.parametrize("garbage", ["nan", "zero", "hi", "next mode", "lower mode"])
 def test_no_coarse_estimate_enters_a_result(monkeypatch, garbage):
-    # the coarse estimates only choose where Newton starts: spoiled ones cost
-    # sweeps, and the estimate of the block's mode below leads Newton to that
-    # mode, so that the certifying counts fail and bisection finishes it, but
-    # every result is certified and within 1e-13 of the unspoiled one
-    expected = fd_spectrum(0.6024, 3000, 10)
+    # the start only sets Newton's cost: from a spoiled one every mode of
+    # (0.6024, 3000, 10) settles within 1e-13 of its unspoiled value, in a
+    # bracket that counts of the whole matrix prove.  A start below the
+    # block's lower mode (its certified lower end) leads Newton to that mode,
+    # so that the certifying counts fail and bisection finishes it
+    grid_points, count, top = 3000, 10, 144.0
+    h2, expected = verify._sturm_grid(grid_points, count, top)
+    _, weights = _full_weights(grid_points)
+    blocks = verify._fd_matrix(grid_points)
     spoil = {
-        "nan": lambda estimates, top: [math.nan] * len(estimates),
-        "zero": lambda estimates, top: [0.0] * len(estimates),
-        "hi": lambda estimates, top: [top] * len(estimates),
-        "next mode": lambda estimates, top: estimates[1:] + [math.nan],
-        "lower mode": lambda estimates, top: [math.nan] * 2 + estimates[:-2],
+        "nan": lambda mode: math.nan,
+        "zero": lambda mode: 0.0,
+        "hi": lambda mode: top * h2,
+        "next mode": lambda mode: (mode + 2) ** 2 * h2,
+        "lower mode": lambda mode: expected[mode - 3][0] if mode > 2 else math.nan,
     }[garbage]
-    original, grids = verify._sturm_grid, []
-
-    def spoiled(grid_points, count, top, fine=True):
-        # the recursion calls the module's name, so every coarse level's
-        # estimates are spoiled before they start the next finer grid's Newton
-        h2, modes = original(grid_points, count, top, fine)
-        grids.append(grid_points)
-        if fine:
-            return h2, modes
-        estimates = spoil([mu for _, mu, _ in modes], top * h2)
-        return h2, [(lo, mu, up) for (lo, _, up), mu in zip(modes, estimates)]
-
-    monkeypatch.setattr(verify, "_sturm_grid", spoiled)
-    modes, sweeps = _sweeps(monkeypatch, 3000, 10, 0.6024)
-    fine_counts = [name for name, rows in sweeps if rows == 1500 and name == "_sturm_count"]
-    assert all(abs(m - e) <= 1e-13 * e for m, e in zip(modes, expected)), (modes, expected)
-    assert sorted(set(grids)) == [3000 // 16, 3000]
-    # 2 counts of the top and 2 certifying counts per mode, and more when
-    # bisection finishes a mode
-    assert (len(fine_counts) > 22) == (garbage == "lower mode")
+    counts = []
+    monkeypatch.setattr(verify, "_sturm_count",
+                        lambda *args, sweep=verify._sturm_count: counts.append(1) or sweep(*args))
+    for mode, (_, unspoiled, _) in enumerate(expected, 1):
+        block, place = verify._block_mode(mode)
+        counts.clear()
+        lo, mu, up = verify._settle(blocks[block], place, spoil(mode), 0.0, top * h2)
+        assert abs(mu - unspoiled) <= 1e-13 * unspoiled, (mode, mu, unspoiled)
+        assert _full_count(weights, lo) < mode <= _full_count(weights, up)
+        # 2 certifying counts, and more when bisection finishes the mode
+        assert (len(counts) > 2) == (garbage == "lower mode" and mode > 2), (mode, len(counts))
 
 
 @lru_cache(maxsize=1)
