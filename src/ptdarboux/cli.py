@@ -49,7 +49,8 @@ MAX_PANELS = 1024
 MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
 # spectrum --count 10 (3 Sturm sweeps per mode over one 50,000-row mirror
 # block of the matrix, 1 Newton sweep and 2 certifying counts, plus one count
-# of the top per block): 0.13-0.20 s.
+# of the top per block; one Newton sweep per mode from 28,000 points up):
+# 0.15-0.20 s in process.
 MAX_GRID_POINTS = 100_000
 # tabulate --n 60: 0.2-0.3 s, peaking at 27 MB resident (VmHWM) in CSV and 29 MB
 # in JSON: it keeps 61 level rows and 61 U rows, and builds one bracket row.

@@ -594,8 +594,8 @@ def test_a_check_that_raises_is_written_with_non_finite_values(monkeypatch, caps
     assert ",nan,nan,inf,inf,1e-08,false\n" in outputs["csv"]
     digests = {fmt: hashlib.sha256(out.encode("utf-8")).hexdigest() for fmt, out in outputs.items()}
     assert digests == {
-        "json": "1050b920236b0768cced6c95021ee71395fd85713aed97b01aa96bc8da55d9d4",
-        "csv": "f6bcd212ae3d798f3bcfa8e0debe62e3af9952214aa1b3f92eb5c3b0ca7eb45e",
+        "json": "778cc0103bb756c01c04b447a01d4b435d4d91f3fa9bc68456c410254c22bec9",
+        "csv": "2c9d34648491f454fad88e494f186753f72e83e9b124ee18150c518a78ea197a",
     }
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fd_certificate
 from oracles import (
     chi,
     f21_real,
@@ -844,7 +845,7 @@ def test_sturm_count_flips_once_near_the_lowest_modes(grid_points):
 
 def test_fd_spectrum_frozen_bits():
     assert [m.hex() for m in fd_spectrum(1.0, 4000, 3)] == [
-        "0x1.fffffdb35aa1fp+3", "0x1.1ffffb94a7887p+5", "0x1.ffffeefbc88dap+5"]
+        "0x1.fffffdb35aa0cp+3", "0x1.1ffffb94a7887p+5", "0x1.ffffeefbc88dap+5"]
     assert [m.hex() for m in fd_spectrum(0.6024, 1000, 10)] == [
         "0x1.7398386d6d14bp+2", "0x1.a20af6e87571bp+3", "0x1.73978d9509383p+4",
         "0x1.224df3b18ff02p+5", "0x1.a20906dda40c6p+5", "0x1.1c7e59dc81773p+6",
@@ -885,12 +886,34 @@ def _sweeps(monkeypatch, grid_points, count, alpha=1.0):
 
 
 def test_fd_spectrum_sweeps_few_counts(monkeypatch):
-    # bisection with a sweep at every midpoint makes 112 at (4000, 3); at
-    # (40000, 10) the 20,000-row blocks take 2 Newton sweeps per mode or
-    # fewer, 2 certifying counts per mode, and one count of the top per block
-    assert 0 < len(_sweeps(monkeypatch, 4000, 3)[1]) <= 16
+    # bisection with a sweep at every midpoint makes 112 at (4000, 3); there
+    # the 2,000-row blocks take 5 Newton sweeps, and 2 certifying counts per
+    # mode and one count of the top per block make 8.  At (40000, 10) the
+    # 20,000-row blocks take one Newton sweep per mode and 22 counts
+    coarse = [name for name, rows in _sweeps(monkeypatch, 4000, 3)[1] if rows == 2000]
+    assert coarse.count("_sturm_newton") == 5 and coarse.count("_sturm_count") == 8
     fine = [name for name, rows in _sweeps(monkeypatch, 40000, 10)[1] if rows == 20000]
-    assert fine.count("_sturm_newton") <= 18 and fine.count("_sturm_count") <= 24
+    assert fine.count("_sturm_newton") == 10 and fine.count("_sturm_count") == 22
+
+
+@pytest.mark.parametrize("grid_points", [28000, 40000, 40017, 65536, 100000])
+def test_fd_spectrum_takes_one_newton_sweep_per_fine_grid_mode(monkeypatch, grid_points):
+    # on these grids Newton's first step from each mode's continuum start is
+    # at most sqrt(_HALF_WIDTH) / 2 of it, so one sweep per mode ends Newton
+    sweeps = _sweeps(monkeypatch, grid_points, 10)[1]
+    assert [name for name, _ in sweeps].count("_sturm_newton") == 10
+
+
+def test_fd_values_lie_deep_inside_their_certificates():
+    # on 40 seeded grids (100-6,000 points, 1-10 modes, alpha log-uniform in
+    # 1e-6-1e6) no mode falls back to bisection: the count sweeps are the 2
+    # certifying counts per mode and one count of the top per block that
+    # holds a mode.  Each value lies within _HALF_WIDTH / 2 of the value a
+    # Newton stop of 1e-8 gives: measured at most 1.2e-14
+    results = {grid: fd_certificate.check(*grid)
+               for grid in fd_certificate.grids(40, 20151, max_points=6000)}
+    assert all(extra == 0 and move <= verify._HALF_WIDTH / 2
+               for extra, move in results.values()), results
 
 
 def _sweep_units(monkeypatch, grid_points, count):
@@ -905,9 +928,10 @@ def _sweep_units(monkeypatch, grid_points, count):
     (999, 10, 34.1), (100, 10, 44.0)])
 def test_fd_spectrum_starts_newton_at_the_continuum_eigenvalue(monkeypatch, grid_points, count,
                                                                units):
-    # measured: 10.0, 27.0, 27.0, 21.0, 31.0 and 40.0 units; Newton started
-    # from a grid 16 times coarser, with a bisection on the coarsest, took
-    # 11.0, 32.8, 32.8, 32.5, 58.5 and 60.5
+    # measured: 9.0, 21.0, 21.0, 21.0, 31.0 and 40.0 units; with a Newton
+    # stop of 1e-8, 10.0, 27.0, 27.0, 21.0, 31.0 and 40.0; Newton started from
+    # a grid 16 times coarser, with a bisection on the coarsest, took 11.0,
+    # 32.8, 32.8, 32.5, 58.5 and 60.5
     assert 0 < _sweep_units(monkeypatch, grid_points, count) <= units
 
 
