@@ -143,7 +143,18 @@ def _rule(order: int):
 @lru_cache(maxsize=8)
 def _nodes(a: float, b: float, order: int, panels: int):
     """Abscissae, weights and half panel width of the composite
-    Gauss-Legendre rule with `panels` equal subintervals of (a, b)."""
+    Gauss-Legendre rule with `panels` equal subintervals of (a, b).
+
+    The terms run from the middle out: node by node from each panel's
+    middle node out to its ends, and for each node panel by panel from the
+    middle panel out to the walls.  So the large terms come first and the
+    tiny ones at the walls last, and math.fsum, which adds each term to
+    every partial it holds (Shewchuk 1997), holds about 4 partials where
+    the ascending order held 16.  fsum is correctly rounded and every row
+    is computed node by node, so each sum has the same bits in any order
+    (fsum's intermediate overflow aside, which these bounded rows never
+    reach).
+    """
     if not (a < b):
         raise ParameterError(f"need a < b, got a={a}, b={b}")
     if panels < 1:
@@ -151,12 +162,16 @@ def _nodes(a: float, b: float, order: int, panels: int):
     rule = _rule(order)
     h = (b - a) / panels
     half = 0.5 * h
-    abscissae = [a + p * h + half + half * node for p in range(panels) for node in rule.nodes]
-    return array("d", abscissae), array("d", rule.weights * panels), half
+    mid_nodes = sorted(range(order), key=lambda i: abs(2 * i - order + 1))
+    mid_panels = sorted(range(panels), key=lambda p: abs(2 * p - panels + 1))
+    abscissae = [a + p * h + half + half * rule.nodes[i] for i in mid_nodes for p in mid_panels]
+    weights = [rule.weights[i] for i in mid_nodes for _ in mid_panels]
+    return array("d", abscissae), array("d", weights), half
 
 
 def _require_finite(values, abscissae):
-    """The values; abort with the abscissa of the first non-finite one, if any."""
+    """The values; abort with the abscissa of the first non-finite one, if
+    any, first in the order of the row (for a rule's row, _nodes' order)."""
     if not all(map(math.isfinite, values)):
         x, value = next((x, v) for x, v in zip(abscissae, values) if not math.isfinite(v))
         raise EvaluationError(f"integrand returned {value} at x={x}")
@@ -176,8 +191,11 @@ def _t_sum(nodes, weighted, row) -> float:
     return nodes[2] * math.fsum(map(operator.mul, weighted, row))
 
 
-def _weigh(nodes, row) -> array:
-    return array("d", map(operator.mul, nodes[1], row))
+def _weigh(nodes, row) -> list:
+    """The row weighted by the rule `nodes`, w a, as a list: it is transient
+    (at most one is held at a time), and multiplying it into another row
+    (_t_sum) then boxes only that row's floats."""
+    return list(map(operator.mul, nodes[1], row))
 
 
 def _mode_rows(ts):

@@ -42,6 +42,8 @@ COMMANDS = [
     "verify --format json --alpha 1e-8",
     "verify --format json --alpha 1e8",
     "verify --format json --n-max 60 --alpha 1e8",
+    "verify --format json --quad-order 33 --panels 15",
+    "verify --format json --quad-order 65 --panels 1",
     "verify",
     "tabulate",
     "tabulate --n 7 --alpha 0.6024 --format json",

@@ -12,6 +12,7 @@ from fractions import Fraction
 from ptdarboux import verify
 from ptdarboux.errors import ParameterError
 from ptdarboux.hypergeom import TerminatingHypergeometric
+from ptdarboux.numerics import gauss_legendre
 
 
 def f21_term_ratio_sum(h, z) -> Fraction:
@@ -104,6 +105,40 @@ def integrate_product(first, second, a: float, b: float, order: int, panels: int
     t-rule sums (verify._TSums): half * sum (w first(x)) second(x)."""
     abscissae, weights, half = verify._nodes(a, b, order, panels)
     return half * math.fsum((w * first(x)) * second(x) for x, w in zip(abscissae, weights))
+
+
+def ascending_rule(a: float, b: float, order: int, panels: int) -> tuple[list, list]:
+    """The composite Gauss-Legendre rule with `panels` equal subintervals of
+    (a, b) as (abscissae, weights), in ascending order: panel by panel from
+    a, each panel's nodes from left to right."""
+    rule = gauss_legendre(order)
+    h = (b - a) / panels
+    half = 0.5 * h
+    abscissae = [a + p * h + half + half * node for p in range(panels) for node in rule.nodes]
+    return abscissae, list(rule.weights) * panels
+
+
+def fsum_partials(terms) -> float:
+    """The mean number of partials that each of `terms` walks in Shewchuk's
+    summation loop as CPython's math.fsum runs it (Shewchuk, Discrete
+    Comput. Geom. 18 (1997) 305): the partials are non-overlapping floats
+    in increasing magnitude whose exact sum is that of the terms so far,
+    and each term is added to every one of them."""
+    partials, walked = [], 0
+    for x in terms:
+        walked += len(partials)
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x] if x else []
+    return walked / len(terms)
 
 
 def json_safe(obj):

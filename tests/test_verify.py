@@ -1,6 +1,7 @@
 """Quadrature checks, reports, the finite-difference spectrum, and the suite."""
 import inspect
 import math
+import operator
 import random
 import re
 from array import array
@@ -14,8 +15,10 @@ from hypothesis import strategies as st
 
 import fd_certificate
 from oracles import (
+    ascending_rule,
     chi,
     f21_real,
+    fsum_partials,
     integrate,
     integrate_product,
     pt_eigen_hypergeom,
@@ -299,6 +302,70 @@ def test_suite_takes_each_t_rule_integral_once(monkeypatch):
     assert run_full_suite(n_max=n_max, grid_points=1000).overall
     partners = n_max - 1  # k = 2..n_max
     assert sums == partners * (partners + 1) // 2 + 2 + partners + 2 * (n_max + 1)
+
+
+@pytest.mark.parametrize("order, panels", [(64, 32), (7, 5), (9, 1), (64, 1), (8, 3), (3, 4)])
+def test_the_rule_is_the_ascending_rule_from_its_middle_out(order, panels):
+    # the same (abscissa, weight) pairs as the ascending composite rule; the
+    # first is the middle panel's node nearest that panel's centre, which is
+    # the node nearest the interval's middle when both counts are odd
+    for a, b in ((0.0, math.pi), (0.0, 1.0)):
+        abscissae, weights, half = verify._nodes(a, b, order, panels)
+        ascending = ascending_rule(a, b, order, panels)
+        assert sorted(zip(abscissae, weights)) == sorted(zip(*ascending))
+        assert half == 0.5 * ((b - a) / panels)
+        centre = a + ((panels - 1) // 2 + 0.5) * ((b - a) / panels)
+        assert abs(abscissae[0] - centre) <= min(abs(x - centre) for x in abscissae) + 1e-15
+        if order % 2 and panels % 2:
+            assert abs(abscissae[0] - 0.5 * (a + b)) <= 1e-15
+
+
+def _rule_sums(n_max):
+    # every t-rule sum (each mode's D and M, each Gram pair, each level's D
+    # and M) and every z-rule sum of the suite at n_max, read afresh
+    verify._quad_grid.cache_clear()
+    verify._z_sums.cache_clear()
+    t_sums = verify._quad_grid(64, 32)
+    nodes, modes = t_sums.nodes, t_sums.modes
+    sums = {(k, kind): t_sums.mode_sum(k, kind)
+            for k in range(2, n_max + 3) for kind in ("D", "M")}
+    for i in range(2, n_max + 1):
+        weighted = verify._weigh(nodes, modes[i - 2])
+        for j in range(i + 1, n_max + 1):
+            sums[i, j] = verify._t_sum(nodes, weighted, modes[j - 2])
+    for n in range(n_max + 1):
+        sums["level", n] = t_sums.levels[n]
+        sums["z", n] = verify._z_sums(64, 32)[1][n]
+    verify._quad_grid.cache_clear()
+    verify._z_sums.cache_clear()
+    return sums
+
+
+def test_every_rule_sum_equals_the_ascending_rules_bit_for_bit(monkeypatch):
+    # fsum is correctly rounded and each row is computed node by node, so
+    # taking the rule from its middle out changes no bit of any sum
+    middle_out = _rule_sums(10)
+    monkeypatch.setattr(verify, "_nodes", lambda a, b, order, panels: (
+        *ascending_rule(a, b, order, panels), 0.5 * ((b - a) / panels)))
+    ascending = _rule_sums(10)
+    assert len(middle_out) == 11 * 2 + 9 * 8 // 2 + 11 * 2
+    assert repr(middle_out) == repr(ascending)
+
+
+def test_gram_sums_walk_few_fsum_partials():
+    # math.fsum adds each term to every partial it holds.  From the middle
+    # out the large terms come first and the tiny wall terms (down to 1e-20)
+    # last, so the 15 Gram pairs of k = 2..6 at the default rule walk 3.8
+    # partials per term; from wall to wall they walked 15.6
+    t_sums = verify._quad_grid(64, 32)
+    nodes, modes = t_sums.nodes, t_sums.modes
+    work = []
+    for i in range(2, 7):
+        weighted = verify._weigh(nodes, modes[i - 2])
+        work += [fsum_partials(list(map(operator.mul, weighted, modes[j - 2])))
+                 for j in range(i, 7)]
+    assert len(work) == 15
+    assert sum(work) / len(work) <= 4.35
 
 
 def test_partner_mode_sums_match_their_x_space_form():
