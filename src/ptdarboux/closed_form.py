@@ -8,22 +8,23 @@ the closed interval; its t-derivatives differentiate the same recurrence.
 The same bracket appears on the right-hand side of the hypergeometric
 identity that ties these images to the Poschl-Teller bound states of the
 symmetric kappa = lam = 2 well; its base, even-ratio and odd-ratio forms
-are one level-n formula (identity_pairs).  Every row
+are one level-n formula (_identity_rows).  Every row
 sampled on a row of t (bound-state factors, brackets and their second
 derivatives, the partner potential, both sides of the identities and of
 the correspondence) comes from one holder, TGrid, which keeps each sweep's
-rows in a _Swept and builds a bracket row from its U sweep only when it is
-read; the point-wise chi_eval and chi_derivatives read one point of its
-sweeps, and identity_sides reads a one-point TGrid.
+rows in a _Swept, builds a bracket row from its U sweep only when it is
+read and differentiates the same U rows for g''; the point-wise chi_eval
+and chi_derivatives read one point of its sweeps, and identity_sides
+reads a one-point TGrid.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from collections import namedtuple
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from .darboux import partner_potential
 from .errors import DomainError, EvaluationError, ParameterError, StabilityError
@@ -69,7 +70,8 @@ class _Swept:
     raised at index i is raised again by every later read at or above i; the
     items below stay readable.  An interruption that is no Exception
     (KeyboardInterrupt) keeps the items read, and the next read restarts the
-    sweep past them.  A returned item is shared and must not be changed."""
+    sweep past them.  Iterating reads items 0, 1, ... in turn.  A returned
+    item is shared and must not be changed."""
 
     def __init__(self, sweep):
         self._sweep, self._rows, self._items, self._error = sweep, None, [], None
@@ -91,6 +93,9 @@ class _Swept:
                 self._rows = None
                 raise
         return self._items[i]
+
+    def __iter__(self):
+        return map(self.__getitem__, count())
 
 
 def _level_rows(ts):
@@ -120,54 +125,64 @@ def _u_rows(cosines):
 
 
 def _bracket_rows(ts):
-    """Rows of the bracket k cos(kt) - cos(t) U_{k-1}(cos t) at every t of
-    `ts` for k = 2, 3, ... (_u_rows, then _bracket); it equals
-    k cos(kt) - cot(t) sin(kt) but stays finite at t = 0 and t = pi (where
-    it vanishes)."""
+    """Rows N_k g_k of the partner modes at unit scale (alpha = 1, norm N_k)
+    at every t of `ts` for k = 2, 3, ..., each scaled as its bracket
+    g_k = k cos(kt) - cos(t) U_{k-1}(cos t) is built (_u_rows, then
+    _bracket); g_k equals k cos(kt) - cot(t) sin(kt) but stays finite at
+    t = 0 and t = pi (where it vanishes)."""
     cosines = array("d", map(math.cos, ts))
     for k, u in zip(count(2), _u_rows(cosines)):
-        yield _bracket(k, ts, cosines, u)
+        yield _bracket(k, ts, cosines, u, TrigEigenfunction(k, 1.0).norm)
 
 
-def _bracket(k, ts, cosines, u) -> array:
-    """The bracket row k cos(kt) - cos(t) U_{k-1}(cos t) from the U_{k-1} row u."""
-    return array("d", [k * math.cos(k * t) - c * v for t, c, v in zip(ts, cosines, u)])
+def _bracket(k, ts, cosines, u, scale) -> array:
+    """The row scale * (k cos(kt) - cos(t) U_{k-1}(cos t)) from the U_{k-1}
+    row u; a scale of 1.0 gives the bracket's own bits.  k is taken as a
+    float once, which rounds each product as the int would."""
+    fk, cos = float(k), math.cos
+    return array("d", [scale * (fk * cos(fk * t) - c * v) for t, c, v in zip(ts, cosines, u)])
 
 
-def _chebyshev_rows(cosines):
-    """Rows (U, U', U'') of U_{k-1}(c) and its first two derivatives in c at
-    every c of `cosines` for k = 2, 3, ...: one forward sweep differentiates
-    U_j = (2c) U_{j-1} - U_{j-2} in c, U_j' = 2 U_{j-1} + (2c) U_{j-1}' -
-    U_{j-2}' and U_j'' = 4 U_{j-1}' + (2c) U_{j-1}'' - U_{j-2}'', keeping the
-    last two rows of each."""
-    two_cos = array("d", [2.0 * c for c in cosines])
-    zeros = array("d", [0.0]) * len(cosines)
-    u_prev, u = zeros, array("d", [1.0]) * len(cosines)  # U_-1, U_0
+def _chebyshev_rows(us):
+    """Rows (U, U', U'') of U_{k-1}(c) and its first two derivatives in c
+    for k = 2, 3, ..., from the rows U_1, U_2, ... of one U sweep (_u_rows),
+    whose first row U_1 = 2c is, bit for bit, the factor 2c of each
+    recurrence: one forward sweep differentiates U_j = (2c) U_{j-1} - U_{j-2}
+    in c, U_j' = 2 U_{j-1} + (2c) U_{j-1}' - U_{j-2}' and
+    U_j'' = 4 U_{j-1}' + (2c) U_{j-1}'' - U_{j-2}'', keeping the last two
+    rows of each."""
+    us = iter(us)
+    two_cos = next(us)
+    zeros = array("d", [0.0]) * len(two_cos)
+    u_prev = array("d", [1.0]) * len(two_cos)  # U_0
     du_prev, du, ddu_prev, ddu = zeros, zeros, zeros, zeros  # U', U'' at j = -1, 0
-    while True:
-        u_prev, u = u, array("d", [tc * v - w for tc, v, w in zip(two_cos, u, u_prev)])
+    for u in chain([two_cos], us):
         du_prev, du = du, array("d", [2.0 * w + tc * v - z
                                       for w, tc, v, z in zip(u_prev, two_cos, du, du_prev)])
         ddu_prev, ddu = ddu, array("d", [4.0 * w + tc * v - z
                                          for w, tc, v, z in zip(du_prev, two_cos, ddu, ddu_prev)])
         yield u, du, ddu
+        u_prev = u
 
 
-def _derivative_rows(ts):
+def _derivative_rows(ts, us):
     """Rows g'' in t of the bracket g = k cos(kt) - cos(t) U_{k-1}(cos t) at
-    every t of `ts` for k = 2, 3, ..., from the _chebyshev_rows sweep
-    (chi_derivatives states g'')."""
-    sines = array("d", map(math.sin, ts))
+    every t of `ts` for k = 2, 3, ..., from the U rows `us` of `ts`'s
+    cosines (U_1, U_2, ...) through _chebyshev_rows (chi_derivatives states
+    g'')."""
+    sin_sq = array("d", [s * s for s in map(math.sin, ts)])
     cosines = array("d", map(math.cos, ts))
-    for k, rows in zip(count(2), _chebyshev_rows(cosines)):
-        yield _second_derivative(k, ts, sines, cosines, *rows)
+    for k, rows in zip(count(2), _chebyshev_rows(us)):
+        yield _second_derivative(k, ts, sin_sq, cosines, *rows)
 
 
-def _second_derivative(k, ts, sines, cosines, u, du, ddu) -> array:
-    """The row g'' from the rows (U, U', U'') of _chebyshev_rows at index k."""
-    return array("d", [-(k * k * k) * math.cos(k * t) + c * (v + c * dv)
-                       - s * s * (2.0 * dv + c * ddv)
-                       for t, s, c, v, dv, ddv in zip(ts, sines, cosines, u, du, ddu)])
+def _second_derivative(k, ts, sin_sq, cosines, u, du, ddu) -> array:
+    """The row g'' from the row sin^2(t) and the rows (U, U', U'') of
+    _chebyshev_rows at index k; k and -k^3 are taken as floats once, which
+    rounds each product as the ints would."""
+    fk, cube, cos = float(k), float(-(k * k * k)), math.cos
+    return array("d", [cube * cos(fk * t) + c * (v + c * dv) - s2 * (2.0 * dv + c * ddv)
+                       for t, s2, c, v, dv, ddv in zip(ts, sin_sq, cosines, u, du, ddu)])
 
 
 def chi_eval(f: TrigEigenfunction, x: float) -> float:
@@ -179,7 +194,7 @@ def chi_eval(f: TrigEigenfunction, x: float) -> float:
         raise DomainError(f"x={x} outside closed interval [0, {length}]")
     t = 2.0 * f.alpha * x
     c = math.cos(t)
-    (g,) = _bracket(f.k, [t], [c], next(islice(_u_rows([c]), f.k - 2, None)))
+    (g,) = _bracket(f.k, [t], [c], next(islice(_u_rows([c]), f.k - 2, None)), 1.0)
     return f.norm * g
 
 
@@ -195,19 +210,22 @@ def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float
 
     then d/dx = 2 alpha d/dt.  Points with t = 2 alpha x within 2e-6 of
     either wall (t = 0 or pi) are rejected, at every alpha; use chi_eval
-    for the (vanishing) wall values.  One Chebyshev sweep gives all three.
+    for the (vanishing) wall values.  One U sweep (_u_rows) and the
+    Chebyshev sweep that differentiates it (_chebyshev_rows) give all three.
     """
     a = f.alpha
     t = 2.0 * a * x
     if not (2e-6 < t < math.pi - 2e-6):
         raise DomainError(f"x={x} (t={t}) too close to a wall for derivative evaluation")
     k, s, c = f.k, math.sin(t), math.cos(t)
-    u, du, ddu = next(islice(_chebyshev_rows([c]), k - 2, None))
-    (g,), (g2,) = _bracket(k, [t], [c], u), _second_derivative(k, [t], [s], [c], u, du, ddu)
+    u, du, ddu = next(islice(_chebyshev_rows(_u_rows([c])), k - 2, None))
+    (g,) = _bracket(k, [t], [c], u, 1.0)
+    (g2,) = _second_derivative(k, [t], [s * s], [c], u, du, ddu)
     g1 = -(k * k) * math.sin(k * t) + s * (u[0] + c * du[0])
     return f.norm * g, f.norm * 2.0 * a * g1, f.norm * 4.0 * a * a * g2
 
 
+@lru_cache(maxsize=64)
 def _midpoint_factor(n: int) -> tuple[Fraction, Fraction]:
     """Exact split C_n = r_n D_n of the level-n proportionality constant
     into a rational prefactor r_n and a 2F1 value D_n at z = 1/2:
@@ -218,7 +236,8 @@ def _midpoint_factor(n: int) -> tuple[Fraction, Fraction]:
                    D_n = 2F1(-2m, 2m+6; 7/2; 1/2)
 
     The odd level's own factor vanishes at the midpoint, so its D_n is the
-    shifted factor.  coefficient_C and the ratio identities share these.
+    shifted factor.  coefficient_C and the ratio identities share these,
+    built once per level (up to 64 levels kept; the Fractions are immutable).
     """
     if n < 0:
         raise ParameterError(f"index n must be >= 0, got {n}")
@@ -259,7 +278,7 @@ def normalization_A(n: int, alpha: float) -> float:
 # t = 2 alpha x at least this far from both walls.
 WALL_MARGIN = 1e-3
 
-# The identity families, read by identity_pairs, the suite and the CLI: the
+# The identity families, read by _identity_rows, the suite and the CLI: the
 # letter of a family's index (n, a level, or m, a family index), its row
 # label, the level of an index and the largest index run at a degree cap.
 IdentityFamily = namedtuple("IdentityFamily", "letter label level top")
@@ -275,7 +294,8 @@ class TGrid:
     reader: level(n) = F_n(sin^2(t/2)) and second_derivative(k) = the row
     g'' in t of the bracket g of index k >= 2 (each the kept rows of one
     sweep, a _Swept), mode(k) = the bracket g, built from the kept U_{k-1}
-    row of one U sweep on its first read and kept, and, built on first use,
+    row of the grid's one U sweep on its first read and kept (the g'' sweep
+    differentiates the same kept U rows), and, built on first use,
     sin_sq = sin^2(t) for the identities, the bound state's factors and the
     residual's partner potential at unit scale, x = t / 2 (every t inside
     (0, pi)).  A returned row is shared and must not be changed."""
@@ -286,7 +306,7 @@ class TGrid:
         # sweep factories: nothing is swept before a row is read
         self._levels = _Swept(partial(_level_rows, ts))
         self._u = _Swept(partial(_u_rows, cosines))  # U_{k-1} at position k - 2
-        self._second = _Swept(partial(_derivative_rows, ts))
+        self._second = _Swept(partial(_derivative_rows, ts, self._u))
         self._modes = {}
 
     def level(self, n: int) -> array:
@@ -295,7 +315,7 @@ class TGrid:
     def mode(self, k: int) -> array:
         _require_partner(k)
         if k not in self._modes:
-            self._modes[k] = _bracket(k, self.ts, self._cosines, self._u[k - 2])
+            self._modes[k] = _bracket(k, self.ts, self._cosines, self._u[k - 2], 1.0)
         return self._modes[k]
 
     def second_derivative(self, k: int) -> array:
@@ -327,7 +347,14 @@ class TGrid:
 
 def identity_pairs(which: str, index: int, grid: TGrid) -> list[tuple[float, float]]:
     """Both sides of one identity family at each t = 2 alpha x of `grid`, a
-    TGrid that several calls may share.
+    TGrid that several calls may share, as (left, right) pairs: the two rows
+    of _identity_rows, zipped."""
+    return list(zip(*_identity_rows(which, index, grid)))
+
+
+def _identity_rows(which: str, index: int, grid: TGrid) -> tuple[list[float], list[float]]:
+    """The left and the right side of one identity family at every t of
+    `grid`, as two rows.
 
     The three families are one identity at level n,
 
@@ -351,10 +378,8 @@ def identity_pairs(which: str, index: int, grid: TGrid) -> list[tuple[float, flo
     else:
         r, d = _midpoint_factor(n)
         den, pref = float(d), float(4 * r)
-    return [
-        (f / den, pref * g / s2)
-        for f, g, s2 in zip(grid.level(n), grid.mode(n + 2), grid.sin_sq)
-    ]
+    return ([f / den for f in grid.level(n)],
+            [pref * g / s2 for g, s2 in zip(grid.mode(n + 2), grid.sin_sq)])
 
 
 def identity_sides(n: int, alpha: float, x: float) -> tuple[float, float]:

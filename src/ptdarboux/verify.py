@@ -199,20 +199,25 @@ def _weigh(nodes, row) -> list:
 
 
 def _mode_rows(ts):
-    for k, bracket in enumerate(closed_form._bracket_rows(ts), 2):
-        norm = TrigEigenfunction(k, 1.0).norm
-        yield _require_finite(array("d", [norm * g for g in bracket]), ts)
+    for row in closed_form._bracket_rows(ts):  # N_k g_k at unit scale
+        yield _require_finite(row, ts)
+
+
+def _moment_sums(nodes, row) -> dict:
+    """D = half sum (w r) r and M = half sum (w r)(t r) of a row r on the t
+    rule `nodes`, both from one weighted row."""
+    weighted = _weigh(nodes, row)
+    return {"D": _t_sum(nodes, weighted, row),
+            "M": _t_sum(nodes, weighted, map(operator.mul, nodes[0], row))}
 
 
 def _level_sums(nodes):
     ts = nodes[0]
-    factors = closed_form._bound_factors(ts)
+    factor = array("d", map(operator.mul, *closed_form._bound_factors(ts)))  # sin^2 cos^2(t/2)
     for level in closed_form._level_rows(ts):
-        row = _require_finite(array("d", [s2 * c2 * f for s2, c2, f in zip(*factors, level)]), ts)
-        weighted = _weigh(nodes, row)
-        sums = {"D": _t_sum(nodes, weighted, row),
-                "M": _t_sum(nodes, weighted, map(operator.mul, ts, row))}
-        del row, weighted  # no row is held while the sweep waits for the next read
+        row = array("d", [s2c2 * f for s2c2, f in zip(factor, level)])
+        sums = _moment_sums(nodes, _require_finite(row, ts))
+        del row  # no row is held while the sweep waits for the next read
         yield sums
 
 
@@ -222,7 +227,9 @@ class _TSums:
     sum (w r)(t r) of a partner mode r_k = N_k g_k (normalized at alpha = 1,
     x = t / 2; modes[k - 2]) or of a level l_n = sin^2 cos^2(t/2) F_n (levels[n]
     keeps only its D and M), and P(r_i, r_j) = half sum (w r_i) r_j of a
-    Gram pair.  Each row is checked for non-finite values once (rows are
+    Gram pair.  A row's D and M are taken together, from one weighted row
+    (_moment_sums), when either is first asked for; the Gram matrix weighs
+    its own row r_i.  Each row is checked for non-finite values once (rows are
     bounded, so a non-finite product would make fsum return one or raise).
     The sweeps (_mode_rows, _level_sums) refer to the nodes, never to the
     _TSums, so no reference cycle delays freeing an evicted one."""
@@ -235,11 +242,9 @@ class _TSums:
 
     def mode_sum(self, k: int, kind: str) -> float:
         """D(r_k) or M(r_k), as kind says."""
-        if (k, kind) not in self._mode_sums:
-            row = self.modes[k - 2]
-            other = row if kind == "D" else map(operator.mul, self.nodes[0], row)
-            self._mode_sums[k, kind] = _t_sum(self.nodes, _weigh(self.nodes, row), other)
-        return self._mode_sums[k, kind]
+        if k not in self._mode_sums:
+            self._mode_sums[k] = _moment_sums(self.nodes, self.modes[k - 2])
+        return self._mode_sums[k][kind]
 
 
 _quad_grid = lru_cache(maxsize=1)(_TSums)
@@ -392,9 +397,10 @@ def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None
     tol = _tolerance(_FAMILIES["residual"].tolerance, tolerance)
     energy = box_energy(WellConfig(1.0), k)
     norm = TrigEigenfunction(k, 1.0).norm
+    norm4 = norm * 4.0
     grid = _interior_grid()
     worst = max(
-        abs(-(norm * 4.0 * g2) + v * (norm * g) - energy * (norm * g))
+        abs(-(norm4 * g2) + v * (chi := norm * g) - energy * chi)
         for v, g, g2 in zip(grid.potential, grid.mode(k), grid.second_derivative(k))
     )
     return _row("residual", worst / (energy * norm), 0.0, tol, k, alpha)
@@ -425,9 +431,9 @@ def check_identity(which: str, index: int, *, tolerance: float | None = None) ->
     [1e-3, pi - 1e-3] and the result does not depend on alpha.
     """
     tol = _tolerance(_FAMILIES["identity"].tolerance, tolerance)
-    pairs = closed_form.identity_pairs(which, index, _interior_grid())
-    scale = max(abs(lhs) for lhs, _ in pairs) or 1.0
-    dev = max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
+    lhs, rhs = closed_form._identity_rows(which, index, _interior_grid())
+    scale = max(map(abs, lhs)) or 1.0
+    dev = max(map(abs, map(operator.sub, lhs, rhs))) / scale
     return _row("identity", dev, 0.0, tol, which, IDENTITY_FAMILIES[which], index)
 
 

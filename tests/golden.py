@@ -44,6 +44,7 @@ COMMANDS = [
     "verify --format json --n-max 60 --alpha 1e8",
     "verify --format json --quad-order 33 --panels 15",
     "verify --format json --quad-order 65 --panels 1",
+    "verify --format json --n-max 60",
     "verify",
     "tabulate",
     "tabulate --n 7 --alpha 0.6024 --format json",
@@ -51,6 +52,7 @@ COMMANDS = [
     "identity --which base --n 5",
     "identity --which even --m 3 --format json",
     "identity --which odd --m 2 --alpha 0.6024",
+    "identity --which odd --m 30 --format json",
     "identity --which base --n 3 --tol identity=0",
     "spectrum",
     "spectrum --count 0 --format json",

@@ -234,7 +234,9 @@ def test_identities_delegate_to_their_t_cores():
 
 def test_identity_pairs_build_exact_constants_once(monkeypatch):
     # one grid costs one exact C_n (base) or one midpoint factor (ratios),
-    # however many points it has; the ratio forms never touch C_n
+    # however many points it has; the ratio forms never touch C_n.  Each
+    # level's factor is kept (_midpoint_factor's memo), and base n = 7 and
+    # odd m = 3 share level 7, so the memo is cleared before each call
     calls = {"coefficient_C": 0, "f21_eval_exact": 0}
     for name in calls:
         original = getattr(closed_form, name)
@@ -247,6 +249,7 @@ def test_identity_pairs_build_exact_constants_once(monkeypatch):
     for which, index, expected_c in (("base", 7, 1), ("even", 3, 0), ("odd", 3, 0)):
         for name in calls:
             calls[name] = 0
+        closed_form._midpoint_factor.cache_clear()
         result = check_identity(which, index)
         assert result.passed
         assert calls == {"coefficient_C": expected_c, "f21_eval_exact": 1}

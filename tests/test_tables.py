@@ -152,10 +152,12 @@ def test_derivative_rows_match_the_cotangent_form():
     # g = k cos(kt) - cot(t) sin(kt) differentiated by hand, where sin t >= 0.1
     # keeps the cotangent form accurate, against the swept g'' rows, which the
     # grid keeps, and against g' as chi_derivatives forms it at every 20th
-    # point (at alpha = 1, where x = t/2 gives back t exactly)
+    # point (at alpha = 1, where x = t/2 gives back t exactly).  The grid
+    # differentiates its own kept U rows, the sweep here a fresh U sweep
     ts = [t for t in verify._interior_grid().ts if math.sin(t) >= 0.1]
     grid = TGrid(ts)
-    for k, second in zip(range(2, MAX_DEGREE + 4), closed_form._derivative_rows(ts)):
+    seconds = closed_form._derivative_rows(ts, closed_form._u_rows(list(map(math.cos, ts))))
+    for k, second in zip(range(2, MAX_DEGREE + 4), seconds):
         assert grid.second_derivative(k) == second
         f = TrigEigenfunction(k, 1.0)
         first = [chi_derivatives(f, 0.5 * t)[1] / (2.0 * f.norm) for t in ts[::20]]

@@ -285,9 +285,11 @@ def test_partner_mode_checks_sample_each_bracket_once(monkeypatch):
 
 def test_suite_takes_each_t_rule_integral_once(monkeypatch):
     # one sum per distinct integral: the K(K+1)/2 Gram pairs (the diagonal
-    # is the trig norm's D), the D of the trig-norm modes above the Gram
-    # range, one M per partner mode (trig first moment and <x>) and one D
-    # and one M per level (x-form norm and hypergeometric first moment)
+    # is the trig norm's D), one D and one M per trig-norm mode (the M is the
+    # trig first moment's and <x>'s; the two modes above the moment range
+    # take theirs with their D, from the one weighted row both sums read)
+    # and one D and one M per level (x-form norm and hypergeometric first
+    # moment)
     sums = 0
     original = verify._t_sum
 
@@ -301,7 +303,7 @@ def test_suite_takes_each_t_rule_integral_once(monkeypatch):
     n_max = 4
     assert run_full_suite(n_max=n_max, grid_points=1000).overall
     partners = n_max - 1  # k = 2..n_max
-    assert sums == partners * (partners + 1) // 2 + 2 + partners + 2 * (n_max + 1)
+    assert sums == partners * (partners + 1) // 2 + 2 + (partners + 2) + 2 * (n_max + 1)
 
 
 @pytest.mark.parametrize("order, panels", [(64, 32), (7, 5), (9, 1), (64, 1), (8, 3), (3, 4)])
@@ -592,9 +594,9 @@ def _count_brackets(monkeypatch):
     brackets, sweeps = [], []
     bracket, u_rows = closed_form._bracket, closed_form._u_rows
 
-    def counted_bracket(k, ts, cosines, u):
+    def counted_bracket(k, ts, cosines, u, scale):
         brackets.append((k, len(ts)))
-        return bracket(k, ts, cosines, u)
+        return bracket(k, ts, cosines, u, scale)
 
     def counted_u_rows(cosines):
         sweeps.append(len(cosines))
@@ -637,10 +639,94 @@ def test_suite_builds_each_interior_bracket_row_once(monkeypatch):
         _clear_node_set_caches()
 
 
+def test_suite_weighs_each_row_once(monkeypatch):
+    # one weighted row per partner mode for both its D and its M (31 modes,
+    # k = 2..32), one per level (31), and one per Gram row i = 2..30 (29)
+    weighs = 0
+    original = verify._weigh
+
+    def counted(nodes, row):
+        nonlocal weighs
+        weighs += 1
+        return original(nodes, row)
+
+    monkeypatch.setattr(verify, "_weigh", counted)
+    _clear_node_set_caches()
+    try:
+        assert run_full_suite(n_max=30).overall
+        assert weighs == 31 + 31 + 29 == 91
+    finally:
+        _clear_node_set_caches()
+
+
+def test_each_grid_and_rule_starts_one_u_recurrence(monkeypatch):
+    # the t rule's mode sweep and the interior grid each start one U sweep
+    # (_u_rows), and every U row that the derivative sweep differentiates is
+    # a row of the grid's own U sweep, never one of a second recurrence; a
+    # chi_derivatives call starts one U sweep and differentiates its rows
+    starts, swept, differentiated = [], [], []
+    u_rows, chebyshev_rows = closed_form._u_rows, closed_form._chebyshev_rows
+
+    def counted_u_rows(cosines):
+        starts.append(len(cosines))
+        for row in u_rows(cosines):
+            swept.append(row)
+            yield row
+
+    def counted_chebyshev_rows(*args):
+        for rows in chebyshev_rows(*args):
+            differentiated.append(rows[0])
+            yield rows
+
+    monkeypatch.setattr(closed_form, "_u_rows", counted_u_rows)
+    monkeypatch.setattr(closed_form, "_chebyshev_rows", counted_chebyshev_rows)
+    _clear_node_set_caches()
+    try:
+        assert run_full_suite(n_max=30).overall
+        assert sorted(starts) == [verify.INTERIOR_POINTS, verify.QUAD_ORDER * verify.PANELS]
+        assert len(differentiated) == 29  # g'' for k = 2..30, the residual's
+        assert all(any(u is row for row in swept) for u in differentiated)
+        del starts[:], swept[:], differentiated[:]
+        closed_form.chi_derivatives(TrigEigenfunction(9, 1.0), 0.7)
+        assert starts == [1] and len(differentiated) == 8
+        assert all(any(u is row for row in swept) for u in differentiated)
+    finally:
+        _clear_node_set_caches()
+
+
+def test_suite_evaluates_each_levels_exact_factor_once(monkeypatch):
+    # C_n and the midpoint factors share one exact 2F1 value per level: the
+    # suite at n_max = 30 reads levels 0..31 (the odd ratio's 2m + 1 = 31)
+    # and evaluates each once; the 62 levels of the degree cap (the odd
+    # ratio at m = 30 reaches level 61) are all kept
+    calls = []
+    original = closed_form.f21_eval_exact
+
+    def counted(h, z):
+        calls.append((h, z))
+        return original(h, z)
+
+    monkeypatch.setattr(closed_form, "f21_eval_exact", counted)
+    closed_form._midpoint_factor.cache_clear()
+    try:
+        assert run_full_suite(n_max=30, grid_points=1000).overall
+        assert len(calls) == len(set(calls)) == 32
+        for _ in range(2):
+            for n in range(62):
+                closed_form.coefficient_C(n)
+            assert check_identity("odd", 30).passed
+        assert len(calls) == len(set(calls)) == 62
+    finally:
+        closed_form._midpoint_factor.cache_clear()
+
+
 def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch):
     # a KeyboardInterrupt at k = 4 of the t rule's mode sweep keeps the rows
     # read before it; the next read restarts the sweep past them, and the
-    # suite in the same process passes with the same bits
+    # suite in the same process passes with the same bits.  One at k = 6 of
+    # a grid's U sweep, raised while the derivative sweep reads it, leaves
+    # both sweeps with the rows below it, and both read on with the bits of
+    # a grid that was never interrupted
     _clear_node_set_caches()
     try:
         expected = check_trig_norm(4)
@@ -664,6 +750,28 @@ def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch
         report = run_full_suite(n_max=3)
         assert report.overall
         assert expected in report.checks
+
+        ts = verify._interior_grid().ts
+        fresh = closed_form.TGrid(ts)
+        expected_rows = [(fresh.second_derivative(k).tobytes(), fresh.mode(k).tobytes())
+                         for k in range(2, 12)]
+        original, interrupted = closed_form._u_rows, []
+
+        def interrupting_u(cosines):
+            for k, row in enumerate(original(cosines), start=2):
+                if k == 6 and not interrupted:
+                    interrupted.append(k)
+                    raise KeyboardInterrupt
+                yield row
+
+        monkeypatch.setattr(closed_form, "_u_rows", interrupting_u)
+        grid = closed_form.TGrid(ts)
+        with pytest.raises(KeyboardInterrupt):
+            grid.second_derivative(8)
+        assert interrupted == [6]
+        assert len(grid._u._items) == len(grid._second._items) == 4  # k = 2..5
+        assert [(grid.second_derivative(k).tobytes(), grid.mode(k).tobytes())
+                for k in range(2, 12)] == expected_rows
     finally:
         _clear_node_set_caches()
 
