@@ -48,10 +48,10 @@ MAX_PANELS = 1024
 # rows the quadrature's sums keep (verify._TSums) and 2 MB the one weighted
 # row, a list, that a sum holds (verify._weigh).
 MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
-# spectrum --count 10 (3 Sturm sweeps per mode over one 50,000-row mirror
-# block of the matrix, 1 Newton sweep and 2 certifying counts, plus one count
-# of the top per block; one Newton sweep per mode from 28,000 points up):
-# 0.15-0.20 s in process.
+# spectrum --count 10 (2 certifying Sturm counts per mode over one
+# 50,000-row mirror block of the matrix, at each mode's asymptotic
+# eigenvalue, with no Newton sweep: the gate admits all 10 modes from 23,847
+# points up): 0.06-0.08 s in process.
 MAX_GRID_POINTS = 100_000
 # tabulate --n 60: 0.2-0.3 s, peaking at 27 MB resident (VmHWM) in CSV and 29 MB
 # in JSON: it keeps 61 level rows and 61 U rows, and builds one bracket row.

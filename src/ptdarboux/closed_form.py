@@ -165,13 +165,18 @@ def _chebyshev_rows(us):
         u_prev = u
 
 
-def _derivative_rows(ts, us):
+def _sin_squares(ts) -> array:
+    """The row sin^2(t) at every t of `ts`."""
+    return array("d", [s * s for s in map(math.sin, ts)])
+
+
+def _derivative_rows(ts, cosines, sin_sq, us):
     """Rows g'' in t of the bracket g = k cos(kt) - cos(t) U_{k-1}(cos t) at
-    every t of `ts` for k = 2, 3, ..., from the U rows `us` of `ts`'s
-    cosines (U_1, U_2, ...) through _chebyshev_rows (chi_derivatives states
-    g'')."""
-    sin_sq = array("d", [s * s for s in map(math.sin, ts)])
-    cosines = array("d", map(math.cos, ts))
+    every t of `ts` for k = 2, 3, ..., from a TGrid's rows of `ts`: its
+    cosines, its row sin^2(t), which the call sin_sq() returns, and its U
+    rows `us` (U_1, U_2, ...), through _chebyshev_rows (chi_derivatives
+    states g'')."""
+    sin_sq = sin_sq()
     for k, rows in zip(count(2), _chebyshev_rows(us)):
         yield _second_derivative(k, ts, sin_sq, cosines, *rows)
 
@@ -295,7 +300,8 @@ class TGrid:
     g'' in t of the bracket g of index k >= 2 (each the kept rows of one
     sweep, a _Swept), mode(k) = the bracket g, built from the kept U_{k-1}
     row of the grid's one U sweep on its first read and kept (the g'' sweep
-    differentiates the same kept U rows), and, built on first use,
+    differentiates the same kept U rows and reads the grid's own cos t and
+    sin^2 t rows), and, built on first use,
     sin_sq = sin^2(t) for the identities, the bound state's factors and the
     residual's partner potential at unit scale, x = t / 2 (every t inside
     (0, pi)).  A returned row is shared and must not be changed."""
@@ -306,7 +312,8 @@ class TGrid:
         # sweep factories: nothing is swept before a row is read
         self._levels = _Swept(partial(_level_rows, ts))
         self._u = _Swept(partial(_u_rows, cosines))  # U_{k-1} at position k - 2
-        self._second = _Swept(partial(_derivative_rows, ts, self._u))
+        self._sin_sq = lru_cache(maxsize=1)(partial(_sin_squares, ts))  # built on first read
+        self._second = _Swept(partial(_derivative_rows, ts, cosines, self._sin_sq, self._u))
         self._modes = {}
 
     def level(self, n: int) -> array:
@@ -322,9 +329,9 @@ class TGrid:
         _require_partner(k)
         return self._second[k - 2]
 
-    @cached_property
+    @property
     def sin_sq(self) -> array:
-        return array("d", [s * s for s in map(math.sin, self.ts)])
+        return self._sin_sq()
 
     @cached_property
     def potential(self) -> array:

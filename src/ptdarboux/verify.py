@@ -516,12 +516,20 @@ def _sturm_newton(
 # its stop, a step relative to its iterate.  Newton's error after a relative
 # step s is about s^2, so a step of at most sqrt(_HALF_WIDTH) / 2 leaves the
 # iterate about _HALF_WIDTH / 4 off, inside the certifying counts' bracket.
-# Over 1,135 modes of 200 random grids (tests/fd_certificate.py) no value
-# moved more than 1.3e-14 from the one a stop of 1e-8 gives.
+# Over 1,135 modes of 200 random grids (tests/fd_certificate.py), 471 of them
+# certified at their _asymptotic value, no value moved more than 1.3e-14
+# from the one a Newton stop of 1e-8 gives.
 _HALF_WIDTH = 4.9e-14
 _WIDTH = 1e-13
 _NEWTON_SWEEPS = 64
 _NEWTON_STOP = math.sqrt(_HALF_WIDTH) / 2
+
+# The wall layer of the half-offset grid: v = x^2 + _WALL_BETA s solves
+# -(v_{i+1} - 2 v_i + v_{i-1}) + 2 v_i / x_i^2 = 0 on x_i = i + 1/2 with
+# v_{-1} = 0, where s is the solution that decays like 1/x (a backward
+# recurrence gives it); _asymptotic's h^3 coefficient is 4 |beta| / (3 pi).
+_WALL_BETA = -0.01865364928352934
+_WALL_GAMMA = 4.0 * abs(_WALL_BETA) / (3.0 * math.pi)
 
 
 def _block_mode(mode: int) -> tuple[int, int]:
@@ -543,9 +551,13 @@ def _settle(block: tuple, place: int, mu: float, a: float, b: float) -> tuple[fl
     sqrt(_HALF_WIDTH) / 2 of the iterate ends the iteration, about
     _HALF_WIDTH / 4 from the eigenvalue.  Two counts at mu (1 -/+ _HALF_WIDTH)
     must then show count(lo) < place <= count(up), which proves that the
-    eigenvalue lies in (lo, up]; when they do not, count bisection inside
-    the bracket finishes the mode at width _WIDTH of its upper end.  So the
-    start sets only the cost: any start gives a certified eigenvalue.
+    eigenvalue lies in (lo, up] (_certify); when they do not, count
+    bisection inside the bracket finishes the mode at width _WIDTH of its
+    upper end.  So the start sets only the cost: any start gives a
+    certified eigenvalue.  From the continuum start, a fine grid's mode
+    takes one Newton sweep and the two counts (28,000 points and up);
+    _sturm_grid calls this only for a mode the gate does not admit or whose
+    asymptotic value fails its counts.
     """
     for _ in range(_NEWTON_SWEEPS):
         if not a < mu < b:
@@ -561,8 +573,7 @@ def _settle(block: tuple, place: int, mu: float, a: float, b: float) -> tuple[fl
         mu -= step
         if a <= mu <= b and abs(step) <= _NEWTON_STOP * mu:
             break
-    lo, up = mu * (1.0 - _HALF_WIDTH), mu * (1.0 + _HALF_WIDTH)
-    low, high = _sturm_count(*block, lo) < place, _sturm_count(*block, up) < place
+    lo, up, low, high = _certify(block, place, mu)
     if low and not high:
         return lo, mu, up
     for end, below in ((lo, low), (up, high)):
@@ -576,27 +587,76 @@ def _settle(block: tuple, place: int, mu: float, a: float, b: float) -> tuple[fl
     return a, 0.5 * (a + b), b
 
 
+def _certify(block: tuple, place: int, mu: float) -> tuple[float, float, bool, bool]:
+    """The bracket lo, up = mu (1 -/+ _HALF_WIDTH) and whether each end lies
+    below the block's place-th eigenvalue, from one count each: when lo does
+    and up does not, the eigenvalue lies in (lo, up]."""
+    lo, up = mu * (1.0 - _HALF_WIDTH), mu * (1.0 + _HALF_WIDTH)
+    return lo, up, _sturm_count(*block, lo) < place, _sturm_count(*block, up) < place
+
+
+def _admits(k: int, h: float) -> bool:
+    """Whether mode k^2's _asymptotic value is offered first: the free
+    particle's next term, (k h)^4 k^2 / 360, bounds every remainder
+    measured, and here it is at most a quarter of the certifying bracket's
+    half-width."""
+    return (k * h) ** 4 / 360.0 <= _HALF_WIDTH / 4
+
+
+def _asymptotic(k: int, h: float) -> float:
+    """The grid eigenvalue of the continuum mode k^2 (k >= 2) in units of
+    h^2, to O(h^4):
+
+        k^2 - (h^2 / 12) k (15 k^3 - 24 k^2 + 16) / 15 + gamma h^3 k^2 (k^2 - 1).
+
+    The h^2 term is -(h^2 / 12) int (g_k'')^2 / int g_k^2 for the partner
+    mode g_k = k cos(kt) - cot(t) sin(kt), the correction of Paine, de Hoog &
+    Anderssen (1981) for a regular potential.  The h^3 term is the wall
+    layer of the half-offset grid: near each wall g_k is c t^2, c = -(k^3 -
+    k) / 3, and the grid's solution there is c h^2 (x^2 + beta s) at t = x h
+    (_WALL_BETA).  Its 1/t tail c beta h^3 / t raises the eigenvalue by
+    3 c^2 |beta| h^3 / int g_k^2 at each wall, 3 the Wronskian of t^2 and
+    1/t, and int g_k^2 = (pi / 2)(k^2 - 1): over both walls, gamma =
+    4 |beta| / (3 pi).
+    """
+    h2, k2 = h * h, k * k
+    return h2 * (k2 - h2 * (k * (15 * k2 * k - 24 * k2 + 16)) / 180.0
+                 + _WALL_GAMMA * h2 * h * (k2 * (k2 - 1)))
+
+
 def _sturm_grid(grid_points: int, count: int, top: float) -> tuple[float, list]:
     """The grid's Sturm work for the lowest `count` modes: h^2 and each
-    mode's (lo, estimate, up) from _settle, in units of h^2 (_fd_matrix).
+    mode's (lo, estimate, up), in units of h^2 (_fd_matrix).
 
-    Each block that holds a mode counts the top (top h^2 here) once, and
-    must hold its modes below it.  Newton starts each mode i (from 1) at
-    its continuum eigenvalue (i + 1)^2, which the grid's lies just below,
-    inside the bracket [0, top].
+    A mode i (from 1) that _admits offers its _asymptotic value is certified
+    there by two counts (_certify), with no Newton sweep and no count of the
+    top.  Every other mode, and an admitted one whose counts disagree, is
+    _settle's: Newton from its continuum eigenvalue (i + 1)^2, which the
+    grid's lies just below, inside the bracket [0, top].  A block counts the
+    top (top h^2 here) once, the first time one of its modes needs Newton,
+    and must hold its modes below it.
     """
-    h2 = (math.pi / grid_points) ** 2
+    h = math.pi / grid_points
+    h2 = h ** 2
     blocks = _fd_matrix(grid_points)
     high = top * h2
-    for block in range(min(count, 2)):
-        places = (count + 1 - block) // 2
-        held = _sturm_count(*blocks[block], high)
-        if held < places:
-            raise EvaluationError(f"block {block} of the {grid_points}-point grid holds "
-                                  f"{held} of its {places} modes below the top {top}")
+    topped = set()
     modes = []
     for mode in range(1, count + 1):
         block, place = _block_mode(mode)
+        if _admits(mode + 1, h):
+            mu = _asymptotic(mode + 1, h)
+            lo, up, low, above = _certify(blocks[block], place, mu)
+            if low and not above:
+                modes.append((lo, mu, up))
+                continue
+        if block not in topped:
+            topped.add(block)
+            places = (count + 1 - block) // 2
+            held = _sturm_count(*blocks[block], high)
+            if held < places:
+                raise EvaluationError(f"block {block} of the {grid_points}-point grid holds "
+                                      f"{held} of its {places} modes below the top {top}")
         modes.append(_settle(blocks[block], place, (mode + 1) ** 2 * h2, 0.0, high))
     return h2, modes
 
@@ -621,16 +681,20 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     grid: the ground mode's error falls fourfold per grid doubling up to the
     100,000-point cap, where it is -1.1e-10.
 
-    Each mode is Newton's method on det(T - lambda) in sqrt(lambda)
-    (_sturm_newton), kept inside a bracket by each sweep's Sturm count
-    (Barth, Martin & Wilkinson 1967), then certified: two counts prove that
-    a bracket of relative width under 1e-13 holds exactly that mode, and the
-    result is its centre (_settle).  Newton starts mode i (from 0) at the
-    continuum eigenvalue (i + 2)^2 (_sturm_grid), at most 0.85% above the
-    grid's (mode 9 at 100 points), and stops once its step is at most
-    sqrt(_HALF_WIDTH) / 2 = 1.1e-7 of the iterate.  At 40,000 points and 10
-    modes that takes one Newton sweep per mode and 22 count sweeps, of
-    20,000 rows each; at 4,000 points and 3 modes, 5 and 8 of 2,000 rows.
+    Every mode is certified: two Sturm counts prove that a bracket of
+    relative width under 1e-13 holds exactly that mode (Barth, Martin &
+    Wilkinson 1967), and the result is its centre.  Where (k h)^4 / 360 is
+    at most _HALF_WIDTH / 4 (k = i + 2 for mode i from 0), the bracket is
+    centred on the grid eigenvalue's three-term expansion in h (_asymptotic),
+    whose remainder is under 1e-14 there, and the counts alone settle the
+    mode.  Every other mode is Newton's method on det(T - lambda) in
+    sqrt(lambda) (_sturm_newton), kept inside a bracket by each sweep's
+    count, from the continuum eigenvalue (i + 2)^2, at most 0.85% above the
+    grid's (mode 9 at 100 points), until its step is at most
+    sqrt(_HALF_WIDTH) / 2 = 1.1e-7 of the iterate (_settle).  At 40,000
+    points and 10 modes that is no Newton sweep and 20 count sweeps of
+    20,000 rows; at 4,000 points and 3 modes, 5 Newton and 8 count sweeps of
+    2,000 rows.
 
     An alpha whose 4 alpha^2 is not a positive normal float is rejected: an
     underflowed scale would return zeros that match underflowed exact

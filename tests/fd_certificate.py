@@ -1,18 +1,23 @@
 """fd_spectrum's certificate on seeded random grids.
 
-Each mode of verify.fd_spectrum is Newton, then two counts that prove a
-bracket of half-width verify._HALF_WIDTH around it; bisection on counts
-finishes a mode whose counts disagree.  On every grid drawn here no mode may
-need that fallback: the grid's count sweeps are exactly 2 per mode plus one
-count of the top per block that holds a mode.  And each value must lie within
-_HALF_WIDTH / 2 (relative) of the value a Newton stop of 1e-8 gives.
+Each mode of verify.fd_spectrum is certified by two counts that prove a
+bracket of half-width verify._HALF_WIDTH around its value.  A mode whose k h
+the gate admits (verify._admits) takes its asymptotic grid eigenvalue
+with no Newton sweep; every other mode, and an admitted one whose counts
+disagree, takes Newton first, and its block counts the top once.  On every
+grid drawn here no admitted mode may fail its certificate, and no mode may
+need the fallback bisection: the grid's count sweeps are exactly 2 per mode
+plus one count of the top per block in which some mode ran Newton.  And each
+value must lie within _HALF_WIDTH / 2 (relative) of the reference, which
+runs Newton from the continuum eigenvalue for every mode with a stop of 1e-8.
 
     PYTHONPATH=src python tests/fd_certificate.py [GRIDS [SEED]]
 
 draws GRIDS grids (default 200, seed 1): points log-uniform in 100-100,000,
-1-10 modes and alpha log-uniform in 1e-6-1e6.  It prints the worst move and
-the grids that fell back, and exits 1 when any grid falls back or moves
-further than _HALF_WIDTH / 2.
+1-10 modes and alpha log-uniform in 1e-6-1e6.  It prints how many modes took
+each path, the worst move and the grids at fault, and exits 1 when an
+admitted mode fails its certificate, a grid makes more count sweeps than
+that, or a value moves further than _HALF_WIDTH / 2.
 """
 import math
 import random
@@ -30,44 +35,62 @@ def grids(count: int, seed: int, max_points: int = 100_000) -> list[tuple[float,
              rng.randint(1, 10)) for _ in range(count)]
 
 
-def _spectrum(alpha: float, grid_points: int, modes: int, stop: float) -> tuple[list, int]:
-    """fd_spectrum with Newton's stop set to `stop`, and its count sweeps."""
-    sturm_count, newton_stop = verify._sturm_count, verify._NEWTON_STOP
-    counts = []
+def _spectrum(alpha: float, grid_points: int, modes: int, reference: bool) -> tuple[list, int, list]:
+    """fd_spectrum, its count sweeps and the block of each mode that ran
+    Newton (_settle); the reference closes the gate and stops Newton at 1e-8."""
+    saved = verify._sturm_count, verify._settle, verify._admits, verify._NEWTON_STOP
+    sturm_count, settle = saved[:2]
+    counts, settled = [], []
 
     def counted(*args):
         counts.append(1)
         return sturm_count(*args)
 
-    verify._sturm_count, verify._NEWTON_STOP = counted, stop
+    def newton(block, *args):
+        settled.append(block)
+        return settle(block, *args)
+
+    verify._sturm_count, verify._settle = counted, newton
+    if reference:
+        verify._admits, verify._NEWTON_STOP = lambda k, h: False, 1e-8
     try:
-        return verify.fd_spectrum(alpha, grid_points, modes), len(counts)
+        return verify.fd_spectrum(alpha, grid_points, modes), len(counts), settled
     finally:
-        verify._sturm_count, verify._NEWTON_STOP = sturm_count, newton_stop
+        verify._sturm_count, verify._settle, verify._admits, verify._NEWTON_STOP = saved
 
 
-def check(alpha: float, grid_points: int, modes: int) -> tuple[int, float]:
-    """A grid's count sweeps beyond the certificate's (2 per mode, and one
-    count of the top per block that holds a mode), and its largest relative
-    move from the values a Newton stop of 1e-8 gives."""
-    values, counts = _spectrum(alpha, grid_points, modes, verify._NEWTON_STOP)
-    reference, _ = _spectrum(alpha, grid_points, modes, 1e-8)
+def check(alpha: float, grid_points: int, modes: int) -> tuple[int, int, int, float]:
+    """A grid's modes that the gate admits, the admitted ones whose
+    certificate failed (they ran Newton), its count sweeps beyond the
+    certificate's (2 per mode, and one count of the top per block in which
+    a mode ran Newton), and its largest relative move from the reference."""
+    h = math.pi / grid_points
+    admitted = sum(verify._admits(k, h) for k in range(2, modes + 2))
+    values, counts, settled = _spectrum(alpha, grid_points, modes, reference=False)
+    reference, _, _ = _spectrum(alpha, grid_points, modes, reference=True)
     move = max(abs(value - ref) / ref for value, ref in zip(values, reference))
-    return counts - 2 * modes - min(modes, 2), move
+    failed = len(settled) - (modes - admitted)
+    extra = counts - 2 * modes - len({id(block) for block in settled})
+    return admitted, failed, extra, move
 
 
 def main(argv: list[str]) -> int:
     count = int(argv[0]) if argv else 200
     seed = int(argv[1]) if len(argv) > 1 else 1
     results = [(grid, *check(*grid)) for grid in grids(count, seed)]
-    (alpha, grid_points, modes), _, worst = max(results, key=lambda result: result[2])
-    print(f"{count} grids (seed {seed}); worst move against a 1e-8 stop: {worst:.3g} "
-          f"(alpha={alpha!r} grid_points={grid_points} modes={modes}); "
+    modes = sum(grid[2] for grid, *_ in results)
+    asymptotic = sum(admitted - failed for _, admitted, failed, _, _ in results)
+    (alpha, grid_points, worst_modes), *_, worst = max(results, key=lambda result: result[4])
+    print(f"{count} grids (seed {seed}), {modes} modes: {asymptotic} certified at their "
+          f"asymptotic value, {modes - asymptotic} by Newton; worst move against the reference: "
+          f"{worst:.3g} "
+          f"(alpha={alpha!r} grid_points={grid_points} modes={worst_modes}); "
           f"bound {verify._HALF_WIDTH / 2:.3g}")
-    failed = [grid for grid, extra, _ in results if extra]
-    for alpha, grid_points, modes in failed:
-        print(f"fallback bisection: alpha={alpha!r} grid_points={grid_points} modes={modes}")
-    return 1 if failed or worst > verify._HALF_WIDTH / 2 else 0
+    faults = [(grid, failed, extra) for grid, _, failed, extra, _ in results if failed or extra]
+    for (alpha, grid_points, grid_modes), failed, extra in faults:
+        print(f"alpha={alpha!r} grid_points={grid_points} modes={grid_modes}: {failed} admitted "
+              f"modes failed their certificate, {extra} count sweeps beyond it")
+    return 1 if faults or worst > verify._HALF_WIDTH / 2 else 0
 
 
 if __name__ == "__main__":

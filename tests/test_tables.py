@@ -153,10 +153,12 @@ def test_derivative_rows_match_the_cotangent_form():
     # keeps the cotangent form accurate, against the swept g'' rows, which the
     # grid keeps, and against g' as chi_derivatives forms it at every 20th
     # point (at alpha = 1, where x = t/2 gives back t exactly).  The grid
-    # differentiates its own kept U rows, the sweep here a fresh U sweep
+    # differentiates its own kept U rows, the sweep here a fresh U sweep of
+    # the cosines, and both read the grid's cos t and sin^2 t rows
     ts = [t for t in verify._interior_grid().ts if math.sin(t) >= 0.1]
     grid = TGrid(ts)
-    seconds = closed_form._derivative_rows(ts, closed_form._u_rows(list(map(math.cos, ts))))
+    seconds = closed_form._derivative_rows(ts, grid._cosines, grid._sin_sq,
+                                           closed_form._u_rows(grid._cosines))
     for k, second in zip(range(2, MAX_DEGREE + 4), seconds):
         assert grid.second_derivative(k) == second
         f = TrigEigenfunction(k, 1.0)

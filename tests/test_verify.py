@@ -1063,32 +1063,42 @@ def _sweeps(monkeypatch, grid_points, count, alpha=1.0):
 def test_fd_spectrum_sweeps_few_counts(monkeypatch):
     # bisection with a sweep at every midpoint makes 112 at (4000, 3); there
     # the 2,000-row blocks take 5 Newton sweeps, and 2 certifying counts per
-    # mode and one count of the top per block make 8.  At (40000, 10) the
-    # 20,000-row blocks take one Newton sweep per mode and 22 counts
+    # mode and one count of the top per block make 8.  At (40000, 10) every
+    # mode is certified at its asymptotic value: no Newton sweep, and the 20
+    # certifying counts of 20,000 rows
     coarse = [name for name, rows in _sweeps(monkeypatch, 4000, 3)[1] if rows == 2000]
     assert coarse.count("_sturm_newton") == 5 and coarse.count("_sturm_count") == 8
-    fine = [name for name, rows in _sweeps(monkeypatch, 40000, 10)[1] if rows == 20000]
-    assert fine.count("_sturm_newton") == 10 and fine.count("_sturm_count") == 22
+    fine = _sweeps(monkeypatch, 40000, 10)[1]
+    assert fine == [("_sturm_count", 20000)] * 20
 
 
 @pytest.mark.parametrize("grid_points", [28000, 40000, 40017, 65536, 100000])
 def test_fd_spectrum_takes_one_newton_sweep_per_fine_grid_mode(monkeypatch, grid_points):
-    # on these grids Newton's first step from each mode's continuum start is
+    # on these grids the gate admits every mode, so none takes a Newton
+    # sweep or a count of the top: 2 certifying counts per mode.  With the
+    # gate closed, Newton's first step from each mode's continuum start is
     # at most sqrt(_HALF_WIDTH) / 2 of it, so one sweep per mode ends Newton
-    sweeps = _sweeps(monkeypatch, grid_points, 10)[1]
-    assert [name for name, _ in sweeps].count("_sturm_newton") == 10
+    names = [name for name, _ in _sweeps(monkeypatch, grid_points, 10)[1]]
+    assert names == ["_sturm_count"] * 20
+    monkeypatch.setattr(verify, "_admits", lambda k, h: False)
+    names = [name for name, _ in _sweeps(monkeypatch, grid_points, 10)[1]]
+    assert names.count("_sturm_newton") == 10 and names.count("_sturm_count") == 22
 
 
 def test_fd_values_lie_deep_inside_their_certificates():
     # on 40 seeded grids (100-6,000 points, 1-10 modes, alpha log-uniform in
-    # 1e-6-1e6) no mode falls back to bisection: the count sweeps are the 2
-    # certifying counts per mode and one count of the top per block that
-    # holds a mode.  Each value lies within _HALF_WIDTH / 2 of the value a
-    # Newton stop of 1e-8 gives: measured at most 1.2e-14
+    # 1e-6-1e6) no admitted mode fails its certificate and no mode falls
+    # back to bisection: the count sweeps are the 2 certifying counts per
+    # mode and one count of the top per block in which a mode ran Newton.
+    # Each value lies within _HALF_WIDTH / 2 of the reference, Newton with a
+    # stop of 1e-8 for every mode: measured at most 1.2e-14.  The three
+    # grids above 4,335 points certify their ground mode at its asymptotic
+    # value
     results = {grid: fd_certificate.check(*grid)
                for grid in fd_certificate.grids(40, 20151, max_points=6000)}
-    assert all(extra == 0 and move <= verify._HALF_WIDTH / 2
-               for extra, move in results.values()), results
+    assert all(failed == extra == 0 and move <= verify._HALF_WIDTH / 2
+               for _, failed, extra, move in results.values()), results
+    assert sum(admitted for admitted, *_ in results.values()) == 3
 
 
 def _sweep_units(monkeypatch, grid_points, count):
@@ -1099,15 +1109,88 @@ def _sweep_units(monkeypatch, grid_points, count):
 
 
 @pytest.mark.parametrize("grid_points,count,units", [
-    (4000, 3, 10.5), (40000, 10, 29.7), (40017, 10, 29.7), (100000, 10, 23.1),
+    (4000, 3, 10.5), (40000, 10, 10.0), (40017, 10, 10.0), (100000, 10, 10.0),
     (999, 10, 34.1), (100, 10, 44.0)])
 def test_fd_spectrum_starts_newton_at_the_continuum_eigenvalue(monkeypatch, grid_points, count,
                                                                units):
-    # measured: 9.0, 21.0, 21.0, 21.0, 31.0 and 40.0 units; with a Newton
-    # stop of 1e-8, 10.0, 27.0, 27.0, 21.0, 31.0 and 40.0; Newton started from
-    # a grid 16 times coarser, with a bisection on the coarsest, took 11.0,
-    # 32.8, 32.8, 32.5, 58.5 and 60.5
+    # measured: 9.0, 10.0, 10.0, 10.0, 31.0 and 40.0 units.  On the three
+    # fine grids every mode is 2 counts at its asymptotic value, where Newton
+    # from the continuum start took 21.0
     assert 0 < _sweep_units(monkeypatch, grid_points, count) <= units
+
+
+def _cosine_coefficients(k):
+    # g_k = k cos(kt) - cos(t) U_{k-1}(cos t) as {m: c_m} of cos(mt), with
+    # U_{k-1}(cos t) = sum_j cos((k - 1 - 2 j) t) and cos t cos(mt) =
+    # (cos((m + 1) t) + cos((m - 1) t)) / 2: integers and halves
+    coefficients = {k: Fraction(k)}
+    for j in range(k):
+        m = k - 1 - 2 * j
+        for n in (abs(m + 1), abs(m - 1)):
+            coefficients[n] = coefficients.get(n, 0) - Fraction(1, 2)
+    return coefficients
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_asymptotic_h2_coefficient_is_the_perturbation_ratio(k):
+    # int (g_k'')^2 / int g_k^2 over (0, pi), by Parseval on g_k's cosine
+    # coefficients (int cos^2(mt) = pi / 2, and pi for m = 0), equals
+    # _asymptotic's k (15 k^3 - 24 k^2 + 16) / 15; int g_k^2 = (pi / 2)(k^2 - 1)
+    coefficients = _cosine_coefficients(k)
+    assert all(2 * c == int(2 * c) for c in coefficients.values())
+    weight = {m: (2 if m == 0 else 1) * c * c for m, c in coefficients.items()}
+    assert sum(weight.values()) == k * k - 1
+    ratio = sum(m ** 4 * w for m, w in weight.items()) / sum(weight.values())
+    assert ratio == Fraction(k * (15 * k ** 3 - 24 * k * k + 16), 15)
+
+
+def test_wall_beta_is_the_backward_recurrences():
+    # s decays like 1/x: from 1/x - 1/(5 x^3) at x = 1000.5 and 1001.5 (the
+    # 1/x^5 residual of 1/x fixes the -1/5), the backward recurrence
+    # s_{i-1} = 2 s_i + 2 s_i / x_i^2 - s_{i+1} on x_i = i + 1/2 runs to the
+    # ghost node x_{-1}, where v = x^2 + beta s vanishes: beta = -1/4 / s_{-1}
+    s_next, s = (1.0 / x - 0.2 / x ** 3 for x in (1001.5, 1000.5))
+    for i in range(1000, -1, -1):
+        x = i + 0.5
+        s_next, s = s, 2.0 * s + 2.0 * s / (x * x) - s_next
+    beta = -0.25 / s
+    assert abs(beta - verify._WALL_BETA) <= 1e-8 * abs(verify._WALL_BETA)
+    assert verify._WALL_GAMMA == 4.0 * abs(verify._WALL_BETA) / (3.0 * math.pi)
+
+
+def _certified_modes(grid_points, count=10):
+    # each mode's h, continuum k and value by Newton from k^2 with its two
+    # certifying counts, the path of every mode the gate does not admit
+    h2 = (math.pi / grid_points) ** 2
+    blocks = verify._fd_matrix(grid_points)
+    for mode in range(1, count + 1):
+        block, place = verify._block_mode(mode)
+        k = mode + 1
+        yield math.pi / grid_points, k, verify._settle(
+            blocks[block], place, k * k * h2, 0.0, (count + 2) ** 2 * h2)[1]
+
+
+@pytest.mark.parametrize("grid_points", [25600, 28000, 40000, 40017, 65536, 100000])
+def test_asymptotic_values_lie_within_a_quarter_bracket_of_newtons(grid_points):
+    # the gate admits all 10 modes here, and each _asymptotic value lies
+    # within _HALF_WIDTH / 4 of the one Newton certifies: measured at most
+    # 7e-15 relative
+    for h, k, mu in _certified_modes(grid_points):
+        assert verify._admits(k, h)
+        assert abs(verify._asymptotic(k, h) - mu) <= verify._HALF_WIDTH / 4 * mu, (k, mu)
+
+
+def test_asymptotic_remainder_is_fourth_order(monkeypatch):
+    # after the h^3 term the remainder falls 16-fold per grid doubling, from
+    # 4,000 to 8,000 points, for modes 2-9 (k = 4..11): measured 15.7-16.0.
+    # Without the h^3 term it would fall 8-fold, and with a wrong h^2 term
+    # 4-fold.  Newton stops at 1e-8 here, so its values sit far nearer the
+    # eigenvalues than the 7e-15 the remainder is at 8,000 points
+    monkeypatch.setattr(verify, "_NEWTON_STOP", 1e-8)
+    coarse, fine = ([verify._asymptotic(k, h) / mu - 1.0 for h, k, mu in _certified_modes(n)]
+                    for n in (4000, 8000))
+    ratios = [c / f for c, f in zip(coarse[2:], fine[2:])]
+    assert all(abs(ratio - 16.0) <= 1.0 for ratio in ratios), ratios
 
 
 @pytest.mark.parametrize("garbage", ["nan", "zero", "hi", "next mode", "lower mode"])
