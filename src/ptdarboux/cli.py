@@ -35,25 +35,25 @@ MAX_ALPHA = 1e100
 # The caps below bound the work each flag can ask for.  Times are on one
 # Intel Xeon core under CPython 3.11.  MAX_DEGREE caps --n-max, tabulate --n
 # and identity --n, and identity --m at MAX_DEGREE // 2 (the suite's indices
-# at n_max = MAX_DEGREE): verify --n-max 60 takes 0.65-0.8 s, identity --n 60 0.02 s
+# at n_max = MAX_DEGREE): verify --n-max 60 takes 0.40-0.54 s, identity --n 60 0.01 s
 # (one bracket row, from the U rows below it).
 MAX_DEGREE = 60
-# A Gauss-Legendre rule is built in O(order^2): 0.52 s at 1024 points.
+# A Gauss-Legendre rule is built in O(order^2): 0.26-0.27 s at 1024 points.
 MAX_QUAD_ORDER = 1024
-# One x-form hypergeometric norm check at n = 60, default order (all levels' sums): 2.1-2.2 s.
+# One x-form hypergeometric norm check at n = 60 (all levels' sums), 1024 panels: 1.4 s.
 MAX_PANELS = 1024
 # The work of a quadrature check grows with panels times order, so their
-# product is capped too: verify --n-max 60 --panels 1024 takes 12.9-13.2 s and
-# peaks at 64 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode
+# product is capped too: verify --n-max 60 --panels 1024 takes 8.8-8.9 s and
+# peaks at 63-64 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode
 # rows the quadrature's sums keep (verify._TSums) and 2 MB the one weighted
 # row, a list, that a sum holds (verify._weigh).
 MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
 # spectrum --count 10 (2 certifying Sturm counts per mode over one
 # 50,000-row mirror block of the matrix, at each mode's asymptotic
 # eigenvalue, with no Newton sweep: the gate admits all 10 modes from 23,847
-# points up): 0.06-0.08 s in process.
+# points up): 0.05-0.07 s in process.
 MAX_GRID_POINTS = 100_000
-# tabulate --n 60: 0.2-0.3 s, peaking at 27 MB resident (VmHWM) in CSV and 29 MB
+# tabulate --n 60: 0.16-0.18 s, peaking at 27 MB resident (VmHWM) in CSV and 29 MB
 # in JSON: it keeps 61 level rows and 61 U rows, and builds one bracket row.
 MAX_POINTS = 10_001
 

@@ -511,16 +511,15 @@ def _sturm_newton(
     return negatives + (u <= -1.0), slope + du / (1.0 + u)
 
 
-# The half-width of each certified bracket, relative to its centre; the width
-# at which the fallback bisection stops; Newton's sweeps per mode at most, and
+# The half-width of each certified bracket, relative to its centre (the
+# fallback bisection stops at twice it); Newton's sweeps per mode at most, and
 # its stop, a step relative to its iterate.  Newton's error after a relative
 # step s is about s^2, so a step of at most sqrt(_HALF_WIDTH) / 2 leaves the
 # iterate about _HALF_WIDTH / 4 off, inside the certifying counts' bracket.
 # Over 1,135 modes of 200 random grids (tests/fd_certificate.py), 471 of them
-# certified at their _asymptotic value, no value moved more than 1.3e-14
-# from the one a Newton stop of 1e-8 gives.
+# certified at their _asymptotic value and 664 in 713 Newton sweeps from it,
+# no value moved more than 9.3e-15 from the one a Newton stop of 1e-8 gives.
 _HALF_WIDTH = 4.9e-14
-_WIDTH = 1e-13
 _NEWTON_SWEEPS = 64
 _NEWTON_STOP = math.sqrt(_HALF_WIDTH) / 2
 
@@ -543,7 +542,7 @@ def _block_mode(mode: int) -> tuple[int, int]:
 
 def _settle(block: tuple, place: int, mu: float, a: float, b: float) -> tuple[float, float, float]:
     """The block's place-th eigenvalue from the start mu in the bracket
-    (a, b), count(a) < place <= count(b), as (lo, estimate, up).
+    (a, b), count(a) < place, as (lo, estimate, up).
 
     Newton's method on det(T - mu) in k = sqrt(mu) (_sturm_newton) keeps
     the bracket with each sweep's count; a start or step outside it is
@@ -552,13 +551,14 @@ def _settle(block: tuple, place: int, mu: float, a: float, b: float) -> tuple[fl
     _HALF_WIDTH / 4 from the eigenvalue.  Two counts at mu (1 -/+ _HALF_WIDTH)
     must then show count(lo) < place <= count(up), which proves that the
     eigenvalue lies in (lo, up] (_certify); when they do not, count
-    bisection inside the bracket finishes the mode at width _WIDTH of its
-    upper end.  So the start sets only the cost: any start gives a
-    certified eigenvalue.  From the continuum start, a fine grid's mode
-    takes one Newton sweep and the two counts (28,000 points and up);
+    bisection inside the bracket finishes the mode at width 2 _HALF_WIDTH
+    of its upper end.  It first counts the top b, if no count has moved it,
+    and raises EvaluationError(held) when only held < place lie below it.
+    So the start sets only the cost: any start gives a certified eigenvalue.
     _sturm_grid calls this only for a mode the gate does not admit or whose
     asymptotic value fails its counts.
     """
+    top = b
     for _ in range(_NEWTON_SWEEPS):
         if not a < mu < b:
             mu = 0.5 * (a + b)
@@ -578,7 +578,9 @@ def _settle(block: tuple, place: int, mu: float, a: float, b: float) -> tuple[fl
         return lo, mu, up
     for end, below in ((lo, low), (up, high)):
         a, b = (max(a, end), b) if below else (a, min(b, end))
-    while b - a > _WIDTH * b:
+    if b == top and (held := _sturm_count(*block, top)) < place:
+        raise EvaluationError(held)
+    while b - a > 2 * _HALF_WIDTH * b:
         mid = 0.5 * (a + b)
         if _sturm_count(*block, mid) < place:
             a = mid
@@ -628,36 +630,31 @@ def _sturm_grid(grid_points: int, count: int, top: float) -> tuple[float, list]:
     """The grid's Sturm work for the lowest `count` modes: h^2 and each
     mode's (lo, estimate, up), in units of h^2 (_fd_matrix).
 
-    A mode i (from 1) that _admits offers its _asymptotic value is certified
-    there by two counts (_certify), with no Newton sweep and no count of the
-    top.  Every other mode, and an admitted one whose counts disagree, is
-    _settle's: Newton from its continuum eigenvalue (i + 1)^2, which the
-    grid's lies just below, inside the bracket [0, top].  A block counts the
-    top (top h^2 here) once, the first time one of its modes needs Newton,
-    and must hold its modes below it.
+    Each mode i (from 1) starts at its _asymptotic value.  One that _admits
+    it is certified there by two counts (_certify), with no Newton sweep.
+    Every other mode, and an admitted one whose counts disagree, is
+    _settle's, with Newton from that value inside the bracket [0, top] (top
+    h^2 here).  The top is counted only when _settle's fallback bisection
+    would end there, and a block must hold its modes below it.
     """
     h = math.pi / grid_points
     h2 = h ** 2
     blocks = _fd_matrix(grid_points)
-    high = top * h2
-    topped = set()
     modes = []
     for mode in range(1, count + 1):
         block, place = _block_mode(mode)
+        mu = _asymptotic(mode + 1, h)
         if _admits(mode + 1, h):
-            mu = _asymptotic(mode + 1, h)
             lo, up, low, above = _certify(blocks[block], place, mu)
             if low and not above:
                 modes.append((lo, mu, up))
                 continue
-        if block not in topped:
-            topped.add(block)
-            places = (count + 1 - block) // 2
-            held = _sturm_count(*blocks[block], high)
-            if held < places:
-                raise EvaluationError(f"block {block} of the {grid_points}-point grid holds "
-                                      f"{held} of its {places} modes below the top {top}")
-        modes.append(_settle(blocks[block], place, (mode + 1) ** 2 * h2, 0.0, high))
+        try:
+            modes.append(_settle(blocks[block], place, mu, 0.0, top * h2))
+        except EvaluationError as short:
+            raise EvaluationError(f"block {block} of the {grid_points}-point grid holds "
+                                  f"{short.args[0]} of its {(count + 1 - block) // 2} modes "
+                                  f"below the top {top}") from None
     return h2, modes
 
 
@@ -683,17 +680,17 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
 
     Every mode is certified: two Sturm counts prove that a bracket of
     relative width under 1e-13 holds exactly that mode (Barth, Martin &
-    Wilkinson 1967), and the result is its centre.  Where (k h)^4 / 360 is
-    at most _HALF_WIDTH / 4 (k = i + 2 for mode i from 0), the bracket is
-    centred on the grid eigenvalue's three-term expansion in h (_asymptotic),
-    whose remainder is under 1e-14 there, and the counts alone settle the
-    mode.  Every other mode is Newton's method on det(T - lambda) in
-    sqrt(lambda) (_sturm_newton), kept inside a bracket by each sweep's
-    count, from the continuum eigenvalue (i + 2)^2, at most 0.85% above the
-    grid's (mode 9 at 100 points), until its step is at most
+    Wilkinson 1967), and the result is its centre.  Each mode i (from 0)
+    starts at the grid eigenvalue's three-term expansion in h (_asymptotic)
+    about its continuum one, (i + 2)^2, at most 2.7e-5 below the grid's
+    (mode 9 at 100 points).  Where (k h)^4 / 360 is at most _HALF_WIDTH / 4
+    (k = i + 2), its remainder is under 1e-14, the bracket is centred on it
+    and the counts alone settle the mode.  Every other mode is Newton's
+    method on det(T - lambda) in sqrt(lambda) (_sturm_newton) from it, kept
+    inside a bracket by each sweep's count, until its step is at most
     sqrt(_HALF_WIDTH) / 2 = 1.1e-7 of the iterate (_settle).  At 40,000
     points and 10 modes that is no Newton sweep and 20 count sweeps of
-    20,000 rows; at 4,000 points and 3 modes, 5 Newton and 8 count sweeps of
+    20,000 rows; at 4,000 points and 3 modes, 3 Newton and 6 count sweeps of
     2,000 rows.
 
     An alpha whose 4 alpha^2 is not a positive normal float is rejected: an

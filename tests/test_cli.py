@@ -594,8 +594,8 @@ def test_a_check_that_raises_is_written_with_non_finite_values(monkeypatch, caps
     assert ",nan,nan,inf,inf,1e-08,false\n" in outputs["csv"]
     digests = {fmt: hashlib.sha256(out.encode("utf-8")).hexdigest() for fmt, out in outputs.items()}
     assert digests == {
-        "json": "778cc0103bb756c01c04b447a01d4b435d4d91f3fa9bc68456c410254c22bec9",
-        "csv": "2c9d34648491f454fad88e494f186753f72e83e9b124ee18150c518a78ea197a",
+        "json": "2c1e6922b8ba6820c48c37f099a4b6a857fab39b6d4f76a228079419eacb0ab2",
+        "csv": "ac3eaef23dfc72c3f1d4f00691590f355a6083e3f9cae8a5e071e0c57691c3cb",
     }
 
 

@@ -1020,11 +1020,11 @@ def test_sturm_count_flips_once_near_the_lowest_modes(grid_points):
 
 def test_fd_spectrum_frozen_bits():
     assert [m.hex() for m in fd_spectrum(1.0, 4000, 3)] == [
-        "0x1.fffffdb35aa0cp+3", "0x1.1ffffb94a7887p+5", "0x1.ffffeefbc88dap+5"]
+        "0x1.fffffdb35aa20p+3", "0x1.1ffffb94a7885p+5", "0x1.ffffeefbc88dap+5"]
     assert [m.hex() for m in fd_spectrum(0.6024, 1000, 10)] == [
-        "0x1.7398386d6d14bp+2", "0x1.a20af6e87571bp+3", "0x1.73978d9509383p+4",
-        "0x1.224df3b18ff02p+5", "0x1.a20906dda40c6p+5", "0x1.1c7e59dc81773p+6",
-        "0x1.73944f54fd551p+6", "0x1.d6462e898ef09p+6", "0x1.2249dd54e1785p+7",
+        "0x1.7398386d6d149p+2", "0x1.a20af6e87571bp+3", "0x1.73978d9509383p+4",
+        "0x1.224df3b18ff02p+5", "0x1.a20906dda40c4p+5", "0x1.1c7e59dc81773p+6",
+        "0x1.73944f54fd552p+6", "0x1.d6462e898ef08p+6", "0x1.2249dd54e1785p+7",
         "0x1.5f3e57b1c79bcp+7"]
 
 
@@ -1062,12 +1062,12 @@ def _sweeps(monkeypatch, grid_points, count, alpha=1.0):
 
 def test_fd_spectrum_sweeps_few_counts(monkeypatch):
     # bisection with a sweep at every midpoint makes 112 at (4000, 3); there
-    # the 2,000-row blocks take 5 Newton sweeps, and 2 certifying counts per
-    # mode and one count of the top per block make 8.  At (40000, 10) every
+    # the 2,000-row blocks take one Newton sweep per mode from its asymptotic
+    # value and 2 certifying counts, and count no top.  At (40000, 10) every
     # mode is certified at its asymptotic value: no Newton sweep, and the 20
     # certifying counts of 20,000 rows
     coarse = [name for name, rows in _sweeps(monkeypatch, 4000, 3)[1] if rows == 2000]
-    assert coarse.count("_sturm_newton") == 5 and coarse.count("_sturm_count") == 8
+    assert coarse.count("_sturm_newton") == 3 and coarse.count("_sturm_count") == 6
     fine = _sweeps(monkeypatch, 40000, 10)[1]
     assert fine == [("_sturm_count", 20000)] * 20
 
@@ -1075,29 +1075,29 @@ def test_fd_spectrum_sweeps_few_counts(monkeypatch):
 @pytest.mark.parametrize("grid_points", [28000, 40000, 40017, 65536, 100000])
 def test_fd_spectrum_takes_one_newton_sweep_per_fine_grid_mode(monkeypatch, grid_points):
     # on these grids the gate admits every mode, so none takes a Newton
-    # sweep or a count of the top: 2 certifying counts per mode.  With the
-    # gate closed, Newton's first step from each mode's continuum start is
-    # at most sqrt(_HALF_WIDTH) / 2 of it, so one sweep per mode ends Newton
+    # sweep: 2 certifying counts per mode.  With the gate closed, Newton's
+    # first step from each mode's asymptotic start is at most
+    # sqrt(_HALF_WIDTH) / 2 of it, so one sweep per mode ends Newton, and
+    # the 2 certifying counts follow it with no count of the top
     names = [name for name, _ in _sweeps(monkeypatch, grid_points, 10)[1]]
     assert names == ["_sturm_count"] * 20
     monkeypatch.setattr(verify, "_admits", lambda k, h: False)
     names = [name for name, _ in _sweeps(monkeypatch, grid_points, 10)[1]]
-    assert names.count("_sturm_newton") == 10 and names.count("_sturm_count") == 22
+    assert names == ["_sturm_newton", "_sturm_count", "_sturm_count"] * 10
 
 
 def test_fd_values_lie_deep_inside_their_certificates():
     # on 40 seeded grids (100-6,000 points, 1-10 modes, alpha log-uniform in
     # 1e-6-1e6) no admitted mode fails its certificate and no mode falls
-    # back to bisection: the count sweeps are the 2 certifying counts per
-    # mode and one count of the top per block in which a mode ran Newton.
-    # Each value lies within _HALF_WIDTH / 2 of the reference, Newton with a
-    # stop of 1e-8 for every mode: measured at most 1.2e-14.  The three
-    # grids above 4,335 points certify their ground mode at its asymptotic
-    # value
+    # back to bisection: the count sweeps are exactly the 2 certifying counts
+    # per mode, and none counts the top.  Each value lies within
+    # _HALF_WIDTH / 2 of the reference, Newton with a stop of 1e-8 for every
+    # mode: measured at most 9.4e-15.  The three grids above 4,335 points
+    # certify their ground mode at its asymptotic value
     results = {grid: fd_certificate.check(*grid)
                for grid in fd_certificate.grids(40, 20151, max_points=6000)}
-    assert all(failed == extra == 0 and move <= verify._HALF_WIDTH / 2
-               for _, failed, extra, move in results.values()), results
+    assert all(failed == extra == tops == 0 and move <= verify._HALF_WIDTH / 2
+               for _, failed, extra, tops, _, move in results.values()), results
     assert sum(admitted for admitted, *_ in results.values()) == 3
 
 
@@ -1109,13 +1109,14 @@ def _sweep_units(monkeypatch, grid_points, count):
 
 
 @pytest.mark.parametrize("grid_points,count,units", [
-    (4000, 3, 10.5), (40000, 10, 10.0), (40017, 10, 10.0), (100000, 10, 10.0),
-    (999, 10, 34.1), (100, 10, 44.0)])
-def test_fd_spectrum_starts_newton_at_the_continuum_eigenvalue(monkeypatch, grid_points, count,
-                                                               units):
-    # measured: 9.0, 10.0, 10.0, 10.0, 31.0 and 40.0 units.  On the three
-    # fine grids every mode is 2 counts at its asymptotic value, where Newton
-    # from the continuum start took 21.0
+    (4000, 3, 6.6), (40000, 10, 10.0), (40017, 10, 10.0), (100000, 10, 10.0),
+    (999, 10, 22.0), (100, 10, 30.8)])
+def test_fd_spectrum_starts_each_mode_at_its_asymptotic_eigenvalue(monkeypatch, grid_points, count,
+                                                                   units):
+    # measured: 6.0, 10.0, 10.0, 10.0, 20.0 and 28.0 units.  On the three
+    # fine grids every mode is 2 counts at its asymptotic value; on the
+    # others Newton runs from that value before the 2 counts, one sweep per
+    # mode at 4,000 and 999 points and 18 for the 10 modes at 100
     assert 0 < _sweep_units(monkeypatch, grid_points, count) <= units
 
 
@@ -1160,7 +1161,8 @@ def test_wall_beta_is_the_backward_recurrences():
 
 def _certified_modes(grid_points, count=10):
     # each mode's h, continuum k and value by Newton from k^2 with its two
-    # certifying counts, the path of every mode the gate does not admit
+    # certifying counts: _settle's path from a start that owes nothing to
+    # _asymptotic
     h2 = (math.pi / grid_points) ** 2
     blocks = verify._fd_matrix(grid_points)
     for mode in range(1, count + 1):
@@ -1222,6 +1224,33 @@ def test_no_coarse_estimate_enters_a_result(monkeypatch, garbage):
         assert _full_count(weights, lo) < mode <= _full_count(weights, up)
         # 2 certifying counts, and more when bisection finishes the mode
         assert (len(counts) > 2) == (garbage == "lower mode" and mode > 2), (mode, len(counts))
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_settle_counts_the_top_only_when_its_fallback_bracket_ends_there(monkeypatch, side):
+    # with no Newton sweep, a start 1e-6 below each of a 3,000-point grid's
+    # 10 lowest modes fails its certificate with both counts below the mode, so the bracket
+    # to bisect is (up, top]: the top is counted exactly once.  A start 1e-6
+    # above it fails with both counts above, and the bracket (0, lo] does not
+    # reach the top, which is not counted.  Either way the bracket returned
+    # holds its mode by counts of the whole matrix
+    grid_points, count, top = 3000, 10, 144.0
+    h2, expected = verify._sturm_grid(grid_points, count, top)
+    _, weights = _full_weights(grid_points)
+    blocks = verify._fd_matrix(grid_points)
+    points = []
+    monkeypatch.setattr(verify, "_NEWTON_SWEEPS", 0)
+    monkeypatch.setattr(verify, "_sturm_count", lambda *args, sweep=verify._sturm_count:
+                        points.append(args[-1]) or sweep(*args))
+    for mode, (_, unspoiled, _) in enumerate(expected, 1):
+        block, place = verify._block_mode(mode)
+        points.clear()
+        lo, mu, up = verify._settle(blocks[block], place, unspoiled * (1.0 + side * 1e-6), 0.0,
+                                    top * h2)
+        assert points.count(top * h2) == (side < 0), (mode, points)
+        assert len(points) > 3  # the 2 certifying counts and bisection's
+        assert abs(mu - unspoiled) <= 1e-13 * unspoiled, (mode, mu, unspoiled)
+        assert _full_count(weights, lo) < mode <= _full_count(weights, up)
 
 
 @lru_cache(maxsize=1)
