@@ -23,13 +23,12 @@ import math
 from array import array
 from collections import namedtuple
 from functools import cached_property, lru_cache, partial
-from fractions import Fraction
 from itertools import chain, count, islice
 
 from .darboux import partner_potential
 from .errors import DomainError, EvaluationError, ParameterError, StabilityError
 from . import hypergeom
-from .hypergeom import TerminatingHypergeometric, f21_eval_exact
+from .hypergeom import _f21_exact
 from .models import WellConfig, _require_partner
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "identity_pairs",
     "IDENTITY_FAMILIES",
 ]
-
-_HALF = Fraction(1, 2)
 
 
 class TrigEigenfunction(namedtuple("TrigEigenfunction", "k alpha")):
@@ -231,9 +228,11 @@ def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float
 
 
 @lru_cache(maxsize=64)
-def _midpoint_factor(n: int) -> tuple[Fraction, Fraction]:
+def _midpoint_factor(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Exact split C_n = r_n D_n of the level-n proportionality constant
-    into a rational prefactor r_n and a 2F1 value D_n at z = 1/2:
+    into a rational prefactor r_n and a 2F1 value D_n at z = 1/2, each an
+    unreduced integer (numerator, denominator) pair with a positive
+    denominator:
 
         n = 2m:    r_n = (-1)^(m+1) / (8 (m+1))
                    D_n = 2F1(-2m, 2m+4; 5/2; 1/2)
@@ -242,41 +241,50 @@ def _midpoint_factor(n: int) -> tuple[Fraction, Fraction]:
 
     The odd level's own factor vanishes at the midpoint, so its D_n is the
     shifted factor.  coefficient_C and the ratio identities share these,
-    built once per level (up to 64 levels kept; the Fractions are immutable).
+    built once per level (up to 64 levels kept; the pairs are tuples of
+    ints, which no reader can change).  A float is taken from a pair as
+    num / den, which rounds correctly, as float(Fraction) does.
     """
     if n < 0:
         raise ParameterError(f"index n must be >= 0, got {n}")
     m, parity = divmod(n, 2)
-    sign = Fraction((-1) ** (m + 1))
+    sign = (-1) ** (m + 1)
     if parity == 0:
-        r = sign / (8 * (m + 1))
-        h = TerminatingHypergeometric(2 * m, Fraction(2 * m + 4), Fraction(5, 2))
-    else:
-        r = sign / 20 * Fraction((2 * m + 1) * (2 * m + 5), 4 * (m + 1) * (m + 2))
-        h = TerminatingHypergeometric(2 * m, Fraction(2 * m + 6), Fraction(7, 2))
-    return r, f21_eval_exact(h, _HALF)
+        return (sign, 8 * (m + 1)), _f21_exact(2 * m, (2 * m + 4, 1), (5, 2), (1, 2))
+    return ((sign * (2 * m + 1) * (2 * m + 5), 80 * (m + 1) * (m + 2)),
+            _f21_exact(2 * m, (2 * m + 6, 1), (7, 2), (1, 2)))
+
+
+def _coefficient(n: int) -> tuple[int, int]:
+    """C_n = r_n D_n (_midpoint_factor) as an unreduced integer (numerator,
+    denominator) pair; a vanishing value would make the identity
+    normalization meaningless and raises EvaluationError."""
+    (r_num, r_den), (d_num, d_den) = _midpoint_factor(n)
+    num = r_num * d_num
+    if num == 0:
+        raise EvaluationError(f"proportionality constant C_{n} evaluated to zero")
+    return num, r_den * d_den
 
 
 def coefficient_C(n: int) -> Fraction:
     """Exact proportionality constant C_n = r_n D_n (_midpoint_factor) tying
     the degree-n hypergeometric factor to the index n + 2 trigonometric
-    bracket.
+    bracket, reduced to lowest terms.
 
     First values: -1/8, -1/32, -1/80.  The result is guaranteed nonzero;
     a vanishing value would make the identity normalization meaningless
     and raises EvaluationError.
     """
-    r, d = _midpoint_factor(n)
-    value = r * d
-    if value == 0:
-        raise EvaluationError(f"proportionality constant C_{n} evaluated to zero")
-    return value
+    from fractions import Fraction  # only this public form needs it
+
+    return Fraction(*_coefficient(n))
 
 
 def normalization_A(n: int, alpha: float) -> float:
     """Amplitude making the level-n bound state of the symmetric well equal
     the normalized partner mode of index n + 2: A_n = N_{n+2} / C_n."""
-    return float(1 / coefficient_C(n)) * TrigEigenfunction(n + 2, alpha).norm
+    num, den = _coefficient(n)
+    return den / num * TrigEigenfunction(n + 2, alpha).norm
 
 
 # The identities divide by sin^2(t): their right sides are trusted only for
@@ -381,10 +389,11 @@ def _identity_rows(which: str, index: int, grid: TGrid) -> tuple[list[float], li
         raise ParameterError(f"index {family.letter} must be >= 0, got {index}")
     n = family.level(index)
     if which == "base":
-        den, pref = 1.0, 4.0 * float(coefficient_C(n))
+        c_num, c_den = _coefficient(n)
+        den, pref = 1.0, 4.0 * (c_num / c_den)
     else:
-        r, d = _midpoint_factor(n)
-        den, pref = float(d), float(4 * r)
+        (r_num, r_den), (d_num, d_den) = _midpoint_factor(n)
+        den, pref = d_num / d_den, 4 * r_num / r_den
     return ([f / den for f in grid.level(n)],
             [pref * g / s2 for g, s2 in zip(grid.mode(n + 2), grid.sin_sq)])
 

@@ -3,19 +3,24 @@
 Two evaluation paths.  The exact path writes the parameters and z over
 integer numerators and denominators and nests the series in Horner form,
 swept backward on one integer numerator and denominator, so a value costs
-integer products and a single reduction to lowest terms.  The
-floating-point path must track the exact one even where the series terms
-near z = 1 reach 2e16 (n = 25), 2e27 (n = 40) or 2e42 (n = 60) while the
-value is O(1).  Summing the power series loses the value to that cancellation
-unless it is carried in ever more precision, so the float path evaluates
-the polynomial as a normalized Jacobi polynomial by its three-term
-recurrence in degree, whose terms stay of the size of the result.
+integer products only.  The package's own readers take the unreduced
+pair (a zero test, or one correctly rounded float num / den).  Only the
+public exact API (f21_eval_exact, f21_derivative, TerminatingHypergeometric)
+builds Fractions, importing fractions in its own bodies, so that no
+subcommand loads it.
+
+The floating-point path must track the exact one even where the series
+terms near z = 1 reach 2e16 (n = 25), 2e27 (n = 40) or 2e42 (n = 60) while
+the value is O(1).  Summing the power series loses the value to that
+cancellation unless it is carried in ever more precision, so the float
+path evaluates the polynomial as a normalized Jacobi polynomial by its
+three-term recurrence in degree, whose terms stay of the size of the
+result.
 """
 from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from fractions import Fraction
 from itertools import count, islice
 
 from .errors import ParameterError
@@ -30,6 +35,8 @@ __all__ = [
 
 
 def _as_fraction(value, what: str) -> Fraction:
+    from fractions import Fraction
+
     if isinstance(value, float):
         # floats are exact dyadic rationals; the conversion is lossless
         return Fraction(value)
@@ -63,8 +70,11 @@ class TerminatingHypergeometric(namedtuple("TerminatingHypergeometric", "n b c")
     _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
 
 
-def f21_eval_exact(h: TerminatingHypergeometric, z) -> Fraction:
-    """Exact rational value of the n+1 term series.
+def _f21_exact(n: int, b: tuple[int, int], c: tuple[int, int],
+               z: tuple[int, int]) -> tuple[int, int]:
+    """Unreduced (num, den) of 2F1(-n, b; c; z) with b, c and z given as
+    integer (numerator, denominator) pairs; den is nonzero when c is no
+    nonpositive integer.
 
     With b = b_n/b_d, c = c_n/c_d and z = z_n/z_d, the term ratio
     (-n+j)(b+j) z / ((c+j)(j+1)) is p_j / q_j with the integers
@@ -72,21 +82,28 @@ def f21_eval_exact(h: TerminatingHypergeometric, z) -> Fraction:
         p_j = (j-n)(b_n + j b_d) c_d z_n,   q_j = (c_n + j c_d) b_d z_d (j+1),
 
     so the nested form 1 + r_0 (1 + r_1 (1 + ... r_{n-1})) is swept backward
-    from j = n-1 on one integer numerator and denominator, and the value is
-    reduced once, by the closing Fraction.
+    from j = n-1 on one integer numerator and denominator.
     """
-    if isinstance(z, float):
-        raise TypeError("exact path needs rational z; use f21_eval_real or pass a Fraction")
-    z = _as_fraction(z, "argument z")
-    n = h.n
-    b_n, b_d = h.b.numerator, h.b.denominator
-    c_n, c_d = h.c.numerator, h.c.denominator
-    p_scale, q_scale = c_d * z.numerator, b_d * z.denominator
+    (b_n, b_d), (c_n, c_d), (z_n, z_d) = b, c, z
+    p_scale, q_scale = c_d * z_n, b_d * z_d
     num = den = 1
     for j in range(n - 1, -1, -1):
         q = (c_n + j * c_d) * q_scale * (j + 1)
         num, den = q * den + (j - n) * (b_n + j * b_d) * p_scale * num, q * den
-    return Fraction(num, den)
+    return num, den
+
+
+def f21_eval_exact(h: TerminatingHypergeometric, z) -> Fraction:
+    """Exact rational value of the n+1 term series: the _f21_exact sweep,
+    reduced once by the closing Fraction."""
+    from fractions import Fraction
+
+    if isinstance(z, float):
+        raise TypeError("exact path needs rational z; use f21_eval_real or pass a Fraction")
+    z = _as_fraction(z, "argument z")
+    return Fraction(*_f21_exact(h.n, (h.b.numerator, h.b.denominator),
+                                (h.c.numerator, h.c.denominator),
+                                (z.numerator, z.denominator)))
 
 
 def _jacobi_rows(a: float, beta: float, zs):
@@ -145,6 +162,8 @@ def f21_derivative(
     (n-1, b+1, c+1).  For n = 0 the derivative vanishes identically: the
     factor is 0 and the parameters are returned unchanged.
     """
+    from fractions import Fraction
+
     if h.n == 0:
         return Fraction(0), h
     factor = Fraction(-h.n) * h.b / h.c
@@ -164,13 +183,8 @@ def midpoint_vanishing(m: int) -> tuple[bool, bool | None]:
     """
     if m < 0:
         raise ParameterError("index m must be nonnegative")
-    half = Fraction(1, 2)
-    first = f21_eval_exact(
-        TerminatingHypergeometric(2 * m + 1, Fraction(2 * m + 5), Fraction(5, 2)), half
-    ) == 0
+    first = _f21_exact(2 * m + 1, (2 * m + 5, 1), (5, 2), (1, 2))[0] == 0
     if m == 0:
         return first, None
-    second = f21_eval_exact(
-        TerminatingHypergeometric(2 * m - 1, Fraction(2 * m + 5), Fraction(7, 2)), half
-    ) == 0
+    second = _f21_exact(2 * m - 1, (2 * m + 5, 1), (7, 2), (1, 2))[0] == 0
     return first, second

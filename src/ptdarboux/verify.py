@@ -14,7 +14,6 @@ import operator
 import sys
 from array import array
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache, partial
 from types import MappingProxyType, SimpleNamespace
 
@@ -294,7 +293,7 @@ def check_hypergeom_norm(n: int, form: str = "z", *, order: int = QUAD_ORDER,
     if form not in ("x", "z"):
         raise ParameterError(f"form must be 'x' or 'z', got {form!r}")
     tol = _tolerance(_FAMILIES["hypergeom norm"].tolerance, tolerance)
-    c_n = float(closed_form.coefficient_C(n))
+    c_n = _c_float(n)
     k = n + 2
     if form == "x":
         computed = _quad_grid(order, panels).levels[n]["D"] / 2.0
@@ -337,7 +336,7 @@ def check_first_moment(n_or_k: int, form: str = "trig", *, order: int = QUAD_ORD
         computed = _quad_grid(order, panels).mode_sum(k, "M") / (norm * norm)
         reference = 0.25 * math.pi * math.pi * (k * k - 1)
     else:
-        c_n = float(closed_form.coefficient_C(n_or_k))
+        c_n = _c_float(n_or_k)
         k = n_or_k + 2
         computed = _quad_grid(order, panels).levels[n_or_k]["M"] / 4.0
         reference = math.pi * math.pi / 16.0 * (k * k - 1) * c_n * c_n
@@ -730,12 +729,20 @@ def check_fd_spectrum(
     )
 
 
-# The exact coefficient table's first values, frozen by hand reduction.
-_FROZEN_C = {0: Fraction(-1, 8), 1: Fraction(-1, 32), 2: Fraction(-1, 80)}
+# The exact coefficient table's first values as (numerator, denominator),
+# frozen by hand reduction.
+_FROZEN_C = {0: (-1, 8), 1: (-1, 32), 2: (-1, 80)}
+
+
+def _c_float(n: int) -> float:
+    """C_n rounded once from its exact pair, as float(coefficient_C(n))."""
+    num, den = closed_form._coefficient(n)
+    return num / den
 
 
 def _check_coefficient(n: int) -> CheckResult:
-    return _row("coefficient", float(closed_form.coefficient_C(n)), float(_FROZEN_C[n]), 0.0, n)
+    num, den = _FROZEN_C[n]
+    return _row("coefficient", _c_float(n), num / den, 0.0, n)
 
 
 def _check_midpoint_vanishing(m: int) -> CheckResult:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -882,6 +883,48 @@ def test_cli_loads_neither_dataclasses_nor_inspect():
     steps = result.stdout.splitlines()
     assert len(steps) == 7
     assert all(step.endswith(" []") for step in steps), steps
+
+
+_EXACT_GUARD = """
+import contextlib, io, sys
+import ptdarboux.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ptdarboux.cli.main(sys.argv[1:])
+print(code, sorted({"fractions", "decimal", "numbers"} & set(sys.modules)))
+"""
+
+
+def test_cli_computes_its_exact_constants_without_fractions():
+    # C_n, the ratio identities' factors and the midpoint zeros are integer
+    # (numerator, denominator) pairs inside the package, so no subcommand, in
+    # either format, loads fractions with the decimal and numbers it imports;
+    # the public exact API still returns Fractions
+    import ptdarboux
+    from ptdarboux import (TerminatingHypergeometric, coefficient_C, f21_derivative,
+                           f21_eval_exact)
+
+    source = Path(ptdarboux.__file__).resolve().parents[1]
+    for argv in (["verify", "--n-max", "2"], ["tabulate"],
+                 ["identity", "--which", "base"], ["identity", "--which", "even"],
+                 ["identity", "--which", "odd"], ["spectrum"]):
+        for fmt in ("json", "csv"):
+            result = subprocess.run(
+                [sys.executable, "-S", "-c", _EXACT_GUARD, *argv, "--format", fmt],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": str(source)},
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == "0 []\n", (argv, fmt, result.stdout)
+    c_2 = coefficient_C(2)
+    assert type(c_2) is Fraction and c_2 == Fraction(-1, 80)
+    h = TerminatingHypergeometric(2, 6, Fraction(5, 2))  # D_2 of the midpoint split
+    value = f21_eval_exact(h, Fraction(1, 2))
+    assert type(value) is Fraction and value == Fraction(-1, 5)
+    factor, shifted = f21_derivative(h)
+    assert type(factor) is Fraction and factor == Fraction(-24, 5)
+    assert shifted == TerminatingHypergeometric(1, 7, Fraction(7, 2))
 
 
 def test_csv_floats_are_17_significant_digits(capsys):

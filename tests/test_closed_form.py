@@ -237,7 +237,7 @@ def test_identity_pairs_build_exact_constants_once(monkeypatch):
     # however many points it has; the ratio forms never touch C_n.  Each
     # level's factor is kept (_midpoint_factor's memo), and base n = 7 and
     # odd m = 3 share level 7, so the memo is cleared before each call
-    calls = {"coefficient_C": 0, "f21_eval_exact": 0}
+    calls = {"_coefficient": 0, "_f21_exact": 0}
     for name in calls:
         original = getattr(closed_form, name)
 
@@ -252,7 +252,7 @@ def test_identity_pairs_build_exact_constants_once(monkeypatch):
         closed_form._midpoint_factor.cache_clear()
         result = check_identity(which, index)
         assert result.passed
-        assert calls == {"coefficient_C": expected_c, "f21_eval_exact": 1}
+        assert calls == {"_coefficient": expected_c, "_f21_exact": 1}
 
 
 def test_coefficient_closed_form_to_degree_cap():
@@ -264,7 +264,7 @@ def test_coefficient_closed_form_to_degree_cap():
 def test_ratio_prefactors_follow_from_coefficient():
     # 4 r_n = 4 C_n / D_n, and equals the ratio identities' printed prefactors
     for n in range(MAX_DEGREE + 1):
-        r, d = _midpoint_factor(n)
+        r, d = (Fraction(*pair) for pair in _midpoint_factor(n))
         assert 4 * r == 4 * Fraction(-3, 4 * (n + 1) * (n + 2) * (n + 3)) / d
         m, parity = divmod(n, 2)
         if parity == 0:

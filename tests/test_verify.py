@@ -428,7 +428,7 @@ def _per_point_rows(n_max):
         if which == "base":
             den, pref = 1.0, 4.0 * float(closed_form.coefficient_C(n))
         else:
-            r, d = closed_form._midpoint_factor(n)
+            r, d = (Fraction(*pair) for pair in closed_form._midpoint_factor(n))
             den, pref = float(d), float(4 * r)
         h = TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2))
         pairs = []
@@ -455,38 +455,42 @@ def test_suite_level_rows_equal_their_per_point_forms():
 
 def test_suite_sweeps_instead_of_evaluating_point_by_point(monkeypatch):
     # run_full_suite reads every 2F1 value from a level sweep: no
-    # f21_eval_real call, and no TerminatingHypergeometric per grid point, so
-    # the constructions do not depend on the interior grid's size
+    # f21_eval_real call, and no exact evaluation (_f21_exact, the integer
+    # sweep behind the midpoint rows and C_n) per grid point, so the exact
+    # evaluations do not depend on the interior grid's size
     import sys
 
     def forbidden(*args):
         raise AssertionError("the suite called f21_eval_real")
 
+    evaluated = 0
+    original = hypergeom._f21_exact
+
+    def counted(*args):
+        nonlocal evaluated
+        evaluated += 1
+        return original(*args)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("ptdarboux") and hasattr(module, "f21_eval_real"):
             monkeypatch.setattr(module, "f21_eval_real", forbidden)
-    built = 0
-    original = TerminatingHypergeometric.__new__
-
-    def counted(cls, *args, **kwargs):
-        nonlocal built
-        built += 1
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(TerminatingHypergeometric, "__new__", counted)
+        if name.startswith("ptdarboux") and hasattr(module, "_f21_exact"):
+            monkeypatch.setattr(module, "_f21_exact", counted)
     counts = []
     try:
         for points in (200, 500):
-            built = 0
+            evaluated = 0
             monkeypatch.setattr(verify, "INTERIOR_POINTS", points)
             verify._interior_grid.cache_clear()
+            closed_form._midpoint_factor.cache_clear()
             report = run_full_suite(n_max=10, grid_points=1000)
             assert report.overall
             assert len(verify._interior_grid().ts) == points
-            counts.append(built)
+            counts.append(evaluated)
     finally:
         verify._interior_grid.cache_clear()
-    assert counts[0] > 0  # the hook sees the constructions it counts
+        closed_form._midpoint_factor.cache_clear()
+    assert counts[0] > 0  # the hook sees the evaluations it counts
     assert counts[0] == counts[1]
 
 
@@ -700,20 +704,20 @@ def test_suite_evaluates_each_levels_exact_factor_once(monkeypatch):
     # and evaluates each once; the 62 levels of the degree cap (the odd
     # ratio at m = 30 reaches level 61) are all kept
     calls = []
-    original = closed_form.f21_eval_exact
+    original = closed_form._f21_exact
 
-    def counted(h, z):
-        calls.append((h, z))
-        return original(h, z)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(closed_form, "f21_eval_exact", counted)
+    monkeypatch.setattr(closed_form, "_f21_exact", counted)
     closed_form._midpoint_factor.cache_clear()
     try:
         assert run_full_suite(n_max=30, grid_points=1000).overall
         assert len(calls) == len(set(calls)) == 32
         for _ in range(2):
             for n in range(62):
-                closed_form.coefficient_C(n)
+                closed_form._coefficient(n)
             assert check_identity("odd", 30).passed
         assert len(calls) == len(set(calls)) == 62
     finally:
@@ -1522,11 +1526,10 @@ def test_run_full_suite_rejects_unusable_run_parameters_before_any_row(monkeypat
 
 
 def test_run_full_suite_is_falsifiable(monkeypatch):
-    # corrupt the exact coefficient table: every check that leans on it
-    # must fail, while coefficient-free checks keep passing
-    from fractions import Fraction
-
-    monkeypatch.setattr(closed_form, "coefficient_C", lambda n: Fraction(-1, 7))
+    # corrupt the exact coefficient table (C_n = -1/7 as the pair every
+    # reader takes): every check that leans on it must fail, while
+    # coefficient-free checks keep passing
+    monkeypatch.setattr(closed_form, "_coefficient", lambda n: (-1, 7))
     report = run_full_suite(n_max=2, grid_points=1000)
     assert not report.overall
     failed = {c.name for c in report.checks if not c.passed}
@@ -1542,7 +1545,7 @@ def test_run_full_suite_never_aborts(monkeypatch):
     def boom(n):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(closed_form, "coefficient_C", boom)
+    monkeypatch.setattr(closed_form, "_coefficient", boom)
     report = run_full_suite(n_max=2, grid_points=1000)
     assert not report.overall
     assert any("error" in c.name and "synthetic failure" in c.name for c in report.checks)
