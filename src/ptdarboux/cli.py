@@ -40,21 +40,23 @@ MAX_ALPHA = 1e100
 MAX_DEGREE = 60
 # A Gauss-Legendre rule is built in O(order^2): 0.26-0.27 s at 1024 points.
 MAX_QUAD_ORDER = 1024
-# One x-form hypergeometric norm check at n = 60 (all levels' sums), 1024 panels: 1.4 s.
+# One x-form hypergeometric norm check at n = 60 (all levels' sums), 1024 panels: 1.0 s.
 MAX_PANELS = 1024
 # The work of a quadrature check grows with panels times order, so their
-# product is capped too: verify --n-max 60 --panels 1024 takes 8.8-8.9 s and
-# peaks at 63-64 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode
-# rows the quadrature's sums keep (verify._TSums) and 2 MB the one weighted
-# row, a list, that a sum holds (verify._weigh).
+# product is capped too: verify --n-max 60 --panels 1024 takes 7.2 s and
+# peaks at 68 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode
+# rows the quadrature's sums keep (verify._TSums, arrays) and 2 MB each list:
+# the one weighted row a sum holds (verify._weigh) and each working row of a
+# sweep, which the suite releases after each family.
 MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
 # spectrum --count 10 (2 certifying Sturm counts per mode over one
 # 50,000-row mirror block of the matrix, at each mode's asymptotic
 # eigenvalue, with no Newton sweep: the gate admits all 10 modes from 23,847
 # points up): 0.05-0.07 s in process.
 MAX_GRID_POINTS = 100_000
-# tabulate --n 60: 0.16-0.18 s, peaking at 27 MB resident (VmHWM) in CSV and 29 MB
-# in JSON: it keeps 61 level rows and 61 U rows, and builds one bracket row.
+# tabulate --n 60: 0.14-0.15 s, peaking at 29-30 MB resident (VmHWM) in CSV and
+# 31 MB in JSON: it keeps 61 level rows and 61 U rows, arrays, while its two
+# sweeps hold two working rows each, lists, and builds one bracket row.
 MAX_POINTS = 10_001
 
 _REPORT_HEADER = ["name", "computed", "reference", "abs_dev", "rel_dev", "tolerance", "passed"]

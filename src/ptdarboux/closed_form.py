@@ -25,7 +25,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache, partial
 from itertools import chain, count, islice
 
-from .darboux import partner_potential
+from .darboux import _partner_potentials
 from .errors import DomainError, EvaluationError, ParameterError, StabilityError
 from . import hypergeom
 from .hypergeom import _f21_exact
@@ -67,8 +67,9 @@ class _Swept:
     raised at index i is raised again by every later read at or above i; the
     items below stay readable.  An interruption that is no Exception
     (KeyboardInterrupt) keeps the items read, and the next read restarts the
-    sweep past them.  Iterating reads items 0, 1, ... in turn.  A returned
-    item is shared and must not be changed."""
+    sweep past them, and release() drops the suspended sweep the same way.
+    Iterating reads items 0, 1, ... in turn.  A returned item is shared and
+    must not be changed."""
 
     def __init__(self, sweep):
         self._sweep, self._rows, self._items, self._error = sweep, None, [], None
@@ -94,10 +95,16 @@ class _Swept:
     def __iter__(self):
         return map(self.__getitem__, count())
 
+    def release(self):
+        """Drop the suspended sweep and the working rows it holds, keeping
+        every item read; a read past them restarts the sweep."""
+        self._rows = None
+
 
 def _level_rows(ts):
     """Rows of F_n(z) = 2F1(-n, n+4; 5/2; z) at z = sin^2(t/2) for every t of
-    `ts`, n = 0, 1, ...: one _jacobi_rows sweep, a = beta = 3/2 (DLMF 18.7.1)."""
+    `ts`, n = 0, 1, ...: one _jacobi_rows sweep, a = beta = 3/2 (DLMF 18.7.1),
+    whose rows are lists."""
     yield from hypergeom._jacobi_rows(
         1.5, 1.5, array("d", [s * s for s in (math.sin(0.5 * t) for t in ts)]))
 
@@ -112,13 +119,35 @@ def _bound_factors(ts) -> tuple[array, array]:
 
 def _u_rows(cosines):
     """Rows U_{k-1}(c) at every c of `cosines` for k = 2, 3, ...: one forward
-    sweep of U_j = (2c) U_{j-1} - U_{j-2}, keeping its last two rows; the
-    sweep is stable to ~2e-13 of max|U_k| = k + 1 for k <= 63."""
+    sweep of U_j = (2c) U_{j-1} - U_{j-2}, keeping its last two rows, lists
+    (as _jacobi_rows' are); the sweep is stable to ~2e-13 of
+    max|U_k| = k + 1 for k <= 63."""
     two_cos = array("d", [2.0 * c for c in cosines])
-    u_prev, u = array("d", [0.0]) * len(cosines), array("d", [1.0]) * len(cosines)  # U_-1, U_0
+    u_prev, u = [0.0] * len(cosines), [1.0] * len(cosines)  # U_-1, U_0
     while True:
-        u_prev, u = u, array("d", [tc * v - w for tc, v, w in zip(two_cos, u, u_prev)])
+        u_prev, u = u, [tc * v - w for tc, v, w in zip(two_cos, u, u_prev)]
         yield u
+
+
+def _kept(sweep, *args):
+    """The rows of sweep(*args), each copied into an array('d'), which a
+    holder keeps at a quarter of a list's memory."""
+    return map(partial(array, "d"), sweep(*args))
+
+
+def _cos_row(ts, k) -> list:
+    """The row cos(kt) at every t of `ts`, which a bracket and its g'' share;
+    k is taken as a float once, which rounds each product as the int would."""
+    fk, cos = float(k), math.cos
+    return [cos(fk * t) for t in ts]
+
+
+def _handed_cos_row(ts, left, k) -> list:
+    """_cos_row(ts, k), also left in the dict `left` under k, in place of
+    the one row left there before."""
+    left.clear()
+    left[k] = row = _cos_row(ts, k)
+    return row
 
 
 def _bracket_rows(ts):
@@ -129,15 +158,16 @@ def _bracket_rows(ts):
     t = 0 and t = pi (where it vanishes)."""
     cosines = array("d", map(math.cos, ts))
     for k, u in zip(count(2), _u_rows(cosines)):
-        yield _bracket(k, ts, cosines, u, TrigEigenfunction(k, 1.0).norm)
+        yield _bracket(k, _cos_row(ts, k), cosines, u, TrigEigenfunction(k, 1.0).norm)
 
 
-def _bracket(k, ts, cosines, u, scale) -> array:
-    """The row scale * (k cos(kt) - cos(t) U_{k-1}(cos t)) from the U_{k-1}
-    row u; a scale of 1.0 gives the bracket's own bits.  k is taken as a
-    float once, which rounds each product as the int would."""
-    fk, cos = float(k), math.cos
-    return array("d", [scale * (fk * cos(fk * t) - c * v) for t, c, v in zip(ts, cosines, u)])
+def _bracket(k, cos_kt, cosines, u, scale) -> array:
+    """The row scale * (k cos(kt) - cos(t) U_{k-1}(cos t)) from the rows
+    cos(kt) (_cos_row) and U_{k-1} u; a scale of 1.0 gives the bracket's own
+    bits.  k is taken as a float once, which rounds each product as the int
+    would."""
+    fk = float(k)
+    return array("d", [scale * (fk * ck - c * v) for ck, c, v in zip(cos_kt, cosines, u)])
 
 
 def _chebyshev_rows(us):
@@ -147,17 +177,17 @@ def _chebyshev_rows(us):
     recurrence: one forward sweep differentiates U_j = (2c) U_{j-1} - U_{j-2}
     in c, U_j' = 2 U_{j-1} + (2c) U_{j-1}' - U_{j-2}' and
     U_j'' = 4 U_{j-1}' + (2c) U_{j-1}'' - U_{j-2}'', keeping the last two
-    rows of each."""
+    rows of each, lists (as _u_rows')."""
     us = iter(us)
     two_cos = next(us)
-    zeros = array("d", [0.0]) * len(two_cos)
-    u_prev = array("d", [1.0]) * len(two_cos)  # U_0
+    zeros = [0.0] * len(two_cos)
+    u_prev = [1.0] * len(two_cos)  # U_0
     du_prev, du, ddu_prev, ddu = zeros, zeros, zeros, zeros  # U', U'' at j = -1, 0
     for u in chain([two_cos], us):
-        du_prev, du = du, array("d", [2.0 * w + tc * v - z
-                                      for w, tc, v, z in zip(u_prev, two_cos, du, du_prev)])
-        ddu_prev, ddu = ddu, array("d", [4.0 * w + tc * v - z
-                                         for w, tc, v, z in zip(du_prev, two_cos, ddu, ddu_prev)])
+        du_prev, du = du, [2.0 * w + tc * v - z
+                           for w, tc, v, z in zip(u_prev, two_cos, du, du_prev)]
+        ddu_prev, ddu = ddu, [4.0 * w + tc * v - z
+                              for w, tc, v, z in zip(du_prev, two_cos, ddu, ddu_prev)]
         yield u, du, ddu
         u_prev = u
 
@@ -167,24 +197,24 @@ def _sin_squares(ts) -> array:
     return array("d", [s * s for s in map(math.sin, ts)])
 
 
-def _derivative_rows(ts, cosines, sin_sq, us):
+def _derivative_rows(cos_kt, cosines, sin_sq, us):
     """Rows g'' in t of the bracket g = k cos(kt) - cos(t) U_{k-1}(cos t) at
-    every t of `ts` for k = 2, 3, ..., from a TGrid's rows of `ts`: its
-    cosines, its row sin^2(t), which the call sin_sq() returns, and its U
-    rows `us` (U_1, U_2, ...), through _chebyshev_rows (chi_derivatives
-    states g'')."""
+    every t of a TGrid's row for k = 2, 3, ..., from its rows: cos(kt),
+    which the call cos_kt(k) returns, its cosines, sin^2(t), which the call
+    sin_sq() returns, and its U rows `us` (U_1, U_2, ...), through
+    _chebyshev_rows (chi_derivatives states g'')."""
     sin_sq = sin_sq()
     for k, rows in zip(count(2), _chebyshev_rows(us)):
-        yield _second_derivative(k, ts, sin_sq, cosines, *rows)
+        yield _second_derivative(k, cos_kt(k), sin_sq, cosines, *rows)
 
 
-def _second_derivative(k, ts, sin_sq, cosines, u, du, ddu) -> array:
-    """The row g'' from the row sin^2(t) and the rows (U, U', U'') of
-    _chebyshev_rows at index k; k and -k^3 are taken as floats once, which
-    rounds each product as the ints would."""
-    fk, cube, cos = float(k), float(-(k * k * k)), math.cos
-    return array("d", [cube * cos(fk * t) + c * (v + c * dv) - s2 * (2.0 * dv + c * ddv)
-                       for t, s2, c, v, dv, ddv in zip(ts, sin_sq, cosines, u, du, ddu)])
+def _second_derivative(k, cos_kt, sin_sq, cosines, u, du, ddu) -> array:
+    """The row g'' from the rows cos(kt) (_cos_row) and sin^2(t) and the
+    rows (U, U', U'') of _chebyshev_rows at index k; -k^3 is taken as a
+    float once, which rounds each product as the int would."""
+    cube = float(-(k * k * k))
+    return array("d", [cube * ck + c * (v + c * dv) - s2 * (2.0 * dv + c * ddv)
+                       for ck, s2, c, v, dv, ddv in zip(cos_kt, sin_sq, cosines, u, du, ddu)])
 
 
 def chi_eval(f: TrigEigenfunction, x: float) -> float:
@@ -196,7 +226,7 @@ def chi_eval(f: TrigEigenfunction, x: float) -> float:
         raise DomainError(f"x={x} outside closed interval [0, {length}]")
     t = 2.0 * f.alpha * x
     c = math.cos(t)
-    (g,) = _bracket(f.k, [t], [c], next(islice(_u_rows([c]), f.k - 2, None)), 1.0)
+    (g,) = _bracket(f.k, _cos_row([t], f.k), [c], next(islice(_u_rows([c]), f.k - 2, None)), 1.0)
     return f.norm * g
 
 
@@ -220,9 +250,10 @@ def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float
     if not (2e-6 < t < math.pi - 2e-6):
         raise DomainError(f"x={x} (t={t}) too close to a wall for derivative evaluation")
     k, s, c = f.k, math.sin(t), math.cos(t)
+    cos_kt = _cos_row([t], k)
     u, du, ddu = next(islice(_chebyshev_rows(_u_rows([c])), k - 2, None))
-    (g,) = _bracket(k, [t], [c], u, 1.0)
-    (g2,) = _second_derivative(k, [t], [s * s], [c], u, du, ddu)
+    (g,) = _bracket(k, cos_kt, [c], u, 1.0)
+    (g2,) = _second_derivative(k, cos_kt, [s * s], [c], u, du, ddu)
     g1 = -(k * k) * math.sin(k * t) + s * (u[0] + c * du[0])
     return f.norm * g, f.norm * 2.0 * a * g1, f.norm * 4.0 * a * a * g2
 
@@ -312,16 +343,22 @@ class TGrid:
     sin^2 t rows), and, built on first use,
     sin_sq = sin^2(t) for the identities, the bound state's factors and the
     residual's partner potential at unit scale, x = t / 2 (every t inside
-    (0, pi)).  A returned row is shared and must not be changed."""
+    (0, pi)).  Every row it keeps is an array('d'); the sweeps' working rows
+    are lists.  The g'' sweep leaves its last row cos(kt) for the bracket of
+    the same k, which takes it if that bracket is built next (the residual
+    reads g'' and then the bracket), so the two share one row.  A returned
+    row is shared and must not be changed."""
 
     def __init__(self, ts):
         self.ts = ts
         self._cosines = cosines = array("d", map(math.cos, ts))
         # sweep factories: nothing is swept before a row is read
-        self._levels = _Swept(partial(_level_rows, ts))
-        self._u = _Swept(partial(_u_rows, cosines))  # U_{k-1} at position k - 2
+        self._levels = _Swept(partial(_kept, _level_rows, ts))
+        self._u = _Swept(partial(_kept, _u_rows, cosines))  # U_{k-1} at position k - 2
         self._sin_sq = lru_cache(maxsize=1)(partial(_sin_squares, ts))  # built on first read
-        self._second = _Swept(partial(_derivative_rows, ts, cosines, self._sin_sq, self._u))
+        self._cos_left = {}  # the g'' sweep's last cos(kt) row, under k
+        cos_kt = partial(_handed_cos_row, ts, self._cos_left)
+        self._second = _Swept(partial(_derivative_rows, cos_kt, cosines, self._sin_sq, self._u))
         self._modes = {}
 
     def level(self, n: int) -> array:
@@ -330,7 +367,8 @@ class TGrid:
     def mode(self, k: int) -> array:
         _require_partner(k)
         if k not in self._modes:
-            self._modes[k] = _bracket(k, self.ts, self._cosines, self._u[k - 2], 1.0)
+            cos_kt = self._cos_left.pop(k, None) or _cos_row(self.ts, k)
+            self._modes[k] = _bracket(k, cos_kt, self._cosines, self._u[k - 2], 1.0)
         return self._modes[k]
 
     def second_derivative(self, k: int) -> array:
@@ -343,8 +381,7 @@ class TGrid:
 
     @cached_property
     def potential(self) -> array:
-        cfg = WellConfig(1.0)
-        return array("d", [partner_potential(cfg, 0.5 * t) for t in self.ts])
+        return array("d", _partner_potentials(WellConfig(1.0), (0.5 * t for t in self.ts)))
 
     @cached_property
     def bound_factors(self) -> tuple[array, array]:

@@ -32,12 +32,24 @@ def superpotential(cfg: WellConfig, x: float) -> float:
 def partner_potential(cfg: WellConfig, x: float) -> float:
     """W' + W^2 + omega^2, assembled with the analytic derivative
     W'(x) = 4 alpha^2 / sin^2(2 alpha x).  Collapses to
-    8 alpha^2 / sin^2(2 alpha x)."""
-    w = superpotential(cfg, x)
+    8 alpha^2 / sin^2(2 alpha x).  One point of _partner_potentials."""
+    (v,) = _partner_potentials(cfg, [x])
+    return v
+
+
+def _partner_potentials(cfg: WellConfig, xs) -> list:
+    """partner_potential at every x of `xs`, in one pass: W (superpotential)
+    and W' from one sin(2 alpha x), with the scales taken once."""
     a = cfg.alpha
-    s = math.sin(2.0 * a * x)
-    w_prime = 4.0 * a * a / (s * s)
-    return w_prime + w * w + box_energy(cfg, 1)
+    two_a, w_scale, w_prime_scale, omega_sq = 2.0 * a, -2.0 * a, 4.0 * a * a, box_energy(cfg, 1)
+    row = []
+    for x in xs:
+        _require_open(cfg, x)
+        t = two_a * x
+        s = math.sin(t)
+        w = w_scale * math.cos(t) / s
+        row.append(w_prime_scale / (s * s) + w * w + omega_sq)
+    return row
 
 
 def intertwine(cfg: WellConfig, k: int, x: float) -> float:

@@ -108,7 +108,10 @@ def f21_eval_exact(h: TerminatingHypergeometric, z) -> Fraction:
 
 def _jacobi_rows(a: float, beta: float, zs):
     """The rows R_0, R_1, R_2, ... of the normalized Jacobi recurrence at
-    every z of `zs`, one array('d') per degree, keeping only the last two.
+    every z of `zs`, one list per degree, keeping only the last two: a step
+    reads its two rows' floats without boxing them again.  A row is shared
+    and must not be changed; a holder that keeps rows copies them into
+    arrays, which take a quarter of the memory.
 
     R_n = P_n^(a,beta)(x) / P_n^(a,beta)(1) with x = 1 - 2z (DLMF 15.9.1),
     R_0 = 1, R_1 = 1 - (a+beta+2) z/(a+1), and with s = 2j + a + beta
@@ -123,17 +126,16 @@ def _jacobi_rows(a: float, beta: float, zs):
     ab = a + beta
     xs = array("d", [1.0 - 2.0 * z for z in zs])
     diff_sq = a * a - beta * beta
-    r_prev = array("d", [1.0]) * len(zs)
+    r_prev = [1.0] * len(zs)
     yield r_prev
-    r = array("d", [1.0 - (a + beta + 2.0) * z / (a + 1.0) for z in zs])
+    r = [1.0 - (a + beta + 2.0) * z / (a + 1.0) for z in zs]
     yield r
     for j in count(2):
         s = 2 * j + ab
         p, q, c2 = s - 1.0, s * (s - 2.0), 2.0 * (j - 1) * (j + beta - 1.0) * s
         den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
-        r_prev, r = r, array(
-            "d", [(p * (q * x + diff_sq) * v - c2 * w) / den for x, v, w in zip(xs, r, r_prev)]
-        )
+        r_prev, r = r, [(p * (q * x + diff_sq) * v - c2 * w) / den
+                        for x, v, w in zip(xs, r, r_prev)]
         yield r
 
 

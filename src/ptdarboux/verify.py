@@ -214,7 +214,7 @@ def _level_sums(nodes):
     ts = nodes[0]
     factor = array("d", map(operator.mul, *closed_form._bound_factors(ts)))  # sin^2 cos^2(t/2)
     for level in closed_form._level_rows(ts):
-        row = array("d", [s2c2 * f for s2c2, f in zip(factor, level)])
+        row = list(map(operator.mul, factor, level))
         sums = _moment_sums(nodes, _require_finite(row, ts))
         del row  # no row is held while the sweep waits for the next read
         yield sums
@@ -398,10 +398,10 @@ def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None
     norm = TrigEigenfunction(k, 1.0).norm
     norm4 = norm * 4.0
     grid = _interior_grid()
-    worst = max(
+    worst = max([  # g'' first: the bracket then takes its row cos(kt)
         abs(-(norm4 * g2) + v * (chi := norm * g) - energy * chi)
-        for v, g, g2 in zip(grid.potential, grid.mode(k), grid.second_derivative(k))
-    )
+        for v, g2, g in zip(grid.potential, grid.second_derivative(k), grid.mode(k))
+    ])
     return _row("residual", worst / (energy * norm), 0.0, tol, k, alpha)
 
 
@@ -843,4 +843,16 @@ def run_full_suite(
                 checks.append(CheckResult(name, math.nan, math.nan, math.inf, math.inf, tol, False))
                 continue
             checks.extend(result.checks if isinstance(result, VerificationReport) else (result,))
+        _release_sweeps(quad_order, panels)
     return _report(checks, parameters)
+
+
+def _release_sweeps(order: int, panels: int) -> None:
+    """Drop the suspended sweeps of one rule's quadrature tables (_TSums'
+    modes and levels, the z rule's sums) with the working rows they hold,
+    keeping every item read (_Swept.release).  The suite releases them
+    after each family, and no later family reads past the items the first
+    one read, so nothing is swept again."""
+    sums = _quad_grid(order, panels)
+    for table in (sums.modes, sums.levels, _z_sums(order, panels)[1]):
+        table.release()

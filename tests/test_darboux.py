@@ -62,9 +62,10 @@ def test_superpotential_matches_cotangent():
 
 def test_superpotential_open_domain():
     cfg = WellConfig(1.0)
-    for bad in (0.0, cfg.length, -0.3):
-        with pytest.raises(DomainError):
-            superpotential(cfg, bad)
+    for bad in (0.0, cfg.length, -0.3, math.nan):
+        for function in (superpotential, partner_potential):
+            with pytest.raises(DomainError):
+                function(cfg, bad)
 
 
 def test_superpotential_is_log_derivative_of_seed():

@@ -125,6 +125,22 @@ def test_swept_restarts_past_its_items_after_an_interruption():
     assert items[1] is kept and starts == [0, 1]
 
 
+def test_swept_release_keeps_its_items_and_restarts_past_them():
+    starts = []
+
+    def sweep():
+        starts.append(len(starts))
+        for i in range(5):
+            yield [i]
+
+    items = closed_form._Swept(sweep)
+    kept = items[1]
+    items.release()
+    assert items[1] is kept and starts == [0]  # a kept item starts no sweep
+    assert (items[3], items[2]) == ([3], [2]) and starts == [0, 1]
+    assert items[1] is kept
+
+
 def test_mode_rows_equal_stable_bracket_bitwise():
     ts_rows = {
         "t nodes": verify._quad_grid(64, 32).nodes[0],
@@ -157,8 +173,8 @@ def test_derivative_rows_match_the_cotangent_form():
     # the cosines, and both read the grid's cos t and sin^2 t rows
     ts = [t for t in verify._interior_grid().ts if math.sin(t) >= 0.1]
     grid = TGrid(ts)
-    seconds = closed_form._derivative_rows(ts, grid._cosines, grid._sin_sq,
-                                           closed_form._u_rows(grid._cosines))
+    seconds = closed_form._derivative_rows(partial(closed_form._cos_row, ts), grid._cosines,
+                                           grid._sin_sq, closed_form._u_rows(grid._cosines))
     for k, second in zip(range(2, MAX_DEGREE + 4), seconds):
         assert grid.second_derivative(k) == second
         f = TrigEigenfunction(k, 1.0)
@@ -218,6 +234,24 @@ def test_quadrature_grid_builds_no_identity_or_bound_state_rows():
     assert len(levels) == 4
     assert all(sorted(level) == ["D", "M"] and all(type(v) is float for v in level.values())
                for level in levels)
+
+
+def test_a_t_grid_is_freed_without_a_cycle_collection():
+    # its sweeps and the g'' sweep's hand-off of cos(kt) to the bracket refer
+    # to its rows, never to the TGrid, so a one-shot grid (tabulate's) frees
+    # its rows, and the working rows its sweeps hold, at once
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        grid = TGrid(verify._interior_grid().ts)
+        grid.bound_state_pairs(5, 1.0), grid.second_derivative(9), grid.mode(9), grid.potential
+        ref = weakref.ref(grid)
+        del grid
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_an_evicted_quadrature_grid_is_freed_without_a_cycle_collection():
@@ -298,6 +332,6 @@ def test_validation_errors_come_before_any_table_is_swept(monkeypatch, call):
     monkeypatch.setattr(closed_form, "_bracket_rows", _forbidden_sweep)
     monkeypatch.setattr(closed_form, "_u_rows", _forbidden_sweep)  # a TGrid's bracket rows
     monkeypatch.setattr(closed_form, "_derivative_rows", _forbidden_sweep)
-    monkeypatch.setattr(closed_form, "partner_potential", _forbidden_potential)
+    monkeypatch.setattr(closed_form, "_partner_potentials", _forbidden_potential)
     with pytest.raises(ParameterError):
         call()

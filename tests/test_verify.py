@@ -2,11 +2,15 @@
 import inspect
 import math
 import operator
+import os
 import random
 import re
+import subprocess
+import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache, partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +28,7 @@ from oracles import (
     pt_eigen_hypergeom,
     stable_bracket,
 )
-from ptdarboux import closed_form, hypergeom, verify
+from ptdarboux import closed_form, darboux, hypergeom, verify
 from ptdarboux.closed_form import TrigEigenfunction
 from ptdarboux.errors import EvaluationError, ParameterError
 from ptdarboux.hypergeom import TerminatingHypergeometric
@@ -496,16 +500,20 @@ def test_suite_sweeps_instead_of_evaluating_point_by_point(monkeypatch):
 
 def test_suite_builds_one_potential_row(monkeypatch):
     # the residual reads one partner-potential row of the interior grid for
-    # every k: 1,000 calls at n_max = 30, not 1,000 per residual row
-    calls = 0
-    original = closed_form.partner_potential
+    # every k: one row build of 1,000 points at n_max = 30, not one per
+    # residual row, and no scalar partner_potential call
+    rows = []
+    original = closed_form._partner_potentials
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
+    def counted(cfg, xs):
+        rows.append(original(cfg, xs))
+        return rows[-1]
 
-    monkeypatch.setattr(closed_form, "partner_potential", counted)
+    def forbidden(*args):
+        raise AssertionError("the suite evaluated the potential point by point")
+
+    monkeypatch.setattr(closed_form, "_partner_potentials", counted)
+    monkeypatch.setattr(darboux, "partner_potential", forbidden)
     verify._interior_grid.cache_clear()
     try:
         report = run_full_suite(n_max=30, grid_points=1000)
@@ -513,7 +521,7 @@ def test_suite_builds_one_potential_row(monkeypatch):
         verify._interior_grid.cache_clear()
     assert report.overall
     assert sum(c.name.startswith("residual") for c in report.checks) == 29
-    assert calls == verify.INTERIOR_POINTS == 1000
+    assert [len(row) for row in rows] == [verify.INTERIOR_POINTS] == [1000]
 
 
 def test_suite_reads_every_partner_mode_from_its_t_grid(monkeypatch):
@@ -592,15 +600,68 @@ def test_suite_sweeps_each_node_sets_levels_once(monkeypatch):
         _clear_node_set_caches()
 
 
+def test_suite_keeps_its_rows_in_arrays_and_releases_its_table_sweeps():
+    # the sweeps' working rows are lists, but every row a holder keeps is an
+    # array('d'): the t rule's mode rows and the interior grid's level, U,
+    # bracket, g'' and sampled rows.  After each family the suite drops the
+    # quadrature tables' suspended sweeps with the lists they hold, and no
+    # cos(kt) row is left on the grid (each residual bracket took its g''
+    # row's)
+    _clear_node_set_caches()
+    try:
+        assert run_full_suite(n_max=10).overall
+        sums = verify._quad_grid(verify.QUAD_ORDER, verify.PANELS)
+        grid = verify._interior_grid()
+        assert len(sums.modes._items) == 11 and len(grid._second._items) == 9
+        kept = [*sums.modes._items, *grid._levels._items, *grid._u._items,
+                *grid._modes.values(), *grid._second._items,
+                grid.sin_sq, grid.potential, *grid.bound_factors]
+        assert all(type(row) is array and row.typecode == "d" for row in kept)
+        z_table = verify._z_sums(verify.QUAD_ORDER, verify.PANELS)[1]
+        assert all(table._rows is None for table in (sums.modes, sums.levels, z_table))
+        assert grid._cos_left == {}
+    finally:
+        _clear_node_set_caches()
+
+
+# Reads past the items the default suite keeps, in a fresh interpreter.
+_PAST_THE_SUITE = """
+from ptdarboux.verify import check_hypergeom_norm, check_trig_norm
+print(repr(check_trig_norm(15)))
+print(repr(check_hypergeom_norm(13, "x")))
+"""
+
+
+def test_a_read_past_a_released_table_equals_a_fresh_process():
+    # the suite at n_max = 10 keeps modes k = 2..12 and levels 0..10 and
+    # releases their sweeps; a later read past them restarts the sweep and
+    # gives the bits of a process that never ran the suite
+    import ptdarboux
+
+    _clear_node_set_caches()
+    try:
+        assert run_full_suite(n_max=10).overall
+        after = [repr(check_trig_norm(15)), repr(check_hypergeom_norm(13, "x"))]
+        sums = verify._quad_grid(verify.QUAD_ORDER, verify.PANELS)
+        assert len(sums.modes._items) == len(sums.levels._items) == 14
+    finally:
+        _clear_node_set_caches()
+    source = Path(ptdarboux.__file__).resolve().parents[1]
+    fresh = subprocess.run([sys.executable, "-c", _PAST_THE_SUITE], capture_output=True,
+                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(source)})
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.splitlines() == after
+
+
 def _count_brackets(monkeypatch):
     # the (k, row length) of every bracket row built and the row length of
     # every U sweep started
     brackets, sweeps = [], []
     bracket, u_rows = closed_form._bracket, closed_form._u_rows
 
-    def counted_bracket(k, ts, cosines, u, scale):
-        brackets.append((k, len(ts)))
-        return bracket(k, ts, cosines, u, scale)
+    def counted_bracket(k, cos_kt, cosines, u, scale):
+        brackets.append((k, len(cos_kt)))
+        return bracket(k, cos_kt, cosines, u, scale)
 
     def counted_u_rows(cosines):
         sweeps.append(len(cosines))
@@ -631,7 +692,17 @@ def test_a_lone_one_shot_read_builds_one_bracket_row(monkeypatch):
 def test_suite_builds_each_interior_bracket_row_once(monkeypatch):
     # the identities, the correspondence and the residual all read the
     # interior grid's bracket rows; each is built once, from one U sweep,
-    # up to k = 33 (the odd ratio's level 2m + 1 = 31)
+    # up to k = 33 (the odd ratio's level 2m + 1 = 31).  The residual's g''
+    # rows (k = 2..30) and brackets share their rows cos(kt): the grid
+    # builds one per k = 2..33, not 29 + 32
+    cos_rows, cos_row = [], closed_form._cos_row
+
+    def counted_cos_row(ts, k):
+        if len(ts) == verify.INTERIOR_POINTS:
+            cos_rows.append(k)
+        return cos_row(ts, k)
+
+    monkeypatch.setattr(closed_form, "_cos_row", counted_cos_row)
     _clear_node_set_caches()
     try:
         brackets, sweeps = _count_brackets(monkeypatch)
@@ -639,6 +710,7 @@ def test_suite_builds_each_interior_bracket_row_once(monkeypatch):
         interior = sorted(k for k, points in brackets if points == verify.INTERIOR_POINTS)
         assert interior == list(range(2, 34))
         assert sweeps.count(verify.INTERIOR_POINTS) == 1
+        assert sorted(cos_rows) == list(range(2, 34))
     finally:
         _clear_node_set_caches()
 
@@ -666,8 +738,9 @@ def test_suite_weighs_each_row_once(monkeypatch):
 def test_each_grid_and_rule_starts_one_u_recurrence(monkeypatch):
     # the t rule's mode sweep and the interior grid each start one U sweep
     # (_u_rows), and every U row that the derivative sweep differentiates is
-    # a row of the grid's own U sweep, never one of a second recurrence; a
-    # chi_derivatives call starts one U sweep and differentiates its rows
+    # a row the grid keeps from its own U sweep (an array copy of a swept
+    # row), never one of a second recurrence; a chi_derivatives call starts
+    # one U sweep and differentiates its rows
     starts, swept, differentiated = [], [], []
     u_rows, chebyshev_rows = closed_form._u_rows, closed_form._chebyshev_rows
 
@@ -689,7 +762,9 @@ def test_each_grid_and_rule_starts_one_u_recurrence(monkeypatch):
         assert run_full_suite(n_max=30).overall
         assert sorted(starts) == [verify.INTERIOR_POINTS, verify.QUAD_ORDER * verify.PANELS]
         assert len(differentiated) == 29  # g'' for k = 2..30, the residual's
-        assert all(any(u is row for row in swept) for u in differentiated)
+        kept = verify._interior_grid()._u._items
+        assert all(any(u is row for row in kept) for u in differentiated)
+        assert all(any(list(u) == row for row in swept) for u in kept)
         del starts[:], swept[:], differentiated[:]
         closed_form.chi_derivatives(TrigEigenfunction(9, 1.0), 0.7)
         assert starts == [1] and len(differentiated) == 8
@@ -824,7 +899,7 @@ def test_unit_scale_checks_reject_an_alpha_no_well_has(monkeypatch, alpha):
     monkeypatch.setattr(closed_form, "_bracket_rows", forbidden)
     monkeypatch.setattr(closed_form, "_u_rows", forbidden)  # the grid's bracket rows
     monkeypatch.setattr(hypergeom, "_jacobi_rows", forbidden)
-    monkeypatch.setattr(closed_form, "partner_potential", forbidden_potential)
+    monkeypatch.setattr(closed_form, "_partner_potentials", forbidden_potential)
     verify._interior_grid.cache_clear()
     try:
         with pytest.raises(ParameterError):
