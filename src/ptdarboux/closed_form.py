@@ -11,19 +11,19 @@ symmetric kappa = lam = 2 well; its base, even-ratio and odd-ratio forms
 are one level-n formula (_identity_rows).  Every row
 sampled on a row of t (bound-state factors, brackets and their second
 derivatives, the partner potential, both sides of the identities and of
-the correspondence) comes from one holder, TGrid, which keeps each sweep's
-rows in a _Swept, builds a bracket row from its U sweep only when it is
-read and differentiates the same U rows for g''; the point-wise chi_eval
-and chi_derivatives read one point of its sweeps, and identity_sides
-reads a one-point TGrid.
+the correspondence) comes from one holder, TGrid, whose read sweeps the
+level or U recurrence to its own index and builds that row alone, and
+whose _hold builds every row a reader will ask for in one sweep each; the
+point-wise chi_eval and chi_derivatives read one point of the sweeps, and
+identity_sides reads a one-point TGrid.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from collections import namedtuple
-from functools import cached_property, lru_cache, partial
-from itertools import chain, count, islice
+from functools import cached_property, lru_cache
+from itertools import chain, islice
 
 from .darboux import _partner_potentials
 from .errors import DomainError, EvaluationError, ParameterError, StabilityError
@@ -61,44 +61,13 @@ class TrigEigenfunction(namedtuple("TrigEigenfunction", "k alpha")):
         return math.sqrt(4.0 * self.alpha / math.pi) / math.sqrt(self.k * self.k - 1.0)
 
 
-class _Swept:
-    """The items of one sweep, each read once and kept; `sweep()` starts the
-    sweep (an iterator).  A negative index is rejected.  An error the sweep
-    raised at index i is raised again by every later read at or above i; the
-    items below stay readable.  An interruption that is no Exception
-    (KeyboardInterrupt) keeps the items read, and the next read restarts the
-    sweep past them, and release() drops the suspended sweep the same way.
-    Iterating reads items 0, 1, ... in turn.  A returned item is shared and
-    must not be changed."""
-
-    def __init__(self, sweep):
-        self._sweep, self._rows, self._items, self._error = sweep, None, [], None
-
-    def __getitem__(self, i: int):
-        if i < 0:
-            raise ParameterError(f"index must be >= 0, got {i}")
-        while len(self._items) <= i:
-            if self._error:  # the first raise's traceback, which no re-raise grows
-                raise self._error[0].with_traceback(self._error[1])
-            if self._rows is None:
-                self._rows = islice(self._sweep(), len(self._items), None)
-            try:
-                self._items.append(next(self._rows))
-            except Exception as exc:
-                self._error = exc, exc.__traceback__
-                raise
-            except BaseException:
-                self._rows = None
-                raise
-        return self._items[i]
-
-    def __iter__(self):
-        return map(self.__getitem__, count())
-
-    def release(self):
-        """Drop the suspended sweep and the working rows it holds, keeping
-        every item read; a read past them restarts the sweep."""
-        self._rows = None
+def _picked(rows, indices, first=0):
+    """(i, row) for each i of `indices` from the sweep `rows`, whose rows
+    are numbered first, first + 1, ...: read up to the largest index and no
+    further."""
+    keep = set(indices)
+    return ((i, row) for i, row in zip(range(first, max(keep, default=first - 1) + 1), rows)
+            if i in keep)
 
 
 def _level_rows(ts):
@@ -129,12 +98,6 @@ def _u_rows(cosines):
         yield u
 
 
-def _kept(sweep, *args):
-    """The rows of sweep(*args), each copied into an array('d'), which a
-    holder keeps at a quarter of a list's memory."""
-    return map(partial(array, "d"), sweep(*args))
-
-
 def _cos_row(ts, k) -> list:
     """The row cos(kt) at every t of `ts`, which a bracket and its g'' share;
     k is taken as a float once, which rounds each product as the int would."""
@@ -142,23 +105,15 @@ def _cos_row(ts, k) -> list:
     return [cos(fk * t) for t in ts]
 
 
-def _handed_cos_row(ts, left, k) -> list:
-    """_cos_row(ts, k), also left in the dict `left` under k, in place of
-    the one row left there before."""
-    left.clear()
-    left[k] = row = _cos_row(ts, k)
-    return row
-
-
-def _bracket_rows(ts):
-    """Rows N_k g_k of the partner modes at unit scale (alpha = 1, norm N_k)
-    at every t of `ts` for k = 2, 3, ..., each scaled as its bracket
-    g_k = k cos(kt) - cos(t) U_{k-1}(cos t) is built (_u_rows, then
-    _bracket); g_k equals k cos(kt) - cot(t) sin(kt) but stays finite at
-    t = 0 and t = pi (where it vanishes)."""
+def _bracket_rows(ts, ks):
+    """(k, N_k g_k) for each k of `ks`: the partner modes at unit scale
+    (alpha = 1, norm N_k) at every t of `ts`, each scaled as its bracket
+    g_k = k cos(kt) - cos(t) U_{k-1}(cos t) is built (_bracket), from one U
+    sweep (_u_rows) to the largest k; g_k equals k cos(kt) - cot(t) sin(kt)
+    but stays finite at t = 0 and t = pi (where it vanishes)."""
     cosines = array("d", map(math.cos, ts))
-    for k, u in zip(count(2), _u_rows(cosines)):
-        yield _bracket(k, _cos_row(ts, k), cosines, u, TrigEigenfunction(k, 1.0).norm)
+    for k, u in _picked(_u_rows(cosines), ks, 2):
+        yield k, _bracket(k, _cos_row(ts, k), cosines, u, TrigEigenfunction(k, 1.0).norm)
 
 
 def _bracket(k, cos_kt, cosines, u, scale) -> array:
@@ -190,22 +145,6 @@ def _chebyshev_rows(us):
                               for w, tc, v, z in zip(du_prev, two_cos, ddu, ddu_prev)]
         yield u, du, ddu
         u_prev = u
-
-
-def _sin_squares(ts) -> array:
-    """The row sin^2(t) at every t of `ts`."""
-    return array("d", [s * s for s in map(math.sin, ts)])
-
-
-def _derivative_rows(cos_kt, cosines, sin_sq, us):
-    """Rows g'' in t of the bracket g = k cos(kt) - cos(t) U_{k-1}(cos t) at
-    every t of a TGrid's row for k = 2, 3, ..., from its rows: cos(kt),
-    which the call cos_kt(k) returns, its cosines, sin^2(t), which the call
-    sin_sq() returns, and its U rows `us` (U_1, U_2, ...), through
-    _chebyshev_rows (chi_derivatives states g'')."""
-    sin_sq = sin_sq()
-    for k, rows in zip(count(2), _chebyshev_rows(us)):
-        yield _second_derivative(k, cos_kt(k), sin_sq, cosines, *rows)
 
 
 def _second_derivative(k, cos_kt, sin_sq, cosines, u, du, ddu) -> array:
@@ -334,50 +273,73 @@ IDENTITY_FAMILIES = {
 
 
 class TGrid:
-    """The rows sampled on one row `ts` of t = 2 alpha x, shared by every
-    reader: level(n) = F_n(sin^2(t/2)) and second_derivative(k) = the row
-    g'' in t of the bracket g of index k >= 2 (each the kept rows of one
-    sweep, a _Swept), mode(k) = the bracket g, built from the kept U_{k-1}
-    row of the grid's one U sweep on its first read and kept (the g'' sweep
-    differentiates the same kept U rows and reads the grid's own cos t and
-    sin^2 t rows), and, built on first use,
-    sin_sq = sin^2(t) for the identities, the bound state's factors and the
-    residual's partner potential at unit scale, x = t / 2 (every t inside
-    (0, pi)).  Every row it keeps is an array('d'); the sweeps' working rows
-    are lists.  The g'' sweep leaves its last row cos(kt) for the bracket of
-    the same k, which takes it if that bracket is built next (the residual
-    reads g'' and then the bracket), so the two share one row.  A returned
-    row is shared and must not be changed."""
+    """The rows sampled on one row `ts` of t = 2 alpha x: level(n) =
+    F_n(sin^2(t/2)), mode(k) = the bracket g of index k >= 2 and
+    second_derivative(k) = its row g'' in t, each built when it is read by
+    a sweep to its own index (_rows) and not kept; and, built on first read
+    and kept, sin_sq = sin^2(t) for the identities, the bound state's
+    factors and the residual's partner potential at unit scale, x = t / 2
+    (every t inside (0, pi)).  A grid that holds rows (_hold, the suite's
+    interior grid) returns those, built once up front.  Every row is an
+    array('d'); the sweeps' working rows are lists.  A returned row is
+    shared and must not be changed."""
 
     def __init__(self, ts):
         self.ts = ts
-        self._cosines = cosines = array("d", map(math.cos, ts))
-        # sweep factories: nothing is swept before a row is read
-        self._levels = _Swept(partial(_kept, _level_rows, ts))
-        self._u = _Swept(partial(_kept, _u_rows, cosines))  # U_{k-1} at position k - 2
-        self._sin_sq = lru_cache(maxsize=1)(partial(_sin_squares, ts))  # built on first read
-        self._cos_left = {}  # the g'' sweep's last cos(kt) row, under k
-        cos_kt = partial(_handed_cos_row, ts, self._cos_left)
-        self._second = _Swept(partial(_derivative_rows, cos_kt, cosines, self._sin_sq, self._u))
-        self._modes = {}
+        self._cosines = array("d", map(math.cos, ts))
+        self._levels, self._modes, self._second = {}, {}, {}  # the rows _hold built
+
+    def _rows(self, levels=(), modes=(), seconds=()) -> tuple[dict, dict, dict]:
+        """The level rows at each n of `levels`, the brackets at each k of
+        `modes` and their g'' rows at each k of `seconds`, as three dicts:
+        one level sweep (_level_rows) to the largest n, and one U sweep
+        (_u_rows) to the largest k, differentiated (_chebyshev_rows) up to
+        the largest g'' and read on alone past it.  A bracket and its g''
+        share one row cos(kt), and every g'' reads the grid's cos t and
+        sin^2 t rows."""
+        ts, cosines = self.ts, self._cosines
+        level_rows = {n: array("d", row) for n, row in _picked(_level_rows(ts), levels)}
+        modes, seconds = set(modes), set(seconds)
+        brackets, second = {}, {}
+        if modes or seconds:
+            us = _u_rows(cosines)
+            derived = _chebyshev_rows(us)  # advances the same sweep us
+            top = max(seconds, default=1)
+            for k in range(2, max(modes | seconds) + 1):
+                u, *derivatives = next(derived) if k <= top else (next(us),)
+                if k in modes or k in seconds:
+                    cos_kt = _cos_row(ts, k)
+                    if k in modes:
+                        brackets[k] = _bracket(k, cos_kt, cosines, u, 1.0)
+                    if k in seconds:
+                        second[k] = _second_derivative(k, cos_kt, self.sin_sq, cosines, u,
+                                                       *derivatives)
+        return level_rows, brackets, second
+
+    def _hold(self, levels, modes, seconds) -> None:
+        """Build the rows at these indices (_rows), sin_sq, the potential and
+        the bound factors, and keep them all; a build that raises keeps no
+        row of _rows."""
+        rows = self._rows(levels, modes, seconds)
+        self.sin_sq, self.potential, self.bound_factors
+        self._levels, self._modes, self._second = rows
 
     def level(self, n: int) -> array:
-        return self._levels[n]
+        if n < 0:
+            raise ParameterError(f"index must be >= 0, got {n}")
+        return self._levels[n] if n in self._levels else self._rows(levels=[n])[0][n]
 
     def mode(self, k: int) -> array:
         _require_partner(k)
-        if k not in self._modes:
-            cos_kt = self._cos_left.pop(k, None) or _cos_row(self.ts, k)
-            self._modes[k] = _bracket(k, cos_kt, self._cosines, self._u[k - 2], 1.0)
-        return self._modes[k]
+        return self._modes[k] if k in self._modes else self._rows(modes=[k])[1][k]
 
     def second_derivative(self, k: int) -> array:
         _require_partner(k)
-        return self._second[k - 2]
+        return self._second[k] if k in self._second else self._rows(seconds=[k])[2][k]
 
-    @property
+    @cached_property
     def sin_sq(self) -> array:
-        return self._sin_sq()
+        return array("d", [s * s for s in map(math.sin, self.ts)])
 
     @cached_property
     def potential(self) -> array:

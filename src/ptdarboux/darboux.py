@@ -57,8 +57,8 @@ def intertwine(cfg: WellConfig, k: int, x: float) -> float:
     [k cos(2 alpha k x) - cot(2 alpha x) sin(2 alpha k x)].
 
     Direct form; it loses accuracy near the walls where the cotangent
-    blows up.  closed_form's bracket rows (TGrid.mode, read at one point by
-    chi_eval) are the stable rewrite.
+    blows up.  closed_form's bracket rows (TGrid.mode; chi_eval reads one
+    point of the same sweep) are the stable rewrite.
     """
     _require_box(k)
     _require_open(cfg, x)

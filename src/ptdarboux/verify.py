@@ -14,7 +14,8 @@ import operator
 import sys
 from array import array
 from collections import namedtuple
-from functools import lru_cache, partial
+from contextvars import ContextVar
+from functools import lru_cache
 from types import MappingProxyType, SimpleNamespace
 
 from . import closed_form, hypergeom
@@ -197,83 +198,76 @@ def _weigh(nodes, row) -> list:
     return list(map(operator.mul, nodes[1], row))
 
 
-def _mode_rows(ts):
-    for row in closed_form._bracket_rows(ts):  # N_k g_k at unit scale
-        yield _require_finite(row, ts)
-
-
 def _moment_sums(nodes, row) -> dict:
     """D = half sum (w r) r and M = half sum (w r)(t r) of a row r on the t
-    rule `nodes`, both from one weighted row."""
+    rule `nodes`, both from one weighted row, after one check for
+    non-finite values (rows are bounded, so a non-finite product would make
+    fsum return one or raise)."""
+    _require_finite(row, nodes[0])
     weighted = _weigh(nodes, row)
     return {"D": _t_sum(nodes, weighted, row),
             "M": _t_sum(nodes, weighted, map(operator.mul, nodes[0], row))}
 
 
-def _level_sums(nodes):
-    ts = nodes[0]
-    factor = array("d", map(operator.mul, *closed_form._bound_factors(ts)))  # sin^2 cos^2(t/2)
-    for level in closed_form._level_rows(ts):
-        row = list(map(operator.mul, factor, level))
-        sums = _moment_sums(nodes, _require_finite(row, ts))
-        del row  # no row is held while the sweep waits for the next read
-        yield sums
+def _mode_sums(order: int, panels: int, ks) -> dict:
+    """{k: (r_k, its D and M)} for each k of `ks`: the partner mode r_k =
+    N_k g_k normalized at alpha = 1 (x = t / 2) on the t rule, from one U
+    sweep to the largest k (closed_form._bracket_rows)."""
+    nodes = _nodes(0.0, math.pi, order, panels)
+    return {k: (row, _moment_sums(nodes, row))
+            for k, row in closed_form._bracket_rows(nodes[0], ks)}
 
 
-class _TSums:
-    """The rule on t in (0, pi) and its one sum, half sum (w a) b (_t_sum),
-    taken once per integral: D(r) = half sum (w r) r and M(r) = half
-    sum (w r)(t r) of a partner mode r_k = N_k g_k (normalized at alpha = 1,
-    x = t / 2; modes[k - 2]) or of a level l_n = sin^2 cos^2(t/2) F_n (levels[n]
-    keeps only its D and M), and P(r_i, r_j) = half sum (w r_i) r_j of a
-    Gram pair.  A row's D and M are taken together, from one weighted row
-    (_moment_sums), when either is first asked for; the Gram matrix weighs
-    its own row r_i.  Each row is checked for non-finite values once (rows are
-    bounded, so a non-finite product would make fsum return one or raise).
-    The sweeps (_mode_rows, _level_sums) refer to the nodes, never to the
-    _TSums, so no reference cycle delays freeing an evicted one."""
-
-    def __init__(self, order: int, panels: int):
-        self.nodes = nodes = _nodes(0.0, math.pi, order, panels)
-        self.modes = closed_form._Swept(partial(_mode_rows, nodes[0]))
-        self.levels = closed_form._Swept(partial(_level_sums, nodes))
-        self._mode_sums = {}
-
-    def mode_sum(self, k: int, kind: str) -> float:
-        """D(r_k) or M(r_k), as kind says."""
-        if k not in self._mode_sums:
-            self._mode_sums[k] = _moment_sums(self.nodes, self.modes[k - 2])
-        return self._mode_sums[k][kind]
+def _level_sums(order: int, panels: int, ns) -> dict:
+    """{n: D and M of l_n} for each n of `ns`: the level l_n = sin^2 cos^2(t/2)
+    F_n on the t rule, from one level sweep to the largest n; no level row
+    is kept."""
+    nodes = _nodes(0.0, math.pi, order, panels)
+    factor = array("d", map(operator.mul, *closed_form._bound_factors(nodes[0])))
+    return {n: _moment_sums(nodes, list(map(operator.mul, factor, level)))
+            for n, level in closed_form._picked(closed_form._level_rows(nodes[0]), ns)}
 
 
-_quad_grid = lru_cache(maxsize=1)(_TSums)
-
-
-@lru_cache(maxsize=1)
-def _z_sums(order: int, panels: int):
-    """The z-form rule's z row (check_hypergeom_norm) and the sums of its
-    integrand weight * F_n^2(z), one per level n from one level sweep."""
+def _z_level_sums(order: int, panels: int, ns) -> dict:
+    """{n: sum} for each n of `ns`: the z-form rule's sum of its integrand
+    weight * F_n^2(z) (check_hypergeom_norm), from one level sweep to the
+    largest n."""
     nodes = _nodes(0.0, 1.0, order, panels)
     zs = array("d", [u * u * (3.0 - 2.0 * u) for u in nodes[0]])
     weights = array("d", [6.0 * ((u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5)
                           for u in nodes[0]])
-    return zs, closed_form._Swept(lambda: (
-        _weighted_sum([w * f * f for w, f in zip(weights, level)], nodes)
-        for level in hypergeom._jacobi_rows(1.5, 1.5, zs)))
+    return {n: _weighted_sum([w * f * f for w, f in zip(weights, level)], nodes)
+            for n, level in closed_form._picked(hypergeom._jacobi_rows(1.5, 1.5, zs), ns)}
+
+
+# The running suite's tables (_plan) under (builder, *its arguments but the
+# indices), which its checks read in place of their own; empty outside a suite.
+# The checks' signatures are public, so the suite cannot pass its tables to
+# them; a context variable keeps each thread's suite to itself.
+_suite = ContextVar("_suite", default={})
+
+
+def _table(build, order: int, panels: int, indices) -> dict:
+    """The running suite's table of `build` at this rule if it holds every
+    index, else build(order, panels, indices), which no one keeps."""
+    table = _suite.get().get((build, order, panels))
+    if table is None or not table.keys() >= set(indices):
+        table = build(order, panels, indices)
+    return table
 
 
 def check_trig_norm(
     k: int, *, order: int = QUAD_ORDER, panels: int = PANELS, tolerance: float | None = None
 ) -> CheckResult:
     """Norm integral of the index-k bracket over (0, pi) against pi/2 (k^2-1),
-    D(r_k) / N_k^2 (_TSums).
+    D(r_k) / N_k^2 (_mode_sums).
 
     The integrand is the stable Chebyshev form, identical to the
     cotangent-form integrand away from the removable endpoint singularities.
     """
     tol = _tolerance(_FAMILIES["trig norm"].tolerance, tolerance)
     norm = TrigEigenfunction(k, 1.0).norm
-    computed = _quad_grid(order, panels).mode_sum(k, "D") / (norm * norm)
+    computed = _table(_mode_sums, order, panels, [k])[k][1]["D"] / (norm * norm)
     return _row("trig norm", computed, 0.5 * math.pi * (k * k - 1), tol, k)
 
 
@@ -282,7 +276,7 @@ def check_hypergeom_norm(n: int, form: str = "z", *, order: int = QUAD_ORDER,
     """Norm integral of the degree-n hypergeometric bound-state factor.
 
     form="x": integral of sin^4 x cos^4 x F^2(sin^2 x) over (0, pi/2)
-    against (pi/4)((n+2)^2 - 1) C_n^2: D(l_n) / 2 in t = 2x (_TSums).
+    against (pi/4)((n+2)^2 - 1) C_n^2: D(l_n) / 2 in t = 2x (_level_sums).
     form="z": integral of z^{3/2} (1-z)^{3/2} F^2(z) over (0, 1) against
     (pi/2)((n+2)^2 - 1) C_n^2.  The z-form kernel has square-root behaviour
     at both endpoints, which would cap plain panel quadrature near 1e-9
@@ -296,9 +290,9 @@ def check_hypergeom_norm(n: int, form: str = "z", *, order: int = QUAD_ORDER,
     c_n = _c_float(n)
     k = n + 2
     if form == "x":
-        computed = _quad_grid(order, panels).levels[n]["D"] / 2.0
+        computed = _table(_level_sums, order, panels, [n])[n]["D"] / 2.0
     else:
-        computed = _z_sums(order, panels)[1][n]
+        computed = _table(_z_level_sums, order, panels, [n])[n]
     reference = (0.25 if form == "x" else 0.5) * math.pi * (k * k - 1) * c_n * c_n
     return _row("hypergeom norm", computed, reference, tol, n, form)
 
@@ -306,13 +300,13 @@ def check_hypergeom_norm(n: int, form: str = "z", *, order: int = QUAD_ORDER,
 def check_expectation_x(k: int, alpha: float = 1.0, *, order: int = QUAD_ORDER,
                         panels: int = PANELS, tolerance: float | None = None) -> CheckResult:
     """Position expectation of the normalized partner mode against
-    pi/(4 alpha), M(r_k) / (4 alpha) (_TSums).  The value is
+    pi/(4 alpha), M(r_k) / (4 alpha) (_mode_sums).  The value is
     index-independent: every mode is symmetric about the interval midpoint
     up to sign."""
     _require_partner(k)
     WellConfig(alpha)
     tol = _tolerance(_FAMILIES["expectation"].tolerance, tolerance)
-    computed = _quad_grid(order, panels).mode_sum(k, "M") / (4.0 * alpha)
+    computed = _table(_mode_sums, order, panels, [k])[k][1]["M"] / (4.0 * alpha)
     return _row("expectation", computed, math.pi / (4.0 * alpha), tol, k, alpha)
 
 
@@ -321,10 +315,10 @@ def check_first_moment(n_or_k: int, form: str = "trig", *, order: int = QUAD_ORD
     """x-weighted norm integrals.
 
     form="trig" (index k >= 2): integral of t [bracket_k(t)]^2 over (0, pi)
-    against (pi^2/4)(k^2 - 1): M(r_k) / N_k^2 (_TSums).
+    against (pi^2/4)(k^2 - 1): M(r_k) / N_k^2 (_mode_sums).
     form="hypergeom" (index n >= 0): integral of
     x sin^4 x cos^4 x F^2(sin^2 x) over (0, pi/2) against
-    (pi^2/16)((n+2)^2 - 1) C_n^2: M(l_n) / 4 in t = 2x.
+    (pi^2/16)((n+2)^2 - 1) C_n^2: M(l_n) / 4 in t = 2x (_level_sums).
     """
     if form not in ("trig", "hypergeom"):
         raise ParameterError(f"form must be 'trig' or 'hypergeom', got {form!r}")
@@ -333,12 +327,12 @@ def check_first_moment(n_or_k: int, form: str = "trig", *, order: int = QUAD_ORD
     if form == "trig":
         k = n_or_k
         norm = TrigEigenfunction(k, 1.0).norm
-        computed = _quad_grid(order, panels).mode_sum(k, "M") / (norm * norm)
+        computed = _table(_mode_sums, order, panels, [k])[k][1]["M"] / (norm * norm)
         reference = 0.25 * math.pi * math.pi * (k * k - 1)
     else:
         c_n = _c_float(n_or_k)
         k = n_or_k + 2
-        computed = _quad_grid(order, panels).levels[n_or_k]["M"] / 4.0
+        computed = _table(_level_sums, order, panels, [n_or_k])[n_or_k]["M"] / 4.0
         reference = math.pi * math.pi / 16.0 * (k * k - 1) * c_n * c_n
     return _row(family, computed, reference, tol, n_or_k, form)
 
@@ -347,7 +341,7 @@ def check_orthonormality(k_max: int, alpha: float = 1.0, *, order: int = QUAD_OR
                          panels: int = PANELS, tolerance: float | None = None
                          ) -> VerificationReport:
     """Gram matrix of the normalized partner modes k = 2..k_max: entry (i, j)
-    is P(r_i, r_j) / 2 and (k, k) is D(r_k) / 2 (_TSums), at unit scale, so
+    is P(r_i, r_j) / 2 and (k, k) is D(r_k) / 2 (_mode_sums), at unit scale, so
     the same bits at every alpha; every pair is summed.  Diagonal entries
     are compared with 1 in relative terms, off-diagonal ones with 0 in
     absolute terms (same tolerance)."""
@@ -355,13 +349,14 @@ def check_orthonormality(k_max: int, alpha: float = 1.0, *, order: int = QUAD_OR
         raise ParameterError(f"k_max must be >= 2, got {k_max}")
     WellConfig(alpha)
     tol = _tolerance(_FAMILIES["gram"].tolerance, tolerance)
-    sums = _quad_grid(order, panels)
-    nodes, modes = sums.nodes, sums.modes  # mode k at modes[k - 2]
+    modes = _table(_mode_sums, order, panels, range(2, k_max + 1))
+    nodes = _nodes(0.0, math.pi, order, panels)
     checks = []
     for i in range(2, k_max + 1):
-        weighted = _weigh(nodes, modes[i - 2])
+        row, sums = modes[i]
+        weighted = _weigh(nodes, row)
         for j in range(i, k_max + 1):
-            pair = sums.mode_sum(i, "D") if i == j else _t_sum(nodes, weighted, modes[j - 2])
+            pair = sums["D"] if i == j else _t_sum(nodes, weighted, modes[j][0])
             reference = 1.0 if i == j else 0.0
             checks.append(_make_check(f"gram ({i},{j})", pair / 2.0, reference, tol))
     return _report(checks, {"alpha": alpha, "k_max": k_max, "quad_order": order,
@@ -374,12 +369,24 @@ def check_orthonormality(k_max: int, alpha: float = 1.0, *, order: int = QUAD_OR
 INTERIOR_POINTS = 1000
 
 
-@lru_cache(maxsize=1)
-def _interior_grid():
-    """The one interior grid in t, with the rows its readers share
-    (closed_form.TGrid)."""
+def _interior_ts() -> list:
     step = (math.pi - 2.0 * WALL_MARGIN) / (INTERIOR_POINTS - 1)
-    return closed_form.TGrid([WALL_MARGIN + i * step for i in range(INTERIOR_POINTS)])
+    return [WALL_MARGIN + i * step for i in range(INTERIOR_POINTS)]
+
+
+def _interior_rows(levels, modes, seconds) -> closed_form.TGrid:
+    """The interior grid holding its level, bracket and g'' rows at these
+    indices, sin^2(t), its potential and its bound factors (TGrid._hold)."""
+    grid = closed_form.TGrid(_interior_ts())
+    grid._hold(levels, modes, seconds)
+    return grid
+
+
+def _interior_grid() -> closed_form.TGrid:
+    """The running suite's interior grid, which holds every row its
+    families read, else a fresh one, each of whose reads builds its own
+    row."""
+    return _suite.get().get((_interior_rows,)) or closed_form.TGrid(_interior_ts())
 
 
 def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None) -> CheckResult:
@@ -398,7 +405,7 @@ def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None
     norm = TrigEigenfunction(k, 1.0).norm
     norm4 = norm * 4.0
     grid = _interior_grid()
-    worst = max([  # g'' first: the bracket then takes its row cos(kt)
+    worst = max([
         abs(-(norm4 * g2) + v * (chi := norm * g) - energy * chi)
         for v, g2, g in zip(grid.potential, grid.second_derivative(k), grid.mode(k))
     ])
@@ -809,6 +816,31 @@ _FAMILIES = {
 }
 
 
+def _plan(run) -> dict:
+    """The suite's tables (_suite), each built once, to exactly the indices
+    that its families read at the run (_FAMILIES' indices).  A build that
+    raises keeps nothing: each row that reads it builds its own and raises
+    its check's error."""
+    reads = {name: family.indices(run) for name, family in _FAMILIES.items()}
+    norms, rule = reads["hypergeom norm"], (run.quad_order, run.panels)
+    modes = {args[0] for name in ("trig norm", "expectation", "trig moment")
+             for args in reads[name]} | set(range(2, reads["gram"][0][0] + 1))
+    levels = {n for n, form in norms if form == "x"} | {n for n, _ in reads["hypergeom moment"]}
+    grid_levels = ({n for n, _ in reads["correspondence"]}
+                   | {family.level(i) for _, family, i in reads["identity"]})
+    seconds = {k for k, _ in reads["residual"]}
+    builds = {(_mode_sums, *rule): (modes,), (_level_sums, *rule): (levels,),
+              (_z_level_sums, *rule): ([n for n, form in norms if form == "z"],),
+              (_interior_rows,): (grid_levels, seconds | {n + 2 for n in grid_levels}, seconds)}
+    tables = {}
+    for key, indices in builds.items():
+        try:
+            tables[key] = key[0](*key[1:], *indices)
+        except Exception:  # noqa: BLE001 - its readers raise the error in their rows
+            continue
+    return tables
+
+
 def run_full_suite(
     alpha: float = 1.0,
     n_max: int = N_MAX,
@@ -820,8 +852,10 @@ def run_full_suite(
 ) -> VerificationReport:
     """Run every family of _FAMILIES, in its order, over its rows at n_max,
     and aggregate one report.  A parameter that no row could use raises
-    ParameterError before any row runs; a check that raises is recorded as
-    one failed row at its family's tolerance, and the suite never aborts.
+    ParameterError before any row runs or any table is built; then each
+    table is built once (_plan), the families read it, and it is freed when
+    the suite returns.  A check that raises is recorded as one failed row at
+    its family's tolerance, and the suite never aborts.
     """
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
@@ -833,26 +867,20 @@ def run_full_suite(
                   "panels": panels, "grid_points": grid_points}
     run, rule = SimpleNamespace(**parameters), {"order": quad_order, "panels": panels}
     checks: list[CheckResult] = []
-    for family in _FAMILIES.values():
-        tol = 0.0 if family.tolerance is None else tols[family.tolerance]
-        for args in family.indices(run):
-            try:
-                result = family.check(rule, tol, *args)
-            except Exception as exc:  # noqa: BLE001 - aggregation must not abort
-                name = f"{family.row.format(*args)} [error: {type(exc).__name__}: {exc}]"
-                checks.append(CheckResult(name, math.nan, math.nan, math.inf, math.inf, tol, False))
-                continue
-            checks.extend(result.checks if isinstance(result, VerificationReport) else (result,))
-        _release_sweeps(quad_order, panels)
+    token = _suite.set(_plan(run))
+    try:
+        for family in _FAMILIES.values():
+            tol = 0.0 if family.tolerance is None else tols[family.tolerance]
+            for args in family.indices(run):
+                try:
+                    result = family.check(rule, tol, *args)
+                except Exception as exc:  # noqa: BLE001 - aggregation must not abort
+                    name = f"{family.row.format(*args)} [error: {type(exc).__name__}: {exc}]"
+                    checks.append(CheckResult(name, math.nan, math.nan, math.inf, math.inf,
+                                              tol, False))
+                    continue
+                checks.extend(result.checks if isinstance(result, VerificationReport)
+                              else (result,))
+    finally:
+        _suite.reset(token)
     return _report(checks, parameters)
-
-
-def _release_sweeps(order: int, panels: int) -> None:
-    """Drop the suspended sweeps of one rule's quadrature tables (_TSums'
-    modes and levels, the z rule's sums) with the working rows they hold,
-    keeping every item read (_Swept.release).  The suite releases them
-    after each family, and no later family reads past the items the first
-    one read, so nothing is swept again."""
-    sums = _quad_grid(order, panels)
-    for table in (sums.modes, sums.levels, _z_sums(order, panels)[1]):
-        table.release()

@@ -1,12 +1,14 @@
 """Independent reference implementations that the tests compare against.
 
-The package evaluates on rows (closed_form.TGrid and the sweeps that
-closed_form._Swept holds); these are the point-wise forms those rows must
-equal, kept here so that a bulk reference loop in a test costs one scalar
-call per point.  json_safe is the payload whose json.dumps the CLI's JSON
+The package evaluates on rows (closed_form.TGrid and the quadrature tables
+that verify builds by sweeping a recurrence); these are the point-wise forms
+those rows must equal, kept here so that a bulk reference loop in a test
+costs one scalar call per point.  sturm_count_decimal is verify's Sturm count
+at 60 digits, and json_safe is the payload whose json.dumps the CLI's JSON
 writer must reproduce.
 """
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from ptdarboux import verify
@@ -42,7 +44,7 @@ def f21_real(h, z: float) -> float:
     """2F1(-n, b; c; z) in floats by the normalized Jacobi recurrence in
     degree (DLMF 15.9.1, 18.9.2) with a = c - 1, beta = b - n - c, swept at
     one point; hypergeom.f21_eval_real and the level rows (closed_form.TGrid,
-    the z rule's sweep) must equal it bit for bit."""
+    the z rule's level sums) must equal it bit for bit."""
     c = float(h.c)
     a = c - 1.0
     beta = float(h.b) - h.n - c
@@ -102,9 +104,31 @@ def integrate(profile, a: float, b: float, order: int, panels: int) -> float:
 
 def integrate_product(first, second, a: float, b: float, order: int, panels: int) -> float:
     """The suite's rule applied to first * second in the association of the
-    t-rule sums (verify._TSums): half * sum (w first(x)) second(x)."""
+    t-rule sums (verify._t_sum): half * sum (w first(x)) second(x)."""
     abscissae, weights, half = verify._nodes(a, b, order, panels)
     return half * math.fsum((w * first(x)) * second(x) for x, w in zip(abscissae, weights))
+
+
+def sturm_count_decimal(w0: float, rest: list, shift: float, factor: float, mu: float,
+                        digits: int = 60) -> int:
+    """verify._sturm_count's sweep in `digits`-digit decimal arithmetic: the
+    same pivots 1 + u, u_0 = shift + factor (w0 - mu) and u_i = w_i - mu +
+    u_{i-1} / (1 + u_{i-1}), on the same float matrix entries and mu, each
+    taken exactly, so only the float rounding of the sweep itself is gone.
+    The number of pivots with 1 + u <= 0; a zero one continues as the
+    package's next float below -1."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        mu = Decimal(mu)
+        u = Decimal(shift) + Decimal(factor) * (Decimal(w0) - mu)
+        negatives = 0
+        for w in rest:
+            if u <= -1:
+                negatives += 1
+                if u == -1:
+                    u = Decimal(verify._ZERO_PIVOT)
+            u = Decimal(w) - mu + u / (1 + u)
+        return negatives + (u <= -1)
 
 
 def ascending_rule(a: float, b: float, order: int, panels: int) -> tuple[list, list]:

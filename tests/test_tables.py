@@ -1,6 +1,7 @@
-"""The swept row tables and the t-grid rows against their one-point forms."""
+"""The row tables and the t-grid rows against their one-point forms."""
 import math
 from fractions import Fraction
+from array import array
 from functools import partial
 
 import pytest
@@ -23,18 +24,26 @@ def _half_angle_sq(ts):
     return [s * s for s in (math.sin(0.5 * t) for t in ts)]
 
 
+def _held_grid(ts, levels=(), modes=(), seconds=()):
+    # a TGrid holding these rows, built up front, as the suite's interior grid
+    grid = TGrid(ts)
+    grid._hold(levels, modes, seconds)
+    return grid
+
+
 def _suite_level_rows():
     # the z rows the suite sweeps, each with its level-row table: sin^2(t/2)
     # at the t quadrature nodes (the x form) and on the interior grid in t,
-    # each read through a TGrid, and the z-form nodes at the default rule,
-    # read from the ladder the z rule sweeps
-    t_nodes, t_grid = verify._quad_grid(64, 32).nodes[0], verify._interior_grid().ts
-    z_nodes = verify._z_sums(64, 32)[0]
-    z_rows = closed_form._Swept(partial(hypergeom._jacobi_rows, 1.5, 1.5, z_nodes))
+    # each read through a TGrid holding every level, and the z-form nodes at
+    # the default rule, read from the ladder the z rule sweeps
+    levels = range(MAX_DEGREE + 1)
+    t_nodes, t_grid = verify._nodes(0.0, math.pi, 64, 32)[0], verify._interior_grid().ts
+    z_nodes = [u * u * (3.0 - 2.0 * u) for u in verify._nodes(0.0, 1.0, 64, 32)[0]]
+    z_rows = dict(closed_form._picked(hypergeom._jacobi_rows(1.5, 1.5, z_nodes), levels))
     return {
-        "x nodes": (_half_angle_sq(t_nodes), TGrid(t_nodes).level),
+        "x nodes": (_half_angle_sq(t_nodes), _held_grid(t_nodes, levels).level),
         "z nodes": (z_nodes, z_rows.__getitem__),
-        "t grid": (_half_angle_sq(t_grid), TGrid(t_grid).level),
+        "t grid": (_half_angle_sq(t_grid), _held_grid(t_grid, levels).level),
     }
 
 
@@ -52,131 +61,67 @@ def test_level_rows_equal_f21_eval_real_bitwise_to_the_degree_cap():
 
 
 def test_level_table_out_of_order_access_gives_the_same_bits():
-    # TGrid.level reads one kept sweep: a lower level is not swept again
-    ts = verify._quad_grid(64, 32).nodes[0]
-    grid = TGrid(ts)
+    # a grid holding levels returns its kept rows in any order; a lone read
+    # of a fresh grid sweeps to its own level and gives the same bits
+    ts = verify._nodes(0.0, math.pi, 64, 32)[0]
+    grid = _held_grid(ts, levels=[30, 5])
     first = list(grid.level(30))
     low = list(grid.level(5))
     assert grid.level(30) is grid.level(30)
-    assert first == list(grid.level(30)) == list(TGrid(ts).level(30))
+    assert first == list(TGrid(ts).level(30))
     assert low == list(TGrid(ts).level(5))
     assert low == [f21_real(_factor(5), z) for z in _half_angle_sq(ts)]
-    with pytest.raises(ParameterError):
-        grid.level(-1)
-
-
-def test_swept_items_are_read_once_and_kept():
-    started = []
-
-    def sweep():
-        for i in range(10):
-            started.append(i)
-            yield [i]
-
-    items = closed_form._Swept(sweep)
-    assert items[0] == [0] and started == [0]
-    assert items[3] == [3] and started == [0, 1, 2, 3]
-    assert items[1] is items[1] and started == [0, 1, 2, 3]
-    for bad in (-1, -4):  # never Python's negative indexing
-        with pytest.raises(ParameterError, match=f"got {bad}"):
-            items[bad]
-    assert started == [0, 1, 2, 3]
-
-
-def test_swept_error_is_raised_again_at_and_above_its_index():
-    def sweep():
-        yield "a"
-        yield "b"
-        raise ValueError("item 2 failed")
-
-    def depth(tb):
-        return 0 if tb is None else 1 + depth(tb.tb_next)
-
-    items = closed_form._Swept(sweep)
-    with pytest.raises(ValueError) as first:
-        items[4]
-    depths = set()
-    for i in (2, 3, 2, 7):  # the same error, never StopIteration or another item
-        with pytest.raises(ValueError) as again:
-            items[i]
-        assert again.value is first.value
-        depths.add(depth(again.value.__traceback__))
-    assert len(depths) == 1  # a re-raise does not grow the traceback it carries
-    assert (items[0], items[1]) == ("a", "b")
-
-
-def test_swept_restarts_past_its_items_after_an_interruption():
-    starts, interrupted = [], []
-
-    def sweep():
-        starts.append(len(starts))
-        for i in range(5):
-            if i == 2 and not interrupted:
-                interrupted.append(i)
-                raise KeyboardInterrupt
-            yield [i]
-
-    items = closed_form._Swept(sweep)
-    kept = items[1]
-    with pytest.raises(KeyboardInterrupt):
-        items[3]
-    # never StopIteration: the items a never-interrupted sweep gives
-    assert (items[3], items[2], items[4]) == ([3], [2], [4])
-    assert items[1] is kept and starts == [0, 1]
-
-
-def test_swept_release_keeps_its_items_and_restarts_past_them():
-    starts = []
-
-    def sweep():
-        starts.append(len(starts))
-        for i in range(5):
-            yield [i]
-
-    items = closed_form._Swept(sweep)
-    kept = items[1]
-    items.release()
-    assert items[1] is kept and starts == [0]  # a kept item starts no sweep
-    assert (items[3], items[2]) == ([3], [2]) and starts == [0, 1]
-    assert items[1] is kept
+    for bad in (grid, TGrid(ts)):
+        with pytest.raises(ParameterError, match="got -1"):  # never Python's negative indexing
+            bad.level(-1)
 
 
 def test_mode_rows_equal_stable_bracket_bitwise():
+    # every bracket a grid holds, and a lone read's at a few k
     ts_rows = {
-        "t nodes": verify._quad_grid(64, 32).nodes[0],
+        "t nodes": verify._nodes(0.0, math.pi, 64, 32)[0],
         "t grid": verify._interior_grid().ts,
     }
     for name, ts in ts_rows.items():
-        grid = TGrid(ts)
+        grid = _held_grid(ts, modes=range(2, MAX_DEGREE + 3))
         for k in range(2, MAX_DEGREE + 3):
             row = grid.mode(k)
             mismatches = [t for t, g in zip(ts, row) if g != stable_bracket(k, t)]
             assert not mismatches, (name, k, mismatches[:3])
+        for k in (2, 17, MAX_DEGREE + 2):
+            assert TGrid(ts).mode(k) == grid.mode(k)
 
 
 def test_t_grid_keeps_its_mode_rows_and_rejects_the_seed_index():
+    # a grid keeps the rows it holds and no row a lone read builds
     ts = verify._interior_grid().ts
-    grid = TGrid(ts)
+    grid = _held_grid(ts, modes=[5, 30], seconds=[7])
     high = grid.mode(30)
     assert grid.mode(5) == TGrid(ts).mode(5)
-    assert grid.mode(30) is high
-    with pytest.raises(ParameterError):
-        grid.mode(1)
+    assert grid.mode(30) is high and grid.second_derivative(7) is grid.second_derivative(7)
+    assert grid.mode(9) is not grid.mode(9) and grid.mode(9) == TGrid(ts).mode(9)
+    assert sorted(grid._modes) == [5, 30] and sorted(grid._second) == [7]
+    for bad in (grid, TGrid(ts)):
+        with pytest.raises(ParameterError):
+            bad.mode(1)
+        with pytest.raises(ParameterError):
+            bad.second_derivative(1)
 
 
 def test_derivative_rows_match_the_cotangent_form():
     # g = k cos(kt) - cot(t) sin(kt) differentiated by hand, where sin t >= 0.1
-    # keeps the cotangent form accurate, against the swept g'' rows, which the
-    # grid keeps, and against g' as chi_derivatives forms it at every 20th
-    # point (at alpha = 1, where x = t/2 gives back t exactly).  The grid
-    # differentiates its own kept U rows, the sweep here a fresh U sweep of
-    # the cosines, and both read the grid's cos t and sin^2 t rows
+    # keeps the cotangent form accurate, against the g'' rows a grid holds,
+    # from one differentiated U sweep, and against g' as chi_derivatives
+    # forms it at every 20th point (at alpha = 1, where x = t/2 gives back t
+    # exactly).  A lone read of a fresh grid differentiates its own U sweep
+    # to k and gives the same bits
     ts = [t for t in verify._interior_grid().ts if math.sin(t) >= 0.1]
-    grid = TGrid(ts)
-    seconds = closed_form._derivative_rows(partial(closed_form._cos_row, ts), grid._cosines,
-                                           grid._sin_sq, closed_form._u_rows(grid._cosines))
-    for k, second in zip(range(2, MAX_DEGREE + 4), seconds):
-        assert grid.second_derivative(k) == second
+    ks = range(2, MAX_DEGREE + 4)
+    grid = _held_grid(ts, seconds=ks)
+    for k in ks:
+        second = grid.second_derivative(k)
+        if k % 10 == 2:
+            assert TGrid(ts).second_derivative(k) == second
         f = TrigEigenfunction(k, 1.0)
         first = [chi_derivatives(f, 0.5 * t)[1] / (2.0 * f.norm) for t in ts[::20]]
         exact_first, exact_second = [], []
@@ -217,61 +162,39 @@ def test_t_grid_pairs_equal_fresh_one_point_grids():
 
 
 def test_quadrature_grid_builds_no_identity_or_bound_state_rows():
-    # the t rule's sums build no TGrid, so no identity row (sin_sq), no
+    # the t rule's tables build no TGrid, so no identity row (sin_sq), no
     # potential and no bracket or g'' row of a TGrid: they keep the
-    # normalized mode rows read so far and two scalars per level swept,
-    # never a level row
-    verify._quad_grid.cache_clear()
-    for n in range(4):
-        verify.check_hypergeom_norm(n, "x")
-        verify.check_first_moment(n, "hypergeom")
-        verify.check_trig_norm(n + 2)
-    sums = verify._quad_grid(64, 32)
-    assert set(vars(sums)) == {"nodes", "modes", "levels", "_mode_sums"}
-    assert not any(isinstance(value, TGrid) for value in vars(sums).values())
-    assert len(sums.modes._items) == 4
-    levels = sums.levels._items
-    assert len(levels) == 4
+    # normalized mode rows asked for with their two sums, and two scalars
+    # per level asked for, never a level row
+    modes = verify._mode_sums(64, 32, range(2, 6))
+    levels = verify._level_sums(64, 32, range(4))
+    assert sorted(modes) == [2, 3, 4, 5] and sorted(levels) == [0, 1, 2, 3]
+    for row, sums in modes.values():
+        assert type(row) is array and row.typecode == "d" and len(row) == 64 * 32
+        assert sorted(sums) == ["D", "M"] and all(type(v) is float for v in sums.values())
     assert all(sorted(level) == ["D", "M"] and all(type(v) is float for v in level.values())
-               for level in levels)
+               for level in levels.values())
+    assert sorted(verify._level_sums(64, 32, [7, 3])) == [3, 7]  # only the levels asked for
 
 
 def test_a_t_grid_is_freed_without_a_cycle_collection():
-    # its sweeps and the g'' sweep's hand-off of cos(kt) to the bracket refer
-    # to its rows, never to the TGrid, so a one-shot grid (tabulate's) frees
-    # its rows, and the working rows its sweeps hold, at once
+    # its rows refer to no grid, so a one-shot grid (tabulate's) and a grid
+    # holding rows (the suite's) free their rows at once
     import gc
     import weakref
 
     gc.disable()
     try:
-        grid = TGrid(verify._interior_grid().ts)
-        grid.bound_state_pairs(5, 1.0), grid.second_derivative(9), grid.mode(9), grid.potential
-        ref = weakref.ref(grid)
-        del grid
-        assert ref() is None
+        for held in (False, True):
+            grid = TGrid(verify._interior_grid().ts)
+            if held:
+                grid._hold(range(6), range(2, 10), range(2, 10))
+            grid.bound_state_pairs(5, 1.0), grid.second_derivative(9), grid.mode(9), grid.potential
+            ref, row = weakref.ref(grid), weakref.ref(grid.sin_sq)
+            del grid
+            assert ref() is None and row() is None
     finally:
         gc.enable()
-
-
-def test_an_evicted_quadrature_grid_is_freed_without_a_cycle_collection():
-    # the sweeps the t rule's holders advance refer to its nodes, not to the
-    # _TSums, so dropping it from the cache frees its rows at once
-    import gc
-    import weakref
-
-    verify._quad_grid.cache_clear()
-    gc.disable()
-    try:
-        sums = verify._quad_grid(8, 4)
-        sums.modes[3], sums.mode_sum(3, "M"), sums.levels[4]
-        ref = weakref.ref(sums)
-        del sums
-        verify._quad_grid(8, 5)
-        assert ref() is None
-    finally:
-        gc.enable()
-        verify._quad_grid.cache_clear()
 
 
 def _forbidden_sweep(*args):
@@ -283,18 +206,6 @@ def _forbidden_potential(*args):
     raise AssertionError("a potential row was built before its inputs were validated")
 
 
-@pytest.fixture
-def fresh_tables():
-    # no cached table may outlive the test that patched its sweep
-    cached = (verify._z_sums, verify._quad_grid, verify._interior_grid)
-    for builder in cached:
-        builder.cache_clear()
-    yield
-    for builder in cached:
-        builder.cache_clear()
-
-
-@pytest.mark.usefixtures("fresh_tables")
 @pytest.mark.parametrize("call", [
     partial(verify.check_trig_norm, 1),
     partial(verify.check_trig_norm, 3, panels=0),
@@ -331,7 +242,7 @@ def test_validation_errors_come_before_any_table_is_swept(monkeypatch, call):
     monkeypatch.setattr(hypergeom, "_jacobi_rows", _forbidden_sweep)
     monkeypatch.setattr(closed_form, "_bracket_rows", _forbidden_sweep)
     monkeypatch.setattr(closed_form, "_u_rows", _forbidden_sweep)  # a TGrid's bracket rows
-    monkeypatch.setattr(closed_form, "_derivative_rows", _forbidden_sweep)
+    monkeypatch.setattr(closed_form, "_chebyshev_rows", _forbidden_sweep)  # a TGrid's g'' rows
     monkeypatch.setattr(closed_form, "_partner_potentials", _forbidden_potential)
     with pytest.raises(ParameterError):
         call()

@@ -27,6 +27,7 @@ from oracles import (
     integrate_product,
     pt_eigen_hypergeom,
     stable_bracket,
+    sturm_count_decimal,
 )
 from ptdarboux import closed_form, darboux, hypergeom, verify
 from ptdarboux.closed_form import TrigEigenfunction
@@ -257,34 +258,30 @@ def test_orthonormality_report():
 
 
 def test_partner_mode_checks_sample_each_bracket_once(monkeypatch):
-    # the four partner-mode families read one cached t grid per rule, so
-    # together they sample each bracket once per node: the Gram matrix and
-    # the trig norm, trig first moment and <x> of modes it already holds
-    # add nothing.  No quadrature check evaluates the bracket point by point
-    # or goes through the domain-checked chi_eval.
+    # the four partner-mode families of a suite read one table of the t
+    # rule's mode rows, so together they sample each bracket once per node:
+    # the Gram matrix and the trig norm, trig first moment and <x> of modes
+    # the table holds add nothing.  No quadrature check evaluates the
+    # bracket point by point or goes through the domain-checked chi_eval.
     samples = 0
     original = closed_form._bracket_rows
 
-    def counted(ts):
+    def counted(ts, ks):
         nonlocal samples
-        for row in original(ts):
+        for k, row in original(ts, ks):
             samples += len(row)
-            yield row
+            yield k, row
 
     def forbidden(*args):
         raise AssertionError("a quadrature check evaluated a bracket point by point")
 
     monkeypatch.setattr(closed_form, "_bracket_rows", counted)
     monkeypatch.setattr(closed_form, "chi_eval", forbidden)
-    verify._quad_grid.cache_clear()
     order, panels = 16, 8
-    k_max = 9
-    for k in range(2, k_max + 1):
-        assert check_trig_norm(k, order=order, panels=panels).passed
-        assert check_first_moment(k, "trig", order=order, panels=panels).passed
-        assert check_expectation_x(k, 1.37, order=order, panels=panels).passed
-    assert check_orthonormality(k_max, 0.6024, order=order, panels=panels).overall
-    assert samples == (k_max - 1) * order * panels
+    n_max = 9
+    report = run_full_suite(0.6024, n_max, order, panels, grid_points=1000)
+    assert report.overall
+    assert samples == (n_max + 1) * order * panels  # k = 2..n_max + 2, the trig norm's
 
 
 def test_suite_takes_each_t_rule_integral_once(monkeypatch):
@@ -303,7 +300,6 @@ def test_suite_takes_each_t_rule_integral_once(monkeypatch):
         return original(nodes, weighted, row)
 
     monkeypatch.setattr(verify, "_t_sum", counted)
-    verify._quad_grid.cache_clear()
     n_max = 4
     assert run_full_suite(n_max=n_max, grid_points=1000).overall
     partners = n_max - 1  # k = 2..n_max
@@ -328,22 +324,20 @@ def test_the_rule_is_the_ascending_rule_from_its_middle_out(order, panels):
 
 def _rule_sums(n_max):
     # every t-rule sum (each mode's D and M, each Gram pair, each level's D
-    # and M) and every z-rule sum of the suite at n_max, read afresh
-    verify._quad_grid.cache_clear()
-    verify._z_sums.cache_clear()
-    t_sums = verify._quad_grid(64, 32)
-    nodes, modes = t_sums.nodes, t_sums.modes
-    sums = {(k, kind): t_sums.mode_sum(k, kind)
+    # and M) and every z-rule sum of the suite at n_max, built afresh
+    nodes = verify._nodes(0.0, math.pi, 64, 32)
+    modes = verify._mode_sums(64, 32, range(2, n_max + 3))
+    levels = verify._level_sums(64, 32, range(n_max + 1))
+    z_levels = verify._z_level_sums(64, 32, range(n_max + 1))
+    sums = {(k, kind): modes[k][1][kind]
             for k in range(2, n_max + 3) for kind in ("D", "M")}
     for i in range(2, n_max + 1):
-        weighted = verify._weigh(nodes, modes[i - 2])
+        weighted = verify._weigh(nodes, modes[i][0])
         for j in range(i + 1, n_max + 1):
-            sums[i, j] = verify._t_sum(nodes, weighted, modes[j - 2])
+            sums[i, j] = verify._t_sum(nodes, weighted, modes[j][0])
     for n in range(n_max + 1):
-        sums["level", n] = t_sums.levels[n]
-        sums["z", n] = verify._z_sums(64, 32)[1][n]
-    verify._quad_grid.cache_clear()
-    verify._z_sums.cache_clear()
+        sums["level", n] = levels[n]
+        sums["z", n] = z_levels[n]
     return sums
 
 
@@ -363,12 +357,12 @@ def test_gram_sums_walk_few_fsum_partials():
     # out the large terms come first and the tiny wall terms (down to 1e-20)
     # last, so the 15 Gram pairs of k = 2..6 at the default rule walk 3.8
     # partials per term; from wall to wall they walked 15.6
-    t_sums = verify._quad_grid(64, 32)
-    nodes, modes = t_sums.nodes, t_sums.modes
+    nodes = verify._nodes(0.0, math.pi, 64, 32)
+    modes = {k: row for k, (row, _) in verify._mode_sums(64, 32, range(2, 7)).items()}
     work = []
     for i in range(2, 7):
-        weighted = verify._weigh(nodes, modes[i - 2])
-        work += [fsum_partials(list(map(operator.mul, weighted, modes[j - 2])))
+        weighted = verify._weigh(nodes, modes[i])
+        work += [fsum_partials(list(map(operator.mul, weighted, modes[j])))
                  for j in range(i, 7)]
     assert len(work) == 15
     assert sum(work) / len(work) <= 4.35
@@ -475,24 +469,30 @@ def test_suite_sweeps_instead_of_evaluating_point_by_point(monkeypatch):
         evaluated += 1
         return original(*args)
 
+    grids = []
+    interior_rows = verify._interior_rows
+
+    def recorded(*args):
+        grids.append(interior_rows(*args))
+        return grids[-1]
+
     for name, module in list(sys.modules.items()):
         if name.startswith("ptdarboux") and hasattr(module, "f21_eval_real"):
             monkeypatch.setattr(module, "f21_eval_real", forbidden)
         if name.startswith("ptdarboux") and hasattr(module, "_f21_exact"):
             monkeypatch.setattr(module, "_f21_exact", counted)
+    monkeypatch.setattr(verify, "_interior_rows", recorded)
     counts = []
     try:
         for points in (200, 500):
             evaluated = 0
             monkeypatch.setattr(verify, "INTERIOR_POINTS", points)
-            verify._interior_grid.cache_clear()
             closed_form._midpoint_factor.cache_clear()
             report = run_full_suite(n_max=10, grid_points=1000)
             assert report.overall
-            assert len(verify._interior_grid().ts) == points
+            assert len(grids.pop().ts) == points and not grids
             counts.append(evaluated)
     finally:
-        verify._interior_grid.cache_clear()
         closed_form._midpoint_factor.cache_clear()
     assert counts[0] > 0  # the hook sees the evaluations it counts
     assert counts[0] == counts[1]
@@ -514,11 +514,7 @@ def test_suite_builds_one_potential_row(monkeypatch):
 
     monkeypatch.setattr(closed_form, "_partner_potentials", counted)
     monkeypatch.setattr(darboux, "partner_potential", forbidden)
-    verify._interior_grid.cache_clear()
-    try:
-        report = run_full_suite(n_max=30, grid_points=1000)
-    finally:
-        verify._interior_grid.cache_clear()
+    report = run_full_suite(n_max=30, grid_points=1000)
     assert report.overall
     assert sum(c.name.startswith("residual") for c in report.checks) == 29
     assert [len(row) for row in rows] == [verify.INTERIOR_POINTS] == [1000]
@@ -543,35 +539,40 @@ def test_suite_reads_every_partner_mode_from_its_t_grid(monkeypatch):
 
 def test_gram_matrix_rejects_a_non_finite_mode_value(monkeypatch):
     # each normalized row is checked once; the error names the abscissa.
-    # The mode sweep stops at the spoiled k = 3 row: every later read at or
-    # above it raises that row's error again, and none returns the row of
-    # another index under k = 3's name; k = 2 is still read
+    # A table whose sweep reaches the spoiled k = 3 row keeps nothing and
+    # raises that row's error, so every read that needs k = 3 raises it and
+    # none returns the row of another index under k = 3's name; a read of
+    # another k alone builds only its own row and passes.  In a suite the
+    # table's build keeps nothing, so each row builds its own and gives the
+    # row of those standalone calls
     original = closed_form._bracket_rows
 
-    def spoiled(ts):
-        for k, row in enumerate(original(ts), start=2):
+    def spoiled(ts, ks):
+        for k, row in original(ts, ks):
             if k == 3:
                 row = array("d", row)
                 row[100] = math.inf
-            yield row
+            yield k, row
 
     monkeypatch.setattr(closed_form, "_bracket_rows", spoiled)
-    verify._quad_grid.cache_clear()
     x = verify._nodes(0.0, math.pi, 64, 32)[0][100]
-    try:
-        with pytest.raises(EvaluationError, match=re.escape(f"returned inf at x={x}")):
-            check_orthonormality(4)
-        for k in (3, 3, 4, 9):
-            with pytest.raises(EvaluationError, match=re.escape(f"returned inf at x={x}")):
-                check_trig_norm(k)
-        assert check_trig_norm(2).passed
-    finally:
-        verify._quad_grid.cache_clear()
+    error = f"integrand returned inf at x={x}"
+    for check in (partial(check_orthonormality, 4), partial(check_trig_norm, 3),
+                  partial(check_trig_norm, 3), partial(check_expectation_x, 3)):
+        with pytest.raises(EvaluationError, match=re.escape(error)):
+            check()
+    assert check_trig_norm(2).passed and check_trig_norm(9).passed
+    rows = {c.name: c for c in run_full_suite(n_max=3, grid_points=1000).checks}
+    for name in ("trig norm k=3", "expectation <x> k=3 alpha=1.0",
+                 "first moment (trig) k=3", "gram matrix"):
+        assert f"{name} [error: EvaluationError: {error}]" in rows
+    assert rows["trig norm k=2"] == check_trig_norm(2)
+    assert rows["trig norm k=5"] == check_trig_norm(5)
+    assert rows["first moment (trig) k=2"].passed
 
 
 def _clear_node_set_caches():
-    for cached in (verify._rule, verify._nodes, verify._quad_grid, verify._z_sums,
-                   verify._interior_grid):
+    for cached in (verify._rule, verify._nodes):
         cached.cache_clear()
 
 
@@ -580,48 +581,85 @@ def test_suite_sweeps_each_node_sets_levels_once(monkeypatch):
     # the interior grid each start hypergeom._jacobi_rows once, however often
     # their readers ask for a lower level again; the t rule keeps two
     # scalars per level, never a level row
-    starts = 0
-    original = hypergeom._jacobi_rows
+    starts, tables = 0, []
+    original, level_sums = hypergeom._jacobi_rows, verify._level_sums
 
     def counted(*args):
         nonlocal starts
         starts += 1
         return original(*args)
 
+    def recorded(*args):
+        tables.append(level_sums(*args))
+        return tables[-1]
+
     monkeypatch.setattr(hypergeom, "_jacobi_rows", counted)
+    monkeypatch.setattr(verify, "_level_sums", recorded)
     _clear_node_set_caches()
     try:
         assert run_full_suite(n_max=30).overall
         assert starts == 3
-        levels = verify._quad_grid(verify.QUAD_ORDER, verify.PANELS).levels._items
-        assert len(levels) == 31
-        assert not any(isinstance(v, array) for level in levels for v in level.values())
+        (levels,) = tables
+        assert sorted(levels) == list(range(31))
+        assert all(type(v) is float for level in levels.values() for v in level.values())
     finally:
         _clear_node_set_caches()
 
 
-def test_suite_keeps_its_rows_in_arrays_and_releases_its_table_sweeps():
-    # the sweeps' working rows are lists, but every row a holder keeps is an
-    # array('d'): the t rule's mode rows and the interior grid's level, U,
-    # bracket, g'' and sampled rows.  After each family the suite drops the
-    # quadrature tables' suspended sweeps with the lists they hold, and no
-    # cos(kt) row is left on the grid (each residual bracket took its g''
-    # row's)
-    _clear_node_set_caches()
+def _suite_tables(monkeypatch):
+    # the tables of every suite run while the test runs, by builder name,
+    # as each build returned them
+    tables = {}
+    for name in ("_mode_sums", "_level_sums", "_z_level_sums", "_interior_rows"):
+        def recorded(*args, build=getattr(verify, name), name=name):
+            tables[name] = build(*args)
+            return tables[name]
+        monkeypatch.setattr(verify, name, recorded)
+    return tables
+
+
+def test_suite_keeps_its_rows_in_arrays_and_releases_its_table_sweeps(monkeypatch):
+    # the sweeps' working rows are lists, but every row a table keeps is an
+    # array('d'): the t rule's mode rows and the interior grid's level,
+    # bracket, g'' and sampled rows.  Each table is built to exactly the
+    # indices its families read, and holds no suspended sweep: every sweep
+    # ran to its last index and was dropped
+    import types
+
+    tables = _suite_tables(monkeypatch)
+    assert run_full_suite(n_max=10).overall
+    modes, grid = tables["_mode_sums"], tables["_interior_rows"]
+    assert sorted(modes) == list(range(2, 13))
+    assert sorted(tables["_level_sums"]) == sorted(tables["_z_level_sums"]) == list(range(11))
+    assert sorted(grid._levels) == list(range(12))  # the odd ratio's 2m + 1 = 11
+    assert sorted(grid._modes) == list(range(2, 14)) and sorted(grid._second) == list(range(2, 11))
+    kept = [*(row for row, _ in modes.values()), *grid._levels.values(),
+            *grid._modes.values(), *grid._second.values(),
+            grid.sin_sq, grid.potential, *grid.bound_factors]
+    assert all(type(row) is array and row.typecode == "d" for row in kept)
+    held = [*tables.values(), *vars(grid).values(), *(sums for _, sums in modes.values())]
+    assert not any(isinstance(value, types.GeneratorType) for value in held)
+
+
+def test_suite_tables_are_freed_without_a_cycle_collection(monkeypatch):
+    # the suite drops its tables when it returns: no row, grid or sum refers
+    # back to a holder, so they go at once, with no cycle collection
+    import gc
+    import weakref
+
+    tables = _suite_tables(monkeypatch)
+    gc.disable()
     try:
-        assert run_full_suite(n_max=10).overall
-        sums = verify._quad_grid(verify.QUAD_ORDER, verify.PANELS)
-        grid = verify._interior_grid()
-        assert len(sums.modes._items) == 11 and len(grid._second._items) == 9
-        kept = [*sums.modes._items, *grid._levels._items, *grid._u._items,
-                *grid._modes.values(), *grid._second._items,
-                grid.sin_sq, grid.potential, *grid.bound_factors]
-        assert all(type(row) is array and row.typecode == "d" for row in kept)
-        z_table = verify._z_sums(verify.QUAD_ORDER, verify.PANELS)[1]
-        assert all(table._rows is None for table in (sums.modes, sums.levels, z_table))
-        assert grid._cos_left == {}
+        assert run_full_suite(n_max=6).overall
+        grid = tables.pop("_interior_rows")
+        refs = [weakref.ref(grid), *(weakref.ref(row) for row in grid._modes.values()),
+                *(weakref.ref(row) for row, _ in tables["_mode_sums"].values())]
+        tables.clear()
+        del grid
+        assert verify._suite.get() == {}
+        assert not [ref for ref in refs if ref() is not None]
     finally:
-        _clear_node_set_caches()
+        gc.enable()
 
 
 # Reads past the items the default suite keeps, in a fresh interpreter.
@@ -632,25 +670,43 @@ print(repr(check_hypergeom_norm(13, "x")))
 """
 
 
-def test_a_read_past_a_released_table_equals_a_fresh_process():
-    # the suite at n_max = 10 keeps modes k = 2..12 and levels 0..10 and
-    # releases their sweeps; a later read past them restarts the sweep and
-    # gives the bits of a process that never ran the suite
+def test_a_read_past_a_released_table_equals_a_fresh_process(monkeypatch):
+    # the suite at n_max = 10 builds modes k = 2..12 and levels 0..10 and
+    # drops them when it returns; a later read past them builds its own
+    # row, one bracket and one level, and gives the bits of a process that
+    # never ran the suite
     import ptdarboux
 
-    _clear_node_set_caches()
-    try:
-        assert run_full_suite(n_max=10).overall
-        after = [repr(check_trig_norm(15)), repr(check_hypergeom_norm(13, "x"))]
-        sums = verify._quad_grid(verify.QUAD_ORDER, verify.PANELS)
-        assert len(sums.modes._items) == len(sums.levels._items) == 14
-    finally:
-        _clear_node_set_caches()
+    assert run_full_suite(n_max=10).overall
+    brackets, _ = _count_brackets(monkeypatch)
+    weighs, weigh = [], verify._weigh
+    monkeypatch.setattr(verify, "_weigh", lambda nodes, row: weighs.append(1) or weigh(nodes, row))
+    after = [repr(check_trig_norm(15)), repr(check_hypergeom_norm(13, "x"))]
+    assert brackets == [(15, verify.QUAD_ORDER * verify.PANELS)] and len(weighs) == 2
     source = Path(ptdarboux.__file__).resolve().parents[1]
     fresh = subprocess.run([sys.executable, "-c", _PAST_THE_SUITE], capture_output=True,
                            text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(source)})
     assert fresh.returncode == 0, fresh.stderr
     assert fresh.stdout.splitlines() == after
+
+
+def test_a_lone_norm_check_builds_only_its_own_row(monkeypatch):
+    # outside a suite, check_hypergeom_norm(60, "x") sweeps the levels to 60
+    # and weighs one row, level 60's, and check_trig_norm(15) builds one
+    # bracket row, k = 15's, weighed once for its D and M; each gives the
+    # bits of the suite's row
+    weighs, weigh = [], verify._weigh
+    monkeypatch.setattr(verify, "_weigh", lambda nodes, row: weighs.append(1) or weigh(nodes, row))
+    level = check_hypergeom_norm(60, "x")
+    assert len(weighs) == 1
+    brackets, sweeps = _count_brackets(monkeypatch)
+    mode = check_trig_norm(15)
+    assert brackets == [(15, verify.QUAD_ORDER * verify.PANELS)] and len(sweeps) == 1
+    assert len(weighs) == 2
+    monkeypatch.undo()
+    rows = {c.name: c for c in run_full_suite(n_max=60, grid_points=1000).checks}
+    assert repr(rows["hypergeom norm (x-form) n=60"]) == repr(level)
+    assert repr(rows["trig norm k=15"]) == repr(mode)
 
 
 def _count_brackets(monkeypatch):
@@ -738,9 +794,10 @@ def test_suite_weighs_each_row_once(monkeypatch):
 def test_each_grid_and_rule_starts_one_u_recurrence(monkeypatch):
     # the t rule's mode sweep and the interior grid each start one U sweep
     # (_u_rows), and every U row that the derivative sweep differentiates is
-    # a row the grid keeps from its own U sweep (an array copy of a swept
-    # row), never one of a second recurrence; a chi_derivatives call starts
-    # one U sweep and differentiates its rows
+    # a row of the grid's own U sweep, never one of a second recurrence; the
+    # grid's U sweep runs on past the last g'' (k = 30) to the last bracket
+    # (k = 33) alone.  A chi_derivatives call starts one U sweep and
+    # differentiates its rows
     starts, swept, differentiated = [], [], []
     u_rows, chebyshev_rows = closed_form._u_rows, closed_form._chebyshev_rows
 
@@ -762,9 +819,9 @@ def test_each_grid_and_rule_starts_one_u_recurrence(monkeypatch):
         assert run_full_suite(n_max=30).overall
         assert sorted(starts) == [verify.INTERIOR_POINTS, verify.QUAD_ORDER * verify.PANELS]
         assert len(differentiated) == 29  # g'' for k = 2..30, the residual's
-        kept = verify._interior_grid()._u._items
-        assert all(any(u is row for row in kept) for u in differentiated)
-        assert all(any(list(u) == row for row in swept) for u in kept)
+        interior = [row for row in swept if len(row) == verify.INTERIOR_POINTS]
+        assert len(interior) == 32  # U_1..U_32, for k = 2..33
+        assert all(u is row for u, row in zip(differentiated, interior))
         del starts[:], swept[:], differentiated[:]
         closed_form.chi_derivatives(TrigEigenfunction(9, 1.0), 0.7)
         assert starts == [1] and len(differentiated) == 8
@@ -800,59 +857,57 @@ def test_suite_evaluates_each_levels_exact_factor_once(monkeypatch):
 
 
 def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch):
-    # a KeyboardInterrupt at k = 4 of the t rule's mode sweep keeps the rows
-    # read before it; the next read restarts the sweep past them, and the
-    # suite in the same process passes with the same bits.  One at k = 6 of
-    # a grid's U sweep, raised while the derivative sweep reads it, leaves
-    # both sweeps with the rows below it, and both read on with the bits of
-    # a grid that was never interrupted
-    _clear_node_set_caches()
-    try:
-        expected = check_trig_norm(4)
-        _clear_node_set_caches()
-        original, interrupted = closed_form._bracket_rows, []
+    # a KeyboardInterrupt at k = 4 of the t rule's mode sweep leaves no
+    # table: the next read builds its own with the same bits, and a suite
+    # interrupted there leaves no table behind, so the next one in the same
+    # process passes with the same bits.  One at k = 6 of a grid's U sweep,
+    # raised while the derivative sweep reads it, leaves the grid holding no
+    # row, and it reads on with the bits of a grid that was never
+    # interrupted
+    expected = check_trig_norm(4)
+    report = run_full_suite(n_max=3)
+    original, interrupted = closed_form._bracket_rows, []
 
-        def interrupting(ts):
-            for k, row in enumerate(original(ts), start=2):
-                if k == 4 and not interrupted:
-                    interrupted.append(k)
-                    raise KeyboardInterrupt
-                yield row
+    def interrupting(ts, ks):
+        for k, row in original(ts, ks):
+            if k == 4 and len(interrupted) < 2:
+                interrupted.append(k)
+                raise KeyboardInterrupt
+            yield k, row
 
-        monkeypatch.setattr(closed_form, "_bracket_rows", interrupting)
-        with pytest.raises(KeyboardInterrupt):
-            check_trig_norm(4)
-        monkeypatch.undo()
-        assert interrupted == [4]
-        again = check_trig_norm(4)
-        assert again == expected and again.computed.hex() == expected.computed.hex()
-        report = run_full_suite(n_max=3)
-        assert report.overall
-        assert expected in report.checks
+    monkeypatch.setattr(closed_form, "_bracket_rows", interrupting)
+    with pytest.raises(KeyboardInterrupt):
+        check_trig_norm(4)
+    with pytest.raises(KeyboardInterrupt):
+        run_full_suite(n_max=3)
+    assert interrupted == [4, 4] and verify._suite.get() == {}
+    again = check_trig_norm(4)
+    assert again == expected and again.computed.hex() == expected.computed.hex()
+    assert repr(run_full_suite(n_max=3)) == repr(report)
+    assert expected in report.checks
+    monkeypatch.undo()
 
-        ts = verify._interior_grid().ts
-        fresh = closed_form.TGrid(ts)
-        expected_rows = [(fresh.second_derivative(k).tobytes(), fresh.mode(k).tobytes())
-                         for k in range(2, 12)]
-        original, interrupted = closed_form._u_rows, []
+    ts = verify._interior_grid().ts
+    fresh = closed_form.TGrid(ts)
+    expected_rows = [(fresh.second_derivative(k).tobytes(), fresh.mode(k).tobytes())
+                     for k in range(2, 12)]
+    original, interrupted = closed_form._u_rows, []
 
-        def interrupting_u(cosines):
-            for k, row in enumerate(original(cosines), start=2):
-                if k == 6 and not interrupted:
-                    interrupted.append(k)
-                    raise KeyboardInterrupt
-                yield row
+    def interrupting_u(cosines):
+        for k, row in enumerate(original(cosines), start=2):
+            if k == 6 and not interrupted:
+                interrupted.append(k)
+                raise KeyboardInterrupt
+            yield row
 
-        monkeypatch.setattr(closed_form, "_u_rows", interrupting_u)
-        grid = closed_form.TGrid(ts)
-        with pytest.raises(KeyboardInterrupt):
-            grid.second_derivative(8)
-        assert interrupted == [6]
-        assert len(grid._u._items) == len(grid._second._items) == 4  # k = 2..5
-        assert [(grid.second_derivative(k).tobytes(), grid.mode(k).tobytes())
-                for k in range(2, 12)] == expected_rows
-    finally:
-        _clear_node_set_caches()
+    monkeypatch.setattr(closed_form, "_u_rows", interrupting_u)
+    grid = closed_form.TGrid(ts)
+    with pytest.raises(KeyboardInterrupt):
+        grid._hold(range(4), range(2, 12), range(2, 12))
+    assert interrupted == [6]
+    assert grid._levels == grid._modes == grid._second == {}
+    assert [(grid.second_derivative(k).tobytes(), grid.mode(k).tobytes())
+            for k in range(2, 12)] == expected_rows
 
 
 def test_suite_builds_one_reference_rule_per_order(monkeypatch):
@@ -886,8 +941,7 @@ def test_residual_partner_modes():
 def test_unit_scale_checks_reject_an_alpha_no_well_has(monkeypatch, alpha):
     # the residual and the correspondence run at alpha = 1, so they must
     # validate the caller's alpha before any row is swept or the potential
-    # row is built; the cached grid is cleared, since a grid swept earlier
-    # would hide a late validation
+    # row is built
     def forbidden(*args):
         raise AssertionError("a row was swept before alpha was validated")
         yield
@@ -895,19 +949,15 @@ def test_unit_scale_checks_reject_an_alpha_no_well_has(monkeypatch, alpha):
     def forbidden_potential(*args):
         raise AssertionError("the potential row was built before alpha was validated")
 
-    monkeypatch.setattr(closed_form, "_derivative_rows", forbidden)
+    monkeypatch.setattr(closed_form, "_chebyshev_rows", forbidden)  # the grid's g'' rows
     monkeypatch.setattr(closed_form, "_bracket_rows", forbidden)
     monkeypatch.setattr(closed_form, "_u_rows", forbidden)  # the grid's bracket rows
     monkeypatch.setattr(hypergeom, "_jacobi_rows", forbidden)
     monkeypatch.setattr(closed_form, "_partner_potentials", forbidden_potential)
-    verify._interior_grid.cache_clear()
-    try:
-        with pytest.raises(ParameterError):
-            check_residual(3, alpha)
-        with pytest.raises(ParameterError):
-            check_correspondence(2, alpha)
-    finally:
-        verify._interior_grid.cache_clear()
+    with pytest.raises(ParameterError):
+        check_residual(3, alpha)
+    with pytest.raises(ParameterError):
+        check_correspondence(2, alpha)
 
 
 @pytest.mark.parametrize("alpha", [1e-320, 1e308])
@@ -1066,6 +1116,33 @@ def test_fd_brackets_hold_their_modes(grid_points):
         assert lo / h2 <= value <= up / h2 and value == mu / h2
         assert up - lo <= 1e-13 * up
         assert _full_count(weights, lo) < mode <= _full_count(weights, up)
+
+
+@pytest.mark.parametrize("grid_points, modes", [(100, 10), (999, 10), (4000, 3)])
+def test_sturm_counts_agree_with_a_60_digit_sweep(monkeypatch, grid_points, modes):
+    # every count the grid's Sturm work takes (the certifying pairs, and any
+    # other) equals the same 1 + u sweep on the same float entries at 60
+    # digits, so each certificate holds in exact arithmetic too: the 60-digit
+    # counts put exactly `place` eigenvalues of the mode's block at or below
+    # its upper end and fewer below its lower end, and the estimate lies
+    # inside the bracket
+    counts = []
+    sturm_count = verify._sturm_count
+
+    def recorded(*args):
+        counts.append((args, sturm_count(*args)))
+        return counts[-1][1]
+
+    monkeypatch.setattr(verify, "_sturm_count", recorded)
+    _, brackets = verify._sturm_grid(grid_points, modes, float((modes + 2) ** 2))
+    assert len(counts) >= 2 * modes
+    assert [count for _, count in counts] == [sturm_count_decimal(*args) for args, _ in counts]
+    blocks = verify._fd_matrix(grid_points)
+    for mode, (lo, mu, up) in enumerate(brackets, 1):
+        block, place = verify._block_mode(mode)
+        assert lo < mu < up
+        assert sturm_count_decimal(*blocks[block], lo) < place <= sturm_count_decimal(
+            *blocks[block], up)
 
 
 def test_fd_ground_mode_error_falls_fourfold_per_doubling():
@@ -1519,8 +1596,6 @@ def test_run_full_suite_builds_only_the_t_and_z_node_sets(monkeypatch):
         return original(a, b, order, panels)
 
     monkeypatch.setattr(verify, "_nodes", recording)
-    verify._quad_grid.cache_clear()
-    verify._z_sums.cache_clear()
     assert run_full_suite(n_max=2).overall
     assert built == {(0.0, math.pi), (0.0, 1.0)}
 
