@@ -73,9 +73,8 @@ def _picked(rows, indices, first=0):
 def _level_rows(ts):
     """Rows of F_n(z) = 2F1(-n, n+4; 5/2; z) at z = sin^2(t/2) for every t of
     `ts`, n = 0, 1, ...: one _jacobi_rows sweep, a = beta = 3/2 (DLMF 18.7.1),
-    whose rows are lists."""
-    yield from hypergeom._jacobi_rows(
-        1.5, 1.5, array("d", [s * s for s in (math.sin(0.5 * t) for t in ts)]))
+    whose z row and rows are lists."""
+    yield from hypergeom._jacobi_rows(1.5, 1.5, [s * s for s in (math.sin(0.5 * t) for t in ts)])
 
 
 def _bound_factors(ts) -> tuple[array, array]:
@@ -88,10 +87,11 @@ def _bound_factors(ts) -> tuple[array, array]:
 
 def _u_rows(cosines):
     """Rows U_{k-1}(c) at every c of `cosines` for k = 2, 3, ...: one forward
-    sweep of U_j = (2c) U_{j-1} - U_{j-2}, keeping its last two rows, lists
-    (as _jacobi_rows' are); the sweep is stable to ~2e-13 of
-    max|U_k| = k + 1 for k <= 63."""
-    two_cos = array("d", [2.0 * c for c in cosines])
+    sweep of U_j = (2c) U_{j-1} - U_{j-2}, keeping its last two rows; the
+    factors 2c and both rows are lists (as _jacobi_rows' are), which a step
+    reads without boxing each float again.  The sweep is stable to ~2e-13
+    of max|U_k| = k + 1 for k <= 63."""
+    two_cos = [2.0 * c for c in cosines]
     u_prev, u = [0.0] * len(cosines), [1.0] * len(cosines)  # U_-1, U_0
     while True:
         u_prev, u = u, [tc * v - w for tc, v, w in zip(two_cos, u, u_prev)]
@@ -111,18 +111,19 @@ def _bracket_rows(ts, ks):
     g_k = k cos(kt) - cos(t) U_{k-1}(cos t) is built (_bracket), from one U
     sweep (_u_rows) to the largest k; g_k equals k cos(kt) - cot(t) sin(kt)
     but stays finite at t = 0 and t = pi (where it vanishes)."""
-    cosines = array("d", map(math.cos, ts))
+    cosines = list(map(math.cos, ts))
     for k, u in _picked(_u_rows(cosines), ks, 2):
         yield k, _bracket(k, _cos_row(ts, k), cosines, u, TrigEigenfunction(k, 1.0).norm)
 
 
-def _bracket(k, cos_kt, cosines, u, scale) -> array:
+def _bracket(k, cos_kt, cosines, u, scale) -> list:
     """The row scale * (k cos(kt) - cos(t) U_{k-1}(cos t)) from the rows
-    cos(kt) (_cos_row) and U_{k-1} u; a scale of 1.0 gives the bracket's own
+    cos(kt) (_cos_row) and U_{k-1} u, as a list, which its reader sums or
+    copies into an array to keep; a scale of 1.0 gives the bracket's own
     bits.  k is taken as a float once, which rounds each product as the int
     would."""
     fk = float(k)
-    return array("d", [scale * (fk * ck - c * v) for ck, c, v in zip(cos_kt, cosines, u)])
+    return [scale * (fk * ck - c * v) for ck, c, v in zip(cos_kt, cosines, u)]
 
 
 def _chebyshev_rows(us):
@@ -280,13 +281,15 @@ class TGrid:
     and kept, sin_sq = sin^2(t) for the identities, the bound state's
     factors and the residual's partner potential at unit scale, x = t / 2
     (every t inside (0, pi)).  A grid that holds rows (_hold, the suite's
-    interior grid) returns those, built once up front.  Every row is an
-    array('d'); the sweeps' working rows are lists.  A returned row is
-    shared and must not be changed."""
+    interior grid) returns those, built once up front.  Every row it
+    returns or keeps is an array('d'), each bracket copied into one as it
+    is built; what its sweeps read at every point, its cos t row and the
+    working rows, are lists.  A returned row is shared and must not be
+    changed."""
 
     def __init__(self, ts):
         self.ts = ts
-        self._cosines = array("d", map(math.cos, ts))
+        self._cosines = list(map(math.cos, ts))
         self._levels, self._modes, self._second = {}, {}, {}  # the rows _hold built
 
     def _rows(self, levels=(), modes=(), seconds=()) -> tuple[dict, dict, dict]:
@@ -310,7 +313,7 @@ class TGrid:
                 if k in modes or k in seconds:
                     cos_kt = _cos_row(ts, k)
                     if k in modes:
-                        brackets[k] = _bracket(k, cos_kt, cosines, u, 1.0)
+                        brackets[k] = array("d", _bracket(k, cos_kt, cosines, u, 1.0))
                     if k in seconds:
                         second[k] = _second_derivative(k, cos_kt, self.sin_sq, cosines, u,
                                                        *derivatives)
@@ -366,7 +369,7 @@ def identity_pairs(which: str, index: int, grid: TGrid) -> list[tuple[float, flo
     return list(zip(*_identity_rows(which, index, grid)))
 
 
-def _identity_rows(which: str, index: int, grid: TGrid) -> tuple[list[float], list[float]]:
+def _identity_rows(which: str, index: int, grid: TGrid) -> tuple:
     """The left and the right side of one identity family at every t of
     `grid`, as two rows.
 
@@ -377,8 +380,10 @@ def _identity_rows(which: str, index: int, grid: TGrid) -> tuple[list[float], li
     "base" is it at n = index; "even" and "odd" are it at n = 2m and
     n = 2m + 1 (m = index) divided through by D_n, so that their right side
     carries the exact 4 r_n and never C_n (_midpoint_factor).  The level's
-    constants are built once for the whole grid.  There is no wall guard:
-    the caller keeps every t at least WALL_MARGIN away from 0 and pi.
+    constants are built once for the whole grid; the base left side is the
+    level row itself (f / 1.0 == f for every float), shared and not to be
+    changed.  There is no wall guard: the caller keeps every t at least
+    WALL_MARGIN away from 0 and pi.
     """
     family = IDENTITY_FAMILIES.get(which)
     if family is None:
@@ -389,12 +394,12 @@ def _identity_rows(which: str, index: int, grid: TGrid) -> tuple[list[float], li
     n = family.level(index)
     if which == "base":
         c_num, c_den = _coefficient(n)
-        den, pref = 1.0, 4.0 * (c_num / c_den)
+        lhs, pref = grid.level(n), 4.0 * (c_num / c_den)
     else:
         (r_num, r_den), (d_num, d_den) = _midpoint_factor(n)
         den, pref = d_num / d_den, 4 * r_num / r_den
-    return ([f / den for f in grid.level(n)],
-            [pref * g / s2 for g, s2 in zip(grid.mode(n + 2), grid.sin_sq)])
+        lhs = [f / den for f in grid.level(n)]
+    return lhs, [pref * g / s2 for g, s2 in zip(grid.mode(n + 2), grid.sin_sq)]
 
 
 def identity_sides(n: int, alpha: float, x: float) -> tuple[float, float]:

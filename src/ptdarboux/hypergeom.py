@@ -19,7 +19,6 @@ result.
 """
 from __future__ import annotations
 
-from array import array
 from collections import namedtuple
 from itertools import count, islice
 
@@ -109,9 +108,10 @@ def f21_eval_exact(h: TerminatingHypergeometric, z) -> Fraction:
 def _jacobi_rows(a: float, beta: float, zs):
     """The rows R_0, R_1, R_2, ... of the normalized Jacobi recurrence at
     every z of `zs`, one list per degree, keeping only the last two: a step
-    reads its two rows' floats without boxing them again.  A row is shared
-    and must not be changed; a holder that keeps rows copies them into
-    arrays, which take a quarter of the memory.
+    reads its two rows' floats, and those of the row x = 1 - 2z, a list
+    too, without boxing them again.  A row is shared and must not be
+    changed; a holder that keeps rows copies them into arrays, which take a
+    quarter of the memory.
 
     R_n = P_n^(a,beta)(x) / P_n^(a,beta)(1) with x = 1 - 2z (DLMF 15.9.1),
     R_0 = 1, R_1 = 1 - (a+beta+2) z/(a+1), and with s = 2j + a + beta
@@ -124,7 +124,7 @@ def _jacobi_rows(a: float, beta: float, zs):
     step coefficients that do not depend on the target degree.
     """
     ab = a + beta
-    xs = array("d", [1.0 - 2.0 * z for z in zs])
+    xs = [1.0 - 2.0 * z for z in zs]
     diff_sq = a * a - beta * beta
     r_prev = [1.0] * len(zs)
     yield r_prev

@@ -153,37 +153,57 @@ def _nodes(a: float, b: float, order: int, panels: int):
     the ascending order held 16.  fsum is correctly rounded and every row
     is computed node by node, so each sum has the same bits in any order
     (fsum's intermediate overflow aside, which these bounded rows never
-    reach).
+    reach).  Abscissae and weights are lists, which the loops that read
+    them read without boxing each float again; they are shared and must
+    not be changed.
     """
     if not (a < b):
         raise ParameterError(f"need a < b, got a={a}, b={b}")
     if panels < 1:
         raise ParameterError(f"panel count must be >= 1, got {panels}")
-    rule = _rule(order)
+    nodes, weights = _rule(order)[1:]
     h = (b - a) / panels
     half = 0.5 * h
     mid_nodes = sorted(range(order), key=lambda i: abs(2 * i - order + 1))
-    mid_panels = sorted(range(panels), key=lambda p: abs(2 * p - panels + 1))
-    abscissae = [a + p * h + half + half * rule.nodes[i] for i in mid_nodes for p in mid_panels]
-    weights = [rule.weights[i] for i in mid_nodes for _ in mid_panels]
-    return array("d", abscissae), array("d", weights), half
+    starts = [a + p * h + half
+              for p in sorted(range(panels), key=lambda p: abs(2 * p - panels + 1))]
+    return ([start + half * nodes[i] for i in mid_nodes for start in starts],
+            [weights[i] for i in mid_nodes for _ in starts], half)
 
 
 def _require_finite(values, abscissae):
-    """The values; abort with the abscissa of the first non-finite one, if
-    any, first in the order of the row (for a rule's row, _nodes' order)."""
+    """Abort with the abscissa of the first non-finite value, if any, first
+    in the order of the row (for a rule's row, _nodes' order)."""
     if not all(map(math.isfinite, values)):
         x, value = next((x, v) for x, v in zip(abscissae, values) if not math.isfinite(v))
         raise EvaluationError(f"integrand returned {value} at x={x}")
-    return values
+
+
+def _checked(sums, values, abscissae) -> tuple:
+    """The floats that sums() returns, sums of products of the row `values`
+    sampled at `abscissae` with positive weights, checked from the sums: a
+    sum is non-finite, or fsum raises (+inf and -inf, or an intermediate
+    overflow), exactly when the row holds a non-finite value or its
+    products overflow.  Only then is the row scanned (_require_finite), and
+    a finite row's own sums or error stand."""
+    try:
+        results = sums()
+    except (ValueError, OverflowError):
+        _require_finite(values, abscissae)
+        raise
+    if not all(map(math.isfinite, results)):
+        _require_finite(values, abscissae)
+    return results
 
 
 def _weighted_sum(values, nodes) -> float:
     """The rule `nodes` (_nodes) applied to `values` sampled at its abscissae,
-    in one exactly-rounded sum; a non-finite value aborts with its abscissa."""
+    in one exactly-rounded sum; a non-finite value aborts with its abscissa,
+    found from the sum (_checked)."""
     abscissae, weights, half = nodes
-    _require_finite(values, abscissae)
-    return half * math.fsum(map(operator.mul, weights, values))
+    (total,) = _checked(lambda: (half * math.fsum(map(operator.mul, weights, values)),),
+                        values, abscissae)
+    return total
 
 
 def _t_sum(nodes, weighted, row) -> float:
@@ -200,21 +220,22 @@ def _weigh(nodes, row) -> list:
 
 def _moment_sums(nodes, row) -> dict:
     """D = half sum (w r) r and M = half sum (w r)(t r) of a row r on the t
-    rule `nodes`, both from one weighted row, after one check for
-    non-finite values (rows are bounded, so a non-finite product would make
-    fsum return one or raise)."""
-    _require_finite(row, nodes[0])
+    rule `nodes`, both from one weighted row; a non-finite value of r aborts
+    with its abscissa, found from the two sums (_checked)."""
     weighted = _weigh(nodes, row)
-    return {"D": _t_sum(nodes, weighted, row),
-            "M": _t_sum(nodes, weighted, map(operator.mul, nodes[0], row))}
+    d, m = _checked(lambda: (_t_sum(nodes, weighted, row),
+                             _t_sum(nodes, weighted, map(operator.mul, nodes[0], row))),
+                    row, nodes[0])
+    return {"D": d, "M": m}
 
 
 def _mode_sums(order: int, panels: int, ks) -> dict:
     """{k: (r_k, its D and M)} for each k of `ks`: the partner mode r_k =
     N_k g_k normalized at alpha = 1 (x = t / 2) on the t rule, from one U
-    sweep to the largest k (closed_form._bracket_rows)."""
+    sweep to the largest k (closed_form._bracket_rows): summed as the list
+    it is built in, and kept as one array('d') copy."""
     nodes = _nodes(0.0, math.pi, order, panels)
-    return {k: (row, _moment_sums(nodes, row))
+    return {k: (array("d", row), _moment_sums(nodes, row))
             for k, row in closed_form._bracket_rows(nodes[0], ks)}
 
 
@@ -223,7 +244,7 @@ def _level_sums(order: int, panels: int, ns) -> dict:
     F_n on the t rule, from one level sweep to the largest n; no level row
     is kept."""
     nodes = _nodes(0.0, math.pi, order, panels)
-    factor = array("d", map(operator.mul, *closed_form._bound_factors(nodes[0])))
+    factor = list(map(operator.mul, *closed_form._bound_factors(nodes[0])))
     return {n: _moment_sums(nodes, list(map(operator.mul, factor, level)))
             for n, level in closed_form._picked(closed_form._level_rows(nodes[0]), ns)}
 
@@ -233,9 +254,9 @@ def _z_level_sums(order: int, panels: int, ns) -> dict:
     weight * F_n^2(z) (check_hypergeom_norm), from one level sweep to the
     largest n."""
     nodes = _nodes(0.0, 1.0, order, panels)
-    zs = array("d", [u * u * (3.0 - 2.0 * u) for u in nodes[0]])
-    weights = array("d", [6.0 * ((u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5)
-                          for u in nodes[0]])
+    zs = [u * u * (3.0 - 2.0 * u) for u in nodes[0]]
+    weights = [6.0 * ((u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5)
+               for u in nodes[0]]
     return {n: _weighted_sum([w * f * f for w, f in zip(weights, level)], nodes)
             for n, level in closed_form._picked(hypergeom._jacobi_rows(1.5, 1.5, zs), ns)}
 

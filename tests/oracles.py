@@ -3,7 +3,8 @@
 The package evaluates on rows (closed_form.TGrid and the quadrature tables
 that verify builds by sweeping a recurrence); these are the point-wise forms
 those rows must equal, kept here so that a bulk reference loop in a test
-costs one scalar call per point.  sturm_count_decimal is verify's Sturm count
+costs one scalar call per point.  legendre_rule is the Gauss-Legendre rule
+built with the recurrence's integer coefficients, sturm_count_decimal is verify's Sturm count
 at 60 digits, and json_safe is the payload whose json.dumps the CLI's JSON
 writer must reproduce.
 """
@@ -59,6 +60,34 @@ def f21_real(h, z: float) -> float:
         den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
         r_prev, r = r, (p * (q * x + diff_sq) * r - c2 * r_prev) / den
     return r if h.n else 1.0
+
+
+def legendre_rule(order: int) -> tuple[tuple, tuple]:
+    """(nodes, weights) of the Gauss-Legendre rule of `order`: Newton's
+    method on P_order from cos(pi (i + 3/4) / (order + 1/2)) to a step of
+    1e-15, with the three-term recurrence in its integer coefficients,
+    P_{j+1} = ((2j+1) x P_j - j P_{j-1}) / (j+1), and w = 2 / ((1 - x^2)
+    P'^2); numerics.gauss_legendre must equal it tuple for tuple."""
+    def pair(x):
+        p_prev, p = 1.0, x
+        for j in range(1, order):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        return p, p_prev
+
+    nodes, weights = [0.0] * order, [0.0] * order
+    for i in range((order + 1) // 2):
+        x = math.cos(math.pi * (i + 0.75) / (order + 0.5))
+        for _ in range(100):
+            p, p_prev = pair(x)
+            dx = p / (order * (x * p - p_prev) / (x * x - 1.0))
+            x -= dx
+            if abs(dx) <= 1e-15:
+                break
+        p, p_prev = pair(x)
+        dp = order * (x * p - p_prev) / (x * x - 1.0)
+        nodes[i], nodes[order - 1 - i] = -x, x
+        weights[i] = weights[order - 1 - i] = 2.0 / ((1.0 - x * x) * dp * dp)
+    return tuple(nodes), tuple(weights)
 
 
 def chebyshev_u(k: int, c: float) -> float:

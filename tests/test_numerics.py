@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chebyshev_u, pochhammer
+from oracles import chebyshev_u, legendre_rule, pochhammer
 from ptdarboux.errors import ParameterError
 from ptdarboux.numerics import QuadratureRule, gauss_legendre
 
@@ -40,6 +40,16 @@ def test_gauss_legendre_order_two_frozen():
     assert math.isclose(rule.nodes[1], node, rel_tol=0, abs_tol=1e-15)
     for w in rule.weights:
         assert math.isclose(w, 1.0, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 64, 255, 1024])
+def test_gauss_legendre_equals_the_integer_coefficient_recurrence(order):
+    # the rule takes the recurrence's coefficients as floats once; each
+    # converts exactly, so every node and weight keeps its bits
+    rule = gauss_legendre(order)
+    nodes, weights = legendre_rule(order)
+    assert list(map(float.hex, rule.nodes)) == list(map(float.hex, nodes))
+    assert list(map(float.hex, rule.weights)) == list(map(float.hex, weights))
 
 
 def test_gauss_legendre_order_one():

@@ -571,6 +571,53 @@ def test_gram_matrix_rejects_a_non_finite_mode_value(monkeypatch):
     assert rows["first moment (trig) k=2"].passed
 
 
+def _spoil(row, spoil):
+    # a copy of the row with spoil's last value at node 300, first in the
+    # rule's order, and any other at node 700
+    row = list(row)
+    for node, value in zip((300, 700), reversed(spoil)):
+        row[node] = value
+    return row
+
+
+@pytest.mark.parametrize("spoil", [(math.nan,), (math.inf,), (math.inf, -math.inf)],
+                         ids=["nan", "inf", "inf-and-minus-inf"])
+def test_a_non_finite_row_value_is_found_from_its_sums(monkeypatch, spoil):
+    # a mode row, a t-rule level row and a z-rule level are checked from
+    # their sums, not scanned first: a NaN or an inf makes a sum non-finite,
+    # and +inf with -inf makes fsum raise ValueError; each raises the error
+    # a scan first would, naming the first non-finite value in the rule's
+    # order (the z rule squares its level, so its -inf sums as +inf).  A
+    # finite row whose products overflow keeps its sums or fsum's own error
+    first = spoil[-1]
+    t_x = verify._nodes(0.0, math.pi, 64, 32)[0][300]
+    u_x = verify._nodes(0.0, 1.0, 64, 32)[0][300]
+    bracket_rows, jacobi_rows = closed_form._bracket_rows, hypergeom._jacobi_rows
+    monkeypatch.setattr(closed_form, "_bracket_rows", lambda ts, ks: (
+        (k, _spoil(row, spoil) if k == 3 else row) for k, row in bracket_rows(ts, ks)))
+    # level 2 of every level sweep: the t rule's (closed_form._level_rows)
+    # and the z rule's
+    monkeypatch.setattr(hypergeom, "_jacobi_rows", lambda a, beta, zs: (
+        _spoil(row, spoil) if n == 2 else row for n, row in enumerate(jacobi_rows(a, beta, zs))))
+    for check, value, x in ((partial(check_trig_norm, 3), first, t_x),
+                            (partial(check_hypergeom_norm, 2, "x"), first, t_x),
+                            (partial(check_hypergeom_norm, 2, "z"), abs(first), u_x)):
+        with pytest.raises(EvaluationError, match=re.escape(
+                f"integrand returned {value} at x={x}") + "$"):
+            check()
+    assert check_trig_norm(4).passed and check_hypergeom_norm(1, "z").passed
+    nodes = verify._nodes(0.0, 1.0, 64, 32)
+    values = _spoil([1.0] * len(nodes[0]), spoil)
+    with pytest.raises(EvaluationError, match=re.escape(
+            f"integrand returned {first} at x={u_x}") + "$"):
+        verify._weighted_sum(values, nodes)
+    t_nodes = verify._nodes(0.0, math.pi, 64, 32)
+    assert verify._moment_sums(t_nodes, [1e300] * len(t_nodes[0])) == {"D": math.inf,
+                                                                       "M": math.inf}
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        verify._weighted_sum([1e308] * len(nodes[0]), nodes)
+
+
 def _clear_node_set_caches():
     for cached in (verify._rule, verify._nodes):
         cached.cache_clear()
