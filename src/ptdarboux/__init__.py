@@ -19,9 +19,7 @@ from .closed_form import (
 from .darboux import (
     intertwine,
     partner_potential,
-    superpotential,
     transform_normalization,
-    transformed_eigenpair,
 )
 from .errors import (
     ConvergenceError,
@@ -110,7 +108,5 @@ __all__ = [
     "pt_potential",
     "resolve_tolerances",
     "run_full_suite",
-    "superpotential",
     "transform_normalization",
-    "transformed_eigenpair",
 ]

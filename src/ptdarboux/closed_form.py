@@ -14,8 +14,8 @@ derivatives, the partner potential, both sides of the identities and of
 the correspondence) comes from one holder, TGrid, whose read sweeps the
 level or U recurrence to its own index and builds that row alone, and
 whose _hold builds every row a reader will ask for in one sweep each; the
-point-wise chi_eval and chi_derivatives read one point of the sweeps, and
-identity_sides reads a one-point TGrid.
+point-wise chi_eval and identity_sides read a one-point TGrid, and
+chi_derivatives reads one point of the sweeps.
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ __all__ = [
     "coefficient_C",
     "normalization_A",
     "identity_sides",
-    "identity_pairs",
     "IDENTITY_FAMILIES",
 ]
 
@@ -158,16 +157,12 @@ def _second_derivative(k, cos_kt, sin_sq, cosines, u, du, ddu) -> array:
 
 
 def chi_eval(f: TrigEigenfunction, x: float) -> float:
-    """Value of the normalized partner mode on the closed interval [0, L],
-    one point of the U sweep (_u_rows) and of its one bracket, as TGrid.mode
-    reads them."""
+    """Value of the normalized partner mode on the closed interval [0, L]:
+    one point of TGrid.mode."""
     length = WellConfig(f.alpha).length
     if not (0.0 <= x <= length):
         raise DomainError(f"x={x} outside closed interval [0, {length}]")
-    t = 2.0 * f.alpha * x
-    c = math.cos(t)
-    (g,) = _bracket(f.k, _cos_row([t], f.k), [c], next(islice(_u_rows([c]), f.k - 2, None)), 1.0)
-    return f.norm * g
+    return f.norm * TGrid([2.0 * f.alpha * x]).mode(f.k)[0]
 
 
 def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float]:
@@ -362,13 +357,6 @@ class TGrid:
         return psi, [norm * g for g in self.mode(n + 2)]
 
 
-def identity_pairs(which: str, index: int, grid: TGrid) -> list[tuple[float, float]]:
-    """Both sides of one identity family at each t = 2 alpha x of `grid`, a
-    TGrid that several calls may share, as (left, right) pairs: the two rows
-    of _identity_rows, zipped."""
-    return list(zip(*_identity_rows(which, index, grid)))
-
-
 def _identity_rows(which: str, index: int, grid: TGrid) -> tuple:
     """The left and the right side of one identity family at every t of
     `grid`, as two rows.
@@ -408,7 +396,7 @@ def identity_sides(n: int, alpha: float, x: float) -> tuple[float, float]:
         2F1(-n, n+4; 5/2; sin^2(alpha x))
             = 4 C_n [ (n+2) cos((n+2) t) - cot(t) sin((n+2) t) ] / sin^2(t)
 
-    with t = 2 alpha x: one point of identity_pairs("base", ...).  The
+    with t = 2 alpha x: one point of _identity_rows("base", ...).  The
     right side divides by sin^2(t), so points with t within WALL_MARGIN of
     0 or pi are rejected (StabilityError); the polynomial side alone is
     valid everywhere.
@@ -419,4 +407,5 @@ def identity_sides(n: int, alpha: float, x: float) -> tuple[float, float]:
         raise StabilityError(
             f"t={t} within {WALL_MARGIN} of a wall node; the cotangent side is unreliable there"
         )
-    return identity_pairs("base", n, TGrid([t]))[0]
+    lhs, rhs = _identity_rows("base", n, TGrid([t]))
+    return lhs[0], rhs[0]

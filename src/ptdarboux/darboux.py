@@ -10,23 +10,13 @@ from __future__ import annotations
 
 import math
 
-from .models import WellConfig, _require_box, _require_open, _require_partner, box_energy
+from .models import WellConfig, _require_box, _require_open, box_energy
 
 __all__ = [
-    "superpotential",
     "partner_potential",
     "intertwine",
     "transform_normalization",
-    "transformed_eigenpair",
 ]
-
-
-def superpotential(cfg: WellConfig, x: float) -> float:
-    """W(x) = -2 alpha cot(2 alpha x), singular at both walls."""
-    _require_open(cfg, x)
-    a = cfg.alpha
-    t = 2.0 * a * x
-    return -2.0 * a * math.cos(t) / math.sin(t)
 
 
 def partner_potential(cfg: WellConfig, x: float) -> float:
@@ -38,8 +28,8 @@ def partner_potential(cfg: WellConfig, x: float) -> float:
 
 
 def _partner_potentials(cfg: WellConfig, xs) -> list:
-    """partner_potential at every x of `xs`, in one pass: W (superpotential)
-    and W' from one sin(2 alpha x), with the scales taken once."""
+    """partner_potential at every x of `xs`, in one pass: W and W' from one
+    sin(2 alpha x), with the scales taken once."""
     a = cfg.alpha
     two_a, w_scale, w_prime_scale, omega_sq = 2.0 * a, -2.0 * a, 4.0 * a * a, box_energy(cfg, 1)
     row = []
@@ -85,15 +75,3 @@ def transform_normalization(cfg: WellConfig, k: int) -> float:
     a = cfg.alpha
     return 1.0 / (2.0 * a * math.sqrt(float(k * k - 1)))
 
-
-def transformed_eigenpair(cfg: WellConfig, k: int):
-    """Energy 4 alpha^2 k^2 and the normalized partner eigenfunction
-    x -> N_k (L phi_k)(x) as a closure over the open interval."""
-    _require_partner(k)
-    energy = box_energy(cfg, k)
-    norm = transform_normalization(cfg, k)
-
-    def profile(x: float) -> float:
-        return norm * intertwine(cfg, k, x)
-
-    return energy, profile

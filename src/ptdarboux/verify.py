@@ -88,23 +88,8 @@ def resolve_tolerances(overrides: dict | None = None) -> dict:
     return merged
 
 
-class CheckResult(namedtuple("CheckResult",
-                             "name computed reference abs_dev rel_dev tolerance passed")):
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return self._asdict()
-
-
-class VerificationReport(namedtuple("VerificationReport", "checks parameters overall")):
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "parameters": dict(self.parameters),
-            "overall": self.overall,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+CheckResult = namedtuple("CheckResult", "name computed reference abs_dev rel_dev tolerance passed")
+VerificationReport = namedtuple("VerificationReport", "checks parameters overall")
 
 
 def _make_check(name: str, computed: float, reference: float, tolerance: float) -> CheckResult:

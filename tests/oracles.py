@@ -5,14 +5,15 @@ that verify builds by sweeping a recurrence); these are the point-wise forms
 those rows must equal, kept here so that a bulk reference loop in a test
 costs one scalar call per point.  legendre_rule is the Gauss-Legendre rule
 built with the recurrence's integer coefficients, sturm_count_decimal is verify's Sturm count
-at 60 digits, and json_safe is the payload whose json.dumps the CLI's JSON
-writer must reproduce.
+at 60 digits, identity_pairs zips the two sides of an identity family into
+(left, right) pairs, and json_safe is the payload whose json.dumps the CLI's
+JSON writer must reproduce.
 """
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from ptdarboux import verify
+from ptdarboux import closed_form, verify
 from ptdarboux.errors import ParameterError
 from ptdarboux.hypergeom import TerminatingHypergeometric
 from ptdarboux.numerics import gauss_legendre
@@ -111,6 +112,12 @@ def stable_bracket(k: int, t: float) -> float:
 def chi(f, x: float) -> float:
     """closed_form.chi_eval without its domain check: N_k bracket(2 alpha x)."""
     return f.norm * stable_bracket(f.k, 2.0 * f.alpha * x)
+
+
+def identity_pairs(which: str, index: int, grid) -> list[tuple[float, float]]:
+    """Both sides of one identity family at each t of `grid` (a TGrid), as
+    (left, right) pairs: the two rows of closed_form._identity_rows, zipped."""
+    return list(zip(*closed_form._identity_rows(which, index, grid)))
 
 
 def pt_eigen_hypergeom(cfg, p, n: int, amplitude: float, x: float) -> float:

@@ -7,12 +7,11 @@ import math
 import time
 from fractions import Fraction
 
-from oracles import chi, pt_eigen_hypergeom
+from oracles import chi, identity_pairs, pt_eigen_hypergeom
 from ptdarboux.closed_form import (
     TGrid,
     TrigEigenfunction,
     coefficient_C,
-    identity_pairs,
     normalization_A,
 )
 from ptdarboux.hypergeom import midpoint_vanishing

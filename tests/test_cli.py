@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from oracles import json_safe
+from oracles import identity_pairs, json_safe
 from ptdarboux import cli, verify
 from ptdarboux.cli import (
     MAX_ALPHA,
@@ -744,7 +744,7 @@ def test_identity_rejects_the_flag_its_family_does_not_read(capsys):
 
 def test_identity_families_are_one_table():
     # the --which choices, the suite's identity rows and the families
-    # identity_pairs accepts are exactly the keys of IDENTITY_FAMILIES
+    # _identity_rows accepts are exactly the keys of IDENTITY_FAMILIES
     from ptdarboux import closed_form
     from ptdarboux.closed_form import IDENTITY_FAMILIES
     from ptdarboux.verify import _FAMILIES, _interior_grid
@@ -759,9 +759,9 @@ def test_identity_families_are_one_table():
     assert labels == {f"identity ({f.label})" for f in IDENTITY_FAMILIES.values()}
     grid = _interior_grid()
     for family in IDENTITY_FAMILIES:
-        assert len(closed_form.identity_pairs(family, 0, grid)) == len(grid.ts)
+        assert len(identity_pairs(family, 0, grid)) == len(grid.ts)
     with pytest.raises(ParameterError, match="identity family must be one of"):
-        closed_form.identity_pairs("ratio", 0, grid)
+        closed_form._identity_rows("ratio", 0, grid)
 
 
 def test_identity_default_indices(capsys):

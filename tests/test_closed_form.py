@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import chi
+from oracles import chi, identity_pairs
 from ptdarboux import closed_form
 from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.closed_form import (
@@ -14,7 +14,6 @@ from ptdarboux.closed_form import (
     chi_derivatives,
     chi_eval,
     coefficient_C,
-    identity_pairs,
     identity_sides,
     normalization_A,
 )
@@ -111,7 +110,8 @@ def test_chi_derivatives_match_value():
 
 def test_chi_derivatives_read_one_sweep_with_the_grid_rows_bits(monkeypatch):
     # one _chebyshev_rows sweep and no TGrid per call; the value and g''
-    # keep the bits of the TGrid rows at alpha = 1, where x = t / 2 is exact
+    # keep the bits of the TGrid rows at alpha = 1, where x = t / 2 is exact,
+    # and so does chi_eval, a one-point TGrid read
     sweeps = 0
     original = closed_form._chebyshev_rows
 
@@ -123,6 +123,9 @@ def test_chi_derivatives_read_one_sweep_with_the_grid_rows_bits(monkeypatch):
     ts = [0.05 + 0.03 * i for i in range(100)]
     grid = TGrid(ts)
     rows = {k: (grid.mode(k), grid.second_derivative(k)) for k in (2, 3, 12, 40)}
+    for k, (modes, _) in rows.items():
+        f = TrigEigenfunction(k, 1.0)
+        assert [chi_eval(f, 0.5 * t) for t in ts] == [f.norm * g for g in modes]
     monkeypatch.setattr(closed_form, "_chebyshev_rows", counted)
     monkeypatch.setattr(closed_form, "TGrid", None)
     for k, (modes, seconds) in rows.items():
@@ -130,7 +133,6 @@ def test_chi_derivatives_read_one_sweep_with_the_grid_rows_bits(monkeypatch):
         for t, g, g2 in zip(ts, modes, seconds):
             value, _, second = chi_derivatives(f, 0.5 * t)
             assert value == f.norm * g and second == f.norm * 4.0 * g2
-            assert chi_eval(f, 0.5 * t) == value
     assert sweeps == 4 * len(ts)
 
 

@@ -1,4 +1,4 @@
-"""Darboux transformation: superpotential, partner potential, intertwining."""
+"""Darboux transformation: partner potential, intertwining, normalization."""
 import math
 from pathlib import Path
 
@@ -7,13 +7,7 @@ import pytest
 import ptdarboux
 from oracles import chi
 from ptdarboux.closed_form import TrigEigenfunction
-from ptdarboux.darboux import (
-    intertwine,
-    partner_potential,
-    superpotential,
-    transform_normalization,
-    transformed_eigenpair,
-)
+from ptdarboux.darboux import intertwine, partner_potential, transform_normalization
 from ptdarboux.errors import DomainError, ParameterError
 from ptdarboux.models import WellConfig, box_energy
 
@@ -29,13 +23,14 @@ def test_seed_energy_is_the_ground_box_level():
     cfg = WellConfig(1.5)
     assert box_energy(cfg, 1) == 9.0
     x = 0.3
-    w, s = superpotential(cfg, x), math.sin(3.0 * x)
+    s = math.sin(3.0 * x)
+    w = -3.0 * math.cos(3.0 * x) / s
     assert partner_potential(cfg, x) == 9.0 / (s * s) + w * w + 9.0
 
 
 def test_functions_on_the_well_keep_the_former_arithmetic():
-    # each function takes the WellConfig itself; omega^2 and the eigenpair's
-    # energy are box_energy, the same expression 4 alpha^2 k^2 as before
+    # each function takes the WellConfig itself; omega^2 and the partner
+    # energies are box_energy, the same expression 4 alpha^2 k^2 as before
     for alpha in (1.0, 0.6024, 1e-8, 1e8):
         cfg = WellConfig(alpha)
         omega_sq = 4.0 * alpha * alpha
@@ -43,43 +38,37 @@ def test_functions_on_the_well_keep_the_former_arithmetic():
             t = 2.0 * alpha * x
             w = -2.0 * alpha * math.cos(t) / math.sin(t)
             s = math.sin(2.0 * alpha * x)
-            assert superpotential(cfg, x) == w
             assert partner_potential(cfg, x) == 4.0 * alpha * alpha / (s * s) + w * w + omega_sq
         for k in (2, 5, 30):
-            energy, _ = transformed_eigenpair(cfg, k)
-            assert energy == 4.0 * alpha * alpha * (k * k) == box_energy(cfg, k)
+            assert box_energy(cfg, k) == 4.0 * alpha * alpha * (k * k)
 
 
-def test_superpotential_matches_cotangent():
-    for alpha in (0.5, 1.0, 2.0):
-        cfg = WellConfig(alpha)
-        for x in _grid(alpha, points=50):
-            expected = -2 * alpha / math.tan(2 * alpha * x)
-            assert abs(superpotential(cfg, x) - expected) <= 1e-12 * max(
-                1.0, abs(expected)
-            )
-
-
-def test_superpotential_open_domain():
+def test_partner_potential_open_domain():
     cfg = WellConfig(1.0)
     for bad in (0.0, cfg.length, -0.3, math.nan):
-        for function in (superpotential, partner_potential):
-            with pytest.raises(DomainError):
-                function(cfg, bad)
+        with pytest.raises(DomainError):
+            partner_potential(cfg, bad)
 
 
 def test_superpotential_is_log_derivative_of_seed():
-    # W = -(d/dx) log phi_1, checked by central differences, with the seed
-    # phi_1 = sqrt(4 alpha / pi) sin(2 alpha x) at alpha = 1
-    cfg = WellConfig(1.0)
+    # the partner potential is V_1 = W' + W^2 + omega^2 with the superpotential
+    # W = -(d/dx) log phi_1 of the seed phi_1 = sqrt(4 alpha / pi) sin(2 alpha x):
+    # W by central differences of phi_1, and W' by central differences of W
+    for alpha in (0.5, 1.0, 2.0):
+        cfg = WellConfig(alpha)
 
-    def phi(x):
-        return math.sqrt(4.0 / math.pi) * math.sin(2.0 * x)
+        def phi(x):
+            return math.sqrt(4.0 * alpha / math.pi) * math.sin(2.0 * alpha * x)
 
-    h = 1e-6
-    for x in (0.3, 0.8, 1.2):
-        dphi = (phi(x + h) - phi(x - h)) / (2 * h)
-        assert abs(superpotential(cfg, x) + dphi / phi(x)) <= 1e-8
+        def w(x, h=1e-5 / alpha):
+            return -(phi(x + h) - phi(x - h)) / (2.0 * h) / phi(x)
+
+        step = 1e-4 / alpha
+        for fraction in (0.2, 0.3, 0.5, 0.8):
+            x = fraction * cfg.length
+            w_prime = (w(x + step) - w(x - step)) / (2.0 * step)
+            expected = w_prime + w(x) ** 2 + box_energy(cfg, 1)
+            assert abs(partner_potential(cfg, x) - expected) <= 1e-6 * expected
 
 
 def test_partner_potential_collapses():
@@ -147,22 +136,10 @@ def test_transform_normalization_seed_is_annihilated():
         transform_normalization(cfg, 0)
 
 
-def test_transformed_eigenpair():
-    alpha = 1.0
-    cfg = WellConfig(alpha)
-    energy, profile = transformed_eigenpair(cfg, 4)
-    assert energy == box_energy(WellConfig(alpha), 4)
-    f = TrigEigenfunction(4, alpha)
-    for x in _grid(alpha, points=80):
-        assert abs(profile(x) - chi(f, x)) <= 1e-12
-    with pytest.raises(ParameterError):
-        transformed_eigenpair(cfg, 1)
-
-
 def test_partner_energies_skip_the_seed_level():
     # the transformed family starts at 16 alpha^2: the 4 alpha^2 level is gone
     cfg = WellConfig(1.0)
-    energies = [transformed_eigenpair(cfg, k)[0] for k in range(2, 6)]
+    energies = [box_energy(cfg, k) for k in range(2, 6)]
     assert energies == [16.0, 36.0, 64.0, 100.0]
     omega_sq = box_energy(cfg, 1)
     assert omega_sq == 4.0 and omega_sq not in energies

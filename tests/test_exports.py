@@ -1,8 +1,10 @@
-"""Every exported name resolves, and the package exports what it re-exports."""
+"""Every exported name resolves, the package exports what it re-exports, and
+every public function is reached by a subcommand or stated as not yet reached."""
 import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 
 import ptdarboux
 
@@ -37,3 +39,62 @@ def test_package_all_is_exactly_its_re_exports():
     namespace = {}
     exec("from ptdarboux import *", namespace)
     assert set(ptdarboux.__all__) <= set(namespace)
+
+
+# Every public function of ptdarboux.__all__, in exactly one group: reached by
+# a subcommand, a one-point wrapper over a row engine that README names, or
+# waiting for the report row (ROADMAP item 3) or the exact evaluator (item 10)
+# that will reach it.  Classes, error types and constants are exempt by kind.
+REACHED = {
+    "box_energy", "check_correspondence", "check_expectation_x", "check_fd_spectrum",
+    "check_first_moment", "check_hypergeom_norm", "check_identity", "check_orthonormality",
+    "check_residual", "check_trig_norm", "fd_spectrum", "gauss_legendre",
+    "midpoint_vanishing", "normalization_A", "resolve_tolerances", "run_full_suite",
+}
+ONE_POINT_WRAPPERS = {
+    "chi_eval", "chi_derivatives", "identity_sides", "partner_potential", "f21_eval_real",
+    "coefficient_C",
+}
+WAITING_FOR_ITEM_3 = {
+    "intertwine", "transform_normalization", "pt_potential", "pt_energy", "f21_derivative",
+}
+WAITING_FOR_ITEM_10 = {"f21_eval_exact"}
+
+SUBCOMMANDS = [
+    ["verify", "--n-max", "2"],
+    ["tabulate"],
+    ["identity", "--which", "base"],
+    ["identity", "--which", "even"],
+    ["identity", "--which", "odd"],
+    ["spectrum"],
+]
+
+
+def test_every_public_function_is_in_exactly_one_reach_group(capsys):
+    from ptdarboux.cli import main
+
+    functions = {name: getattr(ptdarboux, name) for name in ptdarboux.__all__
+                 if inspect.isfunction(getattr(ptdarboux, name))}
+    groups = [REACHED, ONE_POINT_WRAPPERS, WAITING_FOR_ITEM_3, WAITING_FOR_ITEM_10]
+    assert sorted(name for group in groups for name in group) == sorted(functions)
+
+    # a memo filled by an earlier call would hide a call, so every one is emptied
+    for module in _modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    codes = {function.__code__: name for name, function in functions.items()}
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            reached.add(codes[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        for argv in SUBCOMMANDS:
+            assert main(argv) == 0, argv
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert reached == REACHED

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from oracles import chi, f21_real, pt_eigen_hypergeom, stable_bracket
+from oracles import chi, f21_real, identity_pairs, pt_eigen_hypergeom, stable_bracket
 from ptdarboux import closed_form, hypergeom, verify
 from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.closed_form import TGrid, TrigEigenfunction, chi_derivatives
@@ -156,8 +156,8 @@ def test_bound_state_pairs_equal_their_pointwise_forms():
 def test_t_grid_pairs_equal_fresh_one_point_grids():
     grid = TGrid(verify._interior_grid().ts[::20])
     for which, index in (("odd", 4), ("base", 3), ("even", 0), ("base", 9)):
-        shared = closed_form.identity_pairs(which, index, grid)
-        single = [closed_form.identity_pairs(which, index, TGrid([t]))[0] for t in grid.ts]
+        shared = identity_pairs(which, index, grid)
+        single = [identity_pairs(which, index, TGrid([t]))[0] for t in grid.ts]
         assert shared == single
 
 

@@ -1817,16 +1817,3 @@ def test_panel_doubling_convergence_sanity():
         doubled = make(64)
         floor = 1e-14
         assert doubled.rel_dev <= max(10 * base.rel_dev, floor)
-
-
-def test_check_result_serialization():
-    r = check_trig_norm(2)
-    d = r.to_dict()
-    assert isinstance(r, CheckResult)
-    assert set(d) == {
-        "name", "computed", "reference", "abs_dev", "rel_dev", "tolerance", "passed",
-    }
-    report = check_orthonormality(3)
-    payload = report.to_dict()
-    assert set(payload) == {"parameters", "overall", "checks"}
-    assert payload["overall"] is True
