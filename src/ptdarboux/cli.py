@@ -35,13 +35,13 @@ MAX_ALPHA = 1e100
 # The caps below bound the work each flag can ask for.  Times are on one
 # Intel Xeon core under CPython 3.11.  MAX_DEGREE caps --n-max, tabulate --n
 # and identity --n, and identity --m at MAX_DEGREE // 2 (the suite's indices
-# at n_max = MAX_DEGREE): verify --n-max 60 takes 0.31 s, identity --n 60
-# 0.007-0.008 s (one level row and one bracket row, each swept to its index).
+# at n_max = MAX_DEGREE): verify --n-max 60 takes 0.29 s, identity --n 60
+# 0.0055 s (one level row and one bracket row, each swept to its index).
 MAX_DEGREE = 60
 # A Gauss-Legendre rule is built in O(order^2): 0.09 s at 1024 points.
 MAX_QUAD_ORDER = 1024
 # One x-form hypergeometric norm check at n = 60 (a level sweep to 60 and that
-# level's sums), 1024 panels: 0.32 s.
+# level's sums), 1024 panels: 0.21 s.
 MAX_PANELS = 1024
 # The work of a quadrature check grows with panels times order, so their
 # product is capped too: verify --n-max 60 --panels 1024 takes 6.6-6.7 s and
@@ -56,7 +56,7 @@ MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
 # eigenvalue, with no Newton sweep: the gate admits all 10 modes from 23,847
 # points up): 0.05-0.07 s in process.
 MAX_GRID_POINTS = 100_000
-# tabulate --n 60: 0.10 s, peaking at 21 MB resident (VmHWM) in CSV and 26 MB
+# tabulate --n 60: 0.08-0.09 s, peaking at 21 MB resident (VmHWM) in CSV and 27 MB
 # in JSON: it builds one level row and one bracket row, arrays, while its two
 # sweeps hold two working rows each, lists.
 MAX_POINTS = 10_001

@@ -69,19 +69,22 @@ def _picked(rows, indices, first=0):
             if i in keep)
 
 
-def _level_rows(ts):
+def _level_rows(ts, zs=None):
     """Rows of F_n(z) = 2F1(-n, n+4; 5/2; z) at z = sin^2(t/2) for every t of
     `ts`, n = 0, 1, ...: one _jacobi_rows sweep, a = beta = 3/2 (DLMF 18.7.1),
-    whose z row and rows are lists."""
-    yield from hypergeom._jacobi_rows(1.5, 1.5, [s * s for s in (math.sin(0.5 * t) for t in ts)])
+    whose rows are lists.  zs is that z row when the caller has built it
+    (the first row of _bound_factors), which the sweep then reads as is."""
+    if zs is None:
+        zs = [s * s for s in map(math.sin, [0.5 * t for t in ts])]
+    yield from hypergeom._jacobi_rows(1.5, 1.5, zs)
 
 
 def _bound_factors(ts) -> tuple[array, array]:
-    """The rows sin^2(t/2) and cos^2(t/2) of the bound state's factor
-    sin^2 cos^2(t/2) F_n at every t of `ts`."""
+    """The rows sin^2(t/2), the level sweep's z row, and cos^2(t/2) of the
+    bound state's factor sin^2 cos^2(t/2) F_n at every t of `ts`."""
     halves = [0.5 * t for t in ts]
-    return (array("d", [math.sin(h) ** 2.0 for h in halves]),
-            array("d", [math.cos(h) ** 2.0 for h in halves]))
+    return (array("d", [s * s for s in map(math.sin, halves)]),
+            array("d", [c * c for c in map(math.cos, halves)]))
 
 
 def _u_rows(cosines):
@@ -232,10 +235,10 @@ def _coefficient(n: int) -> tuple[int, int]:
     return num, r_den * d_den
 
 
-def coefficient_C(n: int) -> Fraction:
+def coefficient_C(n: int):
     """Exact proportionality constant C_n = r_n D_n (_midpoint_factor) tying
     the degree-n hypergeometric factor to the index n + 2 trigonometric
-    bracket, reduced to lowest terms.
+    bracket, as a fractions.Fraction in lowest terms.
 
     First values: -1/8, -1/32, -1/80.  The result is guaranteed nonzero;
     a vanishing value would make the identity normalization meaningless
@@ -296,7 +299,9 @@ class TGrid:
         share one row cos(kt), and every g'' reads the grid's cos t and
         sin^2 t rows."""
         ts, cosines = self.ts, self._cosines
-        level_rows = {n: array("d", row) for n, row in _picked(_level_rows(ts), levels)}
+        factors = self.__dict__.get("bound_factors")  # once built, its first row is the z row
+        level_rows = {n: array("d", row)
+                      for n, row in _picked(_level_rows(ts, factors and factors[0]), levels)}
         modes, seconds = set(modes), set(seconds)
         brackets, second = {}, {}
         if modes or seconds:
@@ -318,8 +323,9 @@ class TGrid:
         """Build the rows at these indices (_rows), sin_sq, the potential and
         the bound factors, and keep them all; a build that raises keeps no
         row of _rows."""
+        self.bound_factors  # first, so that the level sweep reads its z row
         rows = self._rows(levels, modes, seconds)
-        self.sin_sq, self.potential, self.bound_factors
+        self.sin_sq, self.potential
         self._levels, self._modes, self._second = rows
 
     def level(self, n: int) -> array:
@@ -353,6 +359,7 @@ class TGrid:
         x = t / (2 alpha), read from the level and mode rows."""
         amplitude = normalization_A(n, alpha)
         norm = TrigEigenfunction(n + 2, alpha).norm
+        # the bound factors are built before the level row, which reads their z row
         psi = [amplitude * s2 * c2 * f for s2, c2, f in zip(*self.bound_factors, self.level(n))]
         return psi, [norm * g for g in self.mode(n + 2)]
 

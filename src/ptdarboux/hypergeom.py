@@ -33,7 +33,8 @@ __all__ = [
 ]
 
 
-def _as_fraction(value, what: str) -> Fraction:
+def _as_fraction(value, what: str):
+    """value as a fractions.Fraction; a float converts exactly."""
     from fractions import Fraction
 
     if isinstance(value, float):
@@ -92,9 +93,9 @@ def _f21_exact(n: int, b: tuple[int, int], c: tuple[int, int],
     return num, den
 
 
-def f21_eval_exact(h: TerminatingHypergeometric, z) -> Fraction:
-    """Exact rational value of the n+1 term series: the _f21_exact sweep,
-    reduced once by the closing Fraction."""
+def f21_eval_exact(h: TerminatingHypergeometric, z):
+    """Exact rational value of the n+1 term series, as a fractions.Fraction:
+    the _f21_exact sweep, reduced once by the closing Fraction."""
     from fractions import Fraction
 
     if isinstance(z, float):
@@ -118,24 +119,39 @@ def _jacobi_rows(a: float, beta: float, zs):
     (DLMF 18.9.2)
 
         2(j+a)(j+a+beta)(s-2) R_j
-            = (s-1)[s(s-2)x + a^2 - beta^2] R_{j-1} - 2(j-1)(j+beta-1)s R_{j-2},
+            = (s-1)[s(s-2)x + a^2 - beta^2] R_{j-1} - 2(j-1)(j+beta-1)s R_{j-2}.
 
-    so R_j = (p (q x + a^2 - beta^2) R_{j-1} - c2 R_{j-2}) / den, with
-    step coefficients that do not depend on the target degree.
+    Each step folds its coefficients once into slope = (s-1) s(s-2) / den,
+    shift = (s-1)(a^2 - beta^2) / den and back = slope + shift - 1, with den
+    the left side's factor, so that an element costs
+
+        R_j = (slope x + shift) R_{j-1} - back R_{j-2}.
+
+    back is 2(j-1)(j+beta-1)s / den, but taking it as slope + shift - 1
+    (equal, since R_j(z=0) = 1) keeps R_j(z=0) = 1 exactly wherever back < 1:
+    then slope + shift lies in [1, 2] and subtracting 1 is exact (Sterbenz).
+    On the Gegenbauer ladder a = beta, shift is 0, R_1 is the row x itself,
+    back = (j-1)/(j+2a) < 1 for a > -1/2, and each element costs
+    slope x R_{j-1} - back R_{j-2}, the same float as the general step,
+    which also keeps R_j(z=1) = (-1)^j exactly.
     """
     ab = a + beta
     xs = [1.0 - 2.0 * z for z in zs]
     diff_sq = a * a - beta * beta
     r_prev = [1.0] * len(zs)
     yield r_prev
-    r = [1.0 - (a + beta + 2.0) * z / (a + 1.0) for z in zs]
+    r = xs if a == beta else [1.0 - (ab + 2.0) * z / (a + 1.0) for z in zs]
     yield r
     for j in count(2):
         s = 2 * j + ab
-        p, q, c2 = s - 1.0, s * (s - 2.0), 2.0 * (j - 1) * (j + beta - 1.0) * s
         den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
-        r_prev, r = r, [(p * (q * x + diff_sq) * v - c2 * w) / den
-                        for x, v, w in zip(xs, r, r_prev)]
+        slope, shift = (s - 1.0) * (s * (s - 2.0)) / den, (s - 1.0) * diff_sq / den
+        back = slope + shift - 1.0
+        if a == beta:
+            r_prev, r = r, [slope * x * v - back * w for x, v, w in zip(xs, r, r_prev)]
+        else:
+            r_prev, r = r, [(slope * x + shift) * v - back * w
+                            for x, v, w in zip(xs, r, r_prev)]
         yield r
 
 
@@ -144,8 +160,10 @@ def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
     _jacobi_rows sweep at degree n, with a = c - 1 and beta = b - n - c.
 
     No step cancels large terms, so the error stays near the rounding level
-    of max|F| (checked to n = 160).  The recurrence needs a > -1 and beta > -1;
-    other parameters raise ParameterError (f21_eval_exact takes them).
+    of max|F| (checked to n = 160).  On the ladders b = n + 2c - 1 with
+    c > 1/2 (a = beta > -1/2; F_n is c = 5/2), F(0) = 1 and F(1) = (-1)^n
+    exactly.  The recurrence needs a > -1 and beta > -1; other parameters
+    raise ParameterError (f21_eval_exact takes them).
     """
     c = float(h.c)
     a = c - 1.0
@@ -155,14 +173,13 @@ def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
     return next(islice(_jacobi_rows(a, beta, [float(z)]), h.n, None))[0]
 
 
-def f21_derivative(
-    h: TerminatingHypergeometric,
-) -> tuple[Fraction, TerminatingHypergeometric]:
+def f21_derivative(h: TerminatingHypergeometric) -> tuple:
     """Parameter-shift form of d/dz 2F1(-n, b; c; z).
 
-    Returns (factor, shifted) with factor = (-n)b/c and shifted parameters
-    (n-1, b+1, c+1).  For n = 0 the derivative vanishes identically: the
-    factor is 0 and the parameters are returned unchanged.
+    Returns (factor, shifted): the fractions.Fraction factor = (-n)b/c and
+    the TerminatingHypergeometric of the shifted parameters (n-1, b+1, c+1).
+    For n = 0 the derivative vanishes identically: the factor is 0 and the
+    parameters are returned unchanged.
     """
     from fractions import Fraction
 

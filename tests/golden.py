@@ -17,8 +17,11 @@ with git archive into a temporary directory) and with the current tree's,
 each in a fresh process, and prints, for each command whose entry differs,
 the exit codes, the rows added or removed and, over the rows in both, the
 largest change in `computed` relative to the reference, the largest change
-in the deviation column and every `passed` flag that flipped.  It reads
-JSON through json.loads and CSV through csv, not through the package.
+in the deviation column and every `passed` flag that flipped.  A tabulate
+row's computed value is psi, its reference chi and its deviation their
+difference; an identity report's one row has max_scaled_deviation for both.
+It reads JSON through json.loads and CSV through csv, not through the
+package.
 """
 import contextlib
 import csv
@@ -146,6 +149,13 @@ def _float(row: dict, *names: str) -> float:
     return float("nan") if value is None else float(value)
 
 
+# Each report's computed value, its reference and its deviation column: a
+# check's or a mode's, tabulate's psi against chi and their difference, and
+# an identity report's one deviation for both.
+_COMPUTED = ("computed", "psi", "max_scaled_deviation")
+_DEVIATION = ("rel_dev", "rel_err", "difference", "max_scaled_deviation")
+
+
 def describe(command: str, old: list, new: list) -> list[str]:
     """What moved in one command's (stdout, errors, exit code) from old to new."""
     lines = [f"{command}: exit {old[2]} -> {new[2]}"]
@@ -164,12 +174,12 @@ def describe(command: str, old: list, new: list) -> list[str]:
     computed, deviation, flipped = (0.0, ""), (0.0, ""), []
     for key in before.keys() & after.keys():
         a, b = before[key], after[key]
-        change = abs(_float(b, "computed") - _float(a, "computed"))
-        reference = abs(_float(a, "reference", "exact"))
-        change = change / reference if reference else change  # as rel_dev is taken
+        change = abs(_float(b, *_COMPUTED) - _float(a, *_COMPUTED))
+        reference = abs(_float(a, "reference", "exact", "chi"))
+        change = change / reference if reference > 0.0 else change  # as rel_dev is taken
         if change > computed[0] or change != change:
             computed = (change, key)
-        change = abs(_float(b, "rel_dev", "rel_err") - _float(a, "rel_dev", "rel_err"))
+        change = abs(_float(b, *_DEVIATION) - _float(a, *_DEVIATION))
         if change > deviation[0] or change != change:
             deviation = (change, key)
         if str(a.get("passed")).lower() != str(b.get("passed")).lower():

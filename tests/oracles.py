@@ -45,7 +45,9 @@ def pochhammer(a, n: int) -> Fraction:
 def f21_real(h, z: float) -> float:
     """2F1(-n, b; c; z) in floats by the normalized Jacobi recurrence in
     degree (DLMF 15.9.1, 18.9.2) with a = c - 1, beta = b - n - c, swept at
-    one point; hypergeom.f21_eval_real and the level rows (closed_form.TGrid,
+    one point in its folded step R_j = (slope x + shift) R_{j-1} - back
+    R_{j-2}, back = slope + shift - 1, and R_1 = x when a = beta, where
+    shift is 0; hypergeom.f21_eval_real and the level rows (closed_form.TGrid,
     the z rule's level sums) must equal it bit for bit."""
     c = float(h.c)
     a = c - 1.0
@@ -54,12 +56,12 @@ def f21_real(h, z: float) -> float:
     z = float(z)
     x = 1.0 - 2.0 * z
     diff_sq = a * a - beta * beta
-    r_prev, r = 1.0, 1.0 - (a + beta + 2.0) * z / (a + 1.0)
+    r_prev, r = 1.0, x if a == beta else 1.0 - (a + beta + 2.0) * z / (a + 1.0)
     for j in range(2, h.n + 1):
         s = 2 * j + ab
-        p, q, c2 = s - 1.0, s * (s - 2.0), 2.0 * (j - 1) * (j + beta - 1.0) * s
         den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
-        r_prev, r = r, (p * (q * x + diff_sq) * r - c2 * r_prev) / den
+        slope, shift = (s - 1.0) * (s * (s - 2.0)) / den, (s - 1.0) * diff_sq / den
+        r_prev, r = r, (slope * x + shift) * r - (slope + shift - 1.0) * r_prev
     return r if h.n else 1.0
 
 

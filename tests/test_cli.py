@@ -167,6 +167,18 @@ def test_golden_diff_names_what_moved():
     assert golden.describe("spectrum", [old, "", 0], [new, "", 0])[1:] == [
         "  largest change in computed / reference: 0.0156 (mode 0)",
         "  largest change in rel_dev: 0.0156 (mode 0)"]
+    # tabulate's psi against chi and their difference; an identity report's
+    # one deviation as both its computed value and its deviation
+    old, new = ("x,chi,psi,difference\n0,0,0,0\n0.5,0.5,0.25,-0.25\n",
+                "x,chi,psi,difference\n0,0,0,0\n0.5,0.5,0.375,-0.125\n")
+    assert golden.describe("tabulate", [old, "", 0], [new, "", 0])[1:] == [
+        "  largest change in computed / reference: 0.25 (x 0.5)",
+        "  largest change in rel_dev: 0.125 (x 0.5)"]
+    old, new = ("which,index,max_scaled_deviation,tolerance,passed\nbase,5,5e-12,1e-09,true\n",
+                "which,index,max_scaled_deviation,tolerance,passed\nbase,5,7e-12,1e-09,true\n")
+    assert golden.describe("identity", [old, "", 0], [new, "", 0])[1:] == [
+        "  largest change in computed / reference: 2e-12 (which base)",
+        "  largest change in rel_dev: 2e-12 (which base)"]
     assert golden.describe("--help", ["usage: a\n", "", 0], ["usage: b\n", "", 0]) == [
         "--help: exit 0 -> 0", "  stdout differs (not a report)"]
 
@@ -595,8 +607,8 @@ def test_a_check_that_raises_is_written_with_non_finite_values(monkeypatch, caps
     assert ",nan,nan,inf,inf,1e-08,false\n" in outputs["csv"]
     digests = {fmt: hashlib.sha256(out.encode("utf-8")).hexdigest() for fmt, out in outputs.items()}
     assert digests == {
-        "json": "2c1e6922b8ba6820c48c37f099a4b6a857fab39b6d4f76a228079419eacb0ab2",
-        "csv": "ac3eaef23dfc72c3f1d4f00691590f355a6083e3f9cae8a5e071e0c57691c3cb",
+        "json": "86de53cbd7e45024ebfdb98ed24490aa5fb5c39dbf5bad4bdac5333769aa6ff7",
+        "csv": "fe9aa6bb1501c96bda252db43f12171e87e983c0fbd89f5bd173ef1174dbb5ea",
     }
 
 

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import sys
+import typing
 
 import ptdarboux
 
@@ -39,6 +40,17 @@ def test_package_all_is_exactly_its_re_exports():
     namespace = {}
     exec("from ptdarboux import *", namespace)
     assert set(ptdarboux.__all__) <= set(namespace)
+
+
+def test_every_public_function_resolves_its_annotations():
+    # typing.get_type_hints evaluates each annotation in its module; the
+    # modules import fractions only inside the exact API's bodies, so an
+    # annotation may not name Fraction (their docstrings state the type)
+    functions = [getattr(ptdarboux, name) for name in ptdarboux.__all__
+                 if inspect.isfunction(getattr(ptdarboux, name))]
+    assert len(functions) > 20
+    for function in functions:
+        typing.get_type_hints(function)
 
 
 # Every public function of ptdarboux.__all__, in exactly one group: reached by

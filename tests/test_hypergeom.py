@@ -12,6 +12,7 @@ from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.errors import ParameterError
 from ptdarboux.hypergeom import (
     TerminatingHypergeometric,
+    _jacobi_rows,
     f21_derivative,
     f21_eval_exact,
     f21_eval_real,
@@ -45,9 +46,21 @@ def test_degree_one_closed_form():
     assert f21_eval_exact(h, z) == 1 - Fraction(5) * z / Fraction(5, 2)
 
 
+def _ladders(n):
+    # the Gegenbauer ladders a = beta of F_n (c = 5/2) and of the odd-ratio
+    # factors (c = 7/2)
+    return (TerminatingHypergeometric(n, n + 4, Fraction(5, 2)),
+            TerminatingHypergeometric(n, n + 6, Fraction(7, 2)))
+
+
 def test_real_evaluation_at_zero_is_exactly_one():
+    # the folded step keeps both ends exact at every degree: F(0) = 1 and,
+    # on the ladders, F(1) = (-1)^n, bit for bit
     h = TerminatingHypergeometric(9, Fraction(13), Fraction(5, 2))
     assert f21_eval_real(h, 0.0) == 1.0
+    for n in range(161):
+        for h in _ladders(n):
+            assert (f21_eval_real(h, 0.0), f21_eval_real(h, 1.0)) == (1.0, (-1.0) ** n), h
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,8 +133,7 @@ def test_real_path_equals_the_scalar_oracle():
     # accuracy tests reach, and off the Gegenbauer ladder
     zs = (0.0, 0.013, 0.25, 0.5, 0.77, 0.999, 1.0, Fraction(1, 3))
     for n in range(161):
-        for h in (TerminatingHypergeometric(n, n + 4, Fraction(5, 2)),
-                  TerminatingHypergeometric(n, n + 6, Fraction(7, 2))):
+        for h in _ladders(n):
             assert [f21_eval_real(h, z) for z in zs] == [f21_real(h, z) for z in zs], n
     rng = random.Random(2015)
     for _ in range(300):
@@ -142,6 +154,26 @@ def test_real_tracks_exact_at_high_degree(n):
              for k in range(257)]
     scale = max(abs(exact) for _, exact in pairs)
     assert max(abs(real - exact) for real, exact in pairs) / scale <= 1e-13
+
+
+def test_ladder_rows_track_the_exact_path_to_a_few_ulps():
+    # every degree n <= 160 of both ladders at z = k/256, one sweep each,
+    # against f21_eval_exact, as a share of max|F|: measured worst 8.9e-16
+    # (c = 7/2, n = 24).  A fold that rounds back = 2(j-1)(j+beta-1)s / den
+    # on its own, not as slope + shift - 1, measured 9.3e-15 (c = 5/2) and
+    # 9.8e-15 (c = 7/2).  F(1 - z) = (-1)^n F(z) on a ladder, so the exact
+    # values at k > 128 mirror those below.
+    zs = [k / 256 for k in range(257)]
+    worst = 0.0
+    for c in (Fraction(5, 2), Fraction(7, 2)):
+        a = float(c) - 1.0
+        for n, row in zip(range(161), _jacobi_rows(a, a, zs)):
+            h = TerminatingHypergeometric(n, n + 2 * c - 1, c)
+            exact = [float(f21_eval_exact(h, Fraction(k, 256))) for k in range(129)]
+            exact += [(-1) ** n * value for value in reversed(exact[:128])]
+            scale = max(map(abs, exact))
+            worst = max(worst, max(abs(r - e) for r, e in zip(row, exact)) / scale)
+    assert worst <= 2e-15
 
 
 def test_real_rejects_parameters_outside_the_jacobi_range():
