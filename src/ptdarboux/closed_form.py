@@ -69,19 +69,17 @@ def _picked(rows, indices, first=0):
             if i in keep)
 
 
-def _level_rows(ts, zs=None):
+def _level_rows(ts):
     """Rows of F_n(z) = 2F1(-n, n+4; 5/2; z) at z = sin^2(t/2) for every t of
     `ts`, n = 0, 1, ...: one _jacobi_rows sweep, a = beta = 3/2 (DLMF 18.7.1),
-    whose rows are lists.  zs is that z row when the caller has built it
-    (the first row of _bound_factors), which the sweep then reads as is."""
-    if zs is None:
-        zs = [s * s for s in map(math.sin, [0.5 * t for t in ts])]
+    whose z row and rows are lists."""
+    zs = [s * s for s in map(math.sin, [0.5 * t for t in ts])]
     yield from hypergeom._jacobi_rows(1.5, 1.5, zs)
 
 
 def _bound_factors(ts) -> tuple[array, array]:
-    """The rows sin^2(t/2), the level sweep's z row, and cos^2(t/2) of the
-    bound state's factor sin^2 cos^2(t/2) F_n at every t of `ts`."""
+    """The rows sin^2(t/2) and cos^2(t/2) of the bound state's factor
+    sin^2 cos^2(t/2) F_n at every t of `ts`."""
     halves = [0.5 * t for t in ts]
     return (array("d", [s * s for s in map(math.sin, halves)]),
             array("d", [c * c for c in map(math.cos, halves)]))
@@ -299,9 +297,7 @@ class TGrid:
         share one row cos(kt), and every g'' reads the grid's cos t and
         sin^2 t rows."""
         ts, cosines = self.ts, self._cosines
-        factors = self.__dict__.get("bound_factors")  # once built, its first row is the z row
-        level_rows = {n: array("d", row)
-                      for n, row in _picked(_level_rows(ts, factors and factors[0]), levels)}
+        level_rows = {n: array("d", row) for n, row in _picked(_level_rows(ts), levels)}
         modes, seconds = set(modes), set(seconds)
         brackets, second = {}, {}
         if modes or seconds:
@@ -323,9 +319,8 @@ class TGrid:
         """Build the rows at these indices (_rows), sin_sq, the potential and
         the bound factors, and keep them all; a build that raises keeps no
         row of _rows."""
-        self.bound_factors  # first, so that the level sweep reads its z row
         rows = self._rows(levels, modes, seconds)
-        self.sin_sq, self.potential
+        self.sin_sq, self.potential, self.bound_factors
         self._levels, self._modes, self._second = rows
 
     def level(self, n: int) -> array:
@@ -359,7 +354,6 @@ class TGrid:
         x = t / (2 alpha), read from the level and mode rows."""
         amplitude = normalization_A(n, alpha)
         norm = TrigEigenfunction(n + 2, alpha).norm
-        # the bound factors are built before the level row, which reads their z row
         psi = [amplitude * s2 * c2 * f for s2, c2, f in zip(*self.bound_factors, self.level(n))]
         return psi, [norm * g for g in self.mode(n + 2)]
 

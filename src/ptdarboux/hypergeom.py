@@ -128,30 +128,35 @@ def _jacobi_rows(a: float, beta: float, zs):
         R_j = (slope x + shift) R_{j-1} - back R_{j-2}.
 
     back is 2(j-1)(j+beta-1)s / den, but taking it as slope + shift - 1
-    (equal, since R_j(z=0) = 1) keeps R_j(z=0) = 1 exactly wherever back < 1:
-    then slope + shift lies in [1, 2] and subtracting 1 is exact (Sterbenz).
-    On the Gegenbauer ladder a = beta, shift is 0, R_1 is the row x itself,
-    back = (j-1)/(j+2a) < 1 for a > -1/2, and each element costs
-    slope x R_{j-1} - back R_{j-2}, the same float as the general step,
-    which also keeps R_j(z=1) = (-1)^j exactly.
+    (equal, since R_j(z=0) = 1) keeps R_j(z=0) = 1 exactly at every degree:
+    slope + shift = 1 + back with back > 0 for a, beta > -1, and subtracting
+    1 from a float of at least 1/2 is exact.  On the Gegenbauer ladder
+    a = beta, shift is 0, R_1 is the row x itself and an element costs
+    slope x R_{j-1} - back R_{j-2}, the same float as the general step; the
+    sweep picks that form once.  There back = slope - 1 exactly, so
+    R_j(z=1) = (-1)^j exactly too.
     """
     ab = a + beta
     xs = [1.0 - 2.0 * z for z in zs]
     diff_sq = a * a - beta * beta
     r_prev = [1.0] * len(zs)
     yield r_prev
-    r = xs if a == beta else [1.0 - (ab + 2.0) * z / (a + 1.0) for z in zs]
+    if a == beta:
+        r = xs
+
+        def step(slope, shift, back, rs, r_prevs):
+            return [slope * x * v - back * w for x, v, w in zip(xs, rs, r_prevs)]
+    else:
+        r = [1.0 - (ab + 2.0) * z / (a + 1.0) for z in zs]
+
+        def step(slope, shift, back, rs, r_prevs):
+            return [(slope * x + shift) * v - back * w for x, v, w in zip(xs, rs, r_prevs)]
     yield r
     for j in count(2):
         s = 2 * j + ab
         den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
         slope, shift = (s - 1.0) * (s * (s - 2.0)) / den, (s - 1.0) * diff_sq / den
-        back = slope + shift - 1.0
-        if a == beta:
-            r_prev, r = r, [slope * x * v - back * w for x, v, w in zip(xs, r, r_prev)]
-        else:
-            r_prev, r = r, [(slope * x + shift) * v - back * w
-                            for x, v, w in zip(xs, r, r_prev)]
+        r_prev, r = r, step(slope, shift, slope + shift - 1.0, r, r_prev)
         yield r
 
 
@@ -160,14 +165,14 @@ def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
     _jacobi_rows sweep at degree n, with a = c - 1 and beta = b - n - c.
 
     No step cancels large terms, so the error stays near the rounding level
-    of max|F| (checked to n = 160).  On the ladders b = n + 2c - 1 with
-    c > 1/2 (a = beta > -1/2; F_n is c = 5/2), F(0) = 1 and F(1) = (-1)^n
-    exactly.  The recurrence needs a > -1 and beta > -1; other parameters
-    raise ParameterError (f21_eval_exact takes them).
+    of max|F| (checked to n = 160).  F(0) = 1 exactly, and on the ladders
+    b = n + 2c - 1 (a = beta; F_n is c = 5/2) F(1) = (-1)^n exactly: a and
+    beta are each rounded once from exact rationals, so a ladder's are equal.
+    The recurrence needs a > -1 and beta > -1; other parameters raise
+    ParameterError (f21_eval_exact takes them).
     """
-    c = float(h.c)
-    a = c - 1.0
-    beta = float(h.b) - h.n - c
+    a = float(h.c - 1)
+    beta = float(h.b - h.n - h.c)
     if not (a > -1.0 and beta > -1.0):
         raise ParameterError(f"float path needs c - 1 > -1 and b - n - c > -1, got {a}, {beta}")
     return next(islice(_jacobi_rows(a, beta, [float(z)]), h.n, None))[0]

@@ -229,10 +229,9 @@ def _level_sums(order: int, panels: int, ns) -> dict:
     F_n on the t rule, from one level sweep to the largest n; no level row
     is kept."""
     nodes = _nodes(0.0, math.pi, order, panels)
-    zs, cos_sq = closed_form._bound_factors(nodes[0])
-    factor = list(map(operator.mul, zs, cos_sq))
+    factor = list(map(operator.mul, *closed_form._bound_factors(nodes[0])))
     return {n: _moment_sums(nodes, list(map(operator.mul, factor, level)))
-            for n, level in closed_form._picked(closed_form._level_rows(nodes[0], zs), ns)}
+            for n, level in closed_form._picked(closed_form._level_rows(nodes[0]), ns)}
 
 
 def _z_level_sums(order: int, panels: int, ns) -> dict:

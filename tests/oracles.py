@@ -49,9 +49,8 @@ def f21_real(h, z: float) -> float:
     R_{j-2}, back = slope + shift - 1, and R_1 = x when a = beta, where
     shift is 0; hypergeom.f21_eval_real and the level rows (closed_form.TGrid,
     the z rule's level sums) must equal it bit for bit."""
-    c = float(h.c)
-    a = c - 1.0
-    beta = float(h.b) - h.n - c
+    a = float(h.c - 1)
+    beta = float(h.b - h.n - h.c)
     ab = a + beta
     z = float(z)
     x = 1.0 - 2.0 * z
