@@ -53,8 +53,9 @@ MAX_PANELS = 1024
 MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
 # spectrum --count 10 (2 certifying Sturm counts per mode over one
 # 50,000-row mirror block of the matrix, at each mode's asymptotic
-# eigenvalue, with no Newton sweep: the gate admits all 10 modes from 23,847
-# points up): 0.05-0.07 s in process.
+# eigenvalue: the gate admits all 10 modes from 23,847 points up): 0.042 s
+# in process.  Below that, count bisection costs most at 3,000-5,000 points
+# (10 modes at 3,000 points: 88 counts of 1,500 rows, 0.005 s).
 MAX_GRID_POINTS = 100_000
 # tabulate --n 60: 0.08-0.09 s, peaking at 21 MB resident (VmHWM) in CSV and 27 MB
 # in JSON: it builds one level row and one bracket row, arrays, while its two

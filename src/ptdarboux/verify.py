@@ -500,40 +500,11 @@ def _sturm_count(w0: float, rest: list, shift: float, factor: float, mu: float) 
     return negatives + (u <= -1.0)
 
 
-def _sturm_newton(
-    w0: float, rest: list, shift: float, factor: float, mu: float
-) -> tuple[int, float]:
-    """_sturm_count's sweep, pivot for pivot, returning with the count the
-    log-derivative d/dmu ln|det(T - mu)| = sum u_i' / (1 + u_i), where
-    u_0' = -factor and u_i' = -1 + u_{i-1}' / (1 + u_{i-1})^2."""
-    u = shift + factor * (w0 - mu)
-    du = -factor
-    negatives = 0
-    slope = 0.0
-    for w in rest:
-        if u <= -1.0:
-            negatives += 1
-            if u == -1.0:
-                u = _ZERO_PIVOT
-        q = 1.0 + u
-        r = du / q
-        slope += r
-        u = w - mu + u / q
-        du = r / q - 1.0
-    return negatives + (u <= -1.0), slope + du / (1.0 + u)
-
-
-# The half-width of each certified bracket, relative to its centre (the
-# fallback bisection stops at twice it); Newton's sweeps per mode at most, and
-# its stop, a step relative to its iterate.  Newton's error after a relative
-# step s is about s^2, so a step of at most sqrt(_HALF_WIDTH) / 2 leaves the
-# iterate about _HALF_WIDTH / 4 off, inside the certifying counts' bracket.
-# Over 1,135 modes of 200 random grids (tests/fd_certificate.py), 471 of them
-# certified at their _asymptotic value and 664 in 713 Newton sweeps from it,
-# no value moved more than 9.3e-15 from the one a Newton stop of 1e-8 gives.
+# The half-width of an admitted mode's certified bracket, relative to its
+# centre, and the width, relative to its upper end, to which every other mode's
+# bracket is bisected, which puts its centre within _HALF_WIDTH / 2 of the
+# eigenvalue.
 _HALF_WIDTH = 4.9e-14
-_NEWTON_SWEEPS = 64
-_NEWTON_STOP = math.sqrt(_HALF_WIDTH) / 2
 
 # The wall layer of the half-offset grid: v = x^2 + _WALL_BETA s solves
 # -(v_{i+1} - 2 v_i + v_{i-1}) + 2 v_i / x_i^2 = 0 on x_i = i + 1/2 with
@@ -552,61 +523,43 @@ def _block_mode(mode: int) -> tuple[int, int]:
     return 1 - mode % 2, (mode + 1) // 2
 
 
-def _settle(block: tuple, place: int, mu: float, a: float, b: float) -> tuple[float, float, float]:
-    """The block's place-th eigenvalue from the start mu in the bracket
-    (a, b), count(a) < place, as (lo, estimate, up).
+def _settle(block: tuple, place: int, lo: float, up: float,
+            top: float) -> tuple[float, float, float]:
+    """The block's place-th eigenvalue from the start bracket (lo, up], by
+    Sturm counts alone, as (lo, estimate, up) with count(lo) < place <=
+    count(up) (Barth, Martin & Wilkinson 1967).
 
-    Newton's method on det(T - mu) in k = sqrt(mu) (_sturm_newton) keeps
-    the bracket with each sweep's count; a start or step outside it is
-    replaced by the bracket's midpoint, and a step of at most _NEWTON_STOP =
-    sqrt(_HALF_WIDTH) / 2 of the iterate ends the iteration, about
-    _HALF_WIDTH / 4 from the eigenvalue.  Two counts at mu (1 -/+ _HALF_WIDTH)
-    must then show count(lo) < place <= count(up), which proves that the
-    eigenvalue lies in (lo, up] (_certify); when they do not, count
-    bisection inside the bracket finishes the mode at width 2 _HALF_WIDTH
-    of its upper end.  It first counts the top b, if no count has moved it,
-    and raises EvaluationError(held) when only held < place lie below it.
-    So the start sets only the cost: any start gives a certified eigenvalue.
-    _sturm_grid calls this only for a mode the gate does not admit or whose
-    asymptotic value fails its counts.
+    The start is clamped to [0, top]; one with nothing left between its ends
+    (NaN, or at or beyond either end) becomes (0, top].  When lo counts
+    place or more, the eigenvalue lies at or below lo, and the bracket
+    moves below lo, four times as wide, until its lower end counts fewer or
+    reaches 0, below every eigenvalue of the positive definite blocks.  When
+    up counts fewer, the bracket moves above up the same way until its upper
+    end counts place; at the top, where only held < place lie below, it
+    raises EvaluationError(held).  Bisection then narrows the bracket to
+    _HALF_WIDTH of its upper end, and its centre is within _HALF_WIDTH / 2
+    of the eigenvalue.  So the start sets only the cost.
     """
-    top = b
-    for _ in range(_NEWTON_SWEEPS):
-        if not a < mu < b:
-            mu = 0.5 * (a + b)
-        below, slope = _sturm_newton(*block, mu)
-        if below < place:
-            a = mu
-        else:
-            b = mu
-        # Newton in k = sqrt(mu), the modes' near-even spacing: the new mu is
-        # (k - 1 / (2 k slope))^2
-        step = (1.0 - 0.25 / (slope * mu)) / slope if slope else math.inf
-        mu -= step
-        if a <= mu <= b and abs(step) <= _NEWTON_STOP * mu:
-            break
-    lo, up, low, high = _certify(block, place, mu)
-    if low and not high:
-        return lo, mu, up
-    for end, below in ((lo, low), (up, high)):
-        a, b = (max(a, end), b) if below else (a, min(b, end))
-    if b == top and (held := _sturm_count(*block, top)) < place:
-        raise EvaluationError(held)
-    while b - a > 2 * _HALF_WIDTH * b:
-        mid = 0.5 * (a + b)
+    lo, up = max(0.0, lo), min(top, up)
+    if not lo < up:
+        lo, up = 0.0, top
+    if _sturm_count(*block, lo) >= place:
+        while True:
+            lo, up = max(0.0, lo - 4.0 * (up - lo)), lo
+            if lo == 0.0 or _sturm_count(*block, lo) < place:
+                break
+    else:
+        while (held := _sturm_count(*block, up)) < place:
+            if up == top:
+                raise EvaluationError(held)
+            lo, up = up, min(top, up + 4.0 * (up - lo))
+    while up - lo > _HALF_WIDTH * up:
+        mid = 0.5 * (lo + up)
         if _sturm_count(*block, mid) < place:
-            a = mid
+            lo = mid
         else:
-            b = mid
-    return a, 0.5 * (a + b), b
-
-
-def _certify(block: tuple, place: int, mu: float) -> tuple[float, float, bool, bool]:
-    """The bracket lo, up = mu (1 -/+ _HALF_WIDTH) and whether each end lies
-    below the block's place-th eigenvalue, from one count each: when lo does
-    and up does not, the eigenvalue lies in (lo, up]."""
-    lo, up = mu * (1.0 - _HALF_WIDTH), mu * (1.0 + _HALF_WIDTH)
-    return lo, up, _sturm_count(*block, lo) < place, _sturm_count(*block, up) < place
+            up = mid
+    return lo, 0.5 * (lo + up), up
 
 
 def _admits(k: int, h: float) -> bool:
@@ -642,12 +595,14 @@ def _sturm_grid(grid_points: int, count: int, top: float) -> tuple[float, list]:
     """The grid's Sturm work for the lowest `count` modes: h^2 and each
     mode's (lo, estimate, up), in units of h^2 (_fd_matrix).
 
-    Each mode i (from 1) starts at its _asymptotic value.  One that _admits
-    it is certified there by two counts (_certify), with no Newton sweep.
-    Every other mode, and an admitted one whose counts disagree, is
-    _settle's, with Newton from that value inside the bracket [0, top] (top
-    h^2 here).  The top is counted only when _settle's fallback bisection
-    would end there, and a block must hold its modes below it.
+    Each mode i (from 1), k = i + 1, starts at its _asymptotic value mu.  One
+    that _admits it is bracketed at mu (1 -/+ _HALF_WIDTH), and when its two
+    counts certify that bracket, mu is the estimate.  Every other mode, and
+    an admitted one whose counts disagree, is _settle's from the one-sided
+    bracket (mu, mu (1 + r)], r = max(_HALF_WIDTH, (k h)^4 / 360), inside
+    [0, top] (top h^2 here).  On 13 grids of 100-20,000 points, mu lay below
+    the eigenvalue for all 118 modes the gate does not admit, by 0.20-0.73
+    of (k h)^4 / 360.
     """
     h = math.pi / grid_points
     h2 = h ** 2
@@ -655,14 +610,16 @@ def _sturm_grid(grid_points: int, count: int, top: float) -> tuple[float, list]:
     modes = []
     for mode in range(1, count + 1):
         block, place = _block_mode(mode)
-        mu = _asymptotic(mode + 1, h)
-        if _admits(mode + 1, h):
-            lo, up, low, above = _certify(blocks[block], place, mu)
-            if low and not above:
+        k = mode + 1
+        mu = _asymptotic(k, h)
+        if _admits(k, h):
+            lo, up = mu * (1.0 - _HALF_WIDTH), mu * (1.0 + _HALF_WIDTH)
+            if _sturm_count(*blocks[block], lo) < place <= _sturm_count(*blocks[block], up):
                 modes.append((lo, mu, up))
                 continue
         try:
-            modes.append(_settle(blocks[block], place, mu, 0.0, top * h2))
+            modes.append(_settle(blocks[block], place, mu,
+                                 mu * (1.0 + max(_HALF_WIDTH, (k * h) ** 4 / 360.0)), top * h2))
         except EvaluationError as short:
             raise EvaluationError(f"block {block} of the {grid_points}-point grid holds "
                                   f"{short.args[0]} of its {(count + 1 - block) // 2} modes "
@@ -690,20 +647,19 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     grid: the ground mode's error falls fourfold per grid doubling up to the
     100,000-point cap, where it is -1.1e-10.
 
-    Every mode is certified: two Sturm counts prove that a bracket of
-    relative width under 1e-13 holds exactly that mode (Barth, Martin &
-    Wilkinson 1967), and the result is its centre.  Each mode i (from 0)
-    starts at the grid eigenvalue's three-term expansion in h (_asymptotic)
-    about its continuum one, (i + 2)^2, at most 2.7e-5 below the grid's
-    (mode 9 at 100 points).  Where (k h)^4 / 360 is at most _HALF_WIDTH / 4
-    (k = i + 2), its remainder is under 1e-14, the bracket is centred on it
-    and the counts alone settle the mode.  Every other mode is Newton's
-    method on det(T - lambda) in sqrt(lambda) (_sturm_newton) from it, kept
-    inside a bracket by each sweep's count, until its step is at most
-    sqrt(_HALF_WIDTH) / 2 = 1.1e-7 of the iterate (_settle).  At 40,000
-    points and 10 modes that is no Newton sweep and 20 count sweeps of
-    20,000 rows; at 4,000 points and 3 modes, 3 Newton and 6 count sweeps of
-    2,000 rows.
+    Every mode is certified by Sturm counts alone, which prove that a
+    bracket (lo, up] holds exactly that mode (Barth, Martin & Wilkinson
+    1967).  Each mode i (from 0), k = i + 2, starts at the grid eigenvalue's
+    three-term expansion in h (_asymptotic) about its continuum one, k^2, at
+    most 2.7e-5 below the grid's (mode 9 at 100 points).  Where (k h)^4 / 360
+    is at most _HALF_WIDTH / 4, its remainder is under 1e-14: two counts
+    certify the bracket of relative half-width 4.9e-14 centred on it, and it
+    is the result.  Every other mode is bisected by counts from the bracket
+    (mu, mu (1 + r)] above its start mu, r = max(4.9e-14, (k h)^4 / 360), to
+    a width of 4.9e-14 of its upper end, and the result is its centre,
+    within 2.45e-14 of the eigenvalue, relative (_settle).  At 40,000 points and 10
+    modes that is 20 counts of 20,000 rows; at 4,000 points and 3 modes, 11
+    counts of 2,000 rows.
 
     An alpha whose 4 alpha^2 is not a positive normal float is rejected: an
     underflowed scale would return zeros that match underflowed exact

@@ -607,8 +607,8 @@ def test_a_check_that_raises_is_written_with_non_finite_values(monkeypatch, caps
     assert ",nan,nan,inf,inf,1e-08,false\n" in outputs["csv"]
     digests = {fmt: hashlib.sha256(out.encode("utf-8")).hexdigest() for fmt, out in outputs.items()}
     assert digests == {
-        "json": "86de53cbd7e45024ebfdb98ed24490aa5fb5c39dbf5bad4bdac5333769aa6ff7",
-        "csv": "fe9aa6bb1501c96bda252db43f12171e87e983c0fbd89f5bd173ef1174dbb5ea",
+        "json": "8be6cf03cd6b02207dfcc9c740e248695112e1dee00ec9880ccfc5739ec2fa72",
+        "csv": "a1a50c9106616585e4a37c4f5b5c176ec6a566d8427f810611150c3be6650ad1",
     }
 
 

@@ -1135,10 +1135,10 @@ def _fd_cases():
     rng = random.Random(20151)
     cases = [(rng.uniform(0.5, 2.0), rng.randint(100, 6000), rng.randint(1, 10))
              for _ in range(19)]
-    # then three grids where Newton once started elsewhere: 1,599 points
-    # bisected for its starts, 1,600 started from a grid 16 times coarser
-    # (1600 // 16 = 100) and 25,600 from two; their values moved with the
-    # start, so they stay as reference cases
+    # then three grids where an earlier engine started elsewhere: 1,599
+    # points bisected for its starts, 1,600 started from a grid 16 times
+    # coarser (1600 // 16 = 100) and 25,600 from two; their values moved
+    # with the start, so they stay as reference cases
     return cases + [(1e-6, rng.randint(100, 6000), 10),
                     (0.6024, 1599, 10), (0.6024, 1600, 10), (1.0, 25600, 3)]
 
@@ -1167,12 +1167,13 @@ def test_fd_brackets_hold_their_modes(grid_points):
 
 @pytest.mark.parametrize("grid_points, modes", [(100, 10), (999, 10), (4000, 3)])
 def test_sturm_counts_agree_with_a_60_digit_sweep(monkeypatch, grid_points, modes):
-    # every count the grid's Sturm work takes (the certifying pairs, and any
-    # other) equals the same 1 + u sweep on the same float entries at 60
+    # every count the grid's Sturm work takes (the certifying pairs and the
+    # bisections) equals the same 1 + u sweep on the same float entries at 60
     # digits, so each certificate holds in exact arithmetic too: the 60-digit
     # counts put exactly `place` eigenvalues of the mode's block at or below
     # its upper end and fewer below its lower end, and the estimate lies
-    # inside the bracket
+    # inside the bracket, within _HALF_WIDTH / 2 of the bracket bisected by
+    # 60-digit counts to fd_certificate.REFERENCE_WIDTH of its upper end
     counts = []
     sturm_count = verify._sturm_count
 
@@ -1185,11 +1186,14 @@ def test_sturm_counts_agree_with_a_60_digit_sweep(monkeypatch, grid_points, mode
     assert len(counts) >= 2 * modes
     assert [count for _, count in counts] == [sturm_count_decimal(*args) for args, _ in counts]
     blocks = verify._fd_matrix(grid_points)
+    monkeypatch.setattr(verify, "_sturm_count", sturm_count_decimal)
     for mode, (lo, mu, up) in enumerate(brackets, 1):
         block, place = verify._block_mode(mode)
         assert lo < mu < up
         assert sturm_count_decimal(*blocks[block], lo) < place <= sturm_count_decimal(
             *blocks[block], up)
+        reference = fd_certificate.refine(blocks[block], place, lo, up)
+        assert abs(mu - reference) <= verify._HALF_WIDTH / 2 * reference, (mode, mu, reference)
 
 
 def test_fd_ground_mode_error_falls_fourfold_per_doubling():
@@ -1223,12 +1227,12 @@ def test_sturm_count_flips_once_near_the_lowest_modes(grid_points):
 
 def test_fd_spectrum_frozen_bits():
     assert [m.hex() for m in fd_spectrum(1.0, 4000, 3)] == [
-        "0x1.fffffdb35aa20p+3", "0x1.1ffffb94a7885p+5", "0x1.ffffeefbc88dap+5"]
+        "0x1.fffffdb35aa71p+3", "0x1.1ffffb94a785bp+5", "0x1.ffffeefbc88f7p+5"]
     assert [m.hex() for m in fd_spectrum(0.6024, 1000, 10)] == [
-        "0x1.7398386d6d149p+2", "0x1.a20af6e87571bp+3", "0x1.73978d9509383p+4",
-        "0x1.224df3b18ff02p+5", "0x1.a20906dda40c4p+5", "0x1.1c7e59dc81773p+6",
-        "0x1.73944f54fd552p+6", "0x1.d6462e898ef08p+6", "0x1.2249dd54e1785p+7",
-        "0x1.5f3e57b1c79bcp+7"]
+        "0x1.7398386d6d19bp+2", "0x1.a20af6e8756b9p+3", "0x1.73978d95093e4p+4",
+        "0x1.224df3b18ff67p+5", "0x1.a20906dda405cp+5", "0x1.1c7e59dc817c7p+6",
+        "0x1.73944f54fd52bp+6", "0x1.d6462e898ef08p+6", "0x1.2249dd54e17bbp+7",
+        "0x1.5f3e57b1c79a5p+7"]
 
 
 def test_fd_spectrum_rejects_an_overflowing_top_before_any_sweep(monkeypatch):
@@ -1237,8 +1241,7 @@ def test_fd_spectrum_rejects_an_overflowing_top_before_any_sweep(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Sturm sweep ran")
 
-    for name in ("_sturm_count", "_sturm_newton"):
-        monkeypatch.setattr(verify, name, refuse)
+    monkeypatch.setattr(verify, "_sturm_count", refuse)
     with pytest.raises(ParameterError, match=r"= 1e\+308 times the bracket top 144.0 overflows"):
         fd_spectrum(5e153, 100000, 10)
 
@@ -1252,74 +1255,70 @@ def test_fd_spectrum_rejects_a_top_below_its_modes(monkeypatch):
         fd_spectrum(1.0, 100, 3)
 
 
-def _sweeps(monkeypatch, grid_points, count, alpha=1.0):
-    # the spectrum, and each Sturm sweep's kernel name and row count
+def _sweeps(monkeypatch, grid_points, count):
+    # the row count of each Sturm count the spectrum takes
     sweeps = []
-    for name in ("_sturm_count", "_sturm_newton"):
-        def counted(*args, sweep=getattr(verify, name), name=name):
-            sweeps.append((name, 1 + len(args[1])))
-            return sweep(*args)
-        monkeypatch.setattr(verify, name, counted)
-    return fd_spectrum(alpha, grid_points, count), sweeps
+    monkeypatch.setattr(verify, "_sturm_count", lambda *args, sweep=verify._sturm_count:
+                        sweeps.append(1 + len(args[1])) or sweep(*args))
+    fd_spectrum(1.0, grid_points, count)
+    return sweeps
 
 
 def test_fd_spectrum_sweeps_few_counts(monkeypatch):
     # bisection with a sweep at every midpoint makes 112 at (4000, 3); there
-    # the 2,000-row blocks take one Newton sweep per mode from its asymptotic
-    # value and 2 certifying counts, and count no top.  At (40000, 10) every
-    # mode is certified at its asymptotic value: no Newton sweep, and the 20
-    # certifying counts of 20,000 rows
-    coarse = [name for name, rows in _sweeps(monkeypatch, 4000, 3)[1] if rows == 2000]
-    assert coarse.count("_sturm_newton") == 3 and coarse.count("_sturm_count") == 6
-    fine = _sweeps(monkeypatch, 40000, 10)[1]
-    assert fine == [("_sturm_count", 20000)] * 20
+    # the 2,000-row blocks take 11 counts: 3 for mode 0, whose one-sided
+    # bracket (mu, mu (1 + _HALF_WIDTH)] is a rounding wider than its stop,
+    # and 3 and 5 for modes 1 and 2, whose brackets are 1.7 and 5.5 times
+    # _HALF_WIDTH wide.  At (40000, 10) every mode is certified at its
+    # asymptotic value by its 2 counts: 20 counts of 20,000 rows
+    assert _sweeps(monkeypatch, 4000, 3) == [2000] * 11
+    assert _sweeps(monkeypatch, 40000, 10) == [20000] * 20
 
 
 @pytest.mark.parametrize("grid_points", [28000, 40000, 40017, 65536, 100000])
 def test_fd_spectrum_takes_one_newton_sweep_per_fine_grid_mode(monkeypatch, grid_points):
-    # on these grids the gate admits every mode, so none takes a Newton
-    # sweep: 2 certifying counts per mode.  With the gate closed, Newton's
-    # first step from each mode's asymptotic start is at most
-    # sqrt(_HALF_WIDTH) / 2 of it, so one sweep per mode ends Newton, and
-    # the 2 certifying counts follow it with no count of the top
-    names = [name for name, _ in _sweeps(monkeypatch, grid_points, 10)[1]]
-    assert names == ["_sturm_count"] * 20
+    # on these grids the gate admits every mode, each certified by 2 counts
+    # at its asymptotic value.  With the gate closed, each mode bisects from
+    # its one-sided bracket (mu, mu (1 + _HALF_WIDTH)], in 30-42 counts for
+    # the 10 (measured): where the remainder is this small, the sweep's
+    # rounding puts some flips below mu, so that bracket widens.  (The name
+    # is kept from the Newton engine, which took one sweep per mode here
+    # with the gate closed, so that the test's id stays comparable.)
+    assert len(_sweeps(monkeypatch, grid_points, 10)) == 20
     monkeypatch.setattr(verify, "_admits", lambda k, h: False)
-    names = [name for name, _ in _sweeps(monkeypatch, grid_points, 10)[1]]
-    assert names == ["_sturm_newton", "_sturm_count", "_sturm_count"] * 10
+    assert 20 < len(_sweeps(monkeypatch, grid_points, 10)) <= 46
 
 
 def test_fd_values_lie_deep_inside_their_certificates():
     # on 40 seeded grids (100-6,000 points, 1-10 modes, alpha log-uniform in
-    # 1e-6-1e6) no admitted mode fails its certificate and no mode falls
-    # back to bisection: the count sweeps are exactly the 2 certifying counts
-    # per mode, and none counts the top.  Each value lies within
-    # _HALF_WIDTH / 2 of the reference, Newton with a stop of 1e-8 for every
-    # mode: measured at most 9.4e-15.  The three grids above 4,335 points
-    # certify their ground mode at its asymptotic value
+    # 1e-6-1e6) no start bracket widens and no admitted mode takes more than
+    # its 2 counts.  Each value lies within _HALF_WIDTH / 2 of the
+    # reference, its certified bracket bisected by counts to 5e-16 of its
+    # upper end: measured at most 2.25e-14 (by construction for a bisected
+    # mode).  The three grids above 4,335 points certify their ground mode
+    # at its asymptotic value
     results = {grid: fd_certificate.check(*grid)
                for grid in fd_certificate.grids(40, 20151, max_points=6000)}
-    assert all(failed == extra == tops == 0 and move <= verify._HALF_WIDTH / 2
-               for _, failed, extra, tops, _, move in results.values()), results
+    assert all(failed == widened == 0 and move <= verify._HALF_WIDTH / 2
+               for _, failed, widened, _, move in results.values()), results
     assert sum(admitted for admitted, *_ in results.values()) == 3
 
 
 def _sweep_units(monkeypatch, grid_points, count):
-    # the Sturm sweeps' work in rows of the grid: a count row costs 1 and a
-    # Newton row 2 (it takes about twice as long)
-    sweeps = _sweeps(monkeypatch, grid_points, count)[1]
-    return sum(rows * (2 if name == "_sturm_newton" else 1) for name, rows in sweeps) / grid_points
+    # the Sturm counts' work in rows of the grid
+    return sum(_sweeps(monkeypatch, grid_points, count)) / grid_points
 
 
 @pytest.mark.parametrize("grid_points,count,units", [
-    (4000, 3, 6.6), (40000, 10, 10.0), (40017, 10, 10.0), (100000, 10, 10.0),
-    (999, 10, 22.0), (100, 10, 30.8)])
+    (4000, 3, 6.05), (40000, 10, 10.0), (40017, 10, 10.0), (100000, 10, 10.0),
+    (999, 10, 82.5), (100, 10, 156.2)])
 def test_fd_spectrum_starts_each_mode_at_its_asymptotic_eigenvalue(monkeypatch, grid_points, count,
                                                                    units):
-    # measured: 6.0, 10.0, 10.0, 10.0, 20.0 and 28.0 units.  On the three
+    # measured: 5.5, 10.0, 10.0, 10.0, 75.0 and 142.0 units.  On the three
     # fine grids every mode is 2 counts at its asymptotic value; on the
-    # others Newton runs from that value before the 2 counts, one sweep per
-    # mode at 4,000 and 999 points and 18 for the 10 modes at 100
+    # others each mode bisects from the one-sided bracket above that value,
+    # (k h)^4 / 360 wide: 150 counts for the 10 modes at 999 points and 284
+    # at 100
     assert 0 < _sweep_units(monkeypatch, grid_points, count) <= units
 
 
@@ -1363,35 +1362,33 @@ def test_wall_beta_is_the_backward_recurrences():
 
 
 def _certified_modes(grid_points, count=10):
-    # each mode's h, continuum k and value by Newton from k^2 with its two
-    # certifying counts: _settle's path from a start that owes nothing to
-    # _asymptotic
-    h2 = (math.pi / grid_points) ** 2
+    # each mode's h, continuum k and eigenvalue: its certified bracket
+    # bisected by counts to 5e-16 of its upper end (fd_certificate.refine),
+    # which the counts alone pin, whatever the start
+    h2, brackets = verify._sturm_grid(grid_points, count, float((count + 2) ** 2))
     blocks = verify._fd_matrix(grid_points)
-    for mode in range(1, count + 1):
+    for mode, (lo, _, up) in enumerate(brackets, 1):
         block, place = verify._block_mode(mode)
-        k = mode + 1
-        yield math.pi / grid_points, k, verify._settle(
-            blocks[block], place, k * k * h2, 0.0, (count + 2) ** 2 * h2)[1]
+        yield math.pi / grid_points, mode + 1, fd_certificate.refine(blocks[block], place, lo, up)
 
 
 @pytest.mark.parametrize("grid_points", [25600, 28000, 40000, 40017, 65536, 100000])
 def test_asymptotic_values_lie_within_a_quarter_bracket_of_newtons(grid_points):
     # the gate admits all 10 modes here, and each _asymptotic value lies
-    # within _HALF_WIDTH / 4 of the one Newton certifies: measured at most
-    # 7e-15 relative
+    # within _HALF_WIDTH / 4 of the eigenvalue that counts pin to 5e-16:
+    # measured at most 7e-15 relative.  (The name is kept from the Newton
+    # engine's reference, so that the test's ids stay comparable.)
     for h, k, mu in _certified_modes(grid_points):
         assert verify._admits(k, h)
         assert abs(verify._asymptotic(k, h) - mu) <= verify._HALF_WIDTH / 4 * mu, (k, mu)
 
 
-def test_asymptotic_remainder_is_fourth_order(monkeypatch):
+def test_asymptotic_remainder_is_fourth_order():
     # after the h^3 term the remainder falls 16-fold per grid doubling, from
     # 4,000 to 8,000 points, for modes 2-9 (k = 4..11): measured 15.7-16.0.
     # Without the h^3 term it would fall 8-fold, and with a wrong h^2 term
-    # 4-fold.  Newton stops at 1e-8 here, so its values sit far nearer the
-    # eigenvalues than the 7e-15 the remainder is at 8,000 points
-    monkeypatch.setattr(verify, "_NEWTON_STOP", 1e-8)
+    # 4-fold.  The reference brackets are 5e-16 wide, far narrower than the
+    # 7e-15 the remainder is at 8,000 points
     coarse, fine = ([verify._asymptotic(k, h) / mu - 1.0 for h, k, mu in _certified_modes(n)]
                     for n in (4000, 8000))
     ratios = [c / f for c, f in zip(coarse[2:], fine[2:])]
@@ -1400,11 +1397,13 @@ def test_asymptotic_remainder_is_fourth_order(monkeypatch):
 
 @pytest.mark.parametrize("garbage", ["nan", "zero", "hi", "next mode", "lower mode"])
 def test_no_coarse_estimate_enters_a_result(monkeypatch, garbage):
-    # the start only sets Newton's cost: from a spoiled one every mode of
-    # (0.6024, 3000, 10) settles within 1e-13 of its unspoiled value, in a
-    # bracket that counts of the whole matrix prove.  A start below the
-    # block's lower mode (its certified lower end) leads Newton to that mode,
-    # so that the certifying counts fail and bisection finishes it
+    # the start only sets the cost: from a spoiled one every mode of
+    # (0.6024, 3000, 10) settles within _HALF_WIDTH of its unspoiled value
+    # (each is within _HALF_WIDTH / 2 of the eigenvalue), in a bracket that
+    # counts of the whole matrix prove.  A NaN, zero or top start leaves
+    # nothing inside [0, top] and bisects from (0, top]; a start at the next
+    # mode widens downward, one at the block's lower mode (its certified
+    # lower end) upward; each takes more than 2 counts
     grid_points, count, top = 3000, 10, 144.0
     h2, expected = verify._sturm_grid(grid_points, count, top)
     _, weights = _full_weights(grid_points)
@@ -1421,39 +1420,44 @@ def test_no_coarse_estimate_enters_a_result(monkeypatch, garbage):
                         lambda *args, sweep=verify._sturm_count: counts.append(1) or sweep(*args))
     for mode, (_, unspoiled, _) in enumerate(expected, 1):
         block, place = verify._block_mode(mode)
+        start = spoil(mode)
         counts.clear()
-        lo, mu, up = verify._settle(blocks[block], place, spoil(mode), 0.0, top * h2)
-        assert abs(mu - unspoiled) <= 1e-13 * unspoiled, (mode, mu, unspoiled)
+        lo, mu, up = verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), top * h2)
+        assert abs(mu - unspoiled) <= verify._HALF_WIDTH * unspoiled, (mode, mu, unspoiled)
         assert _full_count(weights, lo) < mode <= _full_count(weights, up)
-        # 2 certifying counts, and more when bisection finishes the mode
-        assert (len(counts) > 2) == (garbage == "lower mode" and mode > 2), (mode, len(counts))
+        assert len(counts) > 2, (mode, len(counts))
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_settle_counts_the_top_only_when_its_fallback_bracket_ends_there(monkeypatch, side):
-    # with no Newton sweep, a start 1e-6 below each of a 3,000-point grid's
-    # 10 lowest modes fails its certificate with both counts below the mode, so the bracket
-    # to bisect is (up, top]: the top is counted exactly once.  A start 1e-6
-    # above it fails with both counts above, and the bracket (0, lo] does not
-    # reach the top, which is not counted.  Either way the bracket returned
-    # holds its mode by counts of the whole matrix
+    # a start 1e-6 below each of a 3,000-point grid's 10 lowest modes fails
+    # its upper count, and its bracket moves up, four times as wide each
+    # time; a start 1e-6 above fails its lower count and moves down.  Neither
+    # reaches the top, which is not counted, and the bracket returned holds
+    # its mode by counts of the whole matrix.  Below a top 1e-7 under the
+    # mode, the bracket moving up ends at the top, which is counted once and
+    # holds only place - 1 of the block's eigenvalues: EvaluationError
     grid_points, count, top = 3000, 10, 144.0
     h2, expected = verify._sturm_grid(grid_points, count, top)
     _, weights = _full_weights(grid_points)
     blocks = verify._fd_matrix(grid_points)
     points = []
-    monkeypatch.setattr(verify, "_NEWTON_SWEEPS", 0)
     monkeypatch.setattr(verify, "_sturm_count", lambda *args, sweep=verify._sturm_count:
                         points.append(args[-1]) or sweep(*args))
     for mode, (_, unspoiled, _) in enumerate(expected, 1):
         block, place = verify._block_mode(mode)
+        start = unspoiled * (1.0 + side * 1e-6)
         points.clear()
-        lo, mu, up = verify._settle(blocks[block], place, unspoiled * (1.0 + side * 1e-6), 0.0,
-                                    top * h2)
-        assert points.count(top * h2) == (side < 0), (mode, points)
-        assert len(points) > 3  # the 2 certifying counts and bisection's
-        assert abs(mu - unspoiled) <= 1e-13 * unspoiled, (mode, mu, unspoiled)
+        lo, mu, up = verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), top * h2)
+        assert top * h2 not in points and len(points) > 3, (mode, points)
+        assert abs(mu - unspoiled) <= verify._HALF_WIDTH * unspoiled, (mode, mu, unspoiled)
         assert _full_count(weights, lo) < mode <= _full_count(weights, up)
+        if side < 0:
+            low_top = unspoiled * (1.0 - 1e-7)
+            points.clear()
+            with pytest.raises(EvaluationError) as short:
+                verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), low_top)
+            assert short.value.args == (place - 1,) and points.count(low_top) == 1, mode
 
 
 @lru_cache(maxsize=1)
