@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     ParameterError,
-    StabilityError,
 )
 from .hypergeom import (
     TerminatingHypergeometric,
@@ -76,7 +75,6 @@ __all__ = [
     "ParameterError",
     "PTParams",
     "QuadratureRule",
-    "StabilityError",
     "TerminatingHypergeometric",
     "TrigEigenfunction",
     "VerificationReport",

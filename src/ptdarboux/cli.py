@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from . import closed_form, verify
 from .closed_form import IDENTITY_FAMILIES
-from .errors import ConvergenceError, DomainError, EvaluationError, ParameterError, StabilityError
+from .errors import ConvergenceError, DomainError, EvaluationError, ParameterError
 from .models import WellConfig
 from .verify import check_fd_spectrum, check_identity, resolve_tolerances, run_full_suite
 
@@ -35,8 +35,8 @@ MAX_ALPHA = 1e100
 # The caps below bound the work each flag can ask for.  Times are on one
 # Intel Xeon core under CPython 3.11.  MAX_DEGREE caps --n-max, tabulate --n
 # and identity --n, and identity --m at MAX_DEGREE // 2 (the suite's indices
-# at n_max = MAX_DEGREE): verify --n-max 60 takes 0.29 s, identity --n 60
-# 0.0055 s (one level row and one bracket row, each swept to its index).
+# at n_max = MAX_DEGREE): verify --n-max 60 takes 0.28 s, identity --n 60
+# 0.0059 s (one level row and one row U'_61, each swept to its index).
 MAX_DEGREE = 60
 # A Gauss-Legendre rule is built in O(order^2): 0.09 s at 1024 points.
 MAX_QUAD_ORDER = 1024
@@ -44,8 +44,8 @@ MAX_QUAD_ORDER = 1024
 # level's sums), 1024 panels: 0.21 s.
 MAX_PANELS = 1024
 # The work of a quadrature check grows with panels times order, so their
-# product is capped too: verify --n-max 60 --panels 1024 takes 6.6-6.7 s and
-# peaks at 72 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode
+# product is capped too: verify --n-max 60 --panels 1024 takes about 6.4 s and
+# peaks at 73 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode
 # rows of the suite's table (verify._mode_sums, arrays) and about 2 MB each
 # list of a new float per node: the rule's abscissae, the rows a sweep reads at
 # every node, the one weighted row a sum holds (verify._weigh) and each
@@ -63,7 +63,7 @@ MAX_GRID_POINTS = 100_000
 MAX_POINTS = 10_001
 
 _REPORT_HEADER = ["name", "computed", "reference", "abs_dev", "rel_dev", "tolerance", "passed"]
-_MATH_ERRORS = (ZeroDivisionError, DomainError, StabilityError, EvaluationError, ConvergenceError)
+_MATH_ERRORS = (ZeroDivisionError, DomainError, EvaluationError, ConvergenceError)
 
 
 class RunConfig(namedtuple("RunConfig", "alpha n_max quad_order panels grid_points "

@@ -1,32 +1,34 @@
 """Closed-form partner eigenfunctions and the polynomial identities behind them.
 
 The Darboux image of box mode k is, up to normalization,
-k cos(kt) - cot(t) sin(kt) with t = 2 alpha x.  Using
-sin(kt)/sin(t) = U_{k-1}(cos t) (Chebyshev, second kind) this becomes the
-polynomial-in-cos(t) bracket k cos(kt) - cos(t) U_{k-1}(cos t), finite on
-the closed interval; its t-derivatives differentiate the same recurrence.
-The same bracket appears on the right-hand side of the hypergeometric
-identity that ties these images to the Poschl-Teller bound states of the
-symmetric kappa = lam = 2 well; its base, even-ratio and odd-ratio forms
-are one level-n formula (_identity_rows).  Every row
-sampled on a row of t (bound-state factors, brackets and their second
-derivatives, the partner potential, both sides of the identities and of
-the correspondence) comes from one holder, TGrid, whose read sweeps the
-level or U recurrence to its own index and builds that row alone, and
-whose _hold builds every row a reader will ask for in one sweep each; the
-point-wise chi_eval and identity_sides read a one-point TGrid, and
-chi_derivatives reads one point of the sweeps.
+k cos(kt) - cot(t) sin(kt) with t = 2 alpha x.  With c = cos t, this is
+k T_k(c) - c U_{k-1}(c) (Chebyshev, first and second kind), and since
+(1 - c^2) U'_{k-1}(c) = c U_{k-1}(c) - k T_k(c) (DLMF 18.9) it is the
+product g_k = -sin^2(t) U'_{k-1}(cos t): no two terms cancel, so it keeps
+its relative accuracy up to the walls, where it vanishes.  It and its
+t-derivatives read one sweep of the U recurrence and its argument
+derivatives (_u_rows).  The same bracket appears on the right-hand side of
+the hypergeometric identity that ties these images to the Poschl-Teller
+bound states of the symmetric kappa = lam = 2 well, where the sin^2(t) it
+is divided by cancels; its base, even-ratio and odd-ratio forms are one
+level-n formula (_identity_rows).  Every row sampled on a row of t
+(bound-state factors, brackets and their second derivatives, the partner
+potential, both sides of the identities and of the correspondence) comes
+from one holder, TGrid, whose read sweeps the level or U recurrence to its
+own index and builds that row alone, and whose _hold builds every row a
+reader will ask for in one sweep each; the point-wise chi_eval and
+identity_sides read a one-point TGrid, and chi_derivatives reads one point
+of the sweep.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from collections import namedtuple
-from functools import cached_property, lru_cache
-from itertools import chain, islice
+from functools import cached_property, lru_cache, partial
 
 from .darboux import _partner_potentials
-from .errors import DomainError, EvaluationError, ParameterError, StabilityError
+from .errors import DomainError, EvaluationError, ParameterError
 from . import hypergeom
 from .hypergeom import _f21_exact
 from .models import WellConfig, _require_partner
@@ -85,112 +87,105 @@ def _bound_factors(ts) -> tuple[array, array]:
             array("d", [c * c for c in map(math.cos, halves)]))
 
 
-def _u_rows(cosines):
-    """Rows U_{k-1}(c) at every c of `cosines` for k = 2, 3, ...: one forward
-    sweep of U_j = (2c) U_{j-1} - U_{j-2}, keeping its last two rows; the
-    factors 2c and both rows are lists (as _jacobi_rows' are), which a step
-    reads without boxing each float again.  The sweep is stable to ~2e-13
-    of max|U_k| = k + 1 for k <= 63."""
+def _u_rows(cosines, depth, ks):
+    """(k, rows) for each k of `ks`, in increasing order: the rows (U_{k-1},
+    U'_{k-1}, ..., its depth-th derivative) of the Chebyshev polynomial of
+    the second kind at every c of `cosines` (an iterable, read once), from
+    one forward sweep to the largest k of U_j = (2c) U_{j-1} - U_{j-2} and
+    of its argument derivatives U_j^(d) = U_{j-2}^(d) + 2j U_{j-1}^(d-1),
+    the derivative of U_j - U_{j-2} = 2 T_j (DLMF 18.9), keeping the last
+    two rows of each order and dropping each older row as soon as its order
+    has stepped.  A derivative step costs one multiply and one
+    add an element, and keeps an integer value at c = 1 or -1 exact.  At
+    depth 1 the rows U'_j of one parity read no U' row of the other, so a
+    sweep whose ks all have one parity (a lone read) forms only theirs, and
+    None for the others, which it yields to no k.  The factors 2c and every
+    row are lists (as _jacobi_rows' are), which a step reads without boxing
+    each float again.  The sweep is stable to ~2e-13 of max|U_k| = k + 1
+    for k <= 63."""
+    keep = set(ks)
+    parities = {k % 2 for k in keep} if depth == 1 else {0, 1}
     two_cos = [2.0 * c for c in cosines]
-    u_prev, u = [0.0] * len(cosines), [1.0] * len(cosines)  # U_-1, U_0
-    while True:
-        u_prev, u = u, [tc * v - w for tc, v, w in zip(two_cos, u, u_prev)]
-        yield u
+    zeros = [0.0] * len(two_cos)
+    prev, rows = [zeros] * (depth + 1), [[1.0] * len(two_cos)] + [zeros] * depth  # j = -1, 0
+    for j in range(1, max(keep, default=1)):
+        twice = 2.0 * j
+        for d in range(depth, 0, -1):  # each order reads the one below before it moves on
+            prev[d], rows[d] = rows[d], ([w + twice * v for w, v in zip(prev[d], rows[d - 1])]
+                                         if (j + 1) % 2 in parities else None)
+        prev[0], rows[0] = rows[0], [tc * v - w for tc, v, w in zip(two_cos, rows[0], prev[0])]
+        if j + 1 in keep:
+            yield j + 1, tuple(rows)
 
 
-def _cos_row(ts, k) -> list:
-    """The row cos(kt) at every t of `ts`, which a bracket and its g'' share;
-    k is taken as a float once, which rounds each product as the int would."""
-    fk, cos = float(k), math.cos
-    return [cos(fk * t) for t in ts]
+def _sin_sq(ts) -> list:
+    """The row sin^2(t) at every t of `ts`."""
+    return [s * s for s in map(math.sin, ts)]
 
 
 def _bracket_rows(ts, ks):
     """(k, N_k g_k) for each k of `ks`: the partner modes at unit scale
-    (alpha = 1, norm N_k) at every t of `ts`, each scaled as its bracket
-    g_k = k cos(kt) - cos(t) U_{k-1}(cos t) is built (_bracket), from one U
-    sweep (_u_rows) to the largest k; g_k equals k cos(kt) - cot(t) sin(kt)
-    but stays finite at t = 0 and t = pi (where it vanishes)."""
-    cosines = list(map(math.cos, ts))
-    for k, u in _picked(_u_rows(cosines), ks, 2):
-        yield k, _bracket(k, _cos_row(ts, k), cosines, u, TrigEigenfunction(k, 1.0).norm)
+    (alpha = 1, norm N_k) at every t of `ts`, each scaled as its bracket is
+    built (_bracket), from one U sweep (_u_rows) to the largest k."""
+    sin_sq = _sin_sq(ts)
+    for k, (_, slope) in _u_rows(map(math.cos, ts), 1, ks):
+        yield k, _bracket(sin_sq, slope, TrigEigenfunction(k, 1.0).norm)
 
 
-def _bracket(k, cos_kt, cosines, u, scale) -> list:
-    """The row scale * (k cos(kt) - cos(t) U_{k-1}(cos t)) from the rows
-    cos(kt) (_cos_row) and U_{k-1} u, as a list, which its reader sums or
+def _bracket(sin_sq, slope, scale) -> list:
+    """The row scale * g_k, g_k = -sin^2(t) U'_{k-1}(cos t), from the rows
+    sin^2 t and U'_{k-1} `slope`, as a list, which its reader sums or
     copies into an array to keep; a scale of 1.0 gives the bracket's own
-    bits.  k is taken as a float once, which rounds each product as the int
-    would."""
-    fk = float(k)
-    return [scale * (fk * ck - c * v) for ck, c, v in zip(cos_kt, cosines, u)]
+    bits.  It is a product: no two terms cancel, so each value keeps its
+    relative accuracy up to the walls, where it vanishes."""
+    minus = -scale
+    return [minus * (s2 * p) for s2, p in zip(sin_sq, slope)]
 
 
-def _chebyshev_rows(us):
-    """Rows (U, U', U'') of U_{k-1}(c) and its first two derivatives in c
-    for k = 2, 3, ..., from the rows U_1, U_2, ... of one U sweep (_u_rows),
-    whose first row U_1 = 2c is, bit for bit, the factor 2c of each
-    recurrence: one forward sweep differentiates U_j = (2c) U_{j-1} - U_{j-2}
-    in c, U_j' = 2 U_{j-1} + (2c) U_{j-1}' - U_{j-2}' and
-    U_j'' = 4 U_{j-1}' + (2c) U_{j-1}'' - U_{j-2}'', keeping the last two
-    rows of each, lists (as _u_rows')."""
-    us = iter(us)
-    two_cos = next(us)
-    zeros = [0.0] * len(two_cos)
-    u_prev = [1.0] * len(two_cos)  # U_0
-    du_prev, du, ddu_prev, ddu = zeros, zeros, zeros, zeros  # U', U'' at j = -1, 0
-    for u in chain([two_cos], us):
-        du_prev, du = du, [2.0 * w + tc * v - z
-                           for w, tc, v, z in zip(u_prev, two_cos, du, du_prev)]
-        ddu_prev, ddu = ddu, [4.0 * w + tc * v - z
-                              for w, tc, v, z in zip(du_prev, two_cos, ddu, ddu_prev)]
-        yield u, du, ddu
-        u_prev = u
+def _second_derivative(cosines, sin_sq, slope, slope1, slope2) -> list:
+    """The row g'' = -2 (c^2 - s^2) P + 5 c s^2 P' - s^4 P'' of the bracket
+    g = -s^2 P, P = U'_{k-1}(c), c = cos t and s^2 = sin^2 t, from the rows
+    cos t, sin^2 t and (P, P', P'') of a depth-3 sweep (_u_rows), as a list."""
+    return [-2.0 * (c * c - s2) * p + 5.0 * c * s2 * p1 - s2 * s2 * p2
+            for c, s2, p, p1, p2 in zip(cosines, sin_sq, slope, slope1, slope2)]
 
 
-def _second_derivative(k, cos_kt, sin_sq, cosines, u, du, ddu) -> array:
-    """The row g'' from the rows cos(kt) (_cos_row) and sin^2(t) and the
-    rows (U, U', U'') of _chebyshev_rows at index k; -k^3 is taken as a
-    float once, which rounds each product as the int would."""
-    cube = float(-(k * k * k))
-    return array("d", [cube * ck + c * (v + c * dv) - s2 * (2.0 * dv + c * ddv)
-                       for ck, s2, c, v, dv, ddv in zip(cos_kt, sin_sq, cosines, u, du, ddu)])
+def _t_of(alpha: float, x: float) -> float:
+    """t = 2 alpha x of a point x of the closed interval [0, L]; any other
+    x raises DomainError."""
+    length = WellConfig(alpha).length
+    if not (0.0 <= x <= length):
+        raise DomainError(f"x={x} outside closed interval [0, {length}]")
+    return 2.0 * alpha * x
 
 
 def chi_eval(f: TrigEigenfunction, x: float) -> float:
     """Value of the normalized partner mode on the closed interval [0, L]:
     one point of TGrid.mode."""
-    length = WellConfig(f.alpha).length
-    if not (0.0 <= x <= length):
-        raise DomainError(f"x={x} outside closed interval [0, {length}]")
-    return f.norm * TGrid([2.0 * f.alpha * x]).mode(f.k)[0]
+    return f.norm * TGrid([_t_of(f.alpha, x)]).mode(f.k)[0]
 
 
 def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float]:
-    """(value, d/dx, d2/dx2) of the partner mode at an interior point.
+    """(value, d/dx, d2/dx2) of the partner mode on the closed interval [0, L].
 
-    Differentiating g(t) = k cos(kt) - cos(t) U_{k-1}(cos t) in t with
-    s = sin t, c = cos t, and (U, U', U'') the Chebyshev value and its
-    argument derivatives at c:
+    Differentiating g(t) = -s^2 P in t with s = sin t, c = cos t and
+    (P, P', P'') = U'_{k-1} and its argument derivatives at c:
 
-        g'  = -k^2 sin(kt) + s (U + c U')
-        g'' = -k^3 cos(kt) + c (U + c U') - s^2 (2 U' + c U'')
+        g'  = s (s^2 P' - 2 c P)
+        g'' = -2 (c^2 - s^2) P + 5 c s^2 P' - s^4 P''
 
-    then d/dx = 2 alpha d/dt.  Points with t = 2 alpha x within 2e-6 of
-    either wall (t = 0 or pi) are rejected, at every alpha; use chi_eval
-    for the (vanishing) wall values.  One U sweep (_u_rows) and the
-    Chebyshev sweep that differentiates it (_chebyshev_rows) give all three.
+    then d/dx = 2 alpha d/dt.  No term divides by s, so the walls are
+    points like any other, where g and g' vanish.  One depth-3 U sweep
+    (_u_rows) gives all three.
     """
     a = f.alpha
-    t = 2.0 * a * x
-    if not (2e-6 < t < math.pi - 2e-6):
-        raise DomainError(f"x={x} (t={t}) too close to a wall for derivative evaluation")
-    k, s, c = f.k, math.sin(t), math.cos(t)
-    cos_kt = _cos_row([t], k)
-    u, du, ddu = next(islice(_chebyshev_rows(_u_rows([c])), k - 2, None))
-    (g,) = _bracket(k, cos_kt, [c], u, 1.0)
-    (g2,) = _second_derivative(k, cos_kt, [s * s], [c], u, du, ddu)
-    g1 = -(k * k) * math.sin(k * t) + s * (u[0] + c * du[0])
+    t = _t_of(a, x)
+    s, c = math.sin(t), math.cos(t)
+    s2 = s * s
+    ((_, (_, p, p1, p2)),) = _u_rows([c], 3, [f.k])
+    (g,) = _bracket([s2], p, 1.0)
+    (g2,) = _second_derivative([c], [s2], p, p1, p2)
+    g1 = s * (s2 * p1[0] - 2.0 * c * p[0])
     return f.norm * g, f.norm * 2.0 * a * g1, f.norm * 4.0 * a * a * g2
 
 
@@ -254,8 +249,9 @@ def normalization_A(n: int, alpha: float) -> float:
     return den / num * TrigEigenfunction(n + 2, alpha).norm
 
 
-# The identities divide by sin^2(t): their right sides are trusted only for
-# t = 2 alpha x at least this far from both walls.
+# The suite's interior grid (verify.INTERIOR_POINTS) keeps t = 2 alpha x this
+# far from both walls, where the partner potential 2 / sin^2(t) grows without
+# bound.
 WALL_MARGIN = 1e-3
 
 # The identity families, read by _identity_rows, the suite and the CLI: the
@@ -271,74 +267,74 @@ IDENTITY_FAMILIES = {
 
 class TGrid:
     """The rows sampled on one row `ts` of t = 2 alpha x: level(n) =
-    F_n(sin^2(t/2)), mode(k) = the bracket g of index k >= 2 and
-    second_derivative(k) = its row g'' in t, each built when it is read by
-    a sweep to its own index (_rows) and not kept; and, built on first read
-    and kept, sin_sq = sin^2(t) for the identities, the bound state's
-    factors and the residual's partner potential at unit scale, x = t / 2
-    (every t inside (0, pi)).  A grid that holds rows (_hold, the suite's
-    interior grid) returns those, built once up front.  Every row it
-    returns or keeps is an array('d'), each bracket copied into one as it
-    is built; what its sweeps read at every point, its cos t row and the
-    working rows, are lists.  A returned row is shared and must not be
-    changed."""
+    F_n(sin^2(t/2)), slope(k) = U'_{k-1}(cos t) and second_derivative(k) =
+    the row g'' in t of the bracket g of index k >= 2, each built when it is
+    read by a sweep to its own index (_rows), returned as the list it is
+    built in and not kept; mode(k) = g = -sin^2(t) U'_{k-1}(cos t), the
+    product of two rows, formed on each read; and, built on first read and
+    kept, sin_sq = sin^2(t), the bound state's factors and the residual's
+    partner potential at unit scale, x = t / 2 (every t inside (0, pi)).  A
+    grid that holds rows (_hold, the suite's interior grid) returns those,
+    built once up front.  Every row it keeps is an array('d'), each copied
+    into one as it is built; what its sweeps read at every point, its cos t
+    row and the working rows, are lists.  A returned row is shared and must
+    not be changed."""
 
     def __init__(self, ts):
         self.ts = ts
         self._cosines = list(map(math.cos, ts))
-        self._levels, self._modes, self._second = {}, {}, {}  # the rows _hold built
+        self._levels, self._slopes, self._second = {}, {}, {}  # the rows _hold built
 
-    def _rows(self, levels=(), modes=(), seconds=()) -> tuple[dict, dict, dict]:
-        """The level rows at each n of `levels`, the brackets at each k of
-        `modes` and their g'' rows at each k of `seconds`, as three dicts:
+    def _rows(self, levels=(), slopes=(), seconds=(), kept=False) -> tuple[dict, dict, dict]:
+        """The level rows at each n of `levels`, the rows U'_{k-1} at each k
+        of `slopes` and the g'' rows at each k of `seconds`, as three dicts:
         one level sweep (_level_rows) to the largest n, and one U sweep
-        (_u_rows) to the largest k, differentiated (_chebyshev_rows) up to
-        the largest g'' and read on alone past it.  A bracket and its g''
-        share one row cos(kt), and every g'' reads the grid's cos t and
-        sin^2 t rows."""
+        (_u_rows) to the largest k, at depth 3 if any g'' is asked for and at
+        depth 1 if not; every g'' reads the grid's cos t and sin^2 t rows.
+        Each row is the list it is built in, or, for rows the grid keeps, an
+        array('d') copied as it is built, so that at most one of them is
+        ever held as a list."""
         ts, cosines = self.ts, self._cosines
-        level_rows = {n: array("d", row) for n, row in _picked(_level_rows(ts), levels)}
-        modes, seconds = set(modes), set(seconds)
-        brackets, second = {}, {}
-        if modes or seconds:
-            us = _u_rows(cosines)
-            derived = _chebyshev_rows(us)  # advances the same sweep us
-            top = max(seconds, default=1)
-            for k in range(2, max(modes | seconds) + 1):
-                u, *derivatives = next(derived) if k <= top else (next(us),)
-                if k in modes or k in seconds:
-                    cos_kt = _cos_row(ts, k)
-                    if k in modes:
-                        brackets[k] = array("d", _bracket(k, cos_kt, cosines, u, 1.0))
-                    if k in seconds:
-                        second[k] = _second_derivative(k, cos_kt, self.sin_sq, cosines, u,
-                                                       *derivatives)
-        return level_rows, brackets, second
+        row = partial(array, "d") if kept else (lambda built: built)
+        level_rows = {n: row(level) for n, level in _picked(_level_rows(ts), levels)}
+        slopes, seconds = set(slopes), set(seconds)
+        slope_rows, second = {}, {}
+        if slopes or seconds:
+            for k, (_, slope, *higher) in _u_rows(cosines, 3 if seconds else 1, slopes | seconds):
+                if k in slopes:
+                    slope_rows[k] = row(slope)
+                if k in seconds:
+                    second[k] = row(_second_derivative(cosines, self.sin_sq, slope, *higher))
+        return level_rows, slope_rows, second
 
     def _hold(self, levels, modes, seconds) -> None:
-        """Build the rows at these indices (_rows), sin_sq, the potential and
-        the bound factors, and keep them all; a build that raises keeps no
-        row of _rows."""
-        rows = self._rows(levels, modes, seconds)
+        """Build the level rows, the rows U'_{k-1} of every mode k (its
+        bracket's factor and its identity's right side) and the g'' rows at
+        these indices (_rows), sin_sq, the potential and the bound factors,
+        and keep them all; a build that raises keeps no row of _rows."""
+        rows = self._rows(levels, modes, seconds, kept=True)
         self.sin_sq, self.potential, self.bound_factors
-        self._levels, self._modes, self._second = rows
+        self._levels, self._slopes, self._second = rows
 
-    def level(self, n: int) -> array:
+    def level(self, n: int) -> array | list:
         if n < 0:
             raise ParameterError(f"index must be >= 0, got {n}")
         return self._levels[n] if n in self._levels else self._rows(levels=[n])[0][n]
 
-    def mode(self, k: int) -> array:
+    def slope(self, k: int) -> array | list:
         _require_partner(k)
-        return self._modes[k] if k in self._modes else self._rows(modes=[k])[1][k]
+        return self._slopes[k] if k in self._slopes else self._rows(slopes=[k])[1][k]
 
-    def second_derivative(self, k: int) -> array:
+    def mode(self, k: int) -> list:
+        return _bracket(self.sin_sq, self.slope(k), 1.0)
+
+    def second_derivative(self, k: int) -> array | list:
         _require_partner(k)
         return self._second[k] if k in self._second else self._rows(seconds=[k])[2][k]
 
     @cached_property
     def sin_sq(self) -> array:
-        return array("d", [s * s for s in map(math.sin, self.ts)])
+        return array("d", _sin_sq(self.ts))
 
     @cached_property
     def potential(self) -> array:
@@ -351,11 +347,12 @@ class TGrid:
     def bound_state_pairs(self, n: int, alpha: float) -> tuple[list[float], list[float]]:
         """Rows of the level-n bound state A_n sin^2 cos^2(t/2) F_n of the
         kappa = lam = 2 well and of the partner mode N_{n+2} bracket(t) at
-        x = t / (2 alpha), read from the level and mode rows."""
+        x = t / (2 alpha), read from the level and slope rows, with the
+        bits of N_{n+2} times mode(n + 2)."""
         amplitude = normalization_A(n, alpha)
         norm = TrigEigenfunction(n + 2, alpha).norm
         psi = [amplitude * s2 * c2 * f for s2, c2, f in zip(*self.bound_factors, self.level(n))]
-        return psi, [norm * g for g in self.mode(n + 2)]
+        return psi, _bracket(self.sin_sq, self.slope(n + 2), norm)
 
 
 def _identity_rows(which: str, index: int, grid: TGrid) -> tuple:
@@ -364,15 +361,16 @@ def _identity_rows(which: str, index: int, grid: TGrid) -> tuple:
 
     The three families are one identity at level n,
 
-        2F1(-n, n+4; 5/2; sin^2(t/2)) = 4 C_n [bracket of index n+2] / sin^2(t):
+        2F1(-n, n+4; 5/2; sin^2(t/2)) = 4 C_n [bracket of index n+2] / sin^2(t)
+                                      = -4 C_n U'_{n+1}(cos t):
 
     "base" is it at n = index; "even" and "odd" are it at n = 2m and
     n = 2m + 1 (m = index) divided through by D_n, so that their right side
-    carries the exact 4 r_n and never C_n (_midpoint_factor).  The level's
-    constants are built once for the whole grid; the base left side is the
-    level row itself (f / 1.0 == f for every float), shared and not to be
-    changed.  There is no wall guard: the caller keeps every t at least
-    WALL_MARGIN away from 0 and pi.
+    carries the exact 4 r_n and never C_n (_midpoint_factor).  The right
+    side is read from the grid's row U'_{n+1} (TGrid.slope): it divides by
+    nothing, so it holds on the closed interval.  The level's constants are
+    built once for the whole grid; the base left side is the level row
+    itself (f / 1.0 == f for every float), shared and not to be changed.
     """
     family = IDENTITY_FAMILIES.get(which)
     if family is None:
@@ -388,7 +386,8 @@ def _identity_rows(which: str, index: int, grid: TGrid) -> tuple:
         (r_num, r_den), (d_num, d_den) = _midpoint_factor(n)
         den, pref = d_num / d_den, 4 * r_num / r_den
         lhs = [f / den for f in grid.level(n)]
-    return lhs, [pref * g / s2 for g, s2 in zip(grid.mode(n + 2), grid.sin_sq)]
+    minus = -pref
+    return lhs, [minus * p for p in grid.slope(n + 2)]
 
 
 def identity_sides(n: int, alpha: float, x: float) -> tuple[float, float]:
@@ -397,16 +396,9 @@ def identity_sides(n: int, alpha: float, x: float) -> tuple[float, float]:
         2F1(-n, n+4; 5/2; sin^2(alpha x))
             = 4 C_n [ (n+2) cos((n+2) t) - cot(t) sin((n+2) t) ] / sin^2(t)
 
-    with t = 2 alpha x: one point of _identity_rows("base", ...).  The
-    right side divides by sin^2(t), so points with t within WALL_MARGIN of
-    0 or pi are rejected (StabilityError); the polynomial side alone is
-    valid everywhere.
+    with t = 2 alpha x on the closed interval [0, L] (any other x raises
+    DomainError): one point of _identity_rows("base", ...), whose right
+    side -4 C_n U'_{n+1}(cos t) is finite at the walls too.
     """
-    WellConfig(alpha)
-    t = 2.0 * alpha * x
-    if not (WALL_MARGIN <= t <= math.pi - WALL_MARGIN):
-        raise StabilityError(
-            f"t={t} within {WALL_MARGIN} of a wall node; the cotangent side is unreliable there"
-        )
-    lhs, rhs = _identity_rows("base", n, TGrid([t]))
+    lhs, rhs = _identity_rows("base", n, TGrid([_t_of(alpha, x)]))
     return lhs[0], rhs[0]

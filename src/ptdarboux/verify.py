@@ -371,7 +371,7 @@ def check_orthonormality(k_max: int, alpha: float = 1.0, *, order: int = QUAD_OR
 
 # The interior rows (identities, correspondence, residual) sample t = 2 alpha x
 # at INTERIOR_POINTS equal steps on [WALL_MARGIN, pi - WALL_MARGIN], clear of
-# the walls, where the identities divide by sin^2(t).
+# the walls, where the residual's partner potential 2 / sin^2(t) is unbounded.
 INTERIOR_POINTS = 1000
 
 
@@ -381,7 +381,7 @@ def _interior_ts() -> list:
 
 
 def _interior_rows(levels, modes, seconds) -> closed_form.TGrid:
-    """The interior grid holding its level, bracket and g'' rows at these
+    """The interior grid holding its level, U'_{k-1} and g'' rows at these
     indices, sin^2(t), its potential and its bound factors (TGrid._hold)."""
     grid = closed_form.TGrid(_interior_ts())
     grid._hold(levels, modes, seconds)
@@ -599,10 +599,12 @@ def _sturm_grid(grid_points: int, count: int, top: float) -> tuple[float, list]:
     that _admits it is bracketed at mu (1 -/+ _HALF_WIDTH), and when its two
     counts certify that bracket, mu is the estimate.  Every other mode, and
     an admitted one whose counts disagree, is _settle's from the one-sided
-    bracket (mu, mu (1 + r)], r = max(_HALF_WIDTH, (k h)^4 / 360), inside
-    [0, top] (top h^2 here).  On 13 grids of 100-20,000 points, mu lay below
-    the eigenvalue for all 118 modes the gate does not admit, by 0.20-0.73
-    of (k h)^4 / 360.
+    bracket (mu, mu (1 + r)], r = max(_HALF_WIDTH - 2^-52, (k h)^4 / 360),
+    inside [0, top] (top h^2 here): at the narrowest r, a rounding under
+    _HALF_WIDTH, the start already meets _settle's stop, and its two counts
+    settle it.  On 13 grids of 100-20,000 points, mu lay below the
+    eigenvalue for all 118 modes the gate does not admit, by 0.20-0.73 of
+    (k h)^4 / 360.
     """
     h = math.pi / grid_points
     h2 = h ** 2
@@ -618,8 +620,8 @@ def _sturm_grid(grid_points: int, count: int, top: float) -> tuple[float, list]:
                 modes.append((lo, mu, up))
                 continue
         try:
-            modes.append(_settle(blocks[block], place, mu,
-                                 mu * (1.0 + max(_HALF_WIDTH, (k * h) ** 4 / 360.0)), top * h2))
+            r = max(_HALF_WIDTH - 2.0 ** -52, (k * h) ** 4 / 360.0)
+            modes.append(_settle(blocks[block], place, mu, mu * (1.0 + r), top * h2))
         except EvaluationError as short:
             raise EvaluationError(f"block {block} of the {grid_points}-point grid holds "
                                   f"{short.args[0]} of its {(count + 1 - block) // 2} modes "

@@ -5,22 +5,25 @@ Each mode of verify.fd_spectrum starts at its asymptotic grid eigenvalue mu
 the gate admits (verify._admits) is certified by two counts of the bracket
 mu (1 -/+ verify._HALF_WIDTH), and mu is its value.  Every other mode is
 bisected by counts (verify._settle) from the one-sided start bracket (mu,
-mu (1 + r)], r = max(_HALF_WIDTH, (k h)^4 / 360), to a width of
+mu (1 + r)], r = max(_HALF_WIDTH - 2^-52, (k h)^4 / 360), to a width of
 _HALF_WIDTH of its upper end, and its value is the centre.  A start bracket
 whose counts fail widens on the failing side.  On every grid drawn here no
-start bracket may widen and no admitted mode may take more than its 2
-counts, and each value must lie within _HALF_WIDTH / 2 (relative) of the
-reference: its certified bracket bisected further by counts to a width of
-REFERENCE_WIDTH of its upper end (refine).
+start bracket may widen, no admitted mode may take more than its 2 counts,
+nor may a bisected mode at the narrowest start ((k h)^4 / 360 <=
+_HALF_WIDTH, where the start bracket meets _settle's stop), and each value
+must lie within _HALF_WIDTH / 2 (relative) of the reference: its certified
+bracket bisected further by counts to a width of REFERENCE_WIDTH of its
+upper end (refine).
 
     PYTHONPATH=src python tests/fd_certificate.py [GRIDS [SEED]]
 
 draws GRIDS grids (default 200, seed 1): points log-uniform in 100-100,000,
 1-10 modes and alpha log-uniform in 1e-6-1e6.  It prints the modes the gate
-admits, the start brackets that widened, the count sweeps and the worst move
-over all grids, and the grids at fault, and exits 1 when a start bracket
-widens, an admitted mode takes more than its 2 counts, or a value moves
-further than _HALF_WIDTH / 2 from the reference.
+admits, the start brackets that widened, the narrowest starts past their 2
+counts, the count sweeps and the worst move over all grids, and the grids at
+fault, and exits 1 when a start bracket widens, an admitted mode or a
+bisected mode at the narrowest start takes more than its 2 counts, or a
+value moves further than _HALF_WIDTH / 2 from the reference.
 """
 import math
 import random
@@ -54,33 +57,41 @@ def refine(block: tuple, place: int, lo: float, up: float) -> float:
     return 0.5 * (lo + up)
 
 
-def check(alpha: float, grid_points: int, modes: int) -> tuple[int, int, int, int, float]:
+def check(alpha: float, grid_points: int, modes: int) -> tuple[int, int, int, int, int, float]:
     """A grid's modes that the gate admits, the admitted ones that took more
     than their 2 counts (_settle's), its start brackets that widened, its
+    bisected modes at the narrowest start that took more than 2 counts, its
     count sweeps and its largest relative move from the reference."""
     h = math.pi / grid_points
     admitted = sum(verify._admits(k, h) for k in range(2, modes + 2))
-    saved = verify._sturm_count, verify._settle, verify._sturm_grid
-    counts, widened, work = [], [], []
+    saved = verify._sturm_count, verify._settle, verify._sturm_grid, verify._asymptotic
+    counts, widened, slow, work, ks = [], [], [], [], []
 
     def count(*args):
         counts.append(1)
         return saved[0](*args)
 
     def settle(block, place, lo, up, top):
+        before = len(counts)
         result = saved[1](block, place, lo, up, top)
         widened.append(result[0] < lo or result[2] > up)
+        slow.append((ks[-1] * h) ** 4 / 360.0 <= verify._HALF_WIDTH and len(counts) - before > 2)
         return result
+
+    def asymptotic(k, h):  # each mode's own, called before its counts
+        ks.append(k)
+        return saved[3](k, h)
 
     def sturm_grid(*args):
         work.append(saved[2](*args))
         return work[-1]
 
-    verify._sturm_count, verify._settle, verify._sturm_grid = count, settle, sturm_grid
+    (verify._sturm_count, verify._settle, verify._sturm_grid,
+     verify._asymptotic) = count, settle, sturm_grid, asymptotic
     try:
         values = verify.fd_spectrum(alpha, grid_points, modes)
     finally:
-        verify._sturm_count, verify._settle, verify._sturm_grid = saved
+        verify._sturm_count, verify._settle, verify._sturm_grid, verify._asymptotic = saved
     (h2, brackets), = work
     blocks, scale = verify._fd_matrix(grid_points), 4.0 * alpha * alpha
     move = 0.0
@@ -88,7 +99,8 @@ def check(alpha: float, grid_points: int, modes: int) -> tuple[int, int, int, in
         block, place = verify._block_mode(mode)
         reference = scale * (refine(blocks[block], place, lo, up) / h2)
         move = max(move, abs(value - reference) / reference)
-    return admitted, len(widened) - (modes - admitted), sum(widened), len(counts), move
+    return (admitted, len(widened) - (modes - admitted), sum(widened), sum(slow), len(counts),
+            move)
 
 
 def main(argv: list[str]) -> int:
@@ -96,18 +108,21 @@ def main(argv: list[str]) -> int:
     seed = int(argv[1]) if len(argv) > 1 else 1
     results = [(grid, *check(*grid)) for grid in grids(count, seed)]
     modes = sum(grid[2] for grid, *_ in results)
-    admitted, failed, widened, sweeps = (sum(result[i] for result in results) for i in (1, 2, 3, 4))
+    admitted, failed, widened, slow, sweeps = (sum(result[i] for result in results)
+                                               for i in (1, 2, 3, 4, 5))
     (alpha, grid_points, worst_modes), *_, worst = max(results, key=lambda result: result[-1])
     print(f"{count} grids (seed {seed}), {modes} modes: {admitted} admitted, {failed} of them "
           f"past their 2 counts; {modes - admitted + failed} bisected, {widened} of whose start "
-          f"brackets widened; {sweeps} count sweeps; worst move against the "
+          f"brackets widened and {slow} of whose narrowest starts took more than 2 "
+          f"counts; {sweeps} count sweeps; worst move against the "
           f"reference: {worst:.3g} (alpha={alpha!r} grid_points={grid_points} "
           f"modes={worst_modes}); bound {verify._HALF_WIDTH / 2:.3g}")
-    faults = [(grid, failed, widened) for grid, _, failed, widened, *_ in results
-              if failed or widened]
-    for (alpha, grid_points, grid_modes), failed, widened in faults:
+    faults = [(grid, failed, widened, slow) for grid, _, failed, widened, slow, *_ in results
+              if failed or widened or slow]
+    for (alpha, grid_points, grid_modes), failed, widened, slow in faults:
         print(f"alpha={alpha!r} grid_points={grid_points} modes={grid_modes}: {failed} admitted "
-              f"modes past their 2 counts, {widened} start brackets widened")
+              f"modes past their 2 counts, {widened} start brackets widened, {slow} narrowest "
+              f"starts past their 2 counts")
     return 1 if faults or worst > verify._HALF_WIDTH / 2 else 0
 
 

@@ -4,10 +4,11 @@ The package evaluates on rows (closed_form.TGrid and the quadrature tables
 that verify builds by sweeping a recurrence); these are the point-wise forms
 those rows must equal, kept here so that a bulk reference loop in a test
 costs one scalar call per point.  legendre_rule is the Gauss-Legendre rule
-built with the recurrence's integer coefficients, sturm_count_decimal is verify's Sturm count
-at 60 digits, identity_pairs zips the two sides of an identity family into
-(left, right) pairs, and json_safe is the payload whose json.dumps the CLI's
-JSON writer must reproduce.
+built with the recurrence's integer coefficients, sturm_count_decimal is
+verify's Sturm count at 60 digits, bracket_decimal is a partner mode's
+bracket and its g'' at 60 digits, identity_pairs zips the two sides of an
+identity family into (left, right) pairs, and json_safe is the payload whose
+json.dumps the CLI's JSON writer must reproduce.
 """
 import math
 from decimal import Decimal, localcontext
@@ -104,10 +105,55 @@ def chebyshev_u(k: int, c: float) -> float:
     return u
 
 
+def chebyshev_u_slope(k: int, c: float) -> float:
+    """U_k'(c), the argument derivative of U_k, by U_j' = U_{j-2}' + 2j U_{j-1},
+    swept beside U's own forward recurrence."""
+    if k < 0:
+        raise ParameterError("chebyshev_u_slope index must be nonnegative")
+    u_prev, u, du_prev, du = 0.0, 1.0, 0.0, 0.0  # U and U' at j = -1, 0
+    for j in range(1, k + 1):
+        u_prev, u, du_prev, du = u, 2.0 * c * u - u_prev, du, du_prev + 2.0 * j * u
+    return du
+
+
 def stable_bracket(k: int, t: float) -> float:
-    """k cos(kt) - cos(t) U_{k-1}(cos t), the bracket row of index k at t."""
-    c = math.cos(t)
-    return k * math.cos(k * t) - c * chebyshev_u(k - 1, c)
+    """-sin^2(t) U'_{k-1}(cos t), the bracket row of index k at t."""
+    s = math.sin(t)
+    return -(s * s) * chebyshev_u_slope(k - 1, math.cos(t))
+
+
+def bracket_decimal(k: int, t: float, digits: int = 60) -> tuple[Decimal, Decimal]:
+    """The bracket g = k cos(kt) - cot(t) sin(kt) of index k and its g'' at
+    t (taken exactly, 0 < t < pi) in `digits`-digit decimal arithmetic, from
+    the cotangent form differentiated by hand,
+
+        g'' = -k^3 cos(kt) - 2 csc^2 cot sin(kt) + 2 k csc^2 cos(kt) + k^2 cot sin(kt),
+
+    with cos(kt) = T_k(c) and sin(kt) = s U_{k-1}(c), c = cos t and s = sin t
+    from their Taylor series: the cancellation the package's product form
+    avoids is carried out with digits to spare."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        t = Decimal(t)
+        c, s, term, j = Decimal(0), Decimal(0), Decimal(1), 0
+        while term > Decimal(10) ** -ctx.prec:  # term = t^j / j!, past its peak at j = t
+            if j % 2:
+                s += term if j % 4 == 1 else -term
+            else:
+                c += term if j % 4 == 0 else -term
+            j += 1
+            term = term * t / j
+        t_prev, t_k, u_prev, u = Decimal(1), c, Decimal(0), Decimal(1)  # T_0, T_1, U_-1, U_0
+        for _ in range(k - 1):
+            t_prev, t_k = t_k, 2 * c * t_k - t_prev
+            u_prev, u = u, 2 * c * u - u_prev
+        cos_kt, sin_kt = t_k, s * u
+        cot, csc_sq = c / s, 1 / (s * s)
+        g = k * cos_kt - cot * sin_kt
+        g2 = (-k ** 3 * cos_kt - 2 * csc_sq * cot * sin_kt + 2 * k * csc_sq * cos_kt
+              + k * k * cot * sin_kt)
+        ctx.prec = digits
+        return +g, +g2
 
 
 def chi(f, x: float) -> float:

@@ -33,6 +33,7 @@ from ptdarboux.cli import (
     _parse,
     main,
 )
+from ptdarboux.closed_form import TrigEigenfunction
 from ptdarboux.errors import ParameterError
 from ptdarboux.verify import check_fd_spectrum, check_identity, resolve_tolerances
 
@@ -607,8 +608,8 @@ def test_a_check_that_raises_is_written_with_non_finite_values(monkeypatch, caps
     assert ",nan,nan,inf,inf,1e-08,false\n" in outputs["csv"]
     digests = {fmt: hashlib.sha256(out.encode("utf-8")).hexdigest() for fmt, out in outputs.items()}
     assert digests == {
-        "json": "8be6cf03cd6b02207dfcc9c740e248695112e1dee00ec9880ccfc5739ec2fa72",
-        "csv": "a1a50c9106616585e4a37c4f5b5c176ec6a566d8427f810611150c3be6650ad1",
+        "json": "35c7dc41312d2837e1d659214c5c9ea278e4c1f2d14f056b7a3b27dda4324d13",
+        "csv": "eca4191568391deb101589d3894effe71de72f62ebbcf869e2c8e49bc4217f54",
     }
 
 
@@ -652,9 +653,13 @@ def test_tabulate_correspondence_columns(capsys):
     assert len(rows) == 5
     for row in rows:
         assert abs(float(row["difference"])) <= 1e-10
-    # wall rows vanish for both forms
+    # wall rows vanish for both forms: chi = -N_2 sin^2(t) U'_1(cos t) is 0
+    # at x = 0 and, at x = L, where t rounds to pi_f = fl(pi) and sin^2 t
+    # is 1.5e-32, it is -2 N_2 sin^2(pi_f)
+    s = math.sin(math.pi)
+    assert float(rows[0]["chi"]) == 0.0
+    assert float(rows[-1]["chi"]) == TrigEigenfunction(2, 1.0).norm * (-(s * s) * 2.0) < 0.0
     for row in (rows[0], rows[-1]):
-        assert float(row["chi"]) == 0.0
         assert abs(float(row["psi"])) <= 1e-15
 
 

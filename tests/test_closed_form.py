@@ -1,10 +1,11 @@
 """Stable closed forms, exact coefficients, and the polynomial identities."""
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from oracles import chi, identity_pairs
+from oracles import chebyshev_u_slope, chi, identity_pairs
 from ptdarboux import closed_form
 from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.closed_form import (
@@ -17,7 +18,7 @@ from ptdarboux.closed_form import (
     identity_sides,
     normalization_A,
 )
-from ptdarboux.errors import DomainError, ParameterError, StabilityError
+from ptdarboux.errors import DomainError, ParameterError
 from ptdarboux.verify import check_identity
 
 # frozen by exact rational series summation (two independent closed forms
@@ -60,9 +61,13 @@ def test_trig_eigenfunction_validation():
 
 
 def test_chi_eval_vanishes_at_walls():
+    # at x = L, t = 2 alpha L rounds to pi_f = fl(pi), where sin^2 t is
+    # 1.5e-32 and not 0: the product form gives -N sin^2(pi_f) U'_4(-1),
+    # U'_4(-1) = -(5^3 - 5) / 3, about 1e-31 N
     f = TrigEigenfunction(5, 1.0)
     assert chi_eval(f, 0.0) == 0.0
-    assert chi_eval(f, math.pi / 2) == 0.0
+    s = math.sin(math.pi)
+    assert chi_eval(f, math.pi / 2) == f.norm * (-(s * s) * -40.0) > 0.0
     with pytest.raises(DomainError):
         chi_eval(f, -0.01)
     with pytest.raises(DomainError):
@@ -109,16 +114,16 @@ def test_chi_derivatives_match_value():
 
 
 def test_chi_derivatives_read_one_sweep_with_the_grid_rows_bits(monkeypatch):
-    # one _chebyshev_rows sweep and no TGrid per call; the value and g''
-    # keep the bits of the TGrid rows at alpha = 1, where x = t / 2 is exact,
-    # and so does chi_eval, a one-point TGrid read
+    # one _u_rows sweep and no TGrid per call; the value and g'' keep the
+    # bits of the TGrid rows at alpha = 1, where x = t / 2 is exact, and so
+    # does chi_eval, a one-point TGrid read
     sweeps = 0
-    original = closed_form._chebyshev_rows
+    original = closed_form._u_rows
 
-    def counted(cosines):
+    def counted(cosines, depth, ks):
         nonlocal sweeps
         sweeps += 1
-        return original(cosines)
+        return original(cosines, depth, ks)
 
     ts = [0.05 + 0.03 * i for i in range(100)]
     grid = TGrid(ts)
@@ -126,7 +131,7 @@ def test_chi_derivatives_read_one_sweep_with_the_grid_rows_bits(monkeypatch):
     for k, (modes, _) in rows.items():
         f = TrigEigenfunction(k, 1.0)
         assert [chi_eval(f, 0.5 * t) for t in ts] == [f.norm * g for g in modes]
-    monkeypatch.setattr(closed_form, "_chebyshev_rows", counted)
+    monkeypatch.setattr(closed_form, "_u_rows", counted)
     monkeypatch.setattr(closed_form, "TGrid", None)
     for k, (modes, seconds) in rows.items():
         f = TrigEigenfunction(k, 1.0)
@@ -170,18 +175,30 @@ def test_chi_second_derivative_against_differenced_first():
     assert worst <= 1e-7
 
 
-def test_chi_derivatives_reject_wall_neighborhood():
-    f = TrigEigenfunction(3, 1.0)
-    with pytest.raises(DomainError):
-        chi_derivatives(f, 5e-7)
-    with pytest.raises(DomainError):
-        chi_derivatives(f, math.pi / 2 - 5e-7)
-    # the guard is on t = 2 alpha x, so it neither grows nor shrinks with alpha
-    wide = TrigEigenfunction(3, 1e6)
-    with pytest.raises(DomainError):
-        chi_derivatives(wide, 1e-6 / 2e6)
-    x = 1e-3 / 2e6
-    assert chi_derivatives(wide, x)[0] == chi_eval(wide, x)
+def test_chi_derivatives_accept_the_closed_interval():
+    # like chi_eval, chi_derivatives takes every x of [0, L], walls and
+    # points next to them included, and raises DomainError just outside
+    for alpha in (1e-6, 1.0, 1e6):
+        f = TrigEigenfunction(3, alpha)
+        length = math.pi / (2.0 * alpha)
+        for x in (0.0, 5e-7 / alpha, length - 5e-7 / alpha, length):
+            value, first, second = chi_derivatives(f, x)
+            assert value == chi_eval(f, x)
+            assert all(map(math.isfinite, (first, second)))
+        for x in (-math.ulp(length), math.nextafter(length, math.inf)):
+            with pytest.raises(DomainError):
+                chi_derivatives(f, x)
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1.0, 1e8])
+def test_chi_derivatives_at_the_wall_are_its_taylor_coefficients(alpha):
+    # near t = 0, g_k = -(k^3 - k) t^2 / 3 + O(t^4): value 0, slope 0 and
+    # second derivative N 4 alpha^2 (-2 (k^3 - k) / 3), in d/dx = 2 alpha d/dt
+    for k in (2, 3, 12, 62):
+        f = TrigEigenfunction(k, alpha)
+        value, first, second = chi_derivatives(f, 0.0)
+        assert value == 0.0 and first == 0.0
+        assert second == f.norm * 4.0 * alpha * alpha * (-2.0 * (k ** 3 - k) / 3)
 
 
 def test_coefficient_table_exact():
@@ -257,6 +274,29 @@ def test_identity_pairs_build_exact_constants_once(monkeypatch):
         assert calls == {"_coefficient": expected_c, "_f21_exact": 1}
 
 
+def test_a_spoiled_u_slope_step_fails_every_identity_family(monkeypatch):
+    # the identities' right sides are -4 C_n U'_{n+1}: a U' step whose
+    # 2j U_{j-1} is (2 + 1e-7) j U_{j-1} moves them by about 5e-8, far past
+    # the default tolerance 1e-9, in every family and at every index tried
+    def spoiled_u_rows(cosines, depth, ks):
+        two_cos = [2.0 * c for c in cosines]
+        zeros = [0.0] * len(two_cos)
+        before, rows = [zeros] * (depth + 1), [[1.0] * len(two_cos)] + [zeros] * depth
+        for j in range(1, max(ks)):
+            rows, before = [[tc * v - w for tc, v, w in zip(two_cos, rows[0], before[0])]] + [
+                [w + (2.0 + 1e-7 * (d == 1)) * j * v for w, v in zip(low, prev)]
+                for d, low, prev in zip(itertools.count(1), before[1:], rows)], rows
+            if j + 1 in ks:
+                yield j + 1, rows
+
+    families = [("base", 0), ("base", 9), ("even", 0), ("even", 4), ("odd", 0), ("odd", 30)]
+    assert all(check_identity(which, index).passed for which, index in families)
+    monkeypatch.setattr(closed_form, "_u_rows", spoiled_u_rows)
+    for which, index in families:
+        result = check_identity(which, index)
+        assert not result.passed and result.computed > 1e-8, (which, index, result.computed)
+
+
 def test_coefficient_closed_form_to_degree_cap():
     # C_n = -3 / (4 (n+1)(n+2)(n+3)), independent of the 2F1 route
     for n in range(MAX_DEGREE + 1):
@@ -285,18 +325,27 @@ def test_identity_sides_base_case_both_sides_one():
     assert abs(rhs - 1.0) <= 1e-10
 
 
-def test_identity_sides_margin_guard():
-    with pytest.raises(StabilityError):
-        identity_sides(2, 1.0, 1e-5)
-    with pytest.raises(StabilityError):
-        identity_sides(2, 1.0, math.pi / 2 - 1e-5)
+def test_identity_sides_accept_the_closed_interval():
+    # the right side -4 C_n U'_{n+1}(cos t) divides by nothing, so both
+    # sides hold at the walls, where F_n(0) = 1 and F_n(1) = (-1)^n, and next
+    # to them; just outside [0, L] is a DomainError
+    for n in (0, 2, 7, 60):
+        assert identity_sides(n, 1.0, 0.0) == (1.0, 1.0)
+        lhs, rhs = identity_sides(n, 1.0, math.pi / 2)
+        assert lhs == (-1.0) ** n and abs(rhs - lhs) <= 1e-12
+        for x in (1e-9, 1e-5, math.pi / 2 - 1e-5):
+            lhs, rhs = identity_sides(n, 1.0, x)
+            assert abs(rhs - lhs) <= 1e-12
+    for x in (-1e-300, math.nextafter(math.pi / 2, 4.0)):
+        with pytest.raises(DomainError):
+            identity_sides(2, 1.0, x)
     with pytest.raises(ParameterError):
         identity_sides(-1, 1.0, 0.5)
     for alpha in (0.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
             identity_sides(2, alpha, 0.5)
-    # the guard is closed at the wall margin the suite's interior grid starts at
-    identity_sides(2, 1.0, closed_form.WALL_MARGIN / 2.0)
+    # -4 C_n U'_{n+1}(1) = 1 exactly: C_n = -3 / (4 (n+1)(n+2)(n+3))
+    assert chebyshev_u_slope(61, 1.0) == 61 * 62 * 63 / 3
 
 
 def test_ratio_identity_even_agrees():

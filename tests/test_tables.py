@@ -6,7 +6,8 @@ from functools import partial
 
 import pytest
 
-from oracles import chi, f21_real, identity_pairs, pt_eigen_hypergeom, stable_bracket
+from oracles import (bracket_decimal, chi, f21_real, identity_pairs, pt_eigen_hypergeom,
+                     stable_bracket)
 from ptdarboux import closed_form, hypergeom, verify
 from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.closed_form import TGrid, TrigEigenfunction, chi_derivatives
@@ -77,7 +78,8 @@ def test_level_table_out_of_order_access_gives_the_same_bits():
 
 
 def test_mode_rows_equal_stable_bracket_bitwise():
-    # every bracket a grid holds, and a lone read's at a few k
+    # every bracket a grid forms from the rows it holds, and a lone read's
+    # at a few k
     ts_rows = {
         "t nodes": verify._nodes(0.0, math.pi, 64, 32)[0],
         "t grid": verify._interior_grid().ts,
@@ -93,17 +95,21 @@ def test_mode_rows_equal_stable_bracket_bitwise():
 
 
 def test_t_grid_keeps_its_mode_rows_and_rejects_the_seed_index():
-    # a grid keeps the rows it holds and no row a lone read builds
+    # a grid keeps the rows it holds, the row U'_{k-1} of each mode k, and
+    # no row a lone read builds; a mode is formed from its row on each read
     ts = verify._interior_grid().ts
     grid = _held_grid(ts, modes=[5, 30], seconds=[7])
-    high = grid.mode(30)
-    assert grid.mode(5) == TGrid(ts).mode(5)
-    assert grid.mode(30) is high and grid.second_derivative(7) is grid.second_derivative(7)
-    assert grid.mode(9) is not grid.mode(9) and grid.mode(9) == TGrid(ts).mode(9)
-    assert sorted(grid._modes) == [5, 30] and sorted(grid._second) == [7]
+    high = grid.slope(30)
+    assert grid.mode(5) == TGrid(ts).mode(5) and grid.mode(30) == TGrid(ts).mode(30)
+    assert grid.slope(30) is high and grid.second_derivative(7) is grid.second_derivative(7)
+    assert grid.slope(9) is not grid.slope(9) and grid.slope(9) == TGrid(ts).slope(9)
+    assert type(grid.slope(9)) is list and type(high) is array  # a lone read keeps no copy
+    assert sorted(grid._slopes) == [5, 30] and sorted(grid._second) == [7]
     for bad in (grid, TGrid(ts)):
         with pytest.raises(ParameterError):
             bad.mode(1)
+        with pytest.raises(ParameterError):
+            bad.slope(1)
         with pytest.raises(ParameterError):
             bad.second_derivative(1)
 
@@ -121,7 +127,7 @@ def test_derivative_rows_match_the_cotangent_form():
     for k in ks:
         second = grid.second_derivative(k)
         if k % 10 == 2:
-            assert TGrid(ts).second_derivative(k) == second
+            assert TGrid(ts).second_derivative(k) == list(second)
         f = TrigEigenfunction(k, 1.0)
         first = [chi_derivatives(f, 0.5 * t)[1] / (2.0 * f.norm) for t in ts[::20]]
         exact_first, exact_second = [], []
@@ -135,6 +141,32 @@ def test_derivative_rows_match_the_cotangent_form():
             scale = max(map(abs, row))
             worst = max(abs(a - b) for a, b in zip(row, exact))
             assert worst <= 1e-12 * scale, (k, worst / scale)
+
+
+def test_bracket_and_second_derivative_rows_keep_their_relative_accuracy_to_the_walls():
+    # against the cotangent form at 60 digits (oracles.bracket_decimal): at
+    # every k to the degree cap's k = 62, both rows keep their relative
+    # accuracy at t from 1e-3 (the interior grid's margin) to 1/k, where
+    # the mode has no zero yet, and at pi - t, and on every 25th point of the
+    # interior grid relative to the row's largest value (measured: 3.8e-14
+    # and 7.3e-14 at worst, both at k = 62).  The difference k cos(kt) -
+    # cos(t) U_{k-1}(cos t) loses about 3u / (k t)^2 near the walls: 7.3e-11
+    # at k = 2, t = 1e-3
+    ks = range(2, MAX_DEGREE + 3)
+    interior = verify._interior_grid().ts[::25]
+    for k in ks:
+        near = [1e-3 * 2.0 ** i for i in range(12) if 1e-3 * 2.0 ** i <= 1.0 / k]
+        ts = near + [math.pi - t for t in near] + interior
+        grid = _held_grid(ts, modes=[k], seconds=[k])
+        exact = [tuple(map(float, bracket_decimal(k, t))) for t in ts]
+        for row, column in ((grid.mode(k), 0), (grid.second_derivative(k), 1)):
+            errors = [abs(v - e[column]) for v, e in zip(row, exact)]
+            worst_near = max(err / abs(e[column])
+                             for err, e in zip(errors, exact[:2 * len(near)]))
+            scale = max(abs(e[column]) for e in exact)
+            worst_interior = max(errors[2 * len(near):]) / scale
+            assert worst_near <= 1e-13 and worst_interior <= 2e-13, (k, column, worst_near,
+                                                                    worst_interior)
 
 
 def test_bound_state_pairs_equal_their_pointwise_forms():
@@ -241,8 +273,7 @@ def _forbidden_potential(*args):
 def test_validation_errors_come_before_any_table_is_swept(monkeypatch, call):
     monkeypatch.setattr(hypergeom, "_jacobi_rows", _forbidden_sweep)
     monkeypatch.setattr(closed_form, "_bracket_rows", _forbidden_sweep)
-    monkeypatch.setattr(closed_form, "_u_rows", _forbidden_sweep)  # a TGrid's bracket rows
-    monkeypatch.setattr(closed_form, "_chebyshev_rows", _forbidden_sweep)  # a TGrid's g'' rows
+    monkeypatch.setattr(closed_form, "_u_rows", _forbidden_sweep)  # a TGrid's bracket and g'' rows
     monkeypatch.setattr(closed_form, "_partner_potentials", _forbidden_potential)
     with pytest.raises(ParameterError):
         call()

@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 import fd_certificate
 from oracles import (
     ascending_rule,
+    chebyshev_u_slope,
     chi,
     f21_real,
     fsum_partials,
     integrate,
     integrate_product,
     pt_eigen_hypergeom,
-    stable_bracket,
     sturm_count_decimal,
 )
 from ptdarboux import closed_form, darboux, hypergeom, verify
@@ -431,9 +431,9 @@ def _per_point_rows(n_max):
         h = TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2))
         pairs = []
         for t in t_grid:
-            s_half, s_t = math.sin(0.5 * t), math.sin(t)
+            s_half = math.sin(0.5 * t)
             pairs.append((f21_real(h, s_half * s_half) / den,
-                          pref * stable_bracket(n + 2, t) / (s_t * s_t)))
+                          -pref * chebyshev_u_slope(n + 1, math.cos(t))))
         scale = max(abs(lhs) for lhs, _ in pairs)
         name = {"base": "identity (base) n=", "even": "identity (even ratio) m=",
                 "odd": "identity (odd ratio) m="}[which] + str(index)
@@ -668,7 +668,7 @@ def _suite_tables(monkeypatch):
 def test_suite_keeps_its_rows_in_arrays_and_releases_its_table_sweeps(monkeypatch):
     # the sweeps' working rows are lists, but every row a table keeps is an
     # array('d'): the t rule's mode rows and the interior grid's level,
-    # bracket, g'' and sampled rows.  Each table is built to exactly the
+    # U'_{k-1}, g'' and sampled rows.  Each table is built to exactly the
     # indices its families read, and holds no suspended sweep: every sweep
     # ran to its last index and was dropped
     import types
@@ -679,9 +679,9 @@ def test_suite_keeps_its_rows_in_arrays_and_releases_its_table_sweeps(monkeypatc
     assert sorted(modes) == list(range(2, 13))
     assert sorted(tables["_level_sums"]) == sorted(tables["_z_level_sums"]) == list(range(11))
     assert sorted(grid._levels) == list(range(12))  # the odd ratio's 2m + 1 = 11
-    assert sorted(grid._modes) == list(range(2, 14)) and sorted(grid._second) == list(range(2, 11))
+    assert sorted(grid._slopes) == list(range(2, 14)) and sorted(grid._second) == list(range(2, 11))
     kept = [*(row for row, _ in modes.values()), *grid._levels.values(),
-            *grid._modes.values(), *grid._second.values(),
+            *grid._slopes.values(), *grid._second.values(),
             grid.sin_sq, grid.potential, *grid.bound_factors]
     assert all(type(row) is array and row.typecode == "d" for row in kept)
     held = [*tables.values(), *vars(grid).values(), *(sums for _, sums in modes.values())]
@@ -699,7 +699,7 @@ def test_suite_tables_are_freed_without_a_cycle_collection(monkeypatch):
     try:
         assert run_full_suite(n_max=6).overall
         grid = tables.pop("_interior_rows")
-        refs = [weakref.ref(grid), *(weakref.ref(row) for row in grid._modes.values()),
+        refs = [weakref.ref(grid), *(weakref.ref(row) for row in grid._slopes.values()),
                 *(weakref.ref(row) for row, _ in tables["_mode_sums"].values())]
         tables.clear()
         del grid
@@ -758,17 +758,22 @@ def test_a_lone_norm_check_builds_only_its_own_row(monkeypatch):
 
 def _count_brackets(monkeypatch):
     # the (k, row length) of every bracket row built and the row length of
-    # every U sweep started
-    brackets, sweeps = [], []
+    # every U sweep started; a bracket's k is that of the sweep row U'_{k-1}
+    # it is built from, or of which it reads a kept copy
+    brackets, sweeps, swept = [], [], []
     bracket, u_rows = closed_form._bracket, closed_form._u_rows
 
-    def counted_bracket(k, cos_kt, cosines, u, scale):
-        brackets.append((k, len(cos_kt)))
-        return bracket(k, cos_kt, cosines, u, scale)
+    def counted_bracket(sin_sq, slope, scale):
+        k = next(k for row, k in swept if row is slope or row == list(slope))
+        brackets.append((k, len(sin_sq)))
+        return bracket(sin_sq, slope, scale)
 
-    def counted_u_rows(cosines):
+    def counted_u_rows(cosines, depth, ks):
+        cosines = list(cosines)
         sweeps.append(len(cosines))
-        return u_rows(cosines)
+        for k, rows in u_rows(cosines, depth, ks):
+            swept.append((rows[1], k))
+            yield k, rows
 
     monkeypatch.setattr(closed_form, "_bracket", counted_bracket)
     monkeypatch.setattr(closed_form, "_u_rows", counted_u_rows)
@@ -776,13 +781,14 @@ def _count_brackets(monkeypatch):
 
 
 def test_a_lone_one_shot_read_builds_one_bracket_row(monkeypatch):
-    # a one-shot identity or tabulate call reads mode n + 2 of a fresh grid:
-    # one U sweep up to U_{n+1} and one bracket row, none of the n below it
+    # a one-shot tabulate call reads mode n + 2 of a fresh grid: one U sweep
+    # up to U_{n+1} and one bracket row, none of the n below it.  A one-shot
+    # identity call reads the row U'_{n+1} of the same sweep, and no bracket
     _clear_node_set_caches()
     try:
         brackets, sweeps = _count_brackets(monkeypatch)
         assert check_identity("base", 10).passed
-        assert brackets == [(12, verify.INTERIOR_POINTS)]
+        assert brackets == []
         assert sweeps == [verify.INTERIOR_POINTS]
         ts = [0.05 + 0.03 * i for i in range(100)]
         del brackets[:], sweeps[:]
@@ -792,28 +798,36 @@ def test_a_lone_one_shot_read_builds_one_bracket_row(monkeypatch):
         _clear_node_set_caches()
 
 
-def test_suite_builds_each_interior_bracket_row_once(monkeypatch):
+def test_suite_builds_each_interior_slope_row_once(monkeypatch):
     # the identities, the correspondence and the residual all read the
-    # interior grid's bracket rows; each is built once, from one U sweep,
-    # up to k = 33 (the odd ratio's level 2m + 1 = 31).  The residual's g''
-    # rows (k = 2..30) and brackets share their rows cos(kt): the grid
-    # builds one per k = 2..33, not 29 + 32
-    cos_rows, cos_row = [], closed_form._cos_row
+    # interior grid's rows; its rows U'_{k-1} come from one U sweep, up to
+    # k = 33 (the odd ratio's level 2m + 1 = 31), and each is kept once.
+    # The correspondence (k = 2..32) and the residual (k = 2..30) each form
+    # their bracket -sin^2(t) U'_{k-1} once from it, and the identities
+    # read it as it is.  The residual's g'' rows and the brackets share one
+    # row sin^2 t: the grid builds it once, not once per row
+    sin_rows, sin_sq = [], closed_form._sin_sq
 
-    def counted_cos_row(ts, k):
+    def counted_sin_sq(ts):
         if len(ts) == verify.INTERIOR_POINTS:
-            cos_rows.append(k)
-        return cos_row(ts, k)
+            sin_rows.append(1)
+        return sin_sq(ts)
 
-    monkeypatch.setattr(closed_form, "_cos_row", counted_cos_row)
+    monkeypatch.setattr(closed_form, "_sin_sq", counted_sin_sq)
     _clear_node_set_caches()
     try:
         brackets, sweeps = _count_brackets(monkeypatch)
+        kept = []
+        hold = closed_form.TGrid._hold
+        monkeypatch.setattr(closed_form.TGrid, "_hold",
+                            lambda grid, *args: kept.append(grid) or hold(grid, *args))
         assert run_full_suite(n_max=30).overall
         interior = sorted(k for k, points in brackets if points == verify.INTERIOR_POINTS)
-        assert interior == list(range(2, 34))
+        assert interior == sorted([*range(2, 33), *range(2, 31)])
         assert sweeps.count(verify.INTERIOR_POINTS) == 1
-        assert sorted(cos_rows) == list(range(2, 34))
+        (grid,) = kept
+        assert sorted(grid._slopes) == list(range(2, 34))
+        assert sin_rows == [1]
     finally:
         _clear_node_set_caches()
 
@@ -840,39 +854,32 @@ def test_suite_weighs_each_row_once(monkeypatch):
 
 def test_each_grid_and_rule_starts_one_u_recurrence(monkeypatch):
     # the t rule's mode sweep and the interior grid each start one U sweep
-    # (_u_rows), and every U row that the derivative sweep differentiates is
-    # a row of the grid's own U sweep, never one of a second recurrence; the
-    # grid's U sweep runs on past the last g'' (k = 30) to the last bracket
-    # (k = 33) alone.  A chi_derivatives call starts one U sweep and
-    # differentiates its rows
-    starts, swept, differentiated = [], [], []
-    u_rows, chebyshev_rows = closed_form._u_rows, closed_form._chebyshev_rows
+    # (_u_rows), which carries every derivative its rows read: U' for the
+    # t rule's brackets, and to the third derivative for the grid's g''
+    # rows.  The grid's sweep runs to the last bracket (k = 33), past the
+    # last g'' (k = 30).  A chi_derivatives call starts one sweep, to the
+    # third derivative, and reads its own k from it
+    starts, swept = [], []
+    u_rows = closed_form._u_rows
 
-    def counted_u_rows(cosines):
-        starts.append(len(cosines))
-        for row in u_rows(cosines):
-            swept.append(row)
-            yield row
-
-    def counted_chebyshev_rows(*args):
-        for rows in chebyshev_rows(*args):
-            differentiated.append(rows[0])
-            yield rows
+    def counted_u_rows(cosines, depth, ks):
+        cosines = list(cosines)
+        starts.append((len(cosines), depth))
+        for k, rows in u_rows(cosines, depth, ks):
+            swept.append(rows)
+            yield k, rows
 
     monkeypatch.setattr(closed_form, "_u_rows", counted_u_rows)
-    monkeypatch.setattr(closed_form, "_chebyshev_rows", counted_chebyshev_rows)
     _clear_node_set_caches()
     try:
         assert run_full_suite(n_max=30).overall
-        assert sorted(starts) == [verify.INTERIOR_POINTS, verify.QUAD_ORDER * verify.PANELS]
-        assert len(differentiated) == 29  # g'' for k = 2..30, the residual's
-        interior = [row for row in swept if len(row) == verify.INTERIOR_POINTS]
+        assert sorted(starts) == [(verify.INTERIOR_POINTS, 3),
+                                  (verify.QUAD_ORDER * verify.PANELS, 1)]
+        interior = [rows for rows in swept if len(rows[0]) == verify.INTERIOR_POINTS]
         assert len(interior) == 32  # U_1..U_32, for k = 2..33
-        assert all(u is row for u, row in zip(differentiated, interior))
-        del starts[:], swept[:], differentiated[:]
+        del starts[:], swept[:]
         closed_form.chi_derivatives(TrigEigenfunction(9, 1.0), 0.7)
-        assert starts == [1] and len(differentiated) == 8
-        assert all(any(u is row for row in swept) for u in differentiated)
+        assert starts == [(1, 3)] and len(swept) == 1
     finally:
         _clear_node_set_caches()
 
@@ -936,25 +943,23 @@ def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch
 
     ts = verify._interior_grid().ts
     fresh = closed_form.TGrid(ts)
-    expected_rows = [(fresh.second_derivative(k).tobytes(), fresh.mode(k).tobytes())
-                     for k in range(2, 12)]
+    expected_rows = [(fresh.second_derivative(k), fresh.mode(k)) for k in range(2, 12)]
     original, interrupted = closed_form._u_rows, []
 
-    def interrupting_u(cosines):
-        for k, row in enumerate(original(cosines), start=2):
+    def interrupting_u(cosines, depth, ks):
+        for k, rows in original(cosines, depth, ks):
             if k == 6 and not interrupted:
                 interrupted.append(k)
                 raise KeyboardInterrupt
-            yield row
+            yield k, rows
 
     monkeypatch.setattr(closed_form, "_u_rows", interrupting_u)
     grid = closed_form.TGrid(ts)
     with pytest.raises(KeyboardInterrupt):
         grid._hold(range(4), range(2, 12), range(2, 12))
     assert interrupted == [6]
-    assert grid._levels == grid._modes == grid._second == {}
-    assert [(grid.second_derivative(k).tobytes(), grid.mode(k).tobytes())
-            for k in range(2, 12)] == expected_rows
+    assert grid._levels == grid._slopes == grid._second == {}
+    assert [(grid.second_derivative(k), grid.mode(k)) for k in range(2, 12)] == expected_rows
 
 
 def test_suite_builds_one_reference_rule_per_order(monkeypatch):
@@ -996,9 +1001,8 @@ def test_unit_scale_checks_reject_an_alpha_no_well_has(monkeypatch, alpha):
     def forbidden_potential(*args):
         raise AssertionError("the potential row was built before alpha was validated")
 
-    monkeypatch.setattr(closed_form, "_chebyshev_rows", forbidden)  # the grid's g'' rows
     monkeypatch.setattr(closed_form, "_bracket_rows", forbidden)
-    monkeypatch.setattr(closed_form, "_u_rows", forbidden)  # the grid's bracket rows
+    monkeypatch.setattr(closed_form, "_u_rows", forbidden)  # the grid's bracket and g'' rows
     monkeypatch.setattr(hypergeom, "_jacobi_rows", forbidden)
     monkeypatch.setattr(closed_form, "_partner_potentials", forbidden_potential)
     with pytest.raises(ParameterError):
@@ -1227,7 +1231,7 @@ def test_sturm_count_flips_once_near_the_lowest_modes(grid_points):
 
 def test_fd_spectrum_frozen_bits():
     assert [m.hex() for m in fd_spectrum(1.0, 4000, 3)] == [
-        "0x1.fffffdb35aa71p+3", "0x1.1ffffb94a785bp+5", "0x1.ffffeefbc88f7p+5"]
+        "0x1.fffffdb35aaddp+3", "0x1.1ffffb94a785bp+5", "0x1.ffffeefbc88f7p+5"]
     assert [m.hex() for m in fd_spectrum(0.6024, 1000, 10)] == [
         "0x1.7398386d6d19bp+2", "0x1.a20af6e8756b9p+3", "0x1.73978d95093e4p+4",
         "0x1.224df3b18ff67p+5", "0x1.a20906dda405cp+5", "0x1.1c7e59dc817c7p+6",
@@ -1266,12 +1270,12 @@ def _sweeps(monkeypatch, grid_points, count):
 
 def test_fd_spectrum_sweeps_few_counts(monkeypatch):
     # bisection with a sweep at every midpoint makes 112 at (4000, 3); there
-    # the 2,000-row blocks take 11 counts: 3 for mode 0, whose one-sided
-    # bracket (mu, mu (1 + _HALF_WIDTH)] is a rounding wider than its stop,
-    # and 3 and 5 for modes 1 and 2, whose brackets are 1.7 and 5.5 times
-    # _HALF_WIDTH wide.  At (40000, 10) every mode is certified at its
+    # the 2,000-row blocks take 10 counts: 2 for mode 0, whose one-sided
+    # bracket (mu, mu (1 + r)], r a rounding under _HALF_WIDTH, already meets
+    # its stop, and 3 and 5 for modes 1 and 2, whose brackets are 1.7 and 5.5
+    # times _HALF_WIDTH wide.  At (40000, 10) every mode is certified at its
     # asymptotic value by its 2 counts: 20 counts of 20,000 rows
-    assert _sweeps(monkeypatch, 4000, 3) == [2000] * 11
+    assert _sweeps(monkeypatch, 4000, 3) == [2000] * 10
     assert _sweeps(monkeypatch, 40000, 10) == [20000] * 20
 
 
@@ -1291,16 +1295,17 @@ def test_fd_spectrum_takes_one_newton_sweep_per_fine_grid_mode(monkeypatch, grid
 
 def test_fd_values_lie_deep_inside_their_certificates():
     # on 40 seeded grids (100-6,000 points, 1-10 modes, alpha log-uniform in
-    # 1e-6-1e6) no start bracket widens and no admitted mode takes more than
-    # its 2 counts.  Each value lies within _HALF_WIDTH / 2 of the
+    # 1e-6-1e6) no start bracket widens, and no admitted mode takes more than
+    # its 2 counts, nor does a bisected one whose start bracket already meets
+    # _settle's stop.  Each value lies within _HALF_WIDTH / 2 of the
     # reference, its certified bracket bisected by counts to 5e-16 of its
     # upper end: measured at most 2.25e-14 (by construction for a bisected
     # mode).  The three grids above 4,335 points certify their ground mode
     # at its asymptotic value
     results = {grid: fd_certificate.check(*grid)
                for grid in fd_certificate.grids(40, 20151, max_points=6000)}
-    assert all(failed == widened == 0 and move <= verify._HALF_WIDTH / 2
-               for _, failed, widened, _, move in results.values()), results
+    assert all(failed == widened == slow == 0 and move <= verify._HALF_WIDTH / 2
+               for _, failed, widened, slow, _, move in results.values()), results
     assert sum(admitted for admitted, *_ in results.values()) == 3
 
 
@@ -1314,7 +1319,7 @@ def _sweep_units(monkeypatch, grid_points, count):
     (999, 10, 82.5), (100, 10, 156.2)])
 def test_fd_spectrum_starts_each_mode_at_its_asymptotic_eigenvalue(monkeypatch, grid_points, count,
                                                                    units):
-    # measured: 5.5, 10.0, 10.0, 10.0, 75.0 and 142.0 units.  On the three
+    # measured: 5.0, 10.0, 10.0, 10.0, 75.0 and 142.0 units.  On the three
     # fine grids every mode is 2 counts at its asymptotic value; on the
     # others each mode bisects from the one-sided bracket above that value,
     # (k h)^4 / 360 wide: 150 counts for the 10 modes at 999 points and 284
