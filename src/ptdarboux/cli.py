@@ -36,7 +36,7 @@ MAX_ALPHA = 1e100
 # Intel Xeon core under CPython 3.11.  MAX_DEGREE caps --n-max, tabulate --n
 # and identity --n, and identity --m at MAX_DEGREE // 2 (the suite's indices
 # at n_max = MAX_DEGREE): verify --n-max 60 takes 0.28 s, identity --n 60
-# 0.0059 s (one level row and one row U'_61, each swept to its index).
+# 0.0048 s (one level row and one row U'_61, each swept to its index).
 MAX_DEGREE = 60
 # A Gauss-Legendre rule is built in O(order^2): 0.09 s at 1024 points.
 MAX_QUAD_ORDER = 1024
@@ -45,7 +45,7 @@ MAX_QUAD_ORDER = 1024
 MAX_PANELS = 1024
 # The work of a quadrature check grows with panels times order, so their
 # product is capped too: verify --n-max 60 --panels 1024 takes about 6.4 s and
-# peaks at 73 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode
+# peaks at 79 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode
 # rows of the suite's table (verify._mode_sums, arrays) and about 2 MB each
 # list of a new float per node: the rule's abscissae, the rows a sweep reads at
 # every node, the one weighted row a sum holds (verify._weigh) and each

@@ -7,18 +7,17 @@ k T_k(c) - c U_{k-1}(c) (Chebyshev, first and second kind), and since
 product g_k = -sin^2(t) U'_{k-1}(cos t): no two terms cancel, so it keeps
 its relative accuracy up to the walls, where it vanishes.  It and its
 t-derivatives read one sweep of the U recurrence and its argument
-derivatives (_u_rows).  The same bracket appears on the right-hand side of
-the hypergeometric identity that ties these images to the Poschl-Teller
-bound states of the symmetric kappa = lam = 2 well, where the sin^2(t) it
-is divided by cancels; its base, even-ratio and odd-ratio forms are one
-level-n formula (_identity_rows).  Every row sampled on a row of t
-(bound-state factors, brackets and their second derivatives, the partner
-potential, both sides of the identities and of the correspondence) comes
-from one holder, TGrid, whose read sweeps the level or U recurrence to its
-own index and builds that row alone, and whose _hold builds every row a
-reader will ask for in one sweep each; the point-wise chi_eval and
-identity_sides read a one-point TGrid, and chi_derivatives reads one point
-of the sweep.
+derivatives (_u_rows).  Over sin^2 t it is the right side of the identity
+that ties these images to the Poschl-Teller bound states of the symmetric
+kappa = lam = 2 well, whose left side F_n(sin^2(t/2)) is a polynomial in
+cos t too; its three forms are one level-n formula (_identity_rows).
+Every row sampled on a row of t (bound-state factors, brackets and their
+second derivatives, the partner potential, both sides of the identities
+and of the correspondence) comes from one holder, TGrid, whose read sweeps
+the level or U recurrence of its cos t row to its own index and builds
+that row alone, and whose _hold builds every row a reader will ask for in
+one sweep each; the point-wise chi_eval and identity_sides read a
+one-point TGrid, and chi_derivatives reads one point of the sweep.
 """
 from __future__ import annotations
 
@@ -71,12 +70,10 @@ def _picked(rows, indices, first=0):
             if i in keep)
 
 
-def _level_rows(ts):
-    """Rows of F_n(z) = 2F1(-n, n+4; 5/2; z) at z = sin^2(t/2) for every t of
-    `ts`, n = 0, 1, ...: one _jacobi_rows sweep, a = beta = 3/2 (DLMF 18.7.1),
-    whose z row and rows are lists."""
-    zs = [s * s for s in map(math.sin, [0.5 * t for t in ts])]
-    yield from hypergeom._jacobi_rows(1.5, 1.5, zs)
+def _level_rows(xs):
+    """Rows of F_n(z) = 2F1(-n, n+4; 5/2; z), n = 0, 1, ..., at each x = 1 - 2z
+    of the list `xs`: one _jacobi_rows sweep, a = beta = 3/2 (DLMF 18.7.1)."""
+    return hypergeom._jacobi_rows(1.5, 1.5, xs)
 
 
 def _bound_factors(ts) -> tuple[array, array]:
@@ -88,34 +85,35 @@ def _bound_factors(ts) -> tuple[array, array]:
 
 
 def _u_rows(cosines, depth, ks):
-    """(k, rows) for each k of `ks`, in increasing order: the rows (U_{k-1},
-    U'_{k-1}, ..., its depth-th derivative) of the Chebyshev polynomial of
-    the second kind at every c of `cosines` (an iterable, read once), from
-    one forward sweep to the largest k of U_j = (2c) U_{j-1} - U_{j-2} and
-    of its argument derivatives U_j^(d) = U_{j-2}^(d) + 2j U_{j-1}^(d-1),
-    the derivative of U_j - U_{j-2} = 2 T_j (DLMF 18.9), keeping the last
-    two rows of each order and dropping each older row as soon as its order
-    has stepped.  A derivative step costs one multiply and one
-    add an element, and keeps an integer value at c = 1 or -1 exact.  At
-    depth 1 the rows U'_j of one parity read no U' row of the other, so a
-    sweep whose ks all have one parity (a lone read) forms only theirs, and
-    None for the others, which it yields to no k.  The factors 2c and every
-    row are lists (as _jacobi_rows' are), which a step reads without boxing
-    each float again.  The sweep is stable to ~2e-13 of max|U_k| = k + 1
-    for k <= 63."""
+    """(k, rows) for each k of `ks` (k >= 2), in increasing order: the rows
+    U'_{k-1} to its depth-th derivative at every c of the list `cosines`,
+    from one sweep of chains of one order and parity of j to the largest k:
+    U_j = y U_{j-2} - U_{j-4}, y = (2c)^2 - 2 (Mason & Handscomb 2003, ch. 2),
+    and U_j^(d) = U_{j-2}^(d) + 2j U_{j-1}^(d-1) (DLMF 18.9), which reads
+    only the chain one order below of the other parity.  It forms the chains
+    its rows read alone, each to the last index read, in lists; integer
+    values at c = +-1 stay exact.  Against exact values at the same c, the
+    rows keep within 1.6e-14 of max|U_{k-1}^(d)| (k <= 63, d <= 3) on the
+    suite's interior grid, and 9.5e-15 where |c| < 0.9995 (y's rounding)."""
     keep = set(ks)
-    parities = {k % 2 for k in keep} if depth == 1 else {0, 1}
-    two_cos = [2.0 * c for c in cosines]
-    zeros = [0.0] * len(two_cos)
-    prev, rows = [zeros] * (depth + 1), [[1.0] * len(two_cos)] + [zeros] * depth  # j = -1, 0
+    last = {(d, j % 2): j for d, j in sorted(  # (order, parity): the last index read
+        (d, j) for k in keep for top in range(1, depth + 1)
+        for d, j in zip(range(top + 1), range(k - 1 - top, k)))}
+    size = len(cosines)
+    y = [4.0 * c * c - 2.0 for c in cosines]
+    rows = dict.fromkeys(last, [0.0] * size)  # U^(d)_0 = U^(d)_-1 = 0 for d >= 1
+    back = [[-1.0] * size, [0.0] * size]  # U_-2, U_-1 before U_0, U_1 (where odd U starts)
+    rows[0, 0], rows[0, 1] = [1.0] * size, [2.0 * c for c in cosines] if (0, 1) in last else []
     for j in range(1, max(keep, default=1)):
-        twice = 2.0 * j
-        for d in range(depth, 0, -1):  # each order reads the one below before it moves on
-            prev[d], rows[d] = rows[d], ([w + twice * v for w, v in zip(prev[d], rows[d - 1])]
-                                         if (j + 1) % 2 in parities else None)
-        prev[0], rows[0] = rows[0], [tc * v - w for tc, v, w in zip(two_cos, rows[0], prev[0])]
+        p, twice = j % 2, 2.0 * j
+        for d in (d for d in range(depth + 1) if last.get((d, p), -1) >= j):
+            if d:
+                rows[d, p] = [w + twice * v for w, v in zip(rows[d, p], rows[d - 1, 1 - p])]
+            elif j > 1:
+                back[p], rows[0, p] = rows[0, p], [
+                    f * v - b for f, v, b in zip(y, rows[0, p], back[p])]
         if j + 1 in keep:
-            yield j + 1, tuple(rows)
+            yield j + 1, tuple(rows[d, p] for d in range(1, depth + 1))
 
 
 def _sin_sq(ts) -> list:
@@ -128,7 +126,7 @@ def _bracket_rows(ts, ks):
     (alpha = 1, norm N_k) at every t of `ts`, each scaled as its bracket is
     built (_bracket), from one U sweep (_u_rows) to the largest k."""
     sin_sq = _sin_sq(ts)
-    for k, (_, slope) in _u_rows(map(math.cos, ts), 1, ks):
+    for k, (slope,) in _u_rows(list(map(math.cos, ts)), 1, ks):
         yield k, _bracket(sin_sq, slope, TrigEigenfunction(k, 1.0).norm)
 
 
@@ -142,12 +140,18 @@ def _bracket(sin_sq, slope, scale) -> list:
     return [minus * (s2 * p) for s2, p in zip(sin_sq, slope)]
 
 
-def _second_derivative(cosines, sin_sq, slope, slope1, slope2) -> list:
+def _g2_factors(cosines, sin_sq) -> tuple[list, list, list]:
+    """The rows -2 (c^2 - s^2), 5 c s^2 and s^4 that g'' reads at every k."""
+    return ([-2.0 * (c * c - s2) for c, s2 in zip(cosines, sin_sq)],
+            [5.0 * c * s2 for c, s2 in zip(cosines, sin_sq)], [s2 * s2 for s2 in sin_sq])
+
+
+def _second_derivative(factors, slope, slope1, slope2) -> list:
     """The row g'' = -2 (c^2 - s^2) P + 5 c s^2 P' - s^4 P'' of the bracket
-    g = -s^2 P, P = U'_{k-1}(c), c = cos t and s^2 = sin^2 t, from the rows
-    cos t, sin^2 t and (P, P', P'') of a depth-3 sweep (_u_rows), as a list."""
-    return [-2.0 * (c * c - s2) * p + 5.0 * c * s2 * p1 - s2 * s2 * p2
-            for c, s2, p, p1, p2 in zip(cosines, sin_sq, slope, slope1, slope2)]
+    g = -s^2 P, P = U'_{k-1}(c), c = cos t and s^2 = sin^2 t, as a list, from
+    _g2_factors (its products left to right) and (P, P', P'') (_u_rows)."""
+    return [f * p + f1 * p1 - f2 * p2
+            for f, f1, f2, p, p1, p2 in zip(*factors, slope, slope1, slope2)]
 
 
 def _t_of(alpha: float, x: float) -> float:
@@ -182,9 +186,9 @@ def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float
     t = _t_of(a, x)
     s, c = math.sin(t), math.cos(t)
     s2 = s * s
-    ((_, (_, p, p1, p2)),) = _u_rows([c], 3, [f.k])
+    ((_, (p, p1, p2)),) = _u_rows([c], 3, [f.k])
     (g,) = _bracket([s2], p, 1.0)
-    (g2,) = _second_derivative([c], [s2], p, p1, p2)
+    (g2,) = _second_derivative(_g2_factors([c], [s2]), p, p1, p2)
     g1 = s * (s2 * p1[0] - 2.0 * c * p[0])
     return f.norm * g, f.norm * 2.0 * a * g1, f.norm * 4.0 * a * a * g2
 
@@ -267,18 +271,17 @@ IDENTITY_FAMILIES = {
 
 class TGrid:
     """The rows sampled on one row `ts` of t = 2 alpha x: level(n) =
-    F_n(sin^2(t/2)), slope(k) = U'_{k-1}(cos t) and second_derivative(k) =
-    the row g'' in t of the bracket g of index k >= 2, each built when it is
-    read by a sweep to its own index (_rows), returned as the list it is
-    built in and not kept; mode(k) = g = -sin^2(t) U'_{k-1}(cos t), the
+    F_n(sin^2(t/2)), slope(k) = U'_{k-1}(cos t) and second_derivative(k) = the
+    row g'' in t of the bracket g of index k >= 2, each built when it is read
+    by a sweep of the cos t row to its own index (_rows), returned as the list
+    it is built in and not kept; mode(k) = g = -sin^2(t) U'_{k-1}(cos t), the
     product of two rows, formed on each read; and, built on first read and
     kept, sin_sq = sin^2(t), the bound state's factors and the residual's
-    partner potential at unit scale, x = t / 2 (every t inside (0, pi)).  A
-    grid that holds rows (_hold, the suite's interior grid) returns those,
-    built once up front.  Every row it keeps is an array('d'), each copied
-    into one as it is built; what its sweeps read at every point, its cos t
-    row and the working rows, are lists.  A returned row is shared and must
-    not be changed."""
+    partner potential at unit scale, x = t / 2 (every t inside (0, pi)).  A grid
+    that holds rows (_hold, the suite's interior grid) returns those, built
+    once up front.  Every row it keeps is an array('d'), each copied into one
+    as it is built; what its sweeps read at every point, its cos t row and the
+    working rows, are lists.  A returned row is shared and must not be changed."""
 
     def __init__(self, ts):
         self.ts = ts
@@ -286,25 +289,24 @@ class TGrid:
         self._levels, self._slopes, self._second = {}, {}, {}  # the rows _hold built
 
     def _rows(self, levels=(), slopes=(), seconds=(), kept=False) -> tuple[dict, dict, dict]:
-        """The level rows at each n of `levels`, the rows U'_{k-1} at each k
-        of `slopes` and the g'' rows at each k of `seconds`, as three dicts:
-        one level sweep (_level_rows) to the largest n, and one U sweep
-        (_u_rows) to the largest k, at depth 3 if any g'' is asked for and at
-        depth 1 if not; every g'' reads the grid's cos t and sin^2 t rows.
-        Each row is the list it is built in, or, for rows the grid keeps, an
-        array('d') copied as it is built, so that at most one of them is
-        ever held as a list."""
-        ts, cosines = self.ts, self._cosines
+        """The level rows at each n of `levels`, the rows U'_{k-1} at each k of
+        `slopes` and the g'' rows at each k of `seconds`, as three dicts: one
+        level sweep (_level_rows) and one U sweep (_u_rows) of the cos t row,
+        to depth 3 if any g'' is asked for and to 1 if not; every g'' reads the
+        rows of _g2_factors, built once per call.  Each row is the list it is
+        built in, or, for rows the grid keeps, an array('d') copied as it is
+        built, so that at most one of them is ever held as a list."""
+        cosines = self._cosines
         row = partial(array, "d") if kept else (lambda built: built)
-        level_rows = {n: row(level) for n, level in _picked(_level_rows(ts), levels)}
-        slopes, seconds = set(slopes), set(seconds)
-        slope_rows, second = {}, {}
+        level_rows = {n: row(level) for n, level in _picked(_level_rows(cosines), levels)}
+        slopes, seconds, slope_rows, second = set(slopes), set(seconds), {}, {}
         if slopes or seconds:
-            for k, (_, slope, *higher) in _u_rows(cosines, 3 if seconds else 1, slopes | seconds):
+            factors = _g2_factors(cosines, self.sin_sq) if seconds else ()
+            for k, (slope, *higher) in _u_rows(cosines, 3 if seconds else 1, slopes | seconds):
                 if k in slopes:
                     slope_rows[k] = row(slope)
                 if k in seconds:
-                    second[k] = row(_second_derivative(cosines, self.sin_sq, slope, *higher))
+                    second[k] = row(_second_derivative(factors, slope, *higher))
         return level_rows, slope_rows, second
 
     def _hold(self, levels, modes, seconds) -> None:

@@ -106,17 +106,16 @@ def f21_eval_exact(h: TerminatingHypergeometric, z):
                                 (z.numerator, z.denominator)))
 
 
-def _jacobi_rows(a: float, beta: float, zs):
+def _jacobi_rows(a: float, beta: float, xs):
     """The rows R_0, R_1, R_2, ... of the normalized Jacobi recurrence at
-    every z of `zs`, one list per degree, keeping only the last two: a step
-    reads its two rows' floats, and those of the row x = 1 - 2z, a list
-    too, without boxing them again.  A row is shared and must not be
-    changed; a holder that keeps rows copies them into arrays, which take a
-    quarter of the memory.
+    every x of the list `xs`, one list per degree, keeping only the last
+    two: a step reads its two rows' floats, and those of xs, without boxing
+    them again.  A row is shared and must not be changed; a holder that
+    keeps rows copies them into arrays, which take a quarter of the memory.
 
-    R_n = P_n^(a,beta)(x) / P_n^(a,beta)(1) with x = 1 - 2z (DLMF 15.9.1),
-    R_0 = 1, R_1 = 1 - (a+beta+2) z/(a+1), and with s = 2j + a + beta
-    (DLMF 18.9.2)
+    R_n = P_n^(a,beta)(x) / P_n^(a,beta)(1) is 2F1(-n, n+a+beta+1; a+1; z)
+    at x = 1 - 2z (DLMF 15.9.1), R_0 = 1, R_1 = 1 - (a+beta+2)(1-x)/(2a+2),
+    and with s = 2j + a + beta (DLMF 18.9.2)
 
         2(j+a)(j+a+beta)(s-2) R_j
             = (s-1)[s(s-2)x + a^2 - beta^2] R_{j-1} - 2(j-1)(j+beta-1)s R_{j-2}.
@@ -128,18 +127,16 @@ def _jacobi_rows(a: float, beta: float, zs):
         R_j = (slope x + shift) R_{j-1} - back R_{j-2}.
 
     back is 2(j-1)(j+beta-1)s / den, but taking it as slope + shift - 1
-    (equal, since R_j(z=0) = 1) keeps R_j(z=0) = 1 exactly at every degree:
+    (equal, since R_j(x=1) = 1) keeps R_j(x=1) = 1 exactly at every degree:
     slope + shift = 1 + back with back > 0 for a, beta > -1, and subtracting
     1 from a float of at least 1/2 is exact.  On the Gegenbauer ladder
     a = beta, shift is 0, R_1 is the row x itself and an element costs
     slope x R_{j-1} - back R_{j-2}, the same float as the general step; the
     sweep picks that form once.  There back = slope - 1 exactly, so
-    R_j(z=1) = (-1)^j exactly too.
+    R_j(x=-1) = (-1)^j exactly too.
     """
-    ab = a + beta
-    xs = [1.0 - 2.0 * z for z in zs]
-    diff_sq = a * a - beta * beta
-    r_prev = [1.0] * len(zs)
+    ab, diff_sq = a + beta, a * a - beta * beta
+    r_prev = [1.0] * len(xs)
     yield r_prev
     if a == beta:
         r = xs
@@ -147,7 +144,7 @@ def _jacobi_rows(a: float, beta: float, zs):
         def step(slope, shift, back, rs, r_prevs):
             return [slope * x * v - back * w for x, v, w in zip(xs, rs, r_prevs)]
     else:
-        r = [1.0 - (ab + 2.0) * z / (a + 1.0) for z in zs]
+        r = [1.0 - (ab + 2.0) * (1.0 - x) / (2.0 * a + 2.0) for x in xs]
 
         def step(slope, shift, back, rs, r_prevs):
             return [(slope * x + shift) * v - back * w for x, v, w in zip(xs, rs, r_prevs)]
@@ -175,7 +172,7 @@ def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
     beta = float(h.b - h.n - h.c)
     if not (a > -1.0 and beta > -1.0):
         raise ParameterError(f"float path needs c - 1 > -1 and b - n - c > -1, got {a}, {beta}")
-    return next(islice(_jacobi_rows(a, beta, [float(z)]), h.n, None))[0]
+    return next(islice(_jacobi_rows(a, beta, [1.0 - 2.0 * float(z)]), h.n, None))[0]
 
 
 def f21_derivative(h: TerminatingHypergeometric) -> tuple:

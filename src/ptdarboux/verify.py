@@ -18,7 +18,7 @@ from contextvars import ContextVar
 from functools import lru_cache
 from types import MappingProxyType, SimpleNamespace
 
-from . import closed_form, hypergeom
+from . import closed_form
 from .closed_form import IDENTITY_FAMILIES, WALL_MARGIN, TrigEigenfunction
 from .errors import EvaluationError, ParameterError
 from .hypergeom import midpoint_vanishing
@@ -226,24 +226,25 @@ def _mode_sums(order: int, panels: int, ks) -> dict:
 
 def _level_sums(order: int, panels: int, ns) -> dict:
     """{n: D and M of l_n} for each n of `ns`: the level l_n = sin^2 cos^2(t/2)
-    F_n on the t rule, from one level sweep to the largest n; no level row
-    is kept."""
+    F_n on the t rule, from one level sweep to the largest n at the rule's
+    cos t row; no level row is kept."""
     nodes = _nodes(0.0, math.pi, order, panels)
     factor = list(map(operator.mul, *closed_form._bound_factors(nodes[0])))
+    levels = closed_form._level_rows(list(map(math.cos, nodes[0])))
     return {n: _moment_sums(nodes, list(map(operator.mul, factor, level)))
-            for n, level in closed_form._picked(closed_form._level_rows(nodes[0]), ns)}
+            for n, level in closed_form._picked(levels, ns)}
 
 
 def _z_level_sums(order: int, panels: int, ns) -> dict:
     """{n: sum} for each n of `ns`: the z-form rule's sum of its integrand
     weight * F_n^2(z) (check_hypergeom_norm), from one level sweep to the
-    largest n."""
+    largest n at its row 1 - 2z."""
     nodes = _nodes(0.0, 1.0, order, panels)
-    zs = [u * u * (3.0 - 2.0 * u) for u in nodes[0]]
+    xs = [1.0 - 2.0 * (u * u * (3.0 - 2.0 * u)) for u in nodes[0]]
     weights = [6.0 * ((u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5)
                for u in nodes[0]]
     return {n: _weighted_sum([w * f * f for w, f in zip(weights, level)], nodes)
-            for n, level in closed_form._picked(hypergeom._jacobi_rows(1.5, 1.5, zs), ns)}
+            for n, level in closed_form._picked(closed_form._level_rows(xs), ns)}
 
 
 # The running suite's tables (_plan) under (builder, *its arguments but the

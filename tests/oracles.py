@@ -6,11 +6,15 @@ those rows must equal, kept here so that a bulk reference loop in a test
 costs one scalar call per point.  legendre_rule is the Gauss-Legendre rule
 built with the recurrence's integer coefficients, sturm_count_decimal is
 verify's Sturm count at 60 digits, bracket_decimal is a partner mode's
-bracket and its g'' at 60 digits, identity_pairs zips the two sides of an
-identity family into (left, right) pairs, and json_safe is the payload whose
-json.dumps the CLI's JSON writer must reproduce.
+bracket and its g'' at 60 digits, chebyshev_u_exact is U_j and its
+argument derivatives in exact rational arithmetic, identity_pairs zips the
+two sides of an identity family into (left, right) pairs, json_safe is the
+payload whose json.dumps the CLI's JSON writer must reproduce, and mutant
+is a package function with one deliberate defect, which a check must catch.
 """
+import inspect
 import math
+import textwrap
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -44,19 +48,25 @@ def pochhammer(a, n: int) -> Fraction:
 
 
 def f21_real(h, z: float) -> float:
-    """2F1(-n, b; c; z) in floats by the normalized Jacobi recurrence in
-    degree (DLMF 15.9.1, 18.9.2) with a = c - 1, beta = b - n - c, swept at
-    one point in its folded step R_j = (slope x + shift) R_{j-1} - back
-    R_{j-2}, back = slope + shift - 1, and R_1 = x when a = beta, where
-    shift is 0; hypergeom.f21_eval_real and the level rows (closed_form.TGrid,
-    the z rule's level sums) must equal it bit for bit."""
+    """2F1(-n, b; c; z) in floats: jacobi_real at x = 1 - 2z, which
+    hypergeom.f21_eval_real and the z rule's level sums must equal bit for
+    bit."""
+    return jacobi_real(h, 1.0 - 2.0 * float(z))
+
+
+def jacobi_real(h, x: float) -> float:
+    """2F1(-n, b; c; z) at x = 1 - 2z in floats by the normalized Jacobi
+    recurrence in degree (DLMF 15.9.1, 18.9.2) with a = c - 1,
+    beta = b - n - c, swept at one point in its folded step R_j = (slope x +
+    shift) R_{j-1} - back R_{j-2}, back = slope + shift - 1, from R_1 = 1 -
+    (a+beta+2)(1-x) / (2a+2), which is x when a = beta, where shift is 0;
+    the level rows at x = cos t (closed_form.TGrid, the t rule's level sums)
+    must equal it bit for bit."""
     a = float(h.c - 1)
     beta = float(h.b - h.n - h.c)
     ab = a + beta
-    z = float(z)
-    x = 1.0 - 2.0 * z
     diff_sq = a * a - beta * beta
-    r_prev, r = 1.0, x if a == beta else 1.0 - (a + beta + 2.0) * z / (a + 1.0)
+    r_prev, r = 1.0, x if a == beta else 1.0 - (ab + 2.0) * (1.0 - x) / (2.0 * a + 2.0)
     for j in range(2, h.n + 1):
         s = 2 * j + ab
         den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
@@ -106,14 +116,36 @@ def chebyshev_u(k: int, c: float) -> float:
 
 
 def chebyshev_u_slope(k: int, c: float) -> float:
-    """U_k'(c), the argument derivative of U_k, by U_j' = U_{j-2}' + 2j U_{j-1},
-    swept beside U's own forward recurrence."""
+    """U_k'(c), the argument derivative of U_k, by U_j' = U_{j-2}' + 2j U_{j-1}
+    over the j of k's parity, reading the U of the other parity, which step
+    two degrees at a time, U_j = y U_{j-2} - U_{j-4} with y = (2c)^2 - 2:
+    the chains of closed_form._u_rows, which the rows U'_{k} must equal bit
+    for bit."""
     if k < 0:
         raise ParameterError("chebyshev_u_slope index must be nonnegative")
-    u_prev, u, du_prev, du = 0.0, 1.0, 0.0, 0.0  # U and U' at j = -1, 0
-    for j in range(1, k + 1):
-        u_prev, u, du_prev, du = u, 2.0 * c * u - u_prev, du, du_prev + 2.0 * j * u
+    y = 4.0 * c * c - 2.0
+    u_back, u = (-1.0, 1.0) if k % 2 else (0.0, 2.0 * c)  # U_-2, U_0 or U_-1, U_1
+    du = 0.0
+    for j in range(2 - k % 2, k + 1, 2):  # u is U_{j-1}
+        u_back, u, du = u, y * u - u_back, du + 2.0 * j * u
     return du
+
+
+def chebyshev_u_exact(top: int, c: float, depth: int) -> tuple[int, list[tuple]]:
+    """(den, rows): U_j(c) and its argument derivatives to the depth-th at
+    c (a float, taken exactly, c = m / den with den a power of 2), exactly,
+    each as the integer rows[j][d] = U_j^(d)(c) den^j, for j = 0..top.
+    They follow U_j = 2c U_{j-1} - U_{j-2} differentiated d times,
+    U_j^(d) = 2c U_{j-1}^(d) + 2d U_{j-1}^(d-1) - U_{j-2}^(d): another
+    recurrence than the package's, in exact rational arithmetic kept over
+    the one denominator den^j, so that no step reduces a fraction."""
+    m, den = c.as_integer_ratio()
+    rows = [(0,) * (depth + 1), (1,) + (0,) * depth]  # j = -1, 0
+    for _ in range(top):
+        back, last = rows[-2], rows[-1]
+        rows.append(tuple(2 * m * last[d] + (2 * d * den * last[d - 1] if d else 0)
+                          - den * den * back[d] for d in range(depth + 1)))
+    return den, rows[1:]
 
 
 def stable_bracket(k: int, t: float) -> float:
@@ -169,14 +201,22 @@ def identity_pairs(which: str, index: int, grid) -> list[tuple[float, float]]:
 
 def pt_eigen_hypergeom(cfg, p, n: int, amplitude: float, x: float) -> float:
     """Bound state amplitude sin^kappa(alpha x) cos^lam(alpha x)
-    2F1(-n, n + kappa + lam; kappa + 1/2; sin^2(alpha x)) of the PT well."""
+    2F1(-n, n + kappa + lam; kappa + 1/2; sin^2(alpha x)) of the PT well,
+    its 2F1 read at 1 - 2 sin^2(alpha x) = cos(2 alpha x) (jacobi_real)."""
     h = TerminatingHypergeometric(
         n, Fraction(p.kappa) + Fraction(p.lam) + n, Fraction(p.kappa) + Fraction(1, 2)
     )
     a = cfg.alpha
     s = math.sin(a * x)
     c = math.cos(a * x)
-    return amplitude * s**p.kappa * c**p.lam * f21_real(h, s * s)
+    factor = jacobi_real(h, math.cos(2.0 * a * x))
+    return amplitude * _power(s, p.kappa) * _power(c, p.lam) * factor
+
+
+def _power(v: float, e: float) -> float:
+    """v^e; an integral e as the product v * v * ... that the package forms,
+    which pow(v, 2.0) misses by an ulp for about one float in a thousand."""
+    return math.prod([v] * int(e)) if float(e).is_integer() else v ** e
 
 
 def integrate(profile, a: float, b: float, order: int, panels: int) -> float:
@@ -263,3 +303,15 @@ def json_safe(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
+
+
+def mutant(function, old: str, new: str):
+    """A copy of the package function `function` whose source has its one
+    `old` replaced by `new`, compiled in a copy of its module's namespace;
+    the caller puts it in place of the original (monkeypatch.setattr)."""
+    source = textwrap.dedent(inspect.getsource(function))
+    if source.count(old) != 1:
+        raise ValueError(f"{old!r} occurs {source.count(old)} times in {function.__name__}")
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]

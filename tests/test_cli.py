@@ -608,8 +608,8 @@ def test_a_check_that_raises_is_written_with_non_finite_values(monkeypatch, caps
     assert ",nan,nan,inf,inf,1e-08,false\n" in outputs["csv"]
     digests = {fmt: hashlib.sha256(out.encode("utf-8")).hexdigest() for fmt, out in outputs.items()}
     assert digests == {
-        "json": "35c7dc41312d2837e1d659214c5c9ea278e4c1f2d14f056b7a3b27dda4324d13",
-        "csv": "eca4191568391deb101589d3894effe71de72f62ebbcf869e2c8e49bc4217f54",
+        "json": "1991a57e89affc92ca26d10251ce0fd19c169e959aa4cf3377a4b61d07f55ab4",
+        "csv": "0ad50a2512e3ef43484f0faea8af8b1729bca74d43a9d764ccd7d515b3f43e1c",
     }
 
 

@@ -1,12 +1,11 @@
 """Stable closed forms, exact coefficients, and the polynomial identities."""
-import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from oracles import chebyshev_u_slope, chi, identity_pairs
-from ptdarboux import closed_form
+from oracles import chebyshev_u_exact, chebyshev_u_slope, chi, identity_pairs, mutant
+from ptdarboux import closed_form, verify
 from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.closed_form import (
     TGrid,
@@ -278,23 +277,37 @@ def test_a_spoiled_u_slope_step_fails_every_identity_family(monkeypatch):
     # the identities' right sides are -4 C_n U'_{n+1}: a U' step whose
     # 2j U_{j-1} is (2 + 1e-7) j U_{j-1} moves them by about 5e-8, far past
     # the default tolerance 1e-9, in every family and at every index tried
-    def spoiled_u_rows(cosines, depth, ks):
-        two_cos = [2.0 * c for c in cosines]
-        zeros = [0.0] * len(two_cos)
-        before, rows = [zeros] * (depth + 1), [[1.0] * len(two_cos)] + [zeros] * depth
-        for j in range(1, max(ks)):
-            rows, before = [[tc * v - w for tc, v, w in zip(two_cos, rows[0], before[0])]] + [
-                [w + (2.0 + 1e-7 * (d == 1)) * j * v for w, v in zip(low, prev)]
-                for d, low, prev in zip(itertools.count(1), before[1:], rows)], rows
-            if j + 1 in ks:
-                yield j + 1, rows
-
     families = [("base", 0), ("base", 9), ("even", 0), ("even", 4), ("odd", 0), ("odd", 30)]
     assert all(check_identity(which, index).passed for which, index in families)
-    monkeypatch.setattr(closed_form, "_u_rows", spoiled_u_rows)
+    monkeypatch.setattr(closed_form, "_u_rows",
+                        mutant(closed_form._u_rows, "2.0 * j", "(2.0 + 1e-7) * j"))
     for which, index in families:
         result = check_identity(which, index)
         assert not result.passed and result.computed > 1e-8, (which, index, result.computed)
+
+
+def test_u_rows_track_exact_values_on_the_interior_grid():
+    # one depth-3 sweep to k = 63 at every cos t of the suite's interior
+    # grid and at c = 1 and -1, against exact rational values at the same
+    # floats, as a share of max|U_{k-1}^(d)| over [-1, 1] (its value at
+    # c = 1): measured worst 1.56e-14 (U'_61, the third grid point), and
+    # 9.5e-15 where t is over 0.03 from a wall: next to one, y = (2c)^2 - 2
+    # carries up to 2.2e-16 of rounding, which the rows read in y amplify
+    # most.  At c = 1 and -1 every value is an integer and exact
+    cosines = [math.cos(t) for t in verify._interior_ts()] + [1.0, -1.0]
+    exact = [chebyshev_u_exact(62, c, 3) for c in cosines]
+    (_, at_one), (_, at_minus_one) = exact[-2:]
+    worst = 0.0
+    for k, rows in closed_form._u_rows(cosines, 3, range(2, 64)):
+        for d, row in enumerate(rows, 1):
+            assert row[-2:] == [at_one[k - 1][d], at_minus_one[k - 1][d]], (k, d)
+            scale = abs(at_one[k - 1][d])
+            for (den, values), value in zip(exact, row):
+                num, pow2 = value.as_integer_ratio()
+                dens = pow2 * den ** (k - 1)
+                error = abs(num * den ** (k - 1) - values[k - 1][d] * pow2) / dens
+                worst = max(worst, error / scale if scale else error)
+    assert worst <= 2e-14
 
 
 def test_coefficient_closed_form_to_degree_cap():

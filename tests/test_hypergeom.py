@@ -133,7 +133,8 @@ def test_real_tracks_exact_in_cancellation_regime():
 def test_real_path_equals_the_scalar_oracle():
     # f21_eval_real is one point of the _jacobi_rows sweep; it keeps the bits
     # of the scalar Jacobi loop (tests/oracles.py) at every degree the
-    # accuracy tests reach, and off the Gegenbauer ladder
+    # accuracy tests reach, and off the Gegenbauer ladder, also at a z
+    # whose 1 - 2z rounds (0.013), from which F_1 is formed
     zs = (0.0, 0.013, 0.25, 0.5, 0.77, 0.999, 1.0, Fraction(1, 3))
     for n in range(161):
         for h in _ladders(n):
@@ -145,7 +146,8 @@ def test_real_path_equals_the_scalar_oracle():
         b = n + c - 1 + Fraction(rng.randint(1, 80), rng.randint(1, 8))  # beta > -1
         h = TerminatingHypergeometric(n, b, c)
         z = rng.uniform(-0.5, 1.5)
-        assert f21_eval_real(h, z) == f21_real(h, z), (h, z)
+        for z in (z, 0.013):
+            assert f21_eval_real(h, z) == f21_real(h, z), (h, z)
 
 
 def test_real_tracks_exact_off_the_ladder():
@@ -187,11 +189,11 @@ def test_ladder_rows_track_the_exact_path_to_a_few_ulps():
     # measured 9.3e-15 (c = 5/2) and 9.8e-15 (c = 7/2), above the bound at
     # 24 and 22 of these 41 degrees.  F(1 - z) = (-1)^n F(z) on a ladder, so
     # the exact values at k > 128 mirror those below.
-    zs = [k / 256 for k in range(257)]
+    xs = [1.0 - k / 128 for k in range(257)]  # x = 1 - 2z, exact
     worst = 0.0
     for c in (Fraction(5, 2), Fraction(7, 2)):
         a = float(c) - 1.0
-        for n, row in zip(range(0, 161, 4), islice(_jacobi_rows(a, a, zs), 0, 161, 4)):
+        for n, row in zip(range(0, 161, 4), islice(_jacobi_rows(a, a, xs), 0, 161, 4)):
             h = TerminatingHypergeometric(n, n + 2 * c - 1, c)
             exact = [float(f21_eval_exact(h, Fraction(k, 256))) for k in range(129)]
             exact += [(-1) ** n * value for value in reversed(exact[:128])]

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from oracles import (bracket_decimal, chi, f21_real, identity_pairs, pt_eigen_hypergeom,
+from oracles import (bracket_decimal, chi, identity_pairs, jacobi_real, pt_eigen_hypergeom,
                      stable_bracket)
 from ptdarboux import closed_form, hypergeom, verify
 from ptdarboux.cli import MAX_DEGREE
@@ -20,9 +20,9 @@ def _factor(n):
     return TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2))
 
 
-def _half_angle_sq(ts):
-    # z = sin^2(t/2), formed as the level rows form it
-    return [s * s for s in (math.sin(0.5 * t) for t in ts)]
+def _cosines(ts):
+    # x = 1 - 2 sin^2(t/2) = cos t, the row a TGrid's level rows read
+    return [math.cos(t) for t in ts]
 
 
 def _held_grid(ts, levels=(), modes=(), seconds=()):
@@ -33,31 +33,33 @@ def _held_grid(ts, levels=(), modes=(), seconds=()):
 
 
 def _suite_level_rows():
-    # the z rows the suite sweeps, each with its level-row table: sin^2(t/2)
-    # at the t quadrature nodes (the x form) and on the interior grid in t,
-    # each read through a TGrid holding every level, and the z-form nodes at
-    # the default rule, read from the ladder the z rule sweeps
+    # the x = 1 - 2z rows the suite sweeps, each with its level-row table:
+    # cos t at the t quadrature nodes (the x form) and on the interior grid
+    # in t, each read through a TGrid holding every level, and 1 - 2z at the
+    # z-form nodes of the default rule, read from the ladder the z rule sweeps
     levels = range(MAX_DEGREE + 1)
     t_nodes, t_grid = verify._nodes(0.0, math.pi, 64, 32)[0], verify._interior_grid().ts
-    z_nodes = [u * u * (3.0 - 2.0 * u) for u in verify._nodes(0.0, 1.0, 64, 32)[0]]
-    z_rows = dict(closed_form._picked(hypergeom._jacobi_rows(1.5, 1.5, z_nodes), levels))
+    z_nodes = [1.0 - 2.0 * (u * u * (3.0 - 2.0 * u)) for u in verify._nodes(0.0, 1.0, 64, 32)[0]]
+    z_rows = dict(closed_form._picked(closed_form._level_rows(z_nodes), levels))
     return {
-        "x nodes": (_half_angle_sq(t_nodes), _held_grid(t_nodes, levels).level),
+        "x nodes": (_cosines(t_nodes), _held_grid(t_nodes, levels).level),
         "z nodes": (z_nodes, z_rows.__getitem__),
-        "t grid": (_half_angle_sq(t_grid), _held_grid(t_grid, levels).level),
+        "t grid": (_cosines(t_grid), _held_grid(t_grid, levels).level),
     }
 
 
 def test_level_rows_equal_f21_eval_real_bitwise_to_the_degree_cap():
-    # every level to MAX_DEGREE; the 2,048-node quadrature rows are checked
-    # at every fourth node to keep the scalar reference affordable
-    for name, (zs, level) in _suite_level_rows().items():
+    # every level to MAX_DEGREE against the scalar Jacobi loop at the row's
+    # own x (at the z nodes, f21_eval_real's bits); the 2,048-node
+    # quadrature rows are checked at every fourth node to keep the scalar
+    # reference affordable
+    for name, (xs, level) in _suite_level_rows().items():
         stride = 1 if name == "t grid" else 4
         for n in range(MAX_DEGREE + 1):
             row = level(n)
             h = _factor(n)
-            mismatches = [z for z, f in zip(zs[::stride], row[::stride])
-                          if f != f21_real(h, z)]
+            mismatches = [x for x, f in zip(xs[::stride], row[::stride])
+                          if f != jacobi_real(h, x)]
             assert not mismatches, (name, n, mismatches[:3])
 
 
@@ -71,7 +73,7 @@ def test_level_table_out_of_order_access_gives_the_same_bits():
     assert grid.level(30) is grid.level(30)
     assert first == list(TGrid(ts).level(30))
     assert low == list(TGrid(ts).level(5))
-    assert low == [f21_real(_factor(5), z) for z in _half_angle_sq(ts)]
+    assert low == [jacobi_real(_factor(5), x) for x in _cosines(ts)]
     for bad in (grid, TGrid(ts)):
         with pytest.raises(ParameterError, match="got -1"):  # never Python's negative indexing
             bad.level(-1)
@@ -148,8 +150,8 @@ def test_bracket_and_second_derivative_rows_keep_their_relative_accuracy_to_the_
     # every k to the degree cap's k = 62, both rows keep their relative
     # accuracy at t from 1e-3 (the interior grid's margin) to 1/k, where
     # the mode has no zero yet, and at pi - t, and on every 25th point of the
-    # interior grid relative to the row's largest value (measured: 3.8e-14
-    # and 7.3e-14 at worst, both at k = 62).  The difference k cos(kt) -
+    # interior grid relative to the row's largest value (measured: 4.7e-14
+    # at k = 61 and 1.2e-13 at k = 62 at worst).  The difference k cos(kt) -
     # cos(t) U_{k-1}(cos t) loses about 3u / (k t)^2 near the walls: 7.3e-11
     # at k = 2, t = 1e-3
     ks = range(2, MAX_DEGREE + 3)

@@ -26,6 +26,8 @@ from oracles import (
     fsum_partials,
     integrate,
     integrate_product,
+    jacobi_real,
+    mutant,
     pt_eigen_hypergeom,
     sturm_count_decimal,
 )
@@ -396,14 +398,14 @@ def _per_point_rows(n_max):
     step = (math.pi - 2e-3) / 999
     t_grid = [1e-3 + i * step for i in range(1000)]
     for n in range(n_max + 1):
-        f = partial(f21_real, TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2)))
+        h = TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2))
 
         def level(x):
             s, c = math.sin(x), math.cos(x)
-            return s ** 2.0 * c ** 2.0 * f(s * s)
+            return (s * s) * (c * c) * jacobi_real(h, math.cos(2.0 * x))
 
         def z_form(u):
-            v = f(u * u * (3.0 - 2.0 * u))
+            v = f21_real(h, u * u * (3.0 - 2.0 * u))
             w = (u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5
             return 6.0 * w * v * v
 
@@ -431,9 +433,8 @@ def _per_point_rows(n_max):
         h = TerminatingHypergeometric(n, Fraction(n + 4), Fraction(5, 2))
         pairs = []
         for t in t_grid:
-            s_half = math.sin(0.5 * t)
-            pairs.append((f21_real(h, s_half * s_half) / den,
-                          -pref * chebyshev_u_slope(n + 1, math.cos(t))))
+            c = math.cos(t)
+            pairs.append((jacobi_real(h, c) / den, -pref * chebyshev_u_slope(n + 1, c)))
         scale = max(abs(lhs) for lhs, _ in pairs)
         name = {"base": "identity (base) n=", "even": "identity (even ratio) m=",
                 "odd": "identity (odd ratio) m="}[which] + str(index)
@@ -449,6 +450,27 @@ def test_suite_level_rows_equal_their_per_point_forms():
     assert len(expected) == 7 * 5 + 8
     for name, value in expected.items():
         assert computed[name] == value, name
+
+
+@pytest.mark.parametrize("module, name, old, new", [
+    (hypergeom, "_jacobi_rows", "(s - 1.0) * (s * (s - 2.0)) / den,",
+     "(s - 1.0) * (s * (s - 2.0)) / den * (1 + 1e-9),"),
+    (closed_form, "_u_rows", "4.0 * c * c - 2.0 for", "(4.0 * c * c - 2.0) * (1 + 1e-9) for"),
+    (closed_form, "_u_rows", "2.0 * j", "(2.0 + 1e-7) * j"),
+], ids=["level-slope", "u-step-y", "u-derivative-2j"])
+def test_identity_rows_catch_a_defect_in_either_recurrence(monkeypatch, module, name, old, new):
+    # both sides of an identity read the interior grid's one cos t row, so
+    # its rows still set the level recurrence against the U recurrence: a
+    # level step's slope 1e-9 off, a U step's y 1e-9 off, or a derivative
+    # step's 2j taken as (2 + 1e-7) j, each fails identity rows at the
+    # default tolerance 1e-9 (19, 15 and all 23 of them at n_max = 10)
+    def failed_identities():
+        return [c.name for c in run_full_suite(n_max=10).checks
+                if c.name.startswith("identity") and not c.passed]
+
+    assert failed_identities() == []
+    monkeypatch.setattr(module, name, mutant(getattr(module, name), old, new))
+    assert len(failed_identities()) >= 15
 
 
 def test_suite_sweeps_instead_of_evaluating_point_by_point(monkeypatch):
@@ -595,10 +617,10 @@ def test_a_non_finite_row_value_is_found_from_its_sums(monkeypatch, spoil):
     bracket_rows, jacobi_rows = closed_form._bracket_rows, hypergeom._jacobi_rows
     monkeypatch.setattr(closed_form, "_bracket_rows", lambda ts, ks: (
         (k, _spoil(row, spoil) if k == 3 else row) for k, row in bracket_rows(ts, ks)))
-    # level 2 of every level sweep: the t rule's (closed_form._level_rows)
-    # and the z rule's
-    monkeypatch.setattr(hypergeom, "_jacobi_rows", lambda a, beta, zs: (
-        _spoil(row, spoil) if n == 2 else row for n, row in enumerate(jacobi_rows(a, beta, zs))))
+    # level 2 of every level sweep (closed_form._level_rows): the t rule's,
+    # at its cos t row, and the z rule's, at its row 1 - 2z
+    monkeypatch.setattr(hypergeom, "_jacobi_rows", lambda a, beta, xs: (
+        _spoil(row, spoil) if n == 2 else row for n, row in enumerate(jacobi_rows(a, beta, xs))))
     for check, value, x in ((partial(check_trig_norm, 3), first, t_x),
                             (partial(check_hypergeom_norm, 2, "x"), first, t_x),
                             (partial(check_hypergeom_norm, 2, "z"), abs(first), u_x)):
@@ -759,7 +781,8 @@ def test_a_lone_norm_check_builds_only_its_own_row(monkeypatch):
 def _count_brackets(monkeypatch):
     # the (k, row length) of every bracket row built and the row length of
     # every U sweep started; a bracket's k is that of the sweep row U'_{k-1}
-    # it is built from, or of which it reads a kept copy
+    # (the first row a sweep yields) it is built from, or of which it reads
+    # a kept copy
     brackets, sweeps, swept = [], [], []
     bracket, u_rows = closed_form._bracket, closed_form._u_rows
 
@@ -772,7 +795,7 @@ def _count_brackets(monkeypatch):
         cosines = list(cosines)
         sweeps.append(len(cosines))
         for k, rows in u_rows(cosines, depth, ks):
-            swept.append((rows[1], k))
+            swept.append((rows[0], k))
             yield k, rows
 
     monkeypatch.setattr(closed_form, "_bracket", counted_bracket)
@@ -854,11 +877,11 @@ def test_suite_weighs_each_row_once(monkeypatch):
 
 def test_each_grid_and_rule_starts_one_u_recurrence(monkeypatch):
     # the t rule's mode sweep and the interior grid each start one U sweep
-    # (_u_rows), which carries every derivative its rows read: U' for the
-    # t rule's brackets, and to the third derivative for the grid's g''
-    # rows.  The grid's sweep runs to the last bracket (k = 33), past the
-    # last g'' (k = 30).  A chi_derivatives call starts one sweep, to the
-    # third derivative, and reads its own k from it
+    # (_u_rows), which yields every derivative its rows read and not U
+    # itself: U' for the t rule's brackets, and U' to the third derivative
+    # for the grid's g'' rows.  The grid's sweep runs to the last bracket
+    # (k = 33), past the last g'' (k = 30).  A chi_derivatives call starts
+    # one sweep, to the third derivative, and reads its own k from it
     starts, swept = [], []
     u_rows = closed_form._u_rows
 
@@ -876,10 +899,12 @@ def test_each_grid_and_rule_starts_one_u_recurrence(monkeypatch):
         assert sorted(starts) == [(verify.INTERIOR_POINTS, 3),
                                   (verify.QUAD_ORDER * verify.PANELS, 1)]
         interior = [rows for rows in swept if len(rows[0]) == verify.INTERIOR_POINTS]
-        assert len(interior) == 32  # U_1..U_32, for k = 2..33
+        assert len(interior) == 32  # U'_1..U'_32, for k = 2..33
+        assert {len(rows) for rows in interior} == {3}
+        assert {len(rows) for rows in swept} == {1, 3}
         del starts[:], swept[:]
         closed_form.chi_derivatives(TrigEigenfunction(9, 1.0), 0.7)
-        assert starts == [(1, 3)] and len(swept) == 1
+        assert starts == [(1, 3)] and [len(rows) for rows in swept] == [3]
     finally:
         _clear_node_set_caches()
 
