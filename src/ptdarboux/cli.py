@@ -45,17 +45,18 @@ MAX_QUAD_ORDER = 1024
 MAX_PANELS = 1024
 # The work of a quadrature check grows with panels times order, so their
 # product is capped too: verify --n-max 60 --panels 1024 takes about 6.4 s and
-# peaks at 79 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode
+# peaks at 77 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode
 # rows of the suite's table (verify._mode_sums, arrays) and about 2 MB each
 # list of a new float per node: the rule's abscissae, the rows a sweep reads at
 # every node, the one weighted row a sum holds (verify._weigh) and each
 # working row of a sweep.
 MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
 # spectrum --count 10 (2 certifying Sturm counts per mode over one
-# 50,000-row mirror block of the matrix, at each mode's asymptotic
-# eigenvalue: the gate admits all 10 modes from 23,847 points up): 0.042 s
-# in process.  Below that, count bisection costs most at 3,000-5,000 points
-# (10 modes at 3,000 points: 88 counts of 1,500 rows, 0.005 s).
+# 50,000-row mirror block of the matrix: from 16,863 points up every mode's
+# start bracket about its asymptotic eigenvalue is already as narrow as the
+# bisection's stop): 0.042 s in process.  Below that, count bisection costs
+# most at 3,000-5,000 points (10 modes at 3,000 points: 88 counts of 1,500
+# rows, 0.005 s).
 MAX_GRID_POINTS = 100_000
 # tabulate --n 60: 0.08-0.09 s, peaking at 21 MB resident (VmHWM) in CSV and 27 MB
 # in JSON: it builds one level row and one bracket row, arrays, while its two

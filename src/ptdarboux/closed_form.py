@@ -104,6 +104,7 @@ def _u_rows(cosines, depth, ks):
     rows = dict.fromkeys(last, [0.0] * size)  # U^(d)_0 = U^(d)_-1 = 0 for d >= 1
     back = [[-1.0] * size, [0.0] * size]  # U_-2, U_-1 before U_0, U_1 (where odd U starts)
     rows[0, 0], rows[0, 1] = [1.0] * size, [2.0 * c for c in cosines] if (0, 1) in last else []
+    del cosines  # only y and U_1 read it: a caller's fresh list is freed here
     for j in range(1, max(keep, default=1)):
         p, twice = j % 2, 2.0 * j
         for d in (d for d in range(depth + 1) if last.get((d, p), -1) >= j):

@@ -71,7 +71,7 @@ def _tolerance(name: str, value: float | None) -> float:
     value = float(value)
     if not (0.0 <= value < math.inf):
         raise ParameterError(f"tolerance {name!r} must be finite and >= 0, got {value}")
-    return value
+    return abs(value)  # -0.0 is reported as 0.0
 
 
 def resolve_tolerances(overrides: dict | None = None) -> dict:
@@ -501,10 +501,9 @@ def _sturm_count(w0: float, rest: list, shift: float, factor: float, mu: float) 
     return negatives + (u <= -1.0)
 
 
-# The half-width of an admitted mode's certified bracket, relative to its
-# centre, and the width, relative to its upper end, to which every other mode's
-# bracket is bisected, which puts its centre within _HALF_WIDTH / 2 of the
-# eigenvalue.
+# The width, relative to its upper end, to which every mode's bracket is
+# bisected (_settle), which puts its centre within _HALF_WIDTH / 2 of the
+# eigenvalue; a start bracket at most this wide is settled by its two counts.
 _HALF_WIDTH = 4.9e-14
 
 # The wall layer of the half-offset grid: v = x^2 + _WALL_BETA s solves
@@ -525,9 +524,9 @@ def _block_mode(mode: int) -> tuple[int, int]:
 
 
 def _settle(block: tuple, place: int, lo: float, up: float,
-            top: float) -> tuple[float, float, float]:
+            top: float) -> tuple[float, float]:
     """The block's place-th eigenvalue from the start bracket (lo, up], by
-    Sturm counts alone, as (lo, estimate, up) with count(lo) < place <=
+    Sturm counts alone, as the bracket (lo, up) with count(lo) < place <=
     count(up) (Barth, Martin & Wilkinson 1967).
 
     The start is clamped to [0, top]; one with nothing left between its ends
@@ -538,8 +537,9 @@ def _settle(block: tuple, place: int, lo: float, up: float,
     up counts fewer, the bracket moves above up the same way until its upper
     end counts place; at the top, where only held < place lie below, it
     raises EvaluationError(held).  Bisection then narrows the bracket to
-    _HALF_WIDTH of its upper end, and its centre is within _HALF_WIDTH / 2
-    of the eigenvalue.  So the start sets only the cost.
+    _HALF_WIDTH of its upper end, so its centre is within _HALF_WIDTH / 2 of
+    the eigenvalue, and a start that narrow takes only its two counts.  So
+    the start sets only the cost.
     """
     lo, up = max(0.0, lo), min(top, up)
     if not lo < up:
@@ -560,15 +560,7 @@ def _settle(block: tuple, place: int, lo: float, up: float,
             lo = mid
         else:
             up = mid
-    return lo, 0.5 * (lo + up), up
-
-
-def _admits(k: int, h: float) -> bool:
-    """Whether mode k^2's _asymptotic value is offered first: the free
-    particle's next term, (k h)^4 k^2 / 360, bounds every remainder
-    measured, and here it is at most a quarter of the certifying bracket's
-    half-width."""
-    return (k * h) ** 4 / 360.0 <= _HALF_WIDTH / 4
+    return lo, up
 
 
 def _asymptotic(k: int, h: float) -> float:
@@ -594,18 +586,16 @@ def _asymptotic(k: int, h: float) -> float:
 
 def _sturm_grid(grid_points: int, count: int, top: float) -> tuple[float, list]:
     """The grid's Sturm work for the lowest `count` modes: h^2 and each
-    mode's (lo, estimate, up), in units of h^2 (_fd_matrix).
+    mode's bracket (lo, up), in units of h^2 (_fd_matrix).
 
-    Each mode i (from 1), k = i + 1, starts at its _asymptotic value mu.  One
-    that _admits it is bracketed at mu (1 -/+ _HALF_WIDTH), and when its two
-    counts certify that bracket, mu is the estimate.  Every other mode, and
-    an admitted one whose counts disagree, is _settle's from the one-sided
-    bracket (mu, mu (1 + r)], r = max(_HALF_WIDTH - 2^-52, (k h)^4 / 360),
-    inside [0, top] (top h^2 here): at the narrowest r, a rounding under
-    _HALF_WIDTH, the start already meets _settle's stop, and its two counts
-    settle it.  On 13 grids of 100-20,000 points, mu lay below the
-    eigenvalue for all 118 modes the gate does not admit, by 0.20-0.73 of
-    (k h)^4 / 360.
+    Each mode i (from 1), k = i + 1, is _settle's from one start bracket,
+    inside [0, top] (top h^2 here), about its _asymptotic value mu.  On 13
+    grids of 100-20,000 points the eigenvalue lay above mu by 0.20-0.73 of r
+    = (k h)^4 / 360, so the start is centred on mu (1 + r / 2) and w =
+    max(_HALF_WIDTH, r) / 2 - 2^-51 wide on each side.  Where r is at most
+    _HALF_WIDTH, it already meets _settle's stop (the 2^-51 absorbs the
+    roundings of its ends), and its two counts settle it; elsewhere it is
+    the one-sided (mu, mu (1 + r)], to a rounding.
     """
     h = math.pi / grid_points
     h2 = h ** 2
@@ -614,15 +604,11 @@ def _sturm_grid(grid_points: int, count: int, top: float) -> tuple[float, list]:
     for mode in range(1, count + 1):
         block, place = _block_mode(mode)
         k = mode + 1
-        mu = _asymptotic(k, h)
-        if _admits(k, h):
-            lo, up = mu * (1.0 - _HALF_WIDTH), mu * (1.0 + _HALF_WIDTH)
-            if _sturm_count(*blocks[block], lo) < place <= _sturm_count(*blocks[block], up):
-                modes.append((lo, mu, up))
-                continue
+        mu, r = _asymptotic(k, h), (k * h) ** 4 / 360.0
+        w = max(_HALF_WIDTH, r) / 2.0 - 2.0 ** -51
         try:
-            r = max(_HALF_WIDTH - 2.0 ** -52, (k * h) ** 4 / 360.0)
-            modes.append(_settle(blocks[block], place, mu, mu * (1.0 + r), top * h2))
+            modes.append(_settle(blocks[block], place, mu * (1.0 + r / 2.0 - w),
+                                 mu * (1.0 + r / 2.0 + w), top * h2))
         except EvaluationError as short:
             raise EvaluationError(f"block {block} of the {grid_points}-point grid holds "
                                   f"{short.args[0]} of its {(count + 1 - block) // 2} modes "
@@ -652,17 +638,16 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
 
     Every mode is certified by Sturm counts alone, which prove that a
     bracket (lo, up] holds exactly that mode (Barth, Martin & Wilkinson
-    1967).  Each mode i (from 0), k = i + 2, starts at the grid eigenvalue's
-    three-term expansion in h (_asymptotic) about its continuum one, k^2, at
-    most 2.7e-5 below the grid's (mode 9 at 100 points).  Where (k h)^4 / 360
-    is at most _HALF_WIDTH / 4, its remainder is under 1e-14: two counts
-    certify the bracket of relative half-width 4.9e-14 centred on it, and it
-    is the result.  Every other mode is bisected by counts from the bracket
-    (mu, mu (1 + r)] above its start mu, r = max(4.9e-14, (k h)^4 / 360), to
-    a width of 4.9e-14 of its upper end, and the result is its centre,
-    within 2.45e-14 of the eigenvalue, relative (_settle).  At 40,000 points and 10
-    modes that is 20 counts of 20,000 rows; at 4,000 points and 3 modes, 11
-    counts of 2,000 rows.
+    1967).  Each mode i (from 0), k = i + 2, starts at mu, the grid
+    eigenvalue's three-term expansion in h (_asymptotic) about its continuum
+    one, k^2, at most 2.7e-5 below the grid's (mode 9 at 100 points).  It is
+    bisected by counts from one start bracket (_sturm_grid), centred on
+    mu (1 + r / 2), r = (k h)^4 / 360, and max(4.9e-14, r) wide less a
+    rounding, to a width of 4.9e-14 of its upper end, and the result is its
+    centre, within 2.45e-14 of the eigenvalue, relative (_settle).  Where r
+    is at most 4.9e-14 the start is that narrow already, and its two counts
+    settle the mode.  At 40,000 points and 10 modes that is 20 counts of 20,000 rows;
+    at 4,000 points and 3 modes, 10 counts of 2,000 rows.
 
     An alpha whose 4 alpha^2 is not a positive normal float is rejected: an
     underflowed scale would return zeros that match underflowed exact
@@ -681,7 +666,7 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     if not math.isfinite(scale * top):  # checked before any sweep
         raise ParameterError(f"4 alpha^2 = {scale} times the bracket top {top} overflows")
     h2, modes = _sturm_grid(grid_points, count, top)
-    return [scale * (mu / h2) for _, mu, _ in modes]
+    return [scale * (0.5 * (lo + up) / h2) for lo, up in modes]
 
 
 def check_fd_spectrum(

@@ -1,29 +1,25 @@
 """fd_spectrum's certificates on seeded random grids.
 
-Each mode of verify.fd_spectrum starts at its asymptotic grid eigenvalue mu
-(verify._asymptotic) and is settled by Sturm counts alone.  A mode whose k h
-the gate admits (verify._admits) is certified by two counts of the bracket
-mu (1 -/+ verify._HALF_WIDTH), and mu is its value.  Every other mode is
-bisected by counts (verify._settle) from the one-sided start bracket (mu,
-mu (1 + r)], r = max(_HALF_WIDTH - 2^-52, (k h)^4 / 360), to a width of
-_HALF_WIDTH of its upper end, and its value is the centre.  A start bracket
-whose counts fail widens on the failing side.  On every grid drawn here no
-start bracket may widen, no admitted mode may take more than its 2 counts,
-nor may a bisected mode at the narrowest start ((k h)^4 / 360 <=
-_HALF_WIDTH, where the start bracket meets _settle's stop), and each value
-must lie within _HALF_WIDTH / 2 (relative) of the reference: its certified
-bracket bisected further by counts to a width of REFERENCE_WIDTH of its
-upper end (refine).
+Each mode of verify.fd_spectrum is settled by Sturm counts alone
+(verify._settle) from one start bracket about its asymptotic grid eigenvalue
+mu (verify._asymptotic): centred on mu (1 + r / 2), r = (k h)^4 / 360, and
+max(_HALF_WIDTH, r) / 2 - 2^-51 wide on each side.  It is bisected by counts
+to a width of _HALF_WIDTH of its upper end, and its value is the centre.  A
+start bracket whose counts fail widens on the failing side.  On every grid
+drawn here no start bracket may widen, no mode at the narrowest start (r <=
+_HALF_WIDTH, where the start bracket already meets _settle's stop) may take
+more than its 2 counts, and each value must lie within _HALF_WIDTH / 2
+(relative) of the reference: its certified bracket bisected further by
+counts to a width of REFERENCE_WIDTH of its upper end (refine).
 
     PYTHONPATH=src python tests/fd_certificate.py [GRIDS [SEED]]
 
 draws GRIDS grids (default 200, seed 1): points log-uniform in 100-100,000,
-1-10 modes and alpha log-uniform in 1e-6-1e6.  It prints the modes the gate
-admits, the start brackets that widened, the narrowest starts past their 2
-counts, the count sweeps and the worst move over all grids, and the grids at
-fault, and exits 1 when a start bracket widens, an admitted mode or a
-bisected mode at the narrowest start takes more than its 2 counts, or a
-value moves further than _HALF_WIDTH / 2 from the reference.
+1-10 modes and alpha log-uniform in 1e-6-1e6.  It prints the start brackets
+that widened, the narrowest starts past their 2 counts, the count sweeps and
+the worst move over all grids, and the grids at fault, and exits 1 when a
+start bracket widens, a mode at the narrowest start takes more than its 2
+counts, or a value moves further than _HALF_WIDTH / 2 from the reference.
 """
 import math
 import random
@@ -57,13 +53,11 @@ def refine(block: tuple, place: int, lo: float, up: float) -> float:
     return 0.5 * (lo + up)
 
 
-def check(alpha: float, grid_points: int, modes: int) -> tuple[int, int, int, int, int, float]:
-    """A grid's modes that the gate admits, the admitted ones that took more
-    than their 2 counts (_settle's), its start brackets that widened, its
-    bisected modes at the narrowest start that took more than 2 counts, its
-    count sweeps and its largest relative move from the reference."""
+def check(alpha: float, grid_points: int, modes: int) -> tuple[int, int, int, float]:
+    """A grid's start brackets that widened, its modes at the narrowest start
+    that took more than 2 counts, its count sweeps and its largest relative
+    move from the reference."""
     h = math.pi / grid_points
-    admitted = sum(verify._admits(k, h) for k in range(2, modes + 2))
     saved = verify._sturm_count, verify._settle, verify._sturm_grid, verify._asymptotic
     counts, widened, slow, work, ks = [], [], [], [], []
 
@@ -74,7 +68,7 @@ def check(alpha: float, grid_points: int, modes: int) -> tuple[int, int, int, in
     def settle(block, place, lo, up, top):
         before = len(counts)
         result = saved[1](block, place, lo, up, top)
-        widened.append(result[0] < lo or result[2] > up)
+        widened.append(result[0] < lo or result[1] > up)
         slow.append((ks[-1] * h) ** 4 / 360.0 <= verify._HALF_WIDTH and len(counts) - before > 2)
         return result
 
@@ -95,12 +89,11 @@ def check(alpha: float, grid_points: int, modes: int) -> tuple[int, int, int, in
     (h2, brackets), = work
     blocks, scale = verify._fd_matrix(grid_points), 4.0 * alpha * alpha
     move = 0.0
-    for mode, ((lo, _, up), value) in enumerate(zip(brackets, values), 1):
+    for mode, ((lo, up), value) in enumerate(zip(brackets, values), 1):
         block, place = verify._block_mode(mode)
         reference = scale * (refine(blocks[block], place, lo, up) / h2)
         move = max(move, abs(value - reference) / reference)
-    return (admitted, len(widened) - (modes - admitted), sum(widened), sum(slow), len(counts),
-            move)
+    return sum(widened), sum(slow), len(counts), move
 
 
 def main(argv: list[str]) -> int:
@@ -108,21 +101,16 @@ def main(argv: list[str]) -> int:
     seed = int(argv[1]) if len(argv) > 1 else 1
     results = [(grid, *check(*grid)) for grid in grids(count, seed)]
     modes = sum(grid[2] for grid, *_ in results)
-    admitted, failed, widened, slow, sweeps = (sum(result[i] for result in results)
-                                               for i in (1, 2, 3, 4, 5))
+    widened, slow, sweeps = (sum(result[i] for result in results) for i in (1, 2, 3))
     (alpha, grid_points, worst_modes), *_, worst = max(results, key=lambda result: result[-1])
-    print(f"{count} grids (seed {seed}), {modes} modes: {admitted} admitted, {failed} of them "
-          f"past their 2 counts; {modes - admitted + failed} bisected, {widened} of whose start "
-          f"brackets widened and {slow} of whose narrowest starts took more than 2 "
-          f"counts; {sweeps} count sweeps; worst move against the "
-          f"reference: {worst:.3g} (alpha={alpha!r} grid_points={grid_points} "
+    print(f"{count} grids (seed {seed}), {modes} modes: {widened} start brackets widened and "
+          f"{slow} narrowest starts took more than 2 counts; {sweeps} count sweeps; worst move "
+          f"against the reference: {worst:.3g} (alpha={alpha!r} grid_points={grid_points} "
           f"modes={worst_modes}); bound {verify._HALF_WIDTH / 2:.3g}")
-    faults = [(grid, failed, widened, slow) for grid, _, failed, widened, slow, *_ in results
-              if failed or widened or slow]
-    for (alpha, grid_points, grid_modes), failed, widened, slow in faults:
-        print(f"alpha={alpha!r} grid_points={grid_points} modes={grid_modes}: {failed} admitted "
-              f"modes past their 2 counts, {widened} start brackets widened, {slow} narrowest "
-              f"starts past their 2 counts")
+    faults = [(grid, widened, slow) for grid, widened, slow, *_ in results if widened or slow]
+    for (alpha, grid_points, grid_modes), widened, slow in faults:
+        print(f"alpha={alpha!r} grid_points={grid_points} modes={grid_modes}: {widened} start "
+              f"brackets widened, {slow} narrowest starts past their 2 counts")
     return 1 if faults or worst > verify._HALF_WIDTH / 2 else 0
 
 

@@ -608,8 +608,8 @@ def test_a_check_that_raises_is_written_with_non_finite_values(monkeypatch, caps
     assert ",nan,nan,inf,inf,1e-08,false\n" in outputs["csv"]
     digests = {fmt: hashlib.sha256(out.encode("utf-8")).hexdigest() for fmt, out in outputs.items()}
     assert digests == {
-        "json": "1991a57e89affc92ca26d10251ce0fd19c169e959aa4cf3377a4b61d07f55ab4",
-        "csv": "0ad50a2512e3ef43484f0faea8af8b1729bca74d43a9d764ccd7d515b3f43e1c",
+        "json": "827758482e585e1655d500736fa7e3acaf1c68fc72bd6510a13f6cb9bdad7146",
+        "csv": "7b1a59e1662587fe3bdc934572fe940db130a5a58210d7967d37997207f068a5",
     }
 
 
@@ -843,6 +843,16 @@ def test_spectrum_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["overall"] is True
     assert [row["mode"] for row in payload["rows"]] == [0, 1]
+
+
+def test_a_negative_zero_tolerance_is_reported_as_zero(capsys):
+    # --tol NAME=-0 passes the >= 0 rule and judges like 0; the reports write
+    # 0.0 in JSON and 0 in CSV, not -0.0 and -0
+    assert main(["spectrum", "--count", "1", "--grid-points", "100", "--format", "json",
+                 "--tol", "fd_spectrum=-0"]) == 1
+    assert '"tolerance": 0.0\n' in capsys.readouterr().out
+    assert main(["identity", "--which", "base", "--n", "2", "--tol", "identity=-0"]) == 1
+    assert [row["tolerance"] for row in _rows(capsys.readouterr().out)] == ["0"]
 
 
 def test_spectrum_rows_are_the_check_rows(capsys):

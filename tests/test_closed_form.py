@@ -310,6 +310,16 @@ def test_u_rows_track_exact_values_on_the_interior_grid():
     assert worst <= 2e-14
 
 
+def test_u_sweep_frees_its_cosines_after_its_set_up():
+    # only the rows y and U_1 read the cos t list, so the sweep's frame holds
+    # it no longer once its first row is out: a caller's fresh list (as
+    # _bracket_rows hands it) is freed for the rest of the sweep
+    sweep = closed_form._u_rows([math.cos(t) for t in (0.3, 1.1, 2.9)], 3, range(2, 12))
+    assert "cosines" in sweep.gi_frame.f_locals
+    next(sweep)
+    assert "cosines" not in sweep.gi_frame.f_locals
+
+
 def test_coefficient_closed_form_to_degree_cap():
     # C_n = -3 / (4 (n+1)(n+2)(n+3)), independent of the 2F1 route
     for n in range(MAX_DEGREE + 1):

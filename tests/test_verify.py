@@ -97,6 +97,8 @@ def test_resolve_tolerances():
     with pytest.raises(ParameterError):
         resolve_tolerances({"bogus": 1e-3})
     assert resolve_tolerances({"identity": 0.0})["identity"] == 0.0
+    # -0.0 passes the >= 0 rule and resolves to 0.0, the value reported
+    assert math.copysign(1.0, resolve_tolerances({"fd_spectrum": -0.0})["fd_spectrum"]) == 1.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
@@ -1188,21 +1190,21 @@ def test_fd_brackets_hold_their_modes(grid_points):
     h2, brackets = verify._sturm_grid(grid_points, 10, 144.0)
     _, weights = _full_weights(grid_points)
     values = fd_spectrum(0.5, grid_points, 10)  # 4 alpha^2 = 1
-    for mode, ((lo, mu, up), value) in enumerate(zip(brackets, values), 1):
-        assert lo / h2 <= value <= up / h2 and value == mu / h2
+    for mode, ((lo, up), value) in enumerate(zip(brackets, values), 1):
+        assert lo / h2 <= value <= up / h2 and value == 0.5 * (lo + up) / h2
         assert up - lo <= 1e-13 * up
         assert _full_count(weights, lo) < mode <= _full_count(weights, up)
 
 
 @pytest.mark.parametrize("grid_points, modes", [(100, 10), (999, 10), (4000, 3)])
 def test_sturm_counts_agree_with_a_60_digit_sweep(monkeypatch, grid_points, modes):
-    # every count the grid's Sturm work takes (the certifying pairs and the
+    # every count the grid's Sturm work takes (each start's pair and the
     # bisections) equals the same 1 + u sweep on the same float entries at 60
     # digits, so each certificate holds in exact arithmetic too: the 60-digit
     # counts put exactly `place` eigenvalues of the mode's block at or below
-    # its upper end and fewer below its lower end, and the estimate lies
-    # inside the bracket, within _HALF_WIDTH / 2 of the bracket bisected by
-    # 60-digit counts to fd_certificate.REFERENCE_WIDTH of its upper end
+    # its upper end and fewer below its lower end, and the bracket's centre
+    # lies within _HALF_WIDTH / 2 of the bracket bisected by 60-digit counts
+    # to fd_certificate.REFERENCE_WIDTH of its upper end
     counts = []
     sturm_count = verify._sturm_count
 
@@ -1216,8 +1218,9 @@ def test_sturm_counts_agree_with_a_60_digit_sweep(monkeypatch, grid_points, mode
     assert [count for _, count in counts] == [sturm_count_decimal(*args) for args, _ in counts]
     blocks = verify._fd_matrix(grid_points)
     monkeypatch.setattr(verify, "_sturm_count", sturm_count_decimal)
-    for mode, (lo, mu, up) in enumerate(brackets, 1):
+    for mode, (lo, up) in enumerate(brackets, 1):
         block, place = verify._block_mode(mode)
+        mu = 0.5 * (lo + up)
         assert lo < mu < up
         assert sturm_count_decimal(*blocks[block], lo) < place <= sturm_count_decimal(
             *blocks[block], up)
@@ -1239,7 +1242,7 @@ def test_sturm_count_flips_once_near_the_lowest_modes(grid_points):
     # within 64 ulps either side of each of the three lowest flips the count
     # is non-decreasing and changes once, from place - 1 to place
     blocks = verify._fd_matrix(grid_points)
-    for mode, (lo, _, up) in enumerate(verify._sturm_grid(grid_points, 3, 25.0)[1], 1):
+    for mode, (lo, up) in enumerate(verify._sturm_grid(grid_points, 3, 25.0)[1], 1):
         block, place = verify._block_mode(mode)
         while math.nextafter(lo, up) < up:  # the flip: the lowest float counting place
             mid = 0.5 * (lo + up)
@@ -1256,11 +1259,11 @@ def test_sturm_count_flips_once_near_the_lowest_modes(grid_points):
 
 def test_fd_spectrum_frozen_bits():
     assert [m.hex() for m in fd_spectrum(1.0, 4000, 3)] == [
-        "0x1.fffffdb35aaddp+3", "0x1.1ffffb94a785bp+5", "0x1.ffffeefbc88f7p+5"]
+        "0x1.fffffdb35aa4dp+3", "0x1.1ffffb94a785cp+5", "0x1.ffffeefbc88f7p+5"]
     assert [m.hex() for m in fd_spectrum(0.6024, 1000, 10)] == [
-        "0x1.7398386d6d19bp+2", "0x1.a20af6e8756b9p+3", "0x1.73978d95093e4p+4",
-        "0x1.224df3b18ff67p+5", "0x1.a20906dda405cp+5", "0x1.1c7e59dc817c7p+6",
-        "0x1.73944f54fd52bp+6", "0x1.d6462e898ef08p+6", "0x1.2249dd54e17bbp+7",
+        "0x1.7398386d6d19dp+2", "0x1.a20af6e8756b9p+3", "0x1.73978d95093e4p+4",
+        "0x1.224df3b18ff67p+5", "0x1.a20906dda405cp+5", "0x1.1c7e59dc817c6p+6",
+        "0x1.73944f54fd529p+6", "0x1.d6462e898ef08p+6", "0x1.2249dd54e17bbp+7",
         "0x1.5f3e57b1c79a5p+7"]
 
 
@@ -1295,43 +1298,45 @@ def _sweeps(monkeypatch, grid_points, count):
 
 def test_fd_spectrum_sweeps_few_counts(monkeypatch):
     # bisection with a sweep at every midpoint makes 112 at (4000, 3); there
-    # the 2,000-row blocks take 10 counts: 2 for mode 0, whose one-sided
-    # bracket (mu, mu (1 + r)], r a rounding under _HALF_WIDTH, already meets
-    # its stop, and 3 and 5 for modes 1 and 2, whose brackets are 1.7 and 5.5
-    # times _HALF_WIDTH wide.  At (40000, 10) every mode is certified at its
-    # asymptotic value by its 2 counts: 20 counts of 20,000 rows
+    # the 2,000-row blocks take 10 counts: 2 for mode 0, whose start bracket,
+    # (k h)^4 / 360 = 1.7e-14 < _HALF_WIDTH, already meets its stop, and 3
+    # and 5 for modes 1 and 2, whose one-sided brackets are 1.7 and 5.5 times
+    # _HALF_WIDTH wide.  At (40000, 10) every mode's start meets the stop and
+    # is certified by its 2 counts: 20 counts of 20,000 rows.  At 3,066
+    # points the ground mode's (k h)^4 / 360, 4.8992e-14, is a rounding under
+    # _HALF_WIDTH, and its start meets the stop too: 2 counts of 1,533 rows
     assert _sweeps(monkeypatch, 4000, 3) == [2000] * 10
     assert _sweeps(monkeypatch, 40000, 10) == [20000] * 20
+    assert _sweeps(monkeypatch, 3066, 1) == [1533] * 2
 
 
 @pytest.mark.parametrize("grid_points", [28000, 40000, 40017, 65536, 100000])
 def test_fd_spectrum_takes_one_newton_sweep_per_fine_grid_mode(monkeypatch, grid_points):
-    # on these grids the gate admits every mode, each certified by 2 counts
-    # at its asymptotic value.  With the gate closed, each mode bisects from
-    # its one-sided bracket (mu, mu (1 + _HALF_WIDTH)], in 30-42 counts for
-    # the 10 (measured): where the remainder is this small, the sweep's
-    # rounding puts some flips below mu, so that bracket widens.  (The name
-    # is kept from the Newton engine, which took one sweep per mode here
-    # with the gate closed, so that the test's id stays comparable.)
+    # on these grids (k h)^4 / 360 is under _HALF_WIDTH for every mode, so
+    # each start bracket already meets _settle's stop: 2 counts certify it,
+    # and the value is its centre.  (The name is kept from the Newton
+    # engine, which took one sweep per mode here, so that the test's id
+    # stays comparable.)
     assert len(_sweeps(monkeypatch, grid_points, 10)) == 20
-    monkeypatch.setattr(verify, "_admits", lambda k, h: False)
-    assert 20 < len(_sweeps(monkeypatch, grid_points, 10)) <= 46
+    starts, settle = [], verify._settle
+    monkeypatch.setattr(verify, "_settle", lambda block, place, lo, up, top:
+                        starts.append((lo, up)) or settle(block, place, lo, up, top))
+    h2 = (math.pi / grid_points) ** 2
+    assert fd_spectrum(1.0, grid_points, 10) == [4.0 * (0.5 * (lo + up) / h2) for lo, up in starts]
 
 
 def test_fd_values_lie_deep_inside_their_certificates():
     # on 40 seeded grids (100-6,000 points, 1-10 modes, alpha log-uniform in
-    # 1e-6-1e6) no start bracket widens, and no admitted mode takes more than
-    # its 2 counts, nor does a bisected one whose start bracket already meets
-    # _settle's stop.  Each value lies within _HALF_WIDTH / 2 of the
-    # reference, its certified bracket bisected by counts to 5e-16 of its
-    # upper end: measured at most 2.25e-14 (by construction for a bisected
-    # mode).  The three grids above 4,335 points certify their ground mode
-    # at its asymptotic value
+    # 1e-6-1e6) no start bracket widens, and no mode whose start bracket
+    # already meets _settle's stop takes more than its 2 counts.  Each value
+    # lies within _HALF_WIDTH / 2 of the reference, its certified bracket
+    # bisected by counts to 5e-16 of its upper end: measured at most 2.25e-14
+    # (by construction).  The 40 grids take 4,221 count sweeps in all
     results = {grid: fd_certificate.check(*grid)
                for grid in fd_certificate.grids(40, 20151, max_points=6000)}
-    assert all(failed == widened == slow == 0 and move <= verify._HALF_WIDTH / 2
-               for _, failed, widened, slow, _, move in results.values()), results
-    assert sum(admitted for admitted, *_ in results.values()) == 3
+    assert all(widened == slow == 0 and move <= verify._HALF_WIDTH / 2
+               for widened, slow, _, move in results.values()), results
+    assert sum(sweeps for _, _, sweeps, _ in results.values()) == 4221
 
 
 def _sweep_units(monkeypatch, grid_points, count):
@@ -1341,14 +1346,18 @@ def _sweep_units(monkeypatch, grid_points, count):
 
 @pytest.mark.parametrize("grid_points,count,units", [
     (4000, 3, 6.05), (40000, 10, 10.0), (40017, 10, 10.0), (100000, 10, 10.0),
-    (999, 10, 82.5), (100, 10, 156.2)])
+    (999, 10, 82.5), (100, 10, 156.2), (3000, 10, 44.0), (8000, 10, 19.5),
+    (23846, 10, 10.0), (4335, 3, 4.501), (4336, 3, 5.0)])
 def test_fd_spectrum_starts_each_mode_at_its_asymptotic_eigenvalue(monkeypatch, grid_points, count,
                                                                    units):
-    # measured: 5.0, 10.0, 10.0, 10.0, 75.0 and 142.0 units.  On the three
-    # fine grids every mode is 2 counts at its asymptotic value; on the
-    # others each mode bisects from the one-sided bracket above that value,
-    # (k h)^4 / 360 wide: 150 counts for the 10 modes at 999 points and 284
-    # at 100
+    # measured: 5.0, 10.0, 10.0, 10.0, 75.0, 142.0, 44.0, 19.5, 10.0, 4.5003
+    # and 4.5 units; the last five bounds hold the work at or below that of
+    # an engine that certified some modes by a second, centred bracket.  On
+    # the three fine grids and at 23,846 points every mode's start meets
+    # _settle's stop and takes 2 counts; elsewhere a mode whose (k h)^4 / 360
+    # exceeds _HALF_WIDTH bisects from the one-sided bracket above its
+    # asymptotic value, that wide: 150 counts for the 10 modes at 999 points
+    # and 284 at 100
     assert 0 < _sweep_units(monkeypatch, grid_points, count) <= units
 
 
@@ -1397,19 +1406,20 @@ def _certified_modes(grid_points, count=10):
     # which the counts alone pin, whatever the start
     h2, brackets = verify._sturm_grid(grid_points, count, float((count + 2) ** 2))
     blocks = verify._fd_matrix(grid_points)
-    for mode, (lo, _, up) in enumerate(brackets, 1):
+    for mode, (lo, up) in enumerate(brackets, 1):
         block, place = verify._block_mode(mode)
         yield math.pi / grid_points, mode + 1, fd_certificate.refine(blocks[block], place, lo, up)
 
 
 @pytest.mark.parametrize("grid_points", [25600, 28000, 40000, 40017, 65536, 100000])
 def test_asymptotic_values_lie_within_a_quarter_bracket_of_newtons(grid_points):
-    # the gate admits all 10 modes here, and each _asymptotic value lies
-    # within _HALF_WIDTH / 4 of the eigenvalue that counts pin to 5e-16:
-    # measured at most 7e-15 relative.  (The name is kept from the Newton
-    # engine's reference, so that the test's ids stay comparable.)
+    # (k h)^4 / 360 is at most _HALF_WIDTH / 4 for all 10 modes here, and
+    # each _asymptotic value lies within _HALF_WIDTH / 4 of the eigenvalue
+    # that counts pin to 5e-16: measured at most 7e-15 relative.  (The name
+    # is kept from the Newton engine's reference, so that the test's ids
+    # stay comparable.)
     for h, k, mu in _certified_modes(grid_points):
-        assert verify._admits(k, h)
+        assert (k * h) ** 4 / 360.0 <= verify._HALF_WIDTH / 4
         assert abs(verify._asymptotic(k, h) - mu) <= verify._HALF_WIDTH / 4 * mu, (k, mu)
 
 
@@ -1448,11 +1458,12 @@ def test_no_coarse_estimate_enters_a_result(monkeypatch, garbage):
     counts = []
     monkeypatch.setattr(verify, "_sturm_count",
                         lambda *args, sweep=verify._sturm_count: counts.append(1) or sweep(*args))
-    for mode, (_, unspoiled, _) in enumerate(expected, 1):
+    for mode, (low, high) in enumerate(expected, 1):
         block, place = verify._block_mode(mode)
-        start = spoil(mode)
+        unspoiled, start = 0.5 * (low + high), spoil(mode)
         counts.clear()
-        lo, mu, up = verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), top * h2)
+        lo, up = verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), top * h2)
+        mu = 0.5 * (lo + up)
         assert abs(mu - unspoiled) <= verify._HALF_WIDTH * unspoiled, (mode, mu, unspoiled)
         assert _full_count(weights, lo) < mode <= _full_count(weights, up)
         assert len(counts) > 2, (mode, len(counts))
@@ -1474,11 +1485,13 @@ def test_settle_counts_the_top_only_when_its_fallback_bracket_ends_there(monkeyp
     points = []
     monkeypatch.setattr(verify, "_sturm_count", lambda *args, sweep=verify._sturm_count:
                         points.append(args[-1]) or sweep(*args))
-    for mode, (_, unspoiled, _) in enumerate(expected, 1):
+    for mode, (low, high) in enumerate(expected, 1):
         block, place = verify._block_mode(mode)
+        unspoiled = 0.5 * (low + high)
         start = unspoiled * (1.0 + side * 1e-6)
         points.clear()
-        lo, mu, up = verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), top * h2)
+        lo, up = verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), top * h2)
+        mu = 0.5 * (lo + up)
         assert top * h2 not in points and len(points) > 3, (mode, points)
         assert abs(mu - unspoiled) <= verify._HALF_WIDTH * unspoiled, (mode, mu, unspoiled)
         assert _full_count(weights, lo) < mode <= _full_count(weights, up)
