@@ -35,8 +35,8 @@ MAX_ALPHA = 1e100
 # The caps below bound the work each flag can ask for.  Times are on one
 # Intel Xeon core under CPython 3.11.  MAX_DEGREE caps --n-max, tabulate --n
 # and identity --n, and identity --m at MAX_DEGREE // 2 (the suite's indices
-# at n_max = MAX_DEGREE): verify --n-max 60 takes 0.28 s, identity --n 60
-# 0.0048 s (one level row and one row U'_61, each swept to its index).
+# at n_max = MAX_DEGREE): verify --n-max 60 takes 0.45 s, identity --n 60
+# about 0.01 s (one level row and one row U'_61, each swept to its index).
 MAX_DEGREE = 60
 # A Gauss-Legendre rule is built in O(order^2): 0.09 s at 1024 points.
 MAX_QUAD_ORDER = 1024

@@ -61,19 +61,12 @@ class TrigEigenfunction(namedtuple("TrigEigenfunction", "k alpha")):
         return math.sqrt(4.0 * self.alpha / math.pi) / math.sqrt(self.k * self.k - 1.0)
 
 
-def _picked(rows, indices, first=0):
-    """(i, row) for each i of `indices` from the sweep `rows`, whose rows
-    are numbered first, first + 1, ...: read up to the largest index and no
-    further."""
-    keep = set(indices)
-    return ((i, row) for i, row in zip(range(first, max(keep, default=first - 1) + 1), rows)
-            if i in keep)
-
-
-def _level_rows(xs):
-    """Rows of F_n(z) = 2F1(-n, n+4; 5/2; z), n = 0, 1, ..., at each x = 1 - 2z
-    of the list `xs`: one _jacobi_rows sweep, a = beta = 3/2 (DLMF 18.7.1)."""
-    return hypergeom._jacobi_rows(1.5, 1.5, xs)
+def _level_rows(xs, ns):
+    """(n, F_n) for each n of `ns`, in increasing order: the rows of F_n(z) =
+    2F1(-n, n+4; 5/2; z) at each x = 1 - 2z of the list `xs`, from one
+    _jacobi_rows sweep, a = beta = 3/2 (DLMF 18.7.1), that stops after the
+    largest n."""
+    return hypergeom._jacobi_rows(1.5, 1.5, xs, ns)
 
 
 def _bound_factors(ts) -> tuple[array, array]:
@@ -87,20 +80,23 @@ def _bound_factors(ts) -> tuple[array, array]:
 def _u_rows(cosines, depth, ks):
     """(k, rows) for each k of `ks` (k >= 2), in increasing order: the rows
     U'_{k-1} to its depth-th derivative at every c of the list `cosines`,
-    from one sweep of chains of one order and parity of j to the largest k:
-    U_j = y U_{j-2} - U_{j-4}, y = (2c)^2 - 2 (Mason & Handscomb 2003, ch. 2),
-    and U_j^(d) = U_{j-2}^(d) + 2j U_{j-1}^(d-1) (DLMF 18.9), which reads
-    only the chain one order below of the other parity.  It forms the chains
-    its rows read alone, each to the last index read, in lists; integer
-    values at c = +-1 stay exact.  Against exact values at the same c, the
-    rows keep within 1.6e-14 of max|U_{k-1}^(d)| (k <= 63, d <= 3) on the
-    suite's interior grid, and 9.5e-15 where |c| < 0.9995 (y's rounding)."""
+    from one sweep of chains of one order and parity of j that stops after
+    the largest k: U_j = y U_{j-2} - U_{j-4}, y = (2c)^2 - 2 (Mason &
+    Handscomb 2003, ch. 2), and U_j^(d) = U_{j-2}^(d) + 2j U_{j-1}^(d-1)
+    (DLMF 18.9), which reads only the chain one order below of the other
+    parity.  It forms the chains its rows read alone, each to the last
+    index read, in lists, and the row y only when a U chain steps past U_1;
+    integer values at c = +-1 stay exact.  Against exact values at the same
+    c, the rows keep within 1.6e-14 of max|U_{k-1}^(d)| (k <= 63, d <= 3) on
+    the suite's interior grid, and 9.5e-15 where |c| < 0.9995 (y's
+    rounding)."""
     keep = set(ks)
     last = {(d, j % 2): j for d, j in sorted(  # (order, parity): the last index read
         (d, j) for k in keep for top in range(1, depth + 1)
         for d, j in zip(range(top + 1), range(k - 1 - top, k)))}
     size = len(cosines)
-    y = [4.0 * c * c - 2.0 for c in cosines]
+    y = ([4.0 * c * c - 2.0 for c in cosines]  # read only by a U chain stepping past U_1
+         if max(last.get((0, 0), 0), last.get((0, 1), 0)) > 1 else [])
     rows = dict.fromkeys(last, [0.0] * size)  # U^(d)_0 = U^(d)_-1 = 0 for d >= 1
     back = [[-1.0] * size, [0.0] * size]  # U_-2, U_-1 before U_0, U_1 (where odd U starts)
     rows[0, 0], rows[0, 1] = [1.0] * size, [2.0 * c for c in cosines] if (0, 1) in last else []
@@ -254,11 +250,6 @@ def normalization_A(n: int, alpha: float) -> float:
     return den / num * TrigEigenfunction(n + 2, alpha).norm
 
 
-# The suite's interior grid (verify.INTERIOR_POINTS) keeps t = 2 alpha x this
-# far from both walls, where the partner potential 2 / sin^2(t) grows without
-# bound.
-WALL_MARGIN = 1e-3
-
 # The identity families, read by _identity_rows, the suite and the CLI: the
 # letter of a family's index (n, a level, or m, a family index), its row
 # label, the level of an index and the largest index run at a degree cap.
@@ -293,13 +284,14 @@ class TGrid:
         """The level rows at each n of `levels`, the rows U'_{k-1} at each k of
         `slopes` and the g'' rows at each k of `seconds`, as three dicts: one
         level sweep (_level_rows) and one U sweep (_u_rows) of the cos t row,
+        each to the largest index it is asked for and no further, the U sweep
         to depth 3 if any g'' is asked for and to 1 if not; every g'' reads the
         rows of _g2_factors, built once per call.  Each row is the list it is
         built in, or, for rows the grid keeps, an array('d') copied as it is
         built, so that at most one of them is ever held as a list."""
         cosines = self._cosines
         row = partial(array, "d") if kept else (lambda built: built)
-        level_rows = {n: row(level) for n, level in _picked(_level_rows(cosines), levels)}
+        level_rows = {n: row(level) for n, level in _level_rows(cosines, levels)}
         slopes, seconds, slope_rows, second = set(slopes), set(seconds), {}, {}
         if slopes or seconds:
             factors = _g2_factors(cosines, self.sin_sq) if seconds else ()

@@ -20,7 +20,6 @@ result.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import count, islice
 
 from .errors import ParameterError
 
@@ -106,12 +105,14 @@ def f21_eval_exact(h: TerminatingHypergeometric, z):
                                 (z.numerator, z.denominator)))
 
 
-def _jacobi_rows(a: float, beta: float, xs):
-    """The rows R_0, R_1, R_2, ... of the normalized Jacobi recurrence at
-    every x of the list `xs`, one list per degree, keeping only the last
-    two: a step reads its two rows' floats, and those of xs, without boxing
-    them again.  A row is shared and must not be changed; a holder that
-    keeps rows copies them into arrays, which take a quarter of the memory.
+def _jacobi_rows(a: float, beta: float, xs, ns):
+    """(n, R_n) for each n of `ns`, in increasing order: the rows of the
+    normalized Jacobi recurrence at every x of the list `xs`, from one sweep
+    that keeps only its last two rows and stops after the largest n; an
+    empty `ns` builds no row.  A step reads its two rows' floats, and those
+    of xs, without boxing them again.  A row is shared and must not be
+    changed; a holder that keeps rows copies them into arrays, which take a
+    quarter of the memory.
 
     R_n = P_n^(a,beta)(x) / P_n^(a,beta)(1) is 2F1(-n, n+a+beta+1; a+1; z)
     at x = 1 - 2z (DLMF 15.9.1), R_0 = 1, R_1 = 1 - (a+beta+2)(1-x)/(2a+2),
@@ -135,26 +136,27 @@ def _jacobi_rows(a: float, beta: float, xs):
     sweep picks that form once.  There back = slope - 1 exactly, so
     R_j(x=-1) = (-1)^j exactly too.
     """
+    keep = set(ns)
     ab, diff_sq = a + beta, a * a - beta * beta
-    r_prev = [1.0] * len(xs)
-    yield r_prev
     if a == beta:
-        r = xs
-
         def step(slope, shift, back, rs, r_prevs):
             return [slope * x * v - back * w for x, v, w in zip(xs, rs, r_prevs)]
     else:
-        r = [1.0 - (ab + 2.0) * (1.0 - x) / (2.0 * a + 2.0) for x in xs]
-
         def step(slope, shift, back, rs, r_prevs):
             return [(slope * x + shift) * v - back * w for x, v, w in zip(xs, rs, r_prevs)]
-    yield r
-    for j in count(2):
-        s = 2 * j + ab
-        den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
-        slope, shift = (s - 1.0) * (s * (s - 2.0)) / den, (s - 1.0) * diff_sq / den
-        r_prev, r = r, step(slope, shift, slope + shift - 1.0, r, r_prev)
-        yield r
+    for j in range(max(keep, default=-1) + 1):
+        if j == 0:
+            r = [1.0] * len(xs)
+        elif j == 1:
+            r_prev, r = r, xs if a == beta else [
+                1.0 - (ab + 2.0) * (1.0 - x) / (2.0 * a + 2.0) for x in xs]
+        else:
+            s = 2 * j + ab
+            den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
+            slope, shift = (s - 1.0) * (s * (s - 2.0)) / den, (s - 1.0) * diff_sq / den
+            r_prev, r = r, step(slope, shift, slope + shift - 1.0, r, r_prev)
+        if j in keep:
+            yield j, r
 
 
 def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
@@ -172,7 +174,7 @@ def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
     beta = float(h.b - h.n - h.c)
     if not (a > -1.0 and beta > -1.0):
         raise ParameterError(f"float path needs c - 1 > -1 and b - n - c > -1, got {a}, {beta}")
-    return next(islice(_jacobi_rows(a, beta, [1.0 - 2.0 * float(z)]), h.n, None))[0]
+    return next(_jacobi_rows(a, beta, [1.0 - 2.0 * float(z)], [h.n]))[1][0]
 
 
 def f21_derivative(h: TerminatingHypergeometric) -> tuple:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from types import MappingProxyType, SimpleNamespace
 
 from . import closed_form
-from .closed_form import IDENTITY_FAMILIES, WALL_MARGIN, TrigEigenfunction
+from .closed_form import IDENTITY_FAMILIES, TrigEigenfunction
 from .errors import EvaluationError, ParameterError
 from .hypergeom import midpoint_vanishing
 from .models import WellConfig, _require_partner, box_energy
@@ -181,18 +181,9 @@ def _checked(sums, values, abscissae) -> tuple:
     return results
 
 
-def _weighted_sum(values, nodes) -> float:
-    """The rule `nodes` (_nodes) applied to `values` sampled at its abscissae,
-    in one exactly-rounded sum; a non-finite value aborts with its abscissa,
-    found from the sum (_checked)."""
-    abscissae, weights, half = nodes
-    (total,) = _checked(lambda: (half * math.fsum(map(operator.mul, weights, values)),),
-                        values, abscissae)
-    return total
-
-
 def _t_sum(nodes, weighted, row) -> float:
-    """half sum (w a) b on the t rule `nodes`, from weighted = w a and row = b."""
+    """half sum (w a) b on the rule `nodes` (_nodes), from weighted = w a and
+    row = b, in one exactly-rounded sum."""
     return nodes[2] * math.fsum(map(operator.mul, weighted, row))
 
 
@@ -227,24 +218,27 @@ def _mode_sums(order: int, panels: int, ks) -> dict:
 def _level_sums(order: int, panels: int, ns) -> dict:
     """{n: D and M of l_n} for each n of `ns`: the level l_n = sin^2 cos^2(t/2)
     F_n on the t rule, from one level sweep to the largest n at the rule's
-    cos t row; no level row is kept."""
+    cos t row (closed_form._level_rows); no level row is kept."""
     nodes = _nodes(0.0, math.pi, order, panels)
     factor = list(map(operator.mul, *closed_form._bound_factors(nodes[0])))
-    levels = closed_form._level_rows(list(map(math.cos, nodes[0])))
     return {n: _moment_sums(nodes, list(map(operator.mul, factor, level)))
-            for n, level in closed_form._picked(levels, ns)}
+            for n, level in closed_form._level_rows(list(map(math.cos, nodes[0])), ns)}
 
 
 def _z_level_sums(order: int, panels: int, ns) -> dict:
     """{n: sum} for each n of `ns`: the z-form rule's sum of its integrand
     weight * F_n^2(z) (check_hypergeom_norm), from one level sweep to the
-    largest n at its row 1 - 2z."""
+    largest n at its row 1 - 2z, each summed by _t_sum; a non-finite value
+    aborts with its abscissa, found from the sum (_checked)."""
     nodes = _nodes(0.0, 1.0, order, panels)
     xs = [1.0 - 2.0 * (u * u * (3.0 - 2.0 * u)) for u in nodes[0]]
     weights = [6.0 * ((u * (1.0 - u)) ** 4 * ((3.0 - 2.0 * u) * (1.0 + 2.0 * u)) ** 1.5)
                for u in nodes[0]]
-    return {n: _weighted_sum([w * f * f for w, f in zip(weights, level)], nodes)
-            for n, level in closed_form._picked(closed_form._level_rows(xs), ns)}
+    sums = {}
+    for n, level in closed_form._level_rows(xs, ns):
+        values = [w * f * f for w, f in zip(weights, level)]
+        (sums[n],) = _checked(lambda: (_t_sum(nodes, nodes[1], values),), values, nodes[0])
+    return sums
 
 
 # The running suite's tables (_plan) under (builder, *its arguments but the
@@ -374,6 +368,7 @@ def check_orthonormality(k_max: int, alpha: float = 1.0, *, order: int = QUAD_OR
 # at INTERIOR_POINTS equal steps on [WALL_MARGIN, pi - WALL_MARGIN], clear of
 # the walls, where the residual's partner potential 2 / sin^2(t) is unbounded.
 INTERIOR_POINTS = 1000
+WALL_MARGIN = 1e-3
 
 
 def _interior_ts() -> list:

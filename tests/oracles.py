@@ -9,8 +9,9 @@ verify's Sturm count at 60 digits, bracket_decimal is a partner mode's
 bracket and its g'' at 60 digits, chebyshev_u_exact is U_j and its
 argument derivatives in exact rational arithmetic, identity_pairs zips the
 two sides of an identity family into (left, right) pairs, json_safe is the
-payload whose json.dumps the CLI's JSON writer must reproduce, and mutant
-is a package function with one deliberate defect, which a check must catch.
+payload whose json.dumps the CLI's JSON writer must reproduce, mutant is
+a package function with one deliberate defect, which a check must catch,
+and PassCounter is a list that counts the passes a sweep makes over it.
 """
 import inspect
 import math
@@ -219,10 +220,31 @@ def _power(v: float, e: float) -> float:
     return math.prod([v] * int(e)) if float(e).is_integer() else v ** e
 
 
+class PassCounter(list):
+    """A list that counts the passes made over it (iter) and the reads of
+    its length (len), so that a test sees which rows a sweep builds."""
+
+    passes = lengths = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def __len__(self):
+        self.lengths += 1
+        return super().__len__()
+
+
 def integrate(profile, a: float, b: float, order: int, panels: int) -> float:
-    """The suite's composite Gauss-Legendre rule applied to `profile`."""
+    """The suite's composite Gauss-Legendre rule applied to `profile`: its
+    sum kernel (verify._t_sum) over the rule's weights, checked as the suite
+    checks its sums (verify._checked), so that a non-finite value aborts
+    with its abscissa."""
     nodes = verify._nodes(a, b, order, panels)
-    return verify._weighted_sum([profile(x) for x in nodes[0]], nodes)
+    values = [profile(x) for x in nodes[0]]
+    (total,) = verify._checked(lambda: (verify._t_sum(nodes, nodes[1], values),),
+                               values, nodes[0])
+    return total
 
 
 def integrate_product(first, second, a: float, b: float, order: int, panels: int) -> float:

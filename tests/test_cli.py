@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import golden
 from oracles import identity_pairs, json_safe
-from ptdarboux import cli, verify
+from ptdarboux import cli, closed_form, verify
 from ptdarboux.cli import (
     MAX_ALPHA,
     MAX_DEGREE,
@@ -34,7 +34,7 @@ from ptdarboux.cli import (
     main,
 )
 from ptdarboux.closed_form import TrigEigenfunction
-from ptdarboux.errors import ParameterError
+from ptdarboux.errors import EvaluationError, ParameterError
 from ptdarboux.verify import check_fd_spectrum, check_identity, resolve_tolerances
 
 FAST = ["--n-max", "2", "--grid-points", "500"]
@@ -611,6 +611,24 @@ def test_a_check_that_raises_is_written_with_non_finite_values(monkeypatch, caps
         "json": "827758482e585e1655d500736fa7e3acaf1c68fc72bd6510a13f6cb9bdad7146",
         "csv": "7b1a59e1662587fe3bdc934572fe940db130a5a58210d7967d37997207f068a5",
     }
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (verify, "_sturm_grid", ["spectrum"]),
+    (closed_form, "_coefficient", ["identity", "--which", "base", "--n", "2"]),
+], ids=["spectrum", "identity"])
+def test_a_computation_error_exits_1_with_one_line_and_no_output(monkeypatch, capsys,
+                                                                 module, name, argv):
+    # a math error that no check records as a row (cli._MATH_ERRORS) ends
+    # the command: exit 1, one "computation failed: " line on stderr and
+    # nothing on stdout
+    def fail(*args):
+        raise EvaluationError("injected fault")
+
+    monkeypatch.setattr(module, name, fail)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["computation failed: injected fault"]
 
 
 def test_verify_unattainable_tolerance_fails(capsys):

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import chebyshev_u_exact, chebyshev_u_slope, chi, identity_pairs, mutant
+from oracles import (
+    PassCounter,
+    chebyshev_u_exact,
+    chebyshev_u_slope,
+    chi,
+    identity_pairs,
+    mutant,
+)
 from ptdarboux import closed_form, verify
 from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.closed_form import (
@@ -318,6 +325,22 @@ def test_u_sweep_frees_its_cosines_after_its_set_up():
     assert "cosines" in sweep.gi_frame.f_locals
     next(sweep)
     assert "cosines" not in sweep.gi_frame.f_locals
+
+
+@pytest.mark.parametrize("k, passes, slope", [
+    (2, 0, lambda c: 2.0),
+    (3, 1, lambda c: 8.0 * c),
+    (4, 1, lambda c: 24.0 * c * c - 4.0),
+], ids=["U'_1", "U'_2", "U'_3"])
+def test_u_sweep_builds_only_the_rows_its_read_steps(k, passes, slope):
+    # a lone depth-1 read passes over its cosines only for the rows it
+    # steps: U'_1 = 2 reads none, U'_2 = 8c the row U_1 = 2c alone, and
+    # U'_3 = 24c^2 - 4 the row y = (2c)^2 - 2 alone, which a sweep builds
+    # only when a U chain steps past U_1
+    cosines = PassCounter([0.5, -1.0, 0.25, 1.0])
+    ((index, (row,)),) = closed_form._u_rows(cosines, 1, [k])
+    assert index == k and row == [slope(c) for c in list.__iter__(cosines)]
+    assert cosines.passes == passes
 
 
 def test_coefficient_closed_form_to_degree_cap():

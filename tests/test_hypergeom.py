@@ -2,13 +2,12 @@
 import math
 import random
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import f21_real, f21_term_ratio_sum, pochhammer
+from oracles import PassCounter, f21_real, f21_term_ratio_sum, pochhammer
 from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.errors import ParameterError
 from ptdarboux.hypergeom import (
@@ -193,13 +192,35 @@ def test_ladder_rows_track_the_exact_path_to_a_few_ulps():
     worst = 0.0
     for c in (Fraction(5, 2), Fraction(7, 2)):
         a = float(c) - 1.0
-        for n, row in zip(range(0, 161, 4), islice(_jacobi_rows(a, a, xs), 0, 161, 4)):
+        for n, row in _jacobi_rows(a, a, xs, range(0, 161, 4)):
             h = TerminatingHypergeometric(n, n + 2 * c - 1, c)
             exact = [float(f21_eval_exact(h, Fraction(k, 256))) for k in range(129)]
             exact += [(-1) ** n * value for value in reversed(exact[:128])]
             scale = max(map(abs, exact))
             worst = max(worst, max(abs(r - e) for r, e in zip(row, exact)) / scale)
     assert worst <= 2e-15
+
+
+def test_jacobi_rows_for_no_degree_build_no_row():
+    # an empty index set returns before the sweep reads its row of x, so
+    # not even R_0 = 1 (a row of len(xs) ones) is built
+    xs = PassCounter([0.5, -0.25, 1.0])
+    assert list(_jacobi_rows(1.5, 1.5, xs, [])) == []
+    assert (xs.passes, xs.lengths) == (0, 0)
+
+
+@pytest.mark.parametrize("a, beta", [(1.5, 1.5), (2.5, 0.5)], ids=["ladder", "general"])
+def test_jacobi_rows_yield_the_degrees_asked_in_order_and_stop(a, beta):
+    # degrees 1 and 3, asked for as [3, 1], come in increasing order with
+    # the bits of a full sweep's rows, and the sweep stops after degree 3:
+    # off the ladder R_1 and the steps to degrees 2 and 3 pass over x once
+    # each; on it R_1 is x itself, which each step then reads twice
+    xs = [1.0 - k / 64 for k in range(129)]
+    full = {n: [v.hex() for v in row] for n, row in _jacobi_rows(a, beta, xs, range(8))}
+    counted = PassCounter(xs)
+    picked = list(_jacobi_rows(a, beta, counted, [3, 1]))
+    assert counted.passes == (4 if a == beta else 3)
+    assert [(n, [v.hex() for v in row]) for n, row in picked] == [(1, full[1]), (3, full[3])]
 
 
 def test_real_rejects_parameters_outside_the_jacobi_range():

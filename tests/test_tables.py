@@ -40,7 +40,7 @@ def _suite_level_rows():
     levels = range(MAX_DEGREE + 1)
     t_nodes, t_grid = verify._nodes(0.0, math.pi, 64, 32)[0], verify._interior_grid().ts
     z_nodes = [1.0 - 2.0 * (u * u * (3.0 - 2.0 * u)) for u in verify._nodes(0.0, 1.0, 64, 32)[0]]
-    z_rows = dict(closed_form._picked(closed_form._level_rows(z_nodes), levels))
+    z_rows = dict(closed_form._level_rows(z_nodes, levels))
     return {
         "x nodes": (_cosines(t_nodes), _held_grid(t_nodes, levels).level),
         "z nodes": (z_nodes, z_rows.__getitem__),

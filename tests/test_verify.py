@@ -294,7 +294,7 @@ def test_suite_takes_each_t_rule_integral_once(monkeypatch):
     # trig first moment's and <x>'s; the two modes above the moment range
     # take theirs with their D, from the one weighted row both sums read)
     # and one D and one M per level (x-form norm and hypergeometric first
-    # moment)
+    # moment); the z rule's one sum per level runs through the same kernel
     sums = 0
     original = verify._t_sum
 
@@ -307,7 +307,7 @@ def test_suite_takes_each_t_rule_integral_once(monkeypatch):
     n_max = 4
     assert run_full_suite(n_max=n_max, grid_points=1000).overall
     partners = n_max - 1  # k = 2..n_max
-    assert sums == partners * (partners + 1) // 2 + 2 + (partners + 2) + 2 * (n_max + 1)
+    assert sums == partners * (partners + 1) // 2 + 2 + (partners + 2) + 3 * (n_max + 1)
 
 
 @pytest.mark.parametrize("order, panels", [(64, 32), (7, 5), (9, 1), (64, 1), (8, 3), (3, 4)])
@@ -621,8 +621,8 @@ def test_a_non_finite_row_value_is_found_from_its_sums(monkeypatch, spoil):
         (k, _spoil(row, spoil) if k == 3 else row) for k, row in bracket_rows(ts, ks)))
     # level 2 of every level sweep (closed_form._level_rows): the t rule's,
     # at its cos t row, and the z rule's, at its row 1 - 2z
-    monkeypatch.setattr(hypergeom, "_jacobi_rows", lambda a, beta, xs: (
-        _spoil(row, spoil) if n == 2 else row for n, row in enumerate(jacobi_rows(a, beta, xs))))
+    monkeypatch.setattr(hypergeom, "_jacobi_rows", lambda a, beta, xs, ns: (
+        (n, _spoil(row, spoil) if n == 2 else row) for n, row in jacobi_rows(a, beta, xs, ns)))
     for check, value, x in ((partial(check_trig_norm, 3), first, t_x),
                             (partial(check_hypergeom_norm, 2, "x"), first, t_x),
                             (partial(check_hypergeom_norm, 2, "z"), abs(first), u_x)):
@@ -630,16 +630,16 @@ def test_a_non_finite_row_value_is_found_from_its_sums(monkeypatch, spoil):
                 f"integrand returned {value} at x={x}") + "$"):
             check()
     assert check_trig_norm(4).passed and check_hypergeom_norm(1, "z").passed
-    nodes = verify._nodes(0.0, 1.0, 64, 32)
-    values = _spoil([1.0] * len(nodes[0]), spoil)
+    abscissae = verify._nodes(0.0, 1.0, 64, 32)[0]
+    spoiled = dict(zip(abscissae, _spoil([1.0] * len(abscissae), spoil)))
     with pytest.raises(EvaluationError, match=re.escape(
             f"integrand returned {first} at x={u_x}") + "$"):
-        verify._weighted_sum(values, nodes)
+        integrate(spoiled.__getitem__, 0.0, 1.0, 64, 32)
     t_nodes = verify._nodes(0.0, math.pi, 64, 32)
     assert verify._moment_sums(t_nodes, [1e300] * len(t_nodes[0])) == {"D": math.inf,
                                                                        "M": math.inf}
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-        verify._weighted_sum([1e308] * len(nodes[0]), nodes)
+        integrate(lambda x: 1e308, 0.0, 1.0, 64, 32)
 
 
 def _clear_node_set_caches():
