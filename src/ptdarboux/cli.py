@@ -32,38 +32,26 @@ __all__ = [
 # underflow.
 MIN_ALPHA = 1e-100
 MAX_ALPHA = 1e100
-# The caps below bound the work each flag can ask for.  Times are on one
-# Intel Xeon core under CPython 3.11.  MAX_DEGREE caps --n-max, tabulate --n
-# and identity --n, and identity --m at MAX_DEGREE // 2 (the suite's indices
-# at n_max = MAX_DEGREE): verify --n-max 60 takes 0.45 s, identity --n 60
-# about 0.01 s (one level row and one row U'_61, each swept to its index).
+# The caps below bound the work each flag can ask for; README's list of caps
+# states each one's time and peak memory, with the machine they were measured on.
+# MAX_DEGREE caps --n-max, tabulate --n and identity --n, and identity --m at
+# the suite's largest family index at n_max = MAX_DEGREE.
 MAX_DEGREE = 60
-# A Gauss-Legendre rule is built in O(order^2): 0.09 s at 1024 points.
+# Bounds the O(order^2) build of one Gauss-Legendre rule.
 MAX_QUAD_ORDER = 1024
-# One x-form hypergeometric norm check at n = 60 (a level sweep to 60 and that
-# level's sums), 1024 panels: 0.21 s.
+# Bounds one quadrature check's node count at the default order.
 MAX_PANELS = 1024
-# The work of a quadrature check grows with panels times order, so their
-# product is capped too: verify --n-max 60 --panels 1024 takes about 6.4 s and
-# peaks at 77 MB resident (VmHWM), 32 MB of it the 61 normalized partner-mode
-# rows of the suite's table (verify._mode_sums, arrays) and about 2 MB each
-# list of a new float per node: the rule's abscissae, the rows a sweep reads at
-# every node, the one weighted row a sum holds (verify._weigh) and each
-# working row of a sweep.
+# The work and the table memory of a quadrature check grow with panels times
+# order, so their product is capped too: the suite keeps its normalized
+# partner-mode rows on every node (verify._mode_sums).
 MAX_QUAD_NODES = MAX_PANELS * verify.QUAD_ORDER
-# spectrum --count 10 (2 certifying Sturm counts per mode over one
-# 50,000-row mirror block of the matrix: from 16,863 points up every mode's
-# start bracket about its asymptotic eigenvalue is already as narrow as the
-# bisection's stop): 0.042 s in process.  Below that, count bisection costs
-# most at 3,000-5,000 points (10 modes at 3,000 points: 88 counts of 1,500
-# rows, 0.005 s).
+# Bounds the Sturm counts of spectrum's modes over one mirror block of the
+# finite-difference matrix.
 MAX_GRID_POINTS = 100_000
-# tabulate --n 60: 0.08-0.09 s, peaking at 21 MB resident (VmHWM) in CSV and 27 MB
-# in JSON: it builds one level row and one bracket row, arrays, while its two
-# sweeps hold two working rows each, lists.
+# Bounds tabulate's rows: one level row and one bracket row, and the output.
 MAX_POINTS = 10_001
 
-_REPORT_HEADER = ["name", "computed", "reference", "abs_dev", "rel_dev", "tolerance", "passed"]
+_REPORT_HEADER = list(verify.CheckResult._fields)
 _MATH_ERRORS = (ZeroDivisionError, DomainError, EvaluationError, ConvergenceError)
 
 
@@ -210,7 +198,8 @@ def cmd_identity(config: RunConfig, which: str | None = None, n: int | None = No
         raise ParameterError(f"the {which} identity is indexed by {flag}, not {other}")
     m_or_n = index[flag] or 0
     _require_range(flag, m_or_n, 0, family.top(MAX_DEGREE))
-    result = check_identity(which, m_or_n, tolerance=config.tolerances["identity"])
+    tolerance = config.tolerances[verify._FAMILIES["identity"].tolerance]
+    result = check_identity(which, m_or_n, tolerance=tolerance)
     row = {"which": which, "index": m_or_n, "max_scaled_deviation": result.computed,
            "tolerance": result.tolerance, "passed": result.passed}
     payload = {**row, "alpha": config.alpha, "points": verify.INTERIOR_POINTS}
@@ -219,7 +208,7 @@ def cmd_identity(config: RunConfig, which: str | None = None, n: int | None = No
 
 def cmd_spectrum(config: RunConfig, count: int = verify.FD_MODES) -> int:
     """Compare the finite-difference spectrum with 4 alpha^2 (n+2)^2."""
-    tolerance = config.tolerances["fd_spectrum"]
+    tolerance = config.tolerances[verify._FAMILIES["fd"].tolerance]
     report = check_fd_spectrum(config.alpha, config.grid_points, count, tolerance=tolerance)
     header = ["mode", "computed", "exact", "rel_err"]
     rows = [[i, c.computed, c.reference, c.rel_dev] for i, c in enumerate(report.checks)]
@@ -244,7 +233,7 @@ _FLAGS = {
     "--points": ("points", int, f"samples on the closed interval, 2..{MAX_POINTS}"),
     "--which": ("which", tuple(IDENTITY_FAMILIES), "identity family, required; " + ", ".join(
         f"{name} reads --{family.letter}" for name, family in IDENTITY_FAMILIES.items())),
-    "--m": ("m", int, f"family index, 0..{MAX_DEGREE // 2}"),
+    "--m": ("m", int, f"family index, 0..{IDENTITY_FAMILIES['even'].top(MAX_DEGREE)}"),
     "--count": ("count", int, f"low modes, 0..{verify.MAX_MODES}"),
 }
 _HELP = dict.fromkeys(("-h", "--help"), (None, ()))  # no choices: a value joined is an error
@@ -254,9 +243,11 @@ _COMMANDS = {
     "tabulate": ("tabulate a bound state against its partner mode", cmd_tabulate,
                  "--alpha --n --points --format --output", ()),
     "identity": ("check one hypergeometric-trigonometric identity", cmd_identity,
-                 "--alpha --which --n --m --tol --format --output", ("identity",)),
+                 "--alpha --which --n --m --tol --format --output",
+                 (verify._FAMILIES["identity"].tolerance,)),
     "spectrum": ("finite-difference spectrum vs exact energies", cmd_spectrum,
-                 "--alpha --grid-points --count --tol --format --output", ("fd_spectrum",)),
+                 "--alpha --grid-points --count --tol --format --output",
+                 (verify._FAMILIES["fd"].tolerance,)),
 }
 _ABOUT = "Darboux partners of the trigonometric Poschl-Teller well; COMMAND -h lists its flags"
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match

@@ -13,18 +13,18 @@ kappa = lam = 2 well, whose left side F_n(sin^2(t/2)) is a polynomial in
 cos t too; its three forms are one level-n formula (_identity_rows).
 Every row sampled on a row of t (bound-state factors, brackets and their
 second derivatives, the partner potential, both sides of the identities
-and of the correspondence) comes from one holder, TGrid, whose read sweeps
-the level or U recurrence of its cos t row to its own index and builds
-that row alone, and whose _hold builds every row a reader will ask for in
-one sweep each; the point-wise chi_eval and identity_sides read a
-one-point TGrid, and chi_derivatives reads one point of the sweep.
+and of the correspondence) comes from one holder, TGrid, which builds the
+rows at the indices it is built with in one sweep each, and any other row
+a read asks for alone, by a sweep of its cos t row to that index; the
+point-wise chi_eval and identity_sides read a one-point TGrid, and
+chi_derivatives reads one point of the sweep.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from collections import namedtuple
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 from .darboux import _partner_potentials
 from .errors import DomainError, EvaluationError, ParameterError
@@ -264,68 +264,62 @@ IDENTITY_FAMILIES = {
 class TGrid:
     """The rows sampled on one row `ts` of t = 2 alpha x: level(n) =
     F_n(sin^2(t/2)), slope(k) = U'_{k-1}(cos t) and second_derivative(k) = the
-    row g'' in t of the bracket g of index k >= 2, each built when it is read
-    by a sweep of the cos t row to its own index (_rows), returned as the list
-    it is built in and not kept; mode(k) = g = -sin^2(t) U'_{k-1}(cos t), the
-    product of two rows, formed on each read; and, built on first read and
-    kept, sin_sq = sin^2(t), the bound state's factors and the residual's
-    partner potential at unit scale, x = t / 2 (every t inside (0, pi)).  A grid
-    that holds rows (_hold, the suite's interior grid) returns those, built
-    once up front.  Every row it keeps is an array('d'), each copied into one
-    as it is built; what its sweeps read at every point, its cos t row and the
-    working rows, are lists.  A returned row is shared and must not be changed."""
+    row g'' in t of the bracket g of index k >= 2; mode(k) = g = -sin^2(t)
+    U'_{k-1}(cos t), formed on each read; and, built on first read and kept,
+    sin_sq = sin^2(t), the bound state's factors and the residual's partner
+    potential at unit scale, x = t / 2 (every t inside (0, pi)).  Held rows are
+    the level, U'_{k-1} and g'' rows at the indices the grid is built with,
+    each an array('d') copied from _rows at construction; any other read is
+    the list of its own sweep (_rows), not kept.  Its cos t row and the
+    sweeps' working rows are lists.  A returned row is shared and must not be
+    changed."""
 
-    def __init__(self, ts):
+    def __init__(self, ts, levels=(), slopes=(), seconds=()):
         self.ts = ts
         self._cosines = list(map(math.cos, ts))
-        self._levels, self._slopes, self._second = {}, {}, {}  # the rows _hold built
+        self._held = {(kind, i): array("d", row)
+                      for kind, i, row in self._rows(levels, slopes, seconds)}
 
-    def _rows(self, levels=(), slopes=(), seconds=(), kept=False) -> tuple[dict, dict, dict]:
-        """The level rows at each n of `levels`, the rows U'_{k-1} at each k of
-        `slopes` and the g'' rows at each k of `seconds`, as three dicts: one
-        level sweep (_level_rows) and one U sweep (_u_rows) of the cos t row,
-        each to the largest index it is asked for and no further, the U sweep
-        to depth 3 if any g'' is asked for and to 1 if not; every g'' reads the
-        rows of _g2_factors, built once per call.  Each row is the list it is
-        built in, or, for rows the grid keeps, an array('d') copied as it is
-        built, so that at most one of them is ever held as a list."""
+    def _rows(self, levels=(), slopes=(), seconds=()):
+        """(kind, index, row), each row the list it is built in: the level row
+        at each n of `levels`, then the row U'_{k-1} at each k of `slopes` and
+        the g'' row at each k of `seconds`, from one level sweep (_level_rows)
+        and one U sweep (_u_rows) of the cos t row, each run only if asked
+        for a row and to its largest index, the U sweep to depth 3 if any g''
+        is asked for and to 1 if not; every g'' reads the rows of _g2_factors."""
         cosines = self._cosines
-        row = partial(array, "d") if kept else (lambda built: built)
-        level_rows = {n: row(level) for n, level in _level_rows(cosines, levels)}
-        slopes, seconds, slope_rows, second = set(slopes), set(seconds), {}, {}
+        if levels:
+            for n, level in _level_rows(cosines, levels):
+                yield "levels", n, level
+        slopes, seconds = set(slopes), set(seconds)
         if slopes or seconds:
             factors = _g2_factors(cosines, self.sin_sq) if seconds else ()
             for k, (slope, *higher) in _u_rows(cosines, 3 if seconds else 1, slopes | seconds):
                 if k in slopes:
-                    slope_rows[k] = row(slope)
+                    yield "slopes", k, slope
                 if k in seconds:
-                    second[k] = row(_second_derivative(factors, slope, *higher))
-        return level_rows, slope_rows, second
+                    yield "seconds", k, _second_derivative(factors, slope, *higher)
 
-    def _hold(self, levels, modes, seconds) -> None:
-        """Build the level rows, the rows U'_{k-1} of every mode k (its
-        bracket's factor and its identity's right side) and the g'' rows at
-        these indices (_rows), sin_sq, the potential and the bound factors,
-        and keep them all; a build that raises keeps no row of _rows."""
-        rows = self._rows(levels, modes, seconds, kept=True)
-        self.sin_sq, self.potential, self.bound_factors
-        self._levels, self._slopes, self._second = rows
+    def _row(self, kind: str, index: int) -> array | list:
+        """The held row of `kind` at `index`, else the list of its own sweep."""
+        held = self._held.get((kind, index))
+        return held if held is not None else next(self._rows(**{kind: [index]}))[2]
 
     def level(self, n: int) -> array | list:
         if n < 0:
             raise ParameterError(f"index must be >= 0, got {n}")
-        return self._levels[n] if n in self._levels else self._rows(levels=[n])[0][n]
+        return self._row("levels", n)
 
     def slope(self, k: int) -> array | list:
         _require_partner(k)
-        return self._slopes[k] if k in self._slopes else self._rows(slopes=[k])[1][k]
+        return self._row("slopes", k)
 
     def mode(self, k: int) -> list:
         return _bracket(self.sin_sq, self.slope(k), 1.0)
 
     def second_derivative(self, k: int) -> array | list:
         _require_partner(k)
-        return self._second[k] if k in self._second else self._rows(seconds=[k])[2][k]
+        return self._row("seconds", k)
 
     @cached_property
     def sin_sq(self) -> array:

@@ -376,19 +376,17 @@ def _interior_ts() -> list:
     return [WALL_MARGIN + i * step for i in range(INTERIOR_POINTS)]
 
 
-def _interior_rows(levels, modes, seconds) -> closed_form.TGrid:
+def _interior_rows(levels=(), modes=(), seconds=()) -> closed_form.TGrid:
     """The interior grid holding its level, U'_{k-1} and g'' rows at these
-    indices, sin^2(t), its potential and its bound factors (TGrid._hold)."""
-    grid = closed_form.TGrid(_interior_ts())
-    grid._hold(levels, modes, seconds)
-    return grid
+    indices (every mode k reads U'_{k-1})."""
+    return closed_form.TGrid(_interior_ts(), levels, modes, seconds)
 
 
 def _interior_grid() -> closed_form.TGrid:
     """The running suite's interior grid, which holds every row its
-    families read, else a fresh one, each of whose reads builds its own
-    row."""
-    return _suite.get().get((_interior_rows,)) or closed_form.TGrid(_interior_ts())
+    families read, else one holding none, each of whose reads builds its
+    own row."""
+    return _suite.get().get((_interior_rows,)) or _interior_rows()
 
 
 def check_residual(k: int, alpha: float = 1.0, *, tolerance: float | None = None) -> CheckResult:

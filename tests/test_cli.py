@@ -894,6 +894,22 @@ def test_module_entry_point_subprocess():
     assert result.stdout.strip() == "mode,computed,exact,rel_err"
 
 
+@pytest.mark.parametrize("argv, code", [(["verify", "--n-max", "0"], 0),
+                                        (["verify", "--bogus", "1"], 2)], ids=["ok", "usage"])
+def test_peak_rss_script_exits_with_mains_code_and_prints_one_peak_line(argv, code):
+    # the CI steps that print a run's peak memory run tests/peak_rss.py
+    import ptdarboux
+
+    source = Path(ptdarboux.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("peak_rss.py")), *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(source)},
+    )
+    assert result.returncode == code, result.stderr
+    assert len([line for line in result.stderr.splitlines() if line.startswith("VmHWM")]) == 1
+
+
 _GUARD = """
 import contextlib, io, sys
 import ptdarboux.cli

@@ -25,11 +25,9 @@ def _cosines(ts):
     return [math.cos(t) for t in ts]
 
 
-def _held_grid(ts, levels=(), modes=(), seconds=()):
-    # a TGrid holding these rows, built up front, as the suite's interior grid
-    grid = TGrid(ts)
-    grid._hold(levels, modes, seconds)
-    return grid
+def _held(grid, kind):
+    # the indices at which a grid holds rows of `kind`
+    return sorted(i for held_kind, i in grid._held if held_kind == kind)
 
 
 def _suite_level_rows():
@@ -42,9 +40,9 @@ def _suite_level_rows():
     z_nodes = [1.0 - 2.0 * (u * u * (3.0 - 2.0 * u)) for u in verify._nodes(0.0, 1.0, 64, 32)[0]]
     z_rows = dict(closed_form._level_rows(z_nodes, levels))
     return {
-        "x nodes": (_cosines(t_nodes), _held_grid(t_nodes, levels).level),
+        "x nodes": (_cosines(t_nodes), TGrid(t_nodes, levels).level),
         "z nodes": (z_nodes, z_rows.__getitem__),
-        "t grid": (_cosines(t_grid), _held_grid(t_grid, levels).level),
+        "t grid": (_cosines(t_grid), TGrid(t_grid, levels).level),
     }
 
 
@@ -67,7 +65,7 @@ def test_level_table_out_of_order_access_gives_the_same_bits():
     # a grid holding levels returns its kept rows in any order; a lone read
     # of a fresh grid sweeps to its own level and gives the same bits
     ts = verify._nodes(0.0, math.pi, 64, 32)[0]
-    grid = _held_grid(ts, levels=[30, 5])
+    grid = TGrid(ts, levels=[30, 5])
     first = list(grid.level(30))
     low = list(grid.level(5))
     assert grid.level(30) is grid.level(30)
@@ -87,7 +85,7 @@ def test_mode_rows_equal_stable_bracket_bitwise():
         "t grid": verify._interior_grid().ts,
     }
     for name, ts in ts_rows.items():
-        grid = _held_grid(ts, modes=range(2, MAX_DEGREE + 3))
+        grid = TGrid(ts, slopes=range(2, MAX_DEGREE + 3))
         for k in range(2, MAX_DEGREE + 3):
             row = grid.mode(k)
             mismatches = [t for t, g in zip(ts, row) if g != stable_bracket(k, t)]
@@ -100,13 +98,13 @@ def test_t_grid_keeps_its_mode_rows_and_rejects_the_seed_index():
     # a grid keeps the rows it holds, the row U'_{k-1} of each mode k, and
     # no row a lone read builds; a mode is formed from its row on each read
     ts = verify._interior_grid().ts
-    grid = _held_grid(ts, modes=[5, 30], seconds=[7])
+    grid = TGrid(ts, slopes=[5, 30], seconds=[7])
     high = grid.slope(30)
     assert grid.mode(5) == TGrid(ts).mode(5) and grid.mode(30) == TGrid(ts).mode(30)
     assert grid.slope(30) is high and grid.second_derivative(7) is grid.second_derivative(7)
     assert grid.slope(9) is not grid.slope(9) and grid.slope(9) == TGrid(ts).slope(9)
     assert type(grid.slope(9)) is list and type(high) is array  # a lone read keeps no copy
-    assert sorted(grid._slopes) == [5, 30] and sorted(grid._second) == [7]
+    assert _held(grid, "slopes") == [5, 30] and _held(grid, "seconds") == [7]
     for bad in (grid, TGrid(ts)):
         with pytest.raises(ParameterError):
             bad.mode(1)
@@ -114,6 +112,46 @@ def test_t_grid_keeps_its_mode_rows_and_rejects_the_seed_index():
             bad.slope(1)
         with pytest.raises(ParameterError):
             bad.second_derivative(1)
+
+
+def test_a_grid_holds_arrays_at_exactly_its_indices_and_reads_others_as_lists():
+    # the rows a grid is built with are array('d') rows with the bits of a lone
+    # read; a read at any other index is the list of its own sweep, and
+    # leaves what the grid holds as it was
+    ts = verify._interior_grid().ts[::50]
+    grid, fresh = TGrid(ts, levels=[3, 0], slopes=[4], seconds=[6, 2]), TGrid(ts)
+    held = dict(grid._held)
+    assert sorted(held) == [("levels", 0), ("levels", 3), ("seconds", 2), ("seconds", 6),
+                            ("slopes", 4)]
+    for (kind, index), row in held.items():
+        read = {"levels": "level", "slopes": "slope", "seconds": "second_derivative"}[kind]
+        assert type(row) is array and row.typecode == "d"
+        assert getattr(grid, read)(index) is row and list(row) == getattr(fresh, read)(index)
+    for read, index in (("level", 1), ("level", 4), ("slope", 2), ("slope", 6),
+                        ("second_derivative", 4), ("second_derivative", 3)):
+        row = getattr(grid, read)(index)
+        assert type(row) is list and row == getattr(fresh, read)(index)
+    assert grid._held.keys() == held.keys()
+    assert all(grid._held[key] is row for key, row in held.items())
+
+
+@pytest.mark.parametrize("indices, starts", [
+    ((), []),
+    ((range(11),), ["_jacobi_rows"]),
+    ((range(11), range(2, 13), range(2, 10)), ["_jacobi_rows", "_u_rows"]),
+], ids=["none", "levels", "levels-slopes-seconds"])
+def test_a_grid_starts_one_sweep_per_recurrence_it_holds_rows_of(monkeypatch, indices, starts):
+    # built with no index a grid starts neither sweep; with levels 0..n, and
+    # U'_{k-1} and g'' rows at k <= m, one level sweep and one U sweep
+    ts, started = verify._interior_grid().ts[::50], []
+    for module, name in ((hypergeom, "_jacobi_rows"), (closed_form, "_u_rows")):
+        def counted(*args, name=name, sweep=getattr(module, name)):
+            started.append(name)
+            return sweep(*args)
+        monkeypatch.setattr(module, name, counted)
+    grid = TGrid(ts, *indices)
+    assert started == starts
+    assert len(grid._held) == sum(map(len, indices))
 
 
 def test_derivative_rows_match_the_cotangent_form():
@@ -125,7 +163,7 @@ def test_derivative_rows_match_the_cotangent_form():
     # to k and gives the same bits
     ts = [t for t in verify._interior_grid().ts if math.sin(t) >= 0.1]
     ks = range(2, MAX_DEGREE + 4)
-    grid = _held_grid(ts, seconds=ks)
+    grid = TGrid(ts, seconds=ks)
     for k in ks:
         second = grid.second_derivative(k)
         if k % 10 == 2:
@@ -159,7 +197,7 @@ def test_bracket_and_second_derivative_rows_keep_their_relative_accuracy_to_the_
     for k in ks:
         near = [1e-3 * 2.0 ** i for i in range(12) if 1e-3 * 2.0 ** i <= 1.0 / k]
         ts = near + [math.pi - t for t in near] + interior
-        grid = _held_grid(ts, modes=[k], seconds=[k])
+        grid = TGrid(ts, slopes=[k], seconds=[k])
         exact = [tuple(map(float, bracket_decimal(k, t))) for t in ts]
         for row, column in ((grid.mode(k), 0), (grid.second_derivative(k), 1)):
             errors = [abs(v - e[column]) for v, e in zip(row, exact)]
@@ -219,10 +257,8 @@ def test_a_t_grid_is_freed_without_a_cycle_collection():
 
     gc.disable()
     try:
-        for held in (False, True):
-            grid = TGrid(verify._interior_grid().ts)
-            if held:
-                grid._hold(range(6), range(2, 10), range(2, 10))
+        for indices in ((), (range(6), range(2, 10), range(2, 10))):
+            grid = TGrid(verify._interior_grid().ts, *indices)
             grid.bound_state_pairs(5, 1.0), grid.second_derivative(9), grid.mode(9), grid.potential
             ref, row = weakref.ref(grid), weakref.ref(grid.sin_sq)
             del grid

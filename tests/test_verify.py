@@ -689,6 +689,11 @@ def _suite_tables(monkeypatch):
     return tables
 
 
+def _held(grid, kind):
+    # the indices at which a TGrid holds rows of `kind`
+    return sorted(i for held_kind, i in grid._held if held_kind == kind)
+
+
 def test_suite_keeps_its_rows_in_arrays_and_releases_its_table_sweeps(monkeypatch):
     # the sweeps' working rows are lists, but every row a table keeps is an
     # array('d'): the t rule's mode rows and the interior grid's level,
@@ -702,10 +707,9 @@ def test_suite_keeps_its_rows_in_arrays_and_releases_its_table_sweeps(monkeypatc
     modes, grid = tables["_mode_sums"], tables["_interior_rows"]
     assert sorted(modes) == list(range(2, 13))
     assert sorted(tables["_level_sums"]) == sorted(tables["_z_level_sums"]) == list(range(11))
-    assert sorted(grid._levels) == list(range(12))  # the odd ratio's 2m + 1 = 11
-    assert sorted(grid._slopes) == list(range(2, 14)) and sorted(grid._second) == list(range(2, 11))
-    kept = [*(row for row, _ in modes.values()), *grid._levels.values(),
-            *grid._slopes.values(), *grid._second.values(),
+    assert _held(grid, "levels") == list(range(12))  # the odd ratio's 2m + 1 = 11
+    assert _held(grid, "slopes") == list(range(2, 14)) and _held(grid, "seconds") == list(range(2, 11))
+    kept = [*(row for row, _ in modes.values()), *grid._held.values(),
             grid.sin_sq, grid.potential, *grid.bound_factors]
     assert all(type(row) is array and row.typecode == "d" for row in kept)
     held = [*tables.values(), *vars(grid).values(), *(sums for _, sums in modes.values())]
@@ -723,7 +727,7 @@ def test_suite_tables_are_freed_without_a_cycle_collection(monkeypatch):
     try:
         assert run_full_suite(n_max=6).overall
         grid = tables.pop("_interior_rows")
-        refs = [weakref.ref(grid), *(weakref.ref(row) for row in grid._slopes.values()),
+        refs = [weakref.ref(grid), *(weakref.ref(row) for row in grid._held.values()),
                 *(weakref.ref(row) for row, _ in tables["_mode_sums"].values())]
         tables.clear()
         del grid
@@ -842,16 +846,15 @@ def test_suite_builds_each_interior_slope_row_once(monkeypatch):
     _clear_node_set_caches()
     try:
         brackets, sweeps = _count_brackets(monkeypatch)
-        kept = []
-        hold = closed_form.TGrid._hold
-        monkeypatch.setattr(closed_form.TGrid, "_hold",
-                            lambda grid, *args: kept.append(grid) or hold(grid, *args))
+        kept, interior_rows = [], verify._interior_rows
+        monkeypatch.setattr(verify, "_interior_rows",
+                            lambda *args: kept.append(interior_rows(*args)) or kept[-1])
         assert run_full_suite(n_max=30).overall
         interior = sorted(k for k, points in brackets if points == verify.INTERIOR_POINTS)
         assert interior == sorted([*range(2, 33), *range(2, 31)])
         assert sweeps.count(verify.INTERIOR_POINTS) == 1
         (grid,) = kept
-        assert sorted(grid._slopes) == list(range(2, 34))
+        assert _held(grid, "slopes") == list(range(2, 34))
         assert sin_rows == [1]
     finally:
         _clear_node_set_caches()
@@ -942,8 +945,8 @@ def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch
     # table: the next read builds its own with the same bits, and a suite
     # interrupted there leaves no table behind, so the next one in the same
     # process passes with the same bits.  One at k = 6 of a grid's U sweep,
-    # raised while the derivative sweep reads it, leaves the grid holding no
-    # row, and it reads on with the bits of a grid that was never
+    # raised while the grid is built, leaves no grid, and the next grid
+    # built with the same rows holds the bits of one that was never
     # interrupted
     expected = check_trig_norm(4)
     report = run_full_suite(n_max=3)
@@ -981,12 +984,12 @@ def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch
             yield k, rows
 
     monkeypatch.setattr(closed_form, "_u_rows", interrupting_u)
-    grid = closed_form.TGrid(ts)
     with pytest.raises(KeyboardInterrupt):
-        grid._hold(range(4), range(2, 12), range(2, 12))
+        closed_form.TGrid(ts, range(4), range(2, 12), range(2, 12))
     assert interrupted == [6]
-    assert grid._levels == grid._slopes == grid._second == {}
-    assert [(grid.second_derivative(k), grid.mode(k)) for k in range(2, 12)] == expected_rows
+    grid = closed_form.TGrid(ts, range(4), range(2, 12), range(2, 12))
+    assert [(list(grid.second_derivative(k)), grid.mode(k))
+            for k in range(2, 12)] == expected_rows
 
 
 def test_suite_builds_one_reference_rule_per_order(monkeypatch):
