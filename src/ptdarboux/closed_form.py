@@ -64,9 +64,9 @@ class TrigEigenfunction(namedtuple("TrigEigenfunction", "k alpha")):
 def _level_rows(xs, ns):
     """(n, F_n) for each n of `ns`, in increasing order: the rows of F_n(z) =
     2F1(-n, n+4; 5/2; z) at each x = 1 - 2z of the list `xs`, from one
-    _jacobi_rows sweep, a = beta = 3/2 (DLMF 18.7.1), that stops after the
-    largest n."""
-    return hypergeom._jacobi_rows(1.5, 1.5, xs, ns)
+    _jacobi_rows sweep, a = 3/2 (DLMF 18.7.1), that stops after the largest
+    n."""
+    return hypergeom._jacobi_rows(1.5, xs, ns)
 
 
 def _bound_factors(ts) -> tuple[array, array]:

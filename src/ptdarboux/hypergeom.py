@@ -15,7 +15,9 @@ the value is O(1).  Summing the power series loses the value to that
 cancellation unless it is carried in ever more precision, so the float
 path evaluates the polynomial as a normalized Jacobi polynomial by its
 three-term recurrence in degree, whose terms stay of the size of the
-result.
+result.  Every 2F1 of the package lies on a Gegenbauer ladder
+b = n + 2c - 1, where the recurrence has one step form, and the float path
+takes only those; the exact path takes any parameters.
 """
 from __future__ import annotations
 
@@ -105,76 +107,62 @@ def f21_eval_exact(h: TerminatingHypergeometric, z):
                                 (z.numerator, z.denominator)))
 
 
-def _jacobi_rows(a: float, beta: float, xs, ns):
+def _jacobi_rows(a: float, xs, ns):
     """(n, R_n) for each n of `ns`, in increasing order: the rows of the
-    normalized Jacobi recurrence at every x of the list `xs`, from one sweep
-    that keeps only its last two rows and stops after the largest n; an
-    empty `ns` builds no row.  A step reads its two rows' floats, and those
-    of xs, without boxing them again.  A row is shared and must not be
-    changed; a holder that keeps rows copies them into arrays, which take a
-    quarter of the memory.
+    normalized Gegenbauer-ladder Jacobi recurrence at every x of the list
+    `xs`, from one sweep that keeps only its last two rows and stops after
+    the largest n; an empty `ns` builds no row.  A step reads its two rows'
+    floats, and those of xs, without boxing them again.  A row is shared and
+    must not be changed; a holder that keeps rows copies them into arrays,
+    which take a quarter of the memory.
 
-    R_n = P_n^(a,beta)(x) / P_n^(a,beta)(1) is 2F1(-n, n+a+beta+1; a+1; z)
-    at x = 1 - 2z (DLMF 15.9.1), R_0 = 1, R_1 = 1 - (a+beta+2)(1-x)/(2a+2),
-    and with s = 2j + a + beta (DLMF 18.9.2)
+    R_n = P_n^(a,a)(x) / P_n^(a,a)(1) is 2F1(-n, n+2a+1; a+1; z) at
+    x = 1 - 2z (DLMF 15.9.1), R_0 = 1, R_1 = x, and with s = 2j + 2a
+    (DLMF 18.9.2 at beta = a)
 
-        2(j+a)(j+a+beta)(s-2) R_j
-            = (s-1)[s(s-2)x + a^2 - beta^2] R_{j-1} - 2(j-1)(j+beta-1)s R_{j-2}.
+        2(j+a)(j+2a)(s-2) R_j = (s-1) s(s-2) x R_{j-1} - 2(j-1)(j+a-1)s R_{j-2}.
 
     Each step folds its coefficients once into slope = (s-1) s(s-2) / den,
-    shift = (s-1)(a^2 - beta^2) / den and back = slope + shift - 1, with den
-    the left side's factor, so that an element costs
+    with den the left side's factor, so that an element costs
 
-        R_j = (slope x + shift) R_{j-1} - back R_{j-2}.
+        R_j = slope x R_{j-1} - (slope - 1) R_{j-2}.
 
-    back is 2(j-1)(j+beta-1)s / den, but taking it as slope + shift - 1
-    (equal, since R_j(x=1) = 1) keeps R_j(x=1) = 1 exactly at every degree:
-    slope + shift = 1 + back with back > 0 for a, beta > -1, and subtracting
-    1 from a float of at least 1/2 is exact.  On the Gegenbauer ladder
-    a = beta, shift is 0, R_1 is the row x itself and an element costs
-    slope x R_{j-1} - back R_{j-2}, the same float as the general step; the
-    sweep picks that form once.  There back = slope - 1 exactly, so
-    R_j(x=-1) = (-1)^j exactly too.
+    slope - 1 is 2(j-1)(j+a-1)s / den (R_j(x=1) = 1), and taking it so keeps
+    R_j(x=1) = 1 and R_j(x=-1) = (-1)^j exactly at every degree: slope is at
+    least 1 for a > -1, and subtracting 1 from it is exact.
     """
     keep = set(ns)
-    ab, diff_sq = a + beta, a * a - beta * beta
-    if a == beta:
-        def step(slope, shift, back, rs, r_prevs):
-            return [slope * x * v - back * w for x, v, w in zip(xs, rs, r_prevs)]
-    else:
-        def step(slope, shift, back, rs, r_prevs):
-            return [(slope * x + shift) * v - back * w for x, v, w in zip(xs, rs, r_prevs)]
     for j in range(max(keep, default=-1) + 1):
         if j == 0:
             r = [1.0] * len(xs)
         elif j == 1:
-            r_prev, r = r, xs if a == beta else [
-                1.0 - (ab + 2.0) * (1.0 - x) / (2.0 * a + 2.0) for x in xs]
+            r_prev, r = r, xs
         else:
-            s = 2 * j + ab
-            den = 2.0 * (j + a) * (j + ab) * (s - 2.0)
-            slope, shift = (s - 1.0) * (s * (s - 2.0)) / den, (s - 1.0) * diff_sq / den
-            r_prev, r = r, step(slope, shift, slope + shift - 1.0, r, r_prev)
+            s = 2 * j + 2.0 * a
+            den = 2.0 * (j + a) * (j + 2.0 * a) * (s - 2.0)
+            slope = (s - 1.0) * (s * (s - 2.0)) / den
+            back = slope - 1.0
+            r_prev, r = r, [slope * x * v - back * w for x, v, w in zip(xs, r, r_prev)]
         if j in keep:
             yield j, r
 
 
 def f21_eval_real(h: TerminatingHypergeometric, z: float) -> float:
-    """Floating-point value of 2F1(-n, b; c; z): one point of the
-    _jacobi_rows sweep at degree n, with a = c - 1 and beta = b - n - c.
+    """Floating-point value of 2F1(-n, b; c; z) on the Gegenbauer ladder
+    b = n + 2c - 1 (F_n is c = 5/2): one point of the _jacobi_rows sweep at
+    degree n, with a = c - 1.
 
     No step cancels large terms, so the error stays near the rounding level
-    of max|F| (checked to n = 160).  F(0) = 1 exactly, and on the ladders
-    b = n + 2c - 1 (a = beta; F_n is c = 5/2) F(1) = (-1)^n exactly: a and
-    beta are each rounded once from exact rationals, so a ladder's are equal.
-    The recurrence needs a > -1 and beta > -1; other parameters raise
+    of max|F| (checked to n = 160).  F(0) = 1 and F(1) = (-1)^n exactly.
+    The ladder is compared as exact rationals, and the recurrence needs
+    a > -1, that is c > 0 once c - 1 is rounded; other parameters raise
     ParameterError (f21_eval_exact takes them).
     """
     a = float(h.c - 1)
-    beta = float(h.b - h.n - h.c)
-    if not (a > -1.0 and beta > -1.0):
-        raise ParameterError(f"float path needs c - 1 > -1 and b - n - c > -1, got {a}, {beta}")
-    return next(_jacobi_rows(a, beta, [1.0 - 2.0 * float(z)], [h.n]))[1][0]
+    if h.b != h.n + 2 * h.c - 1 or not a > -1.0:
+        raise ParameterError(f"float path takes only the ladder b = n + 2c - 1 with c > 0, "
+                             f"got n={h.n}, b={h.b}, c={h.c}; f21_eval_exact takes any")
+    return next(_jacobi_rows(a, [1.0 - 2.0 * float(z)], [h.n]))[1][0]
 
 
 def f21_derivative(h: TerminatingHypergeometric) -> tuple:

@@ -20,7 +20,7 @@ from types import MappingProxyType, SimpleNamespace
 
 from . import closed_form
 from .closed_form import IDENTITY_FAMILIES, TrigEigenfunction
-from .errors import EvaluationError, ParameterError
+from .errors import ConvergenceError, EvaluationError, ParameterError
 from .hypergeom import midpoint_vanishing
 from .models import WellConfig, _require_partner, box_energy
 from .numerics import gauss_legendre
@@ -499,6 +499,11 @@ def _sturm_count(w0: float, rest: list, shift: float, factor: float, mu: float) 
 # eigenvalue; a start bracket at most this wide is settled by its two counts.
 _HALF_WIDTH = 4.9e-14
 
+# The bisection steps _settle may take: from (0, top] it needs at most 50
+# (top / eigenvalue is at most (MAX_MODES + 2)^2 / 4), so more only follow a
+# step that does not halve the bracket.
+_MAX_STEPS = 200
+
 # The wall layer of the half-offset grid: v = x^2 + _WALL_BETA s solves
 # -(v_{i+1} - 2 v_i + v_{i-1}) + 2 v_i / x_i^2 = 0 on x_i = i + 1/2 with
 # v_{-1} = 0, where s is the solution that decays like 1/x (a backward
@@ -522,38 +527,33 @@ def _settle(block: tuple, place: int, lo: float, up: float,
     Sturm counts alone, as the bracket (lo, up) with count(lo) < place <=
     count(up) (Barth, Martin & Wilkinson 1967).
 
-    The start is clamped to [0, top]; one with nothing left between its ends
-    (NaN, or at or beyond either end) becomes (0, top].  When lo counts
-    place or more, the eigenvalue lies at or below lo, and the bracket
-    moves below lo, four times as wide, until its lower end counts fewer or
-    reaches 0, below every eigenvalue of the positive definite blocks.  When
-    up counts fewer, the bracket moves above up the same way until its upper
-    end counts place; at the top, where only held < place lie below, it
-    raises EvaluationError(held).  Bisection then narrows the bracket to
-    _HALF_WIDTH of its upper end, so its centre is within _HALF_WIDTH / 2 of
-    the eigenvalue, and a start that narrow takes only its two counts.  So
-    the start sets only the cost.
+    The start is clamped to [0, top] and kept when its counts hold the
+    eigenvalue.  Otherwise (NaN, nothing left between its ends, or either
+    count failing) it falls back once to (0, top]: 0 lies below every
+    eigenvalue of the positive definite blocks, and the top is counted, so
+    a top with only held < place below it raises EvaluationError(held).
+    Bisection then narrows the bracket to _HALF_WIDTH of its upper end, so
+    its centre is within _HALF_WIDTH / 2 of the eigenvalue, and a start that
+    narrow takes only its two counts.  So the start sets only the cost.
+    From (0, top] that takes about log2(top / eigenvalue) + 45 steps, and a
+    bisection that has not narrowed in fewer than _MAX_STEPS raises
+    ConvergenceError.
     """
     lo, up = max(0.0, lo), min(top, up)
-    if not lo < up:
+    if not (lo < up and _sturm_count(*block, lo) < place <= _sturm_count(*block, up)):
         lo, up = 0.0, top
-    if _sturm_count(*block, lo) >= place:
-        while True:
-            lo, up = max(0.0, lo - 4.0 * (up - lo)), lo
-            if lo == 0.0 or _sturm_count(*block, lo) < place:
-                break
-    else:
-        while (held := _sturm_count(*block, up)) < place:
-            if up == top:
-                raise EvaluationError(held)
-            lo, up = up, min(top, up + 4.0 * (up - lo))
-    while up - lo > _HALF_WIDTH * up:
+        if (held := _sturm_count(*block, top)) < place:
+            raise EvaluationError(held)
+    for _ in range(_MAX_STEPS):
+        if up - lo <= _HALF_WIDTH * up:
+            return lo, up
         mid = 0.5 * (lo + up)
         if _sturm_count(*block, mid) < place:
             lo = mid
         else:
             up = mid
-    return lo, up
+    raise ConvergenceError(f"the bracket of eigenvalue {place} of its block is ({lo!r}, {up!r}) "
+                           f"after {_MAX_STEPS} bisection steps")
 
 
 def _asymptotic(k: int, h: float) -> float:

@@ -5,10 +5,10 @@ Each mode of verify.fd_spectrum is settled by Sturm counts alone
 mu (verify._asymptotic): centred on mu (1 + r / 2), r = (k h)^4 / 360, and
 max(_HALF_WIDTH, r) / 2 - 2^-51 wide on each side.  It is bisected by counts
 to a width of _HALF_WIDTH of its upper end, and its value is the centre.  A
-start bracket whose counts fail widens on the failing side.  On every grid
-drawn here no start bracket may widen, no mode at the narrowest start (r <=
-_HALF_WIDTH, where the start bracket already meets _settle's stop) may take
-more than its 2 counts, and each value must lie within _HALF_WIDTH / 2
+start bracket whose counts fail falls back once to (0, top].  On every
+grid drawn here no start bracket may fall back, no mode at the narrowest
+start (r <= _HALF_WIDTH, where the start bracket already meets _settle's
+stop) may take more than its 2 counts, and each value must lie within _HALF_WIDTH / 2
 (relative) of the reference: its certified bracket bisected further by
 counts to a width of REFERENCE_WIDTH of its upper end (refine).
 
@@ -16,9 +16,9 @@ counts to a width of REFERENCE_WIDTH of its upper end (refine).
 
 draws GRIDS grids (default 200, seed 1): points log-uniform in 100-100,000,
 1-10 modes and alpha log-uniform in 1e-6-1e6.  It prints the start brackets
-that widened, the narrowest starts past their 2 counts, the count sweeps and
-the worst move over all grids, and the grids at fault, and exits 1 when a
-start bracket widens, a mode at the narrowest start takes more than its 2
+that fell back, the narrowest starts past their 2 counts, the count sweeps
+and the worst move over all grids, and the grids at fault, and exits 1 when a
+start bracket falls back, a mode at the narrowest start takes more than its 2
 counts, or a value moves further than _HALF_WIDTH / 2 from the reference.
 """
 import math
@@ -54,12 +54,13 @@ def refine(block: tuple, place: int, lo: float, up: float) -> float:
 
 
 def check(alpha: float, grid_points: int, modes: int) -> tuple[int, int, int, float]:
-    """A grid's start brackets that widened, its modes at the narrowest start
-    that took more than 2 counts, its count sweeps and its largest relative
-    move from the reference."""
+    """A grid's start brackets that fell back (a result outside its start,
+    which the counts of a start that holds its mode rule out), its modes at
+    the narrowest start that took more than 2 counts, its count sweeps and
+    its largest relative move from the reference."""
     h = math.pi / grid_points
     saved = verify._sturm_count, verify._settle, verify._sturm_grid, verify._asymptotic
-    counts, widened, slow, work, ks = [], [], [], [], []
+    counts, fell_back, slow, work, ks = [], [], [], [], []
 
     def count(*args):
         counts.append(1)
@@ -68,7 +69,7 @@ def check(alpha: float, grid_points: int, modes: int) -> tuple[int, int, int, fl
     def settle(block, place, lo, up, top):
         before = len(counts)
         result = saved[1](block, place, lo, up, top)
-        widened.append(result[0] < lo or result[1] > up)
+        fell_back.append(result[0] < lo or result[1] > up)
         slow.append((ks[-1] * h) ** 4 / 360.0 <= verify._HALF_WIDTH and len(counts) - before > 2)
         return result
 
@@ -93,7 +94,7 @@ def check(alpha: float, grid_points: int, modes: int) -> tuple[int, int, int, fl
         block, place = verify._block_mode(mode)
         reference = scale * (refine(blocks[block], place, lo, up) / h2)
         move = max(move, abs(value - reference) / reference)
-    return sum(widened), sum(slow), len(counts), move
+    return sum(fell_back), sum(slow), len(counts), move
 
 
 def main(argv: list[str]) -> int:
@@ -101,16 +102,17 @@ def main(argv: list[str]) -> int:
     seed = int(argv[1]) if len(argv) > 1 else 1
     results = [(grid, *check(*grid)) for grid in grids(count, seed)]
     modes = sum(grid[2] for grid, *_ in results)
-    widened, slow, sweeps = (sum(result[i] for result in results) for i in (1, 2, 3))
+    fell_back, slow, sweeps = (sum(result[i] for result in results) for i in (1, 2, 3))
     (alpha, grid_points, worst_modes), *_, worst = max(results, key=lambda result: result[-1])
-    print(f"{count} grids (seed {seed}), {modes} modes: {widened} start brackets widened and "
+    print(f"{count} grids (seed {seed}), {modes} modes: {fell_back} start brackets fell back and "
           f"{slow} narrowest starts took more than 2 counts; {sweeps} count sweeps; worst move "
           f"against the reference: {worst:.3g} (alpha={alpha!r} grid_points={grid_points} "
           f"modes={worst_modes}); bound {verify._HALF_WIDTH / 2:.3g}")
-    faults = [(grid, widened, slow) for grid, widened, slow, *_ in results if widened or slow]
-    for (alpha, grid_points, grid_modes), widened, slow in faults:
-        print(f"alpha={alpha!r} grid_points={grid_points} modes={grid_modes}: {widened} start "
-              f"brackets widened, {slow} narrowest starts past their 2 counts")
+    faults = [(grid, fell_back, slow) for grid, fell_back, slow, *_ in results
+              if fell_back or slow]
+    for (alpha, grid_points, grid_modes), fell_back, slow in faults:
+        print(f"alpha={alpha!r} grid_points={grid_points} modes={grid_modes}: {fell_back} start "
+              f"brackets fell back, {slow} narrowest starts past their 2 counts")
     return 1 if faults or worst > verify._HALF_WIDTH / 2 else 0
 
 

@@ -5,6 +5,7 @@ import operator
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from array import array
@@ -455,8 +456,8 @@ def test_suite_level_rows_equal_their_per_point_forms():
 
 
 @pytest.mark.parametrize("module, name, old, new", [
-    (hypergeom, "_jacobi_rows", "(s - 1.0) * (s * (s - 2.0)) / den,",
-     "(s - 1.0) * (s * (s - 2.0)) / den * (1 + 1e-9),"),
+    (hypergeom, "_jacobi_rows", "slope = (s - 1.0) * (s * (s - 2.0)) / den",
+     "slope = (s - 1.0) * (s * (s - 2.0)) / den * (1 + 1e-9)"),
     (closed_form, "_u_rows", "4.0 * c * c - 2.0 for", "(4.0 * c * c - 2.0) * (1 + 1e-9) for"),
     (closed_form, "_u_rows", "2.0 * j", "(2.0 + 1e-7) * j"),
 ], ids=["level-slope", "u-step-y", "u-derivative-2j"])
@@ -621,8 +622,8 @@ def test_a_non_finite_row_value_is_found_from_its_sums(monkeypatch, spoil):
         (k, _spoil(row, spoil) if k == 3 else row) for k, row in bracket_rows(ts, ks)))
     # level 2 of every level sweep (closed_form._level_rows): the t rule's,
     # at its cos t row, and the z rule's, at its row 1 - 2z
-    monkeypatch.setattr(hypergeom, "_jacobi_rows", lambda a, beta, xs, ns: (
-        (n, _spoil(row, spoil) if n == 2 else row) for n, row in jacobi_rows(a, beta, xs, ns)))
+    monkeypatch.setattr(hypergeom, "_jacobi_rows", lambda a, xs, ns: (
+        (n, _spoil(row, spoil) if n == 2 else row) for n, row in jacobi_rows(a, xs, ns)))
     for check, value, x in ((partial(check_trig_norm, 3), first, t_x),
                             (partial(check_hypergeom_norm, 2, "x"), first, t_x),
                             (partial(check_hypergeom_norm, 2, "z"), abs(first), u_x)):
@@ -1330,15 +1331,15 @@ def test_fd_spectrum_takes_one_newton_sweep_per_fine_grid_mode(monkeypatch, grid
 
 def test_fd_values_lie_deep_inside_their_certificates():
     # on 40 seeded grids (100-6,000 points, 1-10 modes, alpha log-uniform in
-    # 1e-6-1e6) no start bracket widens, and no mode whose start bracket
+    # 1e-6-1e6) no start bracket falls back, and no mode whose start bracket
     # already meets _settle's stop takes more than its 2 counts.  Each value
     # lies within _HALF_WIDTH / 2 of the reference, its certified bracket
     # bisected by counts to 5e-16 of its upper end: measured at most 2.25e-14
     # (by construction).  The 40 grids take 4,221 count sweeps in all
     results = {grid: fd_certificate.check(*grid)
                for grid in fd_certificate.grids(40, 20151, max_points=6000)}
-    assert all(widened == slow == 0 and move <= verify._HALF_WIDTH / 2
-               for widened, slow, _, move in results.values()), results
+    assert all(fell_back == slow == 0 and move <= verify._HALF_WIDTH / 2
+               for fell_back, slow, _, move in results.values()), results
     assert sum(sweeps for _, _, sweeps, _ in results.values()) == 4221
 
 
@@ -1444,9 +1445,9 @@ def test_no_coarse_estimate_enters_a_result(monkeypatch, garbage):
     # (0.6024, 3000, 10) settles within _HALF_WIDTH of its unspoiled value
     # (each is within _HALF_WIDTH / 2 of the eigenvalue), in a bracket that
     # counts of the whole matrix prove.  A NaN, zero or top start leaves
-    # nothing inside [0, top] and bisects from (0, top]; a start at the next
-    # mode widens downward, one at the block's lower mode (its certified
-    # lower end) upward; each takes more than 2 counts
+    # nothing inside [0, top], and a start at the next mode, or at the
+    # block's lower mode (its certified lower end), fails a count; each
+    # bisects from (0, top] and takes more than 2 counts
     grid_points, count, top = 3000, 10, 144.0
     h2, expected = verify._sturm_grid(grid_points, count, top)
     _, weights = _full_weights(grid_points)
@@ -1475,12 +1476,11 @@ def test_no_coarse_estimate_enters_a_result(monkeypatch, garbage):
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_settle_counts_the_top_only_when_its_fallback_bracket_ends_there(monkeypatch, side):
     # a start 1e-6 below each of a 3,000-point grid's 10 lowest modes fails
-    # its upper count, and its bracket moves up, four times as wide each
-    # time; a start 1e-6 above fails its lower count and moves down.  Neither
-    # reaches the top, which is not counted, and the bracket returned holds
-    # its mode by counts of the whole matrix.  Below a top 1e-7 under the
-    # mode, the bracket moving up ends at the top, which is counted once and
-    # holds only place - 1 of the block's eigenvalues: EvaluationError
+    # its upper count, and one 1e-6 above fails its lower count: each falls
+    # back once to (0, top], whose top is counted exactly once, settles
+    # within _HALF_WIDTH of its unspoiled value, and returns a bracket that
+    # holds its mode by counts of the whole matrix.  A top 1e-7 under the
+    # mode holds only place - 1 of the block's eigenvalues: EvaluationError
     grid_points, count, top = 3000, 10, 144.0
     h2, expected = verify._sturm_grid(grid_points, count, top)
     _, weights = _full_weights(grid_points)
@@ -1495,15 +1495,42 @@ def test_settle_counts_the_top_only_when_its_fallback_bracket_ends_there(monkeyp
         points.clear()
         lo, up = verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), top * h2)
         mu = 0.5 * (lo + up)
-        assert top * h2 not in points and len(points) > 3, (mode, points)
+        assert points.count(top * h2) == 1, (mode, points)
         assert abs(mu - unspoiled) <= verify._HALF_WIDTH * unspoiled, (mode, mu, unspoiled)
         assert _full_count(weights, lo) < mode <= _full_count(weights, up)
-        if side < 0:
-            low_top = unspoiled * (1.0 - 1e-7)
-            points.clear()
-            with pytest.raises(EvaluationError) as short:
-                verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), low_top)
-            assert short.value.args == (place - 1,) and points.count(low_top) == 1, mode
+        low_top = unspoiled * (1.0 - 1e-7)
+        points.clear()
+        with pytest.raises(EvaluationError) as short:
+            verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), low_top)
+        assert short.value.args == (place - 1,) and points.count(low_top) == 1, mode
+
+
+class _Alarm(BaseException):
+    """Not an Exception, so that the suite, which records any Exception as a
+    failed row and runs on, cannot swallow it."""
+
+
+def test_a_bisection_that_does_not_narrow_stops_at_its_step_cap(monkeypatch):
+    # a midpoint of 0.5005 (lo + up) lies above up once the bracket is
+    # narrow, so it grows instead of shrinking; uncapped, the suite ran for
+    # minutes.  _settle stops after _MAX_STEPS and raises ConvergenceError,
+    # which the suite records in the fd spectrum row, well within the alarm
+    monkeypatch.setattr(verify, "_settle", mutant(verify._settle, "0.5 * (lo + up)",
+                                                  "0.5005 * (lo + up)"))
+
+    def alarm(*args):
+        raise _Alarm
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(10)
+    try:
+        report = run_full_suite(1.0, 10)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    fd_rows = [c.name for c in report.checks if c.name.startswith("fd")]
+    assert len(fd_rows) == 1 and "[error: ConvergenceError:" in fd_rows[0], fd_rows
+    assert not report.overall
 
 
 @lru_cache(maxsize=1)
