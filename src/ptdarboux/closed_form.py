@@ -13,11 +13,12 @@ kappa = lam = 2 well, whose left side F_n(sin^2(t/2)) is a polynomial in
 cos t too; its three forms are one level-n formula (_identity_rows).
 Every row sampled on a row of t (bound-state factors, brackets and their
 second derivatives, the partner potential, both sides of the identities
-and of the correspondence) comes from one holder, TGrid, which builds the
-rows at the indices it is built with in one sweep each, and any other row
-a read asks for alone, by a sweep of its cos t row to that index; the
-point-wise chi_eval and identity_sides read a one-point TGrid, and
-chi_derivatives reads one point of the sweep.
+and of the correspondence, and the t rule's quadrature rows) comes from one
+holder, TGrid, which builds the rows at the indices it is built with in one
+sweep each, and any other row a read asks for alone, by a sweep of its
+cos t row to that index; the t rule's tables stream their rows from its
+one generator (TGrid._rows), the point-wise chi_eval and identity_sides
+read a one-point TGrid, and chi_derivatives reads one point of the sweep.
 """
 from __future__ import annotations
 
@@ -69,14 +70,6 @@ def _level_rows(xs, ns):
     return hypergeom._jacobi_rows(1.5, xs, ns)
 
 
-def _bound_factors(ts) -> tuple[array, array]:
-    """The rows sin^2(t/2) and cos^2(t/2) of the bound state's factor
-    sin^2 cos^2(t/2) F_n at every t of `ts`."""
-    halves = [0.5 * t for t in ts]
-    return (array("d", [s * s for s in map(math.sin, halves)]),
-            array("d", [c * c for c in map(math.cos, halves)]))
-
-
 def _u_rows(cosines, depth, ks):
     """(k, rows) for each k of `ks` (k >= 2), in increasing order: the rows
     U'_{k-1} to its depth-th derivative at every c of the list `cosines`,
@@ -111,20 +104,6 @@ def _u_rows(cosines, depth, ks):
                     f * v - b for f, v, b in zip(y, rows[0, p], back[p])]
         if j + 1 in keep:
             yield j + 1, tuple(rows[d, p] for d in range(1, depth + 1))
-
-
-def _sin_sq(ts) -> list:
-    """The row sin^2(t) at every t of `ts`."""
-    return [s * s for s in map(math.sin, ts)]
-
-
-def _bracket_rows(ts, ks):
-    """(k, N_k g_k) for each k of `ks`: the partner modes at unit scale
-    (alpha = 1, norm N_k) at every t of `ts`, each scaled as its bracket is
-    built (_bracket), from one U sweep (_u_rows) to the largest k."""
-    sin_sq = _sin_sq(ts)
-    for k, (slope,) in _u_rows(list(map(math.cos, ts)), 1, ks):
-        yield k, _bracket(sin_sq, slope, TrigEigenfunction(k, 1.0).norm)
 
 
 def _bracket(sin_sq, slope, scale) -> list:
@@ -270,9 +249,10 @@ class TGrid:
     potential at unit scale, x = t / 2 (every t inside (0, pi)).  Held rows are
     the level, U'_{k-1} and g'' rows at the indices the grid is built with,
     each an array('d') copied from _rows at construction; any other read is
-    the list of its own sweep (_rows), not kept.  Its cos t row and the
-    sweeps' working rows are lists.  A returned row is shared and must not be
-    changed."""
+    the list of its own sweep (_rows), not kept, and a reader that streams
+    many rows in turn (the t rule's tables) reads _rows itself.  Its cos t
+    row, which it holds, and the sweeps' working rows are lists.  A returned
+    row is shared and must not be changed."""
 
     def __init__(self, ts, levels=(), slopes=(), seconds=()):
         self.ts = ts
@@ -323,7 +303,7 @@ class TGrid:
 
     @cached_property
     def sin_sq(self) -> array:
-        return array("d", _sin_sq(self.ts))
+        return array("d", [s * s for s in map(math.sin, self.ts)])
 
     @cached_property
     def potential(self) -> array:
@@ -331,7 +311,11 @@ class TGrid:
 
     @cached_property
     def bound_factors(self) -> tuple[array, array]:
-        return _bound_factors(self.ts)
+        """The rows sin^2(t/2) and cos^2(t/2) of the bound state's factor
+        sin^2 cos^2(t/2) F_n."""
+        halves = [0.5 * t for t in self.ts]
+        return (array("d", [s * s for s in map(math.sin, halves)]),
+                array("d", [c * c for c in map(math.cos, halves)]))
 
     def bound_state_pairs(self, n: int, alpha: float) -> tuple[list[float], list[float]]:
         """Rows of the level-n bound state A_n sin^2 cos^2(t/2) F_n of the

@@ -207,22 +207,28 @@ def _moment_sums(nodes, row) -> dict:
 
 def _mode_sums(order: int, panels: int, ks) -> dict:
     """{k: (r_k, its D and M)} for each k of `ks`: the partner mode r_k =
-    N_k g_k normalized at alpha = 1 (x = t / 2) on the t rule, from one U
-    sweep to the largest k (closed_form._bracket_rows): summed as the list
-    it is built in, and kept as one array('d') copy."""
+    N_k g_k normalized at alpha = 1 (x = t / 2) on the t rule, formed
+    (closed_form._bracket) from the rows U'_{k-1} of one U sweep of the
+    rule's TGrid to the largest k: summed as the list it is built in, and
+    kept as one array('d') copy."""
     nodes = _nodes(0.0, math.pi, order, panels)
-    return {k: (array("d", row), _moment_sums(nodes, row))
-            for k, row in closed_form._bracket_rows(nodes[0], ks)}
+    grid, sums = closed_form.TGrid(nodes[0]), {}
+    for _, k, slope in grid._rows(slopes=ks):
+        row = closed_form._bracket(grid.sin_sq, slope, TrigEigenfunction(k, 1.0).norm)
+        sums[k] = array("d", row), _moment_sums(nodes, row)
+    return sums
 
 
 def _level_sums(order: int, panels: int, ns) -> dict:
     """{n: D and M of l_n} for each n of `ns`: the level l_n = sin^2 cos^2(t/2)
-    F_n on the t rule, from one level sweep to the largest n at the rule's
-    cos t row (closed_form._level_rows); no level row is kept."""
+    F_n on the t rule, from one level sweep of the rule's TGrid to the
+    largest n, each level times the grid's bound_factors; no level row is
+    kept."""
     nodes = _nodes(0.0, math.pi, order, panels)
-    factor = list(map(operator.mul, *closed_form._bound_factors(nodes[0])))
+    grid = closed_form.TGrid(nodes[0])
+    factor = list(map(operator.mul, *grid.bound_factors))
     return {n: _moment_sums(nodes, list(map(operator.mul, factor, level)))
-            for n, level in closed_form._level_rows(list(map(math.cos, nodes[0])), ns)}
+            for _, n, level in grid._rows(levels=ns)}
 
 
 def _z_level_sums(order: int, panels: int, ns) -> dict:

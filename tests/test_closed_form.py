@@ -320,7 +320,7 @@ def test_u_rows_track_exact_values_on_the_interior_grid():
 def test_u_sweep_frees_its_cosines_after_its_set_up():
     # only the rows y and U_1 read the cos t list, so the sweep's frame holds
     # it no longer once its first row is out: a caller's fresh list (as
-    # _bracket_rows hands it) is freed for the rest of the sweep
+    # chi_derivatives hands it) is freed for the rest of the sweep
     sweep = closed_form._u_rows([math.cos(t) for t in (0.3, 1.1, 2.9)], 3, range(2, 12))
     assert "cosines" in sweep.gi_frame.f_locals
     next(sweep)

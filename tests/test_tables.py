@@ -234,8 +234,8 @@ def test_t_grid_pairs_equal_fresh_one_point_grids():
 
 
 def test_quadrature_grid_builds_no_identity_or_bound_state_rows():
-    # the t rule's tables build no TGrid, so no identity row (sin_sq), no
-    # potential and no bracket or g'' row of a TGrid: they keep the
+    # the t rule's tables stream their rows from a TGrid that holds none
+    # and build no identity, potential or g'' row: they keep the
     # normalized mode rows asked for with their two sums, and two scalars
     # per level asked for, never a level row
     modes = verify._mode_sums(64, 32, range(2, 6))
@@ -247,6 +247,32 @@ def test_quadrature_grid_builds_no_identity_or_bound_state_rows():
     assert all(sorted(level) == ["D", "M"] and all(type(v) is float for v in level.values())
                for level in levels.values())
     assert sorted(verify._level_sums(64, 32, [7, 3])) == [3, 7]  # only the levels asked for
+
+
+@pytest.mark.parametrize("build, indices, bound, less_kept", [
+    (verify._level_sums, range(31), 9, False),
+    (verify._z_level_sums, range(31), 9, False),
+    (verify._mode_sums, range(2, 33), 13, True),
+], ids=["t-levels", "z-levels", "t-modes"])
+def test_t_and_z_rule_tables_hold_few_rows_at_once(build, indices, bound, less_kept):
+    # a table's build streams its rows: its traced peak (for the mode table,
+    # less the arrays and sums it keeps) stays under `bound` rows, a row
+    # being a list of a new float per node of the default rule (an 8-byte
+    # slot and a 24-byte float each).  A level build that held its level
+    # rows would hold 31 arrays more, near 8 rows
+    import tracemalloc
+
+    for a, b in ((0.0, math.pi), (0.0, 1.0)):
+        verify._nodes(a, b, verify.QUAD_ORDER, verify.PANELS)  # cached, not traced
+    row = verify.QUAD_ORDER * verify.PANELS * (8 + 24)
+    tracemalloc.start()
+    try:
+        table = build(verify.QUAD_ORDER, verify.PANELS, indices)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(table) == list(indices)
+    assert (peak - kept if less_kept else peak) / row < bound
 
 
 def test_a_t_grid_is_freed_without_a_cycle_collection():
@@ -310,8 +336,7 @@ def _forbidden_potential(*args):
 ])
 def test_validation_errors_come_before_any_table_is_swept(monkeypatch, call):
     monkeypatch.setattr(hypergeom, "_jacobi_rows", _forbidden_sweep)
-    monkeypatch.setattr(closed_form, "_bracket_rows", _forbidden_sweep)
-    monkeypatch.setattr(closed_form, "_u_rows", _forbidden_sweep)  # a TGrid's bracket and g'' rows
+    monkeypatch.setattr(closed_form, "_u_rows", _forbidden_sweep)  # every bracket and g'' row
     monkeypatch.setattr(closed_form, "_partner_potentials", _forbidden_potential)
     with pytest.raises(ParameterError):
         call()

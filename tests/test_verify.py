@@ -269,20 +269,21 @@ def test_partner_mode_checks_sample_each_bracket_once(monkeypatch):
     # the table holds add nothing.  No quadrature check evaluates the
     # bracket point by point or goes through the domain-checked chi_eval.
     samples = 0
-    original = closed_form._bracket_rows
+    original = closed_form._bracket
+    order, panels = 16, 8
 
-    def counted(ts, ks):
+    def counted(sin_sq, slope, scale):
         nonlocal samples
-        for k, row in original(ts, ks):
+        row = original(sin_sq, slope, scale)
+        if len(sin_sq) == order * panels:  # the t rule's rows, not the interior grid's
             samples += len(row)
-            yield k, row
+        return row
 
     def forbidden(*args):
         raise AssertionError("a quadrature check evaluated a bracket point by point")
 
-    monkeypatch.setattr(closed_form, "_bracket_rows", counted)
+    monkeypatch.setattr(closed_form, "_bracket", counted)
     monkeypatch.setattr(closed_form, "chi_eval", forbidden)
-    order, panels = 16, 8
     n_max = 9
     report = run_full_suite(0.6024, n_max, order, panels, grid_points=1000)
     assert report.overall
@@ -562,6 +563,21 @@ def test_suite_reads_every_partner_mode_from_its_t_grid(monkeypatch):
     assert run_full_suite(n_max=10, grid_points=1000).overall
 
 
+def _spoil_t_rule_mode(monkeypatch, k, spoil):
+    # spoil(row) stands for the default t rule's normalized mode row of
+    # index k, formed as its bracket is (closed_form._bracket at the rule's
+    # length and N_k); every interior grid row stays clean
+    bracket, norm = closed_form._bracket, TrigEigenfunction(k, 1.0).norm
+
+    def spoiled(sin_sq, slope, scale):
+        row = bracket(sin_sq, slope, scale)
+        if len(sin_sq) == verify.QUAD_ORDER * verify.PANELS and scale == norm:
+            return spoil(row)
+        return row
+
+    monkeypatch.setattr(closed_form, "_bracket", spoiled)
+
+
 def test_gram_matrix_rejects_a_non_finite_mode_value(monkeypatch):
     # each normalized row is checked once; the error names the abscissa.
     # A table whose sweep reaches the spoiled k = 3 row keeps nothing and
@@ -570,16 +586,7 @@ def test_gram_matrix_rejects_a_non_finite_mode_value(monkeypatch):
     # another k alone builds only its own row and passes.  In a suite the
     # table's build keeps nothing, so each row builds its own and gives the
     # row of those standalone calls
-    original = closed_form._bracket_rows
-
-    def spoiled(ts, ks):
-        for k, row in original(ts, ks):
-            if k == 3:
-                row = array("d", row)
-                row[100] = math.inf
-            yield k, row
-
-    monkeypatch.setattr(closed_form, "_bracket_rows", spoiled)
+    _spoil_t_rule_mode(monkeypatch, 3, lambda row: [*row[:100], math.inf, *row[101:]])
     x = verify._nodes(0.0, math.pi, 64, 32)[0][100]
     error = f"integrand returned inf at x={x}"
     for check in (partial(check_orthonormality, 4), partial(check_trig_norm, 3),
@@ -594,6 +601,7 @@ def test_gram_matrix_rejects_a_non_finite_mode_value(monkeypatch):
     assert rows["trig norm k=2"] == check_trig_norm(2)
     assert rows["trig norm k=5"] == check_trig_norm(5)
     assert rows["first moment (trig) k=2"].passed
+    assert all(c.passed for name, c in rows.items() if "[error:" not in name)  # the interior k = 3 too
 
 
 def _spoil(row, spoil):
@@ -617,9 +625,8 @@ def test_a_non_finite_row_value_is_found_from_its_sums(monkeypatch, spoil):
     first = spoil[-1]
     t_x = verify._nodes(0.0, math.pi, 64, 32)[0][300]
     u_x = verify._nodes(0.0, 1.0, 64, 32)[0][300]
-    bracket_rows, jacobi_rows = closed_form._bracket_rows, hypergeom._jacobi_rows
-    monkeypatch.setattr(closed_form, "_bracket_rows", lambda ts, ks: (
-        (k, _spoil(row, spoil) if k == 3 else row) for k, row in bracket_rows(ts, ks)))
+    _spoil_t_rule_mode(monkeypatch, 3, lambda row: _spoil(row, spoil))
+    jacobi_rows = hypergeom._jacobi_rows
     # level 2 of every level sweep (closed_form._level_rows): the t rule's,
     # at its cos t row, and the z rule's, at its row 1 - 2z
     monkeypatch.setattr(hypergeom, "_jacobi_rows", lambda a, xs, ns: (
@@ -835,18 +842,22 @@ def test_suite_builds_each_interior_slope_row_once(monkeypatch):
     # The correspondence (k = 2..32) and the residual (k = 2..30) each form
     # their bracket -sin^2(t) U'_{k-1} once from it, and the identities
     # read it as it is.  The residual's g'' rows and the brackets share one
-    # row sin^2 t: the grid builds it once, not once per row
-    sin_rows, sin_sq = [], closed_form._sin_sq
-
-    def counted_sin_sq(ts):
-        if len(ts) == verify.INTERIOR_POINTS:
-            sin_rows.append(1)
-        return sin_sq(ts)
-
-    monkeypatch.setattr(closed_form, "_sin_sq", counted_sin_sq)
+    # row sin^2 t: every one reads the grid's one row object
     _clear_node_set_caches()
     try:
         brackets, sweeps = _count_brackets(monkeypatch)
+        sin_rows, bracket, g2_factors = [], closed_form._bracket, closed_form._g2_factors
+
+        def read_bracket(sin_sq, slope, scale):
+            sin_rows.append(sin_sq)
+            return bracket(sin_sq, slope, scale)
+
+        def read_g2_factors(cosines, sin_sq):
+            sin_rows.append(sin_sq)
+            return g2_factors(cosines, sin_sq)
+
+        monkeypatch.setattr(closed_form, "_bracket", read_bracket)
+        monkeypatch.setattr(closed_form, "_g2_factors", read_g2_factors)
         kept, interior_rows = [], verify._interior_rows
         monkeypatch.setattr(verify, "_interior_rows",
                             lambda *args: kept.append(interior_rows(*args)) or kept[-1])
@@ -856,7 +867,9 @@ def test_suite_builds_each_interior_slope_row_once(monkeypatch):
         assert sweeps.count(verify.INTERIOR_POINTS) == 1
         (grid,) = kept
         assert _held(grid, "slopes") == list(range(2, 34))
-        assert sin_rows == [1]
+        read = [row for row in sin_rows if len(row) == verify.INTERIOR_POINTS]
+        assert len(read) == len(interior) + 1  # the brackets and the g'' factors
+        assert all(row is grid.sin_sq for row in read)
     finally:
         _clear_node_set_caches()
 
@@ -942,7 +955,7 @@ def test_suite_evaluates_each_levels_exact_factor_once(monkeypatch):
 
 
 def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch):
-    # a KeyboardInterrupt at k = 4 of the t rule's mode sweep leaves no
+    # a KeyboardInterrupt at k = 4 of the t rule's U sweep leaves no
     # table: the next read builds its own with the same bits, and a suite
     # interrupted there leaves no table behind, so the next one in the same
     # process passes with the same bits.  One at k = 6 of a grid's U sweep,
@@ -951,16 +964,17 @@ def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch
     # interrupted
     expected = check_trig_norm(4)
     report = run_full_suite(n_max=3)
-    original, interrupted = closed_form._bracket_rows, []
+    original, interrupted = closed_form._u_rows, []
 
-    def interrupting(ts, ks):
-        for k, row in original(ts, ks):
-            if k == 4 and len(interrupted) < 2:
+    def interrupting(cosines, depth, ks):
+        for k, rows in original(cosines, depth, ks):
+            if (k == 4 and len(cosines) == verify.QUAD_ORDER * verify.PANELS
+                    and len(interrupted) < 2):
                 interrupted.append(k)
                 raise KeyboardInterrupt
-            yield k, row
+            yield k, rows
 
-    monkeypatch.setattr(closed_form, "_bracket_rows", interrupting)
+    monkeypatch.setattr(closed_form, "_u_rows", interrupting)
     with pytest.raises(KeyboardInterrupt):
         check_trig_norm(4)
     with pytest.raises(KeyboardInterrupt):
@@ -1032,8 +1046,7 @@ def test_unit_scale_checks_reject_an_alpha_no_well_has(monkeypatch, alpha):
     def forbidden_potential(*args):
         raise AssertionError("the potential row was built before alpha was validated")
 
-    monkeypatch.setattr(closed_form, "_bracket_rows", forbidden)
-    monkeypatch.setattr(closed_form, "_u_rows", forbidden)  # the grid's bracket and g'' rows
+    monkeypatch.setattr(closed_form, "_u_rows", forbidden)  # every bracket and g'' row
     monkeypatch.setattr(hypergeom, "_jacobi_rows", forbidden)
     monkeypatch.setattr(closed_form, "_partner_potentials", forbidden_potential)
     with pytest.raises(ParameterError):
