@@ -4,16 +4,16 @@ identity checks, and the finite-difference spectrum, as CSV or JSON.
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 configuration error.  Output is fully deterministic: JSON uses sorted keys
 and shortest-round-trip floats (re-serializing a parsed report reproduces
-it byte for byte); CSV uses 17 significant digits.
+it byte for byte); CSV uses 17 significant digits.  The JSON writer forms its
+tokens itself, so no call loads the json module, and only a CSV call loads csv.
 """
 from __future__ import annotations
 
-import csv
 import io
-import json
 import re
 import sys
 from collections import namedtuple
+from itertools import chain
 
 from . import closed_form, verify
 from .closed_form import IDENTITY_FAMILIES
@@ -111,6 +111,8 @@ def _cell(value) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv  # here, not at the top, so that no JSON call loads it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -118,30 +120,77 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-_ENCODE = json.JSONEncoder(separators=("\n", "")).encode  # no indent: CPython's C encoder
-_NON_FINITE = {"NaN": '"nan"', "Infinity": '"inf"', "-Infinity": '"-inf"'}
+# A scalar's repr that is not its JSON token: a non-finite float is its repr string
+_WORDS = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"',
+          "True": "true", "False": "false", "None": "null"}
+
+
+class _Escapes(dict):
+    """str.translate's table of json's ASCII escapes.  It holds those of the
+    quote, the backslash, the control characters and DEL; any other code point
+    is itself if ASCII, else \\uXXXX, a surrogate pair of them above U+FFFF."""
+
+    def __missing__(self, code: int) -> str:
+        if code < 0x80:
+            return chr(code)
+        if code < 0x10000:
+            return "\\u%04x" % code
+        code -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+
+
+_ESCAPES = _Escapes({**{code: "\\u%04x" % code for code in (*range(0x20), 0x7F)},
+                     **{ord(char): "\\" + letter
+                        for char, letter in zip('"\\\b\f\n\r\t', '"\\bfnrt')}})
+
+
+def _string(text: str) -> str:
+    """json.dumps(text): the ASCII string token, with json's escapes."""
+    if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
+        text = text.translate(_ESCAPES)
+    return f'"{text}"'
+
+
+def _scalar(value) -> str:
+    """json.dumps(value) of a str, float, int, bool or None, each non-finite float
+    as its repr string."""
+    if isinstance(value, str):
+        return _string(value)
+    token = repr(value)
+    return _WORDS.get(token, token)
+
+
+def _column(values: tuple) -> list[str]:
+    """The tokens of a table column: one repr pass, or _scalar's if it holds a string."""
+    if str in set(map(type, values)):
+        return list(map(_scalar, values))
+    tokens = list(map(repr, values))
+    return list(map(_WORDS.get, tokens, tokens))
 
 
 def _json_text(obj, indent: str = "\n") -> str:
     """json.dumps(obj, indent=2, sort_keys=True) of str-keyed obj, each non-finite
     float as its repr string and each (header, rows) tuple, a table, as the list of
-    dict(zip(header, row)).  A table's scalars take one encoder call (no token
-    holds a raw newline) and one %, into its row template repeated per row."""
+    dict(zip(header, row)).  The tokens are formed here, not by the json module: a
+    table's a column at a time (_column), any other scalar's by _scalar.  A table's
+    rows fill its row template, the sorted keys with a %s each, repeated per row."""
     inner = indent + "  "
     if isinstance(obj, dict):
-        items = [f"{_json_text(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)]
+        items = [f"{_string(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)]
     elif isinstance(obj, list):
         items = [_json_text(value, inner) for value in obj]
     elif isinstance(obj, tuple):
         header, rows = obj
         order = sorted(range(len(header)), key=header.__getitem__)
-        template = "{" + ",".join(f"{inner}  {_json_text(header[i]).replace('%', '%%')}: %s"
+        template = "{" + ",".join(f"{inner}  {_string(header[i]).replace('%', '%%')}: %s"
                                   for i in order) + inner + "}"
-        tokens = _ENCODE([row[i] for row in rows for i in order])[1:-1].split("\n")
-        items = [f",{inner}".join([template] * len(rows))
-                 % tuple(map(_NON_FINITE.get, tokens, tokens))] if rows else []
+        items = []
+        if rows:  # one % for the whole table: a string per row raises the peak memory
+            columns = list(zip(*rows))
+            tokens = chain.from_iterable(zip(*[_column(columns[i]) for i in order]))
+            items.append(f",{inner}".join([template] * len(rows)) % tuple(tokens))
     else:
-        return _NON_FINITE.get(token := _ENCODE(obj), token)
+        return _scalar(obj)
     ends = "{}" if isinstance(obj, dict) else "[]"
     return ends[0] + inner + f",{inner}".join(items) + indent + ends[1] if items else ends
 

@@ -137,7 +137,7 @@ def test_every_golden_command_gives_its_recorded_output():
 def test_json_reports_bypass_the_pure_python_encoder(monkeypatch):
     # json.dumps with an indent runs CPython's pure-Python encoder
     # (json.encoder._make_iterencode), about twice the cost of the whole
-    # computation of a short tabulate call; the writer keeps to the C encoder
+    # computation of a short tabulate call; the writer forms its own tokens
     def refuse(*args, **kwargs):
         raise AssertionError("the pure-Python JSON encoder ran")
 
@@ -571,6 +571,12 @@ _EDGE_PAYLOADS = [
     {"a": {}, "b": [], "c": [{}, []], "d": {"e": -math.inf, "f": None, "g": True}},
     [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 7, False, None],
     ["a\nb", "NaN", "Infinity", "-Infinity", "\u00b1\u00e9"],
+    # json's escapes: control characters, DEL, a line separator, a lone
+    # surrogate, a code point above U+FFFF and an escaped quote
+    {"\x00": 0, "\x1f": 1, "\x7f": 2, "\u2028": 3, "\ud800": 4, "\U0001f600": 5, '\\"': 6},
+    {"t": (["\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\U0001f600", '\\"'],
+           [["\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\U0001f600", '\\"'],
+            [0.5, "\U0001f600", None, "\ud800", True, 7, '\\"']])},
 ]
 
 
@@ -951,7 +957,7 @@ import contextlib, io, sys
 import ptdarboux.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = ptdarboux.cli.main(sys.argv[1:])
-print(code, sorted({"fractions", "decimal", "numbers"} & set(sys.modules)))
+print(code, sorted({"fractions", "decimal", "numbers", "json", "csv"} & set(sys.modules)))
 """
 
 
@@ -959,7 +965,8 @@ def test_cli_computes_its_exact_constants_without_fractions():
     # C_n, the ratio identities' factors and the midpoint zeros are integer
     # (numerator, denominator) pairs inside the package, so no subcommand, in
     # either format, loads fractions with the decimal and numbers it imports;
-    # the public exact API still returns Fractions
+    # the public exact API still returns Fractions.  The JSON writer forms its
+    # own tokens, so no call loads json, and only a CSV call loads csv
     import ptdarboux
     from ptdarboux import (TerminatingHypergeometric, coefficient_C, f21_derivative,
                            f21_eval_exact)
@@ -977,7 +984,8 @@ def test_cli_computes_its_exact_constants_without_fractions():
                 env={**os.environ, "PYTHONPATH": str(source)},
             )
             assert result.returncode == 0, result.stderr
-            assert result.stdout == "0 []\n", (argv, fmt, result.stdout)
+            loaded = "['csv']" if fmt == "csv" else "[]"
+            assert result.stdout == f"0 {loaded}\n", (argv, fmt, result.stdout)
     c_2 = coefficient_C(2)
     assert type(c_2) is Fraction and c_2 == Fraction(-1, 80)
     h = TerminatingHypergeometric(2, 6, Fraction(5, 2))  # D_2 of the midpoint split
