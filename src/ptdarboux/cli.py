@@ -5,7 +5,8 @@ Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 configuration error.  Output is fully deterministic: JSON uses sorted keys
 and shortest-round-trip floats (re-serializing a parsed report reproduces
 it byte for byte); CSV uses 17 significant digits.  The JSON writer forms its
-tokens itself, so no call loads the json module, and only a CSV call loads csv.
+tokens itself but for a string needing an escape, which only an errored row's
+message can hold and json.dumps writes; only a CSV call loads csv.
 """
 from __future__ import annotations
 
@@ -125,29 +126,13 @@ _WORDS = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"',
           "True": "true", "False": "false", "None": "null"}
 
 
-class _Escapes(dict):
-    """str.translate's table of json's ASCII escapes.  It holds those of the
-    quote, the backslash, the control characters and DEL; any other code point
-    is itself if ASCII, else \\uXXXX, a surrogate pair of them above U+FFFF."""
-
-    def __missing__(self, code: int) -> str:
-        if code < 0x80:
-            return chr(code)
-        if code < 0x10000:
-            return "\\u%04x" % code
-        code -= 0x10000
-        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
-
-
-_ESCAPES = _Escapes({**{code: "\\u%04x" % code for code in (*range(0x20), 0x7F)},
-                     **{ord(char): "\\" + letter
-                        for char, letter in zip('"\\\b\f\n\r\t', '"\\bfnrt')}})
-
-
 def _string(text: str) -> str:
-    """json.dumps(text): the ASCII string token, with json's escapes."""
+    """json.dumps(text): printable ASCII without a quote or backslash, as every key
+    and row name is, is its own token; json escapes the rest, an errored row's message."""
     if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
-        text = text.translate(_ESCAPES)
+        import json  # here, not at the top, so that no report without such a string loads it
+
+        return json.dumps(text)
     return f'"{text}"'
 
 
@@ -171,9 +156,9 @@ def _column(values: tuple) -> list[str]:
 def _json_text(obj, indent: str = "\n") -> str:
     """json.dumps(obj, indent=2, sort_keys=True) of str-keyed obj, each non-finite
     float as its repr string and each (header, rows) tuple, a table, as the list of
-    dict(zip(header, row)).  The tokens are formed here, not by the json module: a
-    table's a column at a time (_column), any other scalar's by _scalar.  A table's
-    rows fill its row template, the sorted keys with a %s each, repeated per row."""
+    dict(zip(header, row)).  The tokens are formed here, a table's a column at a time
+    (_column), any other scalar's by _scalar; json writes a string needing an escape.
+    A table's rows fill its row template, the sorted keys with a %s each, per row."""
     inner = indent + "  "
     if isinstance(obj, dict):
         items = [f"{_string(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)]

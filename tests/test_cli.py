@@ -135,13 +135,14 @@ def test_every_golden_command_gives_its_recorded_output():
 
 
 def test_json_reports_bypass_the_pure_python_encoder(monkeypatch):
-    # json.dumps with an indent runs CPython's pure-Python encoder
-    # (json.encoder._make_iterencode), about twice the cost of the whole
-    # computation of a short tabulate call; the writer forms its own tokens
+    # json.dumps with an indent runs CPython's pure-Python encoder, about twice
+    # the cost of the whole computation of a short tabulate call; the writer
+    # forms its own tokens and calls json.dumps only for a string needing an
+    # escape, which no key or row name of these reports is
     def refuse(*args, **kwargs):
-        raise AssertionError("the pure-Python JSON encoder ran")
+        raise AssertionError("json.dumps ran")
 
-    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    monkeypatch.setattr(json, "dumps", refuse)
     recorded = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
     for command in ("verify --format=json --n-max=2", "tabulate --n 7 --alpha 0.6024 --format json",
                     "identity --which even --m 3 --format json",
@@ -577,6 +578,11 @@ _EDGE_PAYLOADS = [
     {"t": (["\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\U0001f600", '\\"'],
            [["\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\U0001f600", '\\"'],
             [0.5, "\U0001f600", None, "\ud800", True, 7, '\\"']])},
+    # every code point below U+0800 and those at the surrogates' and the
+    # planes' ends, a cell each: the writer's own tokens against json's at
+    # every boundary of the printable ASCII it writes itself
+    {"t": (["c"], [[chr(code)] for code in (*range(0x800), 0xD7FF, 0xD800, 0xDFFF,
+                                             0xE000, 0xFFFF, 0x10000, 0x10FFFF)])},
 ]
 
 
@@ -965,8 +971,9 @@ def test_cli_computes_its_exact_constants_without_fractions():
     # C_n, the ratio identities' factors and the midpoint zeros are integer
     # (numerator, denominator) pairs inside the package, so no subcommand, in
     # either format, loads fractions with the decimal and numbers it imports;
-    # the public exact API still returns Fractions.  The JSON writer forms its
-    # own tokens, so no call loads json, and only a CSV call loads csv
+    # the public exact API still returns Fractions.  The JSON writer leaves to
+    # json.dumps only a string needing an escape, which only an errored row's
+    # message can hold, so none of these calls loads json; only CSV loads csv
     import ptdarboux
     from ptdarboux import (TerminatingHypergeometric, coefficient_C, f21_derivative,
                            f21_eval_exact)
