@@ -23,7 +23,7 @@ from .models import WellConfig
 from .verify import check_fd_spectrum, check_identity, resolve_tolerances, run_full_suite
 
 __all__ = [
-    "RunConfig", "cmd_verify", "cmd_tabulate", "cmd_identity", "cmd_spectrum", "main", "entry",
+    "RunConfig", "cmd_verify", "cmd_tabulate", "cmd_identity", "cmd_spectrum", "main",
     "MIN_ALPHA", "MAX_ALPHA", "MAX_DEGREE", "MAX_QUAD_ORDER", "MAX_PANELS", "MAX_QUAD_NODES",
     "MAX_GRID_POINTS", "MAX_POINTS",
 ]
@@ -364,7 +364,3 @@ def main(argv: list[str] | None = None) -> int:
     except _MATH_ERRORS as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
-
-
-def entry() -> None:
-    sys.exit(main())

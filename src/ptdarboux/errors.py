@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+__all__ = ["DomainError", "ParameterError", "ConvergenceError", "EvaluationError"]
+
 
 class DomainError(ValueError):
     """Coordinate lies outside the interval on which the quantity is defined."""

@@ -906,6 +906,14 @@ def test_module_entry_point_subprocess():
     assert result.stdout.strip() == "mode,computed,exact,rel_err"
 
 
+def test_the_console_script_runs_main():
+    # pip's generated script passes its target's return value to sys.exit, as
+    # __main__ does; read as text, since tomllib is new in Python 3.11
+    lines = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text().splitlines()
+    scripts = lines[lines.index("[project.scripts]") + 1:]
+    assert scripts[0] == 'ptdarboux = "ptdarboux.cli:main"'
+
+
 @pytest.mark.parametrize("argv, code", [(["verify", "--n-max", "0"], 0),
                                         (["verify", "--bogus", "1"], 2)], ids=["ok", "usage"])
 def test_peak_rss_script_exits_with_mains_code_and_prints_one_peak_line(argv, code):

@@ -1,6 +1,5 @@
 """Every exported name resolves, the package exports what it re-exports, and
 every public function is reached by a subcommand or stated as not yet reached."""
-import ast
 import importlib
 import inspect
 import pkgutil
@@ -28,18 +27,19 @@ def test_every_module_all_entry_resolves():
 
 
 def test_package_all_is_exactly_its_re_exports():
-    tree = ast.parse(inspect.getsource(ptdarboux))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
-    assert set(ptdarboux.__all__) == imported | {"__version__"}
+    # the package keeps no list of its own: it re-exports every module's
+    # __all__ but the CLI's, and a name two modules list would shadow one
+    modules = {module.__name__: module for module in _modules()}
+    del modules["ptdarboux.cli"]
+    exported = {"__version__"} | {name for module in modules.values() for name in module.__all__}
+    assert set(ptdarboux.__all__) == exported
     assert len(ptdarboux.__all__) == len(set(ptdarboux.__all__))
     namespace = {}
     exec("from ptdarboux import *", namespace)
     assert set(ptdarboux.__all__) <= set(namespace)
+    for module in modules.values():
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_every_public_function_resolves_its_annotations():
