@@ -28,7 +28,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .darboux import _partner_potentials
-from .errors import DomainError, EvaluationError, ParameterError
+from .errors import DomainError, ParameterError
 from . import hypergeom
 from .hypergeom import _f21_exact
 from .models import WellConfig, _require_partner
@@ -199,13 +199,10 @@ def _midpoint_factor(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def _coefficient(n: int) -> tuple[int, int]:
     """C_n = r_n D_n (_midpoint_factor) as an unreduced integer (numerator,
-    denominator) pair; a vanishing value would make the identity
-    normalization meaningless and raises EvaluationError."""
+    denominator) pair.  It equals -3 / (4 (n+1)(n+2)(n+3)) (pinned exactly to
+    the degree cap), so it is never zero."""
     (r_num, r_den), (d_num, d_den) = _midpoint_factor(n)
-    num = r_num * d_num
-    if num == 0:
-        raise EvaluationError(f"proportionality constant C_{n} evaluated to zero")
-    return num, r_den * d_den
+    return r_num * d_num, r_den * d_den
 
 
 def coefficient_C(n: int):
@@ -213,9 +210,9 @@ def coefficient_C(n: int):
     the degree-n hypergeometric factor to the index n + 2 trigonometric
     bracket, as a fractions.Fraction in lowest terms.
 
-    First values: -1/8, -1/32, -1/80.  The result is guaranteed nonzero;
-    a vanishing value would make the identity normalization meaningless
-    and raises EvaluationError.
+    First values: -1/8, -1/32, -1/80.  It equals -3 / (4 (n+1)(n+2)(n+3)),
+    so it is never zero and the identity normalization 1 / C_n is defined
+    at every level.
     """
     from fractions import Fraction  # only this public form needs it
 

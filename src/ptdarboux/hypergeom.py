@@ -38,10 +38,7 @@ def _as_fraction(value, what: str):
     """value as a fractions.Fraction; a float converts exactly."""
     from fractions import Fraction
 
-    if isinstance(value, float):
-        # floats are exact dyadic rationals; the conversion is lossless
-        return Fraction(value)
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, float, Fraction)):
         return Fraction(value)
     raise TypeError(f"{what} must be rational (int/Fraction) or float, got {type(value)!r}")
 

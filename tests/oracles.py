@@ -1,4 +1,5 @@
-"""Independent reference implementations that the tests compare against.
+"""Independent reference implementations that the tests compare against,
+and the one place where a test counts or refuses the package's work.
 
 The package evaluates on rows (closed_form.TGrid and the quadrature tables
 that verify builds by sweeping a recurrence); these are the point-wise forms
@@ -12,14 +13,24 @@ two sides of an identity family into (left, right) pairs, json_safe is the
 payload whose json.dumps the CLI's JSON writer must reproduce, mutant is
 a package function with one deliberate defect, which a check must catch,
 and PassCounter is a list that counts the passes a sweep makes over it.
-"""
+
+WORK names each package function whose calls a test counts or refuses, by
+the kind of work it does; spy records the calls of one kind, forbid makes
+the calls of a kind or of a public name raise, and clear_caches (or the
+fresh_caches fixture) empties the package's memos, so that a count sees
+every call.  A renamed engine is renamed in WORK alone."""
+import importlib
 import inspect
 import math
+import pkgutil
 import textwrap
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from ptdarboux import closed_form, verify
+import pytest
+
+import ptdarboux
+from ptdarboux import closed_form, darboux, hypergeom, verify
 from ptdarboux.errors import ParameterError
 from ptdarboux.hypergeom import TerminatingHypergeometric
 from ptdarboux.numerics import gauss_legendre
@@ -337,3 +348,102 @@ def mutant(function, old: str, new: str):
     namespace = dict(vars(inspect.getmodule(function)))
     exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
     return namespace[function.__name__]
+
+
+# The package functions whose calls a test counts (spy) or refuses (forbid),
+# each named once, by the kind of work it does.
+WORK = {
+    "rule": verify.gauss_legendre,  # the Gauss-Legendre rule of one order
+    "nodes": verify._nodes,  # a composite rule's node set
+    "weigh": verify._weigh,  # a row times its rule's weights
+    "t sum": verify._t_sum,  # one sum over a rule
+    "mode sums": verify._mode_sums,  # the suite's four tables (verify._plan)
+    "level sums": verify._level_sums,
+    "z level sums": verify._z_level_sums,
+    "interior grid": verify._interior_rows,
+    "coefficient row": verify._check_coefficient,
+    "sturm count": verify._sturm_count,  # one Sturm sweep of a block
+    "settle": verify._settle,  # one mode's bracket from its start bracket
+    "u sweep": closed_form._u_rows,  # the U recurrence, a generator of rows
+    "bracket": closed_form._bracket,  # a bracket row from its row U'_{k-1}
+    "g2 factors": closed_form._g2_factors,  # the rows every g'' row reads
+    "coefficient": closed_form._coefficient,  # C_n as an integer pair
+    "level sweep": hypergeom._jacobi_rows,  # the level recurrence, a generator of rows
+    "exact": hypergeom._f21_exact,  # one exact 2F1 value
+    "potential rows": darboux._partner_potentials,
+}
+
+
+def package_modules():
+    """Each module of the package but __main__, which runs the CLI."""
+    for info in pkgutil.iter_modules(ptdarboux.__path__):
+        if info.name != "__main__":
+            yield importlib.import_module(f"ptdarboux.{info.name}")
+
+
+def _install(monkeypatch, function, wrap, only=None):
+    """wrap(bound) in place of every binding `bound` of `function`, or of a
+    spy on it, in the package and its modules, or in the module `only`
+    alone."""
+    bound = [(module, name, value)
+             for module in ([only] if only else [ptdarboux, *package_modules()])
+             for name, value in vars(module).items() if getattr(value, "_work", value) is function]
+    assert bound, f"no package module binds {function!r}"
+    for module, name, value in bound:
+        wrapper = wrap(value)
+        wrapper._work = function
+        monkeypatch.setattr(module, name, wrapper)
+
+
+def spy(monkeypatch, kind, keep=lambda out, *args: args, only=None):
+    """The list of keep(out, *args) of every call of the package function
+    WORK[kind] for the rest of the test, in the order the calls return, out
+    being what the call returned.  A sweep (a generator function) is
+    recorded when it is called, with out the list of the items it has
+    yielded so far.  Every module that binds the function calls the spy,
+    or the module `only` alone; a second spy on it records the same calls."""
+    function, calls = WORK[kind], []
+
+    def wrap(bound):
+        if inspect.isgeneratorfunction(function):
+            def wrapper(*args):
+                rows = []
+                calls.append(keep(rows, *args))
+                return (rows.append(item) or item for item in bound(*args))
+        else:
+            def wrapper(*args):
+                out = bound(*args)
+                calls.append(keep(out, *args))
+                return out
+        return wrapper
+
+    _install(monkeypatch, function, wrap, only)
+    return calls
+
+
+def forbid(monkeypatch, *names):
+    """Every call of each of `names`, a kind of WORK or a public name of the
+    package, raises AssertionError, from any module that binds it."""
+    for name in names:
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} was called")
+
+        _install(monkeypatch, WORK[name] if name in WORK else getattr(ptdarboux, name),
+                 lambda bound: refuse)
+
+
+def clear_caches():
+    """Empty every memo (functools.lru_cache) of the package's modules, so
+    that a count sees the calls an earlier one made for it."""
+    for module in package_modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    """The package's memos emptied before and after the test (clear_caches)."""
+    clear_caches()
+    yield
+    clear_caches()

@@ -9,8 +9,11 @@ from oracles import (
     chebyshev_u_exact,
     chebyshev_u_slope,
     chi,
+    clear_caches,
+    forbid,
     identity_pairs,
     mutant,
+    spy,
 )
 from ptdarboux import closed_form, verify
 from ptdarboux.cli import MAX_DEGREE
@@ -123,28 +126,20 @@ def test_chi_derivatives_read_one_sweep_with_the_grid_rows_bits(monkeypatch):
     # one _u_rows sweep and no TGrid per call; the value and g'' keep the
     # bits of the TGrid rows at alpha = 1, where x = t / 2 is exact, and so
     # does chi_eval, a one-point TGrid read
-    sweeps = 0
-    original = closed_form._u_rows
-
-    def counted(cosines, depth, ks):
-        nonlocal sweeps
-        sweeps += 1
-        return original(cosines, depth, ks)
-
     ts = [0.05 + 0.03 * i for i in range(100)]
     grid = TGrid(ts)
     rows = {k: (grid.mode(k), grid.second_derivative(k)) for k in (2, 3, 12, 40)}
     for k, (modes, _) in rows.items():
         f = TrigEigenfunction(k, 1.0)
         assert [chi_eval(f, 0.5 * t) for t in ts] == [f.norm * g for g in modes]
-    monkeypatch.setattr(closed_form, "_u_rows", counted)
-    monkeypatch.setattr(closed_form, "TGrid", None)
+    sweeps = spy(monkeypatch, "u sweep")
+    forbid(monkeypatch, "TGrid")
     for k, (modes, seconds) in rows.items():
         f = TrigEigenfunction(k, 1.0)
         for t, g, g2 in zip(ts, modes, seconds):
             value, _, second = chi_derivatives(f, 0.5 * t)
             assert value == f.norm * g and second == f.norm * 4.0 * g2
-    assert sweeps == 4 * len(ts)
+    assert len(sweeps) == 4 * len(ts)
 
 
 def test_chi_first_derivative_against_central_difference():
@@ -262,22 +257,15 @@ def test_identity_pairs_build_exact_constants_once(monkeypatch):
     # however many points it has; the ratio forms never touch C_n.  Each
     # level's factor is kept (_midpoint_factor's memo), and base n = 7 and
     # odd m = 3 share level 7, so the memo is cleared before each call
-    calls = {"_coefficient": 0, "_f21_exact": 0}
-    for name in calls:
-        original = getattr(closed_form, name)
-
-        def counted(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(closed_form, name, counted)
+    calls = {kind: spy(monkeypatch, kind) for kind in ("coefficient", "exact")}
     for which, index, expected_c in (("base", 7, 1), ("even", 3, 0), ("odd", 3, 0)):
-        for name in calls:
-            calls[name] = 0
-        closed_form._midpoint_factor.cache_clear()
+        for made in calls.values():
+            made.clear()
+        clear_caches()
         result = check_identity(which, index)
         assert result.passed
-        assert calls == {"_coefficient": expected_c, "_f21_exact": 1}
+        assert {kind: len(made) for kind, made in calls.items()} == {"coefficient": expected_c,
+                                                                     "exact": 1}
 
 
 def test_a_spoiled_u_slope_step_fails_every_identity_family(monkeypatch):

@@ -1,25 +1,18 @@
 """Every exported name resolves, the package exports what it re-exports, and
 every public function is reached by a subcommand or stated as not yet reached."""
-import importlib
 import inspect
-import pkgutil
 import sys
 import typing
 
 import ptdarboux
-
-
-def _modules():
-    for info in pkgutil.iter_modules(ptdarboux.__path__):
-        if info.name != "__main__":
-            yield importlib.import_module(f"ptdarboux.{info.name}")
+from oracles import clear_caches, package_modules
 
 
 def test_every_module_all_entry_resolves():
     # a stale entry breaks `from ptdarboux.<module> import *` and any tool
     # that walks __all__ with getattr
     checked = 0
-    for module in [ptdarboux, *_modules()]:
+    for module in [ptdarboux, *package_modules()]:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
             checked += 1
@@ -29,7 +22,7 @@ def test_every_module_all_entry_resolves():
 def test_package_all_is_exactly_its_re_exports():
     # the package keeps no list of its own: it re-exports every module's
     # __all__ but the CLI's, and a name two modules list would shadow one
-    modules = {module.__name__: module for module in _modules()}
+    modules = {module.__name__: module for module in package_modules()}
     del modules["ptdarboux.cli"]
     exported = {"__version__"} | {name for module in modules.values() for name in module.__all__}
     assert set(ptdarboux.__all__) == exported
@@ -90,11 +83,7 @@ def test_every_public_function_is_in_exactly_one_reach_group(capsys):
     groups = [REACHED, ONE_POINT_WRAPPERS, WAITING_FOR_ITEM_3, WAITING_FOR_ITEM_10]
     assert sorted(name for group in groups for name in group) == sorted(functions)
 
-    # a memo filled by an earlier call would hide a call, so every one is emptied
-    for module in _modules():
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    clear_caches()  # a memo filled by an earlier call would hide a call
     codes = {function.__code__: name for name, function in functions.items()}
     reached = set()
 

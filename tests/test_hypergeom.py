@@ -1,6 +1,7 @@
 """Exact and floating-point evaluation of terminating 2F1 polynomials."""
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,19 @@ def test_exact_rejects_float_argument():
     h = TerminatingHypergeometric(2, Fraction(6), Fraction(5, 2))
     with pytest.raises(TypeError):
         f21_eval_exact(h, 0.5)
+
+
+def test_a_parameter_or_argument_that_is_no_number_raises_type_error():
+    # an int, a float or a Fraction converts exactly; anything else is refused
+    with pytest.raises(TypeError) as err:
+        TerminatingHypergeometric(2, "5", Fraction(5, 2))
+    assert str(err.value) == ("parameter b must be rational (int/Fraction) or float, "
+                              "got <class 'str'>")
+    h = TerminatingHypergeometric(2, Fraction(6), Fraction(5, 2))
+    with pytest.raises(TypeError) as err:
+        f21_eval_exact(h, Decimal("0.5"))
+    assert str(err.value) == ("argument z must be rational (int/Fraction) or float, "
+                              "got <class 'decimal.Decimal'>")
 
 
 def test_parameter_validation():

@@ -6,9 +6,9 @@ from functools import partial
 
 import pytest
 
-from oracles import (bracket_decimal, chi, identity_pairs, jacobi_real, pt_eigen_hypergeom,
-                     stable_bracket)
-from ptdarboux import closed_form, hypergeom, verify
+from oracles import (bracket_decimal, chi, forbid, identity_pairs, jacobi_real,
+                     pt_eigen_hypergeom, spy, stable_bracket)
+from ptdarboux import closed_form, verify
 from ptdarboux.cli import MAX_DEGREE
 from ptdarboux.closed_form import TGrid, TrigEigenfunction, chi_derivatives
 from ptdarboux.errors import ParameterError
@@ -137,18 +137,15 @@ def test_a_grid_holds_arrays_at_exactly_its_indices_and_reads_others_as_lists():
 
 @pytest.mark.parametrize("indices, starts", [
     ((), []),
-    ((range(11),), ["_jacobi_rows"]),
-    ((range(11), range(2, 13), range(2, 10)), ["_jacobi_rows", "_u_rows"]),
+    ((range(11),), ["level sweep"]),
+    ((range(11), range(2, 13), range(2, 10)), ["level sweep", "u sweep"]),
 ], ids=["none", "levels", "levels-slopes-seconds"])
 def test_a_grid_starts_one_sweep_per_recurrence_it_holds_rows_of(monkeypatch, indices, starts):
     # built with no index a grid starts neither sweep; with levels 0..n, and
     # U'_{k-1} and g'' rows at k <= m, one level sweep and one U sweep
     ts, started = verify._interior_grid().ts[::50], []
-    for module, name in ((hypergeom, "_jacobi_rows"), (closed_form, "_u_rows")):
-        def counted(*args, name=name, sweep=getattr(module, name)):
-            started.append(name)
-            return sweep(*args)
-        monkeypatch.setattr(module, name, counted)
+    for kind in ("level sweep", "u sweep"):
+        spy(monkeypatch, kind, lambda *call, kind=kind: started.append(kind))
     grid = TGrid(ts, *indices)
     assert started == starts
     assert len(grid._held) == sum(map(len, indices))
@@ -293,15 +290,6 @@ def test_a_t_grid_is_freed_without_a_cycle_collection():
         gc.enable()
 
 
-def _forbidden_sweep(*args):
-    raise AssertionError("a table was swept before its inputs were validated")
-    yield  # a generator function, like the sweeps it stands in for
-
-
-def _forbidden_potential(*args):
-    raise AssertionError("a potential row was built before its inputs were validated")
-
-
 @pytest.mark.parametrize("call", [
     partial(verify.check_trig_norm, 1),
     partial(verify.check_trig_norm, 3, panels=0),
@@ -335,8 +323,6 @@ def _forbidden_potential(*args):
     partial(verify.check_residual, 3, -math.inf),
 ])
 def test_validation_errors_come_before_any_table_is_swept(monkeypatch, call):
-    monkeypatch.setattr(hypergeom, "_jacobi_rows", _forbidden_sweep)
-    monkeypatch.setattr(closed_form, "_u_rows", _forbidden_sweep)  # every bracket and g'' row
-    monkeypatch.setattr(closed_form, "_partner_potentials", _forbidden_potential)
+    forbid(monkeypatch, "level sweep", "u sweep", "potential rows")  # U: every bracket, every g''
     with pytest.raises(ParameterError):
         call()

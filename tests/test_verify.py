@@ -23,16 +23,20 @@ from oracles import (
     ascending_rule,
     chebyshev_u_slope,
     chi,
+    clear_caches,
     f21_real,
+    forbid,
+    fresh_caches,  # a fixture, used by name in pytest.mark.usefixtures
     fsum_partials,
     integrate,
     integrate_product,
     jacobi_real,
     mutant,
     pt_eigen_hypergeom,
+    spy,
     sturm_count_decimal,
 )
-from ptdarboux import closed_form, darboux, hypergeom, verify
+from ptdarboux import closed_form, hypergeom, verify
 from ptdarboux.closed_form import TrigEigenfunction
 from ptdarboux.errors import EvaluationError, ParameterError
 from ptdarboux.hypergeom import TerminatingHypergeometric
@@ -268,25 +272,14 @@ def test_partner_mode_checks_sample_each_bracket_once(monkeypatch):
     # the Gram matrix and the trig norm, trig first moment and <x> of modes
     # the table holds add nothing.  No quadrature check evaluates the
     # bracket point by point or goes through the domain-checked chi_eval.
-    samples = 0
-    original = closed_form._bracket
     order, panels = 16, 8
-
-    def counted(sin_sq, slope, scale):
-        nonlocal samples
-        row = original(sin_sq, slope, scale)
-        if len(sin_sq) == order * panels:  # the t rule's rows, not the interior grid's
-            samples += len(row)
-        return row
-
-    def forbidden(*args):
-        raise AssertionError("a quadrature check evaluated a bracket point by point")
-
-    monkeypatch.setattr(closed_form, "_bracket", counted)
-    monkeypatch.setattr(closed_form, "chi_eval", forbidden)
+    lengths = spy(monkeypatch, "bracket", lambda row, *args: len(row))
+    forbid(monkeypatch, "chi_eval")
     n_max = 9
     report = run_full_suite(0.6024, n_max, order, panels, grid_points=1000)
     assert report.overall
+    # the t rule's rows, not the interior grid's
+    samples = sum(n for n in lengths if n == order * panels)
     assert samples == (n_max + 1) * order * panels  # k = 2..n_max + 2, the trig norm's
 
 
@@ -297,19 +290,11 @@ def test_suite_takes_each_t_rule_integral_once(monkeypatch):
     # take theirs with their D, from the one weighted row both sums read)
     # and one D and one M per level (x-form norm and hypergeometric first
     # moment); the z rule's one sum per level runs through the same kernel
-    sums = 0
-    original = verify._t_sum
-
-    def counted(nodes, weighted, row):
-        nonlocal sums
-        sums += 1
-        return original(nodes, weighted, row)
-
-    monkeypatch.setattr(verify, "_t_sum", counted)
+    sums = spy(monkeypatch, "t sum")
     n_max = 4
     assert run_full_suite(n_max=n_max, grid_points=1000).overall
     partners = n_max - 1  # k = 2..n_max
-    assert sums == partners * (partners + 1) // 2 + 2 + (partners + 2) + 3 * (n_max + 1)
+    assert len(sums) == partners * (partners + 1) // 2 + 2 + (partners + 2) + 3 * (n_max + 1)
 
 
 @pytest.mark.parametrize("order, panels", [(64, 32), (7, 5), (9, 1), (64, 1), (8, 3), (3, 4)])
@@ -477,49 +462,24 @@ def test_identity_rows_catch_a_defect_in_either_recurrence(monkeypatch, module, 
     assert len(failed_identities()) >= 15
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_suite_sweeps_instead_of_evaluating_point_by_point(monkeypatch):
     # run_full_suite reads every 2F1 value from a level sweep: no
     # f21_eval_real call, and no exact evaluation (_f21_exact, the integer
     # sweep behind the midpoint rows and C_n) per grid point, so the exact
     # evaluations do not depend on the interior grid's size
-    import sys
-
-    def forbidden(*args):
-        raise AssertionError("the suite called f21_eval_real")
-
-    evaluated = 0
-    original = hypergeom._f21_exact
-
-    def counted(*args):
-        nonlocal evaluated
-        evaluated += 1
-        return original(*args)
-
-    grids = []
-    interior_rows = verify._interior_rows
-
-    def recorded(*args):
-        grids.append(interior_rows(*args))
-        return grids[-1]
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ptdarboux") and hasattr(module, "f21_eval_real"):
-            monkeypatch.setattr(module, "f21_eval_real", forbidden)
-        if name.startswith("ptdarboux") and hasattr(module, "_f21_exact"):
-            monkeypatch.setattr(module, "_f21_exact", counted)
-    monkeypatch.setattr(verify, "_interior_rows", recorded)
+    forbid(monkeypatch, "f21_eval_real")
+    evaluated = spy(monkeypatch, "exact")
+    grids = spy(monkeypatch, "interior grid", lambda grid, *args: grid)
     counts = []
-    try:
-        for points in (200, 500):
-            evaluated = 0
-            monkeypatch.setattr(verify, "INTERIOR_POINTS", points)
-            closed_form._midpoint_factor.cache_clear()
-            report = run_full_suite(n_max=10, grid_points=1000)
-            assert report.overall
-            assert len(grids.pop().ts) == points and not grids
-            counts.append(evaluated)
-    finally:
-        closed_form._midpoint_factor.cache_clear()
+    for points in (200, 500):
+        evaluated.clear()
+        monkeypatch.setattr(verify, "INTERIOR_POINTS", points)
+        clear_caches()
+        report = run_full_suite(n_max=10, grid_points=1000)
+        assert report.overall
+        assert len(grids.pop().ts) == points and not grids
+        counts.append(len(evaluated))
     assert counts[0] > 0  # the hook sees the evaluations it counts
     assert counts[0] == counts[1]
 
@@ -528,18 +488,8 @@ def test_suite_builds_one_potential_row(monkeypatch):
     # the residual reads one partner-potential row of the interior grid for
     # every k: one row build of 1,000 points at n_max = 30, not one per
     # residual row, and no scalar partner_potential call
-    rows = []
-    original = closed_form._partner_potentials
-
-    def counted(cfg, xs):
-        rows.append(original(cfg, xs))
-        return rows[-1]
-
-    def forbidden(*args):
-        raise AssertionError("the suite evaluated the potential point by point")
-
-    monkeypatch.setattr(closed_form, "_partner_potentials", counted)
-    monkeypatch.setattr(darboux, "partner_potential", forbidden)
+    rows = spy(monkeypatch, "potential rows", lambda row, *args: row)
+    forbid(monkeypatch, "partner_potential")
     report = run_full_suite(n_max=30, grid_points=1000)
     assert report.overall
     assert sum(c.name.startswith("residual") for c in report.checks) == 29
@@ -549,17 +499,7 @@ def test_suite_builds_one_potential_row(monkeypatch):
 def test_suite_reads_every_partner_mode_from_its_t_grid(monkeypatch):
     # the residual's derivatives and every bracket come from TGrid sweeps of
     # the suite's own grids: no one-point read of a partner mode
-    import sys
-
-    def forbidden(*args):
-        raise AssertionError("the suite evaluated a partner mode point by point")
-
-    names = ("chi_derivatives", "chi_eval")
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ptdarboux"):
-            for fn in names:
-                if hasattr(module, fn):
-                    monkeypatch.setattr(module, fn, forbidden)
+    forbid(monkeypatch, "chi_derivatives", "chi_eval")
     assert run_full_suite(n_max=10, grid_points=1000).overall
 
 
@@ -650,50 +590,27 @@ def test_a_non_finite_row_value_is_found_from_its_sums(monkeypatch, spoil):
         integrate(lambda x: 1e308, 0.0, 1.0, 64, 32)
 
 
-def _clear_node_set_caches():
-    for cached in (verify._rule, verify._nodes):
-        cached.cache_clear()
-
-
+@pytest.mark.usefixtures("fresh_caches")
 def test_suite_sweeps_each_node_sets_levels_once(monkeypatch):
     # one level sweep per node set: the t rule's sums, the z rule's sums and
     # the interior grid each start hypergeom._jacobi_rows once, however often
     # their readers ask for a lower level again; the t rule keeps two
     # scalars per level, never a level row
-    starts, tables = 0, []
-    original, level_sums = hypergeom._jacobi_rows, verify._level_sums
-
-    def counted(*args):
-        nonlocal starts
-        starts += 1
-        return original(*args)
-
-    def recorded(*args):
-        tables.append(level_sums(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(hypergeom, "_jacobi_rows", counted)
-    monkeypatch.setattr(verify, "_level_sums", recorded)
-    _clear_node_set_caches()
-    try:
-        assert run_full_suite(n_max=30).overall
-        assert starts == 3
-        (levels,) = tables
-        assert sorted(levels) == list(range(31))
-        assert all(type(v) is float for level in levels.values() for v in level.values())
-    finally:
-        _clear_node_set_caches()
+    starts = spy(monkeypatch, "level sweep")
+    tables = spy(monkeypatch, "level sums", lambda table, *args: table)
+    assert run_full_suite(n_max=30).overall
+    assert len(starts) == 3
+    (levels,) = tables
+    assert sorted(levels) == list(range(31))
+    assert all(type(v) is float for level in levels.values() for v in level.values())
 
 
 def _suite_tables(monkeypatch):
-    # the tables of every suite run while the test runs, by builder name,
-    # as each build returned them
+    # the tables of every suite run while the test runs, by builder (a kind
+    # of oracles.WORK), as each build returned them
     tables = {}
-    for name in ("_mode_sums", "_level_sums", "_z_level_sums", "_interior_rows"):
-        def recorded(*args, build=getattr(verify, name), name=name):
-            tables[name] = build(*args)
-            return tables[name]
-        monkeypatch.setattr(verify, name, recorded)
+    for kind in ("mode sums", "level sums", "z level sums", "interior grid"):
+        spy(monkeypatch, kind, lambda table, *args, kind=kind: tables.__setitem__(kind, table))
     return tables
 
 
@@ -712,9 +629,9 @@ def test_suite_keeps_its_rows_in_arrays_and_releases_its_table_sweeps(monkeypatc
 
     tables = _suite_tables(monkeypatch)
     assert run_full_suite(n_max=10).overall
-    modes, grid = tables["_mode_sums"], tables["_interior_rows"]
+    modes, grid = tables["mode sums"], tables["interior grid"]
     assert sorted(modes) == list(range(2, 13))
-    assert sorted(tables["_level_sums"]) == sorted(tables["_z_level_sums"]) == list(range(11))
+    assert sorted(tables["level sums"]) == sorted(tables["z level sums"]) == list(range(11))
     assert _held(grid, "levels") == list(range(12))  # the odd ratio's 2m + 1 = 11
     assert _held(grid, "slopes") == list(range(2, 14)) and _held(grid, "seconds") == list(range(2, 11))
     kept = [*(row for row, _ in modes.values()), *grid._held.values(),
@@ -734,9 +651,9 @@ def test_suite_tables_are_freed_without_a_cycle_collection(monkeypatch):
     gc.disable()
     try:
         assert run_full_suite(n_max=6).overall
-        grid = tables.pop("_interior_rows")
+        grid = tables.pop("interior grid")
         refs = [weakref.ref(grid), *(weakref.ref(row) for row in grid._held.values()),
-                *(weakref.ref(row) for row, _ in tables["_mode_sums"].values())]
+                *(weakref.ref(row) for row, _ in tables["mode sums"].values())]
         tables.clear()
         del grid
         assert verify._suite.get() == {}
@@ -762,8 +679,7 @@ def test_a_read_past_a_released_table_equals_a_fresh_process(monkeypatch):
 
     assert run_full_suite(n_max=10).overall
     brackets, _ = _count_brackets(monkeypatch)
-    weighs, weigh = [], verify._weigh
-    monkeypatch.setattr(verify, "_weigh", lambda nodes, row: weighs.append(1) or weigh(nodes, row))
+    weighs = spy(monkeypatch, "weigh")
     after = [repr(check_trig_norm(15)), repr(check_hypergeom_norm(13, "x"))]
     assert brackets == [(15, verify.QUAD_ORDER * verify.PANELS)] and len(weighs) == 2
     source = Path(ptdarboux.__file__).resolve().parents[1]
@@ -778,8 +694,7 @@ def test_a_lone_norm_check_builds_only_its_own_row(monkeypatch):
     # and weighs one row, level 60's, and check_trig_norm(15) builds one
     # bracket row, k = 15's, weighed once for its D and M; each gives the
     # bits of the suite's row
-    weighs, weigh = [], verify._weigh
-    monkeypatch.setattr(verify, "_weigh", lambda nodes, row: weighs.append(1) or weigh(nodes, row))
+    weighs = spy(monkeypatch, "weigh")
     level = check_hypergeom_norm(60, "x")
     assert len(weighs) == 1
     brackets, sweeps = _count_brackets(monkeypatch)
@@ -797,44 +712,31 @@ def _count_brackets(monkeypatch):
     # every U sweep started; a bracket's k is that of the sweep row U'_{k-1}
     # (the first row a sweep yields) it is built from, or of which it reads
     # a kept copy
-    brackets, sweeps, swept = [], [], []
-    bracket, u_rows = closed_form._bracket, closed_form._u_rows
-
-    def counted_bracket(sin_sq, slope, scale):
-        k = next(k for row, k in swept if row is slope or row == list(slope))
-        brackets.append((k, len(sin_sq)))
-        return bracket(sin_sq, slope, scale)
-
-    def counted_u_rows(cosines, depth, ks):
-        cosines = list(cosines)
-        sweeps.append(len(cosines))
-        for k, rows in u_rows(cosines, depth, ks):
-            swept.append((rows[0], k))
-            yield k, rows
-
-    monkeypatch.setattr(closed_form, "_bracket", counted_bracket)
-    monkeypatch.setattr(closed_form, "_u_rows", counted_u_rows)
+    swept = []  # the (k, rows) yielded by each sweep, sweep by sweep
+    sweeps = spy(monkeypatch, "u sweep",
+                 lambda rows, cosines, *args: swept.append(rows) or len(cosines))
+    brackets = spy(monkeypatch, "bracket", lambda row, sin_sq, slope, scale: (next(
+        k for rows in swept for k, (first, *_) in rows if first is slope or first == list(slope)),
+        len(sin_sq)))
     return brackets, sweeps
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_a_lone_one_shot_read_builds_one_bracket_row(monkeypatch):
     # a one-shot tabulate call reads mode n + 2 of a fresh grid: one U sweep
     # up to U_{n+1} and one bracket row, none of the n below it.  A one-shot
     # identity call reads the row U'_{n+1} of the same sweep, and no bracket
-    _clear_node_set_caches()
-    try:
-        brackets, sweeps = _count_brackets(monkeypatch)
-        assert check_identity("base", 10).passed
-        assert brackets == []
-        assert sweeps == [verify.INTERIOR_POINTS]
-        ts = [0.05 + 0.03 * i for i in range(100)]
-        del brackets[:], sweeps[:]
-        closed_form.TGrid(ts).bound_state_pairs(10, 1.0)
-        assert brackets == [(12, len(ts))] and sweeps == [len(ts)]
-    finally:
-        _clear_node_set_caches()
+    brackets, sweeps = _count_brackets(monkeypatch)
+    assert check_identity("base", 10).passed
+    assert brackets == []
+    assert sweeps == [verify.INTERIOR_POINTS]
+    ts = [0.05 + 0.03 * i for i in range(100)]
+    del brackets[:], sweeps[:]
+    closed_form.TGrid(ts).bound_state_pairs(10, 1.0)
+    assert brackets == [(12, len(ts))] and sweeps == [len(ts)]
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_suite_builds_each_interior_slope_row_once(monkeypatch):
     # the identities, the correspondence and the residual all read the
     # interior grid's rows; its rows U'_{k-1} come from one U sweep, up to
@@ -843,57 +745,31 @@ def test_suite_builds_each_interior_slope_row_once(monkeypatch):
     # their bracket -sin^2(t) U'_{k-1} once from it, and the identities
     # read it as it is.  The residual's g'' rows and the brackets share one
     # row sin^2 t: every one reads the grid's one row object
-    _clear_node_set_caches()
-    try:
-        brackets, sweeps = _count_brackets(monkeypatch)
-        sin_rows, bracket, g2_factors = [], closed_form._bracket, closed_form._g2_factors
-
-        def read_bracket(sin_sq, slope, scale):
-            sin_rows.append(sin_sq)
-            return bracket(sin_sq, slope, scale)
-
-        def read_g2_factors(cosines, sin_sq):
-            sin_rows.append(sin_sq)
-            return g2_factors(cosines, sin_sq)
-
-        monkeypatch.setattr(closed_form, "_bracket", read_bracket)
-        monkeypatch.setattr(closed_form, "_g2_factors", read_g2_factors)
-        kept, interior_rows = [], verify._interior_rows
-        monkeypatch.setattr(verify, "_interior_rows",
-                            lambda *args: kept.append(interior_rows(*args)) or kept[-1])
-        assert run_full_suite(n_max=30).overall
-        interior = sorted(k for k, points in brackets if points == verify.INTERIOR_POINTS)
-        assert interior == sorted([*range(2, 33), *range(2, 31)])
-        assert sweeps.count(verify.INTERIOR_POINTS) == 1
-        (grid,) = kept
-        assert _held(grid, "slopes") == list(range(2, 34))
-        read = [row for row in sin_rows if len(row) == verify.INTERIOR_POINTS]
-        assert len(read) == len(interior) + 1  # the brackets and the g'' factors
-        assert all(row is grid.sin_sq for row in read)
-    finally:
-        _clear_node_set_caches()
+    brackets, sweeps = _count_brackets(monkeypatch)
+    bracket_rows = spy(monkeypatch, "bracket", lambda row, sin_sq, *args: sin_sq)
+    factor_rows = spy(monkeypatch, "g2 factors", lambda rows, cosines, sin_sq: sin_sq)
+    kept = spy(monkeypatch, "interior grid", lambda grid, *args: grid)
+    assert run_full_suite(n_max=30).overall
+    interior = sorted(k for k, points in brackets if points == verify.INTERIOR_POINTS)
+    assert interior == sorted([*range(2, 33), *range(2, 31)])
+    assert sweeps.count(verify.INTERIOR_POINTS) == 1
+    (grid,) = kept
+    assert _held(grid, "slopes") == list(range(2, 34))
+    read = [row for row in bracket_rows + factor_rows if len(row) == verify.INTERIOR_POINTS]
+    assert len(read) == len(interior) + 1  # the brackets and the g'' factors
+    assert all(row is grid.sin_sq for row in read)
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_suite_weighs_each_row_once(monkeypatch):
     # one weighted row per partner mode for both its D and its M (31 modes,
     # k = 2..32), one per level (31), and one per Gram row i = 2..30 (29)
-    weighs = 0
-    original = verify._weigh
-
-    def counted(nodes, row):
-        nonlocal weighs
-        weighs += 1
-        return original(nodes, row)
-
-    monkeypatch.setattr(verify, "_weigh", counted)
-    _clear_node_set_caches()
-    try:
-        assert run_full_suite(n_max=30).overall
-        assert weighs == 31 + 31 + 29 == 91
-    finally:
-        _clear_node_set_caches()
+    weighs = spy(monkeypatch, "weigh")
+    assert run_full_suite(n_max=30).overall
+    assert len(weighs) == 31 + 31 + 29 == 91
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_each_grid_and_rule_starts_one_u_recurrence(monkeypatch):
     # the t rule's mode sweep and the interior grid each start one U sweep
     # (_u_rows), which yields every derivative its rows read and not U
@@ -901,57 +777,36 @@ def test_each_grid_and_rule_starts_one_u_recurrence(monkeypatch):
     # for the grid's g'' rows.  The grid's sweep runs to the last bracket
     # (k = 33), past the last g'' (k = 30).  A chi_derivatives call starts
     # one sweep, to the third derivative, and reads its own k from it
-    starts, swept = [], []
-    u_rows = closed_form._u_rows
-
-    def counted_u_rows(cosines, depth, ks):
-        cosines = list(cosines)
-        starts.append((len(cosines), depth))
-        for k, rows in u_rows(cosines, depth, ks):
-            swept.append(rows)
-            yield k, rows
-
-    monkeypatch.setattr(closed_form, "_u_rows", counted_u_rows)
-    _clear_node_set_caches()
-    try:
-        assert run_full_suite(n_max=30).overall
-        assert sorted(starts) == [(verify.INTERIOR_POINTS, 3),
-                                  (verify.QUAD_ORDER * verify.PANELS, 1)]
-        interior = [rows for rows in swept if len(rows[0]) == verify.INTERIOR_POINTS]
-        assert len(interior) == 32  # U'_1..U'_32, for k = 2..33
-        assert {len(rows) for rows in interior} == {3}
-        assert {len(rows) for rows in swept} == {1, 3}
-        del starts[:], swept[:]
-        closed_form.chi_derivatives(TrigEigenfunction(9, 1.0), 0.7)
-        assert starts == [(1, 3)] and [len(rows) for rows in swept] == [3]
-    finally:
-        _clear_node_set_caches()
+    sweeps = spy(monkeypatch, "u sweep", lambda swept, cosines, depth, ks:
+                 (len(cosines), depth, swept))
+    assert run_full_suite(n_max=30).overall
+    assert sorted((points, depth) for points, depth, _ in sweeps) == [
+        (verify.INTERIOR_POINTS, 3), (verify.QUAD_ORDER * verify.PANELS, 1)]
+    swept = [rows for *_, sweep in sweeps for _, rows in sweep]
+    interior = [rows for rows in swept if len(rows[0]) == verify.INTERIOR_POINTS]
+    assert len(interior) == 32  # U'_1..U'_32, for k = 2..33
+    assert {len(rows) for rows in interior} == {3}
+    assert {len(rows) for rows in swept} == {1, 3}
+    del sweeps[:]
+    closed_form.chi_derivatives(TrigEigenfunction(9, 1.0), 0.7)
+    ((points, depth, sweep),) = sweeps
+    assert (points, depth) == (1, 3) and [len(rows) for _, rows in sweep] == [3]
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_suite_evaluates_each_levels_exact_factor_once(monkeypatch):
     # C_n and the midpoint factors share one exact 2F1 value per level: the
     # suite at n_max = 30 reads levels 0..31 (the odd ratio's 2m + 1 = 31)
     # and evaluates each once; the 62 levels of the degree cap (the odd
     # ratio at m = 30 reaches level 61) are all kept
-    calls = []
-    original = closed_form._f21_exact
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(closed_form, "_f21_exact", counted)
-    closed_form._midpoint_factor.cache_clear()
-    try:
-        assert run_full_suite(n_max=30, grid_points=1000).overall
-        assert len(calls) == len(set(calls)) == 32
-        for _ in range(2):
-            for n in range(62):
-                closed_form._coefficient(n)
-            assert check_identity("odd", 30).passed
-        assert len(calls) == len(set(calls)) == 62
-    finally:
-        closed_form._midpoint_factor.cache_clear()
+    calls = spy(monkeypatch, "exact", only=closed_form)  # not the midpoint rows' own
+    assert run_full_suite(n_max=30, grid_points=1000).overall
+    assert len(calls) == len(set(calls)) == 32
+    for _ in range(2):
+        for n in range(62):
+            closed_form._coefficient(n)
+        assert check_identity("odd", 30).passed
+    assert len(calls) == len(set(calls)) == 62
 
 
 def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch):
@@ -1007,22 +862,12 @@ def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch
             for k in range(2, 12)] == expected_rows
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_suite_builds_one_reference_rule_per_order(monkeypatch):
     # the (0, pi) and (0, 1) node sets map one Gauss-Legendre rule
-    calls = []
-    original = verify.gauss_legendre
-
-    def counted(order):
-        calls.append(order)
-        return original(order)
-
-    monkeypatch.setattr(verify, "gauss_legendre", counted)
-    _clear_node_set_caches()
-    try:
-        assert run_full_suite(n_max=2).overall
-        assert calls == [verify.QUAD_ORDER]
-    finally:
-        _clear_node_set_caches()
+    calls = spy(monkeypatch, "rule", lambda rule, order: order)
+    assert run_full_suite(n_max=2).overall
+    assert calls == [verify.QUAD_ORDER]
 
 
 def test_residual_partner_modes():
@@ -1038,17 +883,8 @@ def test_residual_partner_modes():
 def test_unit_scale_checks_reject_an_alpha_no_well_has(monkeypatch, alpha):
     # the residual and the correspondence run at alpha = 1, so they must
     # validate the caller's alpha before any row is swept or the potential
-    # row is built
-    def forbidden(*args):
-        raise AssertionError("a row was swept before alpha was validated")
-        yield
-
-    def forbidden_potential(*args):
-        raise AssertionError("the potential row was built before alpha was validated")
-
-    monkeypatch.setattr(closed_form, "_u_rows", forbidden)  # every bracket and g'' row
-    monkeypatch.setattr(hypergeom, "_jacobi_rows", forbidden)
-    monkeypatch.setattr(closed_form, "_partner_potentials", forbidden_potential)
+    # row is built (every bracket and g'' row reads a U sweep)
+    forbid(monkeypatch, "u sweep", "level sweep", "potential rows")
     with pytest.raises(ParameterError):
         check_residual(3, alpha)
     with pytest.raises(ParameterError):
@@ -1222,14 +1058,7 @@ def test_sturm_counts_agree_with_a_60_digit_sweep(monkeypatch, grid_points, mode
     # its upper end and fewer below its lower end, and the bracket's centre
     # lies within _HALF_WIDTH / 2 of the bracket bisected by 60-digit counts
     # to fd_certificate.REFERENCE_WIDTH of its upper end
-    counts = []
-    sturm_count = verify._sturm_count
-
-    def recorded(*args):
-        counts.append((args, sturm_count(*args)))
-        return counts[-1][1]
-
-    monkeypatch.setattr(verify, "_sturm_count", recorded)
+    counts = spy(monkeypatch, "sturm count", lambda count, *args: (args, count))
     _, brackets = verify._sturm_grid(grid_points, modes, float((modes + 2) ** 2))
     assert len(counts) >= 2 * modes
     assert [count for _, count in counts] == [sturm_count_decimal(*args) for args, _ in counts]
@@ -1274,6 +1103,15 @@ def test_sturm_count_flips_once_near_the_lowest_modes(grid_points):
         assert counts == [place - 1] * 64 + [place] * 65
 
 
+def test_an_exactly_zero_pivot_counts_as_negative_and_the_sweep_goes_on():
+    # u_0 = 0 + 1 (0.5 - 1.5) is exactly -1: the pivot 1 + u_0 is zero, is
+    # counted, and continues as _ZERO_PIVOT.  The count is the 60-digit
+    # sweep's, and that of the floats on either side of mu
+    block = (0.5, [0.5, 0.5], 0.0, 1.0)
+    for mu in (math.nextafter(1.5, 0.0), 1.5, math.nextafter(1.5, 2.0)):
+        assert verify._sturm_count(*block, mu) == sturm_count_decimal(*block, mu) == 1
+
+
 def test_fd_spectrum_frozen_bits():
     assert [m.hex() for m in fd_spectrum(1.0, 4000, 3)] == [
         "0x1.fffffdb35aa4dp+3", "0x1.1ffffb94a785cp+5", "0x1.ffffeefbc88f7p+5"]
@@ -1287,10 +1125,7 @@ def test_fd_spectrum_frozen_bits():
 def test_fd_spectrum_rejects_an_overflowing_top_before_any_sweep(monkeypatch):
     # 4 alpha^2 = 1e308 times the top (count + 2)^2 = 144 overflows: no grid
     # is swept
-    def refuse(*args):
-        raise AssertionError("a Sturm sweep ran")
-
-    monkeypatch.setattr(verify, "_sturm_count", refuse)
+    forbid(monkeypatch, "sturm count")
     with pytest.raises(ParameterError, match=r"= 1e\+308 times the bracket top 144.0 overflows"):
         fd_spectrum(5e153, 100000, 10)
 
@@ -1306,9 +1141,7 @@ def test_fd_spectrum_rejects_a_top_below_its_modes(monkeypatch):
 
 def _sweeps(monkeypatch, grid_points, count):
     # the row count of each Sturm count the spectrum takes
-    sweeps = []
-    monkeypatch.setattr(verify, "_sturm_count", lambda *args, sweep=verify._sturm_count:
-                        sweeps.append(1 + len(args[1])) or sweep(*args))
+    sweeps = spy(monkeypatch, "sturm count", lambda count, w0, rest, *args: 1 + len(rest))
     fd_spectrum(1.0, grid_points, count)
     return sweeps
 
@@ -1335,9 +1168,7 @@ def test_fd_spectrum_takes_one_newton_sweep_per_fine_grid_mode(monkeypatch, grid
     # engine, which took one sweep per mode here, so that the test's id
     # stays comparable.)
     assert len(_sweeps(monkeypatch, grid_points, 10)) == 20
-    starts, settle = [], verify._settle
-    monkeypatch.setattr(verify, "_settle", lambda block, place, lo, up, top:
-                        starts.append((lo, up)) or settle(block, place, lo, up, top))
+    starts = spy(monkeypatch, "settle", lambda bracket, block, place, lo, up, top: (lo, up))
     h2 = (math.pi / grid_points) ** 2
     assert fd_spectrum(1.0, grid_points, 10) == [4.0 * (0.5 * (lo + up) / h2) for lo, up in starts]
 
@@ -1472,9 +1303,7 @@ def test_no_coarse_estimate_enters_a_result(monkeypatch, garbage):
         "next mode": lambda mode: (mode + 2) ** 2 * h2,
         "lower mode": lambda mode: expected[mode - 3][0] if mode > 2 else math.nan,
     }[garbage]
-    counts = []
-    monkeypatch.setattr(verify, "_sturm_count",
-                        lambda *args, sweep=verify._sturm_count: counts.append(1) or sweep(*args))
+    counts = spy(monkeypatch, "sturm count")
     for mode, (low, high) in enumerate(expected, 1):
         block, place = verify._block_mode(mode)
         unspoiled, start = 0.5 * (low + high), spoil(mode)
@@ -1498,9 +1327,7 @@ def test_settle_counts_the_top_only_when_its_fallback_bracket_ends_there(monkeyp
     h2, expected = verify._sturm_grid(grid_points, count, top)
     _, weights = _full_weights(grid_points)
     blocks = verify._fd_matrix(grid_points)
-    points = []
-    monkeypatch.setattr(verify, "_sturm_count", lambda *args, sweep=verify._sturm_count:
-                        points.append(args[-1]) or sweep(*args))
+    points = spy(monkeypatch, "sturm count", lambda count, *args: args[-1])
     for mode, (low, high) in enumerate(expected, 1):
         block, place = verify._block_mode(mode)
         unspoiled = 0.5 * (low + high)
@@ -1725,16 +1552,9 @@ def test_run_full_suite_does_not_depend_on_alpha(alpha, unit_alpha_suite):
 def test_run_full_suite_builds_only_the_t_and_z_node_sets(monkeypatch):
     # every quadrature row sums over the rule on t in (0, pi) or on u in
     # (0, 1); the x form reads the t nodes at x = t / 2
-    built = set()
-    original = verify._nodes
-
-    def recording(a, b, order, panels):
-        built.add((a, b))
-        return original(a, b, order, panels)
-
-    monkeypatch.setattr(verify, "_nodes", recording)
+    built = spy(monkeypatch, "nodes", lambda nodes, a, b, order, panels: (a, b))
     assert run_full_suite(n_max=2).overall
-    assert built == {(0.0, math.pi), (0.0, 1.0)}
+    assert set(built) == {(0.0, math.pi), (0.0, 1.0)}
 
 
 def test_check_identity_is_alpha_free_and_matches_the_suite():
@@ -1797,8 +1617,7 @@ def test_run_full_suite_rejects_bad_range():
 
 def test_run_full_suite_rejects_unusable_run_parameters_before_any_row(monkeypatch):
     # each is rejected with the message of the rule a row would have broken
-    ran = []
-    monkeypatch.setattr(verify, "_check_coefficient", ran.append)
+    ran = spy(monkeypatch, "coefficient row")
     for parameters, rule in (({"alpha": -1.0}, partial(WellConfig, -1.0)),
                              ({"alpha": math.nan}, partial(check_expectation_x, 2, math.nan)),
                              ({"quad_order": 0}, partial(check_trig_norm, 2, order=0)),
