@@ -42,22 +42,30 @@ def _partner_potentials(cfg: WellConfig, xs) -> list:
     return row
 
 
+# The 53 bits of pi after math.pi's: pi = math.pi + _PI_LO to about 1e-32.
+_PI_LO = 1.2246467991473532e-16
+
+
 def intertwine(cfg: WellConfig, k: int, x: float) -> float:
     """(L phi_k)(x) = sqrt(4 alpha / pi) 2 alpha
-    [k cos(2 alpha k x) - cot(2 alpha x) sin(2 alpha k x)].
+    [k cos(kt) - cot(t) sin(kt)], t = 2 alpha x.
 
-    Direct form; it loses accuracy near the walls where the cotangent
-    blows up.  closed_form's bracket rows (TGrid.mode; chi_eval reads one
-    point of the same sweep) are the stable rewrite.
+    The bracket is -sin^2(t) U'_{k-1}(cos t), and U_m(cos t) = sin((m+1) t)
+    / sin t turns it into the sine sum -2 sin(t) sum j sin(jt) over j = k-1,
+    k-3, ... >= 1, whose terms share one sign near the wall, so it keeps
+    its relative accuracy up to it.  Past t = pi/2 it reads the mirror
+    (math.pi - t) + _PI_LO, whose subtraction is exact (Sterbenz), times the
+    bracket's parity (-1)^k under t -> pi - t, so that no j t rounds near
+    j pi.  The seed, k = 1, maps to exactly 0.
     """
     _require_box(k)
     _require_open(cfg, x)
     a = cfg.alpha
-    t = 2.0 * a * x
-    cot = math.cos(t) / math.sin(t)
-    return math.sqrt(4.0 * a / math.pi) * 2.0 * a * (
-        k * math.cos(k * t) - cot * math.sin(k * t)
-    )
+    t, sign = 2.0 * a * x, -2.0
+    if t > 0.5 * math.pi:
+        t, sign = (math.pi - t) + _PI_LO, 2.0 if k % 2 else -2.0
+    return math.sqrt(4.0 * a / math.pi) * 2.0 * a * (sign * math.sin(t)) * math.fsum(
+        j * math.sin(j * t) for j in range(k - 1, 0, -2))
 
 
 def transform_normalization(cfg: WellConfig, k: int) -> float:

@@ -518,15 +518,6 @@ _WALL_BETA = -0.01865364928352934
 _WALL_GAMMA = 4.0 * abs(_WALL_BETA) / (3.0 * math.pi)
 
 
-def _block_mode(mode: int) -> tuple[int, int]:
-    """The block (0 even, 1 odd) holding the matrix's mode-th eigenvalue,
-    and its place there: the i-th eigenvector of an unreduced tridiagonal
-    matrix changes sign i - 1 times, and a mirror-even one an even number of
-    times, so mode i is the ((i + 1) // 2)-th of the even block when i is
-    odd and of the odd block when i is even."""
-    return 1 - mode % 2, (mode + 1) // 2
-
-
 def _settle(block: tuple, place: int, lo: float, up: float,
             top: float) -> tuple[float, float]:
     """The block's place-th eigenvalue from the start bracket (lo, up], by
@@ -583,38 +574,6 @@ def _asymptotic(k: int, h: float) -> float:
                  + _WALL_GAMMA * h2 * h * (k2 * (k2 - 1)))
 
 
-def _sturm_grid(grid_points: int, count: int, top: float) -> tuple[float, list]:
-    """The grid's Sturm work for the lowest `count` modes: h^2 and each
-    mode's bracket (lo, up), in units of h^2 (_fd_matrix).
-
-    Each mode i (from 1), k = i + 1, is _settle's from one start bracket,
-    inside [0, top] (top h^2 here), about its _asymptotic value mu.  On 13
-    grids of 100-20,000 points the eigenvalue lay above mu by 0.20-0.73 of r
-    = (k h)^4 / 360, so the start is centred on mu (1 + r / 2) and w =
-    max(_HALF_WIDTH, r) / 2 - 2^-51 wide on each side.  Where r is at most
-    _HALF_WIDTH, it already meets _settle's stop (the 2^-51 absorbs the
-    roundings of its ends), and its two counts settle it; elsewhere it is
-    the one-sided (mu, mu (1 + r)], to a rounding.
-    """
-    h = math.pi / grid_points
-    h2 = h ** 2
-    blocks = _fd_matrix(grid_points)
-    modes = []
-    for mode in range(1, count + 1):
-        block, place = _block_mode(mode)
-        k = mode + 1
-        mu, r = _asymptotic(k, h), (k * h) ** 4 / 360.0
-        w = max(_HALF_WIDTH, r) / 2.0 - 2.0 ** -51
-        try:
-            modes.append(_settle(blocks[block], place, mu * (1.0 + r / 2.0 - w),
-                                 mu * (1.0 + r / 2.0 + w), top * h2))
-        except EvaluationError as short:
-            raise EvaluationError(f"block {block} of the {grid_points}-point grid holds "
-                                  f"{short.args[0]} of its {(count + 1 - block) // 2} modes "
-                                  f"below the top {top}") from None
-    return h2, modes
-
-
 def _require_grid(grid_points: int) -> None:
     if grid_points < MIN_GRID_POINTS:
         raise ParameterError(f"need at least {MIN_GRID_POINTS} grid points, got {grid_points}")
@@ -629,7 +588,7 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     step from both walls so the singular potential is finite at every node.
     The matrix is scaled by h^2, and grid and potential are mirror-symmetric
     about t = pi/2, so it splits into a mirror-even and a mirror-odd block
-    of half its size (_fd_matrix), each mode in one of them (_block_mode).
+    of half its size (_fd_matrix), each mode in one of them.
     Each pivot of a Sturm sweep is written 1 + u with no cancellation
     (_sturm_count), so the low modes keep their relative accuracy on every
     grid: the ground mode's error falls fourfold per grid doubling up to the
@@ -640,7 +599,7 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     1967).  Each mode i (from 0), k = i + 2, starts at mu, the grid
     eigenvalue's three-term expansion in h (_asymptotic) about its continuum
     one, k^2, at most 2.7e-5 below the grid's (mode 9 at 100 points).  It is
-    bisected by counts from one start bracket (_sturm_grid), centred on
+    bisected by counts from one start bracket, centred on
     mu (1 + r / 2), r = (k h)^4 / 360, and max(4.9e-14, r) wide less a
     rounding, to a width of 4.9e-14 of its upper end, and the result is its
     centre, within 2.45e-14 of the eigenvalue, relative (_settle).  Where r
@@ -664,8 +623,31 @@ def fd_spectrum(alpha: float, grid_points: int, count: int) -> list[float]:
     top = float((count + 2) ** 2)
     if not math.isfinite(scale * top):  # checked before any sweep
         raise ParameterError(f"4 alpha^2 = {scale} times the bracket top {top} overflows")
-    h2, modes = _sturm_grid(grid_points, count, top)
-    return [scale * (0.5 * (lo + up) / h2) for lo, up in modes]
+    h = math.pi / grid_points
+    h2 = h ** 2
+    blocks, values = _fd_matrix(grid_points), []
+    for k in range(2, count + 2):
+        # The i-th eigenvector of an unreduced tridiagonal matrix changes sign
+        # i - 1 times, and a mirror-even one an even number of times, so mode
+        # i = k - 1 is the (k // 2)-th of the even block (0) when k is even
+        # and of the odd block (1) when k is odd.
+        block, place = k % 2, k // 2
+        # On 13 grids of 100-20,000 points the eigenvalue lay above mu by
+        # 0.20-0.73 of r, so the start is centred on mu (1 + r / 2), w wide
+        # on each side.  Where r <= _HALF_WIDTH it meets _settle's stop (the
+        # 2^-51 absorbs the roundings of its ends); elsewhere it is the
+        # one-sided (mu, mu (1 + r)], to a rounding.
+        mu, r = _asymptotic(k, h), (k * h) ** 4 / 360.0
+        w = max(_HALF_WIDTH, r) / 2.0 - 2.0 ** -51
+        try:
+            lo, up = _settle(blocks[block], place, mu * (1.0 + r / 2.0 - w),
+                             mu * (1.0 + r / 2.0 + w), top * h2)
+        except EvaluationError as short:
+            raise EvaluationError(f"block {block} of the {grid_points}-point grid holds "
+                                  f"{short.args[0]} of its {(count + 1 - block) // 2} modes "
+                                  f"below the top {top}") from None
+        values.append(scale * (0.5 * (lo + up) / h2))
+    return values
 
 
 def check_fd_spectrum(

@@ -25,6 +25,9 @@ import math
 import random
 import sys
 
+import pytest
+
+from oracles import spy
 from ptdarboux import verify
 
 # The reference brackets' width, relative to their upper end: 2.25 to 4.5
@@ -58,43 +61,23 @@ def check(alpha: float, grid_points: int, modes: int) -> tuple[int, int, int, fl
     which the counts of a start that holds its mode rule out), its modes at
     the narrowest start that took more than 2 counts, its count sweeps and
     its largest relative move from the reference."""
-    h = math.pi / grid_points
-    saved = verify._sturm_count, verify._settle, verify._sturm_grid, verify._asymptotic
-    counts, fell_back, slow, work, ks = [], [], [], [], []
-
-    def count(*args):
-        counts.append(1)
-        return saved[0](*args)
-
-    def settle(block, place, lo, up, top):
-        before = len(counts)
-        result = saved[1](block, place, lo, up, top)
-        fell_back.append(result[0] < lo or result[1] > up)
-        slow.append((ks[-1] * h) ** 4 / 360.0 <= verify._HALF_WIDTH and len(counts) - before > 2)
-        return result
-
-    def asymptotic(k, h):  # each mode's own, called before its counts
-        ks.append(k)
-        return saved[3](k, h)
-
-    def sturm_grid(*args):
-        work.append(saved[2](*args))
-        return work[-1]
-
-    (verify._sturm_count, verify._settle, verify._sturm_grid,
-     verify._asymptotic) = count, settle, sturm_grid, asymptotic
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        counts = spy(patch, "sturm count", lambda *call: None)
+        ks = spy(patch, "asymptotic", lambda mu, k, h: k)
+        settled = spy(patch, "settle", lambda out, block, place, lo, up, top:
+                      (block, place, lo, up, *out, len(counts)))
         values = verify.fd_spectrum(alpha, grid_points, modes)
-    finally:
-        verify._sturm_count, verify._settle, verify._sturm_grid, verify._asymptotic = saved
-    (h2, brackets), = work
-    blocks, scale = verify._fd_matrix(grid_points), 4.0 * alpha * alpha
+    h = math.pi / grid_points
+    h2, scale = h ** 2, 4.0 * alpha * alpha
+    fell_back = slow = before = 0
     move = 0.0
-    for mode, ((lo, up), value) in enumerate(zip(brackets, values), 1):
-        block, place = verify._block_mode(mode)
-        reference = scale * (refine(blocks[block], place, lo, up) / h2)
+    for k, (block, place, start_lo, start_up, lo, up, after), value in zip(ks, settled, values):
+        fell_back += lo < start_lo or up > start_up
+        slow += (k * h) ** 4 / 360.0 <= verify._HALF_WIDTH and after - before > 2
+        before = after
+        reference = scale * (refine(block, place, lo, up) / h2)
         move = max(move, abs(value - reference) / reference)
-    return sum(fell_back), sum(slow), len(counts), move
+    return fell_back, slow, len(counts), move
 
 
 def main(argv: list[str]) -> int:

@@ -7,18 +7,23 @@ those rows must equal, kept here so that a bulk reference loop in a test
 costs one scalar call per point.  legendre_rule is the Gauss-Legendre rule
 built with the recurrence's integer coefficients, sturm_count_decimal is
 verify's Sturm count at 60 digits, bracket_decimal is a partner mode's
-bracket and its g'' at 60 digits, chebyshev_u_exact is U_j and its
-argument derivatives in exact rational arithmetic, identity_pairs zips the
-two sides of an identity family into (left, right) pairs, json_safe is the
-payload whose json.dumps the CLI's JSON writer must reproduce, mutant is
-a package function with one deliberate defect, which a check must catch,
-and PassCounter is a list that counts the passes a sweep makes over it.
+bracket and its g'' at 60 digits, bracket_exact is the bracket in
+Fractions from the floats sin t and cos t, chebyshev_u_exact is U_j and
+its argument derivatives in exact rational arithmetic, identity_pairs zips
+the two sides of an identity family into (left, right) pairs, json_safe is
+the payload whose json.dumps the CLI's JSON writer must reproduce, mutant
+is a package function with one deliberate defect, which a check must
+catch, PassCounter is a list that counts the passes a sweep makes over
+it, x_grid is the tests' equally spaced x grid and held the indices at
+which a TGrid holds rows of a kind.
 
 WORK names each package function whose calls a test counts or refuses, by
 the kind of work it does; spy records the calls of one kind, forbid makes
 the calls of a kind or of a public name raise, and clear_caches (or the
 fresh_caches fixture) empties the package's memos, so that a count sees
-every call.  A renamed engine is renamed in WORK alone."""
+every call.  fd_modes reads, through spy, the block, place and bracket in
+which verify.fd_spectrum settles each mode.  A renamed engine is renamed
+in WORK alone."""
 import importlib
 import inspect
 import math
@@ -164,6 +169,13 @@ def stable_bracket(k: int, t: float) -> float:
     """-sin^2(t) U'_{k-1}(cos t), the bracket row of index k at t."""
     s = math.sin(t)
     return -(s * s) * chebyshev_u_slope(k - 1, math.cos(t))
+
+
+def bracket_exact(k: int, t: float) -> Fraction:
+    """-sin^2(t) U'_{k-1}(cos t), the bracket of index k at t, exactly from
+    the floats sin t and cos t (chebyshev_u_exact)."""
+    den, rows = chebyshev_u_exact(k - 1, math.cos(t), 1)
+    return -Fraction(math.sin(t)) ** 2 * Fraction(rows[k - 1][1], den ** (k - 1))
 
 
 def bracket_decimal(k: int, t: float, digits: int = 60) -> tuple[Decimal, Decimal]:
@@ -364,6 +376,7 @@ WORK = {
     "coefficient row": verify._check_coefficient,
     "sturm count": verify._sturm_count,  # one Sturm sweep of a block
     "settle": verify._settle,  # one mode's bracket from its start bracket
+    "asymptotic": verify._asymptotic,  # one mode's start, in units of h^2
     "u sweep": closed_form._u_rows,  # the U recurrence, a generator of rows
     "bracket": closed_form._bracket,  # a bracket row from its row U'_{k-1}
     "g2 factors": closed_form._g2_factors,  # the rows every g'' row reads
@@ -430,6 +443,28 @@ def forbid(monkeypatch, *names):
 
         _install(monkeypatch, WORK[name] if name in WORK else getattr(ptdarboux, name),
                  lambda bound: refuse)
+
+
+def fd_modes(grid_points: int, count: int) -> tuple[float, list[tuple]]:
+    """h^2 and each mode's (block, place, lo, up) of the grid's `count`
+    lowest modes, in units of h^2 (verify._fd_matrix): the block that
+    verify.fd_spectrum settles it in, its place there and the bracket that
+    verify._settle returns for it, recorded by spy."""
+    with pytest.MonkeyPatch.context() as patch:
+        modes = spy(patch, "settle", lambda out, block, place, *start: (block, place, *out))
+        verify.fd_spectrum(0.5, grid_points, count)
+    return (math.pi / grid_points) ** 2, modes
+
+
+def held(grid, kind: str) -> list[int]:
+    """The indices at which a closed_form.TGrid holds rows of `kind`."""
+    return sorted(i for held_kind, i in grid._held if held_kind == kind)
+
+
+def x_grid(alpha: float, points: int, margin: float) -> list[float]:
+    """`points` equally spaced x = t / (2 alpha), t from margin to pi - margin."""
+    step = (math.pi - 2 * margin) / (points - 1)
+    return [(margin + i * step) / (2 * alpha) for i in range(points)]
 
 
 def clear_caches():

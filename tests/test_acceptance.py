@@ -7,7 +7,7 @@ import math
 import time
 from fractions import Fraction
 
-from oracles import chi, identity_pairs, pt_eigen_hypergeom
+from oracles import chi, identity_pairs, pt_eigen_hypergeom, x_grid
 from ptdarboux.closed_form import (
     TGrid,
     TrigEigenfunction,
@@ -36,16 +36,6 @@ def _verdict(capsys, number, label, ok):
     assert ok, f"acceptance criterion {number} failed: {label}"
 
 
-def _interior_grid(alpha=1.0, points=POINTS, margin=MARGIN):
-    step = (math.pi - 2 * margin) / (points - 1)
-    return [(margin + i * step) / (2 * alpha) for i in range(points)]
-
-
-def _t_grid(xs):
-    # t = 2 alpha x at alpha = 1, the identities' points
-    return TGrid([2.0 * x for x in xs])
-
-
 def _max_scaled_dev(pairs):
     scale = max(abs(lhs) for lhs, _ in pairs)
     return max(abs(lhs - rhs) for lhs, rhs in pairs) / scale
@@ -72,7 +62,7 @@ def test_criterion_02_exact_midpoint_vanishing(capsys):
 
 
 def test_criterion_03_even_family_ratio_identity(capsys):
-    grid = _t_grid(_interior_grid())
+    grid = TGrid([2.0 * x for x in x_grid(1.0, POINTS, MARGIN)])
     ok = True
     for m in range(6):
         dev = _max_scaled_dev(identity_pairs("even", m, grid))
@@ -81,7 +71,7 @@ def test_criterion_03_even_family_ratio_identity(capsys):
 
 
 def test_criterion_04_odd_family_ratio_identity(capsys):
-    grid = _t_grid(_interior_grid())
+    grid = TGrid([2.0 * x for x in x_grid(1.0, POINTS, MARGIN)])
     ok = True
     for m in range(6):
         dev = _max_scaled_dev(identity_pairs("odd", m, grid))
@@ -90,8 +80,8 @@ def test_criterion_04_odd_family_ratio_identity(capsys):
 
 
 def test_criterion_05_base_identity_and_correspondence(capsys):
-    xs = _interior_grid()
-    grid = _t_grid(xs)
+    xs = x_grid(1.0, POINTS, MARGIN)
+    grid = TGrid([2.0 * x for x in xs])
     cfg = WellConfig(1.0)
     p = PTParams(2.0, 2.0)
     ok = True

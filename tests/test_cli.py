@@ -626,7 +626,7 @@ def test_a_check_that_raises_is_written_with_non_finite_values(monkeypatch, caps
 
 
 @pytest.mark.parametrize("module, name, argv", [
-    (verify, "_sturm_grid", ["spectrum"]),
+    (verify, "_fd_matrix", ["spectrum"]),
     (closed_form, "_coefficient", ["identity", "--which", "base", "--n", "2"]),
 ], ids=["spectrum", "identity"])
 def test_a_computation_error_exits_1_with_one_line_and_no_output(monkeypatch, capsys,

@@ -14,6 +14,7 @@ from oracles import (
     identity_pairs,
     mutant,
     spy,
+    x_grid,
 )
 from ptdarboux import closed_form, verify
 from ptdarboux.cli import MAX_DEGREE
@@ -47,16 +48,6 @@ COEFFICIENTS = [
     Fraction(-1, 2912),
     Fraction(-1, 3640),
 ]
-
-
-def _grid(alpha, t_margin=1e-3, points=500):
-    step = (math.pi - 2 * t_margin) / (points - 1)
-    return [(t_margin + i * step) / (2 * alpha) for i in range(points)]
-
-
-def _t_grid(alpha, **kwargs):
-    """The TGrid at t = 2 alpha x of _grid's points."""
-    return TGrid([2.0 * alpha * x for x in _grid(alpha, **kwargs)])
 
 
 def test_trig_eigenfunction_validation():
@@ -98,7 +89,7 @@ def test_chi_eval_matches_cotangent_form_on_interior():
     for alpha in (0.5, 1.0, 2.0):
         for k in (2, 3, 8):
             f = TrigEigenfunction(k, alpha)
-            for x in _grid(alpha, t_margin=1e-2, points=120):
+            for x in x_grid(alpha, 120, 1e-2):
                 t = 2 * alpha * x
                 naive = f.norm * (
                     k * math.cos(k * t) - math.sin(k * t) / math.tan(t)
@@ -117,7 +108,7 @@ def test_chi_sign_and_peak_structure():
 
 def test_chi_derivatives_match_value():
     f = TrigEigenfunction(7, 1.3)
-    for x in _grid(1.3, t_margin=1e-2, points=40):
+    for x in x_grid(1.3, 40, 1e-2):
         value, _, _ = chi_derivatives(f, x)
         assert value == chi_eval(f, x)
 
@@ -232,7 +223,7 @@ def test_normalization_amplitude():
 
 def test_identity_sides_agree_on_interior_grid():
     for n in range(0, 11):
-        pairs = [identity_sides(n, 1.0, x) for x in _grid(1.0)]
+        pairs = [identity_sides(n, 1.0, x) for x in x_grid(1.0, 500, 1e-3)]
         scale = max(abs(l) for l, _ in pairs)
         dev = max(abs(l - r) for l, r in pairs) / scale
         assert dev <= 1e-9
@@ -242,7 +233,7 @@ def test_identities_delegate_to_their_t_cores():
     # sin(alpha x) is half of t = 2 alpha x exactly, so the x-level form
     # reproduces the one t-level core bit for bit at any alpha
     for alpha in (0.6024, 0.73, 1.0, 1.502, 7.0):
-        for x in _grid(alpha, points=17)[1:-1]:
+        for x in x_grid(alpha, 17, 1e-3)[1:-1]:
             t = 2.0 * alpha * x
             assert identity_sides(3, alpha, x) == identity_pairs("base", 3, TGrid([t]))[0]
     for which in ("base", "even", "odd"):
@@ -383,7 +374,7 @@ def test_identity_sides_accept_the_closed_interval():
 
 
 def test_ratio_identity_even_agrees():
-    grid = _t_grid(1.0)
+    grid = TGrid([2.0 * x for x in x_grid(1.0, 500, 1e-3)])
     for m in range(0, 6):
         pairs = identity_pairs("even", m, grid)
         scale = max(abs(l) for l, _ in pairs)
@@ -392,7 +383,7 @@ def test_ratio_identity_even_agrees():
 
 
 def test_ratio_identity_odd_agrees():
-    grid = _t_grid(1.0)
+    grid = TGrid([2.0 * x for x in x_grid(1.0, 500, 1e-3)])
     for m in range(0, 6):
         pairs = identity_pairs("odd", m, grid)
         scale = max(abs(l) for l, _ in pairs)
@@ -402,7 +393,7 @@ def test_ratio_identity_odd_agrees():
 
 def test_ratio_identities_scale_invariance():
     # alpha only reparametrizes the axis: same deviation behaviour at alpha=2
-    pairs = identity_pairs("even", 1, _t_grid(2.0, points=200))
+    pairs = identity_pairs("even", 1, TGrid([4.0 * x for x in x_grid(2.0, 200, 1e-3)]))
     scale = max(abs(l) for l, _ in pairs)
     assert max(abs(l - r) for l, r in pairs) / scale <= 1e-9
 

@@ -1,20 +1,16 @@
 """Darboux transformation: partner potential, intertwining, normalization."""
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ptdarboux
-from oracles import chi
+from oracles import bracket_exact, chi, x_grid
 from ptdarboux.closed_form import TrigEigenfunction
 from ptdarboux.darboux import intertwine, partner_potential, transform_normalization
 from ptdarboux.errors import DomainError, ParameterError
 from ptdarboux.models import WellConfig, box_energy
-
-
-def _grid(alpha, t_margin=1e-2, points=400):
-    step = (math.pi - 2 * t_margin) / (points - 1)
-    return [(t_margin + i * step) / (2 * alpha) for i in range(points)]
 
 
 def test_seed_energy_is_the_ground_box_level():
@@ -34,7 +30,7 @@ def test_functions_on_the_well_keep_the_former_arithmetic():
     for alpha in (1.0, 0.6024, 1e-8, 1e8):
         cfg = WellConfig(alpha)
         omega_sq = 4.0 * alpha * alpha
-        for x in _grid(alpha, points=60):
+        for x in x_grid(alpha, 60, 1e-2):
             t = 2.0 * alpha * x
             w = -2.0 * alpha * math.cos(t) / math.sin(t)
             s = math.sin(2.0 * alpha * x)
@@ -74,15 +70,16 @@ def test_superpotential_is_log_derivative_of_seed():
 def test_partner_potential_collapses():
     for alpha in (0.5, 1.0, 2.0):
         cfg = WellConfig(alpha)
-        for x in _grid(alpha, points=50):
+        for x in x_grid(alpha, 50, 1e-2):
             expected = 8 * alpha * alpha / math.sin(2 * alpha * x) ** 2
             assert abs(partner_potential(cfg, x) - expected) <= 1e-13 * expected
 
 
 def test_intertwine_annihilates_seed():
+    # the seed's sine sum is empty
     cfg = WellConfig(1.0)
-    for x in _grid(1.0):
-        assert abs(intertwine(cfg, 1, x)) <= 1e-12
+    for x in x_grid(1.0, 400, 1e-2):
+        assert intertwine(cfg, 1, x) == 0.0
 
 
 def test_intertwine_matches_stable_form():
@@ -92,8 +89,24 @@ def test_intertwine_matches_stable_form():
         for k in (2, 3, 7, 12):
             norm = transform_normalization(cfg, k)
             f = TrigEigenfunction(k, alpha)
-            for x in _grid(alpha, points=150):
+            for x in x_grid(alpha, 150, 1e-2):
                 assert abs(norm * intertwine(cfg, k, x) - chi(f, x)) <= 1e-12
+
+
+def test_intertwine_holds_its_relative_accuracy_up_to_the_walls():
+    # at alpha = 1, t = 2x is exact, and within 1e-10 L of either wall cos t
+    # rounds by under 1e-19, so the bracket taken exactly from the floats
+    # sin t and cos t is the value to far below 1e-15.  Measured: the sine
+    # sum at most 2.0e-16 relative, the former cotangent form 1.8e-4 to
+    # 1.8e24 at these points
+    cfg = WellConfig(1.0)
+    scale = Fraction(math.sqrt(4.0 / math.pi) * 2.0)
+    for e in (1e-14, 1e-13, 1e-12, 1e-10):
+        for x in (e * cfg.length, (1.0 - e) * cfg.length):
+            for k in range(2, 63):
+                exact = scale * bracket_exact(k, 2.0 * x)
+                error = abs(Fraction(intertwine(cfg, k, x)) - exact)
+                assert error <= Fraction(1e-15) * abs(exact), (e, x, k)
 
 
 def test_intertwine_validation():

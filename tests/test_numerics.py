@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import chebyshev_u, legendre_rule, pochhammer
-from ptdarboux.errors import ParameterError
+from ptdarboux import numerics
+from ptdarboux.errors import ConvergenceError, ParameterError
 from ptdarboux.numerics import QuadratureRule, gauss_legendre
 
 
@@ -75,6 +76,14 @@ def test_gauss_legendre_structure():
 def test_gauss_legendre_rejects_bad_order():
     with pytest.raises(ParameterError):
         gauss_legendre(0)
+
+
+def test_gauss_legendre_raises_when_a_root_does_not_converge(monkeypatch):
+    # a NaN recurrence never takes a Newton step under 1e-15: after its 100
+    # steps the first root raises
+    monkeypatch.setattr(numerics, "_legendre_pair", lambda steps, x: (math.nan, math.nan))
+    with pytest.raises(ConvergenceError, match=r"^Legendre root 0 of order 4 did not converge$"):
+        gauss_legendre(4)
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 8, 16, 32, 64])

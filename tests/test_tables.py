@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from oracles import (bracket_decimal, chi, forbid, identity_pairs, jacobi_real,
+from oracles import (bracket_decimal, chi, forbid, held, identity_pairs, jacobi_real,
                      pt_eigen_hypergeom, spy, stable_bracket)
 from ptdarboux import closed_form, verify
 from ptdarboux.cli import MAX_DEGREE
@@ -23,11 +23,6 @@ def _factor(n):
 def _cosines(ts):
     # x = 1 - 2 sin^2(t/2) = cos t, the row a TGrid's level rows read
     return [math.cos(t) for t in ts]
-
-
-def _held(grid, kind):
-    # the indices at which a grid holds rows of `kind`
-    return sorted(i for held_kind, i in grid._held if held_kind == kind)
 
 
 def _suite_level_rows():
@@ -104,7 +99,7 @@ def test_t_grid_keeps_its_mode_rows_and_rejects_the_seed_index():
     assert grid.slope(30) is high and grid.second_derivative(7) is grid.second_derivative(7)
     assert grid.slope(9) is not grid.slope(9) and grid.slope(9) == TGrid(ts).slope(9)
     assert type(grid.slope(9)) is list and type(high) is array  # a lone read keeps no copy
-    assert _held(grid, "slopes") == [5, 30] and _held(grid, "seconds") == [7]
+    assert held(grid, "slopes") == [5, 30] and held(grid, "seconds") == [7]
     for bad in (grid, TGrid(ts)):
         with pytest.raises(ParameterError):
             bad.mode(1)
@@ -120,10 +115,10 @@ def test_a_grid_holds_arrays_at_exactly_its_indices_and_reads_others_as_lists():
     # leaves what the grid holds as it was
     ts = verify._interior_grid().ts[::50]
     grid, fresh = TGrid(ts, levels=[3, 0], slopes=[4], seconds=[6, 2]), TGrid(ts)
-    held = dict(grid._held)
-    assert sorted(held) == [("levels", 0), ("levels", 3), ("seconds", 2), ("seconds", 6),
+    kept = dict(grid._held)
+    assert sorted(kept) == [("levels", 0), ("levels", 3), ("seconds", 2), ("seconds", 6),
                             ("slopes", 4)]
-    for (kind, index), row in held.items():
+    for (kind, index), row in kept.items():
         read = {"levels": "level", "slopes": "slope", "seconds": "second_derivative"}[kind]
         assert type(row) is array and row.typecode == "d"
         assert getattr(grid, read)(index) is row and list(row) == getattr(fresh, read)(index)
@@ -131,8 +126,8 @@ def test_a_grid_holds_arrays_at_exactly_its_indices_and_reads_others_as_lists():
                         ("second_derivative", 4), ("second_derivative", 3)):
         row = getattr(grid, read)(index)
         assert type(row) is list and row == getattr(fresh, read)(index)
-    assert grid._held.keys() == held.keys()
-    assert all(grid._held[key] is row for key, row in held.items())
+    assert grid._held.keys() == kept.keys()
+    assert all(grid._held[key] is row for key, row in kept.items())
 
 
 @pytest.mark.parametrize("indices, starts", [

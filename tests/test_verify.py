@@ -25,9 +25,11 @@ from oracles import (
     chi,
     clear_caches,
     f21_real,
+    fd_modes,
     forbid,
     fresh_caches,  # a fixture, used by name in pytest.mark.usefixtures
     fsum_partials,
+    held,
     integrate,
     integrate_product,
     jacobi_real,
@@ -38,7 +40,7 @@ from oracles import (
 )
 from ptdarboux import closed_form, hypergeom, verify
 from ptdarboux.closed_form import TrigEigenfunction
-from ptdarboux.errors import EvaluationError, ParameterError
+from ptdarboux.errors import ConvergenceError, EvaluationError, ParameterError
 from ptdarboux.hypergeom import TerminatingHypergeometric
 from ptdarboux.models import PTParams, WellConfig
 from ptdarboux.verify import (
@@ -614,11 +616,6 @@ def _suite_tables(monkeypatch):
     return tables
 
 
-def _held(grid, kind):
-    # the indices at which a TGrid holds rows of `kind`
-    return sorted(i for held_kind, i in grid._held if held_kind == kind)
-
-
 def test_suite_keeps_its_rows_in_arrays_and_releases_its_table_sweeps(monkeypatch):
     # the sweeps' working rows are lists, but every row a table keeps is an
     # array('d'): the t rule's mode rows and the interior grid's level,
@@ -632,13 +629,13 @@ def test_suite_keeps_its_rows_in_arrays_and_releases_its_table_sweeps(monkeypatc
     modes, grid = tables["mode sums"], tables["interior grid"]
     assert sorted(modes) == list(range(2, 13))
     assert sorted(tables["level sums"]) == sorted(tables["z level sums"]) == list(range(11))
-    assert _held(grid, "levels") == list(range(12))  # the odd ratio's 2m + 1 = 11
-    assert _held(grid, "slopes") == list(range(2, 14)) and _held(grid, "seconds") == list(range(2, 11))
+    assert held(grid, "levels") == list(range(12))  # the odd ratio's 2m + 1 = 11
+    assert held(grid, "slopes") == list(range(2, 14)) and held(grid, "seconds") == list(range(2, 11))
     kept = [*(row for row, _ in modes.values()), *grid._held.values(),
             grid.sin_sq, grid.potential, *grid.bound_factors]
     assert all(type(row) is array and row.typecode == "d" for row in kept)
-    held = [*tables.values(), *vars(grid).values(), *(sums for _, sums in modes.values())]
-    assert not any(isinstance(value, types.GeneratorType) for value in held)
+    built = [*tables.values(), *vars(grid).values(), *(sums for _, sums in modes.values())]
+    assert not any(isinstance(value, types.GeneratorType) for value in built)
 
 
 def test_suite_tables_are_freed_without_a_cycle_collection(monkeypatch):
@@ -754,7 +751,7 @@ def test_suite_builds_each_interior_slope_row_once(monkeypatch):
     assert interior == sorted([*range(2, 33), *range(2, 31)])
     assert sweeps.count(verify.INTERIOR_POINTS) == 1
     (grid,) = kept
-    assert _held(grid, "slopes") == list(range(2, 34))
+    assert held(grid, "slopes") == list(range(2, 34))
     read = [row for row in bracket_rows + factor_rows if len(row) == verify.INTERIOR_POINTS]
     assert len(read) == len(interior) + 1  # the brackets and the g'' factors
     assert all(row is grid.sin_sq for row in read)
@@ -1040,10 +1037,10 @@ def test_fd_brackets_hold_their_modes(grid_points):
     # every value lies in its bracket, no wider than 1e-13 of its upper end,
     # and counts of the whole matrix, swept without the mirror split, prove
     # that the bracket holds exactly that mode
-    h2, brackets = verify._sturm_grid(grid_points, 10, 144.0)
+    h2, modes = fd_modes(grid_points, 10)
     _, weights = _full_weights(grid_points)
     values = fd_spectrum(0.5, grid_points, 10)  # 4 alpha^2 = 1
-    for mode, ((lo, up), value) in enumerate(zip(brackets, values), 1):
+    for mode, ((_, _, lo, up), value) in enumerate(zip(modes, values), 1):
         assert lo / h2 <= value <= up / h2 and value == 0.5 * (lo + up) / h2
         assert up - lo <= 1e-13 * up
         assert _full_count(weights, lo) < mode <= _full_count(weights, up)
@@ -1059,18 +1056,15 @@ def test_sturm_counts_agree_with_a_60_digit_sweep(monkeypatch, grid_points, mode
     # lies within _HALF_WIDTH / 2 of the bracket bisected by 60-digit counts
     # to fd_certificate.REFERENCE_WIDTH of its upper end
     counts = spy(monkeypatch, "sturm count", lambda count, *args: (args, count))
-    _, brackets = verify._sturm_grid(grid_points, modes, float((modes + 2) ** 2))
+    _, settled = fd_modes(grid_points, modes)
     assert len(counts) >= 2 * modes
     assert [count for _, count in counts] == [sturm_count_decimal(*args) for args, _ in counts]
-    blocks = verify._fd_matrix(grid_points)
     monkeypatch.setattr(verify, "_sturm_count", sturm_count_decimal)
-    for mode, (lo, up) in enumerate(brackets, 1):
-        block, place = verify._block_mode(mode)
+    for mode, (block, place, lo, up) in enumerate(settled, 1):
         mu = 0.5 * (lo + up)
         assert lo < mu < up
-        assert sturm_count_decimal(*blocks[block], lo) < place <= sturm_count_decimal(
-            *blocks[block], up)
-        reference = fd_certificate.refine(blocks[block], place, lo, up)
+        assert sturm_count_decimal(*block, lo) < place <= sturm_count_decimal(*block, up)
+        reference = fd_certificate.refine(block, place, lo, up)
         assert abs(mu - reference) <= verify._HALF_WIDTH / 2 * reference, (mode, mu, reference)
 
 
@@ -1087,19 +1081,17 @@ def test_fd_ground_mode_error_falls_fourfold_per_doubling():
 def test_sturm_count_flips_once_near_the_lowest_modes(grid_points):
     # within 64 ulps either side of each of the three lowest flips the count
     # is non-decreasing and changes once, from place - 1 to place
-    blocks = verify._fd_matrix(grid_points)
-    for mode, (lo, up) in enumerate(verify._sturm_grid(grid_points, 3, 25.0)[1], 1):
-        block, place = verify._block_mode(mode)
+    for block, place, lo, up in fd_modes(grid_points, 3)[1]:
         while math.nextafter(lo, up) < up:  # the flip: the lowest float counting place
             mid = 0.5 * (lo + up)
-            if verify._sturm_count(*blocks[block], mid) < place:
+            if verify._sturm_count(*block, mid) < place:
                 lo = mid
             else:
                 up = mid
         mus = [up]
         for _ in range(64):
             mus = [math.nextafter(mus[0], 0.0), *mus, math.nextafter(mus[-1], math.inf)]
-        counts = [verify._sturm_count(*blocks[block], mu) for mu in mus]
+        counts = [verify._sturm_count(*block, mu) for mu in mus]
         assert counts == [place - 1] * 64 + [place] * 65
 
 
@@ -1187,6 +1179,14 @@ def test_fd_values_lie_deep_inside_their_certificates():
     assert sum(sweeps for _, _, sweeps, _ in results.values()) == 4221
 
 
+def test_fd_certificate_script_passes_on_three_grids(capsys):
+    # the certificate script as CI runs it, on 3 grids of seed 1
+    assert fd_certificate.main(["3", "1"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("3 grids (seed 1), 14 modes: 0 start brackets fell back")
+    assert line.endswith("bound 2.45e-14")
+
+
 def _sweep_units(monkeypatch, grid_points, count):
     # the Sturm counts' work in rows of the grid
     return sum(_sweeps(monkeypatch, grid_points, count)) / grid_points
@@ -1252,11 +1252,8 @@ def _certified_modes(grid_points, count=10):
     # each mode's h, continuum k and eigenvalue: its certified bracket
     # bisected by counts to 5e-16 of its upper end (fd_certificate.refine),
     # which the counts alone pin, whatever the start
-    h2, brackets = verify._sturm_grid(grid_points, count, float((count + 2) ** 2))
-    blocks = verify._fd_matrix(grid_points)
-    for mode, (lo, up) in enumerate(brackets, 1):
-        block, place = verify._block_mode(mode)
-        yield math.pi / grid_points, mode + 1, fd_certificate.refine(blocks[block], place, lo, up)
+    for k, (block, place, lo, up) in enumerate(fd_modes(grid_points, count)[1], 2):
+        yield math.pi / grid_points, k, fd_certificate.refine(block, place, lo, up)
 
 
 @pytest.mark.parametrize("grid_points", [25600, 28000, 40000, 40017, 65536, 100000])
@@ -1293,22 +1290,20 @@ def test_no_coarse_estimate_enters_a_result(monkeypatch, garbage):
     # block's lower mode (its certified lower end), fails a count; each
     # bisects from (0, top] and takes more than 2 counts
     grid_points, count, top = 3000, 10, 144.0
-    h2, expected = verify._sturm_grid(grid_points, count, top)
+    h2, expected = fd_modes(grid_points, count)
     _, weights = _full_weights(grid_points)
-    blocks = verify._fd_matrix(grid_points)
     spoil = {
         "nan": lambda mode: math.nan,
         "zero": lambda mode: 0.0,
         "hi": lambda mode: top * h2,
         "next mode": lambda mode: (mode + 2) ** 2 * h2,
-        "lower mode": lambda mode: expected[mode - 3][0] if mode > 2 else math.nan,
+        "lower mode": lambda mode: expected[mode - 3][2] if mode > 2 else math.nan,
     }[garbage]
     counts = spy(monkeypatch, "sturm count")
-    for mode, (low, high) in enumerate(expected, 1):
-        block, place = verify._block_mode(mode)
+    for mode, (block, place, low, high) in enumerate(expected, 1):
         unspoiled, start = 0.5 * (low + high), spoil(mode)
         counts.clear()
-        lo, up = verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), top * h2)
+        lo, up = verify._settle(block, place, start, start * (1.0 + 1e-10), top * h2)
         mu = 0.5 * (lo + up)
         assert abs(mu - unspoiled) <= verify._HALF_WIDTH * unspoiled, (mode, mu, unspoiled)
         assert _full_count(weights, lo) < mode <= _full_count(weights, up)
@@ -1324,16 +1319,14 @@ def test_settle_counts_the_top_only_when_its_fallback_bracket_ends_there(monkeyp
     # holds its mode by counts of the whole matrix.  A top 1e-7 under the
     # mode holds only place - 1 of the block's eigenvalues: EvaluationError
     grid_points, count, top = 3000, 10, 144.0
-    h2, expected = verify._sturm_grid(grid_points, count, top)
+    h2, expected = fd_modes(grid_points, count)
     _, weights = _full_weights(grid_points)
-    blocks = verify._fd_matrix(grid_points)
     points = spy(monkeypatch, "sturm count", lambda count, *args: args[-1])
-    for mode, (low, high) in enumerate(expected, 1):
-        block, place = verify._block_mode(mode)
+    for mode, (block, place, low, high) in enumerate(expected, 1):
         unspoiled = 0.5 * (low + high)
         start = unspoiled * (1.0 + side * 1e-6)
         points.clear()
-        lo, up = verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), top * h2)
+        lo, up = verify._settle(block, place, start, start * (1.0 + 1e-10), top * h2)
         mu = 0.5 * (lo + up)
         assert points.count(top * h2) == 1, (mode, points)
         assert abs(mu - unspoiled) <= verify._HALF_WIDTH * unspoiled, (mode, mu, unspoiled)
@@ -1341,7 +1334,7 @@ def test_settle_counts_the_top_only_when_its_fallback_bracket_ends_there(monkeyp
         low_top = unspoiled * (1.0 - 1e-7)
         points.clear()
         with pytest.raises(EvaluationError) as short:
-            verify._settle(blocks[block], place, start, start * (1.0 + 1e-10), low_top)
+            verify._settle(block, place, start, start * (1.0 + 1e-10), low_top)
         assert short.value.args == (place - 1,) and points.count(low_top) == 1, mode
 
 
@@ -1373,6 +1366,14 @@ def test_a_bisection_that_does_not_narrow_stops_at_its_step_cap(monkeypatch):
     assert not report.overall
 
 
+def test_a_bracket_that_cannot_reach_its_width_stops_at_the_step_cap(monkeypatch):
+    # at a zero width no bracket between two floats is narrow enough: the
+    # real _settle bisects to adjacent floats, takes its _MAX_STEPS and raises
+    monkeypatch.setattr(verify, "_HALF_WIDTH", 0.0)
+    with pytest.raises(ConvergenceError, match=r"after 200 bisection steps$"):
+        fd_spectrum(1.0, 1000, 1)
+
+
 @lru_cache(maxsize=1)
 def _fd_matrix_and_modes():
     # at alpha = 1/2 the scale 4 alpha^2 is 1: the modes of the matrix itself,
@@ -1400,7 +1401,7 @@ def test_sturm_count_is_monotone_near_each_mode(mode, offsets):
 def test_mirror_blocks_split_the_full_count(grid_points):
     # away from every flip the two blocks' counts add up to the full
     # matrix's, and the even block's lead the odd block's by 0 or 1: the
-    # interlacing that maps mode i to one block (verify._block_mode)
+    # interlacing that maps mode i to one block (verify.fd_spectrum)
     even, odd = verify._fd_matrix(grid_points)
     h2, weights = _full_weights(grid_points)
     modes = [m * h2 for m in fd_spectrum(0.5, grid_points, 10)]
