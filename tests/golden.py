@@ -9,6 +9,7 @@ rewrites golden.json with
     PYTHONPATH=src python tests/golden.py
 
 and lists every entry that changed; test_cli.py compares against it.
+TIMED names the commands that CI also times, each one of COMMANDS.
 
     python tests/golden.py --against REV
 
@@ -52,10 +53,13 @@ COMMANDS = [
     "tabulate",
     "tabulate --n 7 --alpha 0.6024 --format json",
     "tabulate --n 60 --points 1001",
+    "tabulate --alpha 0.6024 --n 30 --points 1001",
     "identity --which base --n 5",
     "identity --which even --m 3 --format json",
     "identity --which odd --m 2 --alpha 0.6024",
     "identity --which odd --m 30 --format json",
+    "identity --which even --m 30",
+    "identity --which base --n 40",
     "identity --which base --n 3 --tol identity=0",
     "spectrum",
     "spectrum --count 0 --format json",
@@ -67,6 +71,8 @@ COMMANDS = [
     "spectrum --count 10 --grid-points 100 --format json",
     "spectrum --count 10 --grid-points 999 --format json",
     "spectrum --count 3 --grid-points 25600 --format json",
+    "spectrum --count 10 --grid-points 3000 --format json",
+    "spectrum --alpha 1e-6 --count 3 --grid-points 1000",
     "verify --tol bogus=1",
     "verify --tol quadrature=inf",
     "verify --tol x",
@@ -91,6 +97,29 @@ COMMANDS = [
     "tabulate --help",
     "identity --help",
     "spectrum --help",
+]
+
+# The commands that CI times, each in a fresh process through
+# tests/peak_rss.py for its wall time and peak resident memory.  Each is a
+# COMMANDS entry that exits 0, so golden.json pins what it prints.
+TIMED = [
+    # count bisection's costliest region, 88 counts of 1,500 rows
+    "spectrum --count 10 --grid-points 3000 --format json",
+    # the benchmark's spectrum workload
+    "spectrum --count 10 --grid-points 40000 --format json",
+    # the same fineness on an odd grid
+    "spectrum --count 10 --grid-points 40017 --format json",
+    # the --grid-points cap, where mode 0's rel_err is the discretization
+    # error, 1.1e-10
+    "spectrum --count 10 --grid-points 100000 --format json",
+    # the default suite, levels 0..10
+    "verify --format json",
+    # the scale point
+    "verify --format json --n-max 30",
+    # the degree cap: both quadrature tables swept to degree 60
+    "verify --format json --n-max 60",
+    # tabulate's degree cap: TGrid sweeps to level 60 and keeps no row
+    "tabulate --n 60 --points 1001",
 ]
 
 

@@ -122,6 +122,8 @@ def test_every_golden_command_gives_its_recorded_output():
     # entry, a change that moves an output rewrites the file and says so
     recorded = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
     assert list(recorded) == golden.COMMANDS
+    # CI times only commands that this test pins and that exit 0
+    assert [command for command in golden.TIMED if recorded.get(command, {}).get("exit") != 0] == []
     for command in golden.COMMANDS:
         out, errors, code = golden.capture(command)
         entry = golden.entry(out, errors, code)
@@ -286,9 +288,10 @@ PARSES = [
     (["verify", "--", "-h"], 2),
     (["verify", "--alpha", "--", "5"], 2),
     (["tabulate", "--quad-order", "8"], 2),
-    (["spectrum", "--n", "5"], 2),
-    (["identity", "--which", "base", "--tol", "quadrature=0"], 2),
-    (["tabulate", "-h", "--p", "5"], ("tabulate", None)),
+    pytest.param(["spectrum", "--n", "5"], 2, id="usage:spectrum,--n,5"),
+    pytest.param(["identity", "--which", "base", "--tol", "quadrature=0"], 2,
+                 id="usage:identity,--which,base,--tol,quadrature=0"),
+    pytest.param(["tabulate", "-h", "--p", "5"], ("tabulate", None), id="help:tabulate,-h,--p,5"),
 ]
 
 
