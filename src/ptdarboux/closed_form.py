@@ -70,22 +70,22 @@ def _level_rows(xs, ns):
     return hypergeom._jacobi_rows(1.5, xs, ns)
 
 
-def _u_rows(cosines, depth, ks):
-    """(k, rows) for each k of `ks` (k >= 2), in increasing order: the rows
-    U'_{k-1} to its depth-th derivative at every c of the list `cosines`,
-    from one sweep of chains of one order and parity of j that stops after
-    the largest k: U_j = y U_{j-2} - U_{j-4}, y = (2c)^2 - 2 (Mason &
-    Handscomb 2003, ch. 2), and U_j^(d) = U_{j-2}^(d) + 2j U_{j-1}^(d-1)
-    (DLMF 18.9), which reads only the chain one order below of the other
-    parity.  It forms the chains its rows read alone, each to the last
-    index read, in lists, and the row y only when a U chain steps past U_1;
-    integer values at c = +-1 stay exact.  Against exact values at the same
-    c, the rows keep within 1.6e-14 of max|U_{k-1}^(d)| (k <= 63, d <= 3) on
-    the suite's interior grid, and 9.5e-15 where |c| < 0.9995 (y's
-    rounding)."""
-    keep = set(ks)
+def _u_rows(cosines, slopes=(), seconds=()):
+    """(k, rows) for each k >= 2 of `slopes` and `seconds`, in increasing
+    order, at every c of the list `cosines`: U'_{k-1} at a k of `slopes`, and
+    U'_{k-1} to its third derivative, the rows a g'' reads, at a k of
+    `seconds`.  One sweep, which stops after the largest k, of the chains of
+    one order and parity of j that they read, each to its last index read:
+    U_j = y U_{j-2} - U_{j-4}, y = (2c)^2 - 2 (Mason & Handscomb 2003, ch.
+    2), and U_j^(d) = U_{j-2}^(d) + 2j U_{j-1}^(d-1) (DLMF 18.9), which
+    reads only the chain one order below of the other parity; the row y is
+    built only when a U chain steps past U_1, and integer values at c = +-1
+    stay exact.  Against exact values at the same c, the rows keep within
+    1.6e-14 of max|U_{k-1}^(d)| (k <= 63, d <= 3) on the suite's interior
+    grid, and 9.5e-15 where |c| < 0.9995 (y's rounding)."""
+    depths = dict.fromkeys(slopes, 1) | dict.fromkeys(seconds, 3)  # g'' reads U' to U'''
     last = {(d, j % 2): j for d, j in sorted(  # (order, parity): the last index read
-        (d, j) for k in keep for top in range(1, depth + 1)
+        (d, j) for k, depth in depths.items() for top in range(1, depth + 1)
         for d, j in zip(range(top + 1), range(k - 1 - top, k)))}
     size = len(cosines)
     y = ([4.0 * c * c - 2.0 for c in cosines]  # read only by a U chain stepping past U_1
@@ -94,16 +94,16 @@ def _u_rows(cosines, depth, ks):
     back = [[-1.0] * size, [0.0] * size]  # U_-2, U_-1 before U_0, U_1 (where odd U starts)
     rows[0, 0], rows[0, 1] = [1.0] * size, [2.0 * c for c in cosines] if (0, 1) in last else []
     del cosines  # only y and U_1 read it: a caller's fresh list is freed here
-    for j in range(1, max(keep, default=1)):
+    for j in range(1, max(depths, default=1)):
         p, twice = j % 2, 2.0 * j
-        for d in (d for d in range(depth + 1) if last.get((d, p), -1) >= j):
+        for d in [d for (d, q), end in last.items() if q == p and end >= j]:
             if d:
                 rows[d, p] = [w + twice * v for w, v in zip(rows[d, p], rows[d - 1, 1 - p])]
             elif j > 1:
                 back[p], rows[0, p] = rows[0, p], [
                     f * v - b for f, v, b in zip(y, rows[0, p], back[p])]
-        if j + 1 in keep:
-            yield j + 1, tuple(rows[d, p] for d in range(1, depth + 1))
+        if j + 1 in depths:
+            yield j + 1, tuple(rows[d, p] for d in range(1, depths[j + 1] + 1))
 
 
 def _bracket(sin_sq, slope, scale) -> list:
@@ -155,14 +155,14 @@ def chi_derivatives(f: TrigEigenfunction, x: float) -> tuple[float, float, float
         g'' = -2 (c^2 - s^2) P + 5 c s^2 P' - s^4 P''
 
     then d/dx = 2 alpha d/dt.  No term divides by s, so the walls are
-    points like any other, where g and g' vanish.  One depth-3 U sweep
-    (_u_rows) gives all three.
+    points like any other, where g and g' vanish.  One U sweep asked for
+    the g'' of index k (_u_rows) gives all three.
     """
     a = f.alpha
     t = _t_of(a, x)
     s, c = math.sin(t), math.cos(t)
     s2 = s * s
-    ((_, (p, p1, p2)),) = _u_rows([c], 3, [f.k])
+    ((_, (p, p1, p2)),) = _u_rows([c], (), [f.k])
     (g,) = _bracket([s2], p, 1.0)
     (g2,) = _second_derivative(_g2_factors([c], [s2]), p, p1, p2)
     g1 = s * (s2 * p1[0] - 2.0 * c * p[0])
@@ -262,8 +262,8 @@ class TGrid:
         at each n of `levels`, then the row U'_{k-1} at each k of `slopes` and
         the g'' row at each k of `seconds`, from one level sweep (_level_rows)
         and one U sweep (_u_rows) of the cos t row, each run only if asked
-        for a row and to its largest index, the U sweep to depth 3 if any g''
-        is asked for and to 1 if not; every g'' reads the rows of _g2_factors."""
+        for a row and to its largest index, the U sweep for both sets as
+        they are; every g'' reads the rows of _g2_factors."""
         cosines = self._cosines
         if levels:
             for n, level in _level_rows(cosines, levels):
@@ -271,7 +271,7 @@ class TGrid:
         slopes, seconds = set(slopes), set(seconds)
         if slopes or seconds:
             factors = _g2_factors(cosines, self.sin_sq) if seconds else ()
-            for k, (slope, *higher) in _u_rows(cosines, 3 if seconds else 1, slopes | seconds):
+            for k, (slope, *higher) in _u_rows(cosines, slopes, seconds):
                 if k in slopes:
                     yield "slopes", k, slope
                 if k in seconds:

@@ -29,12 +29,12 @@ def partner_potential(cfg: WellConfig, x: float) -> float:
 
 def _partner_potentials(cfg: WellConfig, xs) -> list:
     """partner_potential at every x of `xs`, in one pass: W and W' from one
-    sin(2 alpha x), with the scales taken once."""
-    a = cfg.alpha
+    sin(2 alpha x), with the scales and the length L taken once."""
+    a, length = cfg.alpha, cfg.length
     two_a, w_scale, w_prime_scale, omega_sq = 2.0 * a, -2.0 * a, 4.0 * a * a, box_energy(cfg, 1)
     row = []
     for x in xs:
-        _require_open(cfg, x)
+        _require_open(length, x)
         t = two_a * x
         s = math.sin(t)
         w = w_scale * math.cos(t) / s
@@ -59,7 +59,7 @@ def intertwine(cfg: WellConfig, k: int, x: float) -> float:
     j pi.  The seed, k = 1, maps to exactly 0.
     """
     _require_box(k)
-    _require_open(cfg, x)
+    _require_open(cfg.length, x)
     a = cfg.alpha
     t, sign = 2.0 * a * x, -2.0
     if t > 0.5 * math.pi:

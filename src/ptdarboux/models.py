@@ -56,9 +56,9 @@ class PTParams(namedtuple("PTParams", "kappa lam")):
     _make = classmethod(lambda cls, values: cls(*values))  # _replace validates too
 
 
-def _require_open(cfg: WellConfig, x: float) -> None:
-    if not (0.0 < x < cfg.length):
-        raise DomainError(f"x={x} outside open interval (0, {cfg.length})")
+def _require_open(length: float, x: float) -> None:
+    if not (0.0 < x < length):
+        raise DomainError(f"x={x} outside open interval (0, {length})")
 
 
 def _require_partner(k: int) -> None:
@@ -82,7 +82,7 @@ def pt_potential(cfg: WellConfig, p: PTParams, x: float) -> float:
 
     Defined on the open interval only; both walls are infinite.
     """
-    _require_open(cfg, x)
+    _require_open(cfg.length, x)
     a = cfg.alpha
     s = math.sin(a * x)
     c = math.cos(a * x)

@@ -268,7 +268,7 @@ PARSES = [
     (["--", "verify"], 2),
     (["identity"], 2),
     (["identity", "--which", "nope"], 2),
-    (["verify", "--bogus", "1"], 2),
+    pytest.param(["verify", "--bogus", "1"], 2, id="usage:verify,--bogus,1"),
     (["verify", "-a", "1"], 2),
     (["verify", "stray"], 2),
     (["tabulate", "--n-", "3"], 2),
@@ -287,7 +287,7 @@ PARSES = [
     (["verify", "--"], 2),
     (["verify", "--", "-h"], 2),
     (["verify", "--alpha", "--", "5"], 2),
-    (["tabulate", "--quad-order", "8"], 2),
+    pytest.param(["tabulate", "--quad-order", "8"], 2, id="usage:tabulate,--quad-order,8"),
     pytest.param(["spectrum", "--n", "5"], 2, id="usage:spectrum,--n,5"),
     pytest.param(["identity", "--which", "base", "--tol", "quadrature=0"], 2,
                  id="usage:identity,--which,base,--tol,quadrature=0"),

@@ -273,18 +273,18 @@ def test_a_spoiled_u_slope_step_fails_every_identity_family(monkeypatch):
 
 
 def test_u_rows_track_exact_values_on_the_interior_grid():
-    # one depth-3 sweep to k = 63 at every cos t of the suite's interior
-    # grid and at c = 1 and -1, against exact rational values at the same
-    # floats, as a share of max|U_{k-1}^(d)| over [-1, 1] (its value at
-    # c = 1): measured worst 1.56e-14 (U'_61, the third grid point), and
-    # 9.5e-15 where t is over 0.03 from a wall: next to one, y = (2c)^2 - 2
-    # carries up to 2.2e-16 of rounding, which the rows read in y amplify
-    # most.  At c = 1 and -1 every value is an integer and exact
+    # one sweep of the rows g'' reads to k = 63 at every cos t of the
+    # suite's interior grid and at c = 1 and -1, against exact rational
+    # values at the same floats, as a share of max|U_{k-1}^(d)| over [-1, 1]
+    # (its value at c = 1): measured worst 1.56e-14 (U'_61, the third grid
+    # point), and 9.5e-15 where t is over 0.03 from a wall: next to one,
+    # y = (2c)^2 - 2 carries up to 2.2e-16 of rounding, which the rows read
+    # in y amplify most.  At c = 1 and -1 every value is an integer and exact
     cosines = [math.cos(t) for t in verify._interior_ts()] + [1.0, -1.0]
     exact = [chebyshev_u_exact(62, c, 3) for c in cosines]
     (_, at_one), (_, at_minus_one) = exact[-2:]
     worst = 0.0
-    for k, rows in closed_form._u_rows(cosines, 3, range(2, 64)):
+    for k, rows in closed_form._u_rows(cosines, (), range(2, 64)):
         for d, row in enumerate(rows, 1):
             assert row[-2:] == [at_one[k - 1][d], at_minus_one[k - 1][d]], (k, d)
             scale = abs(at_one[k - 1][d])
@@ -300,7 +300,7 @@ def test_u_sweep_frees_its_cosines_after_its_set_up():
     # only the rows y and U_1 read the cos t list, so the sweep's frame holds
     # it no longer once its first row is out: a caller's fresh list (as
     # chi_derivatives hands it) is freed for the rest of the sweep
-    sweep = closed_form._u_rows([math.cos(t) for t in (0.3, 1.1, 2.9)], 3, range(2, 12))
+    sweep = closed_form._u_rows([math.cos(t) for t in (0.3, 1.1, 2.9)], (), range(2, 12))
     assert "cosines" in sweep.gi_frame.f_locals
     next(sweep)
     assert "cosines" not in sweep.gi_frame.f_locals
@@ -312,12 +312,12 @@ def test_u_sweep_frees_its_cosines_after_its_set_up():
     (4, 1, lambda c: 24.0 * c * c - 4.0),
 ], ids=["U'_1", "U'_2", "U'_3"])
 def test_u_sweep_builds_only_the_rows_its_read_steps(k, passes, slope):
-    # a lone depth-1 read passes over its cosines only for the rows it
+    # a lone U' read passes over its cosines only for the rows it
     # steps: U'_1 = 2 reads none, U'_2 = 8c the row U_1 = 2c alone, and
     # U'_3 = 24c^2 - 4 the row y = (2c)^2 - 2 alone, which a sweep builds
     # only when a U chain steps past U_1
     cosines = PassCounter([0.5, -1.0, 0.25, 1.0])
-    ((index, (row,)),) = closed_form._u_rows(cosines, 1, [k])
+    ((index, (row,)),) = closed_form._u_rows(cosines, [k])
     assert index == k and row == [slope(c) for c in list.__iter__(cosines)]
     assert cosines.passes == passes
 

@@ -7,7 +7,7 @@ import pytest
 
 import ptdarboux
 from oracles import bracket_exact, chi, x_grid
-from ptdarboux.closed_form import TrigEigenfunction
+from ptdarboux.closed_form import TGrid, TrigEigenfunction
 from ptdarboux.darboux import intertwine, partner_potential, transform_normalization
 from ptdarboux.errors import DomainError, ParameterError
 from ptdarboux.models import WellConfig, box_energy
@@ -44,6 +44,10 @@ def test_partner_potential_open_domain():
     for bad in (0.0, cfg.length, -0.3, math.nan):
         with pytest.raises(DomainError):
             partner_potential(cfg, bad)
+    # a grid's potential row, which reads L once, names the point and L
+    with pytest.raises(DomainError) as error:
+        TGrid([0.0]).potential
+    assert str(error.value) == "x=0.0 outside open interval (0, 1.5707963267948966)"
 
 
 def test_superpotential_is_log_derivative_of_seed():

@@ -769,25 +769,23 @@ def test_suite_weighs_each_row_once(monkeypatch):
 @pytest.mark.usefixtures("fresh_caches")
 def test_each_grid_and_rule_starts_one_u_recurrence(monkeypatch):
     # the t rule's mode sweep and the interior grid each start one U sweep
-    # (_u_rows), which yields every derivative its rows read and not U
-    # itself: U' for the t rule's brackets, and U' to the third derivative
-    # for the grid's g'' rows.  The grid's sweep runs to the last bracket
-    # (k = 33), past the last g'' (k = 30).  A chi_derivatives call starts
-    # one sweep, to the third derivative, and reads its own k from it
-    sweeps = spy(monkeypatch, "u sweep", lambda swept, cosines, depth, ks:
-                 (len(cosines), depth, swept))
+    # (_u_rows), which yields at each k the derivatives its rows read and not
+    # U itself: U' for a bracket, and U' to the third derivative for a g''
+    # row.  The grid's sweep yields three rows at each g'' (k = 2..30) and
+    # U' alone past the last (k = 31..33, the last bracket).  A
+    # chi_derivatives call starts one sweep and reads its own k's three rows
+    sweeps = spy(monkeypatch, "u sweep", lambda swept, cosines, *requests:
+                 (len(cosines), swept))
     assert run_full_suite(n_max=30).overall
-    assert sorted((points, depth) for points, depth, _ in sweeps) == [
-        (verify.INTERIOR_POINTS, 3), (verify.QUAD_ORDER * verify.PANELS, 1)]
-    swept = [rows for *_, sweep in sweeps for _, rows in sweep]
-    interior = [rows for rows in swept if len(rows[0]) == verify.INTERIOR_POINTS]
-    assert len(interior) == 32  # U'_1..U'_32, for k = 2..33
-    assert {len(rows) for rows in interior} == {3}
-    assert {len(rows) for rows in swept} == {1, 3}
+    depths = {points: [(k, len(rows)) for k, rows in sweep] for points, sweep in sweeps}
+    assert len(sweeps) == len(depths) == 2
+    assert depths[verify.INTERIOR_POINTS] == [
+        *((k, 3) for k in range(2, 31)), *((k, 1) for k in range(31, 34))]
+    assert {rows for _, rows in depths[verify.QUAD_ORDER * verify.PANELS]} == {1}
     del sweeps[:]
     closed_form.chi_derivatives(TrigEigenfunction(9, 1.0), 0.7)
-    ((points, depth, sweep),) = sweeps
-    assert (points, depth) == (1, 3) and [len(rows) for _, rows in sweep] == [3]
+    assert [(points, [(k, len(rows)) for k, rows in sweep]) for points, sweep in sweeps] == [
+        (1, [(9, 3)])]
 
 
 @pytest.mark.usefixtures("fresh_caches")
@@ -818,8 +816,8 @@ def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch
     report = run_full_suite(n_max=3)
     original, interrupted = closed_form._u_rows, []
 
-    def interrupting(cosines, depth, ks):
-        for k, rows in original(cosines, depth, ks):
+    def interrupting(cosines, *requests):
+        for k, rows in original(cosines, *requests):
             if (k == 4 and len(cosines) == verify.QUAD_ORDER * verify.PANELS
                     and len(interrupted) < 2):
                 interrupted.append(k)
@@ -843,8 +841,8 @@ def test_an_interrupted_table_sweep_reads_on_as_if_never_interrupted(monkeypatch
     expected_rows = [(fresh.second_derivative(k), fresh.mode(k)) for k in range(2, 12)]
     original, interrupted = closed_form._u_rows, []
 
-    def interrupting_u(cosines, depth, ks):
-        for k, rows in original(cosines, depth, ks):
+    def interrupting_u(cosines, *requests):
+        for k, rows in original(cosines, *requests):
             if k == 6 and not interrupted:
                 interrupted.append(k)
                 raise KeyboardInterrupt
